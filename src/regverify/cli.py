@@ -25,7 +25,7 @@ from .oracle import oracle_prp
 from .reductions import (Circuit, CnfFormula, builtin_examples, cvp_to_cover,
                          evaluate_circuit, sat_to_cover, sat_to_uninit_target,
                          truth_table_satisfiable)
-from .roundbased import solve_prp_roundbased
+from .roundbased import DEFAULT_BUDGET, solve_prp_roundbased
 from .roundless import (solve_cover_fixed_r, solve_cover_uninitialized,
                         solve_dnfprp_one_register, solve_prp_bounded)
 from .semantics import ABSTRACT, CONCRETE, parse_trace, replay, write_trace
@@ -123,8 +123,7 @@ def cmd_check(args) -> int:
             raise CliError(f"algorithm {algo!r} does not decide rbprp",
                            EXIT_INCOMPATIBLE)
         v = solve_prp_roundbased(p, phi, budget=args.budget,
-                                 step_cap=args.step_cap,
-                                 parallel=args.parallel)
+                                 step_cap=args.step_cap)
     elif algo == "bounded" or algo is None:
         v = solve_prp_bounded(p, phi)
     elif algo == "saturation":
@@ -141,13 +140,13 @@ def cmd_check(args) -> int:
             print(f"warning: enumerating first-write orders over "
                   f"{p.register_count} registers grows factorially",
                   file=sys.stderr)
-        v = solve_cover_fixed_r(p, state, parallel=args.parallel)
+        v = solve_cover_fixed_r(p, state)
     elif algo == "one-reg":
         if p.register_count != 1:
             raise CliError("one-reg needs a single register",
                            EXIT_INCOMPATIBLE)
         try:
-            v = solve_dnfprp_one_register(p, phi, parallel=args.parallel)
+            v = solve_dnfprp_one_register(p, phi)
         except NotDNF:
             raise CliError("one-reg needs a DNF constraint "
                            "(try --distribute)", EXIT_INCOMPATIBLE)
@@ -324,15 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["bounded", "saturation", "fixed-r", "one-reg",
                               "oracle", "rb-search"])
     chk.add_argument("--budget", type=int, default=None,
-                     help="round-based search node budget "
-                          "(default REGVERIFY_BUDGET or built-in)")
+                     help="round-based search work budget for the whole "
+                          f"query (default {DEFAULT_BUDGET})")
     chk.add_argument("--step-cap", type=int, default=None,
                      help="footprint length cap; default (v+1)|Q|(2v+5) "
                           "per the normal-form bound")
     chk.add_argument("--distribute", action="store_true",
                      help="distribute the constraint into DNF first")
-    chk.add_argument("--parallel", action="store_true",
-                     help="fan independent clause/order/root branches")
     add_common(chk)
     chk.set_defaults(func=cmd_check)
 

@@ -618,11 +618,6 @@ class ClosedLiteral:
     symbol: int = -1
     positive: bool = True
 
-    def holds_in_tail(self) -> bool:
-        if self.kind == "pop":
-            return not self.positive
-        return (self.symbol == D0) == self.positive
-
 
 def literal_from_atom(atom, value: bool, k: int | None) -> ClosedLiteral:
     if isinstance(atom, PopAt):

@@ -552,14 +552,6 @@ def extend_footprint(p: Protocol, tau: Footprint, initial_set, k: int,
     guard0 = (pop0, 0, 0) if use_guard else None
     new_ops_by_pop: dict[int, list] = {}
 
-    def ops_for(pop: int) -> list:
-        cached = new_ops_by_pop.get(pop)
-        if cached is None:
-            cached = [op for op in new_ops
-                      if not op[2] or pop & op[2]]
-            new_ops_by_pop[pop] = cached
-        return cached
-
     def walk():
         # one explicit frame per emitted step:
         # [pop, regs, popnext, pos, guard, lp_write, option index, pushed_vis]
@@ -701,24 +693,6 @@ def packed_layout(p: Protocol, k: int) -> tuple[int, int, int, int]:
     base = max(k - v, 0)
     sym_bits = max(1, (p.num_symbols - 1).bit_length())
     return base, p.num_states, p.register_count, sym_bits
-
-
-def unpack_local(p: Protocol, k: int, packed: tuple) -> LocalConfig:
-    """LocalConfig on [k-v, k] from a packed (population, registers) pair."""
-    v = max(p.visibility or 0, 1)
-    base, nq, rc, sym_bits = packed_layout(p, k)
-    sym_mask = (1 << sym_bits) - 1
-    pop, regs = packed
-    pop_set = set()
-    for idx in range(nq * (k - base + 1)):
-        if pop & (1 << idx):
-            pop_set.add((idx % nq, base + idx // nq))
-    reg_set = set()
-    for slot in range(rc * (k - base + 1)):
-        s = (regs >> (slot * sym_bits)) & sym_mask
-        if s:
-            reg_set.add(((base + slot // rc, slot % rc), s))
-    return LocalConfig(k - v, k, frozenset(pop_set), frozenset(reg_set))
 
 
 def enumerate_bridge_footprints(p: Protocol, tau: Footprint, initial_set,

@@ -11,15 +11,15 @@ discovered before a verdict, not the whole reach set.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
 from .constraints import eval_roundbased, eval_roundless, max_constant
 from .errors import CapExceeded
-from .model import INC, READ, ROUNDBASED, ROUNDLESS, Protocol
+from .model import READ, ROUNDBASED, ROUNDLESS, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
-                        abstract_successors, initial_configuration, replay)
+                        abstract_successors, initial_configuration,
+                        initial_supports, replay)
 from .verdict import NEGATIVE, POSITIVE, Verdict
 
 DEFAULT_STATE_CAP = 12
@@ -30,20 +30,17 @@ DEFAULT_SPACE_CAP = 200_000
 class ReachSet:
     """Abstract reach set with parent links for witness extraction."""
 
-    members: set = field(default_factory=set)
-    parents: dict = field(default_factory=dict)  # config -> (pred, Move)|None
-    order: list = field(default_factory=list)    # BFS discovery order
+    # config -> (pred, Move) | None, in breadth-first discovery order
+    parents: dict = field(default_factory=dict)
     hit: AbstractConfig | None = None  # first member satisfying the predicate
 
-    def add(self, config: AbstractConfig, link, sat=None) -> bool:
-        """Record a newly discovered member; true if it satisfies ``sat``."""
-        self.members.add(config)
-        self.parents[config] = link
-        self.order.append(config)
-        if sat is not None and sat(config):
-            self.hit = config
-            return True
-        return False
+    @property
+    def members(self):
+        return self.parents.keys()
+
+    @property
+    def order(self) -> list:
+        return list(self.parents)
 
     def witness(self, config: AbstractConfig) -> Execution:
         moves: list[Move] = []
@@ -58,96 +55,41 @@ class ReachSet:
         return Execution(cur, tuple(moves))
 
 
-def _initial_supports(p: Protocol):
-    q0 = sorted(p.initial_states)
-    for r in range(1, len(q0) + 1):
-        for combo in itertools.combinations(q0, r):
-            yield frozenset(combo)
+def _bfs(starts, successors, decode, space_cap: int, sat=None) -> ReachSet:
+    """Breadth-first search over configuration codes.
 
-
-def _bfs_roundless(p: Protocol, space_cap: int, sat=None) -> ReachSet:
-    """Packed-integer BFS: register fields below, population bits above.
-
-    Each configuration is decoded once, when first discovered, so that
-    ``sat`` can stop the search at the first hit.
+    ``starts`` yields the initial codes, ``successors(code)`` yields
+    ``(move, code)`` pairs and ``decode`` turns a code into its
+    configuration.  Each code is decoded once, when first discovered, so
+    that ``sat`` can stop the search at the first hit.
     """
-    sym_bits = max(1, (p.num_symbols - 1).bit_length())
-    sym_mask = (1 << sym_bits) - 1
-    pop_shift = p.register_count * sym_bits
-
-    ops = []
-    for t in p.transitions:
-        a = t.action
-        ops.append((1 << (pop_shift + t.source), 1 << (pop_shift + t.dest),
-                    a.reg * sym_bits, a.symbol, a.kind == READ,
-                    Move(t, None, False), Move(t, None, True)))
-
-    def decode(code: int) -> AbstractConfig:
-        pop = frozenset(q for q in range(p.num_states)
-                        if code & (1 << (pop_shift + q)))
-        regs = tuple((code >> (j * sym_bits)) & sym_mask
-                     for j in range(p.register_count))
-        return AbstractConfig(pop, regs)
-
     rs = ReachSet()
-    configs: dict[int, AbstractConfig] = {}  # discovered code -> decoded
-    queue: deque[int] = deque()
-    for support in _initial_supports(p):
-        code = 0
-        for q in support:
-            code |= 1 << (pop_shift + q)
-        if code not in configs:
-            c = configs[code] = decode(code)
-            queue.append(code)
-            if rs.add(c, None, sat):
-                return rs
+    configs: dict = {}  # discovered code -> decoded configuration
+    queue: deque = deque()
+
+    def discover(code, link) -> bool:
+        c = configs[code] = decode(code)
+        rs.parents[c] = link
+        queue.append(code)
+        if sat is not None and sat(c):
+            rs.hit = c
+            return True
+        return False
+
+    for code in starts:
+        if code not in configs and discover(code, None):
+            return rs
     while queue:
         code = queue.popleft()
         cur = configs[code]
-        for src_bit, dst_bit, shift, sym, is_read, keep, desert in ops:
-            if not code & src_bit:
+        for move, succ in successors(code):
+            if succ in configs:
                 continue
-            if is_read:
-                if (code >> shift) & sym_mask != sym:
-                    continue
-                base = code
-            else:
-                base = (code & ~(sym_mask << shift)) | (sym << shift)
-            for succ, move in (((base | dst_bit), keep),
-                               ((base & ~src_bit) | dst_bit, desert)):
-                if succ == code or succ in configs:
-                    continue
-                if move.desert and src_bit == dst_bit:
-                    continue  # variants coincide on self-loops
-                if len(configs) >= space_cap:
-                    raise CapExceeded(
-                        f"reach set exceeds {space_cap} configurations")
-                c = configs[succ] = decode(succ)
-                queue.append(succ)
-                if rs.add(c, (cur, move), sat):
-                    return rs
-    return rs
-
-
-def _bfs(p: Protocol, window, space_cap: int, sat=None) -> ReachSet:
-    rs = ReachSet()
-    queue: deque[AbstractConfig] = deque()
-    for support in _initial_supports(p):
-        c = initial_configuration(p, support)
-        if c not in rs.members:
-            queue.append(c)
-            if rs.add(c, None, sat):
+            if len(configs) >= space_cap:
+                raise CapExceeded(
+                    f"reach set exceeds {space_cap} configurations")
+            if discover(succ, (cur, move)):
                 return rs
-    while queue:
-        c = queue.popleft()
-        for move, succ in abstract_successors(p, c, window):
-            if succ not in rs.members:
-                if len(rs.members) >= space_cap:
-                    raise CapExceeded(
-                        f"reach set exceeds {space_cap} configurations")
-                queue.append(succ)
-                if rs.add(succ, (c, move), sat):
-                    return rs
     return rs
 
 
@@ -165,7 +107,41 @@ def reach_roundless(p: Protocol, state_cap: int = DEFAULT_STATE_CAP,
         raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
     if p.num_symbols ** p.register_count > space_cap:
         raise CapExceeded("register valuation space exceeds cap")
-    return _bfs_roundless(p, space_cap, sat)
+    # packed integers: register fields below, population bits above
+    sym_bits = max(1, (p.num_symbols - 1).bit_length())
+    sym_mask = (1 << sym_bits) - 1
+    pop_shift = p.register_count * sym_bits
+
+    ops = []
+    for t in p.transitions:
+        a = t.action
+        ops.append((1 << (pop_shift + t.source), 1 << (pop_shift + t.dest),
+                    a.reg * sym_bits, a.symbol, a.kind == READ,
+                    Move(t, None, False), Move(t, None, True)))
+
+    def successors(code: int):
+        for src_bit, dst_bit, shift, sym, is_read, keep, desert in ops:
+            if not code & src_bit:
+                continue
+            if is_read:
+                if (code >> shift) & sym_mask != sym:
+                    continue
+                base = code
+            else:
+                base = (code & ~(sym_mask << shift)) | (sym << shift)
+            yield keep, base | dst_bit
+            yield desert, (base & ~src_bit) | dst_bit
+
+    def decode(code: int) -> AbstractConfig:
+        pop = frozenset(q for q in range(p.num_states)
+                        if code & (1 << (pop_shift + q)))
+        regs = tuple((code >> (j * sym_bits)) & sym_mask
+                     for j in range(p.register_count))
+        return AbstractConfig(pop, regs)
+
+    starts = (sum(1 << (pop_shift + q) for q in support)
+              for support in initial_supports(p))
+    return _bfs(starts, successors, decode, space_cap, sat)
 
 
 def reach_roundbased_capped(p: Protocol, max_round: int,
@@ -180,7 +156,10 @@ def reach_roundbased_capped(p: Protocol, max_round: int,
         raise ValueError("reach_roundbased_capped needs a round-based protocol")
     if p.num_states > state_cap:
         raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
-    return _bfs(p, (0, max_round), space_cap, sat)
+    starts = (initial_configuration(p, support)
+              for support in initial_supports(p))
+    return _bfs(starts, lambda c: abstract_successors(p, c, (0, max_round)),
+                lambda c: c, space_cap, sat)
 
 
 def default_round_cap(p: Protocol, psi) -> int:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 
 from .constraints import (And, ApcCandidate, ClosedLiteral, Not, Or, PopAt,
@@ -29,9 +28,9 @@ from .constraints import (And, ApcCandidate, ClosedLiteral, Not, Or, PopAt,
 from .errors import RegverifyError, ReplayFailure
 from .footprints import (Footprint, LocalConfig, combine_footprints,
                          default_step_cap, empty_footprint, extend_footprint,
-                         footprint_configs, packed_layout, project_footprint)
+                         packed_layout, project_footprint)
 from .model import D0, INC, ROUNDBASED, Protocol
-from .semantics import ABSTRACT, Execution, Move, replay
+from .semantics import ABSTRACT, Execution, Move, initial_supports, replay
 from .verdict import NEGATIVE, POSITIVE, UNKNOWN, Verdict
 
 DEFAULT_BUDGET = 3_000_000
@@ -205,37 +204,6 @@ def _population_monotone(cand: ApcCandidate) -> bool:
                for x in cand.existential | cand.universal)
 
 
-def _root_branches(p: Protocol, psi) -> list[tuple]:
-    """Independent search roots: obligation candidate x populated initials."""
-    candidates = decompose_apcs(psi)
-    initial_sets = []
-    q0 = sorted(p.initial_states)
-    for r in range(1, len(q0) + 1):
-        initial_sets.extend(frozenset(c)
-                            for c in itertools.combinations(q0, r))
-    return [(cand, init_set) for cand in candidates
-            for init_set in initial_sets]
-
-
-def _run_branch(args) -> tuple:
-    """One root branch with its own budget; picklable for process pools."""
-    p, cand, init_set, v, step_cap, budget = args
-    work = {"ticks": 0, "nodes": 0}
-
-    def tick(n: int = 1):
-        work["ticks"] += n
-        if work["ticks"] > budget:
-            raise _BudgetExceeded()
-
-    try:
-        hit = _search(p, cand, init_set, v, step_cap, tick, work)
-    except _BudgetExceeded:
-        return ("unknown", None, work)
-    if hit is not None:
-        return ("positive", hit, work)
-    return ("negative", None, work)
-
-
 def _validated(p: Protocol, psi, exec_: Execution, work: dict) -> Verdict:
     final = replay(p, exec_, ABSTRACT)
     bound = max_constant(psi) + max(
@@ -248,42 +216,22 @@ def _validated(p: Protocol, psi, exec_: Execution, work: dict) -> Verdict:
 
 
 def solve_prp_roundbased(p: Protocol, psi, budget: int | None = None,
-                         step_cap: int | None = None,
-                         parallel: bool = False) -> Verdict:
+                         step_cap: int | None = None) -> Verdict:
     """Decide round-based presence reachability.
 
     Positive verdicts carry a glued, replay-validated witness execution.
-    A negative verdict means the memoized search space was exhausted; when
-    the work budget runs out first the verdict is "unknown", never wrong.
-    Root branches are independent; ``parallel`` fans them over worker
-    processes, each with its own budget and memo table.
+    A negative verdict means the memoized search space was exhausted.  One
+    work budget (``DEFAULT_BUDGET`` unless given) covers the whole query:
+    root branches spend it in order, and the first branch that runs out
+    ends the search with "unknown", never a wrong answer.
     """
     if p.flavor != ROUNDBASED:
         raise ValueError("solve_prp_roundbased needs a round-based protocol")
     if budget is None:
-        budget = int(os.environ.get("REGVERIFY_BUDGET", DEFAULT_BUDGET))
+        budget = DEFAULT_BUDGET
     if step_cap is None:
         step_cap = default_step_cap(p)
     v = max(p.visibility or 0, 1)
-    branches = _root_branches(p, psi)
-
-    if parallel and len(branches) > 1:
-        import multiprocessing
-
-        jobs = [(p, cand, init_set, v, step_cap, budget)
-                for cand, init_set in branches]
-        with multiprocessing.Pool(min(len(jobs), os.cpu_count() or 2)) as pl:
-            results = pl.map(_run_branch, jobs)
-        work = {"ticks": sum(w["ticks"] for _, _, w in results),
-                "nodes": sum(w["nodes"] for _, _, w in results),
-                "branches": len(jobs)}
-        for answer, hit, _ in results:
-            if answer == "positive":
-                return _validated(p, psi, hit, work)
-        if any(answer == "unknown" for answer, _, _ in results):
-            return Verdict(UNKNOWN, "rb-search", None, work)
-        return Verdict(NEGATIVE, "rb-search", None, work)
-
     work = {"ticks": 0, "nodes": 0}
 
     def tick(n: int = 1):
@@ -291,17 +239,16 @@ def solve_prp_roundbased(p: Protocol, psi, budget: int | None = None,
         if work["ticks"] > budget:
             raise _BudgetExceeded()
 
-    exhausted_cleanly = True
-    for cand, init_set in branches:
-        try:
-            hit = _search(p, cand, init_set, v, step_cap, tick, work)
-        except _BudgetExceeded:
-            exhausted_cleanly = False
-            continue
-        if hit is not None:
-            return _validated(p, psi, hit, dict(work))
-    answer = NEGATIVE if exhausted_cleanly else UNKNOWN
-    return Verdict(answer, "rb-search", None, dict(work))
+    # root branches: obligation candidate x populated initial states
+    for cand in decompose_apcs(psi):
+        for init_set in initial_supports(p):
+            try:
+                hit = _search(p, cand, init_set, v, step_cap, tick, work)
+            except _BudgetExceeded:
+                return Verdict(UNKNOWN, "rb-search", None, dict(work))
+            if hit is not None:
+                return _validated(p, psi, hit, dict(work))
+    return Verdict(NEGATIVE, "rb-search", None, dict(work))
 
 
 def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,

@@ -16,9 +16,8 @@ from .constraints import (ClauseDecomposition, dnf_clauses, eval_roundless)
 from .errors import NotUninitialized, WrongRegisterCount
 from .model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol, Transition,
                     is_uninitialized)
-from .oracle import _initial_supports
 from .semantics import (AbstractConfig, Execution, Move, abstract_successors,
-                        initial_configuration)
+                        initial_configuration, initial_supports)
 from .verdict import NEGATIVE, POSITIVE, Verdict
 
 
@@ -57,7 +56,7 @@ def solve_prp_bounded(p: Protocol, phi) -> Verdict:
             path.pop()
         return None
 
-    for support in _initial_supports(p):
+    for support in initial_supports(p):
         start = initial_configuration(p, support)
         if best_depth.get(start, bound + 1) <= 0:
             continue
@@ -71,10 +70,9 @@ def solve_prp_bounded(p: Protocol, phi) -> Verdict:
 
 @dataclass
 class SaturationState:
-    """Grow-only saturation record: covered states and established writes."""
+    """Grow-only saturation record: the covered states."""
 
     covered: set = field(default_factory=set)
-    writable: dict = field(default_factory=dict)  # register -> set of symbols
     iterations: int = 0
 
 
@@ -106,10 +104,6 @@ def saturate_uninitialized(p: Protocol) -> SaturationState:
             if ok and t.dest not in st.covered:
                 st.covered.add(t.dest)
                 changed = True
-        for t in p.transitions:
-            a = t.action
-            if a.kind == WRITE and t.source in st.covered:
-                st.writable.setdefault(a.reg, set()).add(a.symbol)
     return st
 
 
@@ -184,28 +178,19 @@ def _saturate_phases(p: Protocol, order: FirstWriteOrder) -> set:
     return S
 
 
-def solve_cover_fixed_r(p: Protocol, target: int,
-                        parallel: bool = False) -> Verdict:
+def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:
     """Coverability via enumeration of first-write orders.
 
     Exact for any register count; cost grows factorially in it, so intended
-    for small, fixed register counts.  Orders are independent; ``parallel``
-    fans them over a thread pool, first success (in order) winning.
+    for small, fixed register counts.  Orders are tried lazily, shortest
+    first, and the first that covers ``target`` wins.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
-    orders = list(first_write_orders(p))
-    if parallel and len(orders) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            sets = list(pool.map(lambda o: _saturate_phases(p, o), orders))
-    else:
-        sets = None
     tried = 0
-    for idx, order in enumerate(orders):
+    for order in first_write_orders(p):
         tried += 1
-        S = sets[idx] if sets is not None else _saturate_phases(p, order)
-        if target in S:
+        if target in _saturate_phases(p, order):
             return Verdict(POSITIVE, "fixed-r", None,
                            {"order": [j + 1 for j in order.registers],
                             "orders_tried": tried})
@@ -298,8 +283,7 @@ def compute_cov_set(p: Protocol, alive: set | None = None) -> set:
     return S
 
 
-def _previous_symbol(trans: list[Transition], num_states: int, S: set,
-                     symbols) -> set | None:
+def _previous_symbol(trans: list[Transition], S: set, symbols) -> set | None:
     """One backward phase: saturate with reads, then demand a writer.
 
     Iterates every candidate symbol, accumulating each success; None when no
@@ -338,13 +322,13 @@ def compute_cocov_set(p: Protocol, clause: ClauseDecomposition,
     trans = _alive_transitions(p, alive)
     allowed = alive - clause.q_minus
     d_ok = sorted(clause.d_ok[0])
-    first = _previous_symbol(trans, p.num_states, allowed, d_ok)
+    first = _previous_symbol(trans, allowed, d_ok)
     if first is None:
         return set()
     S = first
     writable = [s for s in range(1, p.num_symbols)]
     while True:
-        nxt = _previous_symbol(trans, p.num_states, S, writable)
+        nxt = _previous_symbol(trans, S, writable)
         if nxt is None or nxt == S:
             break
         S = nxt
@@ -371,8 +355,7 @@ def _clause_route(pu: Protocol, dec: ClauseDecomposition) -> str | None:
     return None
 
 
-def solve_dnfprp_one_register(p: Protocol, phi,
-                              parallel: bool = False) -> Verdict:
+def solve_dnfprp_one_register(p: Protocol, phi) -> Verdict:
     """Polynomial-time DNF presence reachability for one register.
 
     Reduces to the uninitialized case, then per clause prunes the state set
@@ -380,8 +363,7 @@ def solve_dnfprp_one_register(p: Protocol, phi,
     a clause accepts when its required states survive a nonempty fixpoint.
     Zero-step witnesses (initial configurations already satisfying a clause)
     are checked before the fixpoint, which only reasons about executions
-    containing a write.  Clauses are independent; ``parallel`` fans them
-    over a thread pool.
+    containing a write.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
@@ -390,13 +372,8 @@ def solve_dnfprp_one_register(p: Protocol, phi,
     decs = dnf_clauses(p, phi)  # raises NotDNF on bad input
     pu = reduce_initialized_to_uninit_r1(p)
     stats = {"clauses": len(decs)}
-    if parallel and len(decs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            routes = pool.map(lambda d: _clause_route(pu, d), decs)
-    else:
-        routes = (_clause_route(pu, dec) for dec in decs)
-    for route in routes:
+    for dec in decs:
+        route = _clause_route(pu, dec)
         if route is not None:
             return Verdict(POSITIVE, "one-reg", None,
                            dict(stats, route=route))

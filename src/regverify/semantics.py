@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (EmptySupport, MissingWindow, NotEnabled, NotInitialState,
@@ -77,10 +78,6 @@ def mset_support(pop: tuple) -> frozenset:
     return frozenset(x for x, _ in pop)
 
 
-def mset_total(pop: tuple) -> int:
-    return sum(n for _, n in pop)
-
-
 def initial_regs(p: Protocol):
     if p.flavor == ROUNDLESS:
         return (D0,) * p.register_count
@@ -136,6 +133,14 @@ def initial_configuration(p: Protocol, support) -> AbstractConfig:
     else:
         pop = frozenset((q, 0) for q in support)
     return AbstractConfig(pop, initial_regs(p))
+
+
+def initial_supports(p: Protocol):
+    """Every nonempty set of initial states, smaller sets first."""
+    q0 = sorted(p.initial_states)
+    for r in range(1, len(q0) + 1):
+        for combo in itertools.combinations(q0, r):
+            yield frozenset(combo)
 
 
 def concrete_initial(p: Protocol, counts: dict) -> ConcreteConfig:

@@ -17,7 +17,3 @@ class Verdict:
     algorithm: str
     witness: Execution | None = None
     stats: dict = field(default_factory=dict)
-
-    @property
-    def is_positive(self) -> bool:
-        return self.answer == POSITIVE

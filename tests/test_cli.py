@@ -137,6 +137,12 @@ def test_rbprp_unknown_exit_code(exdir, capsys):
     assert json.loads(out)["answer"] == "unknown"
 
 
+def test_parallel_flag_is_gone(exdir, capsys):
+    code, _, _ = run(capsys, "check", "cover", str(exdir / "fig1.prot"),
+                     "--state", "qf", "--algo", "fixed-r", "--parallel")
+    assert code == 64
+
+
 def test_console_entry_point():
     r = subprocess.run([sys.executable, "-m", "regverify.cli", "examples"],
                        capture_output=True, text=True)

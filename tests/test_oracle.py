@@ -14,7 +14,7 @@ from regverify.model import parse_protocol
 from regverify.oracle import (default_round_cap, oracle_prp, reach_roundbased_capped,
                               reach_roundless)
 from regverify.reductions import builtin_examples
-from regverify.semantics import (ABSTRACT, AbstractConfig,
+from regverify.semantics import (ABSTRACT, AbstractConfig, abstract_step,
                                  abstract_successors, replay)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
@@ -49,6 +49,31 @@ def test_reach_is_a_fixed_point():
     for c in rs.members:
         for _, succ in abstract_successors(FIG1, c):
             assert succ in rs.members
+
+
+def _assert_closed_with_sound_parents(p, rs, window=None):
+    """Every member's successors are members, and every parent link is one
+    step of the reference relation from an earlier member."""
+    position = {c: i for i, c in enumerate(rs.order)}
+    for c in rs.members:
+        for _, succ in abstract_successors(p, c, window):
+            assert succ in rs.members
+        link = rs.parents[c]
+        if link is not None:
+            pred, move = link
+            assert position[pred] < position[c]
+            assert abstract_step(p, pred, move) == c
+
+
+@pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_020)))
+def test_packed_reach_matches_reference_step(seed):
+    p = FIG1 if seed is None else random_protocol(random.Random(seed))
+    _assert_closed_with_sound_parents(p, reach_roundless(p))
+
+
+def test_roundbased_capped_reach_matches_reference_step():
+    _assert_closed_with_sound_parents(
+        FIG4, reach_roundbased_capped(FIG4, 2), window=(0, 2))
 
 
 def test_cap_exceeded():
