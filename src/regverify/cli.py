@@ -74,11 +74,14 @@ def _load_constraint(path: str, p):
 def _emit(v: Verdict, p, args) -> int:
     payload = {"schema": 1, "answer": v.answer, "algorithm": v.algorithm,
                "stats": v.stats}
-    if v.witness is not None and getattr(args, "emit_witness", None):
-        mode = ABSTRACT
-        text = write_trace(p, v.witness, mode)
-        Path(args.emit_witness).write_text(text)
-        payload["witness_file"] = args.emit_witness
+    if getattr(args, "emit_witness", None):
+        if v.witness is not None:
+            text = write_trace(p, v.witness, ABSTRACT)
+            Path(args.emit_witness).write_text(text)
+            payload["witness_file"] = args.emit_witness
+        elif v.answer == POSITIVE:
+            print(f"no witness: {v.algorithm} does not build one",
+                  file=sys.stderr)
     print(json.dumps(payload))
     print(f"{v.answer} ({v.algorithm})", file=sys.stderr)
     return _EXIT_BY_ANSWER[v.answer]

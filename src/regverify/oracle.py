@@ -7,11 +7,15 @@ against these sets; they are not a scalable model checker and refuse
 instances beyond their caps.  The oracle stops at the first configuration
 that satisfies the constraint, so its space cap bounds the configurations
 discovered before a verdict, not the whole reach set.
+
+The roundless ``bounded`` solver runs this same search on the same packed
+step relation, cut at depth 4|Q| and without caps, so its agreement with
+the oracle does not check the step relation; the tests check that relation
+against ``semantics.abstract_step``, and every witness is replayed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .constraints import eval_roundbased, eval_roundless, max_constant
@@ -55,22 +59,24 @@ class ReachSet:
         return Execution(cur, tuple(moves))
 
 
-def _bfs(starts, successors, decode, space_cap: int, sat=None) -> ReachSet:
-    """Breadth-first search over configuration codes.
+def bfs(starts, successors, decode, space_cap: float = float("inf"),
+        sat=None, max_depth: int | None = None) -> ReachSet:
+    """Breadth-first search over configuration codes, one level at a time.
 
     ``starts`` yields the initial codes, ``successors(code)`` yields
     ``(move, code)`` pairs and ``decode`` turns a code into its
     configuration.  Each code is decoded once, when first discovered, so
-    that ``sat`` can stop the search at the first hit.
+    that ``sat`` can stop the search at the first hit.  Configurations at
+    depth ``max_depth`` are discovered but not expanded.
     """
     rs = ReachSet()
     configs: dict = {}  # discovered code -> decoded configuration
-    queue: deque = deque()
+    frontier: list = []  # codes discovered at the current depth
 
     def discover(code, link) -> bool:
         c = configs[code] = decode(code)
         rs.parents[c] = link
-        queue.append(code)
+        frontier.append(code)
         if sat is not None and sat(c):
             rs.hit = c
             return True
@@ -79,35 +85,30 @@ def _bfs(starts, successors, decode, space_cap: int, sat=None) -> ReachSet:
     for code in starts:
         if code not in configs and discover(code, None):
             return rs
-    while queue:
-        code = queue.popleft()
-        cur = configs[code]
-        for move, succ in successors(code):
-            if succ in configs:
-                continue
-            if len(configs) >= space_cap:
-                raise CapExceeded(
-                    f"reach set exceeds {space_cap} configurations")
-            if discover(succ, (cur, move)):
-                return rs
+    depth = 0
+    while frontier and depth != max_depth:
+        depth += 1
+        level, frontier = frontier, []  # discover() appends to the new list
+        for code in level:
+            cur = configs[code]
+            for move, succ in successors(code):
+                if succ in configs:
+                    continue
+                if len(configs) >= space_cap:
+                    raise CapExceeded(
+                        f"reach set exceeds {space_cap} configurations")
+                if discover(succ, (cur, move)):
+                    return rs
     return rs
 
 
-def reach_roundless(p: Protocol, state_cap: int = DEFAULT_STATE_CAP,
-                    space_cap: int = DEFAULT_SPACE_CAP, sat=None) -> ReachSet:
-    """Abstract reach set from every initial configuration.
+def packed_roundless(p: Protocol):
+    """``(starts, successors, decode)`` for ``bfs`` on packed integer codes.
 
-    Without ``sat`` the set is complete.  With it, breadth-first search
-    stops at the first configuration satisfying ``sat`` and records it as
-    ``hit``; the set then holds the configurations discovered so far.
+    A code holds the register fields in its low bits and one population bit
+    per state above them.  Successors come per enabled transition, keep
+    variant first, then desert.
     """
-    if p.flavor != ROUNDLESS:
-        raise ValueError("reach_roundless needs a roundless protocol")
-    if p.num_states > state_cap:
-        raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
-    if p.num_symbols ** p.register_count > space_cap:
-        raise CapExceeded("register valuation space exceeds cap")
-    # packed integers: register fields below, population bits above
     sym_bits = max(1, (p.num_symbols - 1).bit_length())
     sym_mask = (1 << sym_bits) - 1
     pop_shift = p.register_count * sym_bits
@@ -139,9 +140,27 @@ def reach_roundless(p: Protocol, state_cap: int = DEFAULT_STATE_CAP,
                      for j in range(p.register_count))
         return AbstractConfig(pop, regs)
 
+    # lazy: a search that hits early never encodes the remaining supports
     starts = (sum(1 << (pop_shift + q) for q in support)
               for support in initial_supports(p))
-    return _bfs(starts, successors, decode, space_cap, sat)
+    return starts, successors, decode
+
+
+def reach_roundless(p: Protocol, state_cap: int = DEFAULT_STATE_CAP,
+                    space_cap: int = DEFAULT_SPACE_CAP, sat=None) -> ReachSet:
+    """Abstract reach set from every initial configuration.
+
+    Without ``sat`` the set is complete.  With it, breadth-first search
+    stops at the first configuration satisfying ``sat`` and records it as
+    ``hit``; the set then holds the configurations discovered so far.
+    """
+    if p.flavor != ROUNDLESS:
+        raise ValueError("reach_roundless needs a roundless protocol")
+    if p.num_states > state_cap:
+        raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
+    if p.num_symbols ** p.register_count > space_cap:
+        raise CapExceeded("register valuation space exceeds cap")
+    return bfs(*packed_roundless(p), space_cap, sat)
 
 
 def reach_roundbased_capped(p: Protocol, max_round: int,
@@ -158,8 +177,8 @@ def reach_roundbased_capped(p: Protocol, max_round: int,
         raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
     starts = (initial_configuration(p, support)
               for support in initial_supports(p))
-    return _bfs(starts, lambda c: abstract_successors(p, c, (0, max_round)),
-                lambda c: c, space_cap, sat)
+    return bfs(starts, lambda c: abstract_successors(p, c, (0, max_round)),
+               lambda c: c, space_cap, sat)
 
 
 def default_round_cap(p: Protocol, psi) -> int:

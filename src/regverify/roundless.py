@@ -2,9 +2,10 @@
 
 Four routes: a bounded exhaustive search realizing the short-witness
 argument (every reachable presence pattern has a witness of at most 4|Q|
-abstract steps), a saturation fixpoint for uninitialized coverability, a
-first-write-order enumeration for coverability with fixed register count,
-and the one-register DNF decision via covset/cocovset pruning.
+abstract steps, so breadth-first search to depth 4|Q| is complete), a
+saturation fixpoint for uninitialized coverability, a first-write-order
+enumeration for coverability with fixed register count, and the
+one-register DNF decision via covset/cocovset pruning.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from .constraints import (ClauseDecomposition, dnf_clauses, eval_roundless)
 from .errors import NotUninitialized, WrongRegisterCount
 from .model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol, Transition,
                     is_uninitialized)
-from .semantics import (AbstractConfig, Execution, Move, abstract_successors,
-                        initial_configuration, initial_supports)
+from .oracle import bfs, packed_roundless
 from .verdict import NEGATIVE, POSITIVE, Verdict
 
 
@@ -27,45 +27,21 @@ def witness_bound(p: Protocol) -> int:
 
 
 def solve_prp_bounded(p: Protocol, phi) -> Verdict:
-    """Decide PRP by exhaustive depth-bounded search.
+    """Decide PRP by breadth-first search to depth 4|Q|, which is complete.
 
-    Deterministic and complete within the 4|Q| bound: depth-first over
-    abstract executions with a per-configuration best-depth visited map.
-    Positive verdicts carry a replayable witness of at most 4|Q| steps.
+    Runs the oracle's search on its packed step relation without its caps,
+    so a positive carries the oracle's shortest witness, at most 4|Q| steps
+    long.  ``stats["nodes"]`` counts the configurations discovered.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("solve_prp_bounded needs a roundless protocol")
     bound = witness_bound(p)
-    best_depth: dict[AbstractConfig, int] = {}
-    stats = {"nodes": 0, "bound": bound}
-
-    def dfs(c: AbstractConfig, depth: int, path: list[Move]):
-        stats["nodes"] += 1
-        if eval_roundless(c, phi):
-            return list(path)
-        if depth == bound:
-            return None
-        for move, succ in abstract_successors(p, c):
-            if best_depth.get(succ, bound + 1) <= depth + 1:
-                continue
-            best_depth[succ] = depth + 1
-            path.append(move)
-            hit = dfs(succ, depth + 1, path)
-            if hit is not None:
-                return hit
-            path.pop()
-        return None
-
-    for support in initial_supports(p):
-        start = initial_configuration(p, support)
-        if best_depth.get(start, bound + 1) <= 0:
-            continue
-        best_depth[start] = 0
-        moves = dfs(start, 0, [])
-        if moves is not None:
-            return Verdict(POSITIVE, "bounded",
-                           Execution(start, tuple(moves)), stats)
-    return Verdict(NEGATIVE, "bounded", None, stats)
+    rs = bfs(*packed_roundless(p), sat=lambda c: eval_roundless(c, phi),
+             max_depth=bound)
+    stats = {"nodes": len(rs.parents), "bound": bound}
+    if rs.hit is None:
+        return Verdict(NEGATIVE, "bounded", None, stats)
+    return Verdict(POSITIVE, "bounded", rs.witness(rs.hit), stats)
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Command-line interface tests: exit codes, JSON schema, file round trips."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,24 @@ def test_witness_emission_and_replay(exdir, capsys, tmp_path):
     code, out, _ = run(capsys, "replay", str(exdir / "fig1.prot"), str(wit))
     assert code == 0
     assert "qf" in out
+
+
+@pytest.mark.parametrize("algo, prot, state", [
+    ("saturation", "ex22.prot", "q1"),
+    ("fixed-r", "fig1.prot", "qf"),
+    ("one-reg", "fig1.prot", "qf")])
+def test_positive_without_witness_says_so(exdir, capsys, tmp_path, algo,
+                                          prot, state):
+    wit = tmp_path / "w.trace"
+    code, out, err = run(capsys, "check", "cover", str(exdir / prot),
+                         "--state", state, "--algo", algo,
+                         "--emit-witness", str(wit))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["answer"] == "positive"
+    assert "witness_file" not in payload
+    assert not wit.exists()
+    assert f"no witness: {algo} does not build one" in err
 
 
 def test_replay_bad_trace_reports_step(exdir, capsys, tmp_path):
@@ -144,7 +164,11 @@ def test_parallel_flag_is_gone(exdir, capsys):
 
 
 def test_console_entry_point():
+    # the subprocess does not see pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     r = subprocess.run([sys.executable, "-m", "regverify.cli", "examples"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert "fig1" in r.stdout

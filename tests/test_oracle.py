@@ -11,7 +11,8 @@ from regverify.constraints import (cover_constraint, eval_roundbased,
                                    parse_roundless_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import parse_protocol
-from regverify.oracle import (default_round_cap, oracle_prp, reach_roundbased_capped,
+from regverify.oracle import (bfs, default_round_cap, oracle_prp,
+                              packed_roundless, reach_roundbased_capped,
                               reach_roundless)
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, AbstractConfig, abstract_step,
@@ -69,6 +70,28 @@ def _assert_closed_with_sound_parents(p, rs, window=None):
 def test_packed_reach_matches_reference_step(seed):
     p = FIG1 if seed is None else random_protocol(random.Random(seed))
     _assert_closed_with_sound_parents(p, reach_roundless(p))
+
+
+def _depths(rs):
+    """Breadth-first depth of each member, from its parent links."""
+    depth = {}
+    for c in rs.order:
+        link = rs.parents[c]
+        depth[c] = 0 if link is None else depth[link[0]] + 1
+    return depth
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("seed", [None, 300_002, 300_008, 300_011, 300_019])
+def test_depth_bound_keeps_the_levels_within_it(seed, k):
+    p = FIG1 if seed is None else random_protocol(random.Random(seed))
+    full = reach_roundless(p)
+    depth = _depths(full)
+    cut = bfs(*packed_roundless(p), max_depth=k)
+    assert cut.order == [c for c in full.order if depth[c] <= k]
+    assert all(cut.parents[c] == full.parents[c] for c in cut.order)
+    if max(depth.values()) > k:
+        assert len(cut.order) < len(full.order)
 
 
 def test_roundbased_capped_reach_matches_reference_step():

@@ -56,6 +56,20 @@ def test_bounded_cover_blue_negative():
                              rl(FIG1_BLUE, "(pop qf)")).answer == "negative"
 
 
+def test_bounded_witness_is_the_oracles_shortest_witness():
+    # the seeds and constraints of acceptance criterion 2
+    for seed in range(100_000, 100_200):
+        rng = random.Random(seed)
+        p = random_protocol(rng)
+        phi = random_constraint(rng, p)
+        v = solve_prp_bounded(p, phi)
+        want = oracle_prp(p, phi)
+        assert (v.answer, v.witness) == (want.answer, want.witness), seed
+        if v.witness is not None:
+            assert len(v.witness.moves) <= witness_bound(p), seed
+            assert eval_roundless(replay(p, v.witness, ABSTRACT), phi), seed
+
+
 # --- uninitialized saturation ---------------------------------------------------
 
 def test_saturation_rejects_initialized():
