@@ -7,9 +7,12 @@ propositions ``exists k . prop`` / ``forall k . prop`` where the proposition
 is a Boolean tree over ``pop(q, t)`` and ``reg(j, t, a)`` atoms with terms
 ``m`` or ``k+m``.  Nested quantification is rejected.
 
-Quantifiers range over all naturals.  Evaluation checks an explicit prefix of
-rounds and handles the infinite all-empty tail analytically: population atoms
-are false there, a register contains the initial symbol and nothing else.
+Quantifiers range over all naturals.  A configuration is active on finitely
+many rounds, so past ``active_bound + M`` (M the largest term constant) every
+round looks the same: atoms carrying the variable read an empty round, where
+population atoms are false and a register holds the initial symbol, while
+constant-round atoms keep their value.  Evaluation therefore checks rounds
+``0..active_bound + M + 1``; the last one stands for the whole infinite tail.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConstraintSyntaxError, NotDNF
-from .model import D0, Protocol
+from .model import Protocol
 from .semantics import (AbstractConfig, ConcreteConfig, project, reg_get)
 
 MAX_TERM_CONSTANT = 64  # terms are unary-bounded; keep them desk-sized
@@ -150,10 +153,7 @@ def _build_roundless(e, p: Protocol):
     if head == "reg":
         if len(e) != 3:
             raise ConstraintSyntaxError("reg takes register and symbol")
-        j = int(e[1])
-        if not 1 <= j <= p.register_count:
-            raise ConstraintSyntaxError(f"register {j} out of range")
-        return Reg(j - 1, p.symbol_id(e[2]))
+        return Reg(_register(e[1], p), p.symbol_id(e[2]))
     raise ConstraintSyntaxError(f"unknown operator {head!r}")
 
 
@@ -163,29 +163,36 @@ def parse_round_constraint(text: str, p: Protocol):
 
 def _build_term(e, var: str | None) -> Term:
     if isinstance(e, str):
-        try:
-            m = int(e)
-        except ValueError:
-            raise ConstraintSyntaxError(f"bad term {e!r}")
-        if m < 0:
-            raise ConstraintSyntaxError("negative term constant")
-        if m > MAX_TERM_CONSTANT:
-            raise ConstraintSyntaxError(
-                f"term constant {m} exceeds cap {MAX_TERM_CONSTANT}")
-        return Term(False, m)
-    if (isinstance(e, list) and len(e) == 3 and e[0] == "+"
+        has_var, const = False, e
+    elif (isinstance(e, list) and len(e) == 3 and e[0] == "+"
             and isinstance(e[1], str)):
         if var is None or e[1] != var:
             raise ConstraintSyntaxError(
                 f"free variable {e[1]!r} not bound by a quantifier")
-        m = int(e[2])
-        if m < 0:
-            raise ConstraintSyntaxError("negative term offset")
-        if m > MAX_TERM_CONSTANT:
-            raise ConstraintSyntaxError(
-                f"term offset {m} exceeds cap {MAX_TERM_CONSTANT}")
-        return Term(True, m)
-    raise ConstraintSyntaxError(f"bad term {e!r}")
+        has_var, const = True, e[2]
+    else:
+        raise ConstraintSyntaxError(f"bad term {e!r}")
+    try:
+        m = int(const)
+    except (TypeError, ValueError):
+        raise ConstraintSyntaxError(f"bad term {e!r}")
+    if m < 0:
+        raise ConstraintSyntaxError("negative term constant")
+    if m > MAX_TERM_CONSTANT:
+        raise ConstraintSyntaxError(
+            f"term constant {m} exceeds cap {MAX_TERM_CONSTANT}")
+    return Term(has_var, m)
+
+
+def _register(e, p: Protocol) -> int:
+    """The 0-based index of a 1-based register number."""
+    try:
+        j = int(e)
+    except (TypeError, ValueError):
+        raise ConstraintSyntaxError(f"bad register {e!r}")
+    if not 1 <= j <= p.register_count:
+        raise ConstraintSyntaxError(f"register {j} out of range")
+    return j - 1
 
 
 def _build_round(e, p: Protocol, var: str | None):
@@ -218,10 +225,8 @@ def _build_round(e, p: Protocol, var: str | None):
     if head == "reg":
         if len(e) != 4:
             raise ConstraintSyntaxError("reg takes register, term and symbol")
-        j = int(e[1])
-        if not 1 <= j <= p.register_count:
-            raise ConstraintSyntaxError(f"register {j} out of range")
-        return RegAt(j - 1, _build_term(e[2], var), p.symbol_id(e[3]))
+        return RegAt(_register(e[1], p), _build_term(e[2], var),
+                     p.symbol_id(e[3]))
     raise ConstraintSyntaxError(f"unknown operator {head!r}")
 
 
@@ -309,48 +314,6 @@ def eval_prop_at(p: Protocol, c: AbstractConfig, prop, k: int | None) -> bool:
     raise TypeError(f"not a proposition node: {prop!r}")
 
 
-def tail_eval_prop(prop) -> bool:
-    """Evaluate a proposition on the all-empty tail of rounds.
-
-    Populated atoms are false, a register contains the initial symbol and
-    nothing else; total for every proposition.  Intended for propositions
-    whose atoms all carry the bound variable (constant-round atoms do not
-    live on the tail; see _tail_eval_in for mixed propositions).
-    """
-    if isinstance(prop, And):
-        return all(tail_eval_prop(x) for x in prop.children)
-    if isinstance(prop, Or):
-        return any(tail_eval_prop(x) for x in prop.children)
-    if isinstance(prop, Not):
-        return not tail_eval_prop(prop.child)
-    if isinstance(prop, PopAt):
-        return False
-    if isinstance(prop, RegAt):
-        return prop.symbol == D0
-    raise TypeError(f"not a proposition node: {prop!r}")
-
-
-def _tail_eval_in(p: Protocol, c: AbstractConfig, prop) -> bool:
-    """Tail evaluation against a configuration: atoms carrying the bound
-    variable reference arbitrarily deep, hence empty, rounds; constant-round
-    atoms keep their actual value."""
-    if isinstance(prop, And):
-        return all(_tail_eval_in(p, c, x) for x in prop.children)
-    if isinstance(prop, Or):
-        return any(_tail_eval_in(p, c, x) for x in prop.children)
-    if isinstance(prop, Not):
-        return not _tail_eval_in(p, c, prop.child)
-    if isinstance(prop, PopAt):
-        if prop.term.has_var:
-            return False
-        return (prop.state, prop.term.offset) in c.pop
-    if isinstance(prop, RegAt):
-        if prop.term.has_var:
-            return prop.symbol == D0
-        return reg_get(p, c.regs, (prop.term.offset, prop.reg)) == prop.symbol
-    raise TypeError(f"not a proposition node: {prop!r}")
-
-
 def max_constant(psi) -> int:
     """Largest integer constant appearing in the constraint's terms."""
     if isinstance(psi, (And, Or)):
@@ -378,7 +341,8 @@ def eval_roundbased(p: Protocol, c: AbstractConfig, psi,
     ``active_bound`` must dominate every populated or written round of ``c``;
     it defaults to the configuration's own active bound.  Quantifiers range
     over all naturals: rounds up to ``active_bound + M`` are checked
-    explicitly and the all-empty tail analytically.
+    explicitly, and round ``active_bound + M + 1`` stands for the all-empty
+    tail, which every later round equals.
     """
     if active_bound is None:
         active_bound = config_active_bound(p, c)
@@ -394,23 +358,13 @@ def _eval_rb(p: Protocol, c, psi, horizon: int) -> bool:
     if isinstance(psi, Not):
         return not _eval_rb(p, c, psi.child, horizon)
     if isinstance(psi, Exists):
-        return (any(eval_prop_at(p, c, psi.prop, k)
-                    for k in range(horizon + 1))
-                or _tail_eval_in(p, c, psi.prop))
+        return any(eval_prop_at(p, c, psi.prop, k)
+                   for k in range(horizon + 2))
     if isinstance(psi, Forall):
-        return (all(eval_prop_at(p, c, psi.prop, k)
-                    for k in range(horizon + 1))
-                and _tail_eval_in(p, c, psi.prop))
+        return all(eval_prop_at(p, c, psi.prop, k)
+                   for k in range(horizon + 2))
     # closed proposition or bare atom
     return eval_prop_at(p, c, psi, None)
-
-
-def is_roundless_constraint(node) -> bool:
-    if isinstance(node, (And, Or)):
-        return all(is_roundless_constraint(x) for x in node.children)
-    if isinstance(node, Not):
-        return is_roundless_constraint(node.child)
-    return isinstance(node, (Pop, Reg))
 
 
 # --- DNF clauses ----------------------------------------------------------------
@@ -665,22 +619,7 @@ def apc_leaves(psi) -> list:
 
 def closed_atoms_of(prop) -> list:
     """Constant-round atoms of a (possibly quantified-body) proposition."""
-    out: list = []
-
-    def walk(node):
-        if isinstance(node, (And, Or)):
-            for x in node.children:
-                walk(x)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, (PopAt, RegAt)):
-            if not node.term.has_var and node not in out:
-                out.append(node)
-        else:
-            raise TypeError(f"not a proposition node: {node!r}")
-
-    walk(prop)
-    return out
+    return [a for a in prop_atoms(prop) if not a.term.has_var]
 
 
 def substitute_atoms(prop, assign: dict):

@@ -81,13 +81,6 @@ class Protocol:
             raise ProtocolSemanticError(f"unknown symbol {name!r}")
         return self.symbol_ids[name]
 
-    def size(self) -> int:
-        n = (self.num_states + self.num_symbols + len(self.transitions)
-             + self.register_count)
-        if self.flavor == ROUNDBASED:
-            n += self.visibility
-        return n
-
 
 @dataclass(frozen=True)
 class Finding:

@@ -22,40 +22,24 @@ import itertools
 from dataclasses import dataclass
 
 from .constraints import (And, ApcCandidate, ClosedLiteral, Not, Or, PopAt,
-                          RegAt, Term, decompose_apcs, eval_roundbased,
+                          RegAt, decompose_apcs, eval_prop_at, eval_roundbased,
                           forcing_literal_sets, literal_from_atom,
-                          max_constant, tail_eval_prop)
+                          max_constant, prop_atoms)
 from .errors import RegverifyError, ReplayFailure
 from .footprints import (Footprint, LocalConfig, combine_footprints,
                          default_step_cap, empty_footprint, extend_footprint,
                          packed_layout, project_footprint)
 from .model import D0, INC, ROUNDBASED, Protocol
-from .semantics import ABSTRACT, Execution, Move, initial_supports, replay
+from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
+                        initial_supports, replay)
 from .verdict import NEGATIVE, POSITIVE, UNKNOWN, Verdict
 
 DEFAULT_BUDGET = 3_000_000
+EMPTY = AbstractConfig(frozenset(), frozenset())
 
 
 class _BudgetExceeded(RegverifyError):
     pass
-
-
-def _instantiate(prop, k: int):
-    """Close a proposition by substituting round k for its free variable."""
-    if isinstance(prop, And):
-        return And(tuple(_instantiate(x, k) for x in prop.children))
-    if isinstance(prop, Or):
-        return Or(tuple(_instantiate(x, k) for x in prop.children))
-    if isinstance(prop, Not):
-        return Not(_instantiate(prop.child, k))
-    if isinstance(prop, PopAt):
-        t = prop.term
-        return PopAt(prop.state, Term(False, k + t.offset) if t.has_var else t)
-    if isinstance(prop, RegAt):
-        t = prop.term
-        return RegAt(prop.reg, Term(False, k + t.offset) if t.has_var else t,
-                     prop.symbol)
-    raise TypeError(f"not a proposition: {prop!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,10 +50,9 @@ def _literal_options_base(prop) -> tuple:
     pre-resolved during decomposition), so options at round k are the base
     options shifted by k.
     """
-    inst = _instantiate(prop, 0)
     out = []
-    for assign in forcing_literal_sets(inst):
-        out.append(frozenset(literal_from_atom(a, v, None)
+    for assign in forcing_literal_sets(prop):
+        out.append(frozenset(literal_from_atom(a, v, 0)
                              for a, v in assign.items()))
     return tuple(out)
 
@@ -91,28 +74,6 @@ def _literal_on_stop_tail(lit: ClosedLiteral, pop_next: frozenset,
         populated = lit.rnd == k + 1 and (lit.state, lit.rnd) in pop_next
         return populated == lit.positive
     return (lit.symbol == D0) == lit.positive  # registers above k hold d0
-
-
-def _prop_on_stop_tail(p: Protocol, prop, rnd: int, pop_next: frozenset,
-                       k: int) -> bool:
-    """Truth of a universal proposition instantiated at rnd > k at stop time."""
-    inst = _instantiate(prop, rnd)
-
-    def ev(node):
-        if isinstance(node, And):
-            return all(ev(x) for x in node.children)
-        if isinstance(node, Or):
-            return any(ev(x) for x in node.children)
-        if isinstance(node, Not):
-            return not ev(node.child)
-        if isinstance(node, PopAt):
-            r = node.term.offset
-            return r == k + 1 and (node.state, r) in pop_next
-        if isinstance(node, RegAt):
-            return node.symbol == D0
-        raise TypeError(f"not a proposition: {node!r}")
-
-    return ev(inst)
 
 
 @dataclass(frozen=True)
@@ -169,16 +130,10 @@ def _onestep_branches(universal: frozenset, exist: frozenset,
 
 
 def _mentions_registers(cand: ApcCandidate) -> bool:
-    def prop_has_reg(prop) -> bool:
-        if isinstance(prop, (And, Or)):
-            return any(prop_has_reg(x) for x in prop.children)
-        if isinstance(prop, Not):
-            return prop_has_reg(prop.child)
-        return isinstance(prop, RegAt)
-
     return (any(lit.kind == "reg" for lit in cand.closed)
-            or any(prop_has_reg(x)
-                   for x in cand.existential | cand.universal))
+            or any(isinstance(a, RegAt)
+                   for x in cand.existential | cand.universal
+                   for a in prop_atoms(x)))
 
 
 def _population_monotone(cand: ApcCandidate) -> bool:
@@ -390,7 +345,7 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
         rel_pending = frozenset(_shift_term_round(l, -k - 1)
                                 for l in pending)
         stoppable = not remaining_exist and all(
-            tail_eval_prop(u) for u in universal)
+            eval_prop_at(p, EMPTY, u, 0) for u in universal)
         branches.append((remaining_exist, now_probes, pending, rel_pending,
                          stoppable))
     if not branches:
@@ -460,13 +415,12 @@ def _test_stop(p: Protocol, universal: frozenset, pending: frozenset,
     Pending literals and universal propositions are evaluated against the
     actual stopped shape: deserting increments may already populate round
     k+1, everything beyond is empty and registers above round k are initial.
+    Universals are checked at round k+1 only: from round k+2 on every round
+    reads the empty tail, which the caller checked before marking the branch
+    stoppable.
     """
     for lit in pending:
         if not _literal_on_stop_tail(lit, pop_next, k):
             return False
-    for u in universal:
-        if not _prop_on_stop_tail(p, u, k + 1, pop_next, k):
-            return False
-        if not tail_eval_prop(u):
-            return False
-    return True
+    stopped = AbstractConfig(pop_next, frozenset())
+    return all(eval_prop_at(p, stopped, u, k + 1) for u in universal)

@@ -392,6 +392,13 @@ def write_trace(p: Protocol, exec: Execution, mode: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _trace_int(tok: str, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ReplayFailure(f"line {lineno}: bad number {tok!r}")
+
+
 def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
     """Parse the witness trace format; returns (execution, mode)."""
     from .model import _parse_action
@@ -407,7 +414,7 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
     mode = head[1]
     if len(lines) < 2 or not lines[1][1].startswith("start:"):
         raise ReplayFailure("missing 'start:' line")
-    start_body = lines[1][1][len("start:"):]
+    start_line, start_body = lines[1][0], lines[1][1][len("start:"):]
     pop_part, _, reg_part = start_body.partition("|")
     elems = []
     for tok in pop_part.split():
@@ -415,16 +422,20 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
             elems.append(p.state_id(tok))
         else:
             name, _, k = tok.partition("@")
-            elems.append((p.state_id(name), int(k)))
+            elems.append((p.state_id(name), _trace_int(k, start_line)))
     regs = initial_regs(p)
     for tok in reg_part.split():
         key_part, _, sym_name = tok.partition("=")
         sym = p.symbol_id(sym_name)
         if p.flavor == ROUNDLESS:
-            key = int(key_part) - 1
+            k, j = None, key_part
         else:
             k, _, j = key_part.partition(".")
-            key = (int(k), int(j) - 1)
+        j = _trace_int(j, start_line)
+        if not 1 <= j <= p.register_count:
+            raise ReplayFailure(
+                f"line {start_line}: register {j} out of range")
+        key = j - 1 if k is None else (_trace_int(k, start_line), j - 1)
         regs = reg_set(p, regs, key, sym)
     if mode == CONCRETE:
         if not elems:
@@ -443,7 +454,7 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
             raise ReplayFailure(f"line {lineno}: malformed step {ln!r}")
         rnd = None
         if p.flavor == ROUNDBASED:
-            rnd = int(toks[0])
+            rnd = _trace_int(toks[0], lineno)
             toks = toks[1:]
         flag = toks[-1]
         if flag not in ("desert", "keep"):

@@ -54,6 +54,16 @@ def test_check_incompatible_algorithm(exdir, capsys, tmp_path):
     assert "single register" in err
 
 
+def test_malformed_constraint_number_is_bad_input(exdir, capsys, tmp_path):
+    c = tmp_path / "c.pc"
+    c.write_text("(reg x a)\n")
+    code, out, err = run(capsys, "check", "prp", str(exdir / "fig1.prot"),
+                         str(c), "--algo", "bounded")
+    assert code == 70
+    assert out == ""
+    assert "bad register" in err
+
+
 def test_check_usage_error(capsys):
     code, _, _ = run(capsys, "check", "cover", "/nonexistent.prot")
     assert code == 70
@@ -101,6 +111,27 @@ def test_replay_bad_trace_reports_step(exdir, capsys, tmp_path):
     code, _, err = run(capsys, "replay", str(exdir / "fig1.prot"), str(trace))
     assert code == 1
     assert "step 0" in err
+
+
+@pytest.mark.parametrize("prot, body", [
+    pytest.param("fig1.prot", "start: q0 | x=d0", id="register-not-a-number"),
+    pytest.param("fig1.prot", "start: q0 | 5=d0", id="register-above-range"),
+    pytest.param("fig1.prot", "start: q0 | 0=a", id="register-zero"),
+    pytest.param("fig4.prot", "start: q0@x |", id="rb-start-round"),
+    pytest.param("fig4.prot", "start: q0@0 | 0.x=a", id="rb-register"),
+    pytest.param("fig4.prot", "start: q0@0 | 0.2=a", id="rb-register-range"),
+    pytest.param("fig4.prot", "start: q0@0 | x.1=a", id="rb-register-round"),
+    pytest.param("fig4.prot", "start: q0@0 |\nsteps:\n  x q0 inc q0 keep",
+                 id="rb-step-round")])
+def test_replay_malformed_trace_is_bad_input(exdir, capsys, tmp_path, prot,
+                                             body):
+    flavor = parse_protocol((exdir / prot).read_text()).flavor
+    trace = tmp_path / "bad.trace"
+    trace.write_text(f"trace: {flavor} abstract\n{body}\n")
+    code, out, err = run(capsys, "replay", str(exdir / prot), str(trace))
+    assert code == 70
+    assert out == ""
+    assert err.startswith("error: bad trace: line ")
 
 
 def test_replay_empty_trace_prints_start(exdir, capsys, tmp_path):

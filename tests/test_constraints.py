@@ -75,7 +75,7 @@ def test_tail_rule():
 
 def test_tail_agrees_with_truncated_bruteforce():
     # explicit evaluation up to active_bound + M + 1 rounds must agree with
-    # the analytic tail on configurations with bounded activity
+    # the tail rule on configurations with bounded activity
     rng = random.Random(9)
     q0, q1 = EX42.state_id("q0"), EX42.state_id("q1")
     a = EX42.symbol_id("a")
@@ -84,6 +84,9 @@ def test_tail_agrees_with_truncated_bruteforce():
         rb(EX42, "(exists k (and (pop q1 (+ k 0)) (reg 1 (+ k 1) a)))"),
         rb(EX42, "(forall k (not (pop q1 (+ k 2))))"),
         rb(EX42, "(exists k (reg 1 (+ k 0) d0))"),
+        # constant-round atoms keep their value on the tail
+        rb(EX42, "(forall k (or (pop q0 0) (pop q1 (+ k 0))))"),
+        rb(EX42, "(exists k (and (pop q0 (+ k 0)) (reg 1 2 a)))"),
     ]
     for _ in range(100):
         pop = frozenset((rng.choice([q0, q1]), rng.randrange(0, 4))
@@ -122,6 +125,8 @@ def test_tail_agrees_with_truncated_bruteforce():
             deep = explicit(bound + M + 2)
             very_deep = explicit(bound + M + 50)
             assert deep == very_deep == got
+            # the configuration's own, tighter bound gives the same verdict
+            assert eval_roundbased(EX42, c, psi) == got
 
 
 def test_parse_errors():
@@ -135,6 +140,14 @@ def test_parse_errors():
         rb(EX42, "(pop q0 (+ k 0))")  # free variable
     with pytest.raises(ConstraintSyntaxError):
         rb(EX42, "(pop q0 99)")  # constant above the unary cap
+    for text in ("(reg x a)", "(reg (1) a)"):  # malformed register numbers
+        with pytest.raises(ConstraintSyntaxError):
+            rl(FIG1, text)
+    for text in ("(exists k (pop q0 (+ k x)))",
+                 "(exists k (pop q0 (+ k (1))))",
+                 "(exists k (reg x (+ k 0) a))"):
+        with pytest.raises(ConstraintSyntaxError):
+            rb(EX42, text)
 
 
 def test_format_roundtrip():

@@ -6,7 +6,7 @@ from regverify.constraints import (eval_roundbased, max_constant,
                                    parse_round_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import (INC, READ, ROUNDBASED, WRITE, Action, Protocol,
-                             Transition)
+                             Transition, parse_protocol)
 from regverify.oracle import default_round_cap, oracle_prp
 from regverify.reductions import builtin_examples
 from regverify.roundbased import solve_prp_roundbased
@@ -73,6 +73,18 @@ def test_tail_satisfied_universal_with_closed_anchor():
     assert v.answer == "positive"
     final = replay(FIG4, v.witness, ABSTRACT)
     assert eval_roundbased(FIG4, final, psi)
+
+
+def test_stop_checks_universals_at_the_next_round():
+    # the deserting increment empties q0@0 but populates q1@1, which the
+    # universal forbids: stopping at round 0 must look at round 1
+    p = parse_protocol("flavor: roundbased\nstates: q0 q1\ninitial: q0\n"
+                       "registers: 1\nalphabet: d0\nvisibility: 1\n"
+                       "transitions:\n  q0 inc q1\n")
+    psi = rb(p, "(and (not (pop q0 0)) (forall k (not (pop q1 (+ k 0)))))")
+    assert solve_prp_roundbased(p, psi).answer == "negative"
+    want = oracle_prp(p, psi, max_round=default_round_cap(p, psi))
+    assert want.answer == "negative"
 
 
 def test_fuzz_roundbased_against_capped_oracle_smoke():
