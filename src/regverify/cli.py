@@ -125,8 +125,7 @@ def cmd_check(args) -> int:
         if algo not in (None, "rb-search"):
             raise CliError(f"algorithm {algo!r} does not decide rbprp",
                            EXIT_INCOMPATIBLE)
-        v = solve_prp_roundbased(p, phi, budget=args.budget,
-                                 step_cap=args.step_cap)
+        v = solve_prp_roundbased(p, phi, budget=args.budget)
     elif algo == "bounded" or algo is None:
         v = solve_prp_bounded(p, phi)
     elif algo == "saturation":
@@ -328,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--budget", type=int, default=None,
                      help="round-based search work budget for the whole "
                           f"query (default {DEFAULT_BUDGET})")
-    chk.add_argument("--step-cap", type=int, default=None,
-                     help="footprint length cap; default (v+1)|Q|(2v+5) "
-                          "per the normal-form bound")
     chk.add_argument("--distribute", action="store_true",
                      help="distribute the constraint into DNF first")
     add_common(chk)

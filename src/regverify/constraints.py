@@ -635,21 +635,14 @@ def substitute_atoms(prop, assign: dict):
     return prop
 
 
-def _constant_value(prop) -> bool | None:
-    """The proposition's truth value when it no longer contains atoms."""
-    if prop_atoms(prop):
-        return None
-    return _eval_with_assignment(prop, {})
-
-
 def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]:
     """Resolve a quantified APC's constant atoms into checked literals.
 
     Returns choices of (ground literals, "E"/"U"/"none"/"dead", residual
     proposition): each constant-round atom inside the body is guessed a truth
     value, recorded as a literal to check at its round, and replaced in the
-    body.  A body that collapses to a constant either discharges the APC or
-    kills the branch.
+    body.  A residual that no literal set can force kills the branch, and
+    one that the empty set forces discharges the APC.
     """
     if isinstance(apc, Exists):
         role = "E" if value else "U"
@@ -663,13 +656,13 @@ def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]
         lits = frozenset(literal_from_atom(a, v, None)
                          for a, v in assign.items())
         residual = substitute_atoms(body, assign)
-        const = _constant_value(residual)
-        if const is None:
-            out.append((lits, role, residual))
-        elif const:
+        forcing = forcing_literal_sets(residual)
+        if not forcing:
+            out.append((lits, "dead", None))
+        elif forcing == [{}]:
             out.append((lits, "none", None))  # APC discharged by the guess
         else:
-            out.append((lits, "dead", None))
+            out.append((lits, role, residual))
     return out
 
 

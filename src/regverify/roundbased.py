@@ -12,7 +12,9 @@ interleavings normal-form executions produce), universal literal sets and
 existential firing rounds.  Visited (footprint, obligations) signatures are
 memoized round-relative, which makes the state space finite; a work budget
 caps the search, returning "unknown" rather than ever a wrong answer.
-On acceptance the footprint chain is glued into a replay-validated witness.
+Bridge-footprint edges are memoized per query and enumerated lazily: the
+budget counts only the query's own work, whatever ran before it.  On
+acceptance the footprint chain is glued into a replay-validated witness.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from .constraints import (And, ApcCandidate, ClosedLiteral, Not, Or, PopAt,
                           RegAt, decompose_apcs, eval_prop_at, eval_roundbased,
                           forcing_literal_sets, literal_from_atom,
-                          max_constant, prop_atoms)
+                          prop_atoms)
 from .errors import RegverifyError, ReplayFailure
 from .footprints import (Footprint, LocalConfig, combine_footprints,
                          default_step_cap, empty_footprint, extend_footprint,
@@ -160,18 +162,14 @@ def _population_monotone(cand: ApcCandidate) -> bool:
 
 
 def _validated(p: Protocol, psi, exec_: Execution, work: dict) -> Verdict:
-    final = replay(p, exec_, ABSTRACT)
-    bound = max_constant(psi) + max(
-        [r for _, r in final.pop] + [r for (r, _), _ in final.regs]
-        + [0]) + 1
-    if not eval_roundbased(p, final, psi, active_bound=bound):
+    if not eval_roundbased(p, replay(p, exec_, ABSTRACT), psi):
         raise ReplayFailure(
             "internal error: witness does not satisfy the constraint")
     return Verdict(POSITIVE, "rb-search", exec_, dict(work))
 
 
-def solve_prp_roundbased(p: Protocol, psi, budget: int | None = None,
-                         step_cap: int | None = None) -> Verdict:
+def solve_prp_roundbased(p: Protocol, psi,
+                         budget: int | None = None) -> Verdict:
     """Decide round-based presence reachability.
 
     Positive verdicts carry a glued, replay-validated witness execution.
@@ -184,10 +182,9 @@ def solve_prp_roundbased(p: Protocol, psi, budget: int | None = None,
         raise ValueError("solve_prp_roundbased needs a round-based protocol")
     if budget is None:
         budget = DEFAULT_BUDGET
-    if step_cap is None:
-        step_cap = default_step_cap(p)
     v = max(p.visibility or 0, 1)
     work = {"ticks": 0, "nodes": 0}
+    edge_memo: dict = {}  # shared by the root branches of this query only
 
     def tick(n: int = 1):
         work["ticks"] += n
@@ -198,7 +195,7 @@ def solve_prp_roundbased(p: Protocol, psi, budget: int | None = None,
     for cand in decompose_apcs(psi):
         for init_set in initial_supports(p):
             try:
-                hit = _search(p, cand, init_set, v, step_cap, tick, work)
+                hit = _search(p, cand, init_set, v, tick, work, edge_memo)
             except _BudgetExceeded:
                 return Verdict(UNKNOWN, "rb-search", None, dict(work))
             if hit is not None:
@@ -207,7 +204,7 @@ def solve_prp_roundbased(p: Protocol, psi, budget: int | None = None,
 
 
 def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
-            v: int, step_cap: int, tick, work) -> Execution | None:
+            v: int, tick, work, edge_memo: dict) -> Execution | None:
     universal = cand.universal
     # when no obligation mentions a register, final register values are
     # irrelevant: writes that are never read and neither populate nor desert
@@ -218,8 +215,8 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
     root = _Node(0, empty_footprint(-v, -1), cand.existential, cand.closed)
     visited: set = set()
     # each stack entry: (node, iterator over (T, child-node-or-accept))
-    stack = [(root, _expand(p, root, universal, init_set, v, step_cap, tick,
-                            strict_writes, no_desert))]
+    stack = [(root, _expand(p, root, universal, init_set, v, tick,
+                            edge_memo, strict_writes, no_desert))]
     chain: list[Footprint] = []
     work["nodes"] += 1
     while stack:
@@ -235,7 +232,7 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             work["nodes"] += 1
             chain.append(T)
             stack.append((child, _expand(p, child, universal, init_set, v,
-                                         step_cap, tick, strict_writes,
+                                         tick, edge_memo, strict_writes,
                                          no_desert)))
             advanced = True
             break
@@ -255,49 +252,41 @@ def _glue_chain(p: Protocol, chain: list[Footprint], v: int) -> Execution:
     return combine_footprints(p, taus, bridges)
 
 
-# bridge extensions depend only on the carried footprint's round-relative
-# shape (plus the initial set while round 0 is in the window), never on the
-# obligations, so their edge lists are shared across rounds, search roots and
-# repeated solver calls on one protocol
-_EXPAND_CACHE: dict = {"prefix": None, "edges": {}}
-_EXPAND_CACHE_LIMIT = 50_000
-
-
 def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
-               step_cap: int, tick, no_desert: bool):
-    """Extension edges for a node's carried footprint, cached by shape.
+               tick, no_desert: bool, memo: dict):
+    """Extension edges for a node's carried footprint, memoized by shape.
 
-    Returns (k0, edges): the round the edges were materialized at and, per
-    bridge footprint, (moves, visible moves, packed last local configuration,
-    unread-write mask, states increments push one round up).  A consumer at
-    round k shifts the moves by k - k0.
+    Edges depend only on the carried footprint's round-relative shape (and
+    the initial set while round 0 is in the window), so one query's nodes
+    share them through ``memo``: shape -> (k0, edges read so far, the live
+    ``extend_footprint`` stream, which charges the query's ``tick``).
+    Stored edges are replayed at one tick each, and the stream is advanced
+    only past their end.  Yields (k0, [moves, visible moves, packed last
+    local configuration, unread-write mask, child shape or None]); a
+    consumer at round k shifts the moves by k - k0.
     """
     k = node.k
-    prefix = (p, v, step_cap)
-    if _EXPAND_CACHE["prefix"] != prefix \
-            or len(_EXPAND_CACHE["edges"]) > _EXPAND_CACHE_LIMIT:
-        _EXPAND_CACHE["prefix"] = prefix
-        _EXPAND_CACHE["edges"] = {}
     key = (min(k, v), init_set if k == 0 else None, no_desert,
            _shift_footprint(node.tau, -k))
-    cached = _EXPAND_CACHE["edges"].get(key)
-    if cached is not None:
-        tick(len(cached[1]) or 1)
-        return cached
-    edges = []
-    for T, guard, packed, vis in extend_footprint(
-            p, node.tau, init_set, k, step_cap, use_guard=True, tick=tick,
-            no_desert=no_desert):
-        # the None slot lazily holds the round-relative child footprint
-        # shape, shared by every later use of this edge
-        edges.append([T.steps, vis, packed, guard[2], None])
-    value = (k, edges)
-    _EXPAND_CACHE["edges"][key] = value
-    return value
+    if key not in memo:
+        memo[key] = (k, [], extend_footprint(
+            p, node.tau, init_set, k, default_step_cap(p), use_guard=True,
+            tick=tick, no_desert=no_desert))
+    k0, edges, stream = memo[key]
+    for i in itertools.count():
+        if i < len(edges):
+            tick()
+        else:
+            nxt = next(stream, None)
+            if nxt is None:
+                return
+            T, guard, packed, vis = nxt
+            edges.append([T.steps, vis, packed, guard[2], None])
+        yield k0, edges[i]
 
 
 def _expand(p: Protocol, node: _Node, universal: frozenset,
-            init_set: frozenset, v: int, step_cap: int, tick,
+            init_set: frozenset, v: int, tick, edge_memo: dict,
             strict_writes: bool = False, no_desert: bool = False):
     """Children of a search node: (bridge footprint, sig, next node or None).
 
@@ -357,11 +346,11 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
     start_abs = LocalConfig(k - v, k, frozenset(start_pop),
                             frozenset(node.tau.start.regs))
 
-    k0, edges = _edges_for(p, node, init_set, v, step_cap, tick, no_desert)
-    delta = k - k0
     n_branches = len(branches)
-    for edge in edges:
+    for k0, edge in _edges_for(p, node, init_set, v, tick, no_desert,
+                               edge_memo):
         moves0, vis0, packed, unread_writes, rel_tau2 = edge
+        delta = k - k0
         if strict_writes and unread_writes & exit_mask:
             continue  # a write nothing can read anymore; strip-equivalent
         tick(n_branches)

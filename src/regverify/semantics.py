@@ -393,10 +393,14 @@ def write_trace(p: Protocol, exec: Execution, mode: str) -> str:
 
 
 def _trace_int(tok: str, lineno: int) -> int:
+    """A round or register number: a natural."""
     try:
-        return int(tok)
+        n = int(tok)
     except ValueError:
+        n = -1
+    if n < 0:
         raise ReplayFailure(f"line {lineno}: bad number {tok!r}")
+    return n
 
 
 def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:

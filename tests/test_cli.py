@@ -122,7 +122,12 @@ def test_replay_bad_trace_reports_step(exdir, capsys, tmp_path):
     pytest.param("fig4.prot", "start: q0@0 | 0.2=a", id="rb-register-range"),
     pytest.param("fig4.prot", "start: q0@0 | x.1=a", id="rb-register-round"),
     pytest.param("fig4.prot", "start: q0@0 |\nsteps:\n  x q0 inc q0 keep",
-                 id="rb-step-round")])
+                 id="rb-step-round"),
+    pytest.param("fig4.prot", "start: q0@-1 |", id="rb-start-round-negative"),
+    pytest.param("fig4.prot", "start: q0@0 | -1.1=a",
+                 id="rb-register-round-negative"),
+    pytest.param("fig4.prot", "start: q0@0 |\nsteps:\n  -1 q0 inc q0 keep",
+                 id="rb-step-round-negative")])
 def test_replay_malformed_trace_is_bad_input(exdir, capsys, tmp_path, prot,
                                              body):
     flavor = parse_protocol((exdir / prot).read_text()).flavor
@@ -191,6 +196,12 @@ def test_rbprp_unknown_exit_code(exdir, capsys):
 def test_parallel_flag_is_gone(exdir, capsys):
     code, _, _ = run(capsys, "check", "cover", str(exdir / "fig1.prot"),
                      "--state", "qf", "--algo", "fixed-r", "--parallel")
+    assert code == 64
+
+
+def test_step_cap_flag_is_gone(exdir, capsys):
+    code, _, _ = run(capsys, "check", "rbprp", str(exdir / "fig4.prot"),
+                     str(exdir / "psi3.pc"), "--step-cap", "3")
     assert code == 64
 
 

@@ -2,11 +2,13 @@
 
 import random
 
+import pytest
+
 from regverify.constraints import (eval_roundbased, max_constant,
                                    parse_round_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import (INC, READ, ROUNDBASED, WRITE, Action, Protocol,
-                             Transition, parse_protocol)
+                             Transition, parse_protocol, serialize_protocol)
 from regverify.oracle import default_round_cap, oracle_prp
 from regverify.reductions import builtin_examples
 from regverify.roundbased import solve_prp_roundbased
@@ -85,6 +87,31 @@ def test_stop_checks_universals_at_the_next_round():
     assert solve_prp_roundbased(p, psi).answer == "negative"
     want = oracle_prp(p, psi, max_round=default_round_cap(p, psi))
     assert want.answer == "negative"
+
+
+def test_repeated_query_gives_identical_answer_and_stats():
+    # a protocol no other test builds, so the first call here is the first
+    # on it in the process; the budget sits between the tick counts a
+    # process-wide edge cache charged cold (6480) and warm (4520)
+    p = parse_protocol(serialize_protocol(FIG4) + "  B inc C\n")
+    psi = rb(p, CONSTRAINTS["psi1"].text)
+    first, second = (solve_prp_roundbased(p, psi, budget=5_000)
+                     for _ in range(2))
+    assert first.answer == second.answer == "positive"
+    assert first.stats == second.stats
+    assert first.witness == second.witness
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(200294, id="initial-configuration-hits"),
+    pytest.param(200096, id="dead-existential-candidate")])
+def test_fuzz_seed_positive_on_small_budget(seed):
+    rng = random.Random(seed)
+    p = random_rb_protocol(rng)
+    psi = random_rb_constraint(rng, p)
+    v = solve_prp_roundbased(p, psi, budget=1_000)
+    assert v.answer == "positive"
+    assert eval_roundbased(p, replay(p, v.witness, ABSTRACT), psi)
 
 
 def test_fuzz_roundbased_against_capped_oracle_smoke():
