@@ -22,8 +22,9 @@ from .errors import NotDNF, NotEnabled, RegverifyError
 from .model import (ROUNDBASED, ROUNDLESS, is_uninitialized, parse_protocol,
                     serialize_protocol, validate)
 from .oracle import oracle_prp
-from .reductions import (Circuit, CnfFormula, builtin_examples, cvp_to_cover,
-                         evaluate_circuit, sat_to_cover, sat_to_uninit_target,
+from .reductions import (TRUTH_TABLE_CAP, Circuit, CnfFormula,
+                         builtin_examples, cvp_to_cover, evaluate_circuit,
+                         sat_to_cover, sat_to_uninit_target,
                          truth_table_satisfiable)
 from .roundbased import DEFAULT_BUDGET, solve_prp_roundbased
 from .roundless import (solve_cover_fixed_r, solve_cover_uninitialized,
@@ -300,6 +301,18 @@ def cmd_examples(args) -> int:
     return 0
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type for integers from ``lo`` up to ``hi``, if given."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo or (hi is not None and n > hi):
+            span = f"at least {lo}" if hi is None else f"from {lo} to {hi}"
+            raise argparse.ArgumentTypeError(f"must be {span}, not {n}")
+        return n
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="regverify",
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--state", help="state name for cover/target")
         sp.add_argument("--cap-states", type=int, default=12,
                         help="oracle state-count cap")
-        sp.add_argument("--cap-rounds", type=int, default=None,
+        sp.add_argument("--cap-rounds", type=_int_in(0), default=None,
                         help="oracle round cap (round-based)")
         sp.add_argument("--emit-witness", metavar="FILE",
                         help="write the witness trace here")
@@ -324,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--algo", default=None,
                      choices=["bounded", "saturation", "fixed-r", "one-reg",
                               "oracle", "rb-search"])
-    chk.add_argument("--budget", type=int, default=None,
+    chk.add_argument("--budget", type=_int_in(1), default=None,
                      help="round-based search work budget for the whole "
                           f"query (default {DEFAULT_BUDGET})")
     chk.add_argument("--distribute", action="store_true",
@@ -348,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a benchmark with ground truth")
     gen.add_argument("kind", choices=["sat-cover", "sat-target", "cvp"])
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--vars", type=int, default=2)
-    gen.add_argument("--clauses", type=int, default=2)
-    gen.add_argument("--gates", type=int, default=2)
+    gen.add_argument("--vars", type=_int_in(1, TRUTH_TABLE_CAP), default=2)
+    gen.add_argument("--clauses", type=_int_in(1), default=2)
+    gen.add_argument("--gates", type=_int_in(0), default=2)
     gen.add_argument("--desired", choices=["true", "false"], default="true",
                      help="circuit output value the instance asks about")
     gen.add_argument("--circuit", help="circuit description JSON")

@@ -6,6 +6,13 @@ abstract steps, so breadth-first search to depth 4|Q| is complete), a
 saturation fixpoint for uninitialized coverability, a first-write-order
 enumeration for coverability with fixed register count, and the
 one-register DNF decision via covset/cocovset pruning.
+
+The last three, and the fold of a one-register protocol's initial phase,
+share one forward closure, ``_closure``, over a set of opened
+(first-written) registers: a write fires on an opened register; a read of
+d0 fires on a register not yet opened; a read of any other symbol fires on
+an opened register once some write of that symbol to that register has
+both its source and its destination in the set.
 """
 
 from __future__ import annotations
@@ -44,6 +51,40 @@ def solve_prp_bounded(p: Protocol, phi) -> Verdict:
     return Verdict(POSITIVE, "bounded", rs.witness(rs.hit), stats)
 
 
+def _closure(S, transitions, opened) -> tuple[set, int]:
+    """Least superset of ``S`` closed under firing ``transitions`` into it.
+
+    From a source in the set, a write fires on a register in ``opened``, a
+    read of d0 on a register not in ``opened``, and a read of another symbol
+    on a register in ``opened`` once some write of that symbol to that
+    register has both its source and its destination in the set.  Also
+    returns the number of passes over ``transitions``; the last adds nothing.
+    """
+    S = set(S)
+    passes = 0
+    changed = True
+    while changed:
+        changed = False
+        passes += 1
+        for t in transitions:
+            if t.source not in S or t.dest in S:
+                continue
+            a = t.action
+            if a.kind == WRITE:
+                fires = a.reg in opened
+            elif a.symbol == D0:
+                fires = a.reg not in opened
+            else:
+                fires = a.reg in opened and any(
+                    w.action.kind == WRITE and w.action.reg == a.reg
+                    and w.action.symbol == a.symbol
+                    and w.source in S and w.dest in S for w in transitions)
+            if fires:
+                S.add(t.dest)
+                changed = True
+    return S, passes
+
+
 @dataclass
 class SaturationState:
     """Grow-only saturation record: the covered states."""
@@ -57,30 +98,11 @@ def saturate_uninitialized(p: Protocol) -> SaturationState:
 
     From the initial states, a write transition always extends coverage; a
     read extends coverage once its symbol can be written to that register
-    from covered states.
+    from covered states.  This is ``_closure`` with every register opened.
     """
-    st = SaturationState(covered=set(p.initial_states))
-    changed = True
-    while changed:
-        changed = False
-        st.iterations += 1
-        for t in p.transitions:
-            if t.source not in st.covered:
-                continue
-            a = t.action
-            if a.kind == WRITE:
-                ok = True
-            elif a.kind == READ:
-                ok = any(w.action.kind == WRITE and w.action.reg == a.reg
-                         and w.action.symbol == a.symbol
-                         and w.source in st.covered and w.dest in st.covered
-                         for w in p.transitions)
-            else:
-                ok = False
-            if ok and t.dest not in st.covered:
-                st.covered.add(t.dest)
-                changed = True
-    return st
+    covered, passes = _closure(p.initial_states, p.transitions,
+                               range(p.register_count))
+    return SaturationState(covered, iterations=passes)
 
 
 def solve_cover_uninitialized(p: Protocol, target: int) -> Verdict:
@@ -96,61 +118,30 @@ def solve_cover_uninitialized(p: Protocol, target: int) -> Verdict:
                     "iterations": st.iterations})
 
 
-@dataclass(frozen=True)
-class FirstWriteOrder:
-    """The order in which registers irreversibly lose the initial symbol."""
-
-    registers: tuple  # distinct 0-based register ids
-
-    def __post_init__(self):
-        if len(set(self.registers)) != len(self.registers):
-            raise ValueError("first-write order repeats a register")
-
-
 def first_write_orders(p: Protocol):
-    """All orders, shortest first, lexicographic within a length."""
+    """All first-write orders, shortest first, lexicographic within a length.
+
+    Each is a tuple of distinct 0-based register ids, in the order in which
+    the registers irreversibly lose the initial symbol.
+    """
     for m in range(p.register_count + 1):
-        for order in itertools.permutations(range(p.register_count), m):
-            yield FirstWriteOrder(order)
+        yield from itertools.permutations(range(p.register_count), m)
 
 
-def _saturate_phases(p: Protocol, order: FirstWriteOrder) -> set:
+def _saturate_phases(p: Protocol, order: tuple) -> set:
     """Phase-wise saturation along one first-write order.
 
-    Phase i allows reading the initial symbol only from registers not yet
-    first-written, and writes/reads only on the first i opened registers;
+    Phase i is ``_closure`` with the first i registers of the order opened;
     an order is abandoned once the next register cannot be written from the
     covered set.
     """
     S = set(p.initial_states)
-    regs = order.registers
-    for i in range(len(regs) + 1):
-        opened = set(regs[:i])
-        changed = True
-        while changed:
-            changed = False
-            for t in p.transitions:
-                if t.source not in S or t.dest in S:
-                    continue
-                a = t.action
-                if a.kind == READ and a.symbol == D0 and a.reg not in opened:
-                    ok = True
-                elif a.kind == WRITE and a.reg in opened:
-                    ok = True
-                elif a.kind == READ and a.reg in opened and a.symbol != D0:
-                    ok = any(w.action.kind == WRITE and w.action.reg == a.reg
-                             and w.action.symbol == a.symbol and w.source in S
-                             for w in p.transitions)
-                else:
-                    ok = False
-                if ok:
-                    S.add(t.dest)
-                    changed = True
-        if i < len(regs):
-            nxt = regs[i]
-            if not any(t.action.kind == WRITE and t.action.reg == nxt
-                       and t.source in S for t in p.transitions):
-                break  # order infeasible beyond this phase
+    for i in range(len(order) + 1):
+        S, _ = _closure(S, p.transitions, order[:i])
+        if i < len(order) and not any(
+                t.action.kind == WRITE and t.action.reg == order[i]
+                and t.source in S for t in p.transitions):
+            break  # order infeasible beyond this phase
     return S
 
 
@@ -168,7 +159,7 @@ def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:
         tried += 1
         if target in _saturate_phases(p, order):
             return Verdict(POSITIVE, "fixed-r", None,
-                           {"order": [j + 1 for j in order.registers],
+                           {"order": [j + 1 for j in order],
                             "orders_tried": tried})
     return Verdict(NEGATIVE, "fixed-r", None, {"orders_tried": tried})
 
@@ -200,23 +191,15 @@ def reduce_cover_to_target(p: Protocol, error: int) -> tuple[Protocol, int]:
 def reduce_initialized_to_uninit_r1(p: Protocol) -> Protocol:
     """Fold the initial-value phase of a one-register protocol away.
 
-    States reachable through read-initial chains become initial, and the
-    read-initial transitions disappear; presence reachability answers
-    coincide for every constraint.
+    States reachable through read-initial chains (``_closure`` with no
+    register opened) become initial, and the read-initial transitions
+    disappear; presence reachability answers coincide for every constraint.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
     if p.register_count != 1:
         raise WrongRegisterCount("reduction needs exactly one register")
-    closure = set(p.initial_states)
-    changed = True
-    while changed:
-        changed = False
-        for t in p.transitions:
-            if (t.action.kind == READ and t.action.symbol == D0
-                    and t.source in closure and t.dest not in closure):
-                closure.add(t.dest)
-                changed = True
+    closure, _ = _closure(p.initial_states, p.transitions, ())
     keep = tuple(t for t in p.transitions
                  if not (t.action.kind == READ and t.action.symbol == D0))
     return Protocol(flavor=ROUNDLESS, state_names=p.state_names,
@@ -239,23 +222,8 @@ def compute_cov_set(p: Protocol, alive: set | None = None) -> set:
         raise NotUninitialized("covset needs an uninitialized protocol")
     if alive is None:
         alive = set(range(p.num_states))
-    trans = _alive_transitions(p, alive)
-    S = set(p.initial_states) & alive
-    changed = True
-    while changed:
-        changed = False
-        for t in trans:
-            if t.source not in S or t.dest in S:
-                continue
-            if t.action.kind == WRITE:
-                S.add(t.dest)
-                changed = True
-            elif t.action.kind == READ:
-                if any(w.action.kind == WRITE
-                       and w.action.symbol == t.action.symbol
-                       and w.source in S and w.dest in S for w in trans):
-                    S.add(t.dest)
-                    changed = True
+    S, _ = _closure(p.initial_states & alive, _alive_transitions(p, alive),
+                    (0,))
     return S
 
 

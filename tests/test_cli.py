@@ -205,6 +205,41 @@ def test_step_cap_flag_is_gone(exdir, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("verb", [
+    ["oracle"], ["check", "rbprp", "--algo", "oracle"]],
+    ids=["oracle", "check-algo-oracle"])
+def test_negative_cap_rounds_is_usage_error(exdir, capsys, verb):
+    # a round cap of -1 used to explore only the start configuration and
+    # answer negative on an instance the default cap decides positive
+    code, out, err = run(capsys, *verb, str(exdir / "fig4.prot"),
+                         str(exdir / "psi3.pc"), "--cap-rounds", "-1")
+    assert code == 64
+    assert out == ""
+    assert "--cap-rounds" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_is_usage_error(exdir, capsys, budget):
+    code, out, err = run(capsys, "check", "rbprp", str(exdir / "fig4.prot"),
+                         str(exdir / "psi3.pc"), "--budget", budget)
+    assert code == 64
+    assert out == ""
+    assert "--budget" in err
+
+
+@pytest.mark.parametrize("kind,flag,value", [
+    ("sat-cover", "--vars", "0"), ("sat-cover", "--vars", "-1"),
+    ("sat-target", "--vars", "21"), ("sat-cover", "--clauses", "0"),
+    ("cvp", "--gates", "-1")])
+def test_gen_count_out_of_range_is_usage_error(capsys, tmp_path, kind, flag,
+                                               value):
+    out_dir = tmp_path / "g"
+    code, _, err = run(capsys, "gen", kind, flag, value, "--out", str(out_dir))
+    assert code == 64
+    assert flag in err
+    assert not out_dir.exists()
+
+
 def test_console_entry_point():
     # the subprocess does not see pytest's pythonpath setting
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -13,8 +13,8 @@ from regverify.model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol,
                              validate)
 from regverify.oracle import oracle_prp, reach_roundless
 from regverify.reductions import builtin_examples
-from regverify.roundless import (compute_cocov_set, compute_cov_set,
-                                 first_write_orders,
+from regverify.roundless import (_saturate_phases, compute_cocov_set,
+                                 compute_cov_set, first_write_orders,
                                  reduce_cover_to_target,
                                  reduce_initialized_to_uninit_r1,
                                  saturate_uninitialized,
@@ -113,8 +113,33 @@ def test_fixed_r_cover_blue_negative():
 def test_first_write_orders_enumeration():
     p = parse_protocol("flavor: roundless\nstates: q0\ninitial: q0\n"
                        "registers: 2\nalphabet: d0 a\ntransitions:\n")
-    orders = [o.registers for o in first_write_orders(p)]
+    orders = list(first_write_orders(p))
     assert orders == [(), (0,), (1,), (0, 1), (1, 0)]
+
+
+def test_closure_routes_cover_exactly_the_reachable_states():
+    # saturation, the fixed-r phases and covset each compute the coverable
+    # states through the same closure; check them against the full reach set.
+    # The first protocol needs a write to open its register for good: B,
+    # which reads d0 after the only way into A wrote the register, is not
+    # coverable.  Random protocols seldom show that (3 seeds in 2000).
+    protocols = [("write-opens", parse_protocol(
+        "flavor: roundless\nstates: q0 A B\ninitial: q0\nregisters: 1\n"
+        "alphabet: d0 a\ntransitions:\n  q0 write(1, a) A\n"
+        "  A read(1, d0) B\n"))]
+    for seed in range(100_000, 100_200):
+        protocols.append((seed, random_protocol(
+            random.Random(seed), max_states=8, max_regs=3,
+            uninitialized=seed % 2 == 0)))
+    for name, p in protocols:
+        populated = set().union(*(c.pop for c in reach_roundless(p).members))
+        phases = set().union(*(_saturate_phases(p, o)
+                               for o in first_write_orders(p)))
+        assert phases == populated, name
+        if is_uninitialized(p):
+            assert saturate_uninitialized(p).covered == populated, name
+            if p.register_count == 1:
+                assert compute_cov_set(p) == populated, name
 
 
 # --- joker reduction --------------------------------------------------------------
