@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--state", help="state name for cover/target")
-        sp.add_argument("--cap-states", type=int, default=12,
+        sp.add_argument("--cap-states", type=_int_in(1), default=12,
                         help="oracle state-count cap")
         sp.add_argument("--cap-rounds", type=_int_in(0), default=None,
                         help="oracle round cap (round-based)")

@@ -8,10 +8,12 @@ instances beyond their caps.  The oracle stops at the first configuration
 that satisfies the constraint, so its space cap bounds the configurations
 discovered before a verdict, not the whole reach set.
 
-The roundless ``bounded`` solver runs this same search on the same packed
-step relation, cut at depth 4|Q| and without caps, so its agreement with
-the oracle does not check the step relation; the tests check that relation
-against ``semantics.abstract_step``, and every witness is replayed.
+Both flavors run one packed step relation: a roundless protocol is the
+round-0 case of a round window.  The roundless ``bounded`` solver runs this
+same search, cut at depth 4|Q| and without caps, so its agreement with the
+oracle does not check the step relation; the tests check that relation
+against ``semantics.abstract_successors`` and ``abstract_step``, and every
+witness is replayed.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from dataclasses import dataclass, field
 
 from .constraints import eval_roundbased, eval_roundless, max_constant
 from .errors import CapExceeded
-from .model import READ, ROUNDBASED, ROUNDLESS, Protocol
+from .model import INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
-                        abstract_successors, initial_configuration,
                         initial_supports, replay)
 from .verdict import NEGATIVE, POSITIVE, Verdict
 
@@ -102,83 +103,89 @@ def bfs(starts, successors, decode, space_cap: float = float("inf"),
     return rs
 
 
-def packed_roundless(p: Protocol):
+def packed(p: Protocol, max_round: int = 0):
     """``(starts, successors, decode)`` for ``bfs`` on packed integer codes.
 
-    A code holds the register fields in its low bits and one population bit
-    per state above them.  Successors come per enabled transition, keep
-    variant first, then desert.
+    A code holds one symbol field per (round, register) in its low bits and
+    one population bit per (round, state) above them, for rounds 0 to
+    ``max_round`` of a round-based protocol; a roundless one has round 0
+    only.  Successors come per transition and round, keep variant first,
+    then desert, as in ``semantics.abstract_successors``: an increment at
+    ``max_round`` and a read below round 0 are not generated.
     """
+    rb = p.flavor == ROUNDBASED
+    if max_round < 0:
+        raise ValueError(f"round cap {max_round} is negative")
+    rounds, nq, nr = max_round + 1 if rb else 1, p.num_states, p.register_count
     sym_bits = max(1, (p.num_symbols - 1).bit_length())
     sym_mask = (1 << sym_bits) - 1
-    pop_shift = p.register_count * sym_bits
+    pop_shift = rounds * nr * sym_bits
+    locs = [(q, r) if rb else q for r in range(rounds) for q in range(nq)]
+    keys = [(r, j) for r in range(rounds) for j in range(nr)]
+    pop = lambda q, r: 1 << (pop_shift + r * nq + q)
+    slot = lambda r, j: (r * nr + j) * sym_bits
 
-    ops = []
-    for t in p.transitions:
-        a = t.action
-        ops.append((1 << (pop_shift + t.source), 1 << (pop_shift + t.dest),
-                    a.reg * sym_bits, a.symbol, a.kind == READ,
-                    Move(t, None, False), Move(t, None, True)))
+    def table():
+        for t in p.transitions:
+            a, depth = t.action, t.action.depth or 0
+            for r in range(rounds):
+                if r < depth or a.kind == INC and r == max_round:
+                    continue
+                test = want = put = 0
+                keep = -1
+                if a.kind == READ:
+                    at = slot(r - depth, a.reg)
+                    test, want = sym_mask << at, a.symbol << at
+                elif a.kind == WRITE:
+                    at = slot(r, a.reg)
+                    keep, put = ~(sym_mask << at), a.symbol << at
+                rnd = r if rb else None
+                yield (pop(t.source, r), pop(t.dest, r + (a.kind == INC)),
+                       test, want, keep, put,
+                       Move(t, rnd, False), Move(t, rnd, True))
+
+    ops = []  # built at the first expansion: many searches hit at a start
 
     def successors(code: int):
-        for src_bit, dst_bit, shift, sym, is_read, keep, desert in ops:
-            if not code & src_bit:
-                continue
-            if is_read:
-                if (code >> shift) & sym_mask != sym:
-                    continue
-                base = code
-            else:
-                base = (code & ~(sym_mask << shift)) | (sym << shift)
-            yield keep, base | dst_bit
-            yield desert, (base & ~src_bit) | dst_bit
+        if not ops:
+            ops.extend(table())
+        for src, dst, test, want, keep, put, stay, desert in ops:
+            if code & src and code & test == want:
+                base = code & keep | put
+                yield stay, base | dst
+                yield desert, base & ~src | dst
 
     def decode(code: int) -> AbstractConfig:
-        pop = frozenset(q for q in range(p.num_states)
-                        if code & (1 << (pop_shift + q)))
-        regs = tuple((code >> (j * sym_bits)) & sym_mask
-                     for j in range(p.register_count))
-        return AbstractConfig(pop, regs)
+        bits = bin(code >> pop_shift)[:1:-1]
+        where = frozenset(locs[i] for i, b in enumerate(bits) if b == "1")
+        syms = ((code >> (i * sym_bits)) & sym_mask for i in range(len(keys)))
+        if not rb:
+            return AbstractConfig(where, tuple(syms))
+        return AbstractConfig(where, frozenset(
+            (k, s) for k, s in zip(keys, syms) if s))
 
     # lazy: a search that hits early never encodes the remaining supports
-    starts = (sum(1 << (pop_shift + q) for q in support)
+    starts = (sum(pop(q, 0) for q in support)
               for support in initial_supports(p))
     return starts, successors, decode
 
 
-def reach_roundless(p: Protocol, state_cap: int = DEFAULT_STATE_CAP,
-                    space_cap: int = DEFAULT_SPACE_CAP, sat=None) -> ReachSet:
-    """Abstract reach set from every initial configuration.
+def reach(p: Protocol, max_round: int = 0,
+          state_cap: int = DEFAULT_STATE_CAP,
+          space_cap: int = DEFAULT_SPACE_CAP, sat=None) -> ReachSet:
+    """Abstract reach set from every initial configuration, by moves with
+    effect on rounds <= ``max_round`` for a round-based protocol.
 
     Without ``sat`` the set is complete.  With it, breadth-first search
     stops at the first configuration satisfying ``sat`` and records it as
     ``hit``; the set then holds the configurations discovered so far.
     """
-    if p.flavor != ROUNDLESS:
-        raise ValueError("reach_roundless needs a roundless protocol")
     if p.num_states > state_cap:
         raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
-    if p.num_symbols ** p.register_count > space_cap:
+    if p.flavor == ROUNDLESS and \
+            p.num_symbols ** p.register_count > space_cap:
         raise CapExceeded("register valuation space exceeds cap")
-    return bfs(*packed_roundless(p), space_cap, sat)
-
-
-def reach_roundbased_capped(p: Protocol, max_round: int,
-                            state_cap: int = DEFAULT_STATE_CAP,
-                            space_cap: int = DEFAULT_SPACE_CAP,
-                            sat=None) -> ReachSet:
-    """Reach set restricted to moves with effect on rounds <= max_round.
-
-    ``sat`` stops the search at the first hit, as in ``reach_roundless``.
-    """
-    if p.flavor != ROUNDBASED:
-        raise ValueError("reach_roundbased_capped needs a round-based protocol")
-    if p.num_states > state_cap:
-        raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
-    starts = (initial_configuration(p, support)
-              for support in initial_supports(p))
-    return bfs(starts, lambda c: abstract_successors(p, c, (0, max_round)),
-               lambda c: c, space_cap, sat)
+    return bfs(*packed(p, max_round), space_cap, sat)
 
 
 def default_round_cap(p: Protocol, psi) -> int:
@@ -208,16 +215,17 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
     means no witness within the cap).
     """
     if p.flavor == ROUNDLESS:
+        max_round = 0
         sat = lambda c: eval_roundless(c, constraint)
-        rs = reach_roundless(p, state_cap, space_cap, sat)
-        stats = {"members": len(rs.members)}
     else:
         if max_round is None:
             max_round = default_round_cap(p, constraint)
         bound = max_round + 1  # increments at max_round-1 touch max_round
         sat = lambda c: eval_roundbased(p, c, constraint, active_bound=bound)
-        rs = reach_roundbased_capped(p, max_round, state_cap, space_cap, sat)
-        stats = {"members": len(rs.members), "max_round": max_round}
+    rs = reach(p, max_round, state_cap, space_cap, sat)
+    stats = {"members": len(rs.members)}
+    if p.flavor == ROUNDBASED:
+        stats["max_round"] = max_round
     if rs.hit is None:
         return Verdict(NEGATIVE, "oracle", None, stats)
     wit = rs.witness(rs.hit)

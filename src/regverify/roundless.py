@@ -24,7 +24,7 @@ from .constraints import (ClauseDecomposition, dnf_clauses, eval_roundless)
 from .errors import NotUninitialized, WrongRegisterCount
 from .model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol, Transition,
                     is_uninitialized)
-from .oracle import bfs, packed_roundless
+from .oracle import bfs, packed
 from .verdict import NEGATIVE, POSITIVE, Verdict
 
 
@@ -43,7 +43,7 @@ def solve_prp_bounded(p: Protocol, phi) -> Verdict:
     if p.flavor != ROUNDLESS:
         raise ValueError("solve_prp_bounded needs a roundless protocol")
     bound = witness_bound(p)
-    rs = bfs(*packed_roundless(p), sat=lambda c: eval_roundless(c, phi),
+    rs = bfs(*packed(p), sat=lambda c: eval_roundless(c, phi),
              max_depth=bound)
     stats = {"nodes": len(rs.parents), "bound": bound}
     if rs.hit is None:

@@ -264,14 +264,7 @@ def replay(p: Protocol, exec: Execution, mode: str):
     This is the trusted witness checker: NotEnabled carries the index of the
     offending step.
     """
-    step = concrete_step if mode == CONCRETE else abstract_step
-    cur = exec.start
-    for i, m in enumerate(exec.moves):
-        try:
-            cur = step(p, cur, m)
-        except NotEnabled as e:
-            raise NotEnabled(e.reason, step_index=i) from None
-    return cur
+    return replay_configs(p, exec, mode)[-1]
 
 
 def replay_configs(p: Protocol, exec: Execution, mode: str) -> list:

@@ -29,7 +29,7 @@ from regverify.footprints import (combine_footprints,
                                   normal_form_violations, normalize_execution,
                                   per_round_step_counts, project_footprint)
 from regverify.model import INC, is_uninitialized
-from regverify.oracle import default_round_cap, oracle_prp, reach_roundless
+from regverify.oracle import default_round_cap, oracle_prp, reach
 from regverify.reductions import (Circuit, CnfFormula, builtin_examples,
                                   cvp_to_cover, evaluate_circuit, sat_to_cover,
                                   sat_to_uninit_target,
@@ -65,10 +65,8 @@ def _golden_rb_oracle(_arg) -> list[str]:
     # one full reach computation serves all three constraints (it is
     # constraint-independent); scanning rs.order reproduces the oracle's
     # first hit, which it finds in this same BFS order
-    from regverify.oracle import reach_roundbased_capped
-
     p = PROTOCOLS["fig4"]
-    rs = reach_roundbased_capped(p, 2)
+    rs = reach(p, 2)
     out = []
     for key in ("psi1", "psi2", "psi3"):
         psi = parse_round_constraint(CONSTRAINTS[key].text, p)
@@ -284,7 +282,7 @@ def test_criterion_4_abstraction_sound_complete():
     for _ in range(100):
         p = random_protocol(rng, max_states=4, max_symbols=3, max_regs=2,
                             max_trans=10)
-        abstract = {(c.pop, c.regs) for c in reach_roundless(p).members}
+        abstract = {(c.pop, c.regs) for c in reach(p).members}
         concrete = _concrete_reach_patterns(p, 6)
         assert concrete == abstract, "abstraction mismatch"
         agreed += 1

@@ -218,6 +218,19 @@ def test_negative_cap_rounds_is_usage_error(exdir, capsys, verb):
     assert "--cap-rounds" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("verb", [
+    ["oracle", "--problem", "cover"], ["check", "cover", "--algo", "oracle"]],
+    ids=["oracle", "check-algo-oracle"])
+def test_cap_states_below_one_is_usage_error(exdir, capsys, verb, value):
+    # a state cap below 1 used to run and exit 70, "|Q| = 5 exceeds cap"
+    code, out, err = run(capsys, *verb, str(exdir / "fig1.prot"),
+                         "--state", "qf", "--cap-states", value)
+    assert code == 64
+    assert out == ""
+    assert "--cap-states" in err
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_budget_below_one_is_usage_error(exdir, capsys, budget):
     code, out, err = run(capsys, "check", "rbprp", str(exdir / "fig4.prot"),

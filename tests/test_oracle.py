@@ -11,12 +11,11 @@ from regverify.constraints import (cover_constraint, eval_roundbased,
                                    parse_roundless_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import parse_protocol
-from regverify.oracle import (bfs, default_round_cap, oracle_prp,
-                              packed_roundless, reach_roundbased_capped,
-                              reach_roundless)
+from regverify.oracle import bfs, default_round_cap, oracle_prp, packed, reach
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, AbstractConfig, abstract_step,
-                                 abstract_successors, replay)
+                                 abstract_successors, initial_configuration,
+                                 initial_supports, replay)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -26,14 +25,14 @@ FIG4 = PROTOCOLS["fig4"]
 
 
 def test_fig1_reach_contains_qf_c_a():
-    rs = reach_roundless(FIG1)
+    rs = reach(FIG1)
     want = AbstractConfig(frozenset({FIG1.state_id("qf"), FIG1.state_id("C")}),
                           (FIG1.symbol_id("a"),))
     assert want in rs.members
 
 
 def test_blue_variant_never_covers_qf():
-    rs = reach_roundless(FIG1_BLUE)
+    rs = reach(FIG1_BLUE)
     qf = FIG1_BLUE.state_id("qf")
     assert all(qf not in c.pop for c in rs.members)
 
@@ -41,12 +40,12 @@ def test_blue_variant_never_covers_qf():
 def test_no_transition_protocol_reach():
     p = parse_protocol("flavor: roundless\nstates: q0\ninitial: q0\n"
                        "registers: 1\nalphabet: d0\ntransitions:\n")
-    rs = reach_roundless(p)
+    rs = reach(p)
     assert rs.members == {AbstractConfig(frozenset({0}), (0,))}
 
 
 def test_reach_is_a_fixed_point():
-    rs = reach_roundless(FIG1)
+    rs = reach(FIG1)
     for c in rs.members:
         for _, succ in abstract_successors(FIG1, c):
             assert succ in rs.members
@@ -69,7 +68,7 @@ def _assert_closed_with_sound_parents(p, rs, window=None):
 @pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_020)))
 def test_packed_reach_matches_reference_step(seed):
     p = FIG1 if seed is None else random_protocol(random.Random(seed))
-    _assert_closed_with_sound_parents(p, reach_roundless(p))
+    _assert_closed_with_sound_parents(p, reach(p))
 
 
 def _depths(rs):
@@ -82,12 +81,17 @@ def _depths(rs):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("seed", [None, 300_002, 300_008, 300_011, 300_019])
+@pytest.mark.parametrize("seed", [None, "fig4", 300_002, 300_008, 300_011,
+                                  300_019])
 def test_depth_bound_keeps_the_levels_within_it(seed, k):
-    p = FIG1 if seed is None else random_protocol(random.Random(seed))
-    full = reach_roundless(p)
+    if seed == "fig4":
+        p, cap = FIG4, 2
+    else:
+        p = FIG1 if seed is None else random_protocol(random.Random(seed))
+        cap = 0
+    full = reach(p, cap)
     depth = _depths(full)
-    cut = bfs(*packed_roundless(p), max_depth=k)
+    cut = bfs(*packed(p, cap), max_depth=k)
     assert cut.order == [c for c in full.order if depth[c] <= k]
     assert all(cut.parents[c] == full.parents[c] for c in cut.order)
     if max(depth.values()) > k:
@@ -96,12 +100,38 @@ def test_depth_bound_keeps_the_levels_within_it(seed, k):
 
 def test_roundbased_capped_reach_matches_reference_step():
     _assert_closed_with_sound_parents(
-        FIG4, reach_roundbased_capped(FIG4, 2), window=(0, 2))
+        FIG4, reach(FIG4, 2), window=(0, 2))
+
+
+def _reference_reach(p, max_round, space_cap):
+    """The reach set over ``abstract_successors`` and its frozensets."""
+    starts = (initial_configuration(p, support)
+              for support in initial_supports(p))
+    return bfs(starts, lambda c: abstract_successors(p, c, (0, max_round)),
+               lambda c: c, space_cap)
+
+
+@pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_100)))
+def test_packed_round_window_matches_reference_reach(seed):
+    # same members in the same order with the same parents, at every round
+    # cap; a pair the reference refuses at the space cap is skipped
+    if seed is None:
+        cases = [(FIG4, 2)]
+    else:
+        p = random_rb_protocol(random.Random(seed))
+        cases = [(p, k) for k in range(4)]
+    for p, k in cases:
+        try:
+            want = _reference_reach(p, k, 2000)
+        except CapExceeded:
+            continue
+        got = reach(p, k, space_cap=2000)
+        assert list(got.parents.items()) == list(want.parents.items()), k
 
 
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
-        reach_roundless(FIG1, state_cap=3)
+        reach(FIG1, state_cap=3)
 
 
 def test_oracle_prp_golden_roundless():
@@ -124,13 +154,13 @@ def test_oracle_witness_replays_and_satisfies():
 def test_fig4_qf_not_covered_within_two_rounds():
     # the K=3 reach set also avoids qf but runs minutes at desk scale;
     # the round-based solver covers the unbounded claim exactly
-    rs = reach_roundbased_capped(FIG4, 2)
+    rs = reach(FIG4, 2)
     qf = FIG4.state_id("qf")
     assert all(all(q != qf for q, _ in c.pop) for c in rs.members)
 
 
 def test_fig4_witness_shape_at_k2():
-    rs = reach_roundbased_capped(FIG4, 2)
+    rs = reach(FIG4, 2)
     E = FIG4.state_id("E")
     b, d0 = FIG4.symbol_id("b"), FIG4.symbol_id("d0")
     good = [c for c in rs.members
@@ -143,14 +173,20 @@ def test_round_cap_zero_with_only_increments():
     p = parse_protocol("flavor: roundbased\nstates: q0\ninitial: q0\n"
                        "registers: 1\nalphabet: d0\nvisibility: 0\n"
                        "transitions:\n  q0 inc q0\n")
-    rs = reach_roundbased_capped(p, 0)
+    rs = reach(p, 0)
     assert rs.members == {AbstractConfig(frozenset({(0, 0)}), frozenset())}
+
+
+def test_negative_round_cap_is_refused():
+    # the window has no round -1; the code would have no room for a start
+    with pytest.raises(ValueError):
+        reach(FIG4, -1)
 
 
 def test_round_cap_monotonicity():
     prev = None
     for k in range(0, 3):
-        members = reach_roundbased_capped(FIG4, k).members
+        members = reach(FIG4, k).members
         if prev is not None:
             assert prev <= members
         prev = members
@@ -192,7 +228,7 @@ def _assert_matches_full_scan(v, rs, sat):
 def test_positive_decided_when_full_reach_set_exceeds_cap():
     psi3 = parse_round_constraint(CONSTRAINTS["psi3"].text, FIG4)
     sat = lambda c: eval_roundbased(FIG4, c, psi3, active_bound=3)
-    full = reach_roundbased_capped(FIG4, 2)
+    full = reach(FIG4, 2)
     hit = _first_hit(full, sat)
     cap = full.order.index(hit) + 1  # the hit is the last member in the cap
     assert cap < len(full.members)
@@ -221,7 +257,7 @@ def test_criterion_2_seed_refused_before_is_decided():
 def test_roundless_oracle_matches_full_scan(seed):
     rng = random.Random(seed)
     p = random_protocol(rng)
-    rs = reach_roundless(p)
+    rs = reach(p)
     for phi in (random_constraint(rng, p),
                 cover_constraint(p, rng.randrange(p.num_states))):
         _assert_matches_full_scan(oracle_prp(p, phi), rs,
@@ -235,7 +271,7 @@ def test_roundbased_oracle_matches_full_scan(seed):
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
     K = default_round_cap(p, psi)
-    rs = reach_roundbased_capped(p, K)
+    rs = reach(p, K)
     _assert_matches_full_scan(
         oracle_prp(p, psi, max_round=K), rs,
         lambda c: eval_roundbased(p, c, psi, active_bound=K + 1))
@@ -243,11 +279,11 @@ def test_roundbased_oracle_matches_full_scan(seed):
 
 def test_negative_past_cap_still_refused():
     psi1 = parse_round_constraint(CONSTRAINTS["psi1"].text, FIG4)
-    n = len(reach_roundbased_capped(FIG4, 2).members)
+    n = len(reach(FIG4, 2).members)
     assert oracle_prp(FIG4, psi1, max_round=2,
                       space_cap=n).answer == "negative"
     with pytest.raises(CapExceeded):
         oracle_prp(FIG4, psi1, max_round=2, space_cap=n - 1)
     phi = parse_roundless_constraint(CONSTRAINTS["ex26_phi"].text, FIG1)
     with pytest.raises(CapExceeded):
-        oracle_prp(FIG1, phi, space_cap=len(reach_roundless(FIG1).members) - 1)
+        oracle_prp(FIG1, phi, space_cap=len(reach(FIG1).members) - 1)

@@ -11,7 +11,7 @@ from regverify.errors import (NotDNF, NotUninitialized, WrongRegisterCount)
 from regverify.model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol,
                              Transition, is_uninitialized, parse_protocol,
                              validate)
-from regverify.oracle import oracle_prp, reach_roundless
+from regverify.oracle import oracle_prp, reach
 from regverify.reductions import builtin_examples
 from regverify.roundless import (_saturate_phases, compute_cocov_set,
                                  compute_cov_set, first_write_orders,
@@ -132,7 +132,7 @@ def test_closure_routes_cover_exactly_the_reachable_states():
             random.Random(seed), max_states=8, max_regs=3,
             uninitialized=seed % 2 == 0)))
     for name, p in protocols:
-        populated = set().union(*(c.pop for c in reach_roundless(p).members))
+        populated = set().union(*(c.pop for c in reach(p).members))
         phases = set().union(*(_saturate_phases(p, o)
                                for o in first_write_orders(p)))
         assert phases == populated, name
