@@ -9,20 +9,26 @@ that satisfies the constraint, so its space cap bounds the configurations
 discovered before a verdict, not the whole reach set.
 
 Both flavors run one packed step relation: a roundless protocol is the
-round-0 case of a round window.  The roundless ``bounded`` solver runs this
-same search, cut at depth 4|Q| and without caps, so its agreement with the
-oracle does not check the step relation; the tests check that relation
-against ``semantics.abstract_successors`` and ``abstract_step``, and every
-witness is replayed.
+round-0 case of a round window.  The search stays on integer codes: the
+constraint is compiled to bit probes on the code, and only a witness's own
+codes are decoded.  Every positive is replayed, and its final configuration
+is checked by the reference evaluators ``eval_roundless`` and
+``eval_roundbased``.  The roundless ``bounded`` solver runs this same search
+and probe, cut at depth 4|Q| and without caps, so its agreement with the
+oracle checks neither the step relation nor the probe; the tests check the
+relation against ``semantics.abstract_successors`` and ``abstract_step``,
+and the probe against the evaluators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
-from .constraints import eval_roundbased, eval_roundless, max_constant
+from .constraints import (And, Exists, Forall, Not, Or, Pop, PopAt, Reg,
+                          RegAt, eval_roundbased, eval_roundless,
+                          max_constant, term_value)
 from .errors import CapExceeded
-from .model import INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
+from .model import D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
                         initial_supports, replay)
 from .verdict import NEGATIVE, POSITIVE, Verdict
@@ -31,13 +37,33 @@ DEFAULT_STATE_CAP = 12
 DEFAULT_SPACE_CAP = 200_000
 
 
-@dataclass
 class ReachSet:
-    """Abstract reach set with parent links for witness extraction."""
+    """Abstract reach set with parent links for witness extraction.
 
-    # config -> (pred, Move) | None, in breadth-first discovery order
-    parents: dict = field(default_factory=dict)
-    hit: AbstractConfig | None = None  # first member satisfying the predicate
+    The search fills ``links``, code -> (pred code, Move) | None in
+    breadth-first discovery order, and ``hit_code``, the first code
+    satisfying the predicate.  ``parents``, ``members``, ``order`` and
+    ``hit`` are their decoded views, built on first access.
+    """
+
+    def __init__(self, decode):
+        self.links: dict = {}
+        self.hit_code = None
+        self._decode = decode
+        self._configs: dict = {}  # code -> configuration, decoded so far
+
+    def config(self, code):
+        """The configuration of a code, decoded at most once."""
+        if code not in self._configs:
+            self._configs[code] = self._decode(code)
+        return self._configs[code]
+
+    @cached_property
+    def parents(self) -> dict:
+        """config -> (pred config, Move) | None, in discovery order."""
+        return {self.config(code): None if link is None
+                else (self.config(link[0]), link[1])
+                for code, link in self.links.items()}
 
     @property
     def members(self):
@@ -47,17 +73,24 @@ class ReachSet:
     def order(self) -> list:
         return list(self.parents)
 
-    def witness(self, config: AbstractConfig) -> Execution:
+    @property
+    def hit(self) -> AbstractConfig | None:
+        return None if self.hit_code is None else self.config(self.hit_code)
+
+    @cached_property
+    def _codes(self) -> dict:
+        return dict(zip(self.parents, self.links))
+
+    def witness(self, config: AbstractConfig | None = None) -> Execution:
+        """Shortest execution to ``config``, by default to the hit; of the
+        path, only its start is decoded."""
+        code = self.hit_code if config is None else self._codes[config]
         moves: list[Move] = []
-        cur = config
-        while True:
-            link = self.parents[cur]
-            if link is None:
-                break
-            cur, move = link
+        while (link := self.links[code]) is not None:
+            code, move = link
             moves.append(move)
         moves.reverse()
-        return Execution(cur, tuple(moves))
+        return Execution(self.config(code), tuple(moves))
 
 
 def bfs(starts, successors, decode, space_cap: float = float("inf"),
@@ -66,64 +99,78 @@ def bfs(starts, successors, decode, space_cap: float = float("inf"),
 
     ``starts`` yields the initial codes, ``successors(code)`` yields
     ``(move, code)`` pairs and ``decode`` turns a code into its
-    configuration.  Each code is decoded once, when first discovered, so
-    that ``sat`` can stop the search at the first hit.  Configurations at
-    depth ``max_depth`` are discovered but not expanded.
+    configuration.  ``sat`` is tested on each code as it is first
+    discovered and stops the search at the first hit; the search itself
+    decodes nothing.  Configurations at depth ``max_depth`` are discovered
+    but not expanded.
     """
-    rs = ReachSet()
-    configs: dict = {}  # discovered code -> decoded configuration
+    rs = ReachSet(decode)
+    links = rs.links
     frontier: list = []  # codes discovered at the current depth
 
     def discover(code, link) -> bool:
-        c = configs[code] = decode(code)
-        rs.parents[c] = link
+        links[code] = link
         frontier.append(code)
-        if sat is not None and sat(c):
-            rs.hit = c
+        if sat is not None and sat(code):
+            rs.hit_code = code
             return True
         return False
 
     for code in starts:
-        if code not in configs and discover(code, None):
+        if code not in links and discover(code, None):
             return rs
     depth = 0
     while frontier and depth != max_depth:
         depth += 1
         level, frontier = frontier, []  # discover() appends to the new list
         for code in level:
-            cur = configs[code]
             for move, succ in successors(code):
-                if succ in configs:
+                if succ in links:
                     continue
-                if len(configs) >= space_cap:
+                if len(links) >= space_cap:
                     raise CapExceeded(
                         f"reach set exceeds {space_cap} configurations")
-                if discover(succ, (cur, move)):
+                if discover(succ, (code, move)):
                     return rs
     return rs
+
+
+def _layout(p: Protocol, max_round: int):
+    """Bit layout of ``packed(p, max_round)`` codes.
+
+    Returns ``(rounds, pop, slot, sym_mask)``.  Each round has a block of
+    its own, round r's block right above round r - 1's: register j's symbol
+    field, ``sym_mask`` wide, starts at bit ``slot(r, j)``, and the
+    population bit of state q is ``pop(q, r)``.  So round r + k reads as
+    round r in the code shifted right by ``slot(k, 0)``, and a round past
+    the window reads as all-empty.
+    """
+    if max_round < 0:
+        raise ValueError(f"round cap {max_round} is negative")
+    rounds = max_round + 1 if p.flavor == ROUNDBASED else 1
+    nq, nr = p.num_states, p.register_count
+    sym_bits = max(1, (p.num_symbols - 1).bit_length())
+    block = nr * sym_bits + nq
+    return (rounds, lambda q, r: 1 << (r * block + nr * sym_bits + q),
+            lambda r, j: r * block + j * sym_bits, (1 << sym_bits) - 1)
 
 
 def packed(p: Protocol, max_round: int = 0):
     """``(starts, successors, decode)`` for ``bfs`` on packed integer codes.
 
-    A code holds one symbol field per (round, register) in its low bits and
-    one population bit per (round, state) above them, for rounds 0 to
+    A code holds one symbol field per (round, register) and one population
+    bit per (round, state), laid out by ``_layout``, for rounds 0 to
     ``max_round`` of a round-based protocol; a roundless one has round 0
     only.  Successors come per transition and round, keep variant first,
     then desert, as in ``semantics.abstract_successors``: an increment at
     ``max_round`` and a read below round 0 are not generated.
     """
     rb = p.flavor == ROUNDBASED
-    if max_round < 0:
-        raise ValueError(f"round cap {max_round} is negative")
-    rounds, nq, nr = max_round + 1 if rb else 1, p.num_states, p.register_count
-    sym_bits = max(1, (p.num_symbols - 1).bit_length())
-    sym_mask = (1 << sym_bits) - 1
-    pop_shift = rounds * nr * sym_bits
-    locs = [(q, r) if rb else q for r in range(rounds) for q in range(nq)]
-    keys = [(r, j) for r in range(rounds) for j in range(nr)]
-    pop = lambda q, r: 1 << (pop_shift + r * nq + q)
-    slot = lambda r, j: (r * nr + j) * sym_bits
+    rounds, pop, slot, sym_mask = _layout(p, max_round)
+    locs = [((q, r) if rb else q, pop(q, r))
+            for r in range(rounds) for q in range(p.num_states)]
+    keys = [(r, j) for r in range(rounds) for j in range(p.register_count)]
+    shifts = [slot(r, j) for r, j in keys]
 
     def table():
         for t in p.transitions:
@@ -156,9 +203,8 @@ def packed(p: Protocol, max_round: int = 0):
                 yield desert, base & ~src | dst
 
     def decode(code: int) -> AbstractConfig:
-        bits = bin(code >> pop_shift)[:1:-1]
-        where = frozenset(locs[i] for i, b in enumerate(bits) if b == "1")
-        syms = ((code >> (i * sym_bits)) & sym_mask for i in range(len(keys)))
+        where = frozenset(loc for loc, bit in locs if code & bit)
+        syms = ((code >> at) & sym_mask for at in shifts)
         if not rb:
             return AbstractConfig(where, tuple(syms))
         return AbstractConfig(where, frozenset(
@@ -170,15 +216,126 @@ def packed(p: Protocol, max_round: int = 0):
     return starts, successors, decode
 
 
+def compile_constraint(p: Protocol, psi, max_round: int = 0):
+    """The constraint as a predicate on ``packed(p, max_round)`` codes.
+
+    On a code it agrees with ``eval_roundless`` on the decoded
+    configuration of a roundless protocol, and with ``eval_roundbased(...,
+    active_bound=max_round + 1)`` on that of a round-based one.  A roundless
+    ``Pop``/``Reg`` atom is the round-0 ``PopAt``/``RegAt``.  A quantifier
+    tries ``k = 0..max_round + 1``, reading round ``k + m`` as round ``m``
+    of the code shifted by k rounds; past the window the code reads as
+    empty, where a population atom is false and a register holds d0, so
+    every later ``k`` gives what ``max_round + 1`` gives.
+
+    Each atom is a bit test ``(mask, want, eq, shifted)``, true when
+    ``(x & mask == want) == eq`` for ``x`` the code, or the shifted code
+    for an atom on the quantified variable.  Constants fold, ``_join``
+    merges tests, and a quantified test becomes one test of the code per k.
+    """
+    rounds, pop, slot, sym_mask = _layout(p, max_round)
+    shifts = range(0, slot(rounds + 1, 0), slot(1, 0))  # k = 0..rounds
+
+    def build(node, bound: bool):
+        if isinstance(node, (Pop, Reg, PopAt, RegAt)):
+            r, shifted = 0, False
+            if isinstance(node, (PopAt, RegAt)):
+                # round k + m is round m of the shifted code
+                r = term_value(node.term, 0 if bound else None)
+                shifted = node.term.has_var
+            if isinstance(node, (Pop, PopAt)):
+                bit = pop(node.state, r)
+                return bit, bit, True, shifted
+            at = slot(r, node.reg)
+            return sym_mask << at, node.symbol << at, True, shifted
+        if isinstance(node, (And, Or)):
+            return _join(isinstance(node, And),
+                         [build(x, bound) for x in node.children])
+        if isinstance(node, Not):
+            e = build(node.child, bound)
+            if isinstance(e, tuple):
+                return e[0], e[1], not e[2], e[3]
+            if isinstance(e, bool):
+                return not e
+            return lambda c, s: not e(c, s)
+        if not isinstance(node, (Exists, Forall)):
+            raise TypeError(f"not a constraint node: {node!r}")
+        body = build(node.prop, True)
+        if isinstance(body, tuple) and body[3]:
+            m, w, eq, _ = body
+            return _join(isinstance(node, Forall),
+                         [(m << n, w << n, eq, False) for n in shifts])
+        body = _predicate(body)
+        if isinstance(node, Exists):
+            return lambda c, s: any(body(c, c >> n) for n in shifts)
+        return lambda c, s: all(body(c, c >> n) for n in shifts)
+
+    sat = _predicate(build(psi, False))
+    return lambda c: sat(c, c)
+
+
+def _join(conj: bool, parts: list):
+    """The conjunction (or disjunction) of compiled parts.
+
+    Constants fold.  The equality tests of a conjunction on one of the two
+    codes merge into one, as do the inequality tests of a disjunction; a
+    one-bit test is either.
+    """
+    merged: dict = {}  # shifted -> (mask, want)
+    rest = []
+    for e in parts:
+        if isinstance(e, bool):
+            if e != conj:
+                return e  # false in a conjunction, true in a disjunction
+            continue
+        if isinstance(e, tuple):
+            m, w, eq, shifted = e
+            if eq != conj and m & (m - 1) == 0:
+                w, eq = m ^ w, conj  # one bit: equal to w, unequal to m ^ w
+            if eq == conj:
+                mask, want = merged.get(shifted, (0, 0))
+                if (want ^ w) & mask & m:
+                    return not conj  # two tests of one bit disagree
+                merged[shifted] = mask | m, want | w
+                continue
+        rest.append(_predicate(e))
+    tests = [(m, w, conj, shifted) for shifted, (m, w) in merged.items()]
+    if len(tests) == 1 and not rest:
+        return tests[0]
+    rest[:0] = map(_predicate, tests)
+    if len(rest) < 2:
+        return rest[0] if rest else conj
+    if conj:
+        return lambda c, s: all(f(c, s) for f in rest)
+    return lambda c, s: any(f(c, s) for f in rest)
+
+
+def _predicate(e):
+    """A compiled part as a function of the code and the shifted code."""
+    if isinstance(e, bool):
+        return lambda c, s: e
+    if isinstance(e, tuple):
+        m, w, eq, shifted = e
+        if shifted and eq:
+            return lambda c, s: s & m == w
+        if shifted:
+            return lambda c, s: s & m != w
+        if eq:
+            return lambda c, s: c & m == w
+        return lambda c, s: c & m != w
+    return e
+
+
 def reach(p: Protocol, max_round: int = 0,
           state_cap: int = DEFAULT_STATE_CAP,
           space_cap: int = DEFAULT_SPACE_CAP, sat=None) -> ReachSet:
     """Abstract reach set from every initial configuration, by moves with
     effect on rounds <= ``max_round`` for a round-based protocol.
 
-    Without ``sat`` the set is complete.  With it, breadth-first search
-    stops at the first configuration satisfying ``sat`` and records it as
-    ``hit``; the set then holds the configurations discovered so far.
+    Without ``sat`` the set is complete.  With it, a predicate on codes such
+    as ``compile_constraint`` returns, breadth-first search stops at the
+    first configuration satisfying ``sat`` and records it as ``hit``; the
+    set then holds the configurations discovered so far.
     """
     if p.num_states > state_cap:
         raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
@@ -201,14 +358,15 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
                space_cap: int = DEFAULT_SPACE_CAP) -> Verdict:
     """Decide a presence reachability instance by exhaustive search.
 
-    The constraint is checked on each configuration as breadth-first search
-    first discovers it, and the search stops at the first hit, so positives
-    carry a shortest witness, replayed and re-evaluated before it is
-    returned.  ``space_cap`` bounds the configurations discovered before a
-    verdict: a positive is exact whenever its first hit lies within the cap,
-    while a negative explores the whole reach set and raises ``CapExceeded``
-    past it.  ``stats["members"]`` counts the configurations discovered,
-    which for a positive is not the whole reach set.
+    The compiled constraint is checked on each configuration as
+    breadth-first search first discovers it, and the search stops at the
+    first hit, so positives carry a shortest witness, replayed and
+    re-evaluated by the reference evaluator before it is returned.
+    ``space_cap`` bounds the configurations discovered before a verdict: a
+    positive is exact whenever its first hit lies within the cap, while a
+    negative explores the whole reach set and raises ``CapExceeded`` past
+    it.  ``stats["members"]`` counts the configurations discovered, which
+    for a positive is not the whole reach set.
 
     For round-based protocols the verdict is relative to executions whose
     moves affect rounds <= max_round only (positives are exact; a negative
@@ -216,20 +374,22 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
     """
     if p.flavor == ROUNDLESS:
         max_round = 0
-        sat = lambda c: eval_roundless(c, constraint)
+        check = lambda c: eval_roundless(c, constraint)
     else:
         if max_round is None:
             max_round = default_round_cap(p, constraint)
         bound = max_round + 1  # increments at max_round-1 touch max_round
-        sat = lambda c: eval_roundbased(p, c, constraint, active_bound=bound)
-    rs = reach(p, max_round, state_cap, space_cap, sat)
-    stats = {"members": len(rs.members)}
+        check = lambda c: eval_roundbased(p, c, constraint,
+                                          active_bound=bound)
+    rs = reach(p, max_round, state_cap, space_cap,
+               compile_constraint(p, constraint, max_round))
+    stats = {"members": len(rs.links)}
     if p.flavor == ROUNDBASED:
         stats["max_round"] = max_round
-    if rs.hit is None:
+    if rs.hit_code is None:
         return Verdict(NEGATIVE, "oracle", None, stats)
-    wit = rs.witness(rs.hit)
+    wit = rs.witness()
     final = replay(p, wit, ABSTRACT)
-    if final != rs.hit or not sat(final):
+    if final != rs.hit or not check(final):
         raise AssertionError("oracle witness failed validation")
     return Verdict(POSITIVE, "oracle", wit, stats)

@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .constraints import (ClauseDecomposition, dnf_clauses, eval_roundless)
+from .constraints import ClauseDecomposition, dnf_clauses
 from .errors import NotUninitialized, WrongRegisterCount
 from .model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol, Transition,
                     is_uninitialized)
-from .oracle import bfs, packed
+from .oracle import bfs, compile_constraint, packed
 from .verdict import NEGATIVE, POSITIVE, Verdict
 
 
@@ -36,19 +36,19 @@ def witness_bound(p: Protocol) -> int:
 def solve_prp_bounded(p: Protocol, phi) -> Verdict:
     """Decide PRP by breadth-first search to depth 4|Q|, which is complete.
 
-    Runs the oracle's search on its packed step relation without its caps,
-    so a positive carries the oracle's shortest witness, at most 4|Q| steps
-    long.  ``stats["nodes"]`` counts the configurations discovered.
+    Runs the oracle's search on its packed step relation and compiled
+    constraint without its caps, so a positive carries the oracle's shortest
+    witness, at most 4|Q| steps long.  ``stats["nodes"]`` counts the
+    configurations discovered.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("solve_prp_bounded needs a roundless protocol")
     bound = witness_bound(p)
-    rs = bfs(*packed(p), sat=lambda c: eval_roundless(c, phi),
-             max_depth=bound)
-    stats = {"nodes": len(rs.parents), "bound": bound}
-    if rs.hit is None:
+    rs = bfs(*packed(p), sat=compile_constraint(p, phi), max_depth=bound)
+    stats = {"nodes": len(rs.links), "bound": bound}
+    if rs.hit_code is None:
         return Verdict(NEGATIVE, "bounded", None, stats)
-    return Verdict(POSITIVE, "bounded", rs.witness(rs.hit), stats)
+    return Verdict(POSITIVE, "bounded", rs.witness(), stats)
 
 
 def _closure(S, transitions, opened) -> tuple[set, int]:
@@ -128,20 +128,30 @@ def first_write_orders(p: Protocol):
         yield from itertools.permutations(range(p.register_count), m)
 
 
-def _saturate_phases(p: Protocol, order: tuple) -> set:
+def _saturate_phases(p: Protocol, order: tuple,
+                     phases: dict | None = None) -> set:
     """Phase-wise saturation along one first-write order.
 
     Phase i is ``_closure`` with the first i registers of the order opened;
     an order is abandoned once the next register cannot be written from the
-    covered set.
+    covered set.  ``phases`` maps each opened prefix to its closed set, or to
+    None when its last register cannot be written; the orders of one query
+    share it, so that each prefix is closed once.
     """
+    if phases is None:
+        phases = {}
     S = set(p.initial_states)
     for i in range(len(order) + 1):
-        S, _ = _closure(S, p.transitions, order[:i])
-        if i < len(order) and not any(
-                t.action.kind == WRITE and t.action.reg == order[i]
-                and t.source in S for t in p.transitions):
-            break  # order infeasible beyond this phase
+        prefix = order[:i]
+        if prefix not in phases:
+            feasible = i == 0 or any(
+                t.action.kind == WRITE and t.action.reg == order[i - 1]
+                and t.source in S for t in p.transitions)
+            phases[prefix] = (_closure(S, p.transitions, prefix)[0]
+                              if feasible else None)
+        if phases[prefix] is None:
+            break  # order infeasible beyond the previous phase
+        S = phases[prefix]
     return S
 
 
@@ -150,14 +160,16 @@ def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:
 
     Exact for any register count; cost grows factorially in it, so intended
     for small, fixed register counts.  Orders are tried lazily, shortest
-    first, and the first that covers ``target`` wins.
+    first, and the first that covers ``target`` wins; orders that share a
+    prefix share its phases.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
     tried = 0
+    phases: dict = {}
     for order in first_write_orders(p):
         tried += 1
-        if target in _saturate_phases(p, order):
+        if target in _saturate_phases(p, order, phases):
             return Verdict(POSITIVE, "fixed-r", None,
                            {"order": [j + 1 for j in order],
                             "orders_tried": tried})

@@ -6,16 +6,19 @@ import pytest
 
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
+from regverify import oracle
 from regverify.constraints import (cover_constraint, eval_roundbased,
                                    eval_roundless, parse_round_constraint,
-                                   parse_roundless_constraint)
+                                   parse_roundless_constraint,
+                                   target_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import parse_protocol
-from regverify.oracle import bfs, default_round_cap, oracle_prp, packed, reach
+from regverify.oracle import (bfs, compile_constraint, default_round_cap,
+                              oracle_prp, packed, reach)
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, AbstractConfig, abstract_step,
                                  abstract_successors, initial_configuration,
-                                 initial_supports, replay)
+                                 initial_supports, replay, replay_configs)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -287,3 +290,83 @@ def test_negative_past_cap_still_refused():
     phi = parse_roundless_constraint(CONSTRAINTS["ex26_phi"].text, FIG1)
     with pytest.raises(CapExceeded):
         oracle_prp(FIG1, phi, space_cap=len(reach(FIG1).members) - 1)
+
+
+# --- the compiled constraint, and decoding only what is read ------------------
+
+def _assert_probe_matches(p, psi, k, rs, check):
+    """The constraint compiled for round cap ``k`` agrees with the reference
+    evaluator on every member of the reach set."""
+    probe = compile_constraint(p, psi, k)
+    for code in rs.links:
+        assert bool(probe(code)) == check(rs.config(code)), code
+
+
+@pytest.mark.parametrize("seed", range(100_000, 100_040))
+def test_roundless_probe_matches_eval_roundless(seed):
+    rng = random.Random(seed)
+    p = random_protocol(rng)
+    rs = reach(p)
+    q = rng.randrange(p.num_states)
+    for phi in (random_constraint(rng, p), random_constraint(rng, p),
+                cover_constraint(p, q), target_constraint(p, q)):
+        _assert_probe_matches(p, phi, 0, rs, lambda c: eval_roundless(c, phi))
+
+
+@pytest.mark.parametrize("seed", [None] + list(range(200_000, 200_060)))
+def test_roundbased_probe_matches_eval_roundbased(seed):
+    # at each round cap the quantifiers range past the window, where the
+    # probe reads the shifted code as empty; FIG4 runs psi1-psi3
+    if seed is None:
+        p = FIG4
+        psis = [parse_round_constraint(CONSTRAINTS[n].text, FIG4)
+                for n in ("psi1", "psi2", "psi3")]
+    else:
+        rng = random.Random(seed)
+        p = random_rb_protocol(rng)
+        psis = [random_rb_constraint(rng, p) for _ in range(3)]
+    for k in range(4):
+        try:
+            rs = reach(p, k, space_cap=4000)  # FIG4 has 3647 at round cap 2
+        except CapExceeded:
+            continue
+        for psi in psis:
+            _assert_probe_matches(
+                p, psi, k, rs,
+                lambda c: eval_roundbased(p, c, psi, active_bound=k + 1))
+
+
+def _counting_packed(decoded):
+    """``packed``, with each decoded code appended to ``decoded``."""
+    def counting(p, max_round=0):
+        starts, successors, decode = packed(p, max_round)
+
+        def counted(code):
+            decoded.append(code)
+            return decode(code)
+        return starts, successors, counted
+    return counting
+
+
+@pytest.mark.parametrize("proto, name, k", [
+    ("fig1", "cover_qf", None), ("fig1", "ex26_phi", None),
+    ("fig1_red", "target_qf", None), ("fig4", "psi3", 2), ("fig4", "psi1", 2),
+    ("fig4", "psi2", 2)])
+def test_search_decodes_only_the_witness_path(monkeypatch, proto, name, k):
+    p = PROTOCOLS[proto]
+    decoded = []
+    monkeypatch.setattr(oracle, "packed", _counting_packed(decoded))
+    parse = parse_round_constraint if k is not None \
+        else parse_roundless_constraint
+    psi = parse(CONSTRAINTS[name].text, p)
+    v = oracle_prp(p, psi, max_round=k)
+    if v.answer == "negative":
+        assert decoded == []
+        rs = reach(p, k or 0)
+        assert decoded == []
+        assert len(rs.members) == len(rs.links) == len(decoded)
+        return
+    _, _, decode = packed(p, k or 0)
+    assert len(set(decoded)) == len(decoded) <= len(v.witness.moves) + 1
+    path = replay_configs(p, v.witness, ABSTRACT)
+    assert all(decode(code) in path for code in decoded)
