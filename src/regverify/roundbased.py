@@ -1,15 +1,28 @@
-"""Round-based presence reachability: memoized round-by-round search.
+"""Round-based presence reachability: a round window or a round-by-round search.
 
-The nondeterministic round-by-round procedure guesses, per round k, a bridge
-footprint on rounds [k-v, k] extending the carried footprint, updates the
-obligation sets (universal propositions checked every round, existentials
-fired at a guessed round, ground literals checked when their round comes),
-and stops as soon as the remaining obligations hold on the untouched tail.
+A protocol whose control graph, read from the initial states with guards
+ignored, has no cycle through an increment keeps every process at round B or
+below, B the most increments on a path from an initial state
+(``_round_bound``).  Such a protocol is a roundless one over Q x [0, B] with
+(B+1)·r registers: the oracle's packed round window at B is its complete
+step relation, since no increment is generated at round B, and the compiled
+constraint reads every round past B as the empty tail.  These protocols are
+searched breadth-first on that window, one tick per discovered
+configuration, and a positive carries a shortest witness.
+
+Every other protocol takes the round-by-round procedure.  It guesses, per
+round k, a bridge footprint on rounds [k-v, k] extending the carried
+footprint, updates the obligation sets (universal propositions checked every
+round, existentials fired at a guessed round, ground literals checked when
+their round comes), and stops as soon as the remaining obligations hold on
+the untouched tail.
 
 Here every guess point is branch-enumerated depth-first: candidate obligation
 sets, the populated initial set, bridge footprints (restricted to
 interleavings normal-form executions produce), universal literal sets and
-existential firing rounds.  Visited (footprint, obligations) signatures are
+existential firing rounds.  Branches whose ground literals contradict each
+other are dropped, and so is a candidate that a universal refutes at the
+round of one of its literals.  Visited (footprint, obligations) signatures are
 memoized round-relative, which makes the state space finite; a work budget
 caps the search, returning "unknown" rather than ever a wrong answer.
 Bridge-footprint edges are memoized per query and enumerated lazily: the
@@ -21,17 +34,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constraints import (And, ApcCandidate, ClosedLiteral, Not, Or, PopAt,
-                          RegAt, decompose_apcs, eval_prop_at, eval_roundbased,
-                          forcing_literal_sets, literal_from_atom,
-                          prop_atoms)
-from .errors import RegverifyError, ReplayFailure
+                          decompose_apcs, eval_prop_at, eval_roundbased,
+                          forcing_literal_sets, literal_from_atom)
+from .errors import CapExceeded, RegverifyError, ReplayFailure
 from .footprints import (Footprint, LocalConfig, combine_footprints,
                          default_step_cap, empty_footprint, extend_footprint,
                          packed_layout, project_footprint)
 from .model import D0, INC, ROUNDBASED, Protocol
+from .oracle import bfs, compile_constraint, packed
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
                         initial_supports, replay)
 from .verdict import NEGATIVE, POSITIVE, UNKNOWN, Verdict
@@ -106,7 +119,8 @@ def _onestep_branches(universal: frozenset, exist: frozenset,
 
     Universal propositions contribute one forcing literal set each (choice
     branched); each pending existential either fires here with a forcing
-    literal set or stays pending.
+    literal set or stays pending.  Choices whose literals contradict each
+    other are dropped.
     """
     uni_choice_lists = []
     for u in sorted(universal, key=repr):
@@ -128,14 +142,39 @@ def _onestep_branches(universal: frozenset, exist: frozenset,
                 if fired:
                     additions = additions | lits
                     remaining.discard(e)
-            yield frozenset(remaining), closed | additions
+            closed2 = closed | additions
+            if not _contradictory(closed2):
+                yield frozenset(remaining), closed2
 
 
-def _mentions_registers(cand: ApcCandidate) -> bool:
-    return (any(lit.kind == "reg" for lit in cand.closed)
-            or any(isinstance(a, RegAt)
-                   for x in cand.existential | cand.universal
-                   for a in prop_atoms(x)))
+def _contradictory(lits: frozenset) -> bool:
+    """Whether ground literals cannot all hold: one of them together with
+    its negation, or two symbols in one register of one round."""
+    symbols: dict = {}
+    for lit in lits:
+        if replace(lit, positive=not lit.positive) in lits:
+            return True
+        if lit.kind == "reg" and lit.positive and symbols.setdefault(
+                (lit.rnd, lit.reg), lit.symbol) != lit.symbol:
+            return True
+    return False
+
+
+def _refuted(cand: ApcCandidate) -> bool:
+    """Whether no configuration meets the candidate's obligations because
+    its ground literals contradict each other or, at the round of one of
+    them, every forcing literal set of some universal.
+
+    A universal holds at every round, and where it holds one of its minimal
+    forcing sets does, so the search would drop each such branch when it
+    reaches that round; this drops the candidate before its first round.
+    """
+    if _contradictory(cand.closed):
+        return True
+    return any(all(_contradictory(cand.closed | opt)
+                   for opt in _literal_options(u, r))
+               for r in {lit.rnd for lit in cand.closed}
+               for u in cand.universal)
 
 
 def _population_monotone(cand: ApcCandidate) -> bool:
@@ -161,29 +200,86 @@ def _population_monotone(cand: ApcCandidate) -> bool:
                for x in cand.existential | cand.universal)
 
 
-def _validated(p: Protocol, psi, exec_: Execution, work: dict) -> Verdict:
+def _validated(p: Protocol, psi, exec_: Execution, stats: dict) -> Verdict:
     if not eval_roundbased(p, replay(p, exec_, ABSTRACT), psi):
         raise ReplayFailure(
             "internal error: witness does not satisfy the constraint")
-    return Verdict(POSITIVE, "rb-search", exec_, dict(work))
+    return Verdict(POSITIVE, "rb-search", exec_, stats)
 
 
 def solve_prp_roundbased(p: Protocol, psi,
                          budget: int | None = None) -> Verdict:
     """Decide round-based presence reachability.
 
-    Positive verdicts carry a glued, replay-validated witness execution.
-    A negative verdict means the memoized search space was exhausted.  One
-    work budget (``DEFAULT_BUDGET`` unless given) covers the whole query:
-    root branches spend it in order, and the first branch that runs out
-    ends the search with "unknown", never a wrong answer.
+    A protocol with a static round bound takes the round window, any other
+    the footprint search; ``stats["route"]`` names the one taken.  One work
+    budget (``DEFAULT_BUDGET`` unless given) covers the whole query, and
+    running out of it answers "unknown", never a wrong answer.  A negative
+    means the searched space was exhausted.  Positive verdicts carry a
+    witness execution, replayed and checked against the constraint.
     """
     if p.flavor != ROUNDBASED:
         raise ValueError("solve_prp_roundbased needs a round-based protocol")
     if budget is None:
         budget = DEFAULT_BUDGET
+    bound = _round_bound(p)
+    if bound is None:
+        return _footprint_search(p, psi, budget)
+    return _round_window(p, psi, bound, budget)
+
+
+def _round_bound(p: Protocol) -> int | None:
+    """The most increments on a control path from an initial state, or None
+    when a cycle through the states such paths reach passes an increment.
+
+    Guards are ignored, so no process of any execution ever leaves the
+    rounds up to the bound.  Longest paths by Bellman-style relaxation: with
+    no such cycle they settle within |Q| passes, and with one they never do.
+    """
+    best = dict.fromkeys(p.initial_states, 0)
+    for _ in range(p.num_states + 1):
+        changed = False
+        for t in p.transitions:
+            if t.source in best:
+                n = best[t.source] + (t.action.kind == INC)
+                if n > best.get(t.dest, -1):
+                    best[t.dest] = n
+                    changed = True
+        if not changed:
+            return max(best.values(), default=0)
+    return None
+
+
+def _round_window(p: Protocol, psi, bound: int, budget: int) -> Verdict:
+    """Breadth-first search of the packed round window at the round bound.
+
+    Each discovered configuration costs one tick; past the budget the
+    answer is "unknown".  A positive carries the search's shortest witness.
+    """
+    # as the search ran out: the budget's configurations held, one more found
+    stats = {"ticks": budget + 1, "nodes": budget, "route": "round-window",
+             "round_bound": bound}
+    try:
+        rs = bfs(*packed(p, bound), space_cap=budget,
+                 sat=compile_constraint(p, psi, bound))
+    except CapExceeded:
+        return Verdict(UNKNOWN, "rb-search", None, stats)
+    stats["ticks"] = stats["nodes"] = len(rs.links)
+    if rs.hit_code is None:
+        return Verdict(NEGATIVE, "rb-search", None, stats)
+    return _validated(p, psi, rs.witness(), stats)
+
+
+def _footprint_search(p: Protocol, psi, budget: int) -> Verdict:
+    """The round-by-round footprint search under one work budget.
+
+    Root branches (candidate, populated initial set) spend the budget in
+    order, and the first branch that runs out ends the search with
+    "unknown".  A positive glues the accepted footprint chain into a
+    witness.
+    """
     v = max(p.visibility or 0, 1)
-    work = {"ticks": 0, "nodes": 0}
+    work = {"ticks": 0, "nodes": 0, "route": "footprints"}
     edge_memo: dict = {}  # shared by the root branches of this query only
 
     def tick(n: int = 1):
@@ -193,6 +289,8 @@ def solve_prp_roundbased(p: Protocol, psi,
 
     # root branches: obligation candidate x populated initial states
     for cand in decompose_apcs(psi):
+        if _refuted(cand):
+            continue
         for init_set in initial_supports(p):
             try:
                 hit = _search(p, cand, init_set, v, tick, work, edge_memo)
@@ -206,17 +304,13 @@ def solve_prp_roundbased(p: Protocol, psi,
 def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             v: int, tick, work, edge_memo: dict) -> Execution | None:
     universal = cand.universal
-    # when no obligation mentions a register, final register values are
-    # irrelevant: writes that are never read and neither populate nor desert
-    # can be stripped from any witness, so schedules carrying them are pruned
-    strict_writes = not _mentions_registers(cand)
     # population-monotone obligations never need deserting moves
     no_desert = _population_monotone(cand)
     root = _Node(0, empty_footprint(-v, -1), cand.existential, cand.closed)
     visited: set = set()
     # each stack entry: (node, iterator over (T, child-node-or-accept))
     stack = [(root, _expand(p, root, universal, init_set, v, tick,
-                            edge_memo, strict_writes, no_desert))]
+                            edge_memo, no_desert))]
     chain: list[Footprint] = []
     work["nodes"] += 1
     while stack:
@@ -232,8 +326,7 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             work["nodes"] += 1
             chain.append(T)
             stack.append((child, _expand(p, child, universal, init_set, v,
-                                         tick, edge_memo, strict_writes,
-                                         no_desert)))
+                                         tick, edge_memo, no_desert)))
             advanced = True
             break
         if not advanced:
@@ -262,8 +355,8 @@ def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
     ``extend_footprint`` stream, which charges the query's ``tick``).
     Stored edges are replayed at one tick each, and the stream is advanced
     only past their end.  Yields (k0, [moves, visible moves, packed last
-    local configuration, unread-write mask, child shape or None]); a
-    consumer at round k shifts the moves by k - k0.
+    local configuration, child shape or None]); a consumer at round k
+    shifts the moves by k - k0.
     """
     k = node.k
     key = (min(k, v), init_set if k == 0 else None, no_desert,
@@ -280,31 +373,25 @@ def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
             nxt = next(stream, None)
             if nxt is None:
                 return
-            T, guard, packed, vis = nxt
-            edges.append([T.steps, vis, packed, guard[2], None])
+            T, _, last, vis = nxt
+            edges.append([T.steps, vis, last, None])
         yield k0, edges[i]
 
 
 def _expand(p: Protocol, node: _Node, universal: frozenset,
             init_set: frozenset, v: int, tick, edge_memo: dict,
-            strict_writes: bool = False, no_desert: bool = False):
+            no_desert: bool = False):
     """Children of a search node: (bridge footprint, sig, next node or None).
 
     None as the node signals acceptance with that footprint.  Per-branch
     obligations are computed once per node; per footprint only the current
-    round's literal checks and the stop test remain.  With ``strict_writes``
-    a footprint whose bottom-round register leaves the window with an unread
-    write is dropped, and acceptance requires every write justified.
+    round's literal checks and the stop test remain.
     """
     k = node.k
     base, nq, rc, sym_bits = packed_layout(p, k)
     sym_mask = (1 << sym_bits) - 1
     pop_row = (k - base) * nq
     reg_row = (k - base) * rc
-    exit_mask = 0
-    if k - v >= 0:  # register slots of the round about to leave the window
-        for j in range(rc):
-            exit_mask |= 1 << (j * sym_bits)
 
     # branch precomputation: (remaining E, literals to check now as packed
     # probes, pending literals with rounds > k, relative pending for memo)
@@ -349,12 +436,10 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
     n_branches = len(branches)
     for k0, edge in _edges_for(p, node, init_set, v, tick, no_desert,
                                edge_memo):
-        moves0, vis0, packed, unread_writes, rel_tau2 = edge
+        moves0, vis0, last, rel_tau2 = edge
         delta = k - k0
-        if strict_writes and unread_writes & exit_mask:
-            continue  # a write nothing can read anymore; strip-equivalent
         tick(n_branches)
-        pop_int, regs_int = packed
+        pop_int, regs_int = last
         pop_next = None
         T = None
         tau2 = None
@@ -377,7 +462,7 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
                 steps = moves0 if delta == 0 else tuple(
                     Move(m.trans, m.rnd + delta, m.desert) for m in moves0)
                 T = Footprint(start_abs, steps)
-            if stoppable and not (strict_writes and unread_writes):
+            if stoppable:
                 if pop_next is None:
                     pop_next = frozenset(
                         (m.trans.dest, k + 1) for m in vis0
@@ -392,7 +477,7 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
                 tau2 = Footprint(start_abs.restrict(k - v + 1, k), vis)
                 if rel_tau2 is None:
                     rel_tau2 = _shift_footprint(tau2, -k)
-                    edge[4] = rel_tau2
+                    edge[3] = rel_tau2
             sig = (rel_tau2, remaining_exist, rel_pending)
             yield T, sig, _Node(k + 1, tau2, remaining_exist, pending)
 

@@ -11,7 +11,8 @@ from regverify.model import (INC, READ, ROUNDBASED, WRITE, Action, Protocol,
                              Transition, parse_protocol, serialize_protocol)
 from regverify.oracle import default_round_cap, oracle_prp
 from regverify.reductions import builtin_examples
-from regverify.roundbased import solve_prp_roundbased
+from regverify.roundbased import (_footprint_search, _round_bound,
+                                  solve_prp_roundbased)
 from regverify.semantics import ABSTRACT, replay
 
 from generators import random_rb_constraint, random_rb_protocol
@@ -22,6 +23,20 @@ FIG4 = PROTOCOLS["fig4"]
 
 def rb(p, text):
     return parse_round_constraint(text, p)
+
+
+def rb_protocol(transitions: str, states="a b c d",
+                symbols="d0 x y") -> Protocol:
+    """One register, visibility 1, the first state initial."""
+    return parse_protocol(
+        f"flavor: roundbased\nstates: {states}\n"
+        f"initial: {states.split()[0]}\nregisters: 1\n"
+        f"alphabet: {symbols}\nvisibility: 1\ntransitions:\n{transitions}")
+
+
+# an increment chain a -> b -> c with a write at every round: round bound 2
+WINDOW_CHAIN = ("  a inc b\n  b inc c\n  a write(1, x) a\n  b write(1, x) b\n"
+                "  c read(-1, 1, x) c\n  c write(1, x) c\n")
 
 
 def test_psi3_positive_with_replayable_witness():
@@ -100,6 +115,15 @@ def test_repeated_query_gives_identical_answer_and_stats():
     assert first.answer == second.answer == "positive"
     assert first.stats == second.stats
     assert first.witness == second.witness
+    # the same on the round window, for a protocol with a round bound
+    p = rb_protocol(WINDOW_CHAIN, "a b c")
+    psi = rb(p, "(exists k (and (pop c (+ k 0)) (reg 1 (+ k 0) x)))")
+    first, second = (solve_prp_roundbased(p, psi, budget=5_000)
+                     for _ in range(2))
+    assert first.answer == second.answer == "positive"
+    assert first.stats == second.stats
+    assert first.stats["route"] == "round-window"
+    assert first.witness == second.witness
 
 
 @pytest.mark.parametrize("seed", [
@@ -144,3 +168,112 @@ def test_fuzz_roundbased_against_capped_oracle_smoke():
             assert want.answer == "negative", \
                 f"solver negative but oracle found a witness within {K}"
     assert checked >= 25
+
+
+@pytest.mark.parametrize("transitions, bound", [
+    pytest.param("  a write(1, x) b\n  b read(0, 1, x) a\n", 0,
+                 id="no-increment"),
+    pytest.param("  a inc b\n  b write(1, x) c\n  c inc d\n  a inc d\n", 2,
+                 id="longest-increment-chain"),
+    pytest.param("  a write(1, x) b\n  b inc c\n  c read(0, 1, d0) a\n",
+                 None, id="increment-cycle"),
+    # no process ever writes y, so no execution reaches b; guards are ignored
+    pytest.param("  a read(0, 1, y) b\n  b inc b\n", None,
+                 id="cycle-reachable-only-ignoring-guards"),
+    pytest.param("  a inc b\n  c inc d\n  d inc c\n", 1,
+                 id="cycle-unreachable-from-initial")])
+def test_round_bound(transitions, bound):
+    assert _round_bound(rb_protocol(transitions)) == bound
+
+
+def test_no_initial_state_negative_on_round_window():
+    p = parse_protocol("flavor: roundbased\nstates: a\ninitial:\n"
+                       "registers: 1\nalphabet: d0 x\nvisibility: 1\n"
+                       "transitions:\n  a inc a\n")
+    v = solve_prp_roundbased(p, rb(p, "(pop a 0)"))
+    assert v.answer == "negative"
+    assert v.stats == {"ticks": 0, "nodes": 0, "route": "round-window",
+                       "round_bound": 0}
+
+
+def test_fuzz_seed_without_increment_negative_on_round_window():
+    rng = random.Random(200183)
+    p = random_rb_protocol(rng)
+    psi = random_rb_constraint(rng, p)
+    v = solve_prp_roundbased(p, psi, budget=250_000)
+    assert v.answer == "negative"
+    assert v.stats["route"] == "round-window"
+    assert v.stats["round_bound"] == 0
+
+
+def test_fuzz_seed_refuted_by_universal_costs_no_ticks():
+    # (pop s0 1) against (forall k (not (pop s0 k))) at round 1
+    rng = random.Random(200122)
+    p = random_rb_protocol(rng)
+    psi = random_rb_constraint(rng, p)
+    v = solve_prp_roundbased(p, psi, budget=250_000)
+    assert v.answer == "negative"
+    assert v.stats == {"ticks": 0, "nodes": 0, "route": "footprints"}
+
+
+def test_contradictory_branch_dropped_before_its_round():
+    # the universal at round 0 asks E@3 empty, against the literal E@3; the
+    # branch is dropped at the root node, three rounds before E@3 is probed
+    psi = rb(FIG4, "(and (pop E 3) (forall k (not (pop E (+ k 3)))))")
+    v = solve_prp_roundbased(FIG4, psi)
+    assert v.answer == "negative"
+    assert v.stats["ticks"] == 0
+
+
+def test_round_window_unknown_past_budget():
+    chain = "".join(f"  s{i} inc s{i + 1}\n  s{i} write(1, x) s{i}\n"
+                    for i in range(12))
+    p = rb_protocol(chain, " ".join(f"s{i}" for i in range(13)))
+    psi = rb(p, "(pop s12 0)")
+    v = solve_prp_roundbased(p, psi, budget=20)
+    assert v.answer == "unknown"
+    assert v.stats == {"ticks": 21, "nodes": 20, "route": "round-window",
+                       "round_bound": 12}
+
+
+def test_round_window_positive_replays():
+    p = rb_protocol(WINDOW_CHAIN, "a b c")
+    psi = rb(p, "(and (pop c 2) (reg 1 1 x) (not (reg 1 0 x)))")
+    v = solve_prp_roundbased(p, psi)
+    assert v.answer == "positive"
+    assert v.stats["route"] == "round-window"
+    assert v.stats["round_bound"] == 2
+    assert v.stats["ticks"] == v.stats["nodes"]
+    final = replay(p, v.witness, ABSTRACT)
+    assert eval_roundbased(p, final, psi)
+    assert (p.state_id("c"), 2) in final.pop
+
+
+def test_footprint_search_against_oracle_on_bounded_seeds():
+    # these seeds take the round window in solve_prp_roundbased, so the
+    # acceptance fuzz checks the oracle's relation against itself there;
+    # the round cap exceeds each bound, which makes the oracle exact
+    checked = 0
+    for seed in range(200_000, 200_260):
+        rng = random.Random(seed)
+        p = random_rb_protocol(rng)
+        psi = random_rb_constraint(rng, p)
+        bound = _round_bound(p)
+        if bound is None:
+            continue
+        K = default_round_cap(p, psi)
+        assert K >= bound
+        try:
+            want = oracle_prp(p, psi, max_round=K, space_cap=40_000)
+        except CapExceeded:
+            continue
+        got = _footprint_search(p, psi, budget=250_000)
+        assert got.stats["route"] == "footprints"
+        if got.answer == "unknown":
+            continue
+        checked += 1
+        assert got.answer == want.answer, f"seed {seed}"
+        if got.answer == "positive":
+            final = replay(p, got.witness, ABSTRACT)
+            assert eval_roundbased(p, final, psi)
+    assert checked >= 140
