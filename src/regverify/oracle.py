@@ -102,13 +102,16 @@ def bfs(starts, successors, decode, space_cap: float = float("inf"),
     configuration.  ``sat`` is tested on each code as it is first
     discovered and stops the search at the first hit; the search itself
     decodes nothing.  Configurations at depth ``max_depth`` are discovered
-    but not expanded.
+    but not expanded.  Discovering more than ``space_cap`` codes, starts
+    included, raises ``CapExceeded``.
     """
     rs = ReachSet(decode)
     links = rs.links
     frontier: list = []  # codes discovered at the current depth
 
     def discover(code, link) -> bool:
+        if len(links) >= space_cap:
+            raise CapExceeded(f"reach set exceeds {space_cap} configurations")
         links[code] = link
         frontier.append(code)
         if sat is not None and sat(code):
@@ -125,12 +128,7 @@ def bfs(starts, successors, decode, space_cap: float = float("inf"),
         level, frontier = frontier, []  # discover() appends to the new list
         for code in level:
             for move, succ in successors(code):
-                if succ in links:
-                    continue
-                if len(links) >= space_cap:
-                    raise CapExceeded(
-                        f"reach set exceeds {space_cap} configurations")
-                if discover(succ, (code, move)):
+                if succ not in links and discover(succ, (code, move)):
                     return rs
     return rs
 

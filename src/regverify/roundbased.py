@@ -10,6 +10,10 @@ constraint reads every round past B as the empty tail.  These protocols are
 searched breadth-first on that window, one tick per discovered
 configuration, and a positive carries a shortest witness.
 
+Either way the constraint is first decomposed into candidate obligation
+sets: one with no candidate, or whose candidates all contradict themselves
+(``_refuted``, below), is negative at once, with no search.
+
 Every other protocol takes the round-by-round procedure.  It guesses, per
 round k, a bridge footprint on rounds [k-v, k] extending the carried
 footprint, updates the obligation sets (universal propositions checked every
@@ -212,7 +216,10 @@ def solve_prp_roundbased(p: Protocol, psi,
     """Decide round-based presence reachability.
 
     A protocol with a static round bound takes the round window, any other
-    the footprint search; ``stats["route"]`` names the one taken.  One work
+    the footprint search; ``stats["route"]`` names the one taken.  A
+    constraint none of whose candidate obligation sets survives ``_refuted``
+    is negative at once, through the footprint search with no root branch,
+    whatever the protocol.  One work
     budget (``DEFAULT_BUDGET`` unless given) covers the whole query, and
     running out of it answers "unknown", never a wrong answer.  A negative
     means the searched space was exhausted.  Positive verdicts carry a
@@ -222,9 +229,10 @@ def solve_prp_roundbased(p: Protocol, psi,
         raise ValueError("solve_prp_roundbased needs a round-based protocol")
     if budget is None:
         budget = DEFAULT_BUDGET
+    cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
     bound = _round_bound(p)
-    if bound is None:
-        return _footprint_search(p, psi, budget)
+    if bound is None or not cands:
+        return _footprint_search(p, psi, cands, budget)
     return _round_window(p, psi, bound, budget)
 
 
@@ -270,12 +278,14 @@ def _round_window(p: Protocol, psi, bound: int, budget: int) -> Verdict:
     return _validated(p, psi, rs.witness(), stats)
 
 
-def _footprint_search(p: Protocol, psi, budget: int) -> Verdict:
+def _footprint_search(p: Protocol, psi, cands: list,
+                      budget: int) -> Verdict:
     """The round-by-round footprint search under one work budget.
 
-    Root branches (candidate, populated initial set) spend the budget in
-    order, and the first branch that runs out ends the search with
-    "unknown".  A positive glues the accepted footprint chain into a
+    ``cands`` are the candidate obligation sets of ``psi`` left after
+    ``_refuted``.  Root branches (candidate, populated initial set) spend
+    the budget in order, and the first branch that runs out ends the search
+    with "unknown".  A positive glues the accepted footprint chain into a
     witness.
     """
     v = max(p.visibility or 0, 1)
@@ -288,9 +298,7 @@ def _footprint_search(p: Protocol, psi, budget: int) -> Verdict:
             raise _BudgetExceeded()
 
     # root branches: obligation candidate x populated initial states
-    for cand in decompose_apcs(psi):
-        if _refuted(cand):
-            continue
+    for cand in cands:
         for init_set in initial_supports(p):
             try:
                 hit = _search(p, cand, init_set, v, tick, work, edge_memo)

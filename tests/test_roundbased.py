@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from regverify.constraints import (eval_roundbased, max_constant,
-                                   parse_round_constraint)
+from regverify.constraints import (decompose_apcs, eval_roundbased,
+                                   max_constant, parse_round_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import (INC, READ, ROUNDBASED, WRITE, Action, Protocol,
                              Transition, parse_protocol, serialize_protocol)
 from regverify.oracle import default_round_cap, oracle_prp
 from regverify.reductions import builtin_examples
-from regverify.roundbased import (_footprint_search, _round_bound,
+from regverify.roundbased import (_footprint_search, _refuted, _round_bound,
                                   solve_prp_roundbased)
 from regverify.semantics import ABSTRACT, replay
 
@@ -236,6 +236,28 @@ def test_round_window_unknown_past_budget():
                        "round_bound": 12}
 
 
+def test_round_window_budget_covers_initial_supports():
+    # 2^20 - 1 populated initial sets, each a start code of the window,
+    # smaller sets first: the first to meet the constraint is the 210th
+    states = " ".join(f"s{i}" for i in range(20))
+    p = parse_protocol(
+        f"flavor: roundbased\nstates: {states}\ninitial: {states}\n"
+        "registers: 1\nalphabet: d0 x\nvisibility: 1\n"
+        "transitions:\n  s0 write(1, x) s0\n")
+    v = solve_prp_roundbased(p, rb(p, "(and (pop s18 0) (pop s19 0))"),
+                             budget=20)
+    assert v.answer == "unknown"
+    assert v.stats == {"ticks": 21, "nodes": 20, "route": "round-window",
+                       "round_bound": 0}
+
+
+def test_contradictory_constraint_negative_without_search():
+    p = rb_protocol(WINDOW_CHAIN, "a b c")
+    v = solve_prp_roundbased(p, rb(p, "(and (pop a 0) (not (pop a 0)))"))
+    assert v.answer == "negative"
+    assert v.stats == {"ticks": 0, "nodes": 0, "route": "footprints"}
+
+
 def test_round_window_positive_replays():
     p = rb_protocol(WINDOW_CHAIN, "a b c")
     psi = rb(p, "(and (pop c 2) (reg 1 1 x) (not (reg 1 0 x)))")
@@ -267,7 +289,8 @@ def test_footprint_search_against_oracle_on_bounded_seeds():
             want = oracle_prp(p, psi, max_round=K, space_cap=40_000)
         except CapExceeded:
             continue
-        got = _footprint_search(p, psi, budget=250_000)
+        cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
+        got = _footprint_search(p, psi, cands, budget=250_000)
         assert got.stats["route"] == "footprints"
         if got.answer == "unknown":
             continue
