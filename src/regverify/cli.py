@@ -29,7 +29,8 @@ from .reductions import (TRUTH_TABLE_CAP, Circuit, CnfFormula,
 from .roundbased import DEFAULT_BUDGET, solve_prp_roundbased
 from .roundless import (solve_cover_fixed_r, solve_cover_uninitialized,
                         solve_dnfprp_one_register, solve_prp_bounded)
-from .semantics import ABSTRACT, CONCRETE, parse_trace, replay, write_trace
+from .semantics import (ABSTRACT, format_pop_elem, format_regs, parse_trace,
+                        replay, write_trace)
 from .verdict import NEGATIVE, POSITIVE, UNKNOWN, Verdict
 
 EXIT_USAGE = 64
@@ -178,20 +179,14 @@ def cmd_replay(args) -> int:
         return 1
     except (OSError, RegverifyError) as e:
         raise CliError(f"bad trace: {e}", EXIT_DATA)
-    if p.flavor == ROUNDLESS:
-        if mode == CONCRETE:
-            pop = " ".join(f"{p.state_names[q]}*{n}" for q, n in final.pop)
-        else:
-            pop = " ".join(p.state_names[q] for q in sorted(final.pop))
-        regs = " ".join(f"{j + 1}={p.symbol_names[s]}"
-                        for j, s in enumerate(final.regs))
+    if mode == ABSTRACT:
+        pop = " ".join(format_pop_elem(p, e) for e in sorted(final.pop))
+    elif p.flavor == ROUNDLESS:
+        pop = " ".join(f"{p.state_names[q]}*{n}" for q, n in final.pop)
     else:
-        elems = sorted(final.pop) if mode == ABSTRACT else \
-            [e for e, n in final.pop for _ in range(n)]
-        pop = " ".join(f"{p.state_names[q]}@{k}" for q, k in elems)
-        regs = " ".join(f"{k}.{j + 1}={p.symbol_names[s]}"
-                        for (k, j), s in sorted(final.regs))
-    print(f"final: {pop} | {regs}")
+        pop = " ".join(format_pop_elem(p, e)
+                       for e, n in final.pop for _ in range(n))
+    print(f"final: {pop} | {format_regs(p, final.regs)}")
     return 0
 
 

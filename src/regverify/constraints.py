@@ -486,48 +486,58 @@ def target_constraint(p: Protocol, state: int):
 
 # --- prime implicants ------------------------------------------------------------
 
-def prime_implicants(leaves: list, evaluate) -> list[dict]:
-    """Minimal partial truth assignments over ``leaves`` forcing a formula true.
+def prime_implicants(node, is_leaf) -> list[dict]:
+    """Minimal partial truth assignments to the leaves of ``node`` forcing
+    it true.
 
-    ``evaluate`` maps a complete assignment (dict leaf -> bool) to a Boolean.
-    Candidates are produced by ascending size, ties in leaf declaration order;
-    supersets of an already-found implicant are skipped.  An empty result
-    means the formula is unsatisfiable.
+    The leaves are the subtrees ``is_leaf`` accepts, under And/Or/Not.  A
+    DNF is built by structure, dropping terms that hold a leaf both ways;
+    closing it under consensus, keeping the minimal terms, leaves exactly
+    the prime implicants (Blake's canonical form).  They come by ascending
+    size, then by leaf indices in declaration order, then True before False.
+    An empty result means the formula is unsatisfiable.
     """
-    n = len(leaves)
-    found: list[dict] = []
-    for r in range(n + 1):
-        for combo in itertools.combinations(range(n), r):
-            chosen = [leaves[i] for i in combo]
-            for bits in itertools.product((True, False), repeat=r):
-                partial = dict(zip(chosen, bits))
-                if any(all(l in partial and partial[l] == v
-                           for l, v in f.items()) for f in found):
-                    continue
-                rest = [l for l in leaves if l not in partial]
-                ok = True
-                for completion in itertools.product((True, False),
-                                                    repeat=len(rest)):
-                    full = dict(partial)
-                    full.update(zip(rest, completion))
-                    if not evaluate(full):
-                        ok = False
-                        break
-                if ok:
-                    found.append(partial)
-    return found
+    leaves: list = []
+    _collect_leaves(node, is_leaf, leaves)
+    index = {leaf: i for i, leaf in enumerate(leaves)}
 
+    def minimal(terms) -> list:
+        kept: list = []
+        for t in sorted(set(terms), key=len):
+            if not any(u <= t for u in kept):
+                kept.append(t)
+        return kept
 
-def _eval_with_assignment(node, assign: dict) -> bool:
-    if node in assign:  # leaves may themselves be compound closed subtrees
-        return assign[node]
-    if isinstance(node, And):
-        return all(_eval_with_assignment(x, assign) for x in node.children)
-    if isinstance(node, Or):
-        return any(_eval_with_assignment(x, assign) for x in node.children)
-    if isinstance(node, Not):
-        return not _eval_with_assignment(node.child, assign)
-    raise KeyError(f"unassigned leaf {node!r}")
+    def dnf(n, value: bool) -> list:  # terms: frozensets of (index, value)
+        if is_leaf(n):
+            return [frozenset({(index[n], value)})]
+        if isinstance(n, Not):
+            return dnf(n.child, not value)
+        parts = [dnf(x, value) for x in n.children]
+        if isinstance(n, And) != value:  # a disjunction
+            return minimal(t for part in parts for t in part)
+        terms = [frozenset()]
+        for part in parts:
+            terms = minimal(t | u for t in terms for u in part
+                            if not any((i, not v) in t for i, v in u))
+        return terms
+
+    terms = minimal(dnf(node, True))
+    while True:
+        new = set()
+        for a, b in itertools.combinations(terms, 2):
+            clash = [(i, v) for i, v in a if (i, not v) in b]
+            if len(clash) == 1:
+                i, v = clash[0]
+                c = (a | b) - {(i, v), (i, not v)}
+                if not any(t <= c for t in terms):
+                    new.add(c)
+        if not new:
+            break
+        terms = minimal(terms + list(new))
+    ordered = sorted(map(sorted, terms), key=lambda t: (
+        len(t), [i for i, _ in t], [not v for _, v in t]))
+    return [{leaves[i]: v for i, v in t} for t in ordered]
 
 
 def _collect_leaves(node, is_leaf, out: list) -> None:
@@ -545,18 +555,20 @@ def _collect_leaves(node, is_leaf, out: list) -> None:
     raise TypeError(f"unexpected node {node!r}")
 
 
+def _is_atom(node) -> bool:
+    return isinstance(node, (PopAt, RegAt, Pop, Reg))
+
+
 def prop_atoms(prop) -> list:
     """The distinct atoms of a proposition, in declaration order."""
     out: list = []
-    _collect_leaves(prop, lambda n: isinstance(n, (PopAt, RegAt, Pop, Reg)),
-                    out)
+    _collect_leaves(prop, _is_atom, out)
     return out
 
 
 def forcing_literal_sets(prop) -> list[dict]:
     """Minimal atom assignments under which the proposition is always true."""
-    atoms = prop_atoms(prop)
-    return prime_implicants(atoms, lambda a: _eval_with_assignment(prop, a))
+    return prime_implicants(prop, _is_atom)
 
 
 # --- closed literals and APC decomposition ----------------------------------------
@@ -583,6 +595,15 @@ def literal_from_atom(atom, value: bool, k: int | None) -> ClosedLiteral:
     raise TypeError(f"not a round-based atom: {atom!r}")
 
 
+def literal_prop(lit: ClosedLiteral):
+    """The literal as a closed proposition: the inverse of
+    ``literal_from_atom``."""
+    term = Term(False, lit.rnd)
+    atom = PopAt(lit.state, term) if lit.kind == "pop" else \
+        RegAt(lit.reg, term, lit.symbol)
+    return atom if lit.positive else Not(atom)
+
+
 def is_closed_prop(node) -> bool:
     if isinstance(node, (And, Or)):
         return all(is_closed_prop(x) for x in node.children)
@@ -607,13 +628,14 @@ class ApcCandidate:
     universal: frozenset
 
 
+def _is_apc_leaf(node) -> bool:
+    return isinstance(node, (Exists, Forall)) or is_closed_prop(node)
+
+
 def apc_leaves(psi) -> list:
     """Atomic presence constraints: quantifiers and maximal closed subtrees."""
-    def is_leaf(node):
-        return isinstance(node, (Exists, Forall)) or is_closed_prop(node)
-
     out: list = []
-    _collect_leaves(psi, is_leaf, out)
+    _collect_leaves(psi, _is_apc_leaf, out)
     return out
 
 
@@ -676,9 +698,7 @@ def decompose_apcs(psi) -> list[ApcCandidate]:
     variable.  Minimal candidates come first.  An empty list means no
     configuration can satisfy the constraint.
     """
-    leaves = apc_leaves(psi)
-    implicants = prime_implicants(
-        leaves, lambda a: _eval_with_assignment(psi, a))
+    implicants = prime_implicants(psi, _is_apc_leaf)
     candidates: list[ApcCandidate] = []
     for imp in implicants:
         # each APC occurrence contributes branch options:

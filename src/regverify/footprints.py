@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import (InconsistentProjections, NotEnabled, ReplayFailure,
                      WindowNotContained)
 from .model import D0, INC, READ, ROUNDBASED, WRITE, Protocol
+from .oracle import layout
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
                         replay_configs)
 
@@ -448,11 +449,13 @@ def extend_footprint(p: Protocol, tau: Footprint, initial_set, k: int,
     follows a private one it does not depend on.  Each schedule class then
     appears once, always with the same projection onto [k-v+1, k].
 
-    Yields (footprint, guard, last local configuration, visible steps).
+    Yields (footprint, last local configuration, visible steps); the last
+    configuration is one code of ``oracle.layout(p, v)`` with rounds counted
+    from the window's lowest round, ``max(k-v, 0)``.
 
-    The inner loop runs on packed integers: population and ever-populated /
-    deserted / pending-write flags as bitmasks over window locations, the
-    register bank as fixed-width symbol fields.
+    The inner loop runs on packed integers in that layout: population and
+    ever-populated / deserted / pending-write flags as bitmasks over window
+    locations, the register bank as its symbol fields.
     """
     v = max(p.visibility or 0, 1)
     if (tau.lo, tau.hi) != (k - v, k - 1):
@@ -468,33 +471,24 @@ def extend_footprint(p: Protocol, tau: Footprint, initial_set, k: int,
     # schedule-private ones; when that round is negative nothing is private
     bottom = k - v
     base = max(k - v, 0)
-    nq = p.num_states
-    rc = p.register_count
-    sym_bits = max(1, (p.num_symbols - 1).bit_length())
-    sym_mask = (1 << sym_bits) - 1
-
-    def loc_bit(q: int, r: int) -> int:
-        return 1 << ((r - base) * nq + q)
-
-    def reg_shift(r: int, j: int) -> int:
-        return ((r - base) * rc + j) * sym_bits
+    _, loc, slot, sym_mask = layout(p, v)
 
     pop0 = 0
     for q, r in start.pop:
-        pop0 |= loc_bit(q, r)
+        pop0 |= loc(q, r - base)
     regs0 = 0
     for (r, j), s in start.regs:
-        regs0 |= s << reg_shift(r, j)
+        regs0 |= s << slot(r - base, j)
 
     def compile_move(m: Move, advance: int):
         a = m.trans.action
         rnd = m.rnd
         in_src = base <= rnd <= k
-        src_bit = loc_bit(m.trans.source, rnd) if in_src else 0
+        src_bit = loc(m.trans.source, rnd - base) if in_src else 0
         dst_round = rnd + 1 if a.kind == INC else rnd
-        dst_bit = (loc_bit(m.trans.dest, dst_round)
+        dst_bit = (loc(m.trans.dest, dst_round - base)
                    if base <= dst_round <= k else 0)
-        guard_dst_bit = (loc_bit(m.trans.dest, dst_round)
+        guard_dst_bit = (loc(m.trans.dest, dst_round - base)
                          if base <= dst_round <= k + 1 else 0)
         read_shift = -1
         read_sym = 0
@@ -504,14 +498,14 @@ def extend_footprint(p: Protocol, tau: Footprint, initial_set, k: int,
             if target < 0:
                 return None  # statically disabled
             if target >= base:
-                read_shift = reg_shift(target, a.reg)
+                read_shift = slot(target - base, a.reg)
                 read_sym = a.symbol
                 if target == bottom:
                     dep_read = read_shift
         write_shift = -1
         write_sym = 0
         if a.kind == WRITE and in_src:
-            write_shift = reg_shift(rnd, a.reg)
+            write_shift = slot(rnd - base, a.reg)
             write_sym = a.symbol
         desert = m.desert and in_src
         if not canonical or bottom < 0:
@@ -576,7 +570,7 @@ def extend_footprint(p: Protocol, tau: Footprint, initial_set, k: int,
             if tick is not None:
                 tick(pending_ticks)
                 pending_ticks = 0
-            yield (Footprint(start, ()), guard0, (pop0, regs0), ())
+            yield Footprint(start, ()), pop0 | regs0, ()
         while frames:
             frame = frames[-1]
             pop, regs, popnext, pos, guard, lp_write = frame[:6]
@@ -677,22 +671,13 @@ def extend_footprint(p: Protocol, tau: Footprint, initial_set, k: int,
                 if tick is not None:
                     tick(pending_ticks)
                     pending_ticks = 0
-                yield (Footprint(start, tuple(steps)), child[4],
-                       (child[0], child[1]), tuple(vis))
+                yield (Footprint(start, tuple(steps)), child[0] | child[1],
+                       tuple(vis))
             elif pending_ticks >= 512 and tick is not None:
                 tick(pending_ticks)
                 pending_ticks = 0
 
-    gen = walk()
-    yield from gen
-
-
-def packed_layout(p: Protocol, k: int) -> tuple[int, int, int, int]:
-    """Bit layout used by extend_footprint's packed configurations."""
-    v = max(p.visibility or 0, 1)
-    base = max(k - v, 0)
-    sym_bits = max(1, (p.num_symbols - 1).bit_length())
-    return base, p.num_states, p.register_count, sym_bits
+    yield from walk()
 
 
 def enumerate_bridge_footprints(p: Protocol, tau: Footprint, initial_set,
@@ -700,6 +685,6 @@ def enumerate_bridge_footprints(p: Protocol, tau: Footprint, initial_set,
     """Every bridge footprint extending ``tau`` with round ``k`` activity."""
     if step_cap is None:
         step_cap = default_step_cap(p)
-    for fp, _, _, _ in extend_footprint(p, tau, initial_set, k, step_cap,
-                                        canonical=False):
+    for fp, _, _ in extend_footprint(p, tau, initial_set, k, step_cap,
+                                     canonical=False):
         yield fp

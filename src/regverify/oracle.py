@@ -133,7 +133,7 @@ def bfs(starts, successors, decode, space_cap: float = float("inf"),
     return rs
 
 
-def _layout(p: Protocol, max_round: int):
+def layout(p: Protocol, max_round: int):
     """Bit layout of ``packed(p, max_round)`` codes.
 
     Returns ``(rounds, pop, slot, sym_mask)``.  Each round has a block of
@@ -157,14 +157,14 @@ def packed(p: Protocol, max_round: int = 0):
     """``(starts, successors, decode)`` for ``bfs`` on packed integer codes.
 
     A code holds one symbol field per (round, register) and one population
-    bit per (round, state), laid out by ``_layout``, for rounds 0 to
+    bit per (round, state), laid out by ``layout``, for rounds 0 to
     ``max_round`` of a round-based protocol; a roundless one has round 0
     only.  Successors come per transition and round, keep variant first,
     then desert, as in ``semantics.abstract_successors``: an increment at
     ``max_round`` and a read below round 0 are not generated.
     """
     rb = p.flavor == ROUNDBASED
-    rounds, pop, slot, sym_mask = _layout(p, max_round)
+    rounds, pop, slot, sym_mask = layout(p, max_round)
     locs = [((q, r) if rb else q, pop(q, r))
             for r in range(rounds) for q in range(p.num_states)]
     keys = [(r, j) for r in range(rounds) for j in range(p.register_count)]
@@ -231,7 +231,7 @@ def compile_constraint(p: Protocol, psi, max_round: int = 0):
     for an atom on the quantified variable.  Constants fold, ``_join``
     merges tests, and a quantified test becomes one test of the code per k.
     """
-    rounds, pop, slot, sym_mask = _layout(p, max_round)
+    rounds, pop, slot, sym_mask = layout(p, max_round)
     shifts = range(0, slot(rounds + 1, 0), slot(1, 0))  # k = 0..rounds
 
     def build(node, bound: bool):

@@ -42,12 +42,13 @@ from dataclasses import dataclass, replace
 
 from .constraints import (And, ApcCandidate, ClosedLiteral, Not, Or, PopAt,
                           decompose_apcs, eval_prop_at, eval_roundbased,
-                          forcing_literal_sets, literal_from_atom)
+                          forcing_literal_sets, literal_from_atom,
+                          literal_prop)
 from .errors import CapExceeded, RegverifyError, ReplayFailure
 from .footprints import (Footprint, LocalConfig, combine_footprints,
                          default_step_cap, empty_footprint, extend_footprint,
-                         packed_layout, project_footprint)
-from .model import D0, INC, ROUNDBASED, Protocol
+                         project_footprint)
+from .model import INC, ROUNDBASED, Protocol
 from .oracle import bfs, compile_constraint, packed
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
                         initial_supports, replay)
@@ -80,19 +81,6 @@ def _literal_options(prop, k: int) -> list[frozenset]:
     """Minimal ground literal sets forcing the proposition at round k."""
     return [frozenset(_shift_term_round(lit, k) for lit in opt)
             for opt in _literal_options_base(prop)]
-
-
-def _literal_on_stop_tail(lit: ClosedLiteral, pop_next: frozenset,
-                          k: int) -> bool:
-    """Truth of a pending literal (round > k) if the execution stops at k.
-
-    Round k+1 may already hold processes moved up by deserting increments;
-    rounds beyond are empty and registers above round k stay initial.
-    """
-    if lit.kind == "pop":
-        populated = lit.rnd == k + 1 and (lit.state, lit.rnd) in pop_next
-        return populated == lit.positive
-    return (lit.symbol == D0) == lit.positive  # registers above k hold d0
 
 
 @dataclass(frozen=True)
@@ -381,7 +369,7 @@ def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
             nxt = next(stream, None)
             if nxt is None:
                 return
-            T, _, last, vis = nxt
+            T, last, vis = nxt
             edges.append([T.steps, vis, last, None])
         yield k0, edges[i]
 
@@ -396,42 +384,31 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
     round's literal checks and the stop test remain.
     """
     k = node.k
-    base, nq, rc, sym_bits = packed_layout(p, k)
-    sym_mask = (1 << sym_bits) - 1
-    pop_row = (k - base) * nq
-    reg_row = (k - base) * rc
+    base = max(k - v, 0)
 
-    # branch precomputation: (remaining E, literals to check now as packed
-    # probes, pending literals with rounds > k, relative pending for memo)
+    # branch precomputation: (remaining E, test of the round-k literals on
+    # the edge's last code or None, pending literals with rounds > k,
+    # relative pending for memo, stop proposition or None)
     branches = []
     for remaining_exist, closed2 in _onestep_branches(
             universal, node.exist, node.closed, k):
-        now_probes = []
-        still_pending = []
-        ok = True
-        for lit in closed2:
-            if lit.rnd < k:
-                ok = False  # stale literal; cannot happen, guard anyway
-                break
-            if lit.rnd == k:
-                if lit.kind == "pop":
-                    now_probes.append(
-                        ("pop", 1 << (pop_row + lit.state), lit.positive))
-                else:
-                    now_probes.append(
-                        ("reg", (reg_row + lit.reg) * sym_bits, lit.symbol,
-                         lit.positive))
-            else:
-                still_pending.append(lit)
-        if not ok:
-            continue
-        pending = frozenset(still_pending)
+        now = tuple(literal_prop(_shift_term_round(lit, -base))
+                    for lit in closed2 if lit.rnd == k)
+        test = compile_constraint(p, And(now), v) if now else None
+        pending = frozenset(lit for lit in closed2 if lit.rnd > k)
         rel_pending = frozenset(_shift_term_round(l, -k - 1)
                                 for l in pending)
-        stoppable = not remaining_exist and all(
-            eval_prop_at(p, EMPTY, u, 0) for u in universal)
-        branches.append((remaining_exist, now_probes, pending, rel_pending,
-                         stoppable))
+        stop = None
+        if not remaining_exist and all(eval_prop_at(p, EMPTY, u, 0)
+                                       for u in universal):
+            # a stopped shape differs from the empty configuration only in
+            # round k+1's population, so other literals are decided here
+            varying = {lit for lit in pending
+                       if lit.kind == "pop" and lit.rnd == k + 1}
+            if all(eval_prop_at(p, EMPTY, literal_prop(lit), None)
+                   for lit in pending - varying):
+                stop = And((*map(literal_prop, varying), *universal))
+        branches.append((remaining_exist, test, pending, rel_pending, stop))
     if not branches:
         return
 
@@ -447,36 +424,23 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
         moves0, vis0, last, rel_tau2 = edge
         delta = k - k0
         tick(n_branches)
-        pop_int, regs_int = last
         pop_next = None
         T = None
         tau2 = None
-        for remaining_exist, now_probes, pending, rel_pending, stoppable \
-                in branches:
-            ok = True
-            for probe in now_probes:
-                if probe[0] == "pop":
-                    if bool(pop_int & probe[1]) != probe[2]:
-                        ok = False
-                        break
-                else:
-                    if (((regs_int >> probe[1]) & sym_mask == probe[2])
-                            != probe[3]):
-                        ok = False
-                        break
-            if not ok:
+        for remaining_exist, test, pending, rel_pending, stop in branches:
+            if test is not None and not test(last):
                 continue
             if T is None:
                 steps = moves0 if delta == 0 else tuple(
                     Move(m.trans, m.rnd + delta, m.desert) for m in moves0)
                 T = Footprint(start_abs, steps)
-            if stoppable:
+            if stop is not None:
                 if pop_next is None:
                     pop_next = frozenset(
                         (m.trans.dest, k + 1) for m in vis0
                         if m.trans.action.kind == INC and m.rnd == k0
                         and m.desert)
-                if _test_stop(p, universal, pending, pop_next, k):
+                if _test_stop(p, stop, pop_next, k):
                     yield T, None, None
                     continue
             if tau2 is None:
@@ -490,19 +454,16 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
             yield T, sig, _Node(k + 1, tau2, remaining_exist, pending)
 
 
-def _test_stop(p: Protocol, universal: frozenset, pending: frozenset,
-               pop_next: frozenset, k: int) -> bool:
+def _test_stop(p: Protocol, stop, pop_next: frozenset, k: int) -> bool:
     """May the execution stop at round k, leaving later rounds untouched?
 
-    Pending literals and universal propositions are evaluated against the
-    actual stopped shape: deserting increments may already populate round
-    k+1, everything beyond is empty and registers above round k are initial.
-    Universals are checked at round k+1 only: from round k+2 on every round
-    reads the empty tail, which the caller checked before marking the branch
-    stoppable.
+    ``stop`` conjoins the universal propositions and the branch's pending
+    literals on round k+1's population; the caller decided the other
+    pending literals once per branch.  It is evaluated against the actual
+    stopped shape: deserting increments may already populate round k+1
+    (``pop_next``), everything beyond is empty and registers above round k
+    are initial.  Universals are checked at round k+1 only: from round k+2
+    on every round reads the empty tail, which the caller checked before
+    building ``stop``.
     """
-    for lit in pending:
-        if not _literal_on_stop_tail(lit, pop_next, k):
-            return False
-    stopped = AbstractConfig(pop_next, frozenset())
-    return all(eval_prop_at(p, stopped, u, k + 1) for u in universal)
+    return eval_prop_at(p, AbstractConfig(pop_next, frozenset()), stop, k + 1)

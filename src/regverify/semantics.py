@@ -347,14 +347,14 @@ def abstract_to_concrete(p: Protocol, exec: Execution) -> Execution:
 
 # --- witness trace format ------------------------------------------------------
 
-def _format_pop_elem(p: Protocol, elem) -> str:
+def format_pop_elem(p: Protocol, elem) -> str:
     if p.flavor == ROUNDLESS:
         return p.state_names[elem]
     q, k = elem
     return f"{p.state_names[q]}@{k}"
 
 
-def _format_regs(p: Protocol, regs) -> str:
+def format_regs(p: Protocol, regs) -> str:
     if p.flavor == ROUNDLESS:
         return " ".join(f"{j + 1}={p.symbol_names[s]}"
                         for j, s in enumerate(regs))
@@ -373,8 +373,8 @@ def write_trace(p: Protocol, exec: Execution, mode: str) -> str:
             elems.extend([elem] * n)
     else:
         elems = sorted(exec.start.pop)
-    pop_part = " ".join(_format_pop_elem(p, e) for e in elems)
-    lines.append(f"start: {pop_part} | {_format_regs(p, exec.start.regs)}")
+    pop_part = " ".join(format_pop_elem(p, e) for e in elems)
+    lines.append(f"start: {pop_part} | {format_regs(p, exec.start.regs)}")
     lines.append("steps:")
     for m in exec.moves:
         flag = "desert" if m.desert else "keep"

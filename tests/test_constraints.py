@@ -7,16 +7,19 @@ import pytest
 
 from regverify.constraints import (And, ApcCandidate, ClosedLiteral, Exists,
                                    Forall, Not, Or, Pop, PopAt, Reg, RegAt,
-                                   Term, apc_leaves, decompose_apcs,
-                                   dnf_clauses, eval_roundbased,
-                                   eval_roundless, forcing_literal_sets,
-                                   format_constraint, max_constant,
-                                   parse_round_constraint,
-                                   parse_roundless_constraint, to_dnf)
+                                   FALSE, TRUE, Term, _is_apc_leaf,
+                                   apc_leaves, decompose_apcs, dnf_clauses,
+                                   eval_roundbased, eval_roundless,
+                                   forcing_literal_sets, format_constraint,
+                                   max_constant, parse_round_constraint,
+                                   parse_roundless_constraint,
+                                   prime_implicants, to_dnf)
 from regverify.errors import ConstraintSyntaxError, NotDNF
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
 from regverify.semantics import AbstractConfig, ConcreteConfig, multiset, project
+
+from reference import eval_with_assignment, truth_table_prime_implicants
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -245,7 +248,6 @@ def test_decompose_candidates_force_truth():
     leaves = apc_leaves(psi)
     cands = decompose_apcs(psi)
     assert cands
-    from regverify.constraints import _eval_with_assignment
     for cand in cands:
         assert not cand.closed
         fixed = {}
@@ -258,7 +260,7 @@ def test_decompose_candidates_force_truth():
         for bits in itertools.product((True, False), repeat=len(free)):
             assign = dict(fixed)
             assign.update(zip(free, bits))
-            assert _eval_with_assignment(psi, assign)
+            assert eval_with_assignment(psi, assign)
 
 
 def test_forcing_literal_sets_minimal():
@@ -269,3 +271,57 @@ def test_forcing_literal_sets_minimal():
         frozenset({(PopAt(EX42.state_id("q0"), Term(True, 0)), True)}),
         frozenset({(PopAt(EX42.state_id("q1"), Term(True, 0)), True)}),
     }
+
+
+def _random_formula(rng, atoms, depth):
+    """A random And/Or/Not tree over ``atoms`` with constants, repeated
+    subtrees and tautologies mixed in."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return rng.choice(atoms + [TRUE, FALSE] if rng.random() < 0.1
+                          else atoms)
+    if roll < 0.35:
+        return Not(_random_formula(rng, atoms, depth - 1))
+    if roll < 0.42:
+        x = _random_formula(rng, atoms, depth - 1)
+        return Or((x, Not(x)))  # a tautology
+    kids = tuple(_random_formula(rng, atoms, depth - 1)
+                 for _ in range(rng.randrange(0, 4)))
+    return (And if rng.random() < 0.5 else Or)(kids)
+
+
+@pytest.mark.parametrize("kind", ["atoms", "apc-leaves"])
+def test_prime_implicants_match_truth_table(kind):
+    # same implicants in the same order as trying every partial assignment
+    rng = random.Random(f"prime-implicants:{kind}")
+    atoms = [PopAt(0, Term(False, 0)), PopAt(1, Term(True, 1)),
+             RegAt(0, Term(False, 2), 1), RegAt(1, Term(True, 0), 0),
+             PopAt(2, Term(False, 1))]
+    if kind == "atoms":
+        is_leaf = lambda n: isinstance(n, (PopAt, RegAt))
+    else:
+        # closed atoms and quantified propositions
+        atoms = [atoms[0], atoms[2], Exists(atoms[1]),
+                 Forall(Not(atoms[3])), Exists(atoms[3])]
+        is_leaf = _is_apc_leaf
+    a, b = atoms[0], atoms[2]
+    # implicants on one set of leaves: True comes before False
+    fixed = [Or((And((a, b)), And((Not(a), Not(b))))),
+             Or((And((a, Not(b))), And((Not(a), b))))]
+    for phi in fixed + [_random_formula(rng, atoms, 3) for _ in range(400)]:
+        got = prime_implicants(phi, is_leaf)
+        want = truth_table_prime_implicants(phi, is_leaf)
+        assert [list(d.items()) for d in got] == \
+            [list(d.items()) for d in want], phi
+
+
+def test_decompose_long_conjunction_is_one_candidate():
+    # 2^16 partial assignments would be tried by the truth-table search
+    p = parse_protocol("flavor: roundbased\nstates: "
+                       + " ".join(f"s{i}" for i in range(16))
+                       + "\ninitial: s0\nregisters: 1\nalphabet: d0\n"
+                       "visibility: 0\ntransitions:\n")
+    psi = rb(p, "(and " + " ".join(f"(pop s{i} 0)" for i in range(16)) + ")")
+    [cand] = decompose_apcs(psi)
+    assert len(cand.closed) == 16
+    assert not cand.existential and not cand.universal

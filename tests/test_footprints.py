@@ -8,15 +8,19 @@ from regverify.errors import (InconsistentProjections, NotEnabled,
                               WindowNotContained)
 from regverify.footprints import (Footprint, LocalConfig, combine_footprints,
                                   empty_footprint, enumerate_bridge_footprints,
-                                  execution_to_footprint, footprint_configs,
-                                  local_step, locations_deserted_more_than_once,
+                                  execution_to_footprint, extend_footprint,
+                                  footprint_configs, local_step,
+                                  locations_deserted_more_than_once,
                                   normal_form_round_bound,
                                   normal_form_violations, normalize_execution,
                                   per_round_step_counts, project_footprint)
 from regverify.model import INC, Protocol, parse_protocol
+from regverify.oracle import packed
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, Execution, Move,
                                  initial_configuration, replay)
+
+from generators import random_rb_protocol
 
 PROTOCOLS, _ = builtin_examples()
 FIG4 = PROTOCOLS["fig4"]
@@ -260,19 +264,18 @@ def test_enumerate_bridge_cap_zero_keeps_stepless_extension():
 
 def test_canonical_and_full_enumerations_project_identically():
     # the canonical stream must cover exactly the same carried projections
-    from regverify.footprints import extend_footprint
     q0 = FIG4.state_id("q0")
     tau0 = empty_footprint(-1, -1)
     full0 = list(extend_footprint(FIG4, tau0, {q0}, 0, 4, canonical=False))
-    taus = {project_footprint(FIG4, fp, 0, 0) for fp, _, _, _ in full0}
+    taus = {project_footprint(FIG4, fp, 0, 0) for fp, _, _ in full0}
     taus2 = set()
     for tau in sorted(taus, key=lambda f: len(f.steps)):
         full = {project_footprint(FIG4, fp, 1, 1)
-                for fp, _, _, _ in extend_footprint(FIG4, tau, {q0}, 1, 6,
-                                                    canonical=False)}
+                for fp, _, _ in extend_footprint(FIG4, tau, {q0}, 1, 6,
+                                                 canonical=False)}
         canon = set()
-        for fp, _, _, vis in extend_footprint(FIG4, tau, {q0}, 1, 6,
-                                              canonical=True):
+        for fp, _, vis in extend_footprint(FIG4, tau, {q0}, 1, 6,
+                                           canonical=True):
             canon.add(Footprint(fp.start.restrict(1, 1), vis))
             assert project_footprint(FIG4, fp, 1, 1) == \
                 Footprint(fp.start.restrict(1, 1), vis)
@@ -281,9 +284,49 @@ def test_canonical_and_full_enumerations_project_identically():
     # one level deeper: windows now straddle rounds [1, 2]
     for tau in sorted(taus2, key=lambda f: (len(f.steps), repr(f)))[:12]:
         full = {project_footprint(FIG4, fp, 2, 2)
-                for fp, _, _, _ in extend_footprint(FIG4, tau, {q0}, 2, 6,
-                                                    canonical=False)}
+                for fp, _, _ in extend_footprint(FIG4, tau, {q0}, 2, 6,
+                                                 canonical=False)}
         canon = {Footprint(fp.start.restrict(2, 2), vis)
-                 for fp, _, _, vis in extend_footprint(FIG4, tau, {q0}, 2, 6,
-                                                       canonical=True)}
+                 for fp, _, vis in extend_footprint(FIG4, tau, {q0}, 2, 6,
+                                                    canonical=True)}
         assert canon == full
+
+
+TWO_REGS = parse_protocol(
+    "flavor: roundbased\nstates: a b c\ninitial: a\nregisters: 2\n"
+    "alphabet: d0 x y\nvisibility: 1\ntransitions:\n"
+    "  a write(1, x) b\n  b write(2, y) c\n  c inc a\n"
+    "  a read(-1, 2, y) c\n  b inc b\n")
+
+
+@pytest.mark.parametrize("case", ["fig4", "two-regs", 3, 11, 13, 35])
+def test_last_code_decodes_to_final_local_configuration(case):
+    # extend_footprint's last code is an oracle.layout(p, v) code whose
+    # rounds count from the window's lowest round max(k - v, 0)
+    if case == "fig4":
+        p, init = FIG4, {FIG4.state_id("q0")}
+    elif case == "two-regs":
+        p, init = TWO_REGS, TWO_REGS.initial_states
+    else:
+        p = random_rb_protocol(random.Random(case))
+        init = p.initial_states
+    v = max(p.visibility or 0, 1)
+    decode = packed(p, v)[2]
+    taus = [empty_footprint(-v, -1)]
+    seen = 0
+    for k in range(3):
+        base = max(k - v, 0)
+        carried = []
+        for tau in taus:
+            for fp, last, vis in extend_footprint(p, tau, init, k, 6,
+                                                  use_guard=True):
+                final = footprint_configs(p, fp)[-1]
+                got = decode(last)
+                assert got.pop == {(q, r - base) for q, r in final.pop}
+                assert got.regs == {((r - base, j), s)
+                                    for (r, j), s in final.regs}
+                carried.append(Footprint(fp.start.restrict(k - v + 1, k),
+                                         vis))
+                seen += 1
+        taus = carried[:8]
+    assert seen > 6

@@ -104,6 +104,25 @@ def test_stop_checks_universals_at_the_next_round():
     assert want.answer == "negative"
 
 
+@pytest.mark.parametrize("text, answer", [
+    ("(and (not (pop q0 0)) (not (pop q1 1)))", "negative"),
+    ("(and (not (pop q0 0)) (pop q1 1))", "positive"),
+    ("(and (not (pop q0 0)) (forall k (not (pop q1 (+ k 0)))))", "negative"),
+])
+def test_footprint_stop_reads_the_next_rounds_population(text, answer):
+    # the deserting increment empties q0@0 and populates q1@1, so stopping
+    # at round 0 must read round 1's population.  The protocol has a round
+    # bound and would take the round window: call the footprint search
+    p = rb_protocol("  q0 inc q1\n", states="q0 q1", symbols="d0")
+    psi = rb(p, text)
+    cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
+    got = _footprint_search(p, psi, cands, budget=10_000)
+    assert got.answer == answer
+    assert oracle_prp(p, psi).answer == answer
+    if answer == "positive":
+        assert got.stats["nodes"] == 1  # accepted at round 0
+
+
 def test_repeated_query_gives_identical_answer_and_stats():
     # a protocol no other test builds, so the first call here is the first
     # on it in the process; the budget sits between the tick counts a
