@@ -523,7 +523,9 @@ def prime_implicants(node, is_leaf) -> list[dict]:
         return terms
 
     terms = minimal(dnf(node, True))
-    while True:
+    lits = set().union(*terms)
+    # consensus needs a leaf occurring both ways
+    while any((i, not v) in lits for i, v in lits):
         new = set()
         for a, b in itertools.combinations(terms, 2):
             clash = [(i, v) for i, v in a if (i, not v) in b]
@@ -657,14 +659,30 @@ def substitute_atoms(prop, assign: dict):
     return prop
 
 
+def _eval3(prop, assign: dict):
+    """Kleene truth of a proposition under a partial atom assignment: True,
+    False, or None when it depends on an unassigned atom."""
+    if isinstance(prop, Not):
+        x = _eval3(prop.child, assign)
+        return None if x is None else not x
+    if isinstance(prop, (And, Or)):
+        absorbing = isinstance(prop, Or)
+        vals = [_eval3(x, assign) for x in prop.children]
+        if absorbing in vals:
+            return absorbing
+        return None if None in vals else not absorbing
+    return assign.get(prop)
+
+
 def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]:
     """Resolve a quantified APC's constant atoms into checked literals.
 
-    Returns choices of (ground literals, "E"/"U"/"none"/"dead", residual
-    proposition): each constant-round atom inside the body is guessed a truth
-    value, recorded as a literal to check at its round, and replaced in the
-    body.  A residual that no literal set can force kills the branch, and
-    one that the empty set forces discharges the APC.
+    Returns choices of (ground literals, "E"/"U"/"none", residual
+    proposition): the constant-round atoms inside the body are guessed in
+    order, True first, each recorded as a literal to check at its round and
+    replaced in the body.  A partial guess under which the body is already
+    false is dropped with all its completions, and so is a residual that no
+    literal set can force; one that the empty set forces discharges the APC.
     """
     if isinstance(apc, Exists):
         role = "E" if value else "U"
@@ -673,18 +691,24 @@ def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]
     body = apc.prop if value else Not(apc.prop)
     catoms = closed_atoms_of(body)
     out = []
-    for bits in itertools.product((True, False), repeat=len(catoms)):
-        assign = dict(zip(catoms, bits))
+
+    def guess(assign: dict) -> None:
+        if _eval3(body, assign) is False:
+            return
+        if len(assign) < len(catoms):
+            for bit in (True, False):
+                guess({**assign, catoms[len(assign)]: bit})
+            return
         lits = frozenset(literal_from_atom(a, v, None)
                          for a, v in assign.items())
         residual = substitute_atoms(body, assign)
         forcing = forcing_literal_sets(residual)
-        if not forcing:
-            out.append((lits, "dead", None))
-        elif forcing == [{}]:
+        if forcing == [{}]:
             out.append((lits, "none", None))  # APC discharged by the guess
-        else:
+        elif forcing:
             out.append((lits, role, residual))
+
+    guess({})
     return out
 
 
@@ -699,7 +723,7 @@ def decompose_apcs(psi) -> list[ApcCandidate]:
     configuration can satisfy the constraint.
     """
     implicants = prime_implicants(psi, _is_apc_leaf)
-    candidates: list[ApcCandidate] = []
+    candidates: dict = {}  # insertion-ordered, without duplicates
     for imp in implicants:
         # each APC occurrence contributes branch options:
         # (literals, extra existential or universal entry or nothing)
@@ -707,8 +731,7 @@ def decompose_apcs(psi) -> list[ApcCandidate]:
         feasible = True
         for apc, value in imp.items():
             if isinstance(apc, (Exists, Forall)):
-                options = [o for o in _quantified_entries(apc, value)
-                           if o[1] != "dead"]
+                options = _quantified_entries(apc, value)
             else:
                 target = apc if value else Not(apc)
                 options = []
@@ -731,7 +754,6 @@ def decompose_apcs(psi) -> list[ApcCandidate]:
                     exist.append(residual)
                 elif role == "U":
                     univ.append(residual)
-            cand = ApcCandidate(closed, frozenset(exist), frozenset(univ))
-            if cand not in candidates:
-                candidates.append(cand)
-    return candidates
+            candidates[ApcCandidate(closed, frozenset(exist),
+                                    frozenset(univ))] = None
+    return list(candidates)

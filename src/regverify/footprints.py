@@ -59,12 +59,12 @@ class Footprint:
         return self.start.hi
 
 
-def empty_footprint(lo: int, hi: int) -> Footprint:
-    return Footprint(LocalConfig(lo, hi, frozenset(), frozenset()), ())
+def local_step(p: Protocol, lc: LocalConfig, m: Move) -> LocalConfig:
+    """Successor of a local configuration under the relaxed step relation.
 
-
-def local_step_try(p: Protocol, lc: LocalConfig, m: Move):
-    """local_step without exceptions: (config, None) or (None, reason)."""
+    Returns the (possibly unchanged) configuration; raises NotEnabled when an
+    in-window precondition fails.  Effects outside the window are dropped.
+    """
     a = m.trans.action
     rnd = m.rnd
     lo_eff = lc.lo if lc.lo > 0 else 0
@@ -76,13 +76,13 @@ def local_step_try(p: Protocol, lc: LocalConfig, m: Move):
     in_window_src = lo_eff <= rnd <= hi
     if in_window_src:
         if src not in lc.pop:
-            return None, f"source {src} empty in window"
+            raise NotEnabled(f"source {src} empty in window")
         if a.kind == READ:
             target = rnd - a.depth
             if target < 0:
-                return None, f"depth underflow at round {rnd}"
+                raise NotEnabled(f"depth underflow at round {rnd}")
             if target >= lo_eff and lc.reg_value((target, a.reg)) != a.symbol:
-                return None, f"register mismatch at round {target}"
+                raise NotEnabled(f"register mismatch at round {target}")
     pop = lc.pop
     if m.desert and in_window_src:
         pop = pop - {src}
@@ -94,19 +94,7 @@ def local_step_try(p: Protocol, lc: LocalConfig, m: Move):
         regs = frozenset(e for e in regs if e[0] != key)
         if a.symbol != D0:
             regs = regs | {(key, a.symbol)}
-    return LocalConfig(lc.lo, lc.hi, pop, regs), None
-
-
-def local_step(p: Protocol, lc: LocalConfig, m: Move) -> LocalConfig:
-    """Successor of a local configuration under the relaxed step relation.
-
-    Returns the (possibly unchanged) configuration; raises NotEnabled when an
-    in-window precondition fails.  Effects outside the window are dropped.
-    """
-    nxt, reason = local_step_try(p, lc, m)
-    if nxt is None:
-        raise NotEnabled(reason)
-    return nxt
+    return LocalConfig(lc.lo, lc.hi, pop, regs)
 
 
 def footprint_configs(p: Protocol, fp: Footprint) -> list[LocalConfig]:
@@ -429,60 +417,59 @@ def default_step_cap(p: Protocol) -> int:
     return (v + 1) * p.num_states * (2 * v + 5)
 
 
-def extend_footprint(p: Protocol, tau: Footprint, initial_set, k: int,
+def bridge_start(initial_set, lo: int, hi: int) -> LocalConfig:
+    """The initial configuration restricted to rounds [lo, hi].
+
+    Every bridge footprint of the round-by-round search starts here: by
+    induction from the empty footprint below round 0, each carried start is
+    the initial one, the initial set at round 0 and every register at d0.
+    """
+    pop = frozenset((q, 0) for q in initial_set) if lo <= 0 <= hi else \
+        frozenset()
+    return LocalConfig(lo, hi, pop, frozenset())
+
+
+def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                      step_cap: int, use_guard: bool = False,
                      tick=None, canonical: bool = True,
                      no_desert: bool = False):
-    """All footprints on [k-v, k] projecting down to ``tau`` on [k-v, k-1].
+    """All footprints on [k-v, k] from ``bridge_start`` projecting down to
+    the carried steps on [k-v, k-1], whose rounds count from k-1.
 
-    The new round starts consistent with the initial configuration: round-k
-    registers at the initial symbol and round-k locations empty, except for
-    the initial set at round 0.  New steps are moves at round k and
-    non-deserting increments arriving from round k-1; ``use_guard`` restricts
-    the stream to interleavings a normal-form execution can produce: no
-    repopulating a deserted location, non-deserting reads/increments must
-    populate a location never populated before, and an unjustified write is
-    never overwritten.
+    New steps are moves at round k and non-deserting increments arriving
+    from round k-1; ``use_guard`` restricts the stream to interleavings a
+    normal-form execution can produce: no repopulating a deserted location,
+    non-deserting reads/increments must populate a location never populated
+    before, and an unjustified write is never overwritten.
 
     With ``canonical``, carried steps confined to the bottom round (invisible
     one window up) are deferred maximally: a visible move never directly
     follows a private one it does not depend on.  Each schedule class then
     appears once, always with the same projection onto [k-v+1, k].
 
-    Yields (footprint, last local configuration, visible steps); the last
-    configuration is one code of ``oracle.layout(p, v)`` with rounds counted
-    from the window's lowest round, ``max(k-v, 0)``.
+    Yields (steps, last local configuration, visible steps), both step
+    tuples with rounds counted from k: the visible steps are what round k+1
+    carries, unshifted.  The last configuration is one code of
+    ``oracle.layout(p, v)`` with rounds counted from the window's lowest
+    round, ``max(k-v, 0)``.
 
     The inner loop runs on packed integers in that layout: population and
     ever-populated / deserted / pending-write flags as bitmasks over window
     locations, the register bank as its symbol fields.
     """
     v = max(p.visibility or 0, 1)
-    if (tau.lo, tau.hi) != (k - v, k - 1):
-        raise WindowNotContained(
-            f"carried footprint window [{tau.lo},{tau.hi}] must be "
-            f"[{k - v},{k - 1}]")
-    start_pop = set(tau.start.pop)
-    if k == 0:
-        start_pop |= {(q, 0) for q in initial_set}
-    start = LocalConfig(k - v, k, frozenset(start_pop),
-                        frozenset(tau.start.regs))
     # steps confined to the round just below the carried-on window are the
     # schedule-private ones; when that round is negative nothing is private
     bottom = k - v
     base = max(k - v, 0)
     _, loc, slot, sym_mask = layout(p, v)
-
     pop0 = 0
-    for q, r in start.pop:
+    for q, r in bridge_start(initial_set, k - v, k).pop:
         pop0 |= loc(q, r - base)
-    regs0 = 0
-    for (r, j), s in start.regs:
-        regs0 |= s << slot(r - base, j)
 
     def compile_move(m: Move, advance: int):
         a = m.trans.action
-        rnd = m.rnd
+        rnd = m.rnd + k
         in_src = base <= rnd <= k
         src_bit = loc(m.trans.source, rnd - base) if in_src else 0
         dst_round = rnd + 1 if a.kind == INC else rnd
@@ -524,20 +511,20 @@ def extend_footprint(p: Protocol, tau: Footprint, initial_set, k: int,
     new_ops = []
     for t in p.transitions:
         if t.action.kind == INC:
-            cand = [] if no_desert else [Move(t, k, True)]
+            cand = [] if no_desert else [Move(t, 0, True)]
             if k >= 1:
-                cand.append(Move(t, k - 1, False))
+                cand.append(Move(t, -1, False))
         else:
-            cand = [Move(t, k, False)]
+            cand = [Move(t, 0, False)]
             if not no_desert:
-                cand.append(Move(t, k, True))
+                cand.append(Move(t, 0, True))
         for m in cand:
             op = compile_move(m, 0)
             if op is not None:
                 new_ops.append(op)
     tau_ops = []
-    for m in tau.steps:
-        op = compile_move(m, 1)
+    for m in carried:
+        op = compile_move(Move(m.trans, m.rnd - 1, m.desert), 1)
         if op is None:
             raise ReplayFailure("carried footprint step statically disabled")
         tau_ops.append(op)
@@ -546,145 +533,132 @@ def extend_footprint(p: Protocol, tau: Footprint, initial_set, k: int,
     guard0 = (pop0, 0, 0) if use_guard else None
     new_ops_by_pop: dict[int, list] = {}
 
-    def walk():
-        # one explicit frame per emitted step:
-        # [pop, regs, popnext, pos, guard, lp_write, option index, pushed_vis]
-        # lp_write: -1 when the last step was visible; otherwise the write
-        # field shift of the trailing private step (-2 when it wrote nothing)
-        steps: list[Move] = []
-        vis: list[Move] = []
+    # one explicit frame per emitted step:
+    # [pop, regs, popnext, pos, guard, lp_write, option index, pushed_vis]
+    # lp_write: -1 when the last step was visible; otherwise the write
+    # field shift of the trailing private step (-2 when it wrote nothing)
+    steps: list[Move] = []
+    vis: list[Move] = []
 
-        def option_list(pos: int, pop: int) -> list:
-            cached = new_ops_by_pop.get(pop)
-            if cached is None:
-                cached = [op for op in new_ops if not op[2] or pop & op[2]]
-                new_ops_by_pop[pop] = cached
-            if pos < tau_len:
-                return [tau_ops[pos]] + cached
-            return cached
+    def option_list(pos: int, pop: int) -> list:
+        cached = new_ops_by_pop.get(pop)
+        if cached is None:
+            cached = [op for op in new_ops if not op[2] or pop & op[2]]
+            new_ops_by_pop[pop] = cached
+        if pos < tau_len:
+            return [tau_ops[pos]] + cached
+        return cached
 
-        frames = [[pop0, regs0, 0, 0, guard0, -1,
-                   option_list(0, pop0), 0, False, 0]]
-        pending_ticks = 1
-        if tau_len == 0:
+    frames = [[pop0, 0, 0, 0, guard0, -1,
+               option_list(0, pop0), 0, False, 0]]
+    pending_ticks = 1
+    if tau_len == 0:
+        if tick is not None:
+            tick(pending_ticks)
+            pending_ticks = 0
+        yield (), pop0, ()
+    while frames:
+        frame = frames[-1]
+        pop, regs, popnext, pos, guard, lp_write = frame[:6]
+        lp_dst = frame[9]
+        options = frame[6]
+        n = len(options) if len(steps) < step_cap else 0
+        i = frame[7]
+        child = None
+        while i < n:
+            op = options[i]
+            i += 1
+            # sources are guaranteed populated: carried steps replay and
+            # the fresh-move list is filtered against this population
+            private = op[10]
+            dyn_inc = private is None
+            if dyn_inc:  # increment at the bottom round
+                private = bool(pop & op[3])
+            if lp_write != -1 and not private and not (
+                    op[11] or op[12] == lp_write
+                    or (lp_dst and op[9] and op[2] == lp_dst)):
+                continue  # non-canonical schedule; its twin is emitted
+            read_shift = op[5]
+            if read_shift >= 0 and \
+                    (regs >> read_shift) & sym_mask != op[6]:
+                continue
+            (m, advance, src_bit, dst_bit, guard_dst_bit, read_shift,
+             read_sym, write_shift, write_sym, desert, _private,
+             dep_always, dep_read, nondesert_popcheck) = op
+            pop2 = pop
+            popnext2 = popnext
+            if desert:
+                pop2 &= ~src_bit
+            if dst_bit:
+                pop2 |= dst_bit
+            elif guard_dst_bit and desert:
+                popnext2 |= guard_dst_bit
+            regs2 = regs
+            if write_shift >= 0:
+                regs2 = (regs & ~(sym_mask << write_shift)) | (
+                    write_sym << write_shift)
+            if pop2 == pop and regs2 == regs:
+                continue  # stutter: invisible inside the window
+            g2 = guard
+            if guard is not None:
+                popever, desertever, pending = guard
+                if dst_bit:
+                    now = pop & dst_bit
+                elif guard_dst_bit:
+                    now = popnext & guard_dst_bit
+                else:
+                    now = 1
+                populates = not now
+                if populates:
+                    if desertever & guard_dst_bit:
+                        continue  # repopulation after desertion
+                    if nondesert_popcheck and popever & guard_dst_bit:
+                        continue  # must cover a fresh location
+                    popever = popever | guard_dst_bit
+                if desert:
+                    desertever = desertever | src_bit
+                if write_shift >= 0:
+                    wbit = 1 << write_shift
+                    if pending & wbit:
+                        continue  # overwriting an unjustified write
+                    if not (populates or desert):
+                        pending = pending | wbit
+                if read_shift >= 0:
+                    pending = pending & ~(1 << read_shift)
+                g2 = (popever, desertever, pending)
+            steps.append(m)
+            if not private:
+                vis.append(m)
+                lp2 = -1
+                lp2_dst = 0
+            else:
+                lp2 = write_shift if write_shift >= 0 else -2
+                # a privately-placed increment stays private only while
+                # its destination is populated; deserters of it depend
+                lp2_dst = dst_bit if dyn_inc else 0
+            child = [pop2, regs2, popnext2, pos + advance, g2, lp2,
+                     option_list(pos + advance, pop2), 0, not private,
+                     lp2_dst]
+            break
+        frame[7] = i
+        if child is None:
+            frames.pop()
+            if frames:
+                steps.pop()
+                if frame[8]:
+                    vis.pop()
+            elif tick is not None and pending_ticks:
+                tick(pending_ticks)
+                pending_ticks = 0
+            continue
+        frames.append(child)
+        pending_ticks += 1
+        if child[3] == tau_len:
             if tick is not None:
                 tick(pending_ticks)
                 pending_ticks = 0
-            yield Footprint(start, ()), pop0 | regs0, ()
-        while frames:
-            frame = frames[-1]
-            pop, regs, popnext, pos, guard, lp_write = frame[:6]
-            lp_dst = frame[9]
-            options = frame[6]
-            n = len(options) if len(steps) < step_cap else 0
-            i = frame[7]
-            child = None
-            while i < n:
-                op = options[i]
-                i += 1
-                # sources are guaranteed populated: carried steps replay and
-                # the fresh-move list is filtered against this population
-                private = op[10]
-                dyn_inc = private is None
-                if dyn_inc:  # increment at the bottom round
-                    private = bool(pop & op[3])
-                if lp_write != -1 and not private and not (
-                        op[11] or op[12] == lp_write
-                        or (lp_dst and op[9] and op[2] == lp_dst)):
-                    continue  # non-canonical schedule; its twin is emitted
-                read_shift = op[5]
-                if read_shift >= 0 and \
-                        (regs >> read_shift) & sym_mask != op[6]:
-                    continue
-                (m, advance, src_bit, dst_bit, guard_dst_bit, read_shift,
-                 read_sym, write_shift, write_sym, desert, _private,
-                 dep_always, dep_read, nondesert_popcheck) = op
-                pop2 = pop
-                popnext2 = popnext
-                if desert:
-                    pop2 &= ~src_bit
-                if dst_bit:
-                    pop2 |= dst_bit
-                elif guard_dst_bit and desert:
-                    popnext2 |= guard_dst_bit
-                regs2 = regs
-                if write_shift >= 0:
-                    regs2 = (regs & ~(sym_mask << write_shift)) | (
-                        write_sym << write_shift)
-                if pop2 == pop and regs2 == regs:
-                    continue  # stutter: invisible inside the window
-                g2 = guard
-                if guard is not None:
-                    popever, desertever, pending = guard
-                    if dst_bit:
-                        now = pop & dst_bit
-                    elif guard_dst_bit:
-                        now = popnext & guard_dst_bit
-                    else:
-                        now = 1
-                    populates = not now
-                    if populates:
-                        if desertever & guard_dst_bit:
-                            continue  # repopulation after desertion
-                        if nondesert_popcheck and popever & guard_dst_bit:
-                            continue  # must cover a fresh location
-                        popever = popever | guard_dst_bit
-                    if desert:
-                        desertever = desertever | src_bit
-                    if write_shift >= 0:
-                        wbit = 1 << write_shift
-                        if pending & wbit:
-                            continue  # overwriting an unjustified write
-                        if not (populates or desert):
-                            pending = pending | wbit
-                    if read_shift >= 0:
-                        pending = pending & ~(1 << read_shift)
-                    g2 = (popever, desertever, pending)
-                steps.append(m)
-                if not private:
-                    vis.append(m)
-                    lp2 = -1
-                    lp2_dst = 0
-                else:
-                    lp2 = write_shift if write_shift >= 0 else -2
-                    # a privately-placed increment stays private only while
-                    # its destination is populated; deserters of it depend
-                    lp2_dst = dst_bit if dyn_inc else 0
-                child = [pop2, regs2, popnext2, pos + advance, g2, lp2,
-                         option_list(pos + advance, pop2), 0, not private,
-                         lp2_dst]
-                break
-            frame[7] = i
-            if child is None:
-                frames.pop()
-                if frames:
-                    steps.pop()
-                    if frame[8]:
-                        vis.pop()
-                elif tick is not None and pending_ticks:
-                    tick(pending_ticks)
-                    pending_ticks = 0
-                continue
-            frames.append(child)
-            pending_ticks += 1
-            if child[3] == tau_len:
-                if tick is not None:
-                    tick(pending_ticks)
-                    pending_ticks = 0
-                yield (Footprint(start, tuple(steps)), child[0] | child[1],
-                       tuple(vis))
-            elif pending_ticks >= 512 and tick is not None:
-                tick(pending_ticks)
-                pending_ticks = 0
+            yield tuple(steps), child[0] | child[1], tuple(vis)
+        elif pending_ticks >= 512 and tick is not None:
+            tick(pending_ticks)
+            pending_ticks = 0
 
-    yield from walk()
-
-
-def enumerate_bridge_footprints(p: Protocol, tau: Footprint, initial_set,
-                                k: int, step_cap: int | None = None):
-    """Every bridge footprint extending ``tau`` with round ``k`` activity."""
-    if step_cap is None:
-        step_cap = default_step_cap(p)
-    for fp, _, _ in extend_footprint(p, tau, initial_set, k, step_cap,
-                                     canonical=False):
-        yield fp

@@ -19,16 +19,20 @@ round k, a bridge footprint on rounds [k-v, k] extending the carried
 footprint, updates the obligation sets (universal propositions checked every
 round, existentials fired at a guessed round, ground literals checked when
 their round comes), and stops as soon as the remaining obligations hold on
-the untouched tail.
+the untouched tail.  A node keeps its footprint as the step sequence alone,
+with rounds counted from the bridge's top round, and its ground literals
+with rounds counted from k: every bridge starts at the initial
+configuration on its window (``footprints.bridge_start``).
 
 Here every guess point is branch-enumerated depth-first: candidate obligation
 sets, the populated initial set, bridge footprints (restricted to
 interleavings normal-form executions produce), universal literal sets and
 existential firing rounds.  Branches whose ground literals contradict each
 other are dropped, and so is a candidate that a universal refutes at the
-round of one of its literals.  Visited (footprint, obligations) signatures are
-memoized round-relative, which makes the state space finite; a work budget
-caps the search, returning "unknown" rather than ever a wrong answer.
+round of one of its literals.  Visited (footprint, obligations) signatures,
+with where round 0 sits in the window, are memoized, which makes the state
+space finite; a work budget caps the search, returning "unknown" rather
+than ever a wrong answer.
 Bridge-footprint edges are memoized per query and enumerated lazily: the
 budget counts only the query's own work, whatever ran before it.  On
 acceptance the footprint chain is glued into a replay-validated witness.
@@ -45,9 +49,8 @@ from .constraints import (And, ApcCandidate, ClosedLiteral, Not, Or, PopAt,
                           forcing_literal_sets, literal_from_atom,
                           literal_prop)
 from .errors import CapExceeded, RegverifyError, ReplayFailure
-from .footprints import (Footprint, LocalConfig, combine_footprints,
-                         default_step_cap, empty_footprint, extend_footprint,
-                         project_footprint)
+from .footprints import (Footprint, bridge_start, combine_footprints,
+                         default_step_cap, extend_footprint, project_footprint)
 from .model import INC, ROUNDBASED, Protocol
 from .oracle import bfs, compile_constraint, packed
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
@@ -77,18 +80,15 @@ def _literal_options_base(prop) -> tuple:
     return tuple(out)
 
 
-def _literal_options(prop, k: int) -> list[frozenset]:
-    """Minimal ground literal sets forcing the proposition at round k."""
-    return [frozenset(_shift_term_round(lit, k) for lit in opt)
-            for opt in _literal_options_base(prop)]
-
-
 @dataclass(frozen=True)
 class _Node:
+    """A search node at round k.  Its carried steps count rounds from k-1,
+    the top round of the bridge they came from; its literals from k."""
+
     k: int
-    tau: Footprint            # on [k-v, k-1]
+    carried: tuple            # visible steps of the last bridge
     exist: frozenset          # pending existential propositions
-    closed: frozenset         # pending ground literals, rounds >= k
+    closed: frozenset         # pending ground literals, rounds >= 0
 
 
 def _shift_term_round(lit: ClosedLiteral, delta: int) -> ClosedLiteral:
@@ -97,17 +97,10 @@ def _shift_term_round(lit: ClosedLiteral, delta: int) -> ClosedLiteral:
                          positive=lit.positive)
 
 
-def _shift_footprint(fp: Footprint, delta: int) -> tuple:
-    start = (fp.lo + delta, fp.hi + delta,
-             frozenset((q, r + delta) for q, r in fp.start.pop),
-             frozenset(((r + delta, j), s) for (r, j), s in fp.start.regs))
-    steps = tuple((m.trans, m.rnd + delta, m.desert) for m in fp.steps)
-    return (start, steps)
-
-
 def _onestep_branches(universal: frozenset, exist: frozenset,
-                      closed: frozenset, k: int):
-    """All (remaining existentials, literal additions) choices at round k.
+                      closed: frozenset):
+    """All (remaining existentials, literals) choices at a node's round,
+    with rounds counted from it.
 
     Universal propositions contribute one forcing literal set each (choice
     branched); each pending existential either fires here with a forcing
@@ -116,14 +109,14 @@ def _onestep_branches(universal: frozenset, exist: frozenset,
     """
     uni_choice_lists = []
     for u in sorted(universal, key=repr):
-        opts = _literal_options(u, k)
+        opts = _literal_options_base(u)
         if not opts:
             return  # this universal cannot hold at round k on any branch
         uni_choice_lists.append(opts)
     ex_list = sorted(exist, key=repr)
     ex_choice_lists = []
     for e in ex_list:
-        fire_opts = [(True, lits) for lits in _literal_options(e, k)]
+        fire_opts = [(True, lits) for lits in _literal_options_base(e)]
         ex_choice_lists.append(fire_opts + [(False, frozenset())])
     for uni_pick in itertools.product(*uni_choice_lists):
         for ex_pick in itertools.product(*ex_choice_lists):
@@ -163,8 +156,9 @@ def _refuted(cand: ApcCandidate) -> bool:
     """
     if _contradictory(cand.closed):
         return True
-    return any(all(_contradictory(cand.closed | opt)
-                   for opt in _literal_options(u, r))
+    return any(all(_contradictory(
+                       cand.closed | {_shift_term_round(x, r) for x in opt})
+                   for opt in _literal_options_base(u))
                for r in {lit.rnd for lit in cand.closed}
                for u in cand.universal)
 
@@ -302,25 +296,25 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
     universal = cand.universal
     # population-monotone obligations never need deserting moves
     no_desert = _population_monotone(cand)
-    root = _Node(0, empty_footprint(-v, -1), cand.existential, cand.closed)
+    root = _Node(0, (), cand.existential, cand.closed)
     visited: set = set()
-    # each stack entry: (node, iterator over (T, child-node-or-accept))
+    # each stack entry: (node, iterator over (steps, sig, child or None))
     stack = [(root, _expand(p, root, universal, init_set, v, tick,
                             edge_memo, no_desert))]
-    chain: list[Footprint] = []
+    chain: list[tuple] = []  # each round's bridge steps, rounds from it
     work["nodes"] += 1
     while stack:
         node, it = stack[-1]
         advanced = False
-        for T, sig, child in it:
+        for steps, sig, child in it:
             if child is None:  # accepted at this round
-                chain.append(T)
-                return _glue_chain(p, chain, v)
+                chain.append(steps)
+                return _glue_chain(p, chain, init_set, v)
             if sig in visited:
                 continue
             visited.add(sig)
             work["nodes"] += 1
-            chain.append(T)
+            chain.append(steps)
             stack.append((child, _expand(p, child, universal, init_set, v,
                                          tick, edge_memo, no_desert)))
             advanced = True
@@ -332,36 +326,38 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
     return None
 
 
-def _glue_chain(p: Protocol, chain: list[Footprint], v: int) -> Execution:
-    """Glue the accepted bridge-footprint chain into one execution."""
-    taus = [project_footprint(p, T, k - v + 1, k)
-            for k, T in enumerate(chain)]
-    bridges = [project_footprint(p, chain[k + 1], k - v + 1, k + 1)
-               for k in range(len(chain) - 1)]
+def _glue_chain(p: Protocol, chain: list[tuple], init_set: frozenset,
+                v: int) -> Execution:
+    """Glue the accepted chain of bridge steps into one execution."""
+    fps = [Footprint(bridge_start(init_set, k - v, k),
+                     tuple(Move(m.trans, m.rnd + k, m.desert) for m in steps))
+           for k, steps in enumerate(chain)]
+    taus = [project_footprint(p, T, k - v + 1, k) for k, T in enumerate(fps)]
+    bridges = [project_footprint(p, fps[k + 1], k - v + 1, k + 1)
+               for k in range(len(fps) - 1)]
     return combine_footprints(p, taus, bridges)
 
 
 def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
                tick, no_desert: bool, memo: dict):
-    """Extension edges for a node's carried footprint, memoized by shape.
+    """Extension edges for a node's carried steps, memoized per query.
 
-    Edges depend only on the carried footprint's round-relative shape (and
-    the initial set while round 0 is in the window), so one query's nodes
-    share them through ``memo``: shape -> (k0, edges read so far, the live
+    Edges depend on the carried steps and on where round 0 sits in the
+    window (with the initial set while it is there), so one query's nodes
+    share them through ``memo``: key -> (edges read so far, the live
     ``extend_footprint`` stream, which charges the query's ``tick``).
     Stored edges are replayed at one tick each, and the stream is advanced
-    only past their end.  Yields (k0, [moves, visible moves, packed last
-    local configuration, child shape or None]); a consumer at round k
-    shifts the moves by k - k0.
+    only past their end.  Yields (steps, packed last local configuration,
+    visible steps), rounds counted from the node's round.
     """
     k = node.k
-    key = (min(k, v), init_set if k == 0 else None, no_desert,
-           _shift_footprint(node.tau, -k))
+    key = (min(k, v + 1), init_set if k <= v else None, no_desert,
+           node.carried)
     if key not in memo:
-        memo[key] = (k, [], extend_footprint(
-            p, node.tau, init_set, k, default_step_cap(p), use_guard=True,
-            tick=tick, no_desert=no_desert))
-    k0, edges, stream = memo[key]
+        memo[key] = ([], extend_footprint(
+            p, node.carried, init_set, k, default_step_cap(p),
+            use_guard=True, tick=tick, no_desert=no_desert))
+    edges, stream = memo[key]
     for i in itertools.count():
         if i < len(edges):
             tick()
@@ -369,101 +365,80 @@ def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
             nxt = next(stream, None)
             if nxt is None:
                 return
-            T, last, vis = nxt
-            edges.append([T.steps, vis, last, None])
-        yield k0, edges[i]
+            edges.append(nxt)
+        yield edges[i]
 
 
 def _expand(p: Protocol, node: _Node, universal: frozenset,
             init_set: frozenset, v: int, tick, edge_memo: dict,
             no_desert: bool = False):
-    """Children of a search node: (bridge footprint, sig, next node or None).
+    """Children of a search node: (bridge steps, sig, next node or None).
 
-    None as the node signals acceptance with that footprint.  Per-branch
-    obligations are computed once per node; per footprint only the current
+    None as the node signals acceptance with those steps.  Per-branch
+    obligations are computed once per node; per edge only the current
     round's literal checks and the stop test remain.
     """
     k = node.k
-    base = max(k - v, 0)
+    # the last code counts rounds from the window's lowest, max(k - v, 0)
+    now_round = min(k, v)
 
     # branch precomputation: (remaining E, test of the round-k literals on
-    # the edge's last code or None, pending literals with rounds > k,
-    # relative pending for memo, stop proposition or None)
+    # the edge's last code or None, pending literals counted from k+1, stop
+    # proposition or None)
     branches = []
     for remaining_exist, closed2 in _onestep_branches(
-            universal, node.exist, node.closed, k):
-        now = tuple(literal_prop(_shift_term_round(lit, -base))
-                    for lit in closed2 if lit.rnd == k)
+            universal, node.exist, node.closed):
+        now = tuple(literal_prop(_shift_term_round(lit, now_round))
+                    for lit in closed2 if lit.rnd == 0)
         test = compile_constraint(p, And(now), v) if now else None
-        pending = frozenset(lit for lit in closed2 if lit.rnd > k)
-        rel_pending = frozenset(_shift_term_round(l, -k - 1)
-                                for l in pending)
+        pending = frozenset(_shift_term_round(lit, -1)
+                            for lit in closed2 if lit.rnd > 0)
         stop = None
         if not remaining_exist and all(eval_prop_at(p, EMPTY, u, 0)
                                        for u in universal):
             # a stopped shape differs from the empty configuration only in
             # round k+1's population, so other literals are decided here
             varying = {lit for lit in pending
-                       if lit.kind == "pop" and lit.rnd == k + 1}
+                       if lit.kind == "pop" and lit.rnd == 0}
             if all(eval_prop_at(p, EMPTY, literal_prop(lit), None)
                    for lit in pending - varying):
                 stop = And((*map(literal_prop, varying), *universal))
-        branches.append((remaining_exist, test, pending, rel_pending, stop))
+        branches.append((remaining_exist, test, pending, stop))
     if not branches:
         return
 
-    start_pop = set(node.tau.start.pop)
-    if k == 0:
-        start_pop |= {(q, 0) for q in init_set}
-    start_abs = LocalConfig(k - v, k, frozenset(start_pop),
-                            frozenset(node.tau.start.regs))
-
+    sig_round = min(k + 1, v + 1)
     n_branches = len(branches)
-    for k0, edge in _edges_for(p, node, init_set, v, tick, no_desert,
-                               edge_memo):
-        moves0, vis0, last, rel_tau2 = edge
-        delta = k - k0
+    for steps, last, vis in _edges_for(p, node, init_set, v, tick, no_desert,
+                                       edge_memo):
         tick(n_branches)
         pop_next = None
-        T = None
-        tau2 = None
-        for remaining_exist, test, pending, rel_pending, stop in branches:
+        for remaining_exist, test, pending, stop in branches:
             if test is not None and not test(last):
                 continue
-            if T is None:
-                steps = moves0 if delta == 0 else tuple(
-                    Move(m.trans, m.rnd + delta, m.desert) for m in moves0)
-                T = Footprint(start_abs, steps)
             if stop is not None:
                 if pop_next is None:
                     pop_next = frozenset(
-                        (m.trans.dest, k + 1) for m in vis0
-                        if m.trans.action.kind == INC and m.rnd == k0
+                        (m.trans.dest, 0) for m in vis
+                        if m.trans.action.kind == INC and m.rnd == 0
                         and m.desert)
-                if _test_stop(p, stop, pop_next, k):
-                    yield T, None, None
+                if _test_stop(p, stop, pop_next):
+                    yield steps, None, None
                     continue
-            if tau2 is None:
-                vis = vis0 if delta == 0 else tuple(
-                    Move(m.trans, m.rnd + delta, m.desert) for m in vis0)
-                tau2 = Footprint(start_abs.restrict(k - v + 1, k), vis)
-                if rel_tau2 is None:
-                    rel_tau2 = _shift_footprint(tau2, -k)
-                    edge[3] = rel_tau2
-            sig = (rel_tau2, remaining_exist, rel_pending)
-            yield T, sig, _Node(k + 1, tau2, remaining_exist, pending)
+            sig = (sig_round, vis, remaining_exist, pending)
+            yield steps, sig, _Node(k + 1, vis, remaining_exist, pending)
 
 
-def _test_stop(p: Protocol, stop, pop_next: frozenset, k: int) -> bool:
+def _test_stop(p: Protocol, stop, pop_next: frozenset) -> bool:
     """May the execution stop at round k, leaving later rounds untouched?
 
     ``stop`` conjoins the universal propositions and the branch's pending
-    literals on round k+1's population; the caller decided the other
-    pending literals once per branch.  It is evaluated against the actual
-    stopped shape: deserting increments may already populate round k+1
-    (``pop_next``), everything beyond is empty and registers above round k
-    are initial.  Universals are checked at round k+1 only: from round k+2
-    on every round reads the empty tail, which the caller checked before
-    building ``stop``.
+    literals on round k+1's population, rounds counted from k+1; the caller
+    decided the other pending literals once per branch.  It is evaluated
+    against the actual stopped shape: deserting increments may already
+    populate round k+1 (``pop_next``), everything beyond is empty and
+    registers above round k are initial.  Universals are checked at round
+    k+1 only: from round k+2 on every round reads the empty tail, which the
+    caller checked before building ``stop``.
     """
-    return eval_prop_at(p, AbstractConfig(pop_next, frozenset()), stop, k + 1)
+    return eval_prop_at(p, AbstractConfig(pop_next, frozenset()), stop, 0)

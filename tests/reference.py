@@ -2,7 +2,9 @@
 
 import itertools
 
-from regverify.constraints import And, Not, Or, _collect_leaves
+from regverify.constraints import (And, Exists, Not, Or, _collect_leaves,
+                                   closed_atoms_of, forcing_literal_sets,
+                                   literal_from_atom, substitute_atoms)
 
 
 def eval_with_assignment(node, assign: dict) -> bool:
@@ -44,3 +46,32 @@ def truth_table_prime_implicants(node, is_leaf) -> list[dict]:
                                                       repeat=len(rest))):
                     found.append(partial)
     return found
+
+
+def full_quantified_entries(apc, value: bool) -> list[tuple]:
+    """``constraints._quantified_entries`` by trying every truth assignment
+    of the constant-round atoms, in order, True first.
+
+    Guesses whose residual no literal set can force come out with the role
+    "dead"; the library drops them.  Exponential in the number of atoms.
+    """
+    if isinstance(apc, Exists):
+        role = "E" if value else "U"
+    else:
+        role = "U" if value else "E"
+    body = apc.prop if value else Not(apc.prop)
+    catoms = closed_atoms_of(body)
+    out = []
+    for bits in itertools.product((True, False), repeat=len(catoms)):
+        assign = dict(zip(catoms, bits))
+        lits = frozenset(literal_from_atom(a, v, None)
+                         for a, v in assign.items())
+        residual = substitute_atoms(body, assign)
+        forcing = forcing_literal_sets(residual)
+        if not forcing:
+            out.append((lits, "dead", None))
+        elif forcing == [{}]:
+            out.append((lits, "none", None))
+        else:
+            out.append((lits, role, residual))
+    return out

@@ -8,6 +8,7 @@ import pytest
 from regverify.constraints import (And, ApcCandidate, ClosedLiteral, Exists,
                                    Forall, Not, Or, Pop, PopAt, Reg, RegAt,
                                    FALSE, TRUE, Term, _is_apc_leaf,
+                                   _quantified_entries,
                                    apc_leaves, decompose_apcs, dnf_clauses,
                                    eval_roundbased, eval_roundless,
                                    forcing_literal_sets, format_constraint,
@@ -19,7 +20,8 @@ from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
 from regverify.semantics import AbstractConfig, ConcreteConfig, multiset, project
 
-from reference import eval_with_assignment, truth_table_prime_implicants
+from reference import (eval_with_assignment, full_quantified_entries,
+                       truth_table_prime_implicants)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -313,6 +315,34 @@ def test_prime_implicants_match_truth_table(kind):
         want = truth_table_prime_implicants(phi, is_leaf)
         assert [list(d.items()) for d in got] == \
             [list(d.items()) for d in want], phi
+
+
+@pytest.mark.parametrize("quantifier", [Exists, Forall])
+def test_quantified_entries_match_full_enumeration(quantifier):
+    # the pruned guess drops exactly the dead entries, keeping the order
+    rng = random.Random(f"quantified-entries:{quantifier.__name__}")
+    atoms = [PopAt(0, Term(False, 0)), PopAt(1, Term(True, 1)),
+             RegAt(0, Term(False, 2), 1), RegAt(1, Term(True, 0), 0),
+             PopAt(2, Term(False, 1)), RegAt(0, Term(False, 0), 2)]
+    for _ in range(300):
+        apc = quantifier(_random_formula(rng, atoms, 3))
+        for value in (True, False):
+            want = [e for e in full_quantified_entries(apc, value)
+                    if e[1] != "dead"]
+            assert _quantified_entries(apc, value) == want, (apc, value)
+
+
+def test_quantified_entries_prune_false_guesses():
+    # 2^20 guesses of the constant atoms; every one but all-True is dead
+    p = parse_protocol("flavor: roundbased\nstates: "
+                       + " ".join(f"s{i}" for i in range(20))
+                       + "\ninitial: s0\nregisters: 1\nalphabet: d0\n"
+                       "visibility: 0\ntransitions:\n")
+    psi = rb(p, "(exists k (and " + " ".join(f"(pop s{i} 0)"
+                                           for i in range(20))
+             + " (pop s0 (+ k 0))))")
+    [cand] = decompose_apcs(psi)
+    assert len(cand.closed) == 20 and len(cand.existential) == 1
 
 
 def test_decompose_long_conjunction_is_one_candidate():

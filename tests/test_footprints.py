@@ -6,8 +6,8 @@ import pytest
 
 from regverify.errors import (InconsistentProjections, NotEnabled,
                               WindowNotContained)
-from regverify.footprints import (Footprint, LocalConfig, combine_footprints,
-                                  empty_footprint, enumerate_bridge_footprints,
+from regverify.footprints import (Footprint, LocalConfig, bridge_start,
+                                  combine_footprints,
                                   execution_to_footprint, extend_footprint,
                                   footprint_configs, local_step,
                                   locations_deserted_more_than_once,
@@ -222,73 +222,88 @@ def test_normalize_random_executions():
         assert all(n <= bound for n in per_round_step_counts(out).values())
 
 
+def shifted(steps, delta: int) -> tuple:
+    return tuple(Move(m.trans, m.rnd + delta, m.desert) for m in steps)
+
+
+def extensions(p, tau: Footprint, init, k: int, step_cap: int, **kw):
+    """``extend_footprint`` on an absolute carried footprint on [k-v, k-1].
+
+    Yields (bridge footprint on [k-v, k], last code, visible footprint on
+    [k-v+1, k]), all with absolute rounds.
+    """
+    v = max(p.visibility or 0, 1)
+    assert tau.start == bridge_start(init, k - v, k - 1)
+    for steps, last, vis in extend_footprint(
+            p, shifted(tau.steps, 1 - k), init, k, step_cap, **kw):
+        yield (Footprint(bridge_start(init, k - v, k), shifted(steps, k)),
+               last,
+               Footprint(bridge_start(init, k - v + 1, k), shifted(vis, k)))
+
+
 def test_enumerate_bridge_contains_write_then_increment():
-    stream = enumerate_bridge_footprints(
-        FIG4, empty_footprint(-1, -1), {FIG4.state_id("q0")}, 0, step_cap=3)
-    for fp in stream:
-        kinds = [(m.trans.action.kind, m.desert) for m in fp.steps]
+    stream = extend_footprint(FIG4, (), {FIG4.state_id("q0")}, 0, 3,
+                              canonical=False)
+    for steps, _, _ in stream:
+        kinds = [(m.trans.action.kind, m.desert) for m in steps]
         if kinds == [("write", False), ("inc", True)]:
             break
     else:
         raise AssertionError("expected footprint not in the stream")
 
 
+READ_X = parse_protocol(
+    "flavor: roundbased\nstates: a b\ninitial: a\nregisters: 1\n"
+    "alphabet: d0 x\nvisibility: 1\ntransitions:\n"
+    "  a write(1, x) a\n  a read(0, 1, x) b\n")
+
+
 def test_enumerate_bridge_empty_when_projection_impossible():
-    # carried footprint demands a round-(k-1) register value nothing writes
-    q0 = FIG4.state_id("q0")
-    bad_sym = FIG4.symbol_id("a")
-    start = LocalConfig(0, 0, frozenset({(q0, 0)}), frozenset())
-    tau = Footprint(start, ())
-    # round-0 register already holds a in the carried start: inconsistent
-    # with initiality, so only extensions replaying tau can exist; a tau
-    # demanding an unwritable value yields nothing
-    unreachable = Footprint(
-        LocalConfig(0, 0, frozenset({(q0, 0)}),
-                    frozenset({((0, 0), FIG4.symbol_id("b"))})), ())
-    caps = list(enumerate_bridge_footprints(FIG4, unreachable, {q0}, 1,
-                                            step_cap=2))
-    # extensions exist structurally; none may write b at round 1 without a
-    # process at (C,1), so no footprint reaches a b-valued round-1 register
-    assert all(((1, 0), FIG4.symbol_id("b")) not in
-               footprint_configs(FIG4, fp)[-1].regs for fp in caps)
+    # at round 1 the carried steps sit on round 0, which no new step can
+    # write: a carried read of x needs a carried write of x before it
+    write, read = (Move(t, 0, False) for t in READ_X.transitions)
+    init = READ_X.initial_states
+    for carried, possible in [((read,), False), ((write, read), True)]:
+        got = list(extend_footprint(READ_X, carried, init, 1, step_cap=2,
+                                    canonical=False))
+        assert bool(got) == possible
+        assert all(steps[:len(carried)] == shifted(carried, -1)
+                   for steps, _, _ in got)
 
 
 def test_enumerate_bridge_cap_zero_keeps_stepless_extension():
     q0 = FIG4.state_id("q0")
-    tau = Footprint(LocalConfig(0, 0, frozenset({(q0, 0)}), frozenset()), ())
-    fps = list(enumerate_bridge_footprints(FIG4, tau, {q0}, 1, step_cap=0))
+    fps = list(extend_footprint(FIG4, (), {q0}, 1, 0, canonical=False))
     assert len(fps) == 1
-    assert fps[0].steps == ()
-    assert fps[0].start.pop == {(q0, 0)}
+    steps, last, vis = fps[0]
+    assert steps == vis == ()
+    assert packed(FIG4, 1)[2](last).pop == {(q0, 0)}
 
 
 def test_canonical_and_full_enumerations_project_identically():
     # the canonical stream must cover exactly the same carried projections
     q0 = FIG4.state_id("q0")
-    tau0 = empty_footprint(-1, -1)
-    full0 = list(extend_footprint(FIG4, tau0, {q0}, 0, 4, canonical=False))
+    tau0 = Footprint(bridge_start({q0}, -1, -1), ())
+    full0 = list(extensions(FIG4, tau0, {q0}, 0, 4, canonical=False))
     taus = {project_footprint(FIG4, fp, 0, 0) for fp, _, _ in full0}
     taus2 = set()
     for tau in sorted(taus, key=lambda f: len(f.steps)):
         full = {project_footprint(FIG4, fp, 1, 1)
-                for fp, _, _ in extend_footprint(FIG4, tau, {q0}, 1, 6,
-                                                 canonical=False)}
+                for fp, _, _ in extensions(FIG4, tau, {q0}, 1, 6,
+                                           canonical=False)}
         canon = set()
-        for fp, _, vis in extend_footprint(FIG4, tau, {q0}, 1, 6,
-                                           canonical=True):
-            canon.add(Footprint(fp.start.restrict(1, 1), vis))
-            assert project_footprint(FIG4, fp, 1, 1) == \
-                Footprint(fp.start.restrict(1, 1), vis)
+        for fp, _, vis in extensions(FIG4, tau, {q0}, 1, 6, canonical=True):
+            canon.add(vis)
+            assert project_footprint(FIG4, fp, 1, 1) == vis
         assert canon == full
         taus2 |= canon
     # one level deeper: windows now straddle rounds [1, 2]
     for tau in sorted(taus2, key=lambda f: (len(f.steps), repr(f)))[:12]:
         full = {project_footprint(FIG4, fp, 2, 2)
-                for fp, _, _ in extend_footprint(FIG4, tau, {q0}, 2, 6,
-                                                 canonical=False)}
-        canon = {Footprint(fp.start.restrict(2, 2), vis)
-                 for fp, _, vis in extend_footprint(FIG4, tau, {q0}, 2, 6,
-                                                    canonical=True)}
+                for fp, _, _ in extensions(FIG4, tau, {q0}, 2, 6,
+                                           canonical=False)}
+        canon = {vis for _, _, vis in extensions(FIG4, tau, {q0}, 2, 6,
+                                                 canonical=True)}
         assert canon == full
 
 
@@ -312,21 +327,20 @@ def test_last_code_decodes_to_final_local_configuration(case):
         init = p.initial_states
     v = max(p.visibility or 0, 1)
     decode = packed(p, v)[2]
-    taus = [empty_footprint(-v, -1)]
+    taus = [Footprint(bridge_start(init, -v, -1), ())]
     seen = 0
     for k in range(3):
         base = max(k - v, 0)
         carried = []
         for tau in taus:
-            for fp, last, vis in extend_footprint(p, tau, init, k, 6,
-                                                  use_guard=True):
+            for fp, last, vis in extensions(p, tau, init, k, 6,
+                                            use_guard=True):
                 final = footprint_configs(p, fp)[-1]
                 got = decode(last)
                 assert got.pop == {(q, r - base) for q, r in final.pop}
                 assert got.regs == {((r - base, j), s)
                                     for (r, j), s in final.regs}
-                carried.append(Footprint(fp.start.restrict(k - v + 1, k),
-                                         vis))
+                carried.append(vis)
                 seen += 1
         taus = carried[:8]
     assert seen > 6

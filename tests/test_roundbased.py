@@ -290,6 +290,21 @@ def test_round_window_positive_replays():
     assert (p.state_id("c"), 2) in final.pop
 
 
+@pytest.mark.parametrize("seed, ticks, nodes", [(200006, 27, 9),
+                                              (200011, 474, 152)])
+def test_footprint_search_keys_round_zero_position(seed, ticks, nodes):
+    # edges and visited signatures are keyed by where round 0 sits in the
+    # window: inside it up to round v, past it after.  Merging the round-v
+    # window with later ones answers the same here with other work counts
+    rng = random.Random(seed)
+    p = random_rb_protocol(rng)
+    psi = random_rb_constraint(rng, p)
+    cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
+    got = _footprint_search(p, psi, cands, budget=250_000)
+    assert (got.answer, got.stats["ticks"], got.stats["nodes"]) == \
+        ("negative", ticks, nodes)
+
+
 def test_footprint_search_against_oracle_on_bounded_seeds():
     # these seeds take the round window in solve_prp_roundbased, so the
     # acceptance fuzz checks the oracle's relation against itself there;
