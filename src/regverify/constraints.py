@@ -327,6 +327,25 @@ def max_constant(psi) -> int:
     return 0
 
 
+def population_monotone(node, positive: bool = True) -> bool:
+    """Whether every population atom occurs under an even number of ``Not``s.
+
+    Such a constraint, of either flavor, stays true when populated sets grow
+    and the registers stay the same.  Register atoms may occur either way.
+    """
+    if isinstance(node, (And, Or)):
+        return all(population_monotone(x, positive) for x in node.children)
+    if isinstance(node, Not):
+        return population_monotone(node.child, not positive)
+    if isinstance(node, (Exists, Forall)):
+        return population_monotone(node.prop, positive)
+    if isinstance(node, (Pop, PopAt)):
+        return positive
+    if isinstance(node, (Reg, RegAt)):
+        return True
+    raise TypeError(f"not a constraint node: {node!r}")
+
+
 def config_active_bound(p: Protocol, c: AbstractConfig) -> int:
     """Smallest bound beyond which the configuration is all-empty."""
     rounds = [k for _, k in c.pop]
@@ -503,8 +522,12 @@ def prime_implicants(node, is_leaf) -> list[dict]:
 
     def minimal(terms) -> list:
         kept: list = []
+        shorter = 0  # kept[:shorter] are the kept terms shorter than t
         for t in sorted(set(terms), key=len):
-            if not any(u <= t for u in kept):
+            while shorter < len(kept) and len(kept[shorter]) < len(t):
+                shorter += 1
+            # distinct terms of one size cannot contain one another
+            if not any(u <= t for u in kept[:shorter]):
                 kept.append(t)
         return kept
 

@@ -18,6 +18,20 @@ and probe, cut at depth 4|Q| and without caps, so its agreement with the
 oracle checks neither the step relation nor the probe; the tests check the
 relation against ``semantics.abstract_successors`` and ``abstract_step``,
 and the probe against the evaluators.
+
+Desertion never helps a population-monotone constraint, one whose
+population atoms all occur under an even number of negations
+(``constraints.population_monotone``).  Make every step of a witness keep
+its source: each step stays enabled, the register trajectory is unchanged,
+and every populated set only grows, so the final configuration still
+satisfies the constraint.  Hence a desert-free witness of the same length
+exists whenever any witness does, and for such a constraint the oracle,
+``roundless.solve_prp_bounded`` and the round window of
+``roundbased.solve_prp_roundbased`` generate no deserting move
+(``packed(..., no_desert=True)``); their shortest witnesses keep their
+length, so ``bounded``'s depth cut stays complete.  As these routes share
+the lemma, their agreement does not check it; the tests compare the
+desert-free search with the full one.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from functools import cached_property
 
 from .constraints import (And, Exists, Forall, Not, Or, Pop, PopAt, Reg,
                           RegAt, eval_roundbased, eval_roundless,
-                          max_constant, term_value)
+                          max_constant, population_monotone, term_value)
 from .errors import CapExceeded
 from .model import D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
@@ -153,7 +167,7 @@ def layout(p: Protocol, max_round: int):
             lambda r, j: r * block + j * sym_bits, (1 << sym_bits) - 1)
 
 
-def packed(p: Protocol, max_round: int = 0):
+def packed(p: Protocol, max_round: int = 0, no_desert: bool = False):
     """``(starts, successors, decode)`` for ``bfs`` on packed integer codes.
 
     A code holds one symbol field per (round, register) and one population
@@ -161,7 +175,8 @@ def packed(p: Protocol, max_round: int = 0):
     ``max_round`` of a round-based protocol; a roundless one has round 0
     only.  Successors come per transition and round, keep variant first,
     then desert, as in ``semantics.abstract_successors``: an increment at
-    ``max_round`` and a read below round 0 are not generated.
+    ``max_round`` and a read below round 0 are not generated.  With
+    ``no_desert`` the desert variants are not generated either.
     """
     rb = p.flavor == ROUNDBASED
     rounds, pop, slot, sym_mask = layout(p, max_round)
@@ -198,7 +213,8 @@ def packed(p: Protocol, max_round: int = 0):
             if code & src and code & test == want:
                 base = code & keep | put
                 yield stay, base | dst
-                yield desert, base & ~src | dst
+                if not no_desert:
+                    yield desert, base & ~src | dst
 
     def decode(code: int) -> AbstractConfig:
         where = frozenset(loc for loc, bit in locs if code & bit)
@@ -326,9 +342,11 @@ def _predicate(e):
 
 def reach(p: Protocol, max_round: int = 0,
           state_cap: int = DEFAULT_STATE_CAP,
-          space_cap: int = DEFAULT_SPACE_CAP, sat=None) -> ReachSet:
+          space_cap: int = DEFAULT_SPACE_CAP, sat=None,
+          no_desert: bool = False) -> ReachSet:
     """Abstract reach set from every initial configuration, by moves with
-    effect on rounds <= ``max_round`` for a round-based protocol.
+    effect on rounds <= ``max_round`` for a round-based protocol, and by
+    non-deserting moves only with ``no_desert``.
 
     Without ``sat`` the set is complete.  With it, a predicate on codes such
     as ``compile_constraint`` returns, breadth-first search stops at the
@@ -340,7 +358,7 @@ def reach(p: Protocol, max_round: int = 0,
     if p.flavor == ROUNDLESS and \
             p.num_symbols ** p.register_count > space_cap:
         raise CapExceeded("register valuation space exceeds cap")
-    return bfs(*packed(p, max_round), space_cap, sat)
+    return bfs(*packed(p, max_round, no_desert), space_cap, sat)
 
 
 def default_round_cap(p: Protocol, psi) -> int:
@@ -364,7 +382,10 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
     positive is exact whenever its first hit lies within the cap, while a
     negative explores the whole reach set and raises ``CapExceeded`` past
     it.  ``stats["members"]`` counts the configurations discovered, which
-    for a positive is not the whole reach set.
+    for a positive is not the whole reach set.  When the constraint is
+    population-monotone the search makes no deserting move (the lemma in
+    the module docstring), so the reach set searched, and capped, is the
+    desert-free one.
 
     For round-based protocols the verdict is relative to executions whose
     moves affect rounds <= max_round only (positives are exact; a negative
@@ -380,7 +401,8 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
         check = lambda c: eval_roundbased(p, c, constraint,
                                           active_bound=bound)
     rs = reach(p, max_round, state_cap, space_cap,
-               compile_constraint(p, constraint, max_round))
+               compile_constraint(p, constraint, max_round),
+               population_monotone(constraint))
     stats = {"members": len(rs.links)}
     if p.flavor == ROUNDBASED:
         stats["max_round"] = max_round

@@ -44,10 +44,10 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 
-from .constraints import (And, ApcCandidate, ClosedLiteral, Not, Or, PopAt,
-                          decompose_apcs, eval_prop_at, eval_roundbased,
-                          forcing_literal_sets, literal_from_atom,
-                          literal_prop)
+from .constraints import (And, ApcCandidate, ClosedLiteral, decompose_apcs,
+                          eval_prop_at, eval_roundbased, forcing_literal_sets,
+                          literal_from_atom, literal_prop,
+                          population_monotone)
 from .errors import CapExceeded, RegverifyError, ReplayFailure
 from .footprints import (Footprint, bridge_start, combine_footprints,
                          default_step_cap, extend_footprint, project_footprint)
@@ -166,24 +166,12 @@ def _refuted(cand: ApcCandidate) -> bool:
 def _population_monotone(cand: ApcCandidate) -> bool:
     """Whether every population atom in the obligations occurs positively.
 
-    Then desertion never helps: making every step of a witness keep its
-    source leaves the register trajectory untouched and only grows the
-    populated sets, so a desert-free witness exists whenever any does, and
-    the search may drop deserting moves altogether.
+    Then the search may drop deserting moves altogether, by the lemma of
+    ``oracle``'s module docstring.
     """
-    def positive_only(prop, polarity: bool) -> bool:
-        if isinstance(prop, (And, Or)):
-            return all(positive_only(x, polarity) for x in prop.children)
-        if isinstance(prop, Not):
-            return positive_only(prop.child, not polarity)
-        if isinstance(prop, PopAt):
-            return polarity
-        return True  # register atoms survive the flip either way
-
     if any(lit.kind == "pop" and not lit.positive for lit in cand.closed):
         return False
-    return all(positive_only(x, True)
-               for x in cand.existential | cand.universal)
+    return all(map(population_monotone, cand.existential | cand.universal))
 
 
 def _validated(p: Protocol, psi, exec_: Execution, stats: dict) -> Verdict:
@@ -245,13 +233,15 @@ def _round_window(p: Protocol, psi, bound: int, budget: int) -> Verdict:
 
     Each discovered configuration costs one tick; past the budget the
     answer is "unknown".  A positive carries the search's shortest witness.
+    A population-monotone constraint is searched without deserting moves, as
+    the oracle searches it.
     """
     # as the search ran out: the budget's configurations held, one more found
     stats = {"ticks": budget + 1, "nodes": budget, "route": "round-window",
              "round_bound": bound}
     try:
-        rs = bfs(*packed(p, bound), space_cap=budget,
-                 sat=compile_constraint(p, psi, bound))
+        rs = bfs(*packed(p, bound, no_desert=population_monotone(psi)),
+                 space_cap=budget, sat=compile_constraint(p, psi, bound))
     except CapExceeded:
         return Verdict(UNKNOWN, "rb-search", None, stats)
     stats["ticks"] = stats["nodes"] = len(rs.links)

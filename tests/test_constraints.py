@@ -14,7 +14,8 @@ from regverify.constraints import (And, ApcCandidate, ClosedLiteral, Exists,
                                    forcing_literal_sets, format_constraint,
                                    max_constant, parse_round_constraint,
                                    parse_roundless_constraint,
-                                   prime_implicants, to_dnf)
+                                   population_monotone, prime_implicants,
+                                   to_dnf)
 from regverify.errors import ConstraintSyntaxError, NotDNF
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
@@ -355,3 +356,41 @@ def test_decompose_long_conjunction_is_one_candidate():
     [cand] = decompose_apcs(psi)
     assert len(cand.closed) == 16
     assert not cand.existential and not cand.universal
+
+
+def test_decompose_product_of_disjunctions_lists_every_choice():
+    # 2^12 implicants of one size, none containing another
+    p = parse_protocol("flavor: roundbased\nstates: "
+                       + " ".join(f"{x}{i}" for i in range(12) for x in "ab")
+                       + "\ninitial: a0\nregisters: 1\nalphabet: d0\n"
+                       "visibility: 0\ntransitions:\n")
+    psi = rb(p, "(and " + " ".join(f"(or (pop a{i} 0) (pop b{i} 0))"
+                                   for i in range(12)) + ")")
+    cands = decompose_apcs(psi)
+    assert len(cands) == 4096
+    assert all(len(c.closed) == 12 for c in cands)
+
+
+@pytest.mark.parametrize("text, monotone", [
+    ("(pop q1)", True),
+    ("(not (pop q1))", False),
+    ("(not (not (pop q1)))", True),
+    ("(not (reg 1 a))", True),
+    ("(not (and (reg 1 a) (pop q2)))", False),
+    ("(or (not (or (not (pop q1)) (reg 1 b))) (pop q3))", True),
+    ("true", True),
+])
+def test_population_monotone_roundless(text, monotone):
+    assert population_monotone(
+        parse_roundless_constraint(text, EX22)) == monotone
+
+
+@pytest.mark.parametrize("text, monotone", [
+    ("(exists k (pop q1 (+ k 1)))", True),
+    ("(forall k (or (pop q0 (+ k 0)) (not (pop q1 (+ k 0)))))", False),
+    ("(and (reg 1 0 d0) (forall k (not (reg 1 (+ k 0) a))))", True),
+    ("(exists k (not (and (pop q0 0) (not (pop q1 (+ k 2))))))", False),
+    ("(not (or (not (pop q0 1)) (not (reg 1 1 a))))", True),
+])
+def test_population_monotone_roundbased(text, monotone):
+    assert population_monotone(rb(EX42, text)) == monotone

@@ -7,15 +7,17 @@ import pytest
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from regverify import oracle
-from regverify.constraints import (cover_constraint, eval_roundbased,
+from regverify.constraints import (And, Exists, Forall, Not, Or, Pop, PopAt,
+                                   cover_constraint, eval_roundbased,
                                    eval_roundless, parse_round_constraint,
                                    parse_roundless_constraint,
-                                   target_constraint)
+                                   population_monotone, target_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import parse_protocol
 from regverify.oracle import (bfs, compile_constraint, default_round_cap,
                               oracle_prp, packed, reach)
 from regverify.reductions import builtin_examples
+from regverify.roundbased import solve_prp_roundbased
 from regverify.semantics import (ABSTRACT, AbstractConfig, abstract_step,
                                  abstract_successors, initial_configuration,
                                  initial_supports, replay, replay_configs)
@@ -228,19 +230,36 @@ def _assert_matches_full_scan(v, rs, sat):
         assert v.witness == rs.witness(hit)
 
 
-def test_positive_decided_when_full_reach_set_exceeds_cap():
-    psi3 = parse_round_constraint(CONSTRAINTS["psi3"].text, FIG4)
-    sat = lambda c: eval_roundbased(FIG4, c, psi3, active_bound=3)
-    full = reach(FIG4, 2)
+def _assert_positive_decided_within_cap(psi, full):
+    """On FIG4 at round cap 2, the oracle decides ``psi`` positive as soon
+    as its cap holds the first hit of ``full``, the reach set it searches."""
+    sat = lambda c: eval_roundbased(FIG4, c, psi, active_bound=3)
     hit = _first_hit(full, sat)
     cap = full.order.index(hit) + 1  # the hit is the last member in the cap
     assert cap < len(full.members)
-    v = oracle_prp(FIG4, psi3, max_round=2, space_cap=cap)
+    v = oracle_prp(FIG4, psi, max_round=2, space_cap=cap)
     assert v.answer == "positive"
     assert v.witness == full.witness(hit)
     assert v.stats["members"] == cap
     with pytest.raises(CapExceeded):
-        oracle_prp(FIG4, psi3, max_round=2, space_cap=cap - 1)
+        oracle_prp(FIG4, psi, max_round=2, space_cap=cap - 1)
+
+
+def test_positive_decided_when_full_reach_set_exceeds_cap():
+    # psi3 is population-monotone: the oracle searches the desert-free set
+    psi3 = parse_round_constraint(CONSTRAINTS["psi3"].text, FIG4)
+    assert population_monotone(psi3)
+    _assert_positive_decided_within_cap(psi3, reach(FIG4, 2, no_desert=True))
+
+
+def test_positive_decided_when_full_reach_set_exceeds_cap_with_desertion():
+    # emptying q0 at round 0 takes a deserting move, so the oracle searches
+    # the full reach set, and the desert-free one has no hit
+    psi = parse_round_constraint("(and (pop E 2) (not (pop q0 0)))", FIG4)
+    assert not population_monotone(psi)
+    _assert_positive_decided_within_cap(psi, reach(FIG4, 2))
+    sat = compile_constraint(FIG4, psi, 2)
+    assert reach(FIG4, 2, sat=sat, no_desert=True).hit_code is None
 
 
 def test_criterion_2_seed_refused_before_is_decided():
@@ -254,6 +273,25 @@ def test_criterion_2_seed_refused_before_is_decided():
     assert v.answer == "positive"
     final = replay(p, v.witness, ABSTRACT)
     assert eval_roundbased(p, final, psi, active_bound=K + 1)
+
+
+def test_criterion_2_seed_refused_before_is_decided_negative():
+    # seed 200513's full reach set within its round cap exceeds criterion
+    # 2's space cap; its constraint is population-monotone, and the
+    # desert-free reach set has 4 094 configurations.  rb-search agrees
+    rng = random.Random(200_513)
+    p = random_rb_protocol(rng)
+    psi = random_rb_constraint(rng, p)
+    assert population_monotone(psi)
+    K = default_round_cap(p, psi)
+    v = oracle_prp(p, psi, max_round=K, space_cap=40_000)
+    assert (v.answer, v.stats) == ("negative",
+                                   {"members": 4094, "max_round": K})
+    with pytest.raises(CapExceeded):
+        reach(p, K, space_cap=40_000)
+    v = solve_prp_roundbased(p, psi, budget=250_000)
+    assert (v.answer, v.stats) == ("negative", {"ticks": 170, "nodes": 17,
+                                                "route": "footprints"})
 
 
 @pytest.mark.parametrize("seed", range(100_000, 100_020))
@@ -280,16 +318,33 @@ def test_roundbased_oracle_matches_full_scan(seed):
         lambda c: eval_roundbased(p, c, psi, active_bound=K + 1))
 
 
-def test_negative_past_cap_still_refused():
-    psi1 = parse_round_constraint(CONSTRAINTS["psi1"].text, FIG4)
-    n = len(reach(FIG4, 2).members)
-    assert oracle_prp(FIG4, psi1, max_round=2,
+def _assert_negative_needs_whole_reach_set(psi, n):
+    """On FIG4 at round cap 2, the oracle decides ``psi`` negative with a
+    cap of ``n`` configurations, the reach set it searches, and refuses it
+    with one fewer."""
+    assert oracle_prp(FIG4, psi, max_round=2,
                       space_cap=n).answer == "negative"
     with pytest.raises(CapExceeded):
-        oracle_prp(FIG4, psi1, max_round=2, space_cap=n - 1)
+        oracle_prp(FIG4, psi, max_round=2, space_cap=n - 1)
+
+
+def test_negative_past_cap_still_refused():
+    # psi1 is population-monotone: the oracle searches the desert-free set
+    psi1 = parse_round_constraint(CONSTRAINTS["psi1"].text, FIG4)
+    assert population_monotone(psi1)
+    _assert_negative_needs_whole_reach_set(
+        psi1, len(reach(FIG4, 2, no_desert=True).members))
     phi = parse_roundless_constraint(CONSTRAINTS["ex26_phi"].text, FIG1)
+    assert not population_monotone(phi)
     with pytest.raises(CapExceeded):
         oracle_prp(FIG1, phi, space_cap=len(reach(FIG1).members) - 1)
+
+
+def test_negative_past_cap_still_refused_with_desertion():
+    psi = parse_round_constraint(
+        "(and (exists k (pop qf (+ k 0))) (not (pop D 0)))", FIG4)
+    assert not population_monotone(psi)
+    _assert_negative_needs_whole_reach_set(psi, len(reach(FIG4, 2).members))
 
 
 # --- the compiled constraint, and decoding only what is read ------------------
@@ -338,8 +393,8 @@ def test_roundbased_probe_matches_eval_roundbased(seed):
 
 def _counting_packed(decoded):
     """``packed``, with each decoded code appended to ``decoded``."""
-    def counting(p, max_round=0):
-        starts, successors, decode = packed(p, max_round)
+    def counting(*args, **kwargs):
+        starts, successors, decode = packed(*args, **kwargs)
 
         def counted(code):
             decoded.append(code)
@@ -370,3 +425,53 @@ def test_search_decodes_only_the_witness_path(monkeypatch, proto, name, k):
     assert len(set(decoded)) == len(decoded) <= len(v.witness.moves) + 1
     path = replay_configs(p, v.witness, ABSTRACT)
     assert all(decode(code) in path for code in decoded)
+
+
+# --- the desert cut for population-monotone constraints ----------------------
+
+def _without_pop_negations(node):
+    """The constraint with every negated population atom made positive; the
+    generators negate atoms only, so the result is population-monotone."""
+    if isinstance(node, Not) and isinstance(node.child, (Pop, PopAt)):
+        return node.child
+    if isinstance(node, (And, Or)):
+        return type(node)(tuple(map(_without_pop_negations, node.children)))
+    if isinstance(node, (Exists, Forall)):
+        return type(node)(_without_pop_negations(node.prop))
+    return node
+
+
+@pytest.mark.parametrize("flavor", ["roundless", "roundbased"])
+def test_desert_free_search_keeps_hits_and_witness_lengths(flavor):
+    # the oracle, bounded and the round window all rely on this lemma, so
+    # differential fuzzing between them cannot check it
+    hits = misses = 0
+    for seed in range(400_000, 400_200):
+        rng = random.Random(seed)
+        if flavor == "roundless":
+            p = random_protocol(rng)
+            psis = [random_constraint(rng, p) for _ in range(6)]
+            caps = [0]
+        else:
+            p = random_rb_protocol(rng)
+            psis = [random_rb_constraint(rng, p) for _ in range(6)]
+            caps = range(4)
+        for psi in psis:
+            if not population_monotone(psi):
+                psi = _without_pop_negations(psi)
+            assert population_monotone(psi)
+            for k in caps:
+                sat = compile_constraint(p, psi, k)
+                try:
+                    full = reach(p, k, space_cap=4000, sat=sat)
+                except CapExceeded:
+                    continue
+                free = reach(p, k, sat=sat, no_desert=True)
+                assert (full.hit_code is None) == (free.hit_code is None)
+                if full.hit_code is None:
+                    misses += 1
+                    continue
+                hits += 1
+                assert len(free.witness().moves) == \
+                    len(full.witness().moves), (seed, psi, k)
+    assert hits >= 500 and misses >= 200
