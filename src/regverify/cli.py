@@ -154,8 +154,8 @@ def cmd_check(args) -> int:
         except NotDNF:
             raise CliError("one-reg needs a DNF constraint "
                            "(try --distribute)", EXIT_INCOMPATIBLE)
-    else:
-        raise CliError(f"unknown algorithm {algo!r}", EXIT_USAGE)
+    else:  # rb-search, the one choice left
+        raise CliError("rb-search decides rbprp only", EXIT_INCOMPATIBLE)
     return _emit(v, p, args)
 
 

@@ -18,7 +18,7 @@ constant-round atoms keep their value.  Evaluation therefore checks rounds
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConstraintSyntaxError, NotDNF
 from .model import Protocol
@@ -596,37 +596,16 @@ def forcing_literal_sets(prop) -> list[dict]:
     return prime_implicants(prop, _is_atom)
 
 
-# --- closed literals and APC decomposition ----------------------------------------
+# --- ground literals and APC decomposition ---------------------------------------
 
-@dataclass(frozen=True)
-class ClosedLiteral:
-    """A ground fact about one round: (not) populated / register contents."""
+def ground(atom, value: bool, k: int | None):
+    """A ground literal: a fact about one round, as a constraint node.
 
-    kind: str          # "pop" or "reg"
-    rnd: int
-    state: int = -1
-    reg: int = -1
-    symbol: int = -1
-    positive: bool = True
-
-
-def literal_from_atom(atom, value: bool, k: int | None) -> ClosedLiteral:
-    if isinstance(atom, PopAt):
-        return ClosedLiteral("pop", term_value(atom.term, k),
-                             state=atom.state, positive=value)
-    if isinstance(atom, RegAt):
-        return ClosedLiteral("reg", term_value(atom.term, k), reg=atom.reg,
-                             symbol=atom.symbol, positive=value)
-    raise TypeError(f"not a round-based atom: {atom!r}")
-
-
-def literal_prop(lit: ClosedLiteral):
-    """The literal as a closed proposition: the inverse of
-    ``literal_from_atom``."""
-    term = Term(False, lit.rnd)
-    atom = PopAt(lit.state, term) if lit.kind == "pop" else \
-        RegAt(lit.reg, term, lit.symbol)
-    return atom if lit.positive else Not(atom)
+    The ``PopAt``/``RegAt`` atom at the constant round its term takes with
+    the variable bound to ``k``, under a ``Not`` when ``value`` is false.
+    """
+    lit = replace(atom, term=Term(False, term_value(atom.term, k)))
+    return lit if value else Not(lit)
 
 
 def is_closed_prop(node) -> bool:
@@ -643,7 +622,7 @@ def is_closed_prop(node) -> bool:
 class ApcCandidate:
     """One way to make the whole constraint true.
 
-    closed       ground literals to check at their rounds;
+    closed       ground literals (``ground``) to check at their rounds;
     existential  propositions that must hold at some round;
     universal    propositions that must hold at every round.
     """
@@ -705,7 +684,9 @@ def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]
     order, True first, each recorded as a literal to check at its round and
     replaced in the body.  A partial guess under which the body is already
     false is dropped with all its completions, and so is a residual that no
-    literal set can force; one that the empty set forces discharges the APC.
+    literal set can force.  One under which the body is already true, or
+    whose residual the empty set forces, discharges the APC: it is one
+    entry, not one per completion.
     """
     if isinstance(apc, Exists):
         role = "E" if value else "U"
@@ -716,16 +697,16 @@ def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]
     out = []
 
     def guess(assign: dict) -> None:
-        if _eval3(body, assign) is False:
-            return
-        if len(assign) < len(catoms):
+        truth = _eval3(body, assign)
+        if truth is None and len(assign) < len(catoms):
             for bit in (True, False):
                 guess({**assign, catoms[len(assign)]: bit})
             return
-        lits = frozenset(literal_from_atom(a, v, None)
-                         for a, v in assign.items())
+        if truth is False:
+            return
+        lits = frozenset(ground(a, v, None) for a, v in assign.items())
         residual = substitute_atoms(body, assign)
-        forcing = forcing_literal_sets(residual)
+        forcing = [{}] if truth else forcing_literal_sets(residual)
         if forcing == [{}]:
             out.append((lits, "none", None))  # APC discharged by the guess
         elif forcing:
@@ -759,7 +740,7 @@ def decompose_apcs(psi) -> list[ApcCandidate]:
                 target = apc if value else Not(apc)
                 options = []
                 for assign in forcing_literal_sets(target):
-                    lits = frozenset(literal_from_atom(a, v, None)
+                    lits = frozenset(ground(a, v, None)
                                      for a, v in assign.items())
                     options.append((lits, "none", None))
             if not options:

@@ -430,17 +430,17 @@ def bridge_start(initial_set, lo: int, hi: int) -> LocalConfig:
 
 
 def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
-                     step_cap: int, use_guard: bool = False,
-                     tick=None, canonical: bool = True,
+                     step_cap: int, tick, canonical: bool = True,
                      no_desert: bool = False):
     """All footprints on [k-v, k] from ``bridge_start`` projecting down to
     the carried steps on [k-v, k-1], whose rounds count from k-1.
 
     New steps are moves at round k and non-deserting increments arriving
-    from round k-1; ``use_guard`` restricts the stream to interleavings a
-    normal-form execution can produce: no repopulating a deserted location,
-    non-deserting reads/increments must populate a location never populated
-    before, and an unjustified write is never overwritten.
+    from round k-1, restricted to interleavings a normal-form execution can
+    produce: no repopulating a deserted location, non-deserting
+    reads/increments must populate a location never populated before, and
+    an unjustified write is never overwritten.  ``tick(n)`` charges the
+    enumeration's work: one for the start and one per step placed.
 
     With ``canonical``, carried steps confined to the bottom round (invisible
     one window up) are deferred maximally: a visible move never directly
@@ -530,7 +530,7 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
         tau_ops.append(op)
     tau_len = len(tau_ops)
 
-    guard0 = (pop0, 0, 0) if use_guard else None
+    guard0 = (pop0, 0, 0)  # ever populated, ever deserted, pending writes
     new_ops_by_pop: dict[int, list] = {}
 
     # one explicit frame per emitted step:
@@ -553,9 +553,8 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                option_list(0, pop0), 0, False, 0]]
     pending_ticks = 1
     if tau_len == 0:
-        if tick is not None:
-            tick(pending_ticks)
-            pending_ticks = 0
+        tick(pending_ticks)
+        pending_ticks = 0
         yield (), pop0, ()
     while frames:
         frame = frames[-1]
@@ -599,33 +598,31 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                     write_sym << write_shift)
             if pop2 == pop and regs2 == regs:
                 continue  # stutter: invisible inside the window
-            g2 = guard
-            if guard is not None:
-                popever, desertever, pending = guard
-                if dst_bit:
-                    now = pop & dst_bit
-                elif guard_dst_bit:
-                    now = popnext & guard_dst_bit
-                else:
-                    now = 1
-                populates = not now
-                if populates:
-                    if desertever & guard_dst_bit:
-                        continue  # repopulation after desertion
-                    if nondesert_popcheck and popever & guard_dst_bit:
-                        continue  # must cover a fresh location
-                    popever = popever | guard_dst_bit
-                if desert:
-                    desertever = desertever | src_bit
-                if write_shift >= 0:
-                    wbit = 1 << write_shift
-                    if pending & wbit:
-                        continue  # overwriting an unjustified write
-                    if not (populates or desert):
-                        pending = pending | wbit
-                if read_shift >= 0:
-                    pending = pending & ~(1 << read_shift)
-                g2 = (popever, desertever, pending)
+            popever, desertever, pending = guard
+            if dst_bit:
+                now = pop & dst_bit
+            elif guard_dst_bit:
+                now = popnext & guard_dst_bit
+            else:
+                now = 1
+            populates = not now
+            if populates:
+                if desertever & guard_dst_bit:
+                    continue  # repopulation after desertion
+                if nondesert_popcheck and popever & guard_dst_bit:
+                    continue  # must cover a fresh location
+                popever = popever | guard_dst_bit
+            if desert:
+                desertever = desertever | src_bit
+            if write_shift >= 0:
+                wbit = 1 << write_shift
+                if pending & wbit:
+                    continue  # overwriting an unjustified write
+                if not (populates or desert):
+                    pending = pending | wbit
+            if read_shift >= 0:
+                pending = pending & ~(1 << read_shift)
+            g2 = (popever, desertever, pending)
             steps.append(m)
             if not private:
                 vis.append(m)
@@ -647,18 +644,17 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                 steps.pop()
                 if frame[8]:
                     vis.pop()
-            elif tick is not None and pending_ticks:
+            elif pending_ticks:
                 tick(pending_ticks)
                 pending_ticks = 0
             continue
         frames.append(child)
         pending_ticks += 1
         if child[3] == tau_len:
-            if tick is not None:
-                tick(pending_ticks)
-                pending_ticks = 0
+            tick(pending_ticks)
+            pending_ticks = 0
             yield tuple(steps), child[0] | child[1], tuple(vis)
-        elif pending_ticks >= 512 and tick is not None:
+        elif pending_ticks >= 512:
             tick(pending_ticks)
             pending_ticks = 0
 

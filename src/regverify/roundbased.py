@@ -44,10 +44,9 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 
-from .constraints import (And, ApcCandidate, ClosedLiteral, decompose_apcs,
-                          eval_prop_at, eval_roundbased, forcing_literal_sets,
-                          literal_from_atom, literal_prop,
-                          population_monotone)
+from .constraints import (And, ApcCandidate, Not, PopAt, RegAt, Term,
+                          decompose_apcs, eval_prop_at, eval_roundbased,
+                          forcing_literal_sets, ground, population_monotone)
 from .errors import CapExceeded, RegverifyError, ReplayFailure
 from .footprints import (Footprint, bridge_start, combine_footprints,
                          default_step_cap, extend_footprint, project_footprint)
@@ -73,11 +72,8 @@ def _literal_options_base(prop) -> tuple:
     pre-resolved during decomposition), so options at round k are the base
     options shifted by k.
     """
-    out = []
-    for assign in forcing_literal_sets(prop):
-        out.append(frozenset(literal_from_atom(a, v, 0)
-                             for a, v in assign.items()))
-    return tuple(out)
+    return tuple(frozenset(ground(a, v, 0) for a, v in assign.items())
+                 for assign in forcing_literal_sets(prop))
 
 
 @dataclass(frozen=True)
@@ -91,10 +87,19 @@ class _Node:
     closed: frozenset         # pending ground literals, rounds >= 0
 
 
-def _shift_term_round(lit: ClosedLiteral, delta: int) -> ClosedLiteral:
-    return ClosedLiteral(lit.kind, lit.rnd + delta, state=lit.state,
-                         reg=lit.reg, symbol=lit.symbol,
-                         positive=lit.positive)
+def _atom(lit):
+    """A ground literal's ``PopAt``/``RegAt`` atom."""
+    return lit.child if isinstance(lit, Not) else lit
+
+
+def _round(lit) -> int:
+    return _atom(lit).term.offset
+
+
+def _shift_term_round(lit, delta: int):
+    atom = _atom(lit)
+    moved = replace(atom, term=Term(False, atom.term.offset + delta))
+    return moved if lit is atom else Not(moved)
 
 
 def _onestep_branches(universal: frozenset, exist: frozenset,
@@ -137,10 +142,10 @@ def _contradictory(lits: frozenset) -> bool:
     its negation, or two symbols in one register of one round."""
     symbols: dict = {}
     for lit in lits:
-        if replace(lit, positive=not lit.positive) in lits:
+        if Not(lit) in lits:
             return True
-        if lit.kind == "reg" and lit.positive and symbols.setdefault(
-                (lit.rnd, lit.reg), lit.symbol) != lit.symbol:
+        if isinstance(lit, RegAt) and symbols.setdefault(
+                (lit.term.offset, lit.reg), lit.symbol) != lit.symbol:
             return True
     return False
 
@@ -159,19 +164,8 @@ def _refuted(cand: ApcCandidate) -> bool:
     return any(all(_contradictory(
                        cand.closed | {_shift_term_round(x, r) for x in opt})
                    for opt in _literal_options_base(u))
-               for r in {lit.rnd for lit in cand.closed}
+               for r in set(map(_round, cand.closed))
                for u in cand.universal)
-
-
-def _population_monotone(cand: ApcCandidate) -> bool:
-    """Whether every population atom in the obligations occurs positively.
-
-    Then the search may drop deserting moves altogether, by the lemma of
-    ``oracle``'s module docstring.
-    """
-    if any(lit.kind == "pop" and not lit.positive for lit in cand.closed):
-        return False
-    return all(map(population_monotone, cand.existential | cand.universal))
 
 
 def _validated(p: Protocol, psi, exec_: Execution, stats: dict) -> Verdict:
@@ -284,8 +278,11 @@ def _footprint_search(p: Protocol, psi, cands: list,
 def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             v: int, tick, work, edge_memo: dict) -> Execution | None:
     universal = cand.universal
-    # population-monotone obligations never need deserting moves
-    no_desert = _population_monotone(cand)
+    # population-monotone obligations never need deserting moves, by the
+    # lemma of ``oracle``'s module docstring; a negated ``PopAt`` literal
+    # is a non-monotone population atom
+    no_desert = all(map(population_monotone,
+                        cand.closed | cand.existential | cand.universal))
     root = _Node(0, (), cand.existential, cand.closed)
     visited: set = set()
     # each stack entry: (node, iterator over (steps, sig, child or None))
@@ -345,8 +342,8 @@ def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
            node.carried)
     if key not in memo:
         memo[key] = ([], extend_footprint(
-            p, node.carried, init_set, k, default_step_cap(p),
-            use_guard=True, tick=tick, no_desert=no_desert))
+            p, node.carried, init_set, k, default_step_cap(p), tick,
+            no_desert=no_desert))
     edges, stream = memo[key]
     for i in itertools.count():
         if i < len(edges):
@@ -378,21 +375,21 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
     branches = []
     for remaining_exist, closed2 in _onestep_branches(
             universal, node.exist, node.closed):
-        now = tuple(literal_prop(_shift_term_round(lit, now_round))
-                    for lit in closed2 if lit.rnd == 0)
+        now = tuple(_shift_term_round(lit, now_round)
+                    for lit in closed2 if _round(lit) == 0)
         test = compile_constraint(p, And(now), v) if now else None
         pending = frozenset(_shift_term_round(lit, -1)
-                            for lit in closed2 if lit.rnd > 0)
+                            for lit in closed2 if _round(lit) > 0)
         stop = None
         if not remaining_exist and all(eval_prop_at(p, EMPTY, u, 0)
                                        for u in universal):
             # a stopped shape differs from the empty configuration only in
             # round k+1's population, so other literals are decided here
             varying = {lit for lit in pending
-                       if lit.kind == "pop" and lit.rnd == 0}
-            if all(eval_prop_at(p, EMPTY, literal_prop(lit), None)
+                       if isinstance(_atom(lit), PopAt) and _round(lit) == 0}
+            if all(eval_prop_at(p, EMPTY, lit, None)
                    for lit in pending - varying):
-                stop = And((*map(literal_prop, varying), *universal))
+                stop = And((*varying, *universal))
         branches.append((remaining_exist, test, pending, stop))
     if not branches:
         return

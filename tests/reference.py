@@ -4,7 +4,7 @@ import itertools
 
 from regverify.constraints import (And, Exists, Not, Or, _collect_leaves,
                                    closed_atoms_of, forcing_literal_sets,
-                                   literal_from_atom, substitute_atoms)
+                                   ground, substitute_atoms)
 
 
 def eval_with_assignment(node, assign: dict) -> bool:
@@ -64,7 +64,7 @@ def full_quantified_entries(apc, value: bool) -> list[tuple]:
     out = []
     for bits in itertools.product((True, False), repeat=len(catoms)):
         assign = dict(zip(catoms, bits))
-        lits = frozenset(literal_from_atom(a, v, None)
+        lits = frozenset(ground(a, v, None)
                          for a, v in assign.items())
         residual = substitute_atoms(body, assign)
         forcing = forcing_literal_sets(residual)

@@ -54,6 +54,17 @@ def test_check_incompatible_algorithm(exdir, capsys, tmp_path):
     assert "single register" in err
 
 
+@pytest.mark.parametrize("problem, args", [("cover", ["--state", "qf"]),
+                                           ("prp", ["ex26_phi.pc"])])
+def test_check_rb_search_on_roundless_problem(exdir, capsys, problem, args):
+    args = [str(exdir / a) if a.endswith(".pc") else a for a in args]
+    code, out, err = run(capsys, "check", problem, str(exdir / "fig1.prot"),
+                         *args, "--algo", "rb-search")
+    assert code == 65
+    assert out == ""
+    assert "rb-search decides rbprp only" in err
+
+
 def test_malformed_constraint_number_is_bad_input(exdir, capsys, tmp_path):
     c = tmp_path / "c.pc"
     c.write_text("(reg x a)\n")

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from regverify.constraints import (And, ApcCandidate, ClosedLiteral, Exists,
-                                   Forall, Not, Or, Pop, PopAt, Reg, RegAt,
-                                   FALSE, TRUE, Term, _is_apc_leaf,
-                                   _quantified_entries,
-                                   apc_leaves, decompose_apcs, dnf_clauses,
+from regverify.constraints import (And, ApcCandidate, Exists, Forall, Not,
+                                   Or, Pop, PopAt, Reg, RegAt, FALSE, TRUE,
+                                   Term, _is_apc_leaf, _quantified_entries,
+                                   apc_leaves, closed_atoms_of,
+                                   decompose_apcs, dnf_clauses,
                                    eval_roundbased, eval_roundless,
                                    forcing_literal_sets, format_constraint,
+                                   ground,
                                    max_constant, parse_round_constraint,
                                    parse_roundless_constraint,
                                    population_monotone, prime_implicants,
@@ -231,7 +232,7 @@ def test_decompose_psi3_candidates():
     psi = rb(PROTOCOLS["fig4"], nc.text)
     cands = decompose_apcs(psi)
     E2 = PROTOCOLS["fig4"].state_id("E")
-    want_closed = ClosedLiteral("pop", 2, state=E2, positive=True)
+    want_closed = PopAt(E2, Term(False, 2))
     assert any(want_closed in c.closed and len(c.universal) == 1
                and not c.existential for c in cands)
 
@@ -318,9 +319,22 @@ def test_prime_implicants_match_truth_table(kind):
             [list(d.items()) for d in want], phi
 
 
+def _completions(apc, entry) -> list:
+    """A discharged entry as the entries of its guess's completions, in
+    guessing order, True first."""
+    lits, role, _ = entry
+    if role != "none":
+        return [entry]
+    rest = closed_atoms_of(apc.prop)[len(lits):]
+    return [(lits | {ground(a, v, None) for a, v in zip(rest, bits)},
+             "none", None)
+            for bits in itertools.product((True, False), repeat=len(rest))]
+
+
 @pytest.mark.parametrize("quantifier", [Exists, Forall])
 def test_quantified_entries_match_full_enumeration(quantifier):
-    # the pruned guess drops exactly the dead entries, keeping the order
+    # the pruned guess drops exactly the dead entries, keeping the order;
+    # a guess that already discharges the APC stands for its completions
     rng = random.Random(f"quantified-entries:{quantifier.__name__}")
     atoms = [PopAt(0, Term(False, 0)), PopAt(1, Term(True, 1)),
              RegAt(0, Term(False, 2), 1), RegAt(1, Term(True, 0), 0),
@@ -330,7 +344,9 @@ def test_quantified_entries_match_full_enumeration(quantifier):
         for value in (True, False):
             want = [e for e in full_quantified_entries(apc, value)
                     if e[1] != "dead"]
-            assert _quantified_entries(apc, value) == want, (apc, value)
+            got = [e for entry in _quantified_entries(apc, value)
+                   for e in _completions(apc, entry)]
+            assert got == want, (apc, value)
 
 
 def test_quantified_entries_prune_false_guesses():
@@ -344,6 +360,24 @@ def test_quantified_entries_prune_false_guesses():
              + " (pop s0 (+ k 0))))")
     [cand] = decompose_apcs(psi)
     assert len(cand.closed) == 20 and len(cand.existential) == 1
+
+
+def test_quantified_entries_stop_at_discharging_guesses():
+    # any one false atom discharges the negated existential: n + 1
+    # candidates, not one per complete guess (2^12)
+    p = parse_protocol("flavor: roundbased\nstates: "
+                       + " ".join(f"s{i}" for i in range(12))
+                       + "\ninitial: s0\nregisters: 1\nalphabet: d0\n"
+                       "visibility: 0\ntransitions:\n")
+    psi = rb(p, "(not (exists k (and " + " ".join(f"(pop s{i} 0)"
+                                                for i in range(12))
+             + " (pop s0 (+ k 0)))))")
+    cands = decompose_apcs(psi)
+    assert len(cands) == 13
+    [full] = [c for c in cands if c.universal]
+    assert full.closed == {PopAt(i, Term(False, 0)) for i in range(12)}
+    assert sorted(len(c.closed) for c in cands if not c.universal) == \
+        list(range(1, 13))
 
 
 def test_decompose_long_conjunction_is_one_candidate():

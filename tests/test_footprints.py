@@ -226,6 +226,10 @@ def shifted(steps, delta: int) -> tuple:
     return tuple(Move(m.trans, m.rnd + delta, m.desert) for m in steps)
 
 
+def no_tick(n: int) -> None:
+    pass
+
+
 def extensions(p, tau: Footprint, init, k: int, step_cap: int, **kw):
     """``extend_footprint`` on an absolute carried footprint on [k-v, k-1].
 
@@ -235,7 +239,7 @@ def extensions(p, tau: Footprint, init, k: int, step_cap: int, **kw):
     v = max(p.visibility or 0, 1)
     assert tau.start == bridge_start(init, k - v, k - 1)
     for steps, last, vis in extend_footprint(
-            p, shifted(tau.steps, 1 - k), init, k, step_cap, **kw):
+            p, shifted(tau.steps, 1 - k), init, k, step_cap, no_tick, **kw):
         yield (Footprint(bridge_start(init, k - v, k), shifted(steps, k)),
                last,
                Footprint(bridge_start(init, k - v + 1, k), shifted(vis, k)))
@@ -243,7 +247,7 @@ def extensions(p, tau: Footprint, init, k: int, step_cap: int, **kw):
 
 def test_enumerate_bridge_contains_write_then_increment():
     stream = extend_footprint(FIG4, (), {FIG4.state_id("q0")}, 0, 3,
-                              canonical=False)
+                              no_tick, canonical=False)
     for steps, _, _ in stream:
         kinds = [(m.trans.action.kind, m.desert) for m in steps]
         if kinds == [("write", False), ("inc", True)]:
@@ -265,7 +269,7 @@ def test_enumerate_bridge_empty_when_projection_impossible():
     init = READ_X.initial_states
     for carried, possible in [((read,), False), ((write, read), True)]:
         got = list(extend_footprint(READ_X, carried, init, 1, step_cap=2,
-                                    canonical=False))
+                                    tick=no_tick, canonical=False))
         assert bool(got) == possible
         assert all(steps[:len(carried)] == shifted(carried, -1)
                    for steps, _, _ in got)
@@ -273,7 +277,8 @@ def test_enumerate_bridge_empty_when_projection_impossible():
 
 def test_enumerate_bridge_cap_zero_keeps_stepless_extension():
     q0 = FIG4.state_id("q0")
-    fps = list(extend_footprint(FIG4, (), {q0}, 1, 0, canonical=False))
+    fps = list(extend_footprint(FIG4, (), {q0}, 1, 0, no_tick,
+                                canonical=False))
     assert len(fps) == 1
     steps, last, vis = fps[0]
     assert steps == vis == ()
@@ -333,8 +338,7 @@ def test_last_code_decodes_to_final_local_configuration(case):
         base = max(k - v, 0)
         carried = []
         for tau in taus:
-            for fp, last, vis in extensions(p, tau, init, k, 6,
-                                            use_guard=True):
+            for fp, last, vis in extensions(p, tau, init, k, 6):
                 final = footprint_configs(p, fp)[-1]
                 got = decode(last)
                 assert got.pop == {(q, r - base) for q, r in final.pop}

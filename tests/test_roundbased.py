@@ -235,10 +235,16 @@ def test_fuzz_seed_refuted_by_universal_costs_no_ticks():
     assert v.stats == {"ticks": 0, "nodes": 0, "route": "footprints"}
 
 
-def test_contradictory_branch_dropped_before_its_round():
-    # the universal at round 0 asks E@3 empty, against the literal E@3; the
-    # branch is dropped at the root node, three rounds before E@3 is probed
-    psi = rb(FIG4, "(and (pop E 3) (forall k (not (pop E (+ k 3)))))")
+@pytest.mark.parametrize("text", [
+    "(and (pop E 3) (forall k (not (pop E (+ k 3)))))",
+    "(and (reg 1 3 a) (forall k (reg 1 (+ k 3) b)))",
+    "(and (reg 1 3 a) (forall k (not (reg 1 (+ k 3) a))))",
+], ids=["pop", "reg-symbols", "reg-negation"])
+def test_contradictory_branch_dropped_before_its_round(text):
+    # the universal at round 0 asks of round 3 the opposite of the ground
+    # literal (E@3 empty, or register 1 at round 3 holding another symbol);
+    # the branch is dropped at the root node, three rounds before round 3
+    psi = rb(FIG4, text)
     v = solve_prp_roundbased(FIG4, psi)
     assert v.answer == "negative"
     assert v.stats["ticks"] == 0
