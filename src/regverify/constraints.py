@@ -25,6 +25,7 @@ from .model import Protocol
 from .semantics import (AbstractConfig, ConcreteConfig, project, reg_get)
 
 MAX_TERM_CONSTANT = 64  # terms are unary-bounded; keep them desk-sized
+MAX_NESTING = 100  # parenthesis depth; evaluation recurses once per level
 
 
 # --- AST ----------------------------------------------------------------------
@@ -98,32 +99,32 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _read_sexpr(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise ConstraintSyntaxError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read_sexpr(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise ConstraintSyntaxError("missing closing parenthesis")
-        return items, pos + 1
-    if tok == ")":
-        raise ConstraintSyntaxError("unexpected ')'")
-    return tok, pos + 1
-
-
 def _parse_sexpr(text: str):
+    """Nested lists of tokens; at most ``MAX_NESTING`` open parentheses."""
     tokens = _tokenize(text)
     if not tokens:
         raise ConstraintSyntaxError("empty constraint")
-    expr, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise ConstraintSyntaxError("trailing input after constraint")
-    return expr
+    stack: list[list] = []  # the open lists, outermost first
+    for pos, tok in enumerate(tokens):
+        if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise ConstraintSyntaxError(
+                    f"constraint nests deeper than {MAX_NESTING} parentheses")
+            stack.append([])
+            continue
+        if tok == ")":
+            if not stack:
+                raise ConstraintSyntaxError("unexpected ')'")
+            item = stack.pop()
+        else:
+            item = tok
+        if stack:
+            stack[-1].append(item)
+        elif pos + 1 < len(tokens):
+            raise ConstraintSyntaxError("trailing input after constraint")
+        else:
+            return item
+    raise ConstraintSyntaxError("missing closing parenthesis")
 
 
 def parse_roundless_constraint(text: str, p: Protocol):

@@ -24,7 +24,7 @@ WRITE = "write"
 INC = "inc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """One transition label.
 
@@ -40,7 +40,7 @@ class Action:
     depth: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     source: int
     action: Action
@@ -166,54 +166,51 @@ _HEADER_KEYS = ("flavor", "states", "initial", "registers", "alphabet",
                 "visibility")
 
 
-def _split_tokens(s: str) -> list[str]:
-    return s.split()
+def _register_index(tok: str, reg_count: int, lineno: int) -> int:
+    try:
+        j = int(tok)
+    except ValueError:
+        raise ProtocolSyntaxError(f"bad register index {tok!r}", lineno)
+    if not 1 <= j <= reg_count:
+        raise ProtocolSemanticError(
+            f"line {lineno}: register {j} out of range 1..{reg_count}")
+    return j - 1
+
+
+def _symbol_index(tok: str, symbol_ids: dict, lineno: int) -> int:
+    sym = symbol_ids.get(tok)
+    if sym is None:
+        raise ProtocolSemanticError(f"line {lineno}: unknown symbol {tok!r}")
+    return sym
 
 
 def _parse_action(text: str, flavor: str, reg_count: int, visibility: int,
                   symbol_ids: dict, lineno: int) -> Action:
-    text = text.strip()
+    """The action written as ``text``, which has no outer whitespace."""
     if text == INC:
         if flavor != ROUNDBASED:
             raise ProtocolSyntaxError("inc is round-based only", lineno)
         return Action(INC)
-    for kind in (READ, WRITE):
-        if text.startswith(kind + "(") and text.endswith(")"):
-            args = [a.strip() for a in text[len(kind) + 1:-1].split(",")]
-            break
-    else:
+    kind, _, body = text.partition("(")
+    if kind not in (READ, WRITE) or body[-1:] != ")":
         raise ProtocolSyntaxError(f"cannot parse action {text!r}", lineno)
-
-    def reg_of(tok: str) -> int:
-        try:
-            j = int(tok)
-        except ValueError:
-            raise ProtocolSyntaxError(f"bad register index {tok!r}", lineno)
-        if not 1 <= j <= reg_count:
-            raise ProtocolSemanticError(
-                f"line {lineno}: register {j} out of range 1..{reg_count}")
-        return j - 1
-
-    def sym_of(tok: str) -> int:
-        if tok not in symbol_ids:
-            raise ProtocolSemanticError(
-                f"line {lineno}: unknown symbol {tok!r}")
-        return symbol_ids[tok]
+    args = [a.strip() for a in body[:-1].split(",")]
 
     if kind == WRITE:
         if len(args) != 2:
             raise ProtocolSyntaxError("write takes (register, symbol)", lineno)
-        sym = sym_of(args[1])
+        sym = _symbol_index(args[1], symbol_ids, lineno)
         if sym == D0:
             raise ProtocolSemanticError(
                 f"line {lineno}: write of initial symbol {args[1]!r}")
-        return Action(WRITE, reg=reg_of(args[0]), symbol=sym)
+        return Action(WRITE, _register_index(args[0], reg_count, lineno), sym)
 
     if flavor == ROUNDLESS:
         if len(args) != 2:
             raise ProtocolSyntaxError(
                 "roundless read takes (register, symbol)", lineno)
-        return Action(READ, reg=reg_of(args[0]), symbol=sym_of(args[1]))
+        return Action(READ, _register_index(args[0], reg_count, lineno),
+                      _symbol_index(args[1], symbol_ids, lineno))
 
     if len(args) != 3:
         raise ProtocolSyntaxError(
@@ -226,24 +223,25 @@ def _parse_action(text: str, flavor: str, reg_count: int, visibility: int,
     except ValueError:
         raise ProtocolSyntaxError(
             f"read depth must be 0 or negative, got {args[0]!r}", lineno)
-    if depth < 0 or depth > visibility:
+    if depth > visibility:
         raise ProtocolSemanticError(
             f"line {lineno}: read depth {depth} out of range 0..{visibility}")
-    return Action(READ, reg=reg_of(args[1]), symbol=sym_of(args[2]),
-                  depth=depth)
+    return Action(READ, _register_index(args[1], reg_count, lineno),
+                  _symbol_index(args[2], symbol_ids, lineno), depth)
 
 
 def parse_protocol(text: str) -> Protocol:
-    """Parse the line-oriented protocol format (see package README)."""
+    """Parse the line-oriented protocol format (see package README).
+
+    Each distinct action text is parsed once per call; a bad one raises at
+    its first line.
+    """
+    lines = text.splitlines()
     header: dict[str, tuple[str, int]] = {}
-    trans_lines: list[tuple[str, int]] = []
-    in_transitions = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    body_start = len(lines)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            continue
-        if in_transitions:
-            trans_lines.append((line, lineno))
             continue
         if ":" not in line:
             raise ProtocolSyntaxError("expected 'key: value'", lineno)
@@ -253,8 +251,8 @@ def parse_protocol(text: str) -> Protocol:
             if value.strip():
                 raise ProtocolSyntaxError(
                     "transitions header takes no value", lineno)
-            in_transitions = True
-            continue
+            body_start = lineno
+            break
         if key not in _HEADER_KEYS:
             raise ProtocolSyntaxError(f"unknown key {key!r}", lineno)
         if key in header:
@@ -275,14 +273,14 @@ def parse_protocol(text: str) -> Protocol:
         raise ProtocolSyntaxError("roundless protocol must not set visibility",
                                   header["visibility"][1])
 
-    state_names = tuple(_split_tokens(header["states"][0]))
+    state_names = tuple(header["states"][0].split())
     if not state_names:
         raise ProtocolSyntaxError("no states declared", header["states"][1])
     if len(set(state_names)) != len(state_names):
         raise ProtocolSemanticError("duplicate state name in declaration")
     state_ids = {n: i for i, n in enumerate(state_names)}
 
-    symbol_names = tuple(_split_tokens(header["alphabet"][0]))
+    symbol_names = tuple(header["alphabet"][0].split())
     if not symbol_names:
         raise ProtocolSyntaxError("empty alphabet", header["alphabet"][1])
     if len(set(symbol_names)) != len(symbol_names):
@@ -290,7 +288,7 @@ def parse_protocol(text: str) -> Protocol:
     symbol_ids = {n: i for i, n in enumerate(symbol_names)}
 
     initial = []
-    for tok in _split_tokens(header["initial"][0]):
+    for tok in header["initial"][0].split():
         if tok not in state_ids:
             raise ProtocolSemanticError(
                 f"line {header['initial'][1]}: unknown initial state {tok!r}")
@@ -314,26 +312,31 @@ def parse_protocol(text: str) -> Protocol:
         if visibility < 0:
             raise ProtocolSemanticError("visibility must be >= 0")
 
+    actions: dict[str, Action] = {}
     transitions = []
-    for line, lineno in trans_lines:
+    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         toks = line.split(None, 1)
-        if len(toks) != 2 or " " not in toks[1].strip():
+        if len(toks) != 2 or " " not in toks[1]:
             raise ProtocolSyntaxError("expected 'source action dest'", lineno)
-        src_tok = toks[0]
-        rest = toks[1].strip()
-        act_text, _, dst_tok = rest.rpartition(" ")
-        act_text = act_text.strip()
-        dst_tok = dst_tok.strip()
-        if not act_text:
-            raise ProtocolSyntaxError("expected 'source action dest'", lineno)
-        for tok, role in ((src_tok, "source"), (dst_tok, "destination")):
-            if tok not in state_ids:
-                raise ProtocolSemanticError(
-                    f"line {lineno}: unknown {role} state {tok!r}")
-        action = _parse_action(act_text, flavor, reg_count, visibility or 0,
-                               symbol_ids, lineno)
-        transitions.append(Transition(state_ids[src_tok], action,
-                                      state_ids[dst_tok]))
+        act_text, _, dst_tok = toks[1].rpartition(" ")
+        act_text, dst_tok = act_text.strip(), dst_tok.strip()
+        src = state_ids.get(toks[0])
+        if src is None:
+            raise ProtocolSemanticError(
+                f"line {lineno}: unknown source state {toks[0]!r}")
+        dst = state_ids.get(dst_tok)
+        if dst is None:
+            raise ProtocolSemanticError(
+                f"line {lineno}: unknown destination state {dst_tok!r}")
+        action = actions.get(act_text)
+        if action is None:
+            action = actions[act_text] = _parse_action(
+                act_text, flavor, reg_count, visibility or 0, symbol_ids,
+                lineno)
+        transitions.append(Transition(src, action, dst))
 
     return Protocol(flavor=flavor, state_names=state_names,
                     initial_states=frozenset(initial),

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from regverify.cli import main
+from regverify.constraints import MAX_NESTING
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
 
@@ -74,6 +75,42 @@ def test_malformed_constraint_number_is_bad_input(exdir, capsys, tmp_path):
     assert out == ""
     assert "bad register" in err
 
+
+
+_ONE_STATE = {"prp": ("flavor: roundless\n", "(pop q0)"),
+              "rbprp": ("flavor: roundbased\nvisibility: 0\n", "(pop q0 0)")}
+
+
+@pytest.mark.parametrize("problem", sorted(_ONE_STATE))
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1000])
+def test_constraint_past_nesting_cap_is_bad_input(capsys, tmp_path, problem,
+                                                  depth):
+    prot, c = _nested_constraint(tmp_path, problem, depth - 1)
+    code, out, err = run(capsys, "check", problem, str(prot), str(c))
+    assert code == 70
+    assert out == ""
+    assert err.startswith("error: bad constraint")
+    assert f"deeper than {MAX_NESTING} parentheses" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem", sorted(_ONE_STATE))
+def test_constraint_at_nesting_cap_is_answered(capsys, tmp_path, problem):
+    # an odd number of negations around (pop q0): negative
+    prot, c = _nested_constraint(tmp_path, problem, MAX_NESTING - 1)
+    code, out, _ = run(capsys, "check", problem, str(prot), str(c))
+    assert code == 1
+    assert json.loads(out)["answer"] == "negative"
+
+
+def _nested_constraint(tmp_path, problem, negations):
+    head, atom = _ONE_STATE[problem]
+    prot = tmp_path / "one.prot"
+    prot.write_text(head + "states: q0\ninitial: q0\nregisters: 1\n"
+                    "alphabet: d0\ntransitions:\n")
+    c = tmp_path / "deep.pc"
+    c.write_text("(not " * negations + atom + ")" * negations + "\n")
+    return prot, c
 
 def test_check_usage_error(capsys):
     code, _, _ = run(capsys, "check", "cover", "/nonexistent.prot")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from regverify.constraints import (And, ApcCandidate, Exists, Forall, Not,
+from regverify.constraints import (MAX_NESTING, And, ApcCandidate, Exists, Forall, Not,
                                    Or, Pop, PopAt, Reg, RegAt, FALSE, TRUE,
                                    Term, _is_apc_leaf, _quantified_entries,
                                    apc_leaves, closed_atoms_of,
@@ -155,6 +155,37 @@ def test_parse_errors():
                  "(exists k (reg x (+ k 0) a))"):
         with pytest.raises(ConstraintSyntaxError):
             rb(EX42, text)
+
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty constraint"),
+    ("  ; only a comment", "empty constraint"),
+    (")", "unexpected ')'"),
+    ("(pop qf", "missing closing parenthesis"),
+    ("(and (pop qf)", "missing closing parenthesis"),
+    ("(pop qf))", "trailing input after constraint"),
+    ("(pop qf) (pop q0)", "trailing input after constraint"),
+    ("true false", "trailing input after constraint"),
+])
+def test_sexpr_errors(text, message):
+    with pytest.raises(ConstraintSyntaxError) as info:
+        rl(FIG1, text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parse, atom", [
+    (lambda text: rl(FIG1, text), "(pop qf)"),
+    (lambda text: rb(EX42, text), "(pop q0 0)")], ids=["roundless", "round"])
+def test_nesting_cap(parse, atom):
+    def negated(n):  # n + 1 nested parentheses
+        return "(not " * n + atom + ")" * n
+    assert parse(negated(MAX_NESTING - 1)) == Not(
+        parse(negated(MAX_NESTING - 2)))
+    for n in (MAX_NESTING, 1000):
+        with pytest.raises(ConstraintSyntaxError,
+                           match=f"deeper than {MAX_NESTING} parentheses"):
+            parse(negated(n))
 
 
 def test_format_roundtrip():

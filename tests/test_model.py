@@ -1,6 +1,7 @@
 """Protocol type, parser, serializer and validation tests."""
 
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,8 @@ from regverify.model import (Action, Protocol, READ, Transition, is_uninitialize
                              parse_protocol, serialize_protocol, validate)
 from regverify.reductions import (CnfFormula, builtin_examples,
                                   sat_to_uninit_target)
+
+from generators import random_protocol, random_rb_protocol
 
 PROTOCOLS, _ = builtin_examples()
 
@@ -117,3 +120,139 @@ def test_uninitialized_monotone_under_transition_removal():
                            visibility=p.visibility, transitions=keep)
             if is_uninitialized(p):
                 assert is_uninitialized(sub)
+
+
+# Headers of two small protocols; their first transition line is line 7 (R)
+# and line 8 (B).
+_R = ("flavor: roundless\nstates: q0 q1\ninitial: q0\nregisters: 2\n"
+      "alphabet: d0 a b\ntransitions:\n")
+_B = ("flavor: roundbased\nstates: q0 q1\ninitial: q0\nregisters: 2\n"
+      "alphabet: d0 a b\nvisibility: 1\ntransitions:\n")
+_SYN, _SEM = ProtocolSyntaxError, ProtocolSemanticError
+
+# (id, text, exception type, message, line).  A syntax error carries its line
+# as an attribute; a semantic error cites it in the message, when it has one.
+PARSE_ERRORS = [
+    ("no-colon", "flavor: roundless\nstates q0\n",
+     _SYN, "expected 'key: value'", 2),
+    ("missing-key", _R.replace("registers: 2\n", ""),
+     _SYN, "missing key 'registers'", 0),
+    ("unknown-key", "colour: red\n" + _R, _SYN, "unknown key 'colour'", 1),
+    ("duplicate-key", "flavor: roundless\n" + _R,
+     _SYN, "duplicate key 'flavor'", 2),
+    ("transitions-with-value", _R.replace("transitions:", "transitions: q0"),
+     _SYN, "transitions header takes no value", 6),
+    ("bad-flavor", _R.replace("roundless", "hybrid"),
+     _SYN, "flavor must be roundless or roundbased, got 'hybrid'", 1),
+    ("roundbased-without-visibility", _B.replace("visibility: 1\n", ""),
+     _SYN, "round-based protocol needs visibility", 0),
+    ("roundless-with-visibility", "visibility: 1\n" + _R,
+     _SYN, "roundless protocol must not set visibility", 1),
+    ("no-states", _R.replace("states: q0 q1", "states:"),
+     _SYN, "no states declared", 2),
+    ("duplicate-state", _R.replace("q0 q1", "q0 q0"),
+     _SEM, "duplicate state name in declaration", None),
+    ("empty-alphabet", _R.replace("alphabet: d0 a b", "alphabet:"),
+     _SYN, "empty alphabet", 5),
+    ("duplicate-symbol", _R.replace("d0 a b", "d0 a a"),
+     _SEM, "duplicate symbol name in declaration", None),
+    ("unknown-initial", _R.replace("initial: q0", "initial: q0 q9"),
+     _SEM, "unknown initial state 'q9'", 3),
+    ("registers-not-integer", _R.replace("registers: 2", "registers: two"),
+     _SYN, "registers must be an integer", 4),
+    ("registers-zero", _R.replace("registers: 2", "registers: 0"),
+     _SEM, "register count must be >= 1", None),
+    ("visibility-not-integer", _B.replace("visibility: 1", "visibility: v"),
+     _SYN, "visibility must be an integer", 6),
+    ("visibility-negative", _B.replace("visibility: 1", "visibility: -1"),
+     _SEM, "visibility must be >= 0", None),
+    ("transition-one-field", _R + "  q0\n",
+     _SYN, "expected 'source action dest'", 7),
+    ("transition-two-fields", _R + "q0 write(1,a)\n",
+     _SYN, "expected 'source action dest'", 7),
+    ("header-after-transitions", _R + "flavor: roundless\n",
+     _SYN, "expected 'source action dest'", 7),
+    ("unknown-source", _R + "q0 write(1, a) q1\nqx write(1, a) q1\n",
+     _SEM, "unknown source state 'qx'", 8),
+    ("unknown-destination", _R + "q0 write(1, a) qx\n",
+     _SEM, "unknown destination state 'qx'", 7),
+    ("source-before-action", _R + "qx jump q1\n",
+     _SEM, "unknown source state 'qx'", 7),
+    ("inc-in-roundless", _R + "q0 inc q1\n",
+     _SYN, "inc is round-based only", 7),
+    ("unparseable-action", _R + "q0 jump(1, a) q1\n",
+     _SYN, "cannot parse action 'jump(1, a)'", 7),
+    ("space-before-parenthesis", _R + "q0 write (1, a) q1\n",
+     _SYN, "cannot parse action 'write (1, a)'", 7),
+    ("bad-action-twice", _R + "q0 write(1, a) q1\nq0 jump q1\n"
+     "q1 write(1, a) q0\nq0 jump q1\n",
+     _SYN, "cannot parse action 'jump'", 8),
+    ("bad-register", _R + "q0 write(x, a) q1\n",
+     _SYN, "bad register index 'x'", 7),
+    ("register-out-of-range", _R + "q0 read(3, a) q1\n",
+     _SEM, "register 3 out of range 1..2", 7),
+    ("unknown-symbol", _R + "q0 read(1, z) q1\n",
+     _SEM, "unknown symbol 'z'", 7),
+    ("write-symbol-before-register", _R + "q0 write(x, z) q1\n",
+     _SEM, "unknown symbol 'z'", 7),
+    ("write-arity", _R + "q0 write(1) q1\n",
+     _SYN, "write takes (register, symbol)", 7),
+    ("write-d0", _R + "q0 write(1, d0) q1\n",
+     _SEM, "write of initial symbol 'd0'", 7),
+    ("roundless-read-arity", _R + "q0 read(0, 1, a) q1\n",
+     _SYN, "roundless read takes (register, symbol)", 7),
+    ("roundbased-read-arity", _B + "q0 read(1, a) q1\n",
+     _SYN, "round-based read takes (-depth, register, symbol)", 8),
+    ("positive-depth", _B + "q0 read(1, 1, a) q1\n",
+     _SYN, "read depth must be 0 or negative, got '1'", 8),
+    ("non-integer-depth", _B + "q0 read(x, 1, a) q1\n",
+     _SYN, "read depth must be 0 or negative, got 'x'", 8),
+    ("depth-above-visibility", _B + "q0 inc q1\nq1 read(-2, 1, a) q0\n",
+     _SEM, "read depth 2 out of range 0..1", 9),
+]
+
+
+@pytest.mark.parametrize("text, exc, message, line",
+                         [case[1:] for case in PARSE_ERRORS],
+                         ids=[case[0] for case in PARSE_ERRORS])
+def test_parse_error_type_message_and_line(text, exc, message, line):
+    with pytest.raises(exc) as info:
+        parse_protocol(text)
+    e = info.value
+    assert type(e) is exc
+    if exc is ProtocolSyntaxError:
+        assert (e.line, str(e)) == (line, f"line {line}, col 0: {message}")
+    else:
+        assert str(e) == (message if line is None
+                          else f"line {line}: {message}")
+
+
+
+def _noisy(text: str, rng: random.Random) -> str:
+    """``text`` with blank lines, trailing comments and extra spaces, in the
+    places the format ignores them."""
+    out = []
+    for line in text.splitlines():
+        if rng.random() < 0.3:
+            out.append(rng.choice(["", "   ", "# a comment: (not) a line"]))
+        line = re.sub(r"([(,])", lambda m: m.group(1) + " " * rng.randrange(3),
+                      line)
+        line = line.replace(")", " " * rng.randrange(3) + ")")
+        line = line.replace(" ", " " * rng.randrange(1, 3))
+        if rng.random() < 0.5:
+            line += " " * rng.randrange(3) + "# read(9, zz) q9 :"
+        out.append(line)
+    return "\n".join(out)
+
+
+@pytest.mark.parametrize("make", [random_protocol, random_rb_protocol],
+                         ids=["roundless", "roundbased"])
+def test_roundtrip_random(make):
+    for seed in range(200):
+        rng = random.Random(seed)
+        p = make(rng)
+        text = serialize_protocol(p)
+        assert parse_protocol(text) == p
+        noisy = _noisy(text, rng)
+        assert noisy != text
+        assert parse_protocol(noisy) == p, noisy
