@@ -60,8 +60,14 @@ class Protocol:
     symbol_ids: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        self.state_ids.update({n: i for i, n in enumerate(self.state_names)})
-        self.symbol_ids.update({n: i for i, n in enumerate(self.symbol_names)})
+        # ``parse_protocol`` passes the maps it built; a protocol built from
+        # the name tuples alone gets them here
+        if not self.state_ids:
+            self.state_ids.update(
+                {n: i for i, n in enumerate(self.state_names)})
+        if not self.symbol_ids:
+            self.symbol_ids.update(
+                {n: i for i, n in enumerate(self.symbol_names)})
 
     @property
     def num_states(self) -> int:
@@ -341,7 +347,8 @@ def parse_protocol(text: str) -> Protocol:
     return Protocol(flavor=flavor, state_names=state_names,
                     initial_states=frozenset(initial),
                     register_count=reg_count, symbol_names=symbol_names,
-                    transitions=tuple(transitions), visibility=visibility)
+                    transitions=tuple(transitions), visibility=visibility,
+                    state_ids=state_ids, symbol_ids=symbol_ids)
 
 
 def format_action(p: Protocol, a: Action) -> str:

@@ -8,16 +8,20 @@ instances beyond their caps.  The oracle stops at the first configuration
 that satisfies the constraint, so its space cap bounds the configurations
 discovered before a verdict, not the whole reach set.
 
-Both flavors run one packed step relation: a roundless protocol is the
-round-0 case of a round window.  The search stays on integer codes: the
-constraint is compiled to bit probes on the code, and only a witness's own
-codes are decoded.  Every positive is replayed, and its final configuration
-is checked by the reference evaluators ``eval_roundless`` and
-``eval_roundbased``.  The roundless ``bounded`` solver runs this same search
-and probe, cut at depth 4|Q| and without caps, so its agreement with the
-oracle checks neither the step relation nor the probe; the tests check the
-relation against ``semantics.abstract_successors`` and ``abstract_step``,
-and the probe against the evaluators.
+Both flavors run one search loop, ``bfs``, over one packed step table
+(``packed``): a roundless protocol is the round-0 case of a round window.
+The search stays on integer codes.  Each table entry is enabled by one
+mask test, which covers its source's population bit and a read's symbol
+field together, and makes its step by one mask and one or; the constraint
+is compiled to bit probes on the code, and only a witness's own codes are
+decoded.  Every positive is replayed, and its final configuration is
+checked by the reference evaluators ``eval_roundless`` and
+``eval_roundbased``.  The roundless ``bounded`` solver and the round window
+of ``roundbased`` run this same loop, table and probe, so their agreement
+with the oracle checks neither the table nor the probe.  The tests check
+the table against a reference search over ``semantics.abstract_successors``
+(members, their order and parent links) and ``abstract_step``, and the
+probe against the evaluators.
 
 Desertion never helps a population-monotone constraint, one whose
 population atoms all occur under an even number of negations
@@ -107,43 +111,54 @@ class ReachSet:
         return Execution(self.config(code), tuple(moves))
 
 
-def bfs(starts, successors, decode, space_cap: float = float("inf"),
+def bfs(starts, table, decode, space_cap: float = float("inf"),
         sat=None, max_depth: int | None = None) -> ReachSet:
     """Breadth-first search over configuration codes, one level at a time.
 
-    ``starts`` yields the initial codes, ``successors(code)`` yields
-    ``(move, code)`` pairs and ``decode`` turns a code into its
-    configuration.  ``sat`` is tested on each code as it is first
-    discovered and stops the search at the first hit; the search itself
-    decodes nothing.  Configurations at depth ``max_depth`` are discovered
-    but not expanded.  Discovering more than ``space_cap`` codes, starts
-    included, raises ``CapExceeded``.
+    ``starts`` yields the initial codes, ``table()`` returns the step
+    entries and ``decode`` turns a code into its configuration.  An entry
+    ``(mask, want, keep, add, move)`` is enabled on ``code`` when ``code &
+    mask == want`` and then leads to ``code & keep | add``.  Each level's
+    codes are expanded in discovery order, each by the entries in table
+    order.  ``sat`` is tested on each code as it is first discovered and
+    stops the search at the first hit; the search itself decodes nothing.
+    Configurations at depth ``max_depth`` are discovered but not expanded.
+    Discovering more than ``space_cap`` codes, starts included, raises
+    ``CapExceeded``.
     """
     rs = ReachSet(decode)
     links = rs.links
-    frontier: list = []  # codes discovered at the current depth
-
-    def discover(code, link) -> bool:
-        if len(links) >= space_cap:
-            raise CapExceeded(f"reach set exceeds {space_cap} configurations")
-        links[code] = link
-        frontier.append(code)
-        if sat is not None and sat(code):
-            rs.hit_code = code
-            return True
-        return False
-
+    room = space_cap  # codes that may still be discovered
+    refusal = f"reach set exceeds {space_cap} configurations"
+    frontier = []  # codes discovered at the current depth
     for code in starts:
-        if code not in links and discover(code, None):
-            return rs
+        if code not in links:
+            if room <= 0:
+                raise CapExceeded(refusal)
+            room -= 1
+            links[code] = None
+            frontier.append(code)
+            if sat is not None and sat(code):
+                rs.hit_code = code
+                return rs
+    entries = table()  # built only once no start is a hit
     depth = 0
     while frontier and depth != max_depth:
         depth += 1
-        level, frontier = frontier, []  # discover() appends to the new list
+        level, frontier = frontier, []
         for code in level:
-            for move, succ in successors(code):
-                if succ not in links and discover(succ, (code, move)):
-                    return rs
+            for mask, want, keep, add, move in entries:
+                if code & mask == want:
+                    succ = code & keep | add
+                    if succ not in links:
+                        if room <= 0:
+                            raise CapExceeded(refusal)
+                        room -= 1
+                        links[succ] = code, move
+                        frontier.append(succ)
+                        if sat is not None and sat(succ):
+                            rs.hit_code = succ
+                            return rs
     return rs
 
 
@@ -168,15 +183,22 @@ def layout(p: Protocol, max_round: int):
 
 
 def packed(p: Protocol, max_round: int = 0, no_desert: bool = False):
-    """``(starts, successors, decode)`` for ``bfs`` on packed integer codes.
+    """``(starts, table, decode)`` for ``bfs`` on packed integer codes.
 
     A code holds one symbol field per (round, register) and one population
     bit per (round, state), laid out by ``layout``, for rounds 0 to
     ``max_round`` of a round-based protocol; a roundless one has round 0
-    only.  Successors come per transition and round, keep variant first,
-    then desert, as in ``semantics.abstract_successors``: an increment at
-    ``max_round`` and a read below round 0 are not generated.  With
-    ``no_desert`` the desert variants are not generated either.
+    only.  ``table()`` builds the step entries, per transition and round,
+    keep variant first, then desert, as in ``semantics.abstract_successors``:
+    an increment at ``max_round`` and a read below round 0 get none, and
+    with ``no_desert`` there are no desert entries.
+
+    An entry's enabling test merges the source's population bit ``src`` into
+    a read's symbol test ``(test, want)``: the two cover disjoint bits, so
+    ``code & (src | test) == src | want`` holds exactly when the source is
+    populated and the register holds the symbol read.  ``keep`` clears a
+    write's field, and a desert entry's also clears ``src``; ``add`` sets
+    the symbol written and the destination's bit.
     """
     rb = p.flavor == ROUNDBASED
     rounds, pop, slot, sym_mask = layout(p, max_round)
@@ -185,36 +207,27 @@ def packed(p: Protocol, max_round: int = 0, no_desert: bool = False):
     keys = [(r, j) for r in range(rounds) for j in range(p.register_count)]
     shifts = [slot(r, j) for r, j in keys]
 
-    def table():
+    def table() -> list:
+        entries = []
         for t in p.transitions:
             a, depth = t.action, t.action.depth or 0
             for r in range(rounds):
                 if r < depth or a.kind == INC and r == max_round:
                     continue
-                test = want = put = 0
-                keep = -1
+                src = mask = want = pop(t.source, r)
+                keep, add = -1, pop(t.dest, r + (a.kind == INC))
                 if a.kind == READ:
                     at = slot(r - depth, a.reg)
-                    test, want = sym_mask << at, a.symbol << at
+                    mask, want = src | sym_mask << at, src | a.symbol << at
                 elif a.kind == WRITE:
                     at = slot(r, a.reg)
-                    keep, put = ~(sym_mask << at), a.symbol << at
+                    keep, add = ~(sym_mask << at), add | a.symbol << at
                 rnd = r if rb else None
-                yield (pop(t.source, r), pop(t.dest, r + (a.kind == INC)),
-                       test, want, keep, put,
-                       Move(t, rnd, False), Move(t, rnd, True))
-
-    ops = []  # built at the first expansion: many searches hit at a start
-
-    def successors(code: int):
-        if not ops:
-            ops.extend(table())
-        for src, dst, test, want, keep, put, stay, desert in ops:
-            if code & src and code & test == want:
-                base = code & keep | put
-                yield stay, base | dst
+                entries.append((mask, want, keep, add, Move(t, rnd, False)))
                 if not no_desert:
-                    yield desert, base & ~src | dst
+                    entries.append((mask, want, keep & ~src, add,
+                                    Move(t, rnd, True)))
+        return entries
 
     def decode(code: int) -> AbstractConfig:
         where = frozenset(loc for loc, bit in locs if code & bit)
@@ -227,7 +240,7 @@ def packed(p: Protocol, max_round: int = 0, no_desert: bool = False):
     # lazy: a search that hits early never encodes the remaining supports
     starts = (sum(pop(q, 0) for q in support)
               for support in initial_supports(p))
-    return starts, successors, decode
+    return starts, table, decode
 
 
 def compile_constraint(p: Protocol, psi, max_round: int = 0):

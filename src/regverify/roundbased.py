@@ -4,7 +4,7 @@ A protocol whose control graph, read from the initial states with guards
 ignored, has no cycle through an increment keeps every process at round B or
 below, B the most increments on a path from an initial state
 (``_round_bound``).  Such a protocol is a roundless one over Q x [0, B] with
-(B+1)·r registers: the oracle's packed round window at B is its complete
+(B+1)·r registers: the oracle's packed step table at B is its complete
 step relation, since no increment is generated at round B, and the compiled
 constraint reads every round past B as the empty tail.  These protocols are
 searched breadth-first on that window, one tick per discovered

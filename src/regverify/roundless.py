@@ -37,7 +37,7 @@ def witness_bound(p: Protocol) -> int:
 def solve_prp_bounded(p: Protocol, phi) -> Verdict:
     """Decide PRP by breadth-first search to depth 4|Q|, which is complete.
 
-    Runs the oracle's search on its packed step relation and compiled
+    Runs the oracle's search loop on its packed step table and compiled
     constraint without its caps, so a positive carries the oracle's shortest
     witness, at most 4|Q| steps long.  For a population-monotone constraint
     both make no deserting move: a desert-free witness as short as any

@@ -5,6 +5,8 @@ import itertools
 from regverify.constraints import (And, Exists, Not, Or, _collect_leaves,
                                    closed_atoms_of, forcing_literal_sets,
                                    ground, substitute_atoms)
+from regverify.errors import CapExceeded
+from regverify.oracle import ReachSet
 
 
 def eval_with_assignment(node, assign: dict) -> bool:
@@ -75,3 +77,37 @@ def full_quantified_entries(apc, value: bool) -> list[tuple]:
         else:
             out.append((lits, role, residual))
     return out
+
+
+def bfs(starts, successors, space_cap: float = float("inf"),
+        max_depth: int | None = None) -> ReachSet:
+    """``oracle.bfs`` over explicit configurations and a successor function.
+
+    ``successors(c)`` yields ``(move, successor)`` pairs.  Each level's
+    configurations are expanded in discovery order, each by its successors
+    in the order given; configurations at depth ``max_depth`` are not
+    expanded, and discovering more than ``space_cap``, starts included,
+    raises ``CapExceeded``.
+    """
+    rs = ReachSet(lambda c: c)
+    links = rs.links
+
+    def discover(pairs) -> list:
+        """The configurations of ``(c, link)`` pairs first seen, in order."""
+        new = []
+        for c, link in pairs:
+            if c not in links:
+                if len(links) >= space_cap:
+                    raise CapExceeded(
+                        f"reach set exceeds {space_cap} configurations")
+                links[c] = link
+                new.append(c)
+        return new
+
+    level = discover((c, None) for c in starts)
+    depth = 0
+    while level and depth != max_depth:
+        depth += 1
+        level = discover((succ, (c, move)) for c in level
+                         for move, succ in successors(c))
+    return rs

@@ -72,6 +72,25 @@ def test_serialization_is_bit_stable():
         parse_protocol(serialize_protocol(p)))
 
 
+def test_name_maps_on_both_construction_paths():
+    # the parser hands its two maps to the protocol; a protocol built from
+    # the name tuples alone, as reductions and the generators build them,
+    # gets them from the constructor
+    parsed = PROTOCOLS["fig1"]
+    direct = Protocol(flavor=parsed.flavor, state_names=parsed.state_names,
+                      initial_states=parsed.initial_states,
+                      register_count=parsed.register_count,
+                      symbol_names=parsed.symbol_names,
+                      transitions=parsed.transitions)
+    for p in (parsed, direct, random_protocol(random.Random(7)),
+              random_rb_protocol(random.Random(7))):
+        assert p.state_ids == {n: i for i, n in enumerate(p.state_names)}
+        assert p.symbol_ids == {n: i for i, n in enumerate(p.symbol_names)}
+    assert direct == parsed
+    assert direct.state_ids is not parsed.state_ids
+    assert direct.state_id("qf") == parsed.state_id("qf") == 4
+
+
 def test_validate_unknown_state_finding():
     p = PROTOCOLS["fig1"]
     broken = Protocol(flavor=p.flavor, state_names=p.state_names,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import reference
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from regverify import oracle
@@ -13,11 +14,12 @@ from regverify.constraints import (And, Exists, Forall, Not, Or, Pop, PopAt,
                                    parse_roundless_constraint,
                                    population_monotone, target_constraint)
 from regverify.errors import CapExceeded
-from regverify.model import parse_protocol
+from regverify.model import format_action, parse_protocol
 from regverify.oracle import (bfs, compile_constraint, default_round_cap,
                               oracle_prp, packed, reach)
 from regverify.reductions import builtin_examples
-from regverify.roundbased import solve_prp_roundbased
+from regverify.roundbased import _round_window, solve_prp_roundbased
+from regverify.roundless import solve_prp_bounded
 from regverify.semantics import (ABSTRACT, AbstractConfig, abstract_step,
                                  abstract_successors, initial_configuration,
                                  initial_supports, replay, replay_configs)
@@ -70,10 +72,42 @@ def _assert_closed_with_sound_parents(p, rs, window=None):
             assert abstract_step(p, pred, move) == c
 
 
+def _reference_reach(p, max_round=0, space_cap=float("inf"),
+                     no_desert=False, max_depth=None):
+    """The reach set over ``abstract_successors`` and its frozensets, by the
+    reference search, without deserting moves under ``no_desert``."""
+    starts = (initial_configuration(p, support)
+              for support in initial_supports(p))
+
+    def successors(c):
+        return [(m, succ) for m, succ in
+                abstract_successors(p, c, (0, max_round))
+                if not (no_desert and m.desert)]
+    return reference.bfs(starts, successors, space_cap, max_depth)
+
+
+def _assert_matches_reference(p, max_round, space_cap=float("inf")):
+    """The packed search has the reference's members in the same order with
+    the same parents: in full, without deserting moves, and cut at depth 2.
+    A variant the reference refuses at the space cap is skipped."""
+    for no_desert in (False, True):
+        for max_depth in (None, 2):
+            try:
+                want = _reference_reach(p, max_round, space_cap, no_desert,
+                                        max_depth)
+            except CapExceeded:
+                continue
+            got = bfs(*packed(p, max_round, no_desert), space_cap,
+                      max_depth=max_depth)
+            assert list(got.parents.items()) == \
+                list(want.parents.items()), (max_round, no_desert, max_depth)
+
+
 @pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_020)))
 def test_packed_reach_matches_reference_step(seed):
     p = FIG1 if seed is None else random_protocol(random.Random(seed))
     _assert_closed_with_sound_parents(p, reach(p))
+    _assert_matches_reference(p, 0)
 
 
 def _depths(rs):
@@ -108,30 +142,16 @@ def test_roundbased_capped_reach_matches_reference_step():
         FIG4, reach(FIG4, 2), window=(0, 2))
 
 
-def _reference_reach(p, max_round, space_cap):
-    """The reach set over ``abstract_successors`` and its frozensets."""
-    starts = (initial_configuration(p, support)
-              for support in initial_supports(p))
-    return bfs(starts, lambda c: abstract_successors(p, c, (0, max_round)),
-               lambda c: c, space_cap)
-
-
 @pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_100)))
 def test_packed_round_window_matches_reference_reach(seed):
-    # same members in the same order with the same parents, at every round
-    # cap; a pair the reference refuses at the space cap is skipped
+    # at every round cap; FIG4 has 3647 configurations at round cap 2
     if seed is None:
-        cases = [(FIG4, 2)]
+        cases = [(FIG4, 2, 4000)]
     else:
         p = random_rb_protocol(random.Random(seed))
-        cases = [(p, k) for k in range(4)]
-    for p, k in cases:
-        try:
-            want = _reference_reach(p, k, 2000)
-        except CapExceeded:
-            continue
-        got = reach(p, k, space_cap=2000)
-        assert list(got.parents.items()) == list(want.parents.items()), k
+        cases = [(p, k, 2000) for k in range(4)]
+    for p, k, space_cap in cases:
+        _assert_matches_reference(p, k, space_cap)
 
 
 def test_cap_exceeded():
@@ -213,6 +233,62 @@ def test_default_round_cap_formula():
     psi3 = parse_round_constraint(CONSTRAINTS["psi3"].text, FIG4)
     # (v+1) * (M+2) + 2 with v = 1, M = 2
     assert default_round_cap(FIG4, psi3) == 10
+
+
+# --- discovery order, pinned on the built-in examples -------------------------
+
+FIG1_WITNESS = ["q0 read(1, d0) B", "B read(1, d0) C", "q0 write(1, c) A",
+                "C write(1, a) C", "A read(1, a) qf"]
+FIG4_WITNESS = ["q0 inc q0 @0", "q0 inc q0 @1", "q0 write(1, a) A @1",
+                "A read(-1, 1, d0) B @1", "q0 write(1, a) A @0",
+                "B read(-1, 1, a) C @1", "C write(1, b) q0 @1",
+                "q0 read(-1, 1, b) D @2", "D read(0, 1, d0) E @2"]
+
+
+def _desert_at(moves, i):
+    return moves[:i] + [moves[i] + " desert"] + moves[i + 1:]
+
+
+def _move_texts(p, verdict):
+    if verdict.witness is None:
+        return None
+    return [f"{p.state_names[m.trans.source]} "
+            f"{format_action(p, m.trans.action)} {p.state_names[m.trans.dest]}"
+            + ("" if m.rnd is None else f" @{m.rnd}")
+            + (" desert" if m.desert else "") for m in verdict.witness.moves]
+
+
+@pytest.mark.parametrize("name, n, moves", [
+    ("cover_qf", 9, FIG1_WITNESS),
+    ("ex26_phi", 55, None),
+    ("(and (pop qf) (not (pop q0)))", 26, _desert_at(FIG1_WITNESS, 2))])
+def test_roundless_discovery_order_is_pinned(name, n, moves):
+    # the oracle's members and bounded's nodes count the same search; a
+    # non-monotone constraint also pins where desert moves come
+    text = CONSTRAINTS[name].text if name in CONSTRAINTS else name
+    phi = parse_roundless_constraint(text, FIG1)
+    v = oracle_prp(FIG1, phi, space_cap=n)
+    assert (v.stats, _move_texts(FIG1, v)) == ({"members": n}, moves)
+    with pytest.raises(CapExceeded):
+        oracle_prp(FIG1, phi, space_cap=n - 1)
+    b = solve_prp_bounded(FIG1, phi)
+    assert (b.stats["nodes"], _move_texts(FIG1, b)) == (n, moves)
+
+
+@pytest.mark.parametrize("name, n, moves", [
+    ("psi1", 60, None), ("psi2", 60, None), ("psi3", 44, FIG4_WITNESS),
+    ("(and (pop E 2) (not (pop q0 0)))", 946, _desert_at(FIG4_WITNESS, 4))])
+def test_roundbased_discovery_order_is_pinned(name, n, moves):
+    # at round cap 2, the oracle's members and the round window's ticks
+    text = CONSTRAINTS[name].text if name in CONSTRAINTS else name
+    psi = parse_round_constraint(text, FIG4)
+    v = oracle_prp(FIG4, psi, max_round=2, space_cap=n)
+    assert (v.stats["members"], _move_texts(FIG4, v)) == (n, moves)
+    with pytest.raises(CapExceeded):
+        oracle_prp(FIG4, psi, max_round=2, space_cap=n - 1)
+    w = _round_window(FIG4, psi, 2, n)
+    assert (w.stats["ticks"], _move_texts(FIG4, w)) == (n, moves)
+    assert _round_window(FIG4, psi, 2, n - 1).answer == "unknown"
 
 
 # --- the oracle stops at the first hit in BFS order ---------------------------
@@ -394,12 +470,12 @@ def test_roundbased_probe_matches_eval_roundbased(seed):
 def _counting_packed(decoded):
     """``packed``, with each decoded code appended to ``decoded``."""
     def counting(*args, **kwargs):
-        starts, successors, decode = packed(*args, **kwargs)
+        starts, table, decode = packed(*args, **kwargs)
 
         def counted(code):
             decoded.append(code)
             return decode(code)
-        return starts, successors, counted
+        return starts, table, counted
     return counting
 
 
