@@ -328,22 +328,26 @@ def max_constant(psi) -> int:
     return 0
 
 
-def population_monotone(node, positive: bool = True) -> bool:
-    """Whether every population atom occurs under an even number of ``Not``s.
+def negated_states(node, positive: bool = True) -> frozenset:
+    """The states with a population atom under an odd number of ``Not``s,
+    at any round.
 
-    Such a constraint, of either flavor, stays true when populated sets grow
-    and the registers stay the same.  Register atoms may occur either way.
+    A constraint, of either flavor, stays true when locations of the other
+    states become populated and the registers stay the same; with no such
+    state it is monotone in the whole population.  Register atoms may occur
+    either way.
     """
     if isinstance(node, (And, Or)):
-        return all(population_monotone(x, positive) for x in node.children)
+        return frozenset().union(
+            *(negated_states(x, positive) for x in node.children))
     if isinstance(node, Not):
-        return population_monotone(node.child, not positive)
+        return negated_states(node.child, not positive)
     if isinstance(node, (Exists, Forall)):
-        return population_monotone(node.prop, positive)
+        return negated_states(node.prop, positive)
     if isinstance(node, (Pop, PopAt)):
-        return positive
+        return frozenset() if positive else frozenset((node.state,))
     if isinstance(node, (Reg, RegAt)):
-        return True
+        return frozenset()
     raise TypeError(f"not a constraint node: {node!r}")
 
 

@@ -23,19 +23,23 @@ the table against a reference search over ``semantics.abstract_successors``
 (members, their order and parent links) and ``abstract_step``, and the
 probe against the evaluators.
 
-Desertion never helps a population-monotone constraint, one whose
-population atoms all occur under an even number of negations
-(``constraints.population_monotone``).  Make every step of a witness keep
-its source: each step stays enabled, the register trajectory is unchanged,
-and every populated set only grows, so the final configuration still
-satisfies the constraint.  Hence a desert-free witness of the same length
-exists whenever any witness does, and for such a constraint the oracle,
+A constraint notices an extra populated location only at a state it
+reads under an odd number of negations (``constraints.negated_states``,
+N below).  Take any witness, let a process idle forever at each initial
+state outside N, and replace each deserting move from a source outside N
+by its keep variant.  Either change leaves the registers as they were:
+each step stays enabled and writes what it wrote.  It only adds
+locations of states outside N, which the constraint reads positively, so
+the final configuration still satisfies it.  Hence every witness has one
+of the same length that starts with every initial state outside N
+populated and deserts only from states in N.  The oracle,
 ``roundless.solve_prp_bounded`` and the round window of
-``roundbased.solve_prp_roundbased`` generate no deserting move
-(``packed(..., no_desert=True)``); their shortest witnesses keep their
-length, so ``bounded``'s depth cut stays complete.  As these routes share
-the lemma, their agreement does not check it; the tests compare the
-desert-free search with the full one.
+``roundbased.solve_prp_roundbased`` search only those
+(``packed(..., negated=N)``), so their shortest witnesses keep their
+length and ``bounded``'s 4|Q| depth cut stays complete; the footprint
+search cuts its starts per candidate in the same way.  As these routes
+share the lemma, their agreement does not check it; the tests compare the
+cut search with the exhaustive one.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from functools import cached_property
 
 from .constraints import (And, Exists, Forall, Not, Or, Pop, PopAt, Reg,
                           RegAt, eval_roundbased, eval_roundless,
-                          max_constant, population_monotone, term_value)
+                          max_constant, negated_states, term_value)
 from .errors import CapExceeded
 from .model import D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
@@ -182,7 +186,7 @@ def layout(p: Protocol, max_round: int):
             lambda r, j: r * block + j * sym_bits, (1 << sym_bits) - 1)
 
 
-def packed(p: Protocol, max_round: int = 0, no_desert: bool = False):
+def packed(p: Protocol, max_round: int = 0, negated=None):
     """``(starts, table, decode)`` for ``bfs`` on packed integer codes.
 
     A code holds one symbol field per (round, register) and one population
@@ -190,8 +194,10 @@ def packed(p: Protocol, max_round: int = 0, no_desert: bool = False):
     ``max_round`` of a round-based protocol; a roundless one has round 0
     only.  ``table()`` builds the step entries, per transition and round,
     keep variant first, then desert, as in ``semantics.abstract_successors``:
-    an increment at ``max_round`` and a read below round 0 get none, and
-    with ``no_desert`` there are no desert entries.
+    an increment at ``max_round`` and a read below round 0 get none.  With
+    a set of states ``negated`` (the lemma in the module docstring), only a
+    source in it gets a desert entry, and the starts are the supports that
+    hold every initial state outside it; with None the search is exhaustive.
 
     An entry's enabling test merges the source's population bit ``src`` into
     a read's symbol test ``(test, want)``: the two cover disjoint bits, so
@@ -224,7 +230,7 @@ def packed(p: Protocol, max_round: int = 0, no_desert: bool = False):
                     keep, add = ~(sym_mask << at), add | a.symbol << at
                 rnd = r if rb else None
                 entries.append((mask, want, keep, add, Move(t, rnd, False)))
-                if not no_desert:
+                if negated is None or t.source in negated:
                     entries.append((mask, want, keep & ~src, add,
                                     Move(t, rnd, True)))
         return entries
@@ -239,7 +245,7 @@ def packed(p: Protocol, max_round: int = 0, no_desert: bool = False):
 
     # lazy: a search that hits early never encodes the remaining supports
     starts = (sum(pop(q, 0) for q in support)
-              for support in initial_supports(p))
+              for support in initial_supports(p, negated))
     return starts, table, decode
 
 
@@ -356,10 +362,10 @@ def _predicate(e):
 def reach(p: Protocol, max_round: int = 0,
           state_cap: int = DEFAULT_STATE_CAP,
           space_cap: int = DEFAULT_SPACE_CAP, sat=None,
-          no_desert: bool = False) -> ReachSet:
+          negated=None) -> ReachSet:
     """Abstract reach set from every initial configuration, by moves with
-    effect on rounds <= ``max_round`` for a round-based protocol, and by
-    non-deserting moves only with ``no_desert``.
+    effect on rounds <= ``max_round`` for a round-based protocol; with a set
+    ``negated``, from the starts and by the moves ``packed`` keeps for it.
 
     Without ``sat`` the set is complete.  With it, a predicate on codes such
     as ``compile_constraint`` returns, breadth-first search stops at the
@@ -371,7 +377,7 @@ def reach(p: Protocol, max_round: int = 0,
     if p.flavor == ROUNDLESS and \
             p.num_symbols ** p.register_count > space_cap:
         raise CapExceeded("register valuation space exceeds cap")
-    return bfs(*packed(p, max_round, no_desert), space_cap, sat)
+    return bfs(*packed(p, max_round, negated), space_cap, sat)
 
 
 def default_round_cap(p: Protocol, psi) -> int:
@@ -395,10 +401,10 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
     positive is exact whenever its first hit lies within the cap, while a
     negative explores the whole reach set and raises ``CapExceeded`` past
     it.  ``stats["members"]`` counts the configurations discovered, which
-    for a positive is not the whole reach set.  When the constraint is
-    population-monotone the search makes no deserting move (the lemma in
-    the module docstring), so the reach set searched, and capped, is the
-    desert-free one.
+    for a positive is not the whole reach set.  The search starts and
+    deserts only as the lemma in the module docstring allows for the
+    constraint's negated states, so the reach set searched, and capped, is
+    the one ``reach(..., negated=negated_states(constraint))`` returns.
 
     For round-based protocols the verdict is relative to executions whose
     moves affect rounds <= max_round only (positives are exact; a negative
@@ -415,7 +421,7 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
                                           active_bound=bound)
     rs = reach(p, max_round, state_cap, space_cap,
                compile_constraint(p, constraint, max_round),
-               population_monotone(constraint))
+               negated_states(constraint))
     stats = {"members": len(rs.links)}
     if p.flavor == ROUNDBASED:
         stats["max_round"] = max_round

@@ -8,7 +8,9 @@ below, B the most increments on a path from an initial state
 step relation, since no increment is generated at round B, and the compiled
 constraint reads every round past B as the empty tail.  These protocols are
 searched breadth-first on that window, one tick per discovered
-configuration, and a positive carries a shortest witness.
+configuration, and a positive carries a shortest witness.  As in the
+oracle, the window starts and deserts only where the constraint reads a
+state negatively (the lemma in ``oracle``'s module docstring).
 
 Either way the constraint is first decomposed into candidate obligation
 sets: one with no candidate, or whose candidates all contradict themselves
@@ -25,7 +27,9 @@ with rounds counted from k: every bridge starts at the initial
 configuration on its window (``footprints.bridge_start``).
 
 Here every guess point is branch-enumerated depth-first: candidate obligation
-sets, the populated initial set, bridge footprints (restricted to
+sets, the populated initial set (which holds every initial state the
+candidate's obligations do not negate, by the same lemma), bridge
+footprints (restricted to
 interleavings normal-form executions produce), universal literal sets and
 existential firing rounds.  Branches whose ground literals contradict each
 other are dropped, and so is a candidate that a universal refutes at the
@@ -46,7 +50,7 @@ from dataclasses import dataclass, replace
 
 from .constraints import (And, ApcCandidate, Not, PopAt, RegAt, Term,
                           decompose_apcs, eval_prop_at, eval_roundbased,
-                          forcing_literal_sets, ground, population_monotone)
+                          forcing_literal_sets, ground, negated_states)
 from .errors import CapExceeded, RegverifyError, ReplayFailure
 from .footprints import (Footprint, bridge_start, combine_footprints,
                          default_step_cap, extend_footprint, project_footprint)
@@ -227,14 +231,15 @@ def _round_window(p: Protocol, psi, bound: int, budget: int) -> Verdict:
 
     Each discovered configuration costs one tick; past the budget the
     answer is "unknown".  A positive carries the search's shortest witness.
-    A population-monotone constraint is searched without deserting moves, as
-    the oracle searches it.
+    As in the oracle, the search starts with every initial state the
+    constraint does not negate populated and deserts only from states it
+    negates (the lemma in ``oracle``'s docstring).
     """
     # as the search ran out: the budget's configurations held, one more found
     stats = {"ticks": budget + 1, "nodes": budget, "route": "round-window",
              "round_bound": bound}
     try:
-        rs = bfs(*packed(p, bound, no_desert=population_monotone(psi)),
+        rs = bfs(*packed(p, bound, negated_states(psi)),
                  space_cap=budget, sat=compile_constraint(p, psi, bound))
     except CapExceeded:
         return Verdict(UNKNOWN, "rb-search", None, stats)
@@ -252,7 +257,10 @@ def _footprint_search(p: Protocol, psi, cands: list,
     ``_refuted``.  Root branches (candidate, populated initial set) spend
     the budget in order, and the first branch that runs out ends the search
     with "unknown".  A positive glues the accepted footprint chain into a
-    witness.
+    witness.  By the lemma of ``oracle``'s docstring, applied to a
+    candidate's obligations, its populated initial sets hold every initial
+    state they do not negate, and with no negated state its search makes
+    no deserting move.
     """
     v = max(p.visibility or 0, 1)
     work = {"ticks": 0, "nodes": 0, "route": "footprints"}
@@ -265,9 +273,12 @@ def _footprint_search(p: Protocol, psi, cands: list,
 
     # root branches: obligation candidate x populated initial states
     for cand in cands:
-        for init_set in initial_supports(p):
+        negated = frozenset().union(*map(
+            negated_states, cand.closed | cand.existential | cand.universal))
+        for init_set in initial_supports(p, negated):
             try:
-                hit = _search(p, cand, init_set, v, tick, work, edge_memo)
+                hit = _search(p, cand, init_set, v, tick, work, edge_memo,
+                              not negated)
             except _BudgetExceeded:
                 return Verdict(UNKNOWN, "rb-search", None, dict(work))
             if hit is not None:
@@ -276,13 +287,9 @@ def _footprint_search(p: Protocol, psi, cands: list,
 
 
 def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
-            v: int, tick, work, edge_memo: dict) -> Execution | None:
+            v: int, tick, work, edge_memo: dict,
+            no_desert: bool) -> Execution | None:
     universal = cand.universal
-    # population-monotone obligations never need deserting moves, by the
-    # lemma of ``oracle``'s module docstring; a negated ``PopAt`` literal
-    # is a non-monotone population atom
-    no_desert = all(map(population_monotone,
-                        cand.closed | cand.existential | cand.universal))
     root = _Node(0, (), cand.existential, cand.closed)
     visited: set = set()
     # each stack entry: (node, iterator over (steps, sig, child or None))

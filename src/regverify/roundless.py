@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .constraints import (ClauseDecomposition, dnf_clauses,
-                          population_monotone)
+from .constraints import ClauseDecomposition, dnf_clauses, negated_states
 from .errors import NotUninitialized, WrongRegisterCount
 from .model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol, Transition,
                     is_uninitialized)
@@ -39,15 +38,16 @@ def solve_prp_bounded(p: Protocol, phi) -> Verdict:
 
     Runs the oracle's search loop on its packed step table and compiled
     constraint without its caps, so a positive carries the oracle's shortest
-    witness, at most 4|Q| steps long.  For a population-monotone constraint
-    both make no deserting move: a desert-free witness as short as any
-    exists (the lemma in ``oracle``'s docstring), so the depth cut stays
-    complete.  ``stats["nodes"]`` counts the configurations discovered.
+    witness, at most 4|Q| steps long.  Both start with every initial state
+    the constraint does not negate populated and desert only from states it
+    negates: a witness as short as any exists there (the lemma in
+    ``oracle``'s docstring), so the depth cut stays complete.
+    ``stats["nodes"]`` counts the configurations discovered.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("solve_prp_bounded needs a roundless protocol")
     bound = witness_bound(p)
-    rs = bfs(*packed(p, no_desert=population_monotone(phi)),
+    rs = bfs(*packed(p, negated=negated_states(phi)),
              sat=compile_constraint(p, phi), max_depth=bound)
     stats = {"nodes": len(rs.links), "bound": bound}
     if rs.hit_code is None:

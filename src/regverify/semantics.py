@@ -135,12 +135,16 @@ def initial_configuration(p: Protocol, support) -> AbstractConfig:
     return AbstractConfig(pop, initial_regs(p))
 
 
-def initial_supports(p: Protocol):
-    """Every nonempty set of initial states, smaller sets first."""
-    q0 = sorted(p.initial_states)
-    for r in range(1, len(q0) + 1):
-        for combo in itertools.combinations(q0, r):
-            yield frozenset(combo)
+def initial_supports(p: Protocol, vary=None):
+    """The nonempty sets of initial states that hold every initial state
+    outside ``vary``, smaller sets first; every nonempty set when ``vary``
+    is None.  With no initial state there is none."""
+    q0 = p.initial_states
+    fixed = frozenset() if vary is None else q0 - vary
+    free = sorted(q0 - fixed)
+    for r in range(0 if fixed else 1, len(free) + 1):
+        for combo in itertools.combinations(free, r):
+            yield fixed.union(combo)
 
 
 def concrete_initial(p: Protocol, counts: dict) -> ConcreteConfig:

@@ -15,7 +15,7 @@ from regverify.constraints import (MAX_NESTING, And, ApcCandidate, Exists, Foral
                                    ground,
                                    max_constant, parse_round_constraint,
                                    parse_roundless_constraint,
-                                   population_monotone, prime_implicants,
+                                   negated_states, prime_implicants,
                                    to_dnf)
 from regverify.errors import ConstraintSyntaxError, NotDNF
 from regverify.model import parse_protocol
@@ -446,8 +446,9 @@ def test_decompose_product_of_disjunctions_lists_every_choice():
     ("true", True),
 ])
 def test_population_monotone_roundless(text, monotone):
-    assert population_monotone(
-        parse_roundless_constraint(text, EX22)) == monotone
+    # monotone in the whole population: no state is negated
+    assert (not negated_states(
+        parse_roundless_constraint(text, EX22))) == monotone
 
 
 @pytest.mark.parametrize("text, monotone", [
@@ -458,4 +459,24 @@ def test_population_monotone_roundless(text, monotone):
     ("(not (or (not (pop q0 1)) (not (reg 1 1 a))))", True),
 ])
 def test_population_monotone_roundbased(text, monotone):
-    assert population_monotone(rb(EX42, text)) == monotone
+    assert (not negated_states(rb(EX42, text))) == monotone
+
+
+@pytest.mark.parametrize("p, text, negated", [
+    (EX22, "(and (not (pop q1)) (not (not (pop q2))) (pop q3))", "q1"),
+    (EX22, "(not (and (reg 1 a) (or (pop q2) (not (pop q3)))))", "q2"),
+    (EX22, "(or (not (pop q1)) (and (pop q1) (not (reg 1 b))))", "q1"),
+    (EX22, "(not (or (not (pop q1)) (not (pop q2))))", ""),
+    (EX42, "(exists k (not (or (pop q0 (+ k 0)) (not (pop q1 0)))))", "q0"),
+    (EX42, "(and (not (forall k (pop q1 (+ k 2)))) "
+           "(exists k (not (pop q0 (+ k 0)))))", "q0 q1"),
+    (EX42, "(not (exists k (and (reg 1 (+ k 0) a) (not (pop q0 1)))))", ""),
+    (EX42, "(and (pop q0 3) (not (reg 1 0 d0)))", ""),
+])
+def test_negated_states(p, text, negated):
+    # nested negations count mod 2, at any round; quantifiers pass the
+    # parity through, and register atoms add no state
+    parse = parse_round_constraint if p is EX42 else \
+        parse_roundless_constraint
+    want = frozenset(map(p.state_id, negated.split()))
+    assert negated_states(parse(text, p)) == want

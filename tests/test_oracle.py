@@ -8,11 +8,11 @@ import reference
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from regverify import oracle
-from regverify.constraints import (And, Exists, Forall, Not, Or, Pop, PopAt,
-                                   cover_constraint, eval_roundbased,
-                                   eval_roundless, parse_round_constraint,
+from regverify.constraints import (cover_constraint, eval_roundbased,
+                                   eval_roundless, negated_states,
+                                   parse_round_constraint,
                                    parse_roundless_constraint,
-                                   population_monotone, target_constraint)
+                                   target_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import format_action, parse_protocol
 from regverify.oracle import (bfs, compile_constraint, default_round_cap,
@@ -51,6 +51,19 @@ def test_no_transition_protocol_reach():
     assert rs.members == {AbstractConfig(frozenset({0}), (0,))}
 
 
+@pytest.mark.parametrize("text", ["true", "(not (pop a))"])
+def test_no_initial_state_negative_with_no_configuration(text):
+    # no start at all, not an empty one, whichever states are negated
+    p = parse_protocol("flavor: roundless\nstates: a b\ninitial:\n"
+                       "registers: 1\nalphabet: d0 x\n"
+                       "transitions:\n  a write(1, x) b\n")
+    phi = parse_roundless_constraint(text, p)
+    v = oracle_prp(p, phi)
+    assert (v.answer, v.stats) == ("negative", {"members": 0})
+    b = solve_prp_bounded(p, phi)
+    assert (b.answer, b.stats["nodes"]) == ("negative", 0)
+
+
 def test_reach_is_a_fixed_point():
     rs = reach(FIG1)
     for c in rs.members:
@@ -73,34 +86,39 @@ def _assert_closed_with_sound_parents(p, rs, window=None):
 
 
 def _reference_reach(p, max_round=0, space_cap=float("inf"),
-                     no_desert=False, max_depth=None):
+                     negated=None, max_depth=None):
     """The reach set over ``abstract_successors`` and its frozensets, by the
-    reference search, without deserting moves under ``no_desert``."""
+    reference search.  With a set ``negated``, it starts only from the
+    supports holding every initial state outside it, and deserts only from
+    states in it."""
+    fixed = frozenset() if negated is None else p.initial_states - negated
     starts = (initial_configuration(p, support)
-              for support in initial_supports(p))
+              for support in initial_supports(p) if support >= fixed)
 
     def successors(c):
         return [(m, succ) for m, succ in
                 abstract_successors(p, c, (0, max_round))
-                if not (no_desert and m.desert)]
+                if not (m.desert and negated is not None
+                        and m.trans.source not in negated)]
     return reference.bfs(starts, successors, space_cap, max_depth)
 
 
 def _assert_matches_reference(p, max_round, space_cap=float("inf")):
     """The packed search has the reference's members in the same order with
-    the same parents: in full, without deserting moves, and cut at depth 2.
-    A variant the reference refuses at the space cap is skipped."""
-    for no_desert in (False, True):
+    the same parents: exhaustive, with no state negated, with every other
+    state negated, and each cut at depth 2.  A variant the reference
+    refuses at the space cap is skipped."""
+    for negated in (None, frozenset(), frozenset(range(0, p.num_states, 2))):
         for max_depth in (None, 2):
             try:
-                want = _reference_reach(p, max_round, space_cap, no_desert,
+                want = _reference_reach(p, max_round, space_cap, negated,
                                         max_depth)
             except CapExceeded:
                 continue
-            got = bfs(*packed(p, max_round, no_desert), space_cap,
+            got = bfs(*packed(p, max_round, negated), space_cap,
                       max_depth=max_depth)
             assert list(got.parents.items()) == \
-                list(want.parents.items()), (max_round, no_desert, max_depth)
+                list(want.parents.items()), (max_round, negated, max_depth)
 
 
 @pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_020)))
@@ -260,8 +278,8 @@ def _move_texts(p, verdict):
 
 @pytest.mark.parametrize("name, n, moves", [
     ("cover_qf", 9, FIG1_WITNESS),
-    ("ex26_phi", 55, None),
-    ("(and (pop qf) (not (pop q0)))", 26, _desert_at(FIG1_WITNESS, 2))])
+    ("ex26_phi", 14, None),
+    ("(and (pop qf) (not (pop q0)))", 17, _desert_at(FIG1_WITNESS, 2))])
 def test_roundless_discovery_order_is_pinned(name, n, moves):
     # the oracle's members and bounded's nodes count the same search; a
     # non-monotone constraint also pins where desert moves come
@@ -277,7 +295,7 @@ def test_roundless_discovery_order_is_pinned(name, n, moves):
 
 @pytest.mark.parametrize("name, n, moves", [
     ("psi1", 60, None), ("psi2", 60, None), ("psi3", 44, FIG4_WITNESS),
-    ("(and (pop E 2) (not (pop q0 0)))", 946, _desert_at(FIG4_WITNESS, 4))])
+    ("(and (pop E 2) (not (pop q0 0)))", 246, _desert_at(FIG4_WITNESS, 4))])
 def test_roundbased_discovery_order_is_pinned(name, n, moves):
     # at round cap 2, the oracle's members and the round window's ticks
     text = CONSTRAINTS[name].text if name in CONSTRAINTS else name
@@ -322,20 +340,22 @@ def _assert_positive_decided_within_cap(psi, full):
 
 
 def test_positive_decided_when_full_reach_set_exceeds_cap():
-    # psi3 is population-monotone: the oracle searches the desert-free set
+    # psi3 negates no state: the oracle searches the desert-free set
     psi3 = parse_round_constraint(CONSTRAINTS["psi3"].text, FIG4)
-    assert population_monotone(psi3)
-    _assert_positive_decided_within_cap(psi3, reach(FIG4, 2, no_desert=True))
+    assert negated_states(psi3) == frozenset()
+    _assert_positive_decided_within_cap(
+        psi3, reach(FIG4, 2, negated=frozenset()))
 
 
 def test_positive_decided_when_full_reach_set_exceeds_cap_with_desertion():
     # emptying q0 at round 0 takes a deserting move, so the oracle searches
-    # the full reach set, and the desert-free one has no hit
+    # the set with deserts from q0, and the desert-free one has no hit
     psi = parse_round_constraint("(and (pop E 2) (not (pop q0 0)))", FIG4)
-    assert not population_monotone(psi)
-    _assert_positive_decided_within_cap(psi, reach(FIG4, 2))
+    negated = negated_states(psi)
+    assert negated == {FIG4.state_id("q0")}
+    _assert_positive_decided_within_cap(psi, reach(FIG4, 2, negated=negated))
     sat = compile_constraint(FIG4, psi, 2)
-    assert reach(FIG4, 2, sat=sat, no_desert=True).hit_code is None
+    assert reach(FIG4, 2, sat=sat, negated=frozenset()).hit_code is None
 
 
 def test_criterion_2_seed_refused_before_is_decided():
@@ -353,12 +373,12 @@ def test_criterion_2_seed_refused_before_is_decided():
 
 def test_criterion_2_seed_refused_before_is_decided_negative():
     # seed 200513's full reach set within its round cap exceeds criterion
-    # 2's space cap; its constraint is population-monotone, and the
-    # desert-free reach set has 4 094 configurations.  rb-search agrees
+    # 2's space cap; its constraint negates no state, and the desert-free
+    # reach set has 4 094 configurations.  rb-search agrees
     rng = random.Random(200_513)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
-    assert population_monotone(psi)
+    assert negated_states(psi) == frozenset()
     K = default_round_cap(p, psi)
     v = oracle_prp(p, psi, max_round=K, space_cap=40_000)
     assert (v.answer, v.stats) == ("negative",
@@ -374,10 +394,10 @@ def test_criterion_2_seed_refused_before_is_decided_negative():
 def test_roundless_oracle_matches_full_scan(seed):
     rng = random.Random(seed)
     p = random_protocol(rng)
-    rs = reach(p)
     for phi in (random_constraint(rng, p),
                 cover_constraint(p, rng.randrange(p.num_states))):
-        _assert_matches_full_scan(oracle_prp(p, phi), rs,
+        _assert_matches_full_scan(oracle_prp(p, phi),
+                                  reach(p, negated=negated_states(phi)),
                                   lambda c: eval_roundless(c, phi))
 
 
@@ -388,7 +408,7 @@ def test_roundbased_oracle_matches_full_scan(seed):
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
     K = default_round_cap(p, psi)
-    rs = reach(p, K)
+    rs = reach(p, K, negated=negated_states(psi))
     _assert_matches_full_scan(
         oracle_prp(p, psi, max_round=K), rs,
         lambda c: eval_roundbased(p, c, psi, active_bound=K + 1))
@@ -405,22 +425,27 @@ def _assert_negative_needs_whole_reach_set(psi, n):
 
 
 def test_negative_past_cap_still_refused():
-    # psi1 is population-monotone: the oracle searches the desert-free set
+    # psi1 negates no state: the oracle searches the desert-free set
     psi1 = parse_round_constraint(CONSTRAINTS["psi1"].text, FIG4)
-    assert population_monotone(psi1)
+    assert negated_states(psi1) == frozenset()
     _assert_negative_needs_whole_reach_set(
-        psi1, len(reach(FIG4, 2, no_desert=True).members))
+        psi1, len(reach(FIG4, 2, negated=frozenset()).members))
     phi = parse_roundless_constraint(CONSTRAINTS["ex26_phi"].text, FIG1)
-    assert not population_monotone(phi)
+    negated = negated_states(phi)
+    assert negated == {FIG1.state_id("A"), FIG1.state_id("C")}
+    n = len(reach(FIG1, negated=negated).members)
+    assert oracle_prp(FIG1, phi, space_cap=n).answer == "negative"
     with pytest.raises(CapExceeded):
-        oracle_prp(FIG1, phi, space_cap=len(reach(FIG1).members) - 1)
+        oracle_prp(FIG1, phi, space_cap=n - 1)
 
 
 def test_negative_past_cap_still_refused_with_desertion():
     psi = parse_round_constraint(
         "(and (exists k (pop qf (+ k 0))) (not (pop D 0)))", FIG4)
-    assert not population_monotone(psi)
-    _assert_negative_needs_whole_reach_set(psi, len(reach(FIG4, 2).members))
+    negated = negated_states(psi)
+    assert negated == {FIG4.state_id("D")}
+    _assert_negative_needs_whole_reach_set(
+        psi, len(reach(FIG4, 2, negated=negated).members))
 
 
 # --- the compiled constraint, and decoding only what is read ------------------
@@ -503,26 +528,15 @@ def test_search_decodes_only_the_witness_path(monkeypatch, proto, name, k):
     assert all(decode(code) in path for code in decoded)
 
 
-# --- the desert cut for population-monotone constraints ----------------------
-
-def _without_pop_negations(node):
-    """The constraint with every negated population atom made positive; the
-    generators negate atoms only, so the result is population-monotone."""
-    if isinstance(node, Not) and isinstance(node.child, (Pop, PopAt)):
-        return node.child
-    if isinstance(node, (And, Or)):
-        return type(node)(tuple(map(_without_pop_negations, node.children)))
-    if isinstance(node, (Exists, Forall)):
-        return type(node)(_without_pop_negations(node.prop))
-    return node
-
+# --- the start and desert cut for negated states -----------------------------
 
 @pytest.mark.parametrize("flavor", ["roundless", "roundbased"])
 def test_desert_free_search_keeps_hits_and_witness_lengths(flavor):
-    # the oracle, bounded and the round window all rely on this lemma, so
-    # differential fuzzing between them cannot check it
-    hits = misses = 0
-    for seed in range(400_000, 400_200):
+    # the oracle, bounded and both rb-search routes rely on this lemma, so
+    # differential fuzzing between them cannot check it; "mixed" counts the
+    # cases that cut both starts and deserts without removing either
+    hits = misses = mixed = 0
+    for seed in range(400_000, 400_300):
         rng = random.Random(seed)
         if flavor == "roundless":
             p = random_protocol(rng)
@@ -533,21 +547,22 @@ def test_desert_free_search_keeps_hits_and_witness_lengths(flavor):
             psis = [random_rb_constraint(rng, p) for _ in range(6)]
             caps = range(4)
         for psi in psis:
-            if not population_monotone(psi):
-                psi = _without_pop_negations(psi)
-            assert population_monotone(psi)
+            negated = negated_states(psi)
             for k in caps:
                 sat = compile_constraint(p, psi, k)
                 try:
                     full = reach(p, k, space_cap=4000, sat=sat)
                 except CapExceeded:
                     continue
-                free = reach(p, k, sat=sat, no_desert=True)
-                assert (full.hit_code is None) == (free.hit_code is None)
+                cut = reach(p, k, sat=sat, negated=negated)
+                mixed += len(p.initial_states) >= 2 and \
+                    0 < len(negated) < p.num_states
+                assert (full.hit_code is None) == (cut.hit_code is None)
                 if full.hit_code is None:
                     misses += 1
                     continue
                 hits += 1
-                assert len(free.witness().moves) == \
+                assert len(cut.witness().moves) == \
                     len(full.witness().moves), (seed, psi, k)
-    assert hits >= 500 and misses >= 200
+    assert hits >= 1000 and misses >= 500 and mixed >= 400, \
+        (hits, misses, mixed)

@@ -261,19 +261,35 @@ def test_round_window_unknown_past_budget():
                        "round_bound": 12}
 
 
+TWENTY_STATES = " ".join(f"s{i}" for i in range(20))
+TWENTY_INITIAL = parse_protocol(
+    f"flavor: roundbased\nstates: {TWENTY_STATES}\n"
+    f"initial: {TWENTY_STATES}\nregisters: 1\nalphabet: d0 x\n"
+    "visibility: 1\ntransitions:\n  s0 write(1, x) s0\n")
+
+
 def test_round_window_budget_covers_initial_supports():
-    # 2^20 - 1 populated initial sets, each a start code of the window,
-    # smaller sets first: the first to meet the constraint is the 210th
-    states = " ".join(f"s{i}" for i in range(20))
-    p = parse_protocol(
-        f"flavor: roundbased\nstates: {states}\ninitial: {states}\n"
-        "registers: 1\nalphabet: d0 x\nvisibility: 1\n"
-        "transitions:\n  s0 write(1, x) s0\n")
-    v = solve_prp_roundbased(p, rb(p, "(and (pop s18 0) (pop s19 0))"),
-                             budget=20)
+    # the constraint negates every state, so each of the 2^20 - 1 populated
+    # initial sets is a start code of the window, smaller sets first: the
+    # first to meet the constraint is the 210th
+    p = TWENTY_INITIAL
+    every = " ".join(f"(pop s{i} 0)" for i in range(20))
+    v = solve_prp_roundbased(p, rb(
+        p, f"(and (pop s18 0) (pop s19 0) (not (and {every})))"), budget=20)
     assert v.answer == "unknown"
     assert v.stats == {"ticks": 21, "nodes": 20, "route": "round-window",
                        "round_bound": 0}
+
+
+def test_round_window_monotone_constraint_starts_with_every_initial_state():
+    # negating no state, the constraint has one start: all 20 populated
+    p = TWENTY_INITIAL
+    v = solve_prp_roundbased(p, rb(p, "(and (pop s18 0) (pop s19 0))"),
+                             budget=20)
+    assert v.answer == "positive"
+    assert v.stats == {"ticks": 1, "nodes": 1, "route": "round-window",
+                       "round_bound": 0}
+    assert v.witness.start.pop == {(q, 0) for q in range(20)}
 
 
 def test_contradictory_constraint_negative_without_search():
@@ -296,8 +312,8 @@ def test_round_window_positive_replays():
     assert (p.state_id("c"), 2) in final.pop
 
 
-@pytest.mark.parametrize("seed, ticks, nodes", [(200006, 27, 9),
-                                              (200011, 474, 152)])
+@pytest.mark.parametrize("seed, ticks, nodes", [(200006, 9, 3),
+                                              (200011, 30, 10)])
 def test_footprint_search_keys_round_zero_position(seed, ticks, nodes):
     # edges and visited signatures are keyed by where round 0 sits in the
     # window: inside it up to round v, past it after.  Merging the round-v

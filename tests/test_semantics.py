@@ -13,7 +13,7 @@ from regverify.semantics import (ABSTRACT, CONCRETE, AbstractConfig,
                                  abstract_successors, abstract_to_concrete,
                                  concrete_initial, concrete_step,
                                  copycat_extend, initial_configuration,
-                                 mset_count, multiset, parse_trace, project,
+                                 initial_supports, mset_count, multiset, parse_trace, project,
                                  replay, write_trace)
 
 PROTOCOLS, _ = builtin_examples()
@@ -97,6 +97,29 @@ def test_initial_configuration_errors():
     assert c.pop == {FIG1.state_id("q0")} and c.regs == (0,)
     c4 = initial_configuration(FIG4, {FIG4.state_id("q0")})
     assert c4.pop == {(FIG4.state_id("q0"), 0)} and c4.regs == frozenset()
+
+
+@pytest.mark.parametrize("initial, vary, supports", [
+    ("a b c", None, "a|b|c|a b|a c|b c|a b c"),
+    ("a b c", "a b c d", "a|b|c|a b|a c|b c|a b c"),
+    ("a b c", "b c d", "a|a b|a c|a b c"),
+    ("a b c", "b", "a c|a b c"),
+    ("a b c", "d", "a b c"),
+    ("a b c", "", "a b c"),
+    ("", None, ""),
+    ("", "", ""),
+    ("", "a", ""),
+])
+def test_initial_supports_fix_each_initial_state_outside_vary(
+        initial, vary, supports):
+    # smaller sets first; with no initial state there is no support, not an
+    # empty one
+    p = parse_protocol(f"flavor: roundless\nstates: a b c d\n"
+                       f"initial: {initial}\nregisters: 1\nalphabet: d0\n"
+                       "transitions:\n")
+    ids = lambda names: frozenset(map(p.state_id, names.split()))
+    got = list(initial_supports(p, None if vary is None else ids(vary)))
+    assert got == [ids(s) for s in supports.split("|") if supports]
 
 
 def test_project():
