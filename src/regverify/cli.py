@@ -141,8 +141,9 @@ def cmd_check(args) -> int:
         if args.problem != "cover":
             raise CliError("fixed-r decides cover only", EXIT_INCOMPATIBLE)
         if p.register_count > 6:
-            print(f"warning: enumerating first-write orders over "
-                  f"{p.register_count} registers grows factorially",
+            print(f"warning: fixed-r over {p.register_count} registers "
+                  f"skips dominated first-write orders, but its worst case "
+                  f"is still exponential in the register count",
                   file=sys.stderr)
         v = solve_cover_fixed_r(p, state)
     elif algo == "one-reg":

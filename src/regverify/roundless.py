@@ -3,9 +3,9 @@
 Four routes: a bounded exhaustive search realizing the short-witness
 argument (every reachable presence pattern has a witness of at most 4|Q|
 abstract steps, so breadth-first search to depth 4|Q| is complete), a
-saturation fixpoint for uninitialized coverability, a first-write-order
-enumeration for coverability with fixed register count, and the
-one-register DNF decision via covset/cocovset pruning.
+saturation fixpoint for uninitialized coverability, a breadth-first search
+over first-write prefixes for coverability with fixed register count, and
+the one-register DNF decision via covset/cocovset pruning.
 
 The last three, and the fold of a one-register protocol's initial phase,
 share one forward closure, ``_closure``, over a set of opened
@@ -17,7 +17,6 @@ both its source and its destination in the set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .constraints import ClauseDecomposition, dnf_clauses, negated_states
@@ -122,61 +121,60 @@ def solve_cover_uninitialized(p: Protocol, target: int) -> Verdict:
                     "iterations": st.iterations})
 
 
-def first_write_orders(p: Protocol):
-    """All first-write orders, shortest first, lexicographic within a length.
-
-    Each is a tuple of distinct 0-based register ids, in the order in which
-    the registers irreversibly lose the initial symbol.
-    """
-    for m in range(p.register_count + 1):
-        yield from itertools.permutations(range(p.register_count), m)
-
-
-def _saturate_phases(p: Protocol, order: tuple,
-                     phases: dict | None = None) -> set:
-    """Phase-wise saturation along one first-write order.
-
-    Phase i is ``_closure`` with the first i registers of the order opened;
-    an order is abandoned once the next register cannot be written from the
-    covered set.  ``phases`` maps each opened prefix to its closed set, or to
-    None when its last register cannot be written; the orders of one query
-    share it, so that each prefix is closed once.
-    """
-    if phases is None:
-        phases = {}
-    S = set(p.initial_states)
-    for i in range(len(order) + 1):
-        prefix = order[:i]
-        if prefix not in phases:
-            feasible = i == 0 or any(
-                t.action.kind == WRITE and t.action.reg == order[i - 1]
-                and t.source in S for t in p.transitions)
-            phases[prefix] = (_closure(S, p.transitions, prefix)[0]
-                              if feasible else None)
-        if phases[prefix] is None:
-            break  # order infeasible beyond the previous phase
-        S = phases[prefix]
-    return S
-
-
 def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:
-    """Coverability via enumeration of first-write orders.
+    """Coverability by a breadth-first search over first-write prefixes.
 
-    Exact for any register count; cost grows factorially in it, so intended
-    for small, fixed register counts.  Orders are tried lazily, shortest
-    first, and the first that covers ``target`` wins; orders that share a
-    prefix share its phases.
+    A first-write order lists distinct registers in the order in which they
+    irreversibly lose the initial symbol.  Level m of the search holds
+    length-m prefixes in lexicographic order; each is extended by every
+    unopened register in register order, so prefixes come shortest first,
+    lexicographic within a length.  A child is closed only if its last
+    register can be written from its parent's closed set; it closes under
+    ``_closure`` from that set with the child's registers opened.  The first
+    closed set that holds ``target`` wins.  Exact for any register count.
+
+    A child whose closed set is a subset of an earlier child's over the
+    same set of opened registers is dropped (an antichain per register set,
+    grow-only).  Lemma: for a fixed opened set, ``_closure`` is monotone in
+    its start set, and so is the test that a register can be written.  So
+    if prefix pi is dominated by an earlier pi' over the same registers,
+    then for every suffix s, pi s is closed only if pi' s is, and covers no
+    more than it; pi' s also comes earlier.  Verdict and ``stats["order"]``
+    are those of trying every order.  The worst case is still exponential
+    in the register count.  ``stats["orders_tried"]`` counts the prefixes
+    closed, the empty one included.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
-    tried = 0
-    phases: dict = {}
-    for order in first_write_orders(p):
-        tried += 1
-        if target in _saturate_phases(p, order, phases):
-            return Verdict(POSITIVE, "fixed-r", None,
-                           {"order": [j + 1 for j in order],
-                            "orders_tried": tried})
+    writers = [set() for _ in range(p.register_count)]
+    for t in p.transitions:
+        if t.action.kind == WRITE:
+            writers[t.action.reg].add(t.source)
+    S, _ = _closure(p.initial_states, p.transitions, ())
+    level = [((), S)]
+    tried = 1
+    if target in S:
+        return Verdict(POSITIVE, "fixed-r", None,
+                       {"order": [], "orders_tried": tried})
+    while level:
+        kept: dict = {}  # frozenset of opened registers -> kept closed sets
+        nxt = []
+        for prefix, S in level:
+            for j in range(p.register_count):
+                if j in prefix or writers[j].isdisjoint(S):
+                    continue
+                child = prefix + (j,)
+                C, _ = _closure(S, p.transitions, child)
+                tried += 1
+                if target in C:
+                    return Verdict(POSITIVE, "fixed-r", None,
+                                   {"order": [r + 1 for r in child],
+                                    "orders_tried": tried})
+                rivals = kept.setdefault(frozenset(child), [])
+                if not any(C <= R for R in rivals):
+                    rivals.append(C)
+                    nxt.append((child, C))
+        level = nxt
     return Verdict(NEGATIVE, "fixed-r", None, {"orders_tried": tried})
 
 

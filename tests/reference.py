@@ -6,7 +6,10 @@ from regverify.constraints import (And, Exists, Not, Or, _collect_leaves,
                                    closed_atoms_of, forcing_literal_sets,
                                    ground, substitute_atoms)
 from regverify.errors import CapExceeded
+from regverify.model import WRITE, Protocol
 from regverify.oracle import ReachSet
+from regverify.roundless import _closure
+from regverify.verdict import NEGATIVE, POSITIVE, Verdict
 
 
 def eval_with_assignment(node, assign: dict) -> bool:
@@ -111,3 +114,64 @@ def bfs(starts, successors, space_cap: float = float("inf"),
         level = discover((succ, (c, move)) for c in level
                          for move, succ in successors(c))
     return rs
+
+
+def first_write_orders(p: Protocol):
+    """All first-write orders, shortest first, lexicographic within a length.
+
+    Each is a tuple of distinct 0-based register ids, in the order in which
+    the registers irreversibly lose the initial symbol.
+    """
+    for m in range(p.register_count + 1):
+        yield from itertools.permutations(range(p.register_count), m)
+
+
+def saturate_phases(p: Protocol, order: tuple,
+                    phases: dict | None = None) -> set:
+    """Phase-wise saturation along one first-write order.
+
+    Phase i is ``_closure`` with the first i registers of the order opened;
+    an order is abandoned once the next register cannot be written from the
+    covered set.  ``phases`` maps each opened prefix to its closed set, or to
+    None when its last register cannot be written; the orders of one query
+    share it, so that each prefix is closed once.
+    """
+    if phases is None:
+        phases = {}
+    S = set(p.initial_states)
+    for i in range(len(order) + 1):
+        prefix = order[:i]
+        if prefix not in phases:
+            feasible = i == 0 or any(
+                t.action.kind == WRITE and t.action.reg == order[i - 1]
+                and t.source in S for t in p.transitions)
+            phases[prefix] = (_closure(S, p.transitions, prefix)[0]
+                              if feasible else None)
+        if phases[prefix] is None:
+            break  # order infeasible beyond the previous phase
+        S = phases[prefix]
+    return S
+
+
+def fixed_r_exhaustive(p: Protocol, target: int) -> Verdict:
+    """``roundless.solve_cover_fixed_r`` by trying every first-write order.
+
+    Orders are tried shortest first, and the first that covers ``target``
+    wins.  ``stats["orders_tried"]`` counts the orders tried and
+    ``stats["prefixes_closed"]`` the prefixes closed, the empty one
+    included.  Factorial in the register count.
+    """
+    tried = 0
+    phases: dict = {}
+    for order in first_write_orders(p):
+        tried += 1
+        if target in saturate_phases(p, order, phases):
+            break
+    else:
+        order = None
+    stats = {"orders_tried": tried, "prefixes_closed": sum(
+        S is not None for S in phases.values())}
+    if order is None:
+        return Verdict(NEGATIVE, "fixed-r", None, stats)
+    return Verdict(POSITIVE, "fixed-r", None,
+                   dict(stats, order=[j + 1 for j in order]))

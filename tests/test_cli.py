@@ -217,6 +217,23 @@ def test_gen_writes_three_files_with_ground_truth(capsys, tmp_path):
     assert json.loads(out)["answer"] == expected["answer"]
 
 
+def test_fixed_r_warns_above_six_registers(capsys, tmp_path):
+    code, _, _ = run(capsys, "gen", "sat-cover", "--vars", "4", "--clauses",
+                     "32", "--seed", "2", "--out", str(tmp_path))
+    assert code == 0
+    expected = json.loads((tmp_path / "expected.json").read_text())
+    assert expected["answer"] == "negative"  # so every order is settled
+    p = parse_protocol((tmp_path / "protocol.prot").read_text())
+    assert p.register_count == 8
+    code, out, err = run(capsys, "check", "cover",
+                         str(tmp_path / "protocol.prot"), "--state",
+                         expected["state"], "--algo", "fixed-r")
+    assert "fixed-r over 8 registers" in err
+    assert "still exponential" in err
+    assert json.loads(out)["answer"] == "negative"
+    assert code == 1
+
+
 def test_gen_cvp_cyclic_circuit_errors(capsys, tmp_path):
     spec = tmp_path / "c.json"
     spec.write_text(json.dumps({"inputs": [["x", True]],

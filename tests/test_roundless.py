@@ -12,9 +12,9 @@ from regverify.model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol,
                              Transition, is_uninitialized, parse_protocol,
                              validate)
 from regverify.oracle import oracle_prp, reach
-from regverify.reductions import builtin_examples
-from regverify.roundless import (_saturate_phases, compute_cocov_set,
-                                 compute_cov_set, first_write_orders,
+from regverify.reductions import (CnfFormula, builtin_examples,
+                                  sat_to_cover, truth_table_satisfiable)
+from regverify.roundless import (compute_cocov_set, compute_cov_set,
                                  reduce_cover_to_target,
                                  reduce_initialized_to_uninit_r1,
                                  saturate_uninitialized,
@@ -25,6 +25,7 @@ from regverify.roundless import (_saturate_phases, compute_cocov_set,
 from regverify.semantics import ABSTRACT, replay
 
 from generators import random_constraint, random_protocol
+from reference import first_write_orders, fixed_r_exhaustive, saturate_phases
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -133,13 +134,57 @@ def test_closure_routes_cover_exactly_the_reachable_states():
             uninitialized=seed % 2 == 0)))
     for name, p in protocols:
         populated = set().union(*(c.pop for c in reach(p).members))
-        phases = set().union(*(_saturate_phases(p, o)
+        phases = set().union(*(saturate_phases(p, o)
                                for o in first_write_orders(p)))
         assert phases == populated, name
         if is_uninitialized(p):
             assert saturate_uninitialized(p).covered == populated, name
             if p.register_count == 1:
                 assert compute_cov_set(p) == populated, name
+
+
+def test_fixed_r_matches_trying_every_order():
+    # the pruned prefix search gives the verdict and the winning order of
+    # trying every first-write order, and closes a subset of its prefixes
+    fewer = 0
+    for seed in range(100_000, 103_000):
+        p = random_protocol(random.Random(seed), max_states=8, max_regs=4,
+                            max_trans=20, uninitialized=seed % 3 == 0)
+        for target in range(p.num_states):
+            got = solve_cover_fixed_r(p, target)
+            want = fixed_r_exhaustive(p, target)
+            assert got.answer == want.answer, (seed, target)
+            assert got.stats.get("order") == want.stats.get("order"), \
+                (seed, target)
+            closed = got.stats["orders_tried"]
+            assert closed <= want.stats["prefixes_closed"], (seed, target)
+            fewer += closed < want.stats["prefixes_closed"]
+    assert fewer > 0
+
+
+def _sat_cover(n, m, seed):
+    """The formula ``regverify gen sat-cover`` draws, as a COVER instance."""
+    rng = random.Random(seed)
+    cnf = CnfFormula(n, tuple(
+        tuple(rng.choice((j, -j)) for j in rng.choices(range(1, n + 1), k=3))
+        for _ in range(m)))
+    return cnf, *sat_to_cover(cnf)
+
+
+@pytest.mark.parametrize("n, m, seed, closed", [(3, 16, 2, 222),
+                                                (5, 40, 1, 8140)])
+def test_fixed_r_unsatisfiable_sat_cover_pins_prefixes_closed(n, m, seed,
+                                                              closed):
+    # an unsatisfiable formula settles every first-write order; the pruned
+    # search closes these many prefixes, the empty one included
+    cnf, p, qf = _sat_cover(n, m, seed)
+    assert p.register_count == 2 * n
+    assert not truth_table_satisfiable(cnf)
+    v = solve_cover_fixed_r(p, qf)
+    assert v.answer == "negative"
+    assert v.stats["orders_tried"] == closed
+    if n == 3:  # trying every order over 6 registers tries all 1 957
+        assert fixed_r_exhaustive(p, qf).stats["orders_tried"] == 1957
 
 
 # --- joker reduction --------------------------------------------------------------
