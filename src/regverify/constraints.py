@@ -408,11 +408,6 @@ class ClauseDecomposition:
     d_ok: tuple
     satisfiable: bool
 
-    def eval(self, S: frozenset, regs: tuple) -> bool:
-        return (self.q_plus <= S
-                and not (self.q_minus & S)
-                and all(regs[j] in ok for j, ok in enumerate(self.d_ok)))
-
 
 def _clause_literals(clause) -> list:
     if isinstance(clause, And):
@@ -639,13 +634,6 @@ class ApcCandidate:
 
 def _is_apc_leaf(node) -> bool:
     return isinstance(node, (Exists, Forall)) or is_closed_prop(node)
-
-
-def apc_leaves(psi) -> list:
-    """Atomic presence constraints: quantifiers and maximal closed subtrees."""
-    out: list = []
-    _collect_leaves(psi, _is_apc_leaf, out)
-    return out
 
 
 def closed_atoms_of(prop) -> list:

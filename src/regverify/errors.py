@@ -48,10 +48,6 @@ class MissingWindow(RegverifyError):
     """Round-based successor enumeration needs an explicit round window."""
 
 
-class TargetNotPopulated(RegverifyError):
-    """Copycat extension target is absent from the final configuration."""
-
-
 class NotDNF(RegverifyError):
     """Constraint is not in disjunctive normal form."""
 

@@ -280,135 +280,6 @@ def combine_footprints(p: Protocol, taus: list[Footprint],
     return exec
 
 
-# --- normal form ---------------------------------------------------------------
-
-def _reads_key(p: Protocol, m: Move):
-    a = m.trans.action
-    if a.kind != READ:
-        return None
-    return (m.rnd - a.depth, a.reg)
-
-
-def _writes_key(p: Protocol, m: Move):
-    a = m.trans.action
-    if a.kind != WRITE:
-        return None
-    return (m.rnd, a.reg)
-
-
-def normalize_execution(p: Protocol, exec: Execution) -> Execution:
-    """Rewrite an abstract execution into normal form.
-
-    Iteratively: drop non-deserting reads/increments that change nothing,
-    drop non-deserting writes that neither populate nor are ever read before
-    being overwritten (final register values stay), and make non-deserting
-    any desertion whose location is populated again later.  Start and end
-    configurations are preserved.
-    """
-    moves = list(exec.moves)
-    while True:
-        configs = replay_configs(p, Execution(exec.start, tuple(moves)),
-                                 ABSTRACT)
-        action = None
-        for i, m in enumerate(moves):
-            kind = m.trans.action.kind
-            src = (m.trans.source, m.rnd)
-            if m.desert:
-                if any(src in configs[j].pop
-                       for j in range(i + 1, len(configs))):
-                    action = ("flip", i)
-                    break
-                continue
-            if configs[i + 1] == configs[i]:
-                action = ("drop", i)
-                break
-            if kind == WRITE and configs[i + 1].pop == configs[i].pop:
-                key = (m.rnd, m.trans.action.reg)
-                needed = False
-                overwritten = False
-                for j in range(i + 1, len(moves)):
-                    if _reads_key(p, moves[j]) == key:
-                        needed = True
-                        break
-                    if _writes_key(p, moves[j]) == key:
-                        overwritten = True
-                        break
-                if not needed and overwritten:
-                    action = ("drop", i)
-                    break
-        if action is None:
-            final = replay_configs(p, Execution(exec.start, tuple(moves)),
-                                   ABSTRACT)[-1]
-            orig = replay_configs(p, exec, ABSTRACT)[-1]
-            if final != orig:
-                raise ReplayFailure("normalization changed the endpoint")
-            return Execution(exec.start, tuple(moves))
-        op, i = action
-        if op == "drop":
-            del moves[i]
-        else:
-            moves[i] = Move(moves[i].trans, moves[i].rnd, False)
-
-
-def normal_form_violations(p: Protocol, exec: Execution) -> list[str]:
-    """Check the three per-step normal-form conditions; empty when normal.
-
-    A step passes when it deserts its source, populates a never-before
-    populated location, or writes a symbol that is read before the next
-    write to the same register (or is that register's final value).
-    """
-    configs = replay_configs(p, exec, ABSTRACT)
-    out = []
-    ever: set = set(exec.start.pop)
-    for i, m in enumerate(exec.moves):
-        a = m.trans.action
-        dst_round = m.rnd + 1 if a.kind == INC else m.rnd
-        dst = (m.trans.dest, dst_round)
-        ok = False
-        if m.desert:
-            ok = True
-        elif dst not in ever:
-            ok = True
-        elif a.kind == WRITE:
-            key = (m.rnd, a.reg)
-            later_write = False
-            for j in range(i + 1, len(exec.moves)):
-                if _reads_key(p, exec.moves[j]) == key:
-                    ok = True
-                    break
-                if _writes_key(p, exec.moves[j]) == key:
-                    later_write = True
-                    break
-            if not later_write and not ok:
-                ok = True  # final value of the register
-        if not ok:
-            out.append(f"step {i} ({a.kind} at round {m.rnd}) is not justified")
-        if dst not in configs[i].pop:
-            ever.add(dst)
-    return out
-
-
-def per_round_step_counts(exec: Execution) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for m in exec.moves:
-        counts[m.rnd] = counts.get(m.rnd, 0) + 1
-    return counts
-
-
-def normal_form_round_bound(p: Protocol) -> int:
-    """Per-round step bound for normal-form executions: |Q| * (2v + 5)."""
-    return p.num_states * (2 * (p.visibility or 0) + 5)
-
-
-def locations_deserted_more_than_once(p: Protocol, exec: Execution) -> list:
-    seen: dict = {}
-    for m in exec.moves:
-        if m.desert:
-            src = (m.trans.source, m.rnd)
-            seen[src] = seen.get(src, 0) + 1
-    return [loc for loc, n in seen.items() if n > 1]
-
-
 # --- bridge footprint enumeration ------------------------------------------------
 
 def default_step_cap(p: Protocol) -> int:
@@ -431,7 +302,7 @@ def bridge_start(initial_set, lo: int, hi: int) -> LocalConfig:
 
 def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                      step_cap: int, tick, canonical: bool = True,
-                     no_desert: bool = False):
+                     negated=None):
     """All footprints on [k-v, k] from ``bridge_start`` projecting down to
     the carried steps on [k-v, k-1], whose rounds count from k-1.
 
@@ -440,7 +311,9 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
     produce: no repopulating a deserted location, non-deserting
     reads/increments must populate a location never populated before, and
     an unjustified write is never overwritten.  ``tick(n)`` charges the
-    enumeration's work: one for the start and one per step placed.
+    enumeration's work: one for the start and one per step placed.  As in
+    ``oracle.packed``, with a set of states ``negated`` only a move whose
+    source is in it may desert; with None every source may.
 
     With ``canonical``, carried steps confined to the bottom round (invisible
     one window up) are deferred maximally: a visible move never directly
@@ -510,13 +383,14 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
 
     new_ops = []
     for t in p.transitions:
+        may_desert = negated is None or t.source in negated
         if t.action.kind == INC:
-            cand = [] if no_desert else [Move(t, 0, True)]
+            cand = [Move(t, 0, True)] if may_desert else []
             if k >= 1:
                 cand.append(Move(t, -1, False))
         else:
             cand = [Move(t, 0, False)]
-            if not no_desert:
+            if may_desert:
                 cand.append(Move(t, 0, True))
         for m in cand:
             op = compile_move(m, 0)

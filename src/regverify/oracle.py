@@ -37,9 +37,9 @@ populated and deserts only from states in N.  The oracle,
 ``roundbased.solve_prp_roundbased`` search only those
 (``packed(..., negated=N)``), so their shortest witnesses keep their
 length and ``bounded``'s 4|Q| depth cut stays complete; the footprint
-search cuts its starts per candidate in the same way.  As these routes
-share the lemma, their agreement does not check it; the tests compare the
-cut search with the exhaustive one.
+search cuts its starts and deserts per candidate in the same way.  As
+these routes share the lemma, their agreement does not check it; the
+tests compare the cut search with the exhaustive one.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .constraints import (And, Exists, Forall, Not, Or, Pop, PopAt, Reg,
                           RegAt, eval_roundbased, eval_roundless,
                           max_constant, negated_states, term_value)
 from .errors import CapExceeded
-from .model import D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
+from .model import INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
                         initial_supports, replay)
 from .verdict import NEGATIVE, POSITIVE, Verdict

@@ -29,9 +29,9 @@ configuration on its window (``footprints.bridge_start``).
 Here every guess point is branch-enumerated depth-first: candidate obligation
 sets, the populated initial set (which holds every initial state the
 candidate's obligations do not negate, by the same lemma), bridge
-footprints (restricted to
-interleavings normal-form executions produce), universal literal sets and
-existential firing rounds.  Branches whose ground literals contradict each
+footprints (restricted to interleavings normal-form executions produce,
+deserting only from states the obligations negate), universal literal sets
+and existential firing rounds.  Branches whose ground literals contradict each
 other are dropped, and so is a candidate that a universal refutes at the
 round of one of its literals.  Visited (footprint, obligations) signatures,
 with where round 0 sits in the window, are memoized, which makes the state
@@ -257,10 +257,15 @@ def _footprint_search(p: Protocol, psi, cands: list,
     ``_refuted``.  Root branches (candidate, populated initial set) spend
     the budget in order, and the first branch that runs out ends the search
     with "unknown".  A positive glues the accepted footprint chain into a
-    witness.  By the lemma of ``oracle``'s docstring, applied to a
-    candidate's obligations, its populated initial sets hold every initial
-    state they do not negate, and with no negated state its search makes
-    no deserting move.
+    witness.
+
+    Each candidate searches with N, the states its obligations negate: it
+    starts with every initial state outside N populated and deserts only
+    from N (``extend_footprint(..., negated=N)``).  This is complete: by the
+    lemma of ``oracle``'s docstring, applied to the obligations' conjunction,
+    an execution that meets them has a twin that does too, with such a
+    start and deserts; normalizing the twin, as the bridge footprints
+    presuppose, only drops steps and turns deserts into keeps.
     """
     v = max(p.visibility or 0, 1)
     work = {"ticks": 0, "nodes": 0, "route": "footprints"}
@@ -278,7 +283,7 @@ def _footprint_search(p: Protocol, psi, cands: list,
         for init_set in initial_supports(p, negated):
             try:
                 hit = _search(p, cand, init_set, v, tick, work, edge_memo,
-                              not negated)
+                              negated)
             except _BudgetExceeded:
                 return Verdict(UNKNOWN, "rb-search", None, dict(work))
             if hit is not None:
@@ -288,13 +293,13 @@ def _footprint_search(p: Protocol, psi, cands: list,
 
 def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             v: int, tick, work, edge_memo: dict,
-            no_desert: bool) -> Execution | None:
+            negated: frozenset) -> Execution | None:
     universal = cand.universal
     root = _Node(0, (), cand.existential, cand.closed)
     visited: set = set()
     # each stack entry: (node, iterator over (steps, sig, child or None))
     stack = [(root, _expand(p, root, universal, init_set, v, tick,
-                            edge_memo, no_desert))]
+                            edge_memo, negated))]
     chain: list[tuple] = []  # each round's bridge steps, rounds from it
     work["nodes"] += 1
     while stack:
@@ -310,7 +315,7 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             work["nodes"] += 1
             chain.append(steps)
             stack.append((child, _expand(p, child, universal, init_set, v,
-                                         tick, edge_memo, no_desert)))
+                                         tick, edge_memo, negated)))
             advanced = True
             break
         if not advanced:
@@ -333,24 +338,24 @@ def _glue_chain(p: Protocol, chain: list[tuple], init_set: frozenset,
 
 
 def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
-               tick, no_desert: bool, memo: dict):
+               tick, negated: frozenset, memo: dict):
     """Extension edges for a node's carried steps, memoized per query.
 
-    Edges depend on the carried steps and on where round 0 sits in the
-    window (with the initial set while it is there), so one query's nodes
-    share them through ``memo``: key -> (edges read so far, the live
-    ``extend_footprint`` stream, which charges the query's ``tick``).
-    Stored edges are replayed at one tick each, and the stream is advanced
+    Edges depend on the carried steps, on the candidate's negated states
+    and on where round 0 sits in the window (with the initial set while it
+    is there), so one query's nodes share them through ``memo``: key ->
+    (edges read so far, the live ``extend_footprint`` stream, which charges
+    the query's ``tick``).  Stored edges are replayed at one tick each, and the stream is advanced
     only past their end.  Yields (steps, packed last local configuration,
     visible steps), rounds counted from the node's round.
     """
     k = node.k
-    key = (min(k, v + 1), init_set if k <= v else None, no_desert,
+    key = (min(k, v + 1), init_set if k <= v else None, negated,
            node.carried)
     if key not in memo:
         memo[key] = ([], extend_footprint(
             p, node.carried, init_set, k, default_step_cap(p), tick,
-            no_desert=no_desert))
+            negated=negated))
     edges, stream = memo[key]
     for i in itertools.count():
         if i < len(edges):
@@ -365,7 +370,7 @@ def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
 
 def _expand(p: Protocol, node: _Node, universal: frozenset,
             init_set: frozenset, v: int, tick, edge_memo: dict,
-            no_desert: bool = False):
+            negated: frozenset):
     """Children of a search node: (bridge steps, sig, next node or None).
 
     None as the node signals acceptance with those steps.  Per-branch
@@ -403,7 +408,7 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
 
     sig_round = min(k + 1, v + 1)
     n_branches = len(branches)
-    for steps, last, vis in _edges_for(p, node, init_set, v, tick, no_desert,
+    for steps, last, vis in _edges_for(p, node, init_set, v, tick, negated,
                                        edge_memo):
         tick(n_branches)
         pop_next = None

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .constraints import ClauseDecomposition, dnf_clauses, negated_states
 from .errors import NotUninitialized, WrongRegisterCount
-from .model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol, Transition,
+from .model import (D0, READ, ROUNDLESS, WRITE, Protocol, Transition,
                     is_uninitialized)
 from .oracle import bfs, compile_constraint, packed
 from .verdict import NEGATIVE, POSITIVE, Verdict
@@ -176,30 +176,6 @@ def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:
                     nxt.append((child, C))
         level = nxt
     return Verdict(NEGATIVE, "fixed-r", None, {"orders_tried": tried})
-
-
-def reduce_cover_to_target(p: Protocol, error: int) -> tuple[Protocol, int]:
-    """Joker reduction: coverability of ``error`` becomes synchronization.
-
-    Adds a fresh joker symbol, a write-joker self-loop on the error state and
-    a read-joker edge from every state to it, so that once the error state is
-    reached everybody can be pulled in.
-    """
-    if p.flavor != ROUNDLESS:
-        raise ValueError("needs a roundless protocol")
-    joker = "joker"
-    while joker in p.symbol_ids:
-        joker += "_"
-    symbols = p.symbol_names + (joker,)
-    jid = len(symbols) - 1
-    extra = [Transition(error, Action(WRITE, reg=0, symbol=jid), error)]
-    for q in range(p.num_states):
-        extra.append(Transition(q, Action(READ, reg=0, symbol=jid), error))
-    p2 = Protocol(flavor=ROUNDLESS, state_names=p.state_names,
-                  initial_states=p.initial_states,
-                  register_count=p.register_count, symbol_names=symbols,
-                  transitions=p.transitions + tuple(extra))
-    return p2, error
 
 
 def reduce_initialized_to_uninit_r1(p: Protocol) -> Protocol:

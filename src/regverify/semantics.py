@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (EmptySupport, MissingWindow, NotEnabled, NotInitialState,
-                     ReplayFailure, TargetNotPopulated)
+                     ReplayFailure)
 from .model import D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol, Transition
 
 CONCRETE = "concrete"
@@ -147,20 +147,6 @@ def initial_supports(p: Protocol, vary=None):
             yield fixed.union(combo)
 
 
-def concrete_initial(p: Protocol, counts: dict) -> ConcreteConfig:
-    """Concrete initial configuration from a state -> multiplicity map."""
-    if not counts or all(n == 0 for n in counts.values()):
-        raise EmptySupport("at least one process required")
-    bad = set(counts) - p.initial_states
-    if bad:
-        raise NotInitialState(f"not initial: {sorted(bad)}")
-    if p.flavor == ROUNDLESS:
-        pop = tuple(sorted((q, n) for q, n in counts.items() if n > 0))
-    else:
-        pop = tuple(sorted(((q, 0), n) for q, n in counts.items() if n > 0))
-    return ConcreteConfig(pop, initial_regs(p))
-
-
 def project(c: ConcreteConfig) -> AbstractConfig:
     """Projection: keep the support of the population, registers unchanged."""
     return AbstractConfig(mset_support(c.pop), c.regs)
@@ -283,72 +269,6 @@ def replay_configs(p: Protocol, exec: Execution, mode: str) -> list:
     return out
 
 
-# --- copycat and realization --------------------------------------------------
-
-def copycat_extend(p: Protocol, exec: Execution, target) -> Execution:
-    """Add one process retracing another's path to ``target``.
-
-    ``exec`` is concrete and ``target`` (a state id, or a location for
-    round-based protocols) must be populated in its final configuration.  The
-    result replays from the start population plus one process on some initial
-    support member, and ends at the final population plus one process on
-    ``target`` with identical register values.
-    """
-    configs = replay_configs(p, exec, CONCRETE)
-    if mset_count(configs[-1].pop, target) == 0:
-        raise TargetNotPopulated(f"{target} not populated at the end")
-    tracked = target
-    dup = [False] * len(exec.moves)
-    for i in reversed(range(len(exec.moves))):
-        m = exec.moves[i]
-        if tracked == move_dest(p, m):
-            dup[i] = True
-            tracked = move_source(p, m)
-    new_start = ConcreteConfig(mset_add(exec.start.pop, tracked, +1),
-                               exec.start.regs)
-    moves: list[Move] = []
-    for i, m in enumerate(exec.moves):
-        moves.append(m)
-        if dup[i]:
-            moves.append(m)
-    return Execution(new_start, tuple(moves))
-
-
-def abstract_to_concrete(p: Protocol, exec: Execution) -> Execution:
-    """Realize an abstract execution concretely.
-
-    Processes are duplicated (via the copycat construction) only when a
-    non-deserting step would otherwise drain a support member that the
-    abstract configuration keeps populated; deserting steps move every
-    process off the source.
-    """
-    try:
-        replay(p, exec, ABSTRACT)
-    except NotEnabled as e:
-        raise ReplayFailure(f"abstract execution does not replay: {e}")
-    start_elems = sorted(exec.start.pop)
-    cur_start = ConcreteConfig(multiset(start_elems), exec.start.regs)
-    cur_moves: list[Move] = []
-    cur = cur_start
-    for m in exec.moves:
-        src = move_source(p, m)
-        if m.desert:
-            for _ in range(mset_count(cur.pop, src)):
-                cur_moves.append(m)
-                cur = concrete_step(p, cur, m)
-        else:
-            if mset_count(cur.pop, src) == 1:
-                ext = copycat_extend(p, Execution(cur_start, tuple(cur_moves)),
-                                     src)
-                cur_start = ext.start
-                cur_moves = list(ext.moves)
-                cur = replay(p, Execution(cur_start, tuple(cur_moves)),
-                             CONCRETE)
-            cur_moves.append(m)
-            cur = concrete_step(p, cur, m)
-    return Execution(cur_start, tuple(cur_moves))
-
-
 # --- witness trace format ------------------------------------------------------
 
 def format_pop_elem(p: Protocol, elem) -> str:
@@ -401,7 +321,11 @@ def _trace_int(tok: str, lineno: int) -> int:
 
 
 def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
-    """Parse the witness trace format; returns (execution, mode)."""
+    """Parse the witness trace format; returns (execution, mode).
+
+    The start must be an initial configuration (a concrete start projects
+    to one) and each step a transition of ``p``; ``replay`` checks the rest.
+    """
     from .model import _parse_action
 
     lines = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
@@ -438,14 +362,19 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
                 f"line {start_line}: register {j} out of range")
         key = j - 1 if k is None else (_trace_int(k, start_line), j - 1)
         regs = reg_set(p, regs, key, sym)
-    if mode == CONCRETE:
-        if not elems:
-            raise EmptySupport("concrete trace start has no processes")
-        start = ConcreteConfig(multiset(elems), regs)
-    else:
-        start = AbstractConfig(frozenset(elems), regs)
+    support = frozenset(e if p.flavor == ROUNDLESS else e[0] for e in elems)
+    try:
+        initial = initial_configuration(p, support)
+    except (EmptySupport, NotInitialState) as e:
+        raise ReplayFailure(f"line {start_line}: {e}") from None
+    if AbstractConfig(frozenset(elems), regs) != initial:
+        raise ReplayFailure(
+            f"line {start_line}: start is not an initial configuration")
+    start = ConcreteConfig(multiset(elems), regs) if mode == CONCRETE \
+        else initial
 
     moves = []
+    transitions = set(p.transitions)
     rest = lines[2:]
     if rest and rest[0][1] == "steps:":
         rest = rest[1:]
@@ -465,6 +394,10 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
         act_text = " ".join(toks[1:-2])
         action = _parse_action(act_text, p.flavor, p.register_count,
                                p.visibility or 0, p.symbol_ids, lineno)
-        moves.append(Move(Transition(src, action, dst), rnd,
-                          flag == "desert"))
+        trans = Transition(src, action, dst)
+        if trans not in transitions:
+            raise ReplayFailure(
+                f"line {lineno}: {toks[0]} {act_text} {toks[-2]} is not a "
+                "transition of the protocol")
+        moves.append(Move(trans, rnd, flag == "desert"))
     return Execution(start, tuple(moves)), mode

@@ -23,11 +23,7 @@ from regverify.constraints import (cover_constraint, eval_roundbased,
                                    parse_roundless_constraint,
                                    target_constraint, to_dnf)
 from regverify.errors import CapExceeded, NotEnabled
-from regverify.footprints import (combine_footprints,
-                                  locations_deserted_more_than_once,
-                                  normal_form_round_bound,
-                                  normal_form_violations, normalize_execution,
-                                  per_round_step_counts, project_footprint)
+from regverify.footprints import combine_footprints, project_footprint
 from regverify.model import INC, is_uninitialized
 from regverify.oracle import default_round_cap, oracle_prp, reach
 from regverify.reductions import (Circuit, CnfFormula, builtin_examples,
@@ -35,16 +31,19 @@ from regverify.reductions import (Circuit, CnfFormula, builtin_examples,
                                   sat_to_uninit_target,
                                   truth_table_satisfiable)
 from regverify.roundbased import solve_prp_roundbased
-from regverify.roundless import (reduce_cover_to_target,
-                                 reduce_initialized_to_uninit_r1,
+from regverify.roundless import (reduce_initialized_to_uninit_r1,
                                  solve_cover_fixed_r,
                                  solve_cover_uninitialized,
                                  solve_dnfprp_one_register, solve_prp_bounded,
                                  witness_bound)
 from regverify.semantics import (ABSTRACT, CONCRETE, ConcreteConfig, Move,
-                                 abstract_to_concrete, concrete_step,
-                                 initial_configuration, multiset, project,
-                                 replay)
+                                 concrete_step, initial_configuration,
+                                 multiset, project, replay)
+
+from lemmas import (abstract_to_concrete, locations_deserted_more_than_once,
+                    normal_form_round_bound, normal_form_violations,
+                    normalize_execution, per_round_step_counts,
+                    reduce_cover_to_target)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 

@@ -175,7 +175,12 @@ def test_replay_bad_trace_reports_step(exdir, capsys, tmp_path):
     pytest.param("fig4.prot", "start: q0@0 | -1.1=a",
                  id="rb-register-round-negative"),
     pytest.param("fig4.prot", "start: q0@0 |\nsteps:\n  -1 q0 inc q0 keep",
-                 id="rb-step-round-negative")])
+                 id="rb-step-round-negative"),
+    pytest.param("fig1.prot", "start: q0 | 1=d0\nsteps:\n"
+                 "  q0 write(1, a) qf keep", id="step-not-a-transition"),
+    pytest.param("fig1.prot", "start: qf | 1=a", id="start-not-initial"),
+    pytest.param("fig1.prot", "start: | 1=d0", id="start-empty"),
+    pytest.param("fig4.prot", "start: qf@5 |", id="rb-start-not-initial")])
 def test_replay_malformed_trace_is_bad_input(exdir, capsys, tmp_path, prot,
                                              body):
     flavor = parse_protocol((exdir / prot).read_text()).flavor

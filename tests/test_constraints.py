@@ -8,7 +8,7 @@ import pytest
 from regverify.constraints import (MAX_NESTING, And, ApcCandidate, Exists, Forall, Not,
                                    Or, Pop, PopAt, Reg, RegAt, FALSE, TRUE,
                                    Term, _is_apc_leaf, _quantified_entries,
-                                   apc_leaves, closed_atoms_of,
+                                   closed_atoms_of,
                                    decompose_apcs, dnf_clauses,
                                    eval_roundbased, eval_roundless,
                                    forcing_literal_sets, format_constraint,
@@ -22,6 +22,7 @@ from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
 from regverify.semantics import AbstractConfig, ConcreteConfig, multiset, project
 
+from lemmas import apc_leaves, clause_holds
 from reference import (eval_with_assignment, full_quantified_entries,
                        truth_table_prime_implicants)
 
@@ -232,7 +233,7 @@ def test_dnf_clauses_agree_with_eval():
         S = frozenset(rng.sample(states, rng.randrange(1, 5)))
         regs = (rng.randrange(FIG1.num_symbols),)
         direct = eval_roundless(AbstractConfig(S, regs), phi)
-        via = any(d.satisfiable and d.eval(S, regs) for d in decs)
+        via = any(d.satisfiable and clause_holds(d, S, regs) for d in decs)
         assert direct == via
 
 

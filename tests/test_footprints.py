@@ -10,10 +10,7 @@ from regverify.footprints import (Footprint, LocalConfig, bridge_start,
                                   combine_footprints,
                                   execution_to_footprint, extend_footprint,
                                   footprint_configs, local_step,
-                                  locations_deserted_more_than_once,
-                                  normal_form_round_bound,
-                                  normal_form_violations, normalize_execution,
-                                  per_round_step_counts, project_footprint)
+                                  project_footprint)
 from regverify.model import INC, Protocol, parse_protocol
 from regverify.oracle import packed
 from regverify.reductions import builtin_examples
@@ -21,6 +18,9 @@ from regverify.semantics import (ABSTRACT, Execution, Move,
                                  initial_configuration, replay)
 
 from generators import random_rb_protocol
+from lemmas import (locations_deserted_more_than_once, normal_form_round_bound,
+                    normal_form_violations, normalize_execution,
+                    per_round_step_counts)
 
 PROTOCOLS, _ = builtin_examples()
 FIG4 = PROTOCOLS["fig4"]

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from regverify.constraints import (decompose_apcs, eval_roundbased,
-                                   max_constant, parse_round_constraint)
+from regverify.constraints import (And, Not, PopAt, Term, decompose_apcs,
+                                   eval_roundbased, max_constant,
+                                   negated_states, parse_round_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import (INC, READ, ROUNDBASED, WRITE, Action, Protocol,
                              Transition, parse_protocol, serialize_protocol)
@@ -225,6 +226,37 @@ def test_fuzz_seed_without_increment_negative_on_round_window():
     assert v.stats["round_bound"] == 0
 
 
+@pytest.mark.parametrize("seed, ticks", [(200038, 64_973), (201926, 2_447),
+                                         (202289, 13_689), (202597, 634)])
+def test_fuzz_seed_negative_within_budget(seed, ticks):
+    # decided within this budget only because each candidate's search
+    # deserts from no state but those its obligations negate
+    rng = random.Random(seed)
+    p = random_rb_protocol(rng)
+    psi = random_rb_constraint(rng, p)
+    v = solve_prp_roundbased(p, psi, budget=250_000)
+    assert v.answer == "negative"
+    assert v.stats["route"] == "footprints"
+    assert v.stats["ticks"] == ticks
+
+
+def test_footprint_edges_are_keyed_by_the_negated_states():
+    # the first candidate negates no state and its search, run to
+    # exhaustion, never deserts; the second negates a and must desert a@2,
+    # at a round where edges no longer depend on the initial set, so it
+    # must not reuse the first one's edges
+    p = rb_protocol("  a inc a\n", states="a c", symbols="d0 x")
+    psi = rb(p, "(or (and (pop a 3) (pop c 3)) "
+                "(and (not (pop a 2)) (pop a 3)))")
+    first, second = [c for c in decompose_apcs(psi) if not _refuted(c)]
+    assert not negated_states(And(tuple(first.closed)))
+    assert negated_states(And(tuple(second.closed))) == {p.state_id("a")}
+    v = solve_prp_roundbased(p, psi)
+    assert v.answer == "positive"
+    assert v.stats["route"] == "footprints"
+    assert eval_roundbased(p, replay(p, v.witness, ABSTRACT), psi)
+
+
 def test_fuzz_seed_refuted_by_universal_costs_no_ticks():
     # (pop s0 1) against (forall k (not (pop s0 k))) at round 1
     rng = random.Random(200122)
@@ -330,29 +362,40 @@ def test_footprint_search_keys_round_zero_position(seed, ticks, nodes):
 def test_footprint_search_against_oracle_on_bounded_seeds():
     # these seeds take the round window in solve_prp_roundbased, so the
     # acceptance fuzz checks the oracle's relation against itself there;
-    # the round cap exceeds each bound, which makes the oracle exact
-    checked = 0
+    # the round cap exceeds each bound, which makes the oracle exact.  Each
+    # seed also asks its constraint with (not (pop q 0)) for its least
+    # initial state q: emptying q@0 takes a desert from q, which a search
+    # that deserts from too few of the negated states misses
+    checked = mixed = 0
     for seed in range(200_000, 200_260):
         rng = random.Random(seed)
         p = random_rb_protocol(rng)
-        psi = random_rb_constraint(rng, p)
+        drawn = random_rb_constraint(rng, p)
         bound = _round_bound(p)
         if bound is None:
             continue
-        K = default_round_cap(p, psi)
-        assert K >= bound
-        try:
-            want = oracle_prp(p, psi, max_round=K, space_cap=40_000)
-        except CapExceeded:
-            continue
-        cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
-        got = _footprint_search(p, psi, cands, budget=250_000)
-        assert got.stats["route"] == "footprints"
-        if got.answer == "unknown":
-            continue
-        checked += 1
-        assert got.answer == want.answer, f"seed {seed}"
-        if got.answer == "positive":
-            final = replay(p, got.witness, ABSTRACT)
-            assert eval_roundbased(p, final, psi)
-    assert checked >= 140
+        empty_q = Not(PopAt(min(p.initial_states), Term(False, 0)))
+        for psi in (drawn, And((empty_q, drawn))):
+            K = default_round_cap(p, psi)
+            assert K >= bound
+            try:
+                want = oracle_prp(p, psi, max_round=K, space_cap=40_000)
+            except CapExceeded:
+                continue
+            cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
+            got = _footprint_search(p, psi, cands, budget=250_000)
+            assert got.stats["route"] == "footprints"
+            if got.answer == "unknown":
+                continue
+            checked += 1
+            # candidates whose search deserts from some states, not all
+            for c in cands:
+                negated = frozenset().union(*map(
+                    negated_states, c.closed | c.existential | c.universal))
+                mixed += 0 < len(negated) < p.num_states
+            assert got.answer == want.answer, f"seed {seed}, {psi}"
+            if got.answer == "positive":
+                final = replay(p, got.witness, ABSTRACT)
+                assert eval_roundbased(p, final, psi)
+    assert checked >= 280  # 300 measured, 150 of each kind
+    assert mixed >= 170  # 198 measured

@@ -15,7 +15,6 @@ from regverify.oracle import oracle_prp, reach
 from regverify.reductions import (CnfFormula, builtin_examples,
                                   sat_to_cover, truth_table_satisfiable)
 from regverify.roundless import (compute_cocov_set, compute_cov_set,
-                                 reduce_cover_to_target,
                                  reduce_initialized_to_uninit_r1,
                                  saturate_uninitialized,
                                  solve_cover_fixed_r,
@@ -25,6 +24,7 @@ from regverify.roundless import (compute_cocov_set, compute_cov_set,
 from regverify.semantics import ABSTRACT, replay
 
 from generators import random_constraint, random_protocol
+from lemmas import clause_holds, reduce_cover_to_target
 from reference import first_write_orders, fixed_r_exhaustive, saturate_phases
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
@@ -299,7 +299,7 @@ def cocov_oracle(p: Protocol, dec) -> set:
             seen, stack, good = {start}, [start], False
             while stack:
                 c = stack.pop()
-                if dec.satisfiable and dec.eval(c.pop, c.regs):
+                if dec.satisfiable and clause_holds(dec, c.pop, c.regs):
                     good = True
                     break
                 for _, s in abstract_successors(p, c):

@@ -5,16 +5,18 @@ import random
 import pytest
 
 from regverify.errors import (EmptySupport, NotEnabled, NotInitialState,
-                              TargetNotPopulated)
+                              ReplayFailure)
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, CONCRETE, AbstractConfig,
                                  ConcreteConfig, Execution, Move,
-                                 abstract_successors, abstract_to_concrete,
-                                 concrete_initial, concrete_step,
-                                 copycat_extend, initial_configuration,
-                                 initial_supports, mset_count, multiset, parse_trace, project,
+                                 abstract_successors, concrete_step,
+                                 initial_configuration, initial_supports,
+                                 mset_count, multiset, parse_trace, project,
                                  replay, write_trace)
+
+from lemmas import (TargetNotPopulated, abstract_to_concrete,
+                    concrete_initial, copycat_extend)
 
 PROTOCOLS, _ = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -296,6 +298,21 @@ def test_trace_roundtrip_roundbased():
     parsed, mode = parse_trace(FIG4, text)
     assert mode == ABSTRACT
     assert parsed == aexec
+
+
+@pytest.mark.parametrize("p, head, start", [
+    (FIG1, "roundless concrete", "q0 q0 | 1=a"),
+    (FIG1, "roundless concrete", "q0 A | 1=d0"),
+    (FIG1, "roundless concrete", "|"),
+    (FIG1, "roundless abstract", "q0 | 1=a"),
+    (FIG4, "roundbased abstract", "q0@1 |"),
+    (FIG4, "roundbased abstract", "q0@0 | 0.1=a"),
+    (FIG4, "roundbased concrete", "q0@0 q0@2 |")],
+    ids=["concrete-register", "concrete-not-initial", "concrete-empty",
+         "abstract-register", "rb-round", "rb-register", "rb-concrete-round"])
+def test_trace_start_must_be_an_initial_configuration(p, head, start):
+    with pytest.raises(ReplayFailure, match="^line 2: "):
+        parse_trace(p, f"trace: {head}\nstart: {start}\n")
 
 
 def test_roundbased_read_depth_underflow():
