@@ -64,13 +64,5 @@ class CapExceeded(RegverifyError):
     """Exhaustive exploration would exceed the configured cap."""
 
 
-class WindowNotContained(RegverifyError):
-    """Footprint projection target window is not inside the source window."""
-
-
-class InconsistentProjections(RegverifyError):
-    """Footprints cannot be glued: overlapping projections disagree."""
-
-
 class CyclicCircuit(RegverifyError):
     """Circuit description is cyclic or uses undefined wires."""

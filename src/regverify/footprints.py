@@ -1,310 +1,44 @@
-"""Footprint algebra for round-based protocols.
+"""Bridge footprints for the round-based search.
 
-A local configuration restricts an abstract configuration to a window of
-rounds; a footprint is the stutter-free trace an execution leaves on such a
-window.  Moves outside the window are relaxed: an increment entering from
-just below the window needs no populated source, and reads from below the
-window carry no register condition.
-
-The gluing construction rebuilds one execution from a chain of over-lapping
-window footprints (windows sliding up one round at a time, consecutive
-footprints agreeing on their overlap, windows at least as wide as the
-visibility range).
+A footprint is the stutter-free trace an execution leaves on a window of
+rounds.  The round-by-round search of ``roundbased`` guesses one per round
+k, a bridge on [k-v, k], and ``extend_footprint`` lists them: it replays
+the steps carried from round k-1's bridge and interleaves new ones, on
+codes of the oracle's packed layout (``oracle.layout``).  Moves outside
+the window are relaxed: an increment entering from just below the window
+needs no populated source, and reads from below the window carry no
+register condition.  The paper's general construction, gluing any sliding
+chain of window footprints, is in ``tests/lemmas.py``; the search splices
+its own chain (``roundbased._glue_chain``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (InconsistentProjections, NotEnabled, ReplayFailure,
-                     WindowNotContained)
-from .model import D0, INC, READ, ROUNDBASED, WRITE, Protocol
+from .errors import ReplayFailure
+from .model import INC, READ, WRITE, Protocol
 from .oracle import layout
-from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
-                        replay_configs)
+from .semantics import Move
 
-
-@dataclass(frozen=True)
-class LocalConfig:
-    lo: int  # window is [max(lo, 0), hi]; lo may be negative
-    hi: int
-    pop: frozenset   # (state, round) with round inside the window
-    regs: frozenset  # ((round, reg), symbol != d0) inside the window
-
-    def reg_value(self, key) -> int:
-        for k, val in self.regs:
-            if k == key:
-                return val
-        return D0
-
-    def restrict(self, lo: int, hi: int) -> "LocalConfig":
-        lo_eff = max(lo, 0)
-        return LocalConfig(
-            lo, hi,
-            frozenset(x for x in self.pop if lo_eff <= x[1] <= hi),
-            frozenset(e for e in self.regs if lo_eff <= e[0][0] <= hi))
-
-
-@dataclass(frozen=True)
-class Footprint:
-    start: LocalConfig
-    steps: tuple[Move, ...]
-
-    @property
-    def lo(self) -> int:
-        return self.start.lo
-
-    @property
-    def hi(self) -> int:
-        return self.start.hi
-
-
-def local_step(p: Protocol, lc: LocalConfig, m: Move) -> LocalConfig:
-    """Successor of a local configuration under the relaxed step relation.
-
-    Returns the (possibly unchanged) configuration; raises NotEnabled when an
-    in-window precondition fails.  Effects outside the window are dropped.
-    """
-    a = m.trans.action
-    rnd = m.rnd
-    lo_eff = lc.lo if lc.lo > 0 else 0
-    hi = lc.hi
-    src = (m.trans.source, rnd)
-    inc = a.kind == INC
-    dst_round = rnd + 1 if inc else rnd
-    dst = (m.trans.dest, dst_round)
-    in_window_src = lo_eff <= rnd <= hi
-    if in_window_src:
-        if src not in lc.pop:
-            raise NotEnabled(f"source {src} empty in window")
-        if a.kind == READ:
-            target = rnd - a.depth
-            if target < 0:
-                raise NotEnabled(f"depth underflow at round {rnd}")
-            if target >= lo_eff and lc.reg_value((target, a.reg)) != a.symbol:
-                raise NotEnabled(f"register mismatch at round {target}")
-    pop = lc.pop
-    if m.desert and in_window_src:
-        pop = pop - {src}
-    if lo_eff <= dst_round <= hi:
-        pop = pop | {dst}
-    regs = lc.regs
-    if a.kind == WRITE and in_window_src:
-        key = (rnd, a.reg)
-        regs = frozenset(e for e in regs if e[0] != key)
-        if a.symbol != D0:
-            regs = regs | {(key, a.symbol)}
-    return LocalConfig(lc.lo, lc.hi, pop, regs)
-
-
-def footprint_configs(p: Protocol, fp: Footprint) -> list[LocalConfig]:
-    """Replay a footprint; every step must change the local configuration."""
-    out = [fp.start]
-    for i, m in enumerate(fp.steps):
-        try:
-            nxt = local_step(p, out[-1], m)
-        except NotEnabled as e:
-            raise ReplayFailure(f"footprint step {i} not enabled: {e.reason}")
-        if nxt == out[-1]:
-            raise ReplayFailure(f"footprint step {i} stutters")
-        out.append(nxt)
-    return out
-
-
-def execution_to_footprint(p: Protocol, exec: Execution) -> Footprint:
-    """View an abstract execution as a footprint on a window covering it."""
-    configs = replay_configs(p, exec, ABSTRACT)
-    hi = 0
-    for c in configs:
-        for _, k in c.pop:
-            hi = max(hi, k)
-        for (k, _), _ in c.regs:
-            hi = max(hi, k)
-    start = LocalConfig(0, hi, exec.start.pop, exec.start.regs)
-    steps = []
-    cur = start
-    for i, m in enumerate(exec.moves):
-        nxt = LocalConfig(0, hi, configs[i + 1].pop, configs[i + 1].regs)
-        if nxt != cur:
-            steps.append(m)
-            cur = nxt
-    return Footprint(start, tuple(steps))
-
-
-def project_footprint(p: Protocol, src, j: int, k: int) -> Footprint:
-    """Restrict a footprint (or an abstract execution) to rounds [j, k].
-
-    Each configuration is replaced by its restriction, then steps that no
-    longer change anything are merged away.
-    """
-    if isinstance(src, Execution):
-        src = execution_to_footprint(p, src)
-        lo2, hi2 = min(src.lo, j), max(src.hi, k)
-        if (lo2, hi2) != (src.lo, src.hi):
-            src = Footprint(LocalConfig(lo2, hi2, src.start.pop,
-                                        src.start.regs), src.steps)
-    if not (src.lo <= j and k <= src.hi):
-        raise WindowNotContained(
-            f"[{j}, {k}] not inside [{src.lo}, {src.hi}]")
-    configs = footprint_configs(p, src)
-    start = configs[0].restrict(j, k)
-    steps = []
-    cur = start
-    for i, m in enumerate(src.steps):
-        nxt = configs[i + 1].restrict(j, k)
-        if nxt != cur:
-            steps.append(m)
-            cur = nxt
-    return Footprint(start, tuple(steps))
-
-
-def footprint_to_execution(p: Protocol, fp: Footprint) -> Execution:
-    """Read a window-covering footprint (lo <= 0) back as an execution."""
-    if max(fp.lo, 0) != 0:
-        raise WindowNotContained("footprint window must reach round 0")
-    start = AbstractConfig(fp.start.pop, fp.start.regs)
-    exec = Execution(start, fp.steps)
-    try:
-        replay_configs(p, exec, ABSTRACT)
-    except NotEnabled as e:
-        raise ReplayFailure(f"glued execution does not replay: {e}")
-    return exec
-
-
-def merge_pair(p: Protocol, fm: Footprint, fp: Footprint,
-               visibility: int) -> Footprint:
-    """Merge footprints on [a, b] and [a+1, b+1] into one on [a, b+1].
-
-    Requires window width >= visibility and agreeing projections on the
-    common rounds [a+1, b].  Steps visible on the overlap anchor the merge;
-    between two anchors the lower footprint's private steps (round a only)
-    commute before the upper one's (round b+1 only).
-    """
-    if fm.lo + 1 != fp.lo or fm.hi + 1 != fp.hi:
-        raise InconsistentProjections(
-            f"windows [{fm.lo},{fm.hi}] and [{fp.lo},{fp.hi}] do not slide")
-    if fm.hi - fm.lo < visibility:
-        raise InconsistentProjections(
-            f"window width {fm.hi - fm.lo} below visibility {visibility}")
-    com_lo, com_hi = fp.lo, fm.hi
-    com_m = project_footprint(p, fm, com_lo, com_hi)
-    com_p = project_footprint(p, fp, com_lo, com_hi)
-    if com_m != com_p:
-        raise InconsistentProjections(
-            "overlapping projections disagree on the common window")
-
-    def segments(fpr: Footprint):
-        configs = footprint_configs(p, fpr)
-        segs: list[list[Move]] = [[]]
-        cur = configs[0].restrict(com_lo, com_hi)
-        for i, m in enumerate(fpr.steps):
-            nxt = configs[i + 1].restrict(com_lo, com_hi)
-            if nxt != cur:
-                segs.append([])
-                cur = nxt
-            else:
-                segs[-1].append(m)
-        return segs
-
-    segs_m = segments(fm)
-    segs_p = segments(fp)
-    anchors = com_m.steps
-    assert len(segs_m) == len(segs_p) == len(anchors) + 1
-    steps: list[Move] = []
-    for i in range(len(anchors) + 1):
-        steps.extend(segs_m[i])
-        steps.extend(segs_p[i])
-        if i < len(anchors):
-            steps.append(anchors[i])
-    start = LocalConfig(fm.lo, fp.hi,
-                        fm.start.pop | fp.start.pop,
-                        fm.start.regs | fp.start.regs)
-    merged = Footprint(start, tuple(steps))
-    try:
-        footprint_configs(p, merged)
-    except ReplayFailure as e:
-        raise InconsistentProjections(f"merged footprint invalid: {e}")
-    return merged
-
-
-def merge_chain(p: Protocol, fps: list[Footprint],
-                visibility: int) -> Footprint:
-    """Fold a sliding chain of footprints into one wide footprint."""
-    cur = list(fps)
-    if not cur:
-        raise InconsistentProjections("nothing to merge")
-    while len(cur) > 1:
-        cur = [merge_pair(p, cur[i], cur[i + 1], visibility)
-               for i in range(len(cur) - 1)]
-    return cur[0]
-
-
-def combine_footprints(p: Protocol, taus: list[Footprint],
-                       bridges: list[Footprint]) -> Execution:
-    """Glue per-round footprints into one execution.
-
-    ``taus[k]`` lives on rounds [k-v+1, k], ``bridges[k]`` on [k-v+1, k+1],
-    with the bridge projecting to ``taus[k]`` below and ``taus[k+1]`` above
-    (v is the visibility range, at least 1 for windowing purposes).  The
-    result projects back to every ``taus[k]`` exactly.
-    """
-    if p.flavor != ROUNDBASED:
-        raise InconsistentProjections("gluing needs a round-based protocol")
-    v = max(p.visibility or 0, 1)
-    K = len(taus) - 1
-    if len(bridges) != K:
-        raise InconsistentProjections(
-            f"need {K} bridging footprints, got {len(bridges)}")
-    for k, tau in enumerate(taus):
-        if (tau.lo, tau.hi) != (k - v + 1, k):
-            raise InconsistentProjections(
-                f"footprint {k} has window [{tau.lo},{tau.hi}], "
-                f"expected [{k - v + 1},{k}]")
-    for k, br in enumerate(bridges):
-        if (br.lo, br.hi) != (k - v + 1, k + 1):
-            raise InconsistentProjections(
-                f"bridge {k} has window [{br.lo},{br.hi}], "
-                f"expected [{k - v + 1},{k + 1}]")
-        if project_footprint(p, br, k - v + 1, k) != taus[k]:
-            raise InconsistentProjections(
-                f"bridge {k} does not project to footprint {k}")
-        if project_footprint(p, br, k - v + 2, k + 1) != taus[k + 1]:
-            raise InconsistentProjections(
-                f"bridge {k} does not project to footprint {k + 1}")
-    merged = taus[0] if K == 0 else merge_chain(p, bridges, v)
-    exec = footprint_to_execution(p, merged)
-    for k, tau in enumerate(taus):
-        if project_footprint(p, exec, k - v + 1, k) != tau:
-            raise InconsistentProjections(
-                f"glued execution does not project to footprint {k}")
-    return exec
-
-
-# --- bridge footprint enumeration ------------------------------------------------
 
 def default_step_cap(p: Protocol) -> int:
-    """Footprint length cap from the normal-form bound: (v+1)|Q|(2v+5)."""
+    """Bridge length cap from the normal-form bound: (v+1)|Q|(2v+5)."""
     v = max(p.visibility or 0, 1)
     return (v + 1) * p.num_states * (2 * v + 5)
-
-
-def bridge_start(initial_set, lo: int, hi: int) -> LocalConfig:
-    """The initial configuration restricted to rounds [lo, hi].
-
-    Every bridge footprint of the round-by-round search starts here: by
-    induction from the empty footprint below round 0, each carried start is
-    the initial one, the initial set at round 0 and every register at d0.
-    """
-    pop = frozenset((q, 0) for q in initial_set) if lo <= 0 <= hi else \
-        frozenset()
-    return LocalConfig(lo, hi, pop, frozenset())
 
 
 def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                      step_cap: int, tick, canonical: bool = True,
                      negated=None):
-    """All footprints on [k-v, k] from ``bridge_start`` projecting down to
-    the carried steps on [k-v, k-1], whose rounds count from k-1.
+    """All footprints on [k-v, k] from the initial configuration on that
+    window projecting down to the carried steps on [k-v, k-1], whose rounds
+    count from k-1.
+
+    That start is the initial set at round 0 when the window holds round 0,
+    and nothing else, every register at d0.  It is every bridge's start, by
+    induction from the empty footprint below round 0: round k-1's bridge
+    started at the initial configuration on [k-v-1, k-1], so the carried
+    steps start at its restriction to [k-v, k-1], and round k holds what
+    the initial configuration puts there.
 
     New steps are moves at round k and non-deserting increments arriving
     from round k-1, restricted to interleavings a normal-form execution can
@@ -337,8 +71,9 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
     base = max(k - v, 0)
     _, loc, slot, sym_mask = layout(p, v)
     pop0 = 0
-    for q, r in bridge_start(initial_set, k - v, k).pop:
-        pop0 |= loc(q, r - base)
+    if k <= v:  # round 0 is in the window, at its lowest round
+        for q in initial_set:
+            pop0 |= loc(q, 0)
 
     def compile_move(m: Move, advance: int):
         a = m.trans.action

@@ -14,7 +14,8 @@ state negatively (the lemma in ``oracle``'s module docstring).
 
 Either way the constraint is first decomposed into candidate obligation
 sets: one with no candidate, or whose candidates all contradict themselves
-(``_refuted``, below), is negative at once, with no search.
+or have a universal false on the empty tail (``_refuted``, below), is
+negative at once, with no search.
 
 Every other protocol takes the round-by-round procedure.  It guesses, per
 round k, a bridge footprint on rounds [k-v, k] extending the carried
@@ -24,7 +25,7 @@ their round comes), and stops as soon as the remaining obligations hold on
 the untouched tail.  A node keeps its footprint as the step sequence alone,
 with rounds counted from the bridge's top round, and its ground literals
 with rounds counted from k: every bridge starts at the initial
-configuration on its window (``footprints.bridge_start``).
+configuration on its window, which ``footprints.extend_footprint`` builds.
 
 Here every guess point is branch-enumerated depth-first: candidate obligation
 sets, the populated initial set (which holds every initial state the
@@ -39,7 +40,9 @@ space finite; a work budget caps the search, returning "unknown" rather
 than ever a wrong answer.
 Bridge-footprint edges are memoized per query and enumerated lazily: the
 budget counts only the query's own work, whatever ran before it.  On
-acceptance the footprint chain is glued into a replay-validated witness.
+acceptance the chain's bridge steps are spliced into one execution, in
+time linear in the chain (``_glue_chain``), and the witness is replayed
+and checked against the constraint.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ from .constraints import (And, ApcCandidate, Not, PopAt, RegAt, Term,
                           decompose_apcs, eval_prop_at, eval_roundbased,
                           forcing_literal_sets, ground, negated_states)
 from .errors import CapExceeded, RegverifyError, ReplayFailure
-from .footprints import (Footprint, bridge_start, combine_footprints,
-                         default_step_cap, extend_footprint, project_footprint)
+from .footprints import default_step_cap, extend_footprint
 from .model import INC, ROUNDBASED, Protocol
 from .oracle import bfs, compile_constraint, packed
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
@@ -154,16 +156,20 @@ def _contradictory(lits: frozenset) -> bool:
     return False
 
 
-def _refuted(cand: ApcCandidate) -> bool:
+def _refuted(p: Protocol, cand: ApcCandidate) -> bool:
     """Whether no configuration meets the candidate's obligations because
-    its ground literals contradict each other or, at the round of one of
-    them, every forcing literal set of some universal.
+    its ground literals contradict each other, a universal is false on the
+    empty tail, or, at the round of one of the literals, every forcing
+    literal set of some universal contradicts them.
 
-    A universal holds at every round, and where it holds one of its minimal
-    forcing sets does, so the search would drop each such branch when it
-    reaches that round; this drops the candidate before its first round.
+    A universal holds at every round, the rounds past a finite execution's
+    top included, where the configuration is the empty tail.  Where it
+    holds one of its minimal forcing sets does, so the search would drop
+    each such branch when it reaches that round; this drops the candidate
+    before its first round.
     """
-    if _contradictory(cand.closed):
+    if _contradictory(cand.closed) or not all(
+            eval_prop_at(p, EMPTY, u, 0) for u in cand.universal):
         return True
     return any(all(_contradictory(
                        cand.closed | {_shift_term_round(x, r) for x in opt})
@@ -197,7 +203,7 @@ def solve_prp_roundbased(p: Protocol, psi,
         raise ValueError("solve_prp_roundbased needs a round-based protocol")
     if budget is None:
         budget = DEFAULT_BUDGET
-    cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
+    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
     bound = _round_bound(p)
     if bound is None or not cands:
         return _footprint_search(p, psi, cands, budget)
@@ -256,8 +262,8 @@ def _footprint_search(p: Protocol, psi, cands: list,
     ``cands`` are the candidate obligation sets of ``psi`` left after
     ``_refuted``.  Root branches (candidate, populated initial set) spend
     the budget in order, and the first branch that runs out ends the search
-    with "unknown".  A positive glues the accepted footprint chain into a
-    witness.
+    with "unknown".  A positive splices the accepted footprint chain into
+    a witness.
 
     Each candidate searches with N, the states its obligations negate: it
     starts with every initial state outside N populated and deserts only
@@ -308,7 +314,7 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
         for steps, sig, child in it:
             if child is None:  # accepted at this round
                 chain.append(steps)
-                return _glue_chain(p, chain, init_set, v)
+                return _glue_chain(chain, init_set)
             if sig in visited:
                 continue
             visited.add(sig)
@@ -325,16 +331,43 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
     return None
 
 
-def _glue_chain(p: Protocol, chain: list[tuple], init_set: frozenset,
-                v: int) -> Execution:
-    """Glue the accepted chain of bridge steps into one execution."""
-    fps = [Footprint(bridge_start(init_set, k - v, k),
-                     tuple(Move(m.trans, m.rnd + k, m.desert) for m in steps))
-           for k, steps in enumerate(chain)]
-    taus = [project_footprint(p, T, k - v + 1, k) for k, T in enumerate(fps)]
-    bridges = [project_footprint(p, fps[k + 1], k - v + 1, k + 1)
-               for k in range(len(fps) - 1)]
-    return combine_footprints(p, taus, bridges)
+def _glue_chain(chain: list[tuple], init_set: frozenset) -> Execution:
+    """Splice the accepted chain of bridge steps into one execution.
+
+    Bridge k's steps, rounds counted from k, are the previous bridge's
+    visible steps, in order, plus new ones: moves at round k and
+    non-deserting increments from round k-1.  Bridge 0 has only new steps.
+    Each new step goes into the execution just before the next replayed
+    step, matched by value, or at the end when none follows.
+
+    By induction on k, the execution is valid and its trace on the window
+    [k-v, k] is bridge k.  Between two replayed steps, it holds only steps
+    the previous bridge did not make visible: they are confined to rounds
+    below k-v, and need nothing from rounds k-v and above.  A new step
+    neither reads nor changes rounds below k-v: it acts on rounds k-1 and
+    k, reads at most v rounds down, and a round-(k-1) one does not desert.
+    So it commutes past them, and it finds the window as the bridge left
+    it.  The start is the initial configuration on ``init_set``, every
+    register at d0, as each bridge's start is on its window.
+    """
+    moves: list[Move] = []
+    for k, steps in enumerate(chain):
+        prev, moves, new, i = moves, [], [], 0
+        for m in steps:
+            m = Move(m.trans, m.rnd + k, m.desert)
+            if m.rnd == k or (m.rnd == k - 1 and not m.desert
+                              and m.trans.action.kind == INC):
+                new.append(m)
+                continue
+            while prev[i] != m:
+                moves.append(prev[i])
+                i += 1
+            moves += new
+            moves.append(m)
+            new, i = [], i + 1
+        moves += prev[i:] + new
+    start = AbstractConfig(frozenset((q, 0) for q in init_set), frozenset())
+    return Execution(start, tuple(moves))
 
 
 def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
@@ -393,8 +426,7 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
         pending = frozenset(_shift_term_round(lit, -1)
                             for lit in closed2 if _round(lit) > 0)
         stop = None
-        if not remaining_exist and all(eval_prop_at(p, EMPTY, u, 0)
-                                       for u in universal):
+        if not remaining_exist:
             # a stopped shape differs from the empty configuration only in
             # round k+1's population, so other literals are decided here
             varying = {lit for lit in pending
@@ -437,7 +469,7 @@ def _test_stop(p: Protocol, stop, pop_next: frozenset) -> bool:
     against the actual stopped shape: deserting increments may already
     populate round k+1 (``pop_next``), everything beyond is empty and
     registers above round k are initial.  Universals are checked at round
-    k+1 only: from round k+2 on every round reads the empty tail, which the
-    caller checked before building ``stop``.
+    k+1 only: from round k+2 on every round reads the empty tail, where
+    each universal holds, or ``_refuted`` would have dropped the candidate.
     """
     return eval_prop_at(p, AbstractConfig(pop_next, frozenset()), stop, 0)

@@ -23,7 +23,6 @@ from regverify.constraints import (cover_constraint, eval_roundbased,
                                    parse_roundless_constraint,
                                    target_constraint, to_dnf)
 from regverify.errors import CapExceeded, NotEnabled
-from regverify.footprints import combine_footprints, project_footprint
 from regverify.model import INC, is_uninitialized
 from regverify.oracle import default_round_cap, oracle_prp, reach
 from regverify.reductions import (Circuit, CnfFormula, builtin_examples,
@@ -40,9 +39,10 @@ from regverify.semantics import (ABSTRACT, CONCRETE, ConcreteConfig, Move,
                                  concrete_step, initial_configuration,
                                  multiset, project, replay)
 
-from lemmas import (abstract_to_concrete, locations_deserted_more_than_once,
-                    normal_form_round_bound, normal_form_violations,
-                    normalize_execution, per_round_step_counts,
+from lemmas import (abstract_to_concrete, combine_footprints,
+                    locations_deserted_more_than_once, normal_form_round_bound,
+                    normal_form_violations, normalize_execution,
+                    per_round_step_counts, project_footprint,
                     reduce_cover_to_target)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()

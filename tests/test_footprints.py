@@ -4,25 +4,25 @@ import random
 
 import pytest
 
-from regverify.errors import (InconsistentProjections, NotEnabled,
-                              WindowNotContained)
-from regverify.footprints import (Footprint, LocalConfig, bridge_start,
-                                  combine_footprints,
-                                  execution_to_footprint, extend_footprint,
-                                  footprint_configs, local_step,
-                                  project_footprint)
+from regverify import roundbased
+from regverify.constraints import parse_round_constraint
+from regverify.errors import NotEnabled
+from regverify.footprints import extend_footprint
 from regverify.model import INC, Protocol, parse_protocol
 from regverify.oracle import packed
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, Execution, Move,
-                                 initial_configuration, replay)
+                                 initial_configuration, replay, write_trace)
 
-from generators import random_rb_protocol
-from lemmas import (locations_deserted_more_than_once, normal_form_round_bound,
+from generators import random_rb_constraint, random_rb_protocol
+from lemmas import (Footprint, InconsistentProjections, LocalConfig,
+                    WindowNotContained, bridge_start, combine_footprints,
+                    footprint_configs, glue_bridge_chain, local_step,
+                    locations_deserted_more_than_once, normal_form_round_bound,
                     normal_form_violations, normalize_execution,
-                    per_round_step_counts)
+                    per_round_step_counts, project_footprint)
 
-PROTOCOLS, _ = builtin_examples()
+PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG4 = PROTOCOLS["fig4"]
 
 
@@ -174,6 +174,71 @@ def test_gluing_random_round_trip():
             assert project_footprint(FIG4, glued, k - v + 1, k) == taus[k]
         done += 1
     assert done == 60
+
+
+def rb_questions(case: str):
+    """(protocol, constraint, budget) for one sample of accepted chains.
+
+    Among the chains accepted on seeds 200000-202999 and 300000-301999,
+    only those of 201490, 202899 and 301153 have a bridge that places a
+    new step before a replayed one, so the samples add them.
+    """
+    if case == "psi3":
+        yield FIG4, parse_round_constraint(CONSTRAINTS["psi3"].text,
+                                           FIG4), None
+        return
+    seeds, kw, budget = {
+        "default": ([*range(200_000, 200_400), 201_490, 202_899], {},
+                    250_000),
+        "wide": ([*range(300_000, 300_200), 301_153],
+                 dict(max_states=5, visibility_max=3, max_trans=9), 30_000),
+    }[case]
+    for seed in seeds:
+        rng = random.Random(seed)
+        p = random_rb_protocol(rng, **kw)
+        yield p, random_rb_constraint(rng, p), budget
+
+
+def new_before_replayed(chain) -> bool:
+    """Whether a bridge of the chain places a new step (round 0, or a
+    non-deserting increment from round -1) before a replayed one."""
+    for steps in chain:
+        new = [m.rnd == 0 or (m.rnd == -1 and not m.desert
+                              and m.trans.action.kind == INC)
+               for m in steps]
+        if any(not b and any(new[:i]) for i, b in enumerate(new)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("case, chains, interleaved", [
+    ("psi3", 1, 1), ("default", 125, 2), ("wide", 65, 1)])
+def test_splice_equals_general_gluing_on_accepted_chains(case, chains,
+                                                          interleaved,
+                                                          monkeypatch):
+    # every chain rb-search accepts, spliced by _glue_chain, is glued the
+    # same by the paper's construction, step for step
+    accepted = []
+    splice = roundbased._glue_chain
+
+    def recording(chain, init_set):
+        accepted.append((chain, init_set, splice(chain, init_set)))
+        return accepted[-1][2]
+
+    monkeypatch.setattr(roundbased, "_glue_chain", recording)
+    glued = mixed = 0
+    for p, psi, budget in rb_questions(case):
+        accepted.clear()
+        roundbased.solve_prp_roundbased(p, psi, budget=budget)
+        for chain, init_set, got in accepted:
+            want = glue_bridge_chain(p, chain, init_set)
+            assert write_trace(p, got, ABSTRACT) == \
+                write_trace(p, want, ABSTRACT)
+            assert got == want
+            glued += 1
+            mixed += new_before_replayed(chain)
+    assert glued == chains
+    assert mixed == interleaved
 
 
 def test_normalize_removes_redundant_read():

@@ -374,7 +374,9 @@ def test_criterion_2_seed_refused_before_is_decided():
 def test_criterion_2_seed_refused_before_is_decided_negative():
     # seed 200513's full reach set within its round cap exceeds criterion
     # 2's space cap; its constraint negates no state, and the desert-free
-    # reach set has 4 094 configurations.  rb-search agrees
+    # reach set has 4 094 configurations.  rb-search agrees with no search:
+    # its universal, (or (reg 1 (+ k 2) x) (pop s0 (+ k 2))), is false on
+    # the empty tail
     rng = random.Random(200_513)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
@@ -386,7 +388,7 @@ def test_criterion_2_seed_refused_before_is_decided_negative():
     with pytest.raises(CapExceeded):
         reach(p, K, space_cap=40_000)
     v = solve_prp_roundbased(p, psi, budget=250_000)
-    assert (v.answer, v.stats) == ("negative", {"ticks": 170, "nodes": 17,
+    assert (v.answer, v.stats) == ("negative", {"ticks": 0, "nodes": 0,
                                                 "route": "footprints"})
 
 

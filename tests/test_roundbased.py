@@ -116,7 +116,7 @@ def test_footprint_stop_reads_the_next_rounds_population(text, answer):
     # bound and would take the round window: call the footprint search
     p = rb_protocol("  q0 inc q1\n", states="q0 q1", symbols="d0")
     psi = rb(p, text)
-    cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
+    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
     got = _footprint_search(p, psi, cands, budget=10_000)
     assert got.answer == answer
     assert oracle_prp(p, psi).answer == answer
@@ -226,8 +226,7 @@ def test_fuzz_seed_without_increment_negative_on_round_window():
     assert v.stats["round_bound"] == 0
 
 
-@pytest.mark.parametrize("seed, ticks", [(200038, 64_973), (201926, 2_447),
-                                         (202289, 13_689), (202597, 634)])
+@pytest.mark.parametrize("seed, ticks", [(200038, 64_973)])
 def test_fuzz_seed_negative_within_budget(seed, ticks):
     # decided within this budget only because each candidate's search
     # deserts from no state but those its obligations negate
@@ -240,6 +239,28 @@ def test_fuzz_seed_negative_within_budget(seed, ticks):
     assert v.stats["ticks"] == ticks
 
 
+@pytest.mark.parametrize("seed, answer", [
+    (201926, "negative"), (202289, "negative"), (202597, "negative"),
+    (201782, "negative"), (202985, "negative"), (201464, "positive")])
+def test_fuzz_seed_refuted_on_the_empty_tail(seed, answer):
+    # each candidate with a universal false on the empty tail is refuted
+    # before any search: 201782's universal is (pop s1 (+ k 2)).  201782,
+    # 202985 and 201464 ended unknown at this budget while such candidates
+    # were searched; 201464's other candidate, an existential, is met in
+    # two rounds
+    rng = random.Random(seed)
+    p = random_rb_protocol(rng)
+    psi = random_rb_constraint(rng, p)
+    v = solve_prp_roundbased(p, psi, budget=250_000)
+    assert v.answer == answer
+    assert v.stats["route"] == "footprints"
+    if answer == "negative":
+        assert v.stats == {"ticks": 0, "nodes": 0, "route": "footprints"}
+    else:
+        assert (v.stats["ticks"], v.stats["nodes"]) == (9, 2)
+        assert eval_roundbased(p, replay(p, v.witness, ABSTRACT), psi)
+
+
 def test_footprint_edges_are_keyed_by_the_negated_states():
     # the first candidate negates no state and its search, run to
     # exhaustion, never deserts; the second negates a and must desert a@2,
@@ -248,7 +269,7 @@ def test_footprint_edges_are_keyed_by_the_negated_states():
     p = rb_protocol("  a inc a\n", states="a c", symbols="d0 x")
     psi = rb(p, "(or (and (pop a 3) (pop c 3)) "
                 "(and (not (pop a 2)) (pop a 3)))")
-    first, second = [c for c in decompose_apcs(psi) if not _refuted(c)]
+    first, second = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
     assert not negated_states(And(tuple(first.closed)))
     assert negated_states(And(tuple(second.closed))) == {p.state_id("a")}
     v = solve_prp_roundbased(p, psi)
@@ -345,7 +366,7 @@ def test_round_window_positive_replays():
 
 
 @pytest.mark.parametrize("seed, ticks, nodes", [(200006, 9, 3),
-                                              (200011, 30, 10)])
+                                              (200011, 24, 8)])
 def test_footprint_search_keys_round_zero_position(seed, ticks, nodes):
     # edges and visited signatures are keyed by where round 0 sits in the
     # window: inside it up to round v, past it after.  Merging the round-v
@@ -353,7 +374,7 @@ def test_footprint_search_keys_round_zero_position(seed, ticks, nodes):
     rng = random.Random(seed)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
-    cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
+    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
     got = _footprint_search(p, psi, cands, budget=250_000)
     assert (got.answer, got.stats["ticks"], got.stats["nodes"]) == \
         ("negative", ticks, nodes)
@@ -367,7 +388,7 @@ def test_footprint_search_against_oracle_on_bounded_seeds():
     # initial state q: emptying q@0 takes a desert from q, which a search
     # that deserts from too few of the negated states misses
     checked = mixed = 0
-    for seed in range(200_000, 200_260):
+    for seed in range(200_000, 200_300):
         rng = random.Random(seed)
         p = random_rb_protocol(rng)
         drawn = random_rb_constraint(rng, p)
@@ -382,7 +403,7 @@ def test_footprint_search_against_oracle_on_bounded_seeds():
                 want = oracle_prp(p, psi, max_round=K, space_cap=40_000)
             except CapExceeded:
                 continue
-            cands = [c for c in decompose_apcs(psi) if not _refuted(c)]
+            cands = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
             got = _footprint_search(p, psi, cands, budget=250_000)
             assert got.stats["route"] == "footprints"
             if got.answer == "unknown":
@@ -397,5 +418,5 @@ def test_footprint_search_against_oracle_on_bounded_seeds():
             if got.answer == "positive":
                 final = replay(p, got.witness, ABSTRACT)
                 assert eval_roundbased(p, final, psi)
-    assert checked >= 280  # 300 measured, 150 of each kind
-    assert mixed >= 170  # 198 measured
+    assert checked >= 280  # 350 measured, 175 of each kind
+    assert mixed >= 170  # 203 measured
