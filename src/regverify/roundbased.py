@@ -10,12 +10,14 @@ constraint reads every round past B as the empty tail.  These protocols are
 searched breadth-first on that window, one tick per discovered
 configuration, and a positive carries a shortest witness.  As in the
 oracle, the window starts and deserts only where the constraint reads a
-state negatively (the lemma in ``oracle``'s module docstring).
+state negatively (the lemma in ``oracle``'s module docstring).  The window
+never uses the constraint's candidate obligation sets.
 
-Either way the constraint is first decomposed into candidate obligation
-sets: one with no candidate, or whose candidates all contradict themselves
-or have a universal false on the empty tail (``_refuted``, below), is
-negative at once, with no search.
+The constraint is decomposed into those sets only for a protocol with no
+round bound, or after the window ran out of budget: a constraint with no
+candidate, or whose candidates all contradict themselves or have a
+universal false on the empty tail (``_refuted``, below), is negative at
+once, with no footprint search.
 
 Every other protocol takes the round-by-round procedure.  It guesses, per
 round k, a bridge footprint on rounds [k-v, k] extending the carried
@@ -47,7 +49,6 @@ and checked against the constraint.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -70,16 +71,19 @@ class _BudgetExceeded(RegverifyError):
     pass
 
 
-@functools.lru_cache(maxsize=None)
-def _literal_options_base(prop) -> tuple:
+def _literal_options(prop, memo: dict) -> tuple:
     """Minimal forcing literal sets with rounds as offsets from the bound var.
 
     The proposition's atoms all carry the variable (constant atoms were
     pre-resolved during decomposition), so options at round k are the base
-    options shifted by k.
+    options shifted by k.  ``memo`` maps propositions to their options for
+    one query, so nothing is kept between queries.
     """
-    return tuple(frozenset(ground(a, v, 0) for a, v in assign.items())
-                 for assign in forcing_literal_sets(prop))
+    if prop not in memo:
+        memo[prop] = tuple(
+            frozenset(ground(a, v, 0) for a, v in assign.items())
+            for assign in forcing_literal_sets(prop))
+    return memo[prop]
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ def _shift_term_round(lit, delta: int):
 
 
 def _onestep_branches(universal: frozenset, exist: frozenset,
-                      closed: frozenset):
+                      closed: frozenset, options: dict):
     """All (remaining existentials, literals) choices at a node's round,
     with rounds counted from it.
 
@@ -120,14 +124,14 @@ def _onestep_branches(universal: frozenset, exist: frozenset,
     """
     uni_choice_lists = []
     for u in sorted(universal, key=repr):
-        opts = _literal_options_base(u)
+        opts = _literal_options(u, options)
         if not opts:
             return  # this universal cannot hold at round k on any branch
         uni_choice_lists.append(opts)
     ex_list = sorted(exist, key=repr)
     ex_choice_lists = []
     for e in ex_list:
-        fire_opts = [(True, lits) for lits in _literal_options_base(e)]
+        fire_opts = [(True, lits) for lits in _literal_options(e, options)]
         ex_choice_lists.append(fire_opts + [(False, frozenset())])
     for uni_pick in itertools.product(*uni_choice_lists):
         for ex_pick in itertools.product(*ex_choice_lists):
@@ -156,7 +160,7 @@ def _contradictory(lits: frozenset) -> bool:
     return False
 
 
-def _refuted(p: Protocol, cand: ApcCandidate) -> bool:
+def _refuted(p: Protocol, cand: ApcCandidate, options: dict) -> bool:
     """Whether no configuration meets the candidate's obligations because
     its ground literals contradict each other, a universal is false on the
     empty tail, or, at the round of one of the literals, every forcing
@@ -173,7 +177,7 @@ def _refuted(p: Protocol, cand: ApcCandidate) -> bool:
         return True
     return any(all(_contradictory(
                        cand.closed | {_shift_term_round(x, r) for x in opt})
-                   for opt in _literal_options_base(u))
+                   for opt in _literal_options(u, options))
                for r in set(map(_round, cand.closed))
                for u in cand.universal)
 
@@ -190,24 +194,35 @@ def solve_prp_roundbased(p: Protocol, psi,
     """Decide round-based presence reachability.
 
     A protocol with a static round bound takes the round window, any other
-    the footprint search; ``stats["route"]`` names the one taken.  A
-    constraint none of whose candidate obligation sets survives ``_refuted``
-    is negative at once, through the footprint search with no root branch,
-    whatever the protocol.  One work
-    budget (``DEFAULT_BUDGET`` unless given) covers the whole query, and
-    running out of it answers "unknown", never a wrong answer.  A negative
-    means the searched space was exhausted.  Positive verdicts carry a
-    witness execution, replayed and checked against the constraint.
+    the footprint search; ``stats["route"]`` names the one taken.  The
+    constraint is decomposed into candidate obligation sets only when the
+    footprint search needs them, or when the window ran out of budget: a
+    constraint none of whose candidates survives ``_refuted`` is then
+    negative at once, through the footprint search with no root branch
+    (route ``footprints``, 0 ticks) or, after the window, with the window's
+    work and route ``refuted``.  One work budget (``DEFAULT_BUDGET`` unless
+    given) covers the whole query, and running out of it answers
+    "unknown", never a wrong answer.  A negative means the searched space
+    was exhausted or every candidate was refuted.  Positive verdicts carry
+    a witness execution, replayed and checked against the constraint.
     """
     if p.flavor != ROUNDBASED:
         raise ValueError("solve_prp_roundbased needs a round-based protocol")
     if budget is None:
         budget = DEFAULT_BUDGET
-    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
+    options: dict = {}  # literal options of this query's propositions
     bound = _round_bound(p)
-    if bound is None or not cands:
-        return _footprint_search(p, psi, cands, budget)
-    return _round_window(p, psi, bound, budget)
+    if bound is not None:
+        window = _round_window(p, psi, bound, budget)
+        if window.answer != UNKNOWN:
+            return window
+    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, options)]
+    if bound is None:
+        return _footprint_search(p, psi, cands, budget, options)
+    if cands:
+        return window
+    return Verdict(NEGATIVE, "rb-search", None,
+                   {**window.stats, "route": "refuted"})
 
 
 def _round_bound(p: Protocol) -> int | None:
@@ -255,15 +270,16 @@ def _round_window(p: Protocol, psi, bound: int, budget: int) -> Verdict:
     return _validated(p, psi, rs.witness(), stats)
 
 
-def _footprint_search(p: Protocol, psi, cands: list,
-                      budget: int) -> Verdict:
+def _footprint_search(p: Protocol, psi, cands: list, budget: int,
+                      options: dict) -> Verdict:
     """The round-by-round footprint search under one work budget.
 
     ``cands`` are the candidate obligation sets of ``psi`` left after
-    ``_refuted``.  Root branches (candidate, populated initial set) spend
-    the budget in order, and the first branch that runs out ends the search
-    with "unknown".  A positive splices the accepted footprint chain into
-    a witness.
+    ``_refuted``, and ``options`` the query's memo of literal options.
+    Root branches (candidate, populated initial set) spend the budget in
+    order, and the first branch that runs out ends the search with
+    "unknown".  A positive splices the accepted footprint chain into a
+    witness.
 
     Each candidate searches with N, the states its obligations negate: it
     starts with every initial state outside N populated and deserts only
@@ -289,7 +305,7 @@ def _footprint_search(p: Protocol, psi, cands: list,
         for init_set in initial_supports(p, negated):
             try:
                 hit = _search(p, cand, init_set, v, tick, work, edge_memo,
-                              negated)
+                              negated, options)
             except _BudgetExceeded:
                 return Verdict(UNKNOWN, "rb-search", None, dict(work))
             if hit is not None:
@@ -299,13 +315,13 @@ def _footprint_search(p: Protocol, psi, cands: list,
 
 def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             v: int, tick, work, edge_memo: dict,
-            negated: frozenset) -> Execution | None:
+            negated: frozenset, options: dict) -> Execution | None:
     universal = cand.universal
     root = _Node(0, (), cand.existential, cand.closed)
     visited: set = set()
     # each stack entry: (node, iterator over (steps, sig, child or None))
     stack = [(root, _expand(p, root, universal, init_set, v, tick,
-                            edge_memo, negated))]
+                            edge_memo, negated, options))]
     chain: list[tuple] = []  # each round's bridge steps, rounds from it
     work["nodes"] += 1
     while stack:
@@ -321,7 +337,7 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             work["nodes"] += 1
             chain.append(steps)
             stack.append((child, _expand(p, child, universal, init_set, v,
-                                         tick, edge_memo, negated)))
+                                         tick, edge_memo, negated, options)))
             advanced = True
             break
         if not advanced:
@@ -403,7 +419,7 @@ def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
 
 def _expand(p: Protocol, node: _Node, universal: frozenset,
             init_set: frozenset, v: int, tick, edge_memo: dict,
-            negated: frozenset):
+            negated: frozenset, options: dict):
     """Children of a search node: (bridge steps, sig, next node or None).
 
     None as the node signals acceptance with those steps.  Per-branch
@@ -419,7 +435,7 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
     # proposition or None)
     branches = []
     for remaining_exist, closed2 in _onestep_branches(
-            universal, node.exist, node.closed):
+            universal, node.exist, node.closed, options):
         now = tuple(_shift_term_round(lit, now_round)
                     for lit in closed2 if _round(lit) == 0)
         test = compile_constraint(p, And(now), v) if now else None

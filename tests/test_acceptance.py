@@ -36,8 +36,7 @@ from regverify.roundless import (reduce_initialized_to_uninit_r1,
                                  solve_dnfprp_one_register, solve_prp_bounded,
                                  witness_bound)
 from regverify.semantics import (ABSTRACT, CONCRETE, ConcreteConfig, Move,
-                                 concrete_step, initial_configuration,
-                                 multiset, project, replay)
+                                 concrete_step, multiset, project, replay)
 
 from lemmas import (abstract_to_concrete, combine_footprints,
                     locations_deserted_more_than_once, normal_form_round_bound,

@@ -8,7 +8,7 @@ from regverify import roundbased
 from regverify.constraints import parse_round_constraint
 from regverify.errors import NotEnabled
 from regverify.footprints import extend_footprint
-from regverify.model import INC, Protocol, parse_protocol
+from regverify.model import INC, parse_protocol
 from regverify.oracle import packed
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, Execution, Move,

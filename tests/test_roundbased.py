@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from regverify import roundbased
 from regverify.constraints import (And, Not, PopAt, Term, decompose_apcs,
                                    eval_roundbased, max_constant,
                                    negated_states, parse_round_constraint)
 from regverify.errors import CapExceeded
-from regverify.model import (INC, READ, ROUNDBASED, WRITE, Action, Protocol,
-                             Transition, parse_protocol, serialize_protocol)
+from regverify.model import INC, Protocol, parse_protocol, serialize_protocol
 from regverify.oracle import default_round_cap, oracle_prp
 from regverify.reductions import builtin_examples
 from regverify.roundbased import (_footprint_search, _refuted, _round_bound,
@@ -116,8 +116,8 @@ def test_footprint_stop_reads_the_next_rounds_population(text, answer):
     # bound and would take the round window: call the footprint search
     p = rb_protocol("  q0 inc q1\n", states="q0 q1", symbols="d0")
     psi = rb(p, text)
-    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
-    got = _footprint_search(p, psi, cands, budget=10_000)
+    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, {})]
+    got = _footprint_search(p, psi, cands, 10_000, {})
     assert got.answer == answer
     assert oracle_prp(p, psi).answer == answer
     if answer == "positive":
@@ -269,7 +269,8 @@ def test_footprint_edges_are_keyed_by_the_negated_states():
     p = rb_protocol("  a inc a\n", states="a c", symbols="d0 x")
     psi = rb(p, "(or (and (pop a 3) (pop c 3)) "
                 "(and (not (pop a 2)) (pop a 3)))")
-    first, second = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
+    first, second = [c for c in decompose_apcs(psi)
+                     if not _refuted(p, c, {})]
     assert not negated_states(And(tuple(first.closed)))
     assert negated_states(And(tuple(second.closed))) == {p.state_id("a")}
     v = solve_prp_roundbased(p, psi)
@@ -346,10 +347,47 @@ def test_round_window_monotone_constraint_starts_with_every_initial_state():
 
 
 def test_contradictory_constraint_negative_without_search():
-    p = rb_protocol(WINDOW_CHAIN, "a b c")
+    # c's increment loop leaves the protocol with no round bound, so the
+    # constraint is decomposed first and no footprint search runs
+    p = rb_protocol(WINDOW_CHAIN + "  c inc c\n", "a b c")
+    assert _round_bound(p) is None
     v = solve_prp_roundbased(p, rb(p, "(and (pop a 0) (not (pop a 0)))"))
     assert v.answer == "negative"
     assert v.stats == {"ticks": 0, "nodes": 0, "route": "footprints"}
+
+
+def test_contradictory_constraint_negative_on_round_window():
+    # a bounded protocol goes to the window before any decomposition, and
+    # the window, complete at the bound, exhausts its 26 configurations
+    p = rb_protocol(WINDOW_CHAIN, "a b c")
+    v = solve_prp_roundbased(p, rb(p, "(and (pop a 0) (not (pop a 0)))"))
+    assert v.answer == "negative"
+    assert v.stats == {"ticks": 26, "nodes": 26, "route": "round-window",
+                       "round_bound": 2}
+
+
+def test_contradictory_constraint_refuted_after_window_runs_out():
+    # only s0 may vary, so the window has two start codes, and the second
+    # exceeds the budget of 1; the constraint is then decomposed, and its
+    # one candidate is refuted
+    p = TWENTY_INITIAL
+    v = solve_prp_roundbased(p, rb(p, "(and (pop s0 0) (not (pop s0 0)))"),
+                             budget=1)
+    assert v.answer == "negative"
+    assert v.stats == {"ticks": 2, "nodes": 1, "route": "refuted",
+                       "round_bound": 0}
+
+
+def test_round_window_never_decomposes_the_constraint(monkeypatch):
+    def fail(psi):
+        raise AssertionError("decomposed a constraint on the round window")
+
+    monkeypatch.setattr(roundbased, "decompose_apcs", fail)
+    p = rb_protocol(WINDOW_CHAIN, "a b c")
+    for text, answer in [("(and (pop a 0) (not (pop a 0)))", "negative"),
+                         ("(exists k (pop c (+ k 2)))", "positive")]:
+        v = solve_prp_roundbased(p, rb(p, text))
+        assert (v.answer, v.stats["route"]) == (answer, "round-window")
 
 
 def test_round_window_positive_replays():
@@ -374,8 +412,8 @@ def test_footprint_search_keys_round_zero_position(seed, ticks, nodes):
     rng = random.Random(seed)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
-    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
-    got = _footprint_search(p, psi, cands, budget=250_000)
+    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, {})]
+    got = _footprint_search(p, psi, cands, 250_000, {})
     assert (got.answer, got.stats["ticks"], got.stats["nodes"]) == \
         ("negative", ticks, nodes)
 
@@ -403,8 +441,9 @@ def test_footprint_search_against_oracle_on_bounded_seeds():
                 want = oracle_prp(p, psi, max_round=K, space_cap=40_000)
             except CapExceeded:
                 continue
-            cands = [c for c in decompose_apcs(psi) if not _refuted(p, c)]
-            got = _footprint_search(p, psi, cands, budget=250_000)
+            cands = [c for c in decompose_apcs(psi)
+                     if not _refuted(p, c, {})]
+            got = _footprint_search(p, psi, cands, 250_000, {})
             assert got.stats["route"] == "footprints"
             if got.answer == "unknown":
                 continue
