@@ -13,6 +13,15 @@ share one forward closure, ``_closure``, over a set of opened
 d0 fires on a register not yet opened; a read of any other symbol fires on
 an opened register once some write of that symbol to that register has
 both its source and its destination in the set.
+
+No route rescans a transition list for one read.  ``_index`` lists the
+writes (or reads) of each (register, symbol) once: ``_closure`` tests a
+read only against the writes of its own (register, symbol), from one index
+per transition list (per query in ``fixed-r``, per pruning step in the
+one-register loop, built at the first lookup elsewhere); cocovset's
+backward phases walk, per symbol, only that symbol's reads and writes.
+Closures still run in passes over the whole list, so saturation's
+``iterations`` counts the same passes.
 """
 
 from __future__ import annotations
@@ -54,14 +63,28 @@ def solve_prp_bounded(p: Protocol, phi) -> Verdict:
     return Verdict(POSITIVE, "bounded", rs.witness(), stats)
 
 
-def _closure(S, transitions, opened) -> tuple[set, int]:
+def _index(transitions, kind: str) -> dict:
+    """The transitions of ``kind`` on each (register, symbol), as (source,
+    dest) pairs in transition order."""
+    out: dict = {}
+    for t in transitions:
+        a = t.action
+        if a.kind == kind:
+            out.setdefault((a.reg, a.symbol), []).append((t.source, t.dest))
+    return out
+
+
+def _closure(S, transitions, opened, writes=None) -> tuple[set, int]:
     """Least superset of ``S`` closed under firing ``transitions`` into it.
 
     From a source in the set, a write fires on a register in ``opened``, a
     read of d0 on a register not in ``opened``, and a read of another symbol
     on a register in ``opened`` once some write of that symbol to that
-    register has both its source and its destination in the set.  Also
-    returns the number of passes over ``transitions``; the last adds nothing.
+    register has both its source and its destination in the set.  That write
+    is looked up in ``writes``, ``_index(transitions, WRITE)``: a caller that
+    closes many sets over one transition list builds it once and passes it;
+    otherwise it is built here, at the first lookup.  Also returns the number
+    of passes over ``transitions``; the last adds nothing.
     """
     S = set(S)
     passes = 0
@@ -77,11 +100,13 @@ def _closure(S, transitions, opened) -> tuple[set, int]:
                 fires = a.reg in opened
             elif a.symbol == D0:
                 fires = a.reg not in opened
+            elif a.reg not in opened:
+                continue
             else:
-                fires = a.reg in opened and any(
-                    w.action.kind == WRITE and w.action.reg == a.reg
-                    and w.action.symbol == a.symbol
-                    and w.source in S and w.dest in S for w in transitions)
+                if writes is None:
+                    writes = _index(transitions, WRITE)
+                fires = any(s in S and d in S
+                            for s, d in writes.get((a.reg, a.symbol), ()))
             if fires:
                 S.add(t.dest)
                 changed = True
@@ -142,20 +167,21 @@ def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:
     more than it; pi' s also comes earlier.  Verdict and ``stats["order"]``
     are those of trying every order.  The worst case is still exponential
     in the register count.  ``stats["orders_tried"]`` counts the prefixes
-    closed, the empty one included.
+    closed, the empty one included.  The closures of non-empty prefixes look
+    writes up in one index, built once per query.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
-    writers = [set() for _ in range(p.register_count)]
-    for t in p.transitions:
-        if t.action.kind == WRITE:
-            writers[t.action.reg].add(t.source)
     S, _ = _closure(p.initial_states, p.transitions, ())
     level = [((), S)]
     tried = 1
     if target in S:
         return Verdict(POSITIVE, "fixed-r", None,
                        {"order": [], "orders_tried": tried})
+    writes = _index(p.transitions, WRITE)
+    writers = [set() for _ in range(p.register_count)]
+    for (reg, _), pairs in writes.items():
+        writers[reg].update(src for src, _ in pairs)
     while level:
         kept: dict = {}  # frozenset of opened registers -> kept closed sets
         nxt = []
@@ -164,7 +190,7 @@ def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:
                 if j in prefix or writers[j].isdisjoint(S):
                     continue
                 child = prefix + (j,)
-                C, _ = _closure(S, p.transitions, child)
+                C, _ = _closure(S, p.transitions, child, writes)
                 tried += 1
                 if target in C:
                     return Verdict(POSITIVE, "fixed-r", None,
@@ -217,27 +243,32 @@ def compute_cov_set(p: Protocol, alive: set | None = None) -> set:
     return S
 
 
-def _previous_symbol(trans: list[Transition], S: set, symbols) -> set | None:
+def _previous_symbol(reads: dict, writes: dict, S: set,
+                     symbols) -> set | None:
     """One backward phase: saturate with reads, then demand a writer.
 
-    Iterates every candidate symbol, accumulating each success; None when no
-    symbol admits a writer into its read-closure.
+    ``reads`` and ``writes`` are ``_index`` of a one-register protocol's
+    transitions for READ and WRITE, so symbol a walks only its own reads to
+    saturate and only its own writes to find a writer.  Iterates every
+    candidate symbol, accumulating each success; None when no symbol admits
+    a writer into its read-closure.
     """
     found = False
     S = set(S)
     for a in symbols:
+        a_writes = writes.get((0, a))
+        if not a_writes:
+            continue  # no writer, whatever the read-closure
+        a_reads = reads.get((0, a), ())
         T = set(S)
         changed = True
         while changed:
             changed = False
-            for t in trans:
-                if (t.action.kind == READ and t.action.symbol == a
-                        and t.dest in T and t.source not in T):
-                    T.add(t.source)
+            for src, dst in a_reads:
+                if dst in T and src not in T:
+                    T.add(src)
                     changed = True
-        writers = {t.source for t in trans
-                   if t.action.kind == WRITE and t.action.symbol == a
-                   and t.dest in T}
+        writers = {src for src, dst in a_writes if dst in T}
         if writers:
             S = T | writers
             found = True
@@ -246,7 +277,11 @@ def _previous_symbol(trans: list[Transition], S: set, symbols) -> set | None:
 
 def compute_cocov_set(p: Protocol, clause: ClauseDecomposition,
                       alive: set | None = None) -> set:
-    """Maximal backward-coverable set for one clause (uninitialized, r=1)."""
+    """Maximal backward-coverable set for one clause (uninitialized, r=1).
+
+    The reads and the writes of each symbol are listed once per call, for
+    every backward phase.
+    """
     if p.register_count != 1:
         raise WrongRegisterCount("cocovset needs exactly one register")
     if not is_uninitialized(p):
@@ -254,15 +289,22 @@ def compute_cocov_set(p: Protocol, clause: ClauseDecomposition,
     if alive is None:
         alive = set(range(p.num_states))
     trans = _alive_transitions(p, alive)
-    allowed = alive - clause.q_minus
-    d_ok = sorted(clause.d_ok[0])
-    first = _previous_symbol(trans, allowed, d_ok)
+    return _cocov_set(p, clause, alive, _index(trans, READ),
+                      _index(trans, WRITE))
+
+
+def _cocov_set(p: Protocol, clause: ClauseDecomposition, alive: set,
+               reads: dict, writes: dict) -> set:
+    """``compute_cocov_set`` without its checks, on the indexes of the
+    transitions inside ``alive``."""
+    first = _previous_symbol(reads, writes, alive - clause.q_minus,
+                             sorted(clause.d_ok[0]))
     if first is None:
         return set()
     S = first
-    writable = [s for s in range(1, p.num_symbols)]
+    writable = range(1, p.num_symbols)
     while True:
-        nxt = _previous_symbol(trans, S, writable)
+        nxt = _previous_symbol(reads, writes, S, writable)
         if nxt is None or nxt == S:
             break
         S = nxt
@@ -270,7 +312,13 @@ def compute_cocov_set(p: Protocol, clause: ClauseDecomposition,
 
 
 def _clause_route(pu: Protocol, dec: ClauseDecomposition) -> str | None:
-    """Whether one clause accepts on the uninitialized protocol, and how."""
+    """Whether one clause accepts on the uninitialized protocol, and how.
+
+    ``pu`` comes from ``reduce_initialized_to_uninit_r1``, so it has one
+    register and reads no d0: the preconditions of covset and cocovset hold
+    for the whole query, and the loop runs their bodies unchecked, on one
+    write index per pruning step.
+    """
     if not dec.satisfiable:
         return None
     base = pu.initial_states - dec.q_minus
@@ -278,8 +326,10 @@ def _clause_route(pu: Protocol, dec: ClauseDecomposition) -> str | None:
         return "initial"
     alive = set(range(pu.num_states))
     while alive:
-        cov = compute_cov_set(pu, alive)
-        cocov = compute_cocov_set(pu, dec, alive)
+        trans = _alive_transitions(pu, alive)
+        writes = _index(trans, WRITE)
+        cov, _ = _closure(pu.initial_states & alive, trans, (0,), writes)
+        cocov = _cocov_set(pu, dec, alive, _index(trans, READ), writes)
         new_alive = alive & cov & cocov
         if new_alive == alive:
             break

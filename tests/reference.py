@@ -6,7 +6,7 @@ from regverify.constraints import (And, Exists, Not, Or, _collect_leaves,
                                    closed_atoms_of, forcing_literal_sets,
                                    ground, substitute_atoms)
 from regverify.errors import CapExceeded
-from regverify.model import WRITE, Protocol
+from regverify.model import D0, READ, WRITE, Protocol
 from regverify.oracle import ReachSet
 from regverify.roundless import _closure
 from regverify.verdict import NEGATIVE, POSITIVE, Verdict
@@ -175,3 +175,81 @@ def fixed_r_exhaustive(p: Protocol, target: int) -> Verdict:
         return Verdict(NEGATIVE, "fixed-r", None, stats)
     return Verdict(POSITIVE, "fixed-r", None,
                    dict(stats, order=[j + 1 for j in order]))
+
+
+def rescanning_closure(S, transitions, opened) -> tuple[set, int]:
+    """``roundless._closure`` without its write index: each read of a non-d0
+    symbol rescans every transition for a writer.  Returns the closed set
+    and the number of passes over ``transitions``."""
+    S = set(S)
+    passes = 0
+    changed = True
+    while changed:
+        changed = False
+        passes += 1
+        for t in transitions:
+            if t.source not in S or t.dest in S:
+                continue
+            a = t.action
+            if a.kind == WRITE:
+                fires = a.reg in opened
+            elif a.symbol == D0:
+                fires = a.reg not in opened
+            else:
+                fires = a.reg in opened and any(
+                    w.action.kind == WRITE and w.action.reg == a.reg
+                    and w.action.symbol == a.symbol
+                    and w.source in S and w.dest in S for w in transitions)
+            if fires:
+                S.add(t.dest)
+                changed = True
+    return S, passes
+
+
+def rescanning_previous_symbol(trans, S: set, symbols) -> set | None:
+    """``roundless._previous_symbol`` over the whole transition list: each
+    symbol rescans every transition to saturate and to find a writer."""
+    found = False
+    S = set(S)
+    for a in symbols:
+        T = set(S)
+        changed = True
+        while changed:
+            changed = False
+            for t in trans:
+                if (t.action.kind == READ and t.action.symbol == a
+                        and t.dest in T and t.source not in T):
+                    T.add(t.source)
+                    changed = True
+        writers = {t.source for t in trans
+                   if t.action.kind == WRITE and t.action.symbol == a
+                   and t.dest in T}
+        if writers:
+            S = T | writers
+            found = True
+    return S if found else None
+
+
+def alive_transitions(p: Protocol, alive: set) -> list:
+    """The transitions with both ends in ``alive``."""
+    return [t for t in p.transitions if t.source in alive and t.dest in alive]
+
+
+def rescanning_cov_set(p: Protocol, alive: set) -> set:
+    """``roundless.compute_cov_set`` on ``rescanning_closure``."""
+    return rescanning_closure(p.initial_states & alive,
+                              alive_transitions(p, alive), (0,))[0]
+
+
+def rescanning_cocov_set(p: Protocol, clause, alive: set) -> set:
+    """``roundless.compute_cocov_set`` on ``rescanning_previous_symbol``."""
+    trans = alive_transitions(p, alive)
+    S = rescanning_previous_symbol(trans, alive - clause.q_minus,
+                                   sorted(clause.d_ok[0]))
+    if S is None:
+        return set()
+    while True:
+        nxt = rescanning_previous_symbol(trans, S, range(1, p.num_symbols))
+        if nxt is None or nxt == S:
+            return S
+        S = nxt

@@ -1,5 +1,6 @@
 """Roundless solver tests: golden examples, reductions, oracle fuzzing."""
 
+import collections
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from regverify.model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol,
 from regverify.oracle import oracle_prp, reach
 from regverify.reductions import (CnfFormula, builtin_examples,
                                   sat_to_cover, truth_table_satisfiable)
+from regverify import roundless
 from regverify.roundless import (compute_cocov_set, compute_cov_set,
                                  reduce_initialized_to_uninit_r1,
                                  saturate_uninitialized,
@@ -23,9 +25,12 @@ from regverify.roundless import (compute_cocov_set, compute_cov_set,
                                  witness_bound)
 from regverify.semantics import ABSTRACT, replay
 
-from generators import random_constraint, random_protocol
+from generators import (random_constraint, random_dnf_constraint,
+                        random_protocol)
 from lemmas import clause_holds, reduce_cover_to_target
-from reference import first_write_orders, fixed_r_exhaustive, saturate_phases
+from reference import (first_write_orders, fixed_r_exhaustive,
+                       rescanning_closure, rescanning_cocov_set,
+                       rescanning_cov_set, saturate_phases)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -160,6 +165,52 @@ def test_fixed_r_matches_trying_every_order():
             assert closed <= want.stats["prefixes_closed"], (seed, target)
             fewer += closed < want.stats["prefixes_closed"]
     assert fewer > 0
+
+
+def test_indexed_closures_match_the_rescanning_references(monkeypatch):
+    # every closure that saturation, the fixed-r phases, the initial-phase
+    # fold and the one-register pruning loop run equals the rescanning
+    # reference's, in its set and its number of passes; so does every
+    # cocovset, and covset and cocovset on random alive subsets
+    closure, cocov = roundless._closure, roundless._cocov_set
+    calls = collections.Counter()
+
+    def checked_closure(S, transitions, opened, writes=None):
+        got = closure(S, transitions, opened, writes)
+        assert got == rescanning_closure(S, transitions, opened)
+        calls["closure"] += 1
+        return got
+
+    def checked_cocov(p, clause, alive, reads, writes):
+        got = cocov(p, clause, alive, reads, writes)
+        assert got == rescanning_cocov_set(p, clause, alive)
+        calls["cocov", alive != set(range(p.num_states))] += 1
+        return got
+
+    monkeypatch.setattr(roundless, "_closure", checked_closure)
+    monkeypatch.setattr(roundless, "_cocov_set", checked_cocov)
+    for seed in range(100_000, 100_300):
+        rng = random.Random(seed)
+        p = random_protocol(rng, max_states=8, max_symbols=4,
+                            max_regs=1 if seed % 2 else 3, max_trans=20,
+                            uninitialized=seed % 3 == 0)
+        for target in range(p.num_states):
+            solve_cover_fixed_r(p, target)
+        if is_uninitialized(p):
+            saturate_uninitialized(p)
+        if p.register_count != 1:
+            continue
+        phi = random_dnf_constraint(rng, p)
+        solve_dnfprp_one_register(p, phi)
+        pu = reduce_initialized_to_uninit_r1(p)
+        for dec in dnf_clauses(pu, phi):
+            for _ in range(3):
+                alive = {q for q in range(p.num_states) if rng.random() < 0.7}
+                assert compute_cov_set(pu, alive) == \
+                    rescanning_cov_set(pu, alive), seed
+                compute_cocov_set(pu, dec, alive)
+    assert calls["closure"] > 3_000
+    assert calls["cocov", True] > 500 and calls["cocov", False] > 200
 
 
 def _sat_cover(n, m, seed):
