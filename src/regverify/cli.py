@@ -18,9 +18,10 @@ import sys
 from pathlib import Path
 
 from . import constraints as cst
-from .errors import NotDNF, NotEnabled, RegverifyError
-from .model import (ROUNDBASED, ROUNDLESS, is_uninitialized, parse_protocol,
-                    serialize_protocol, validate)
+from .errors import (NotDNF, NotEnabled, NotUninitialized, RegverifyError,
+                     WrongRegisterCount)
+from .model import (ROUNDBASED, ROUNDLESS, parse_protocol, serialize_protocol,
+                    validate)
 from .oracle import oracle_prp
 from .reductions import (TRUTH_TABLE_CAP, Circuit, CnfFormula,
                          builtin_examples, cvp_to_cover, evaluate_circuit,
@@ -120,43 +121,40 @@ def cmd_check(args) -> int:
         phi = cst.to_dnf(phi)
 
     algo = args.algo
-    if algo == "oracle":
-        v = oracle_prp(p, phi, max_round=args.cap_rounds,
-                       state_cap=args.cap_states)
-    elif args.problem == "rbprp":
-        if algo not in (None, "rb-search"):
-            raise CliError(f"algorithm {algo!r} does not decide rbprp",
-                           EXIT_INCOMPATIBLE)
-        v = solve_prp_roundbased(p, phi, budget=args.budget)
-    elif algo == "bounded" or algo is None:
-        v = solve_prp_bounded(p, phi)
-    elif algo == "saturation":
-        if args.problem != "cover":
-            raise CliError("saturation decides cover only", EXIT_INCOMPATIBLE)
-        if not is_uninitialized(p):
-            raise CliError("saturation needs an uninitialized protocol",
-                           EXIT_INCOMPATIBLE)
-        v = solve_cover_uninitialized(p, state)
-    elif algo == "fixed-r":
-        if args.problem != "cover":
-            raise CliError("fixed-r decides cover only", EXIT_INCOMPATIBLE)
-        if p.register_count > 6:
-            print(f"warning: fixed-r over {p.register_count} registers "
-                  f"skips dominated first-write orders, but its worst case "
-                  f"is still exponential in the register count",
-                  file=sys.stderr)
-        v = solve_cover_fixed_r(p, state)
-    elif algo == "one-reg":
-        if p.register_count != 1:
-            raise CliError("one-reg needs a single register",
-                           EXIT_INCOMPATIBLE)
-        try:
+    try:
+        if algo == "oracle":
+            v = oracle_prp(p, phi, max_round=args.cap_rounds,
+                           state_cap=args.cap_states)
+        elif args.problem == "rbprp":
+            if algo not in (None, "rb-search"):
+                raise CliError(f"algorithm {algo!r} does not decide rbprp",
+                               EXIT_INCOMPATIBLE)
+            v = solve_prp_roundbased(p, phi, budget=args.budget)
+        elif algo == "bounded" or algo is None:
+            v = solve_prp_bounded(p, phi)
+        elif algo == "saturation":
+            if args.problem != "cover":
+                raise CliError("saturation decides cover only",
+                               EXIT_INCOMPATIBLE)
+            v = solve_cover_uninitialized(p, state)
+        elif algo == "fixed-r":
+            if args.problem != "cover":
+                raise CliError("fixed-r decides cover only",
+                               EXIT_INCOMPATIBLE)
+            if p.register_count > 6:
+                print(f"warning: fixed-r over {p.register_count} registers "
+                      f"skips dominated first-write orders, but its worst "
+                      f"case is still exponential in the register count",
+                      file=sys.stderr)
+            v = solve_cover_fixed_r(p, state)
+        elif algo == "one-reg":
             v = solve_dnfprp_one_register(p, phi)
-        except NotDNF:
-            raise CliError("one-reg needs a DNF constraint "
-                           "(try --distribute)", EXIT_INCOMPATIBLE)
-    else:  # rb-search, the one choice left
-        raise CliError("rb-search decides rbprp only", EXIT_INCOMPATIBLE)
+        else:  # rb-search, the one choice left
+            raise CliError("rb-search decides rbprp only", EXIT_INCOMPATIBLE)
+    except (NotUninitialized, WrongRegisterCount, NotDNF) as e:
+        # each solver checks its own preconditions
+        hint = " (try --distribute)" if isinstance(e, NotDNF) else ""
+        raise CliError(f"{e}{hint}", EXIT_INCOMPATIBLE)
     return _emit(v, p, args)
 
 

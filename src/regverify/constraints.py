@@ -419,7 +419,8 @@ def _clause_literals(clause) -> list:
         return [(clause, True)]
     if isinstance(clause, Not) and isinstance(clause.child, (Pop, Reg)):
         return [(clause.child, False)]
-    raise NotDNF(f"not a DNF literal/conjunction: {clause!r}")
+    raise NotDNF("not in DNF: a clause holds "
+                 f"({type(clause).__name__.lower()} ...)")
 
 
 def dnf_clauses(p: Protocol, phi) -> list[ClauseDecomposition]:

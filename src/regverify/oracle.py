@@ -14,32 +14,13 @@ The search stays on integer codes.  Each table entry is enabled by one
 mask test, which covers its source's population bit and a read's symbol
 field together, and makes its step by one mask and one or; the constraint
 is compiled to bit probes on the code, and only a witness's own codes are
-decoded.  Every positive is replayed, and its final configuration is
-checked by the reference evaluators ``eval_roundless`` and
-``eval_roundbased``.  The roundless ``bounded`` solver and the round window
-of ``roundbased`` run this same loop, table and probe, so their agreement
-with the oracle checks neither the table nor the probe.  The tests check
-the table against a reference search over ``semantics.abstract_successors``
-(members, their order and parent links) and ``abstract_step``, and the
-probe against the evaluators.
-
-A constraint notices an extra populated location only at a state it
-reads under an odd number of negations (``constraints.negated_states``,
-N below).  Take any witness, let a process idle forever at each initial
-state outside N, and replace each deserting move from a source outside N
-by its keep variant.  Either change leaves the registers as they were:
-each step stays enabled and writes what it wrote.  It only adds
-locations of states outside N, which the constraint reads positively, so
-the final configuration still satisfies it.  Hence every witness has one
-of the same length that starts with every initial state outside N
-populated and deserts only from states in N.  The oracle,
-``roundless.solve_prp_bounded`` and the round window of
-``roundbased.solve_prp_roundbased`` search only those
-(``packed(..., negated=N)``), so their shortest witnesses keep their
-length and ``bounded``'s 4|Q| depth cut stays complete; the footprint
-search cuts its starts and deserts per candidate in the same way.  As
-these routes share the lemma, their agreement does not check it; the
-tests compare the cut search with the exhaustive one.
+decoded.  The oracle, the roundless ``bounded`` solver and the round window
+of ``roundbased`` all decide by ``search``, whose positives ``validated``
+replays and checks with the reference evaluators, so their agreement checks
+neither the table, nor the probe, nor the cut in ``search``'s docstring.
+The tests check the table against a reference search over
+``semantics.abstract_successors`` and ``abstract_step``, the probe against
+the evaluators, and the cut search against the exhaustive one.
 """
 
 from __future__ import annotations
@@ -49,7 +30,7 @@ from functools import cached_property
 from .constraints import (And, Exists, Forall, Not, Or, Pop, PopAt, Reg,
                           RegAt, eval_roundbased, eval_roundless,
                           max_constant, negated_states, term_value)
-from .errors import CapExceeded
+from .errors import CapExceeded, ReplayFailure
 from .model import INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
                         initial_supports, replay)
@@ -195,7 +176,7 @@ def packed(p: Protocol, max_round: int = 0, negated=None):
     only.  ``table()`` builds the step entries, per transition and round,
     keep variant first, then desert, as in ``semantics.abstract_successors``:
     an increment at ``max_round`` and a read below round 0 get none.  With
-    a set of states ``negated`` (the lemma in the module docstring), only a
+    a set of states ``negated`` (the cut in ``search``'s docstring), only a
     source in it gets a desert entry, and the starts are the supports that
     hold every initial state outside it; with None the search is exhaustive.
 
@@ -359,25 +340,74 @@ def _predicate(e):
     return e
 
 
-def reach(p: Protocol, max_round: int = 0,
-          state_cap: int = DEFAULT_STATE_CAP,
-          space_cap: int = DEFAULT_SPACE_CAP, sat=None,
-          negated=None) -> ReachSet:
-    """Abstract reach set from every initial configuration, by moves with
-    effect on rounds <= ``max_round`` for a round-based protocol; with a set
-    ``negated``, from the starts and by the moves ``packed`` keeps for it.
-
-    Without ``sat`` the set is complete.  With it, a predicate on codes such
-    as ``compile_constraint`` returns, breadth-first search stops at the
-    first configuration satisfying ``sat`` and records it as ``hit``; the
-    set then holds the configurations discovered so far.
-    """
+def _refuse_beyond_caps(p: Protocol, state_cap: int, space_cap: int):
     if p.num_states > state_cap:
         raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
     if p.flavor == ROUNDLESS and \
             p.num_symbols ** p.register_count > space_cap:
         raise CapExceeded("register valuation space exceeds cap")
-    return bfs(*packed(p, max_round, negated), space_cap, sat)
+
+
+def reach(p: Protocol, max_round: int = 0,
+          state_cap: int = DEFAULT_STATE_CAP,
+          space_cap: int = DEFAULT_SPACE_CAP, negated=None) -> ReachSet:
+    """Abstract reach set from every initial configuration, by moves with
+    effect on rounds <= ``max_round`` for a round-based protocol; with a set
+    ``negated``, from the starts and by the moves ``packed`` keeps for it.
+    """
+    _refuse_beyond_caps(p, state_cap, space_cap)
+    return bfs(*packed(p, max_round, negated), space_cap)
+
+
+def search(p: Protocol, psi, max_round: int = 0,
+           space_cap: float = float("inf"),
+           max_depth: int | None = None) -> tuple[int, Execution | None]:
+    """Breadth-first search for a configuration that satisfies ``psi``.
+
+    ``bfs`` on ``packed(p, max_round, negated_states(psi))`` with
+    ``compile_constraint(p, psi, max_round)`` as its test and its
+    ``space_cap`` and ``max_depth``.  Returns the number of configurations
+    discovered and the shortest witness to the first hit, checked by
+    ``validated`` to end there, or None.
+
+    The start and desert cut.  A constraint notices an extra populated
+    location only at a state it reads under an odd number of negations
+    (``constraints.negated_states``, N below).  Take any witness, let a
+    process idle forever at each initial state outside N, and replace each
+    deserting move from a source outside N by its keep variant.  Either
+    change leaves the registers as they were: each step stays enabled and
+    writes what it wrote.  It only adds locations of states outside N,
+    which the constraint reads positively, so the final configuration still
+    satisfies it.  Hence every witness has one of the same length that
+    starts with every initial state outside N populated and deserts only
+    from states in N, the ones searched, so the shortest witnesses keep
+    their length and ``bounded``'s 4|Q| depth cut stays complete.  The
+    footprint search of ``roundbased`` cuts its starts and deserts per
+    candidate in the same way.
+    """
+    rs = bfs(*packed(p, max_round, negated_states(psi)), space_cap,
+             compile_constraint(p, psi, max_round), max_depth)
+    if rs.hit_code is None:
+        return len(rs.links), None
+    wit = rs.witness()
+    if validated(p, psi, wit) != rs.hit:
+        raise ReplayFailure("internal error: witness misses the hit")
+    return len(rs.links), wit
+
+
+def validated(p: Protocol, psi, witness: Execution) -> AbstractConfig:
+    """The final configuration of a positive's witness, replayed; raises
+    ``ReplayFailure`` unless it satisfies ``psi``, by the reference
+    evaluator of its flavor at its own active bound."""
+    final = replay(p, witness, ABSTRACT)
+    if p.flavor == ROUNDLESS:
+        holds = eval_roundless(final, psi)
+    else:
+        holds = eval_roundbased(p, final, psi)
+    if not holds:
+        raise ReplayFailure(
+            "internal error: witness does not satisfy the constraint")
+    return final
 
 
 def default_round_cap(p: Protocol, psi) -> int:
@@ -393,18 +423,11 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
                space_cap: int = DEFAULT_SPACE_CAP) -> Verdict:
     """Decide a presence reachability instance by exhaustive search.
 
-    The compiled constraint is checked on each configuration as
-    breadth-first search first discovers it, and the search stops at the
-    first hit, so positives carry a shortest witness, replayed and
-    re-evaluated by the reference evaluator before it is returned.
-    ``space_cap`` bounds the configurations discovered before a verdict: a
-    positive is exact whenever its first hit lies within the cap, while a
-    negative explores the whole reach set and raises ``CapExceeded`` past
-    it.  ``stats["members"]`` counts the configurations discovered, which
-    for a positive is not the whole reach set.  The search starts and
-    deserts only as the lemma in the module docstring allows for the
-    constraint's negated states, so the reach set searched, and capped, is
-    the one ``reach(..., negated=negated_states(constraint))`` returns.
+    ``search`` within ``space_cap`` configurations: a positive is exact
+    whenever its first hit lies within the cap, while a negative explores
+    the whole reach set ``reach(..., negated=negated_states(constraint))``
+    and raises ``CapExceeded`` past it.  ``stats["members"]`` counts the
+    configurations discovered, for a positive not the whole reach set.
 
     For round-based protocols the verdict is relative to executions whose
     moves affect rounds <= max_round only (positives are exact; a negative
@@ -412,23 +435,12 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
     """
     if p.flavor == ROUNDLESS:
         max_round = 0
-        check = lambda c: eval_roundless(c, constraint)
-    else:
-        if max_round is None:
-            max_round = default_round_cap(p, constraint)
-        bound = max_round + 1  # increments at max_round-1 touch max_round
-        check = lambda c: eval_roundbased(p, c, constraint,
-                                          active_bound=bound)
-    rs = reach(p, max_round, state_cap, space_cap,
-               compile_constraint(p, constraint, max_round),
-               negated_states(constraint))
-    stats = {"members": len(rs.links)}
+    elif max_round is None:
+        max_round = default_round_cap(p, constraint)
+    _refuse_beyond_caps(p, state_cap, space_cap)
+    members, wit = search(p, constraint, max_round, space_cap)
+    stats = {"members": members}
     if p.flavor == ROUNDBASED:
         stats["max_round"] = max_round
-    if rs.hit_code is None:
-        return Verdict(NEGATIVE, "oracle", None, stats)
-    wit = rs.witness()
-    final = replay(p, wit, ABSTRACT)
-    if final != rs.hit or not check(final):
-        raise AssertionError("oracle witness failed validation")
-    return Verdict(POSITIVE, "oracle", wit, stats)
+    return Verdict(NEGATIVE if wit is None else POSITIVE, "oracle", wit,
+                   stats)

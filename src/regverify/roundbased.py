@@ -8,10 +8,9 @@ below, B the most increments on a path from an initial state
 step relation, since no increment is generated at round B, and the compiled
 constraint reads every round past B as the empty tail.  These protocols are
 searched breadth-first on that window, one tick per discovered
-configuration, and a positive carries a shortest witness.  As in the
-oracle, the window starts and deserts only where the constraint reads a
-state negatively (the lemma in ``oracle``'s module docstring).  The window
-never uses the constraint's candidate obligation sets.
+configuration, and a positive carries a shortest witness: this is
+``oracle.search`` with the budget as its space cap.  The window never uses
+the constraint's candidate obligation sets.
 
 The constraint is decomposed into those sets only for a protocol with no
 round bound, or after the window ran out of budget: a constraint with no
@@ -31,7 +30,7 @@ configuration on its window, which ``footprints.extend_footprint`` builds.
 
 Here every guess point is branch-enumerated depth-first: candidate obligation
 sets, the populated initial set (which holds every initial state the
-candidate's obligations do not negate, by the same lemma), bridge
+candidate's obligations do not negate, by ``oracle.search``'s cut), bridge
 footprints (restricted to interleavings normal-form executions produce,
 deserting only from states the obligations negate), universal literal sets
 and existential firing rounds.  Branches whose ground literals contradict each
@@ -53,14 +52,13 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .constraints import (And, ApcCandidate, Not, PopAt, RegAt, Term,
-                          decompose_apcs, eval_prop_at, eval_roundbased,
+                          decompose_apcs, eval_prop_at,
                           forcing_literal_sets, ground, negated_states)
-from .errors import CapExceeded, RegverifyError, ReplayFailure
+from .errors import CapExceeded, RegverifyError
 from .footprints import default_step_cap, extend_footprint
 from .model import INC, ROUNDBASED, Protocol
-from .oracle import bfs, compile_constraint, packed
-from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
-                        initial_supports, replay)
+from .oracle import compile_constraint, search, validated
+from .semantics import AbstractConfig, Execution, Move, initial_supports
 from .verdict import NEGATIVE, POSITIVE, UNKNOWN, Verdict
 
 DEFAULT_BUDGET = 3_000_000
@@ -182,13 +180,6 @@ def _refuted(p: Protocol, cand: ApcCandidate, options: dict) -> bool:
                for u in cand.universal)
 
 
-def _validated(p: Protocol, psi, exec_: Execution, stats: dict) -> Verdict:
-    if not eval_roundbased(p, replay(p, exec_, ABSTRACT), psi):
-        raise ReplayFailure(
-            "internal error: witness does not satisfy the constraint")
-    return Verdict(POSITIVE, "rb-search", exec_, stats)
-
-
 def solve_prp_roundbased(p: Protocol, psi,
                          budget: int | None = None) -> Verdict:
     """Decide round-based presence reachability.
@@ -248,26 +239,21 @@ def _round_bound(p: Protocol) -> int | None:
 
 
 def _round_window(p: Protocol, psi, bound: int, budget: int) -> Verdict:
-    """Breadth-first search of the packed round window at the round bound.
+    """``oracle.search`` on the packed round window at the round bound.
 
     Each discovered configuration costs one tick; past the budget the
     answer is "unknown".  A positive carries the search's shortest witness.
-    As in the oracle, the search starts with every initial state the
-    constraint does not negate populated and deserts only from states it
-    negates (the lemma in ``oracle``'s docstring).
     """
     # as the search ran out: the budget's configurations held, one more found
     stats = {"ticks": budget + 1, "nodes": budget, "route": "round-window",
              "round_bound": bound}
     try:
-        rs = bfs(*packed(p, bound, negated_states(psi)),
-                 space_cap=budget, sat=compile_constraint(p, psi, bound))
+        found, wit = search(p, psi, bound, budget)
     except CapExceeded:
         return Verdict(UNKNOWN, "rb-search", None, stats)
-    stats["ticks"] = stats["nodes"] = len(rs.links)
-    if rs.hit_code is None:
-        return Verdict(NEGATIVE, "rb-search", None, stats)
-    return _validated(p, psi, rs.witness(), stats)
+    stats["ticks"] = stats["nodes"] = found
+    return Verdict(NEGATIVE if wit is None else POSITIVE, "rb-search", wit,
+                   stats)
 
 
 def _footprint_search(p: Protocol, psi, cands: list, budget: int,
@@ -284,10 +270,10 @@ def _footprint_search(p: Protocol, psi, cands: list, budget: int,
     Each candidate searches with N, the states its obligations negate: it
     starts with every initial state outside N populated and deserts only
     from N (``extend_footprint(..., negated=N)``).  This is complete: by the
-    lemma of ``oracle``'s docstring, applied to the obligations' conjunction,
-    an execution that meets them has a twin that does too, with such a
-    start and deserts; normalizing the twin, as the bridge footprints
-    presuppose, only drops steps and turns deserts into keeps.
+    cut in ``oracle.search``'s docstring, applied to the obligations'
+    conjunction, an execution that meets them has a twin that does too,
+    with such a start and deserts; normalizing the twin, as the bridge
+    footprints presuppose, only drops steps and turns deserts into keeps.
     """
     v = max(p.visibility or 0, 1)
     work = {"ticks": 0, "nodes": 0, "route": "footprints"}
@@ -309,7 +295,8 @@ def _footprint_search(p: Protocol, psi, cands: list, budget: int,
             except _BudgetExceeded:
                 return Verdict(UNKNOWN, "rb-search", None, dict(work))
             if hit is not None:
-                return _validated(p, psi, hit, dict(work))
+                validated(p, psi, hit)
+                return Verdict(POSITIVE, "rb-search", hit, dict(work))
     return Verdict(NEGATIVE, "rb-search", None, dict(work))
 
 

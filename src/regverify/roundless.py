@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constraints import ClauseDecomposition, dnf_clauses, negated_states
+from .constraints import ClauseDecomposition, dnf_clauses
 from .errors import NotUninitialized, WrongRegisterCount
 from .model import (D0, READ, ROUNDLESS, WRITE, Protocol, Transition,
                     is_uninitialized)
-from .oracle import bfs, compile_constraint, packed
+from .oracle import search
 from .verdict import NEGATIVE, POSITIVE, Verdict
 
 
@@ -44,23 +44,17 @@ def witness_bound(p: Protocol) -> int:
 def solve_prp_bounded(p: Protocol, phi) -> Verdict:
     """Decide PRP by breadth-first search to depth 4|Q|, which is complete.
 
-    Runs the oracle's search loop on its packed step table and compiled
-    constraint without its caps, so a positive carries the oracle's shortest
-    witness, at most 4|Q| steps long.  Both start with every initial state
-    the constraint does not negate populated and desert only from states it
-    negates: a witness as short as any exists there (the lemma in
-    ``oracle``'s docstring), so the depth cut stays complete.
-    ``stats["nodes"]`` counts the configurations discovered.
+    This is ``oracle.search`` without the oracle's caps, cut at depth 4|Q|,
+    which its start and desert cut keeps complete.  So a positive carries
+    the oracle's shortest witness, at most 4|Q| steps long, replayed and
+    checked.  ``stats["nodes"]`` counts the configurations discovered.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("solve_prp_bounded needs a roundless protocol")
     bound = witness_bound(p)
-    rs = bfs(*packed(p, negated=negated_states(phi)),
-             sat=compile_constraint(p, phi), max_depth=bound)
-    stats = {"nodes": len(rs.links), "bound": bound}
-    if rs.hit_code is None:
-        return Verdict(NEGATIVE, "bounded", None, stats)
-    return Verdict(POSITIVE, "bounded", rs.witness(), stats)
+    nodes, wit = search(p, phi, max_depth=bound)
+    return Verdict(NEGATIVE if wit is None else POSITIVE, "bounded", wit,
+                   {"nodes": nodes, "bound": bound})
 
 
 def _index(transitions, kind: str) -> dict:
@@ -138,7 +132,7 @@ def solve_cover_uninitialized(p: Protocol, target: int) -> Verdict:
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
     if not is_uninitialized(p):
-        raise NotUninitialized("protocol reads the initial symbol")
+        raise NotUninitialized("saturation needs an uninitialized protocol")
     st = saturate_uninitialized(p)
     answer = POSITIVE if target in st.covered else NEGATIVE
     return Verdict(answer, "saturation", None,
@@ -352,7 +346,7 @@ def solve_dnfprp_one_register(p: Protocol, phi) -> Verdict:
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
     if p.register_count != 1:
-        raise WrongRegisterCount("one-register route needs r = 1")
+        raise WrongRegisterCount("one-reg needs a single register")
     decs = dnf_clauses(p, phi)  # raises NotDNF on bad input
     pu = reduce_initialized_to_uninit_r1(p)
     stats = {"clauses": len(decs)}

@@ -339,17 +339,19 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
     mode = head[1]
     if len(lines) < 2 or not lines[1][1].startswith("start:"):
         raise ReplayFailure("missing 'start:' line")
-    start_line, start_body = lines[1][0], lines[1][1][len("start:"):]
-    pop_part, _, reg_part = start_body.partition("|")
+    start_line, toks = lines[1][0], lines[1][1][len("start:"):].split()
+    # a state name may hold "|" or "@", a register token holds "="
+    cut = max((i for i, tok in enumerate(toks) if tok == "|"),
+              default=len(toks))
     elems = []
-    for tok in pop_part.split():
+    for tok in toks[:cut]:
         if p.flavor == ROUNDLESS:
             elems.append(p.state_id(tok))
         else:
-            name, _, k = tok.partition("@")
+            name, _, k = tok.rpartition("@")
             elems.append((p.state_id(name), _trace_int(k, start_line)))
     regs = initial_regs(p)
-    for tok in reg_part.split():
+    for tok in toks[cut + 1:]:
         key_part, _, sym_name = tok.partition("=")
         sym = p.symbol_id(sym_name)
         if p.flavor == ROUNDLESS:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from regverify import oracle
 from regverify.cli import main
 from regverify.constraints import MAX_NESTING
 from regverify.model import parse_protocol
@@ -53,6 +54,59 @@ def test_check_incompatible_algorithm(exdir, capsys, tmp_path):
                        "--algo", "one-reg")
     assert code == 65
     assert "single register" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "cover", "fig1.prot", "--state", "qf", "--algo", "saturation"],
+     "saturation needs an uninitialized protocol"),
+    (["check", "dnfprp", "fig1.prot", "ex26_phi.pc", "--algo", "one-reg"],
+     "not in DNF: a clause holds (or ...) (try --distribute)")],
+    ids=["saturation-initialized", "one-reg-not-dnf"])
+def test_solver_precondition_is_incompatible(exdir, capsys, argv, message):
+    argv = [str(exdir / a) if "." in a else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "cover", "fig1.prot", "--state", "qf"],
+    ["check", "rbprp", "fig4.prot", "psi3.pc"],
+    ["oracle", "fig4.prot", "psi3.pc", "--cap-rounds", "2"]],
+    ids=["check-bounded", "check-rb-search", "oracle"])
+def test_witness_failing_its_check_is_exit_70(exdir, capsys, monkeypatch,
+                                              argv):
+    monkeypatch.setattr(oracle, "eval_roundless", lambda *a, **k: False)
+    monkeypatch.setattr(oracle, "eval_roundbased", lambda *a, **k: False)
+    argv = [str(exdir / a) if "." in a else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 70
+    assert out == ""
+    assert err == ("error: internal error: witness does not satisfy the "
+                   "constraint\n")
+
+
+@pytest.mark.parametrize("problem, prot, constraint, start", [
+    ("rbprp", "flavor: roundbased\nstates: a@b qf\ninitial: a@b\n"
+     "registers: 1\nalphabet: d0 x\nvisibility: 0\ntransitions:\n"
+     "  a@b write(1, x) qf\n", "(exists k (pop qf (+ k 0)))", "a@b@0 |"),
+    ("prp", "flavor: roundless\nstates: x|y qf\ninitial: x|y\n"
+     "registers: 1\nalphabet: d0 x\ntransitions:\n  x|y write(1, x) qf\n",
+     "(pop qf)", "x|y | 1=d0")], ids=["at-sign", "bar"])
+def test_witness_round_trips_state_names_with_separators(
+        capsys, tmp_path, problem, prot, constraint, start):
+    (tmp_path / "p.prot").write_text(prot)
+    (tmp_path / "c.pc").write_text(constraint + "\n")
+    wit = tmp_path / "w.trace"
+    code, _, _ = run(capsys, "check", problem, str(tmp_path / "p.prot"),
+                     str(tmp_path / "c.pc"), "--emit-witness", str(wit))
+    assert code == 0
+    assert f"\nstart: {start}" in wit.read_text()
+    code, out, err = run(capsys, "replay", str(tmp_path / "p.prot"),
+                         str(wit))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"final: {start.split(' |')[0]} qf")
 
 
 @pytest.mark.parametrize("problem, args", [("cover", ["--state", "qf"]),

@@ -13,7 +13,7 @@ from regverify.constraints import (cover_constraint, eval_roundbased,
                                    parse_round_constraint,
                                    parse_roundless_constraint,
                                    target_constraint)
-from regverify.errors import CapExceeded
+from regverify.errors import CapExceeded, ReplayFailure
 from regverify.model import format_action, parse_protocol
 from regverify.oracle import (bfs, compile_constraint, default_round_cap,
                               oracle_prp, packed, reach)
@@ -355,7 +355,7 @@ def test_positive_decided_when_full_reach_set_exceeds_cap_with_desertion():
     assert negated == {FIG4.state_id("q0")}
     _assert_positive_decided_within_cap(psi, reach(FIG4, 2, negated=negated))
     sat = compile_constraint(FIG4, psi, 2)
-    assert reach(FIG4, 2, sat=sat, negated=frozenset()).hit_code is None
+    assert bfs(*packed(FIG4, 2, frozenset()), sat=sat).hit_code is None
 
 
 def test_criterion_2_seed_refused_before_is_decided():
@@ -553,10 +553,10 @@ def test_desert_free_search_keeps_hits_and_witness_lengths(flavor):
             for k in caps:
                 sat = compile_constraint(p, psi, k)
                 try:
-                    full = reach(p, k, space_cap=4000, sat=sat)
+                    full = bfs(*packed(p, k), 4000, sat)
                 except CapExceeded:
                     continue
-                cut = reach(p, k, sat=sat, negated=negated)
+                cut = bfs(*packed(p, k, negated), sat=sat)
                 mixed += len(p.initial_states) >= 2 and \
                     0 < len(negated) < p.num_states
                 assert (full.hit_code is None) == (cut.hit_code is None)
@@ -568,3 +568,50 @@ def test_desert_free_search_keeps_hits_and_witness_lengths(flavor):
                     len(full.witness().moves), (seed, psi, k)
     assert hits >= 1000 and misses >= 500 and mixed >= 400, \
         (hits, misses, mixed)
+
+
+# --- the one positive check, on every route that builds a witness ------------
+
+EX42 = PROTOCOLS["ex42"]
+
+
+def _positives():
+    """A positive question per route that builds a witness: name -> call."""
+    qf = FIG1.state_id("qf")
+    psi3 = parse_round_constraint(CONSTRAINTS["psi3"].text, FIG4)
+    ex42_b = parse_round_constraint(CONSTRAINTS["ex42_b"].text, EX42)
+    return {
+        "oracle-roundless":
+            lambda: oracle_prp(FIG1, cover_constraint(FIG1, qf)),
+        "oracle-roundbased": lambda: oracle_prp(FIG4, psi3, max_round=2),
+        "bounded": lambda: solve_prp_bounded(FIG1, cover_constraint(FIG1, qf)),
+        # EX42 has a round bound, FIG4 has none
+        "round-window": lambda: solve_prp_roundbased(EX42, ex42_b),
+        "footprints": lambda: solve_prp_roundbased(FIG4, psi3)}
+
+
+@pytest.mark.parametrize("route", sorted(_positives()))
+def test_witness_the_evaluator_rejects_raises_replay_failure(monkeypatch,
+                                                             route):
+    call = _positives()[route]
+    v = call()
+    assert v.answer == "positive"
+    if v.algorithm == "rb-search":
+        assert v.stats["route"] == route
+    monkeypatch.setattr(oracle, "eval_roundless", lambda *a, **k: False)
+    monkeypatch.setattr(oracle, "eval_roundbased", lambda *a, **k: False)
+    with pytest.raises(ReplayFailure,
+                       match="witness does not satisfy the constraint"):
+        call()
+
+
+def test_witness_that_misses_the_hit_raises_replay_failure(monkeypatch):
+    # the replay ends elsewhere, at a configuration the evaluator accepts
+    elsewhere = AbstractConfig(frozenset(), (0,))
+    monkeypatch.setattr(oracle, "replay", lambda p, w, mode: elsewhere)
+    monkeypatch.setattr(oracle, "eval_roundless", lambda *a, **k: True)
+    phi = cover_constraint(FIG1, FIG1.state_id("qf"))
+    for call in (lambda: oracle_prp(FIG1, phi),
+                 lambda: solve_prp_bounded(FIG1, phi)):
+        with pytest.raises(ReplayFailure, match="witness misses the hit"):
+            call()
