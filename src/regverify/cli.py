@@ -117,10 +117,9 @@ def cmd_check(args) -> int:
         raise CliError("rbprp needs a round-based protocol",
                        EXIT_INCOMPATIBLE)
     phi, state = _problem_constraint(args, p)
-    if args.distribute and p.flavor == ROUNDLESS:
-        phi = cst.to_dnf(phi)
-
     algo = args.algo
+    if args.distribute and algo == "one-reg" and p.flavor == ROUNDLESS:
+        phi = cst.to_dnf(phi)  # the one route that needs a DNF
     try:
         if algo == "oracle":
             v = oracle_prp(p, phi, max_round=args.cap_rounds,
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="round-based search work budget for the whole "
                           f"query (default {DEFAULT_BUDGET})")
     chk.add_argument("--distribute", action="store_true",
-                     help="distribute the constraint into DNF first")
+                     help="distribute the constraint into DNF for one-reg")
     add_common(chk)
     chk.set_defaults(func=cmd_check)
 

@@ -128,10 +128,16 @@ def _parse_sexpr(text: str):
 
 
 def parse_roundless_constraint(text: str, p: Protocol):
-    return _build_roundless(_parse_sexpr(text), p)
+    return _build(_parse_sexpr(text), p, None, rounds=False)
 
 
-def _build_roundless(e, p: Protocol):
+def parse_round_constraint(text: str, p: Protocol):
+    return _build(_parse_sexpr(text), p, None, rounds=True)
+
+
+def _build(e, p: Protocol, var: str | None, rounds: bool):
+    """One builder for both languages: with ``rounds`` the atoms take a term
+    and a single quantifier binds ``var``; without, neither is accepted."""
     if e == "true":
         return TRUE
     if e == "false":
@@ -139,27 +145,42 @@ def _build_roundless(e, p: Protocol):
     if not isinstance(e, list) or not e:
         raise ConstraintSyntaxError(f"cannot parse {e!r}")
     head = e[0]
-    if head == "and":
-        return And(tuple(_build_roundless(x, p) for x in e[1:]))
-    if head == "or":
-        return Or(tuple(_build_roundless(x, p) for x in e[1:]))
+    if head in ("and", "or"):
+        kids = tuple(_build(x, p, var, rounds) for x in e[1:])
+        return And(kids) if head == "and" else Or(kids)
     if head == "not":
         if len(e) != 2:
             raise ConstraintSyntaxError("not takes one argument")
-        return Not(_build_roundless(e[1], p))
+        return Not(_build(e[1], p, var, rounds))
+    if rounds and head in ("exists", "forall"):
+        if var is not None:
+            raise ConstraintSyntaxError("nested quantifiers are not allowed")
+        if len(e) != 3 or not isinstance(e[1], str):
+            raise ConstraintSyntaxError(f"{head} takes a variable and a body")
+        body = _build(e[2], p, e[1], rounds)
+        return Exists(body) if head == "exists" else Forall(body)
     if head == "pop":
-        if len(e) != 2 or not isinstance(e[1], str):
-            raise ConstraintSyntaxError("pop takes one state")
-        return Pop(p.state_id(e[1]))
+        if len(e) != 2 + rounds or not isinstance(e[1], str):
+            raise ConstraintSyntaxError("pop takes a state and a term"
+                                        if rounds else "pop takes one state")
+        q = p.state_id(e[1])
+        return PopAt(q, _build_term(e[2], var)) if rounds else Pop(q)
     if head == "reg":
-        if len(e) != 3:
-            raise ConstraintSyntaxError("reg takes register and symbol")
-        return Reg(_register(e[1], p), p.symbol_id(e[2]))
+        if len(e) != 3 + rounds:
+            raise ConstraintSyntaxError("reg takes register, term and symbol"
+                                        if rounds else
+                                        "reg takes register and symbol")
+        try:
+            j = int(e[1])  # 1-based in the text
+        except (TypeError, ValueError):
+            raise ConstraintSyntaxError(f"bad register {e[1]!r}")
+        if not 1 <= j <= p.register_count:
+            raise ConstraintSyntaxError(f"register {j} out of range")
+        j -= 1
+        if rounds:
+            return RegAt(j, _build_term(e[2], var), p.symbol_id(e[3]))
+        return Reg(j, p.symbol_id(e[2]))
     raise ConstraintSyntaxError(f"unknown operator {head!r}")
-
-
-def parse_round_constraint(text: str, p: Protocol):
-    return _build_round(_parse_sexpr(text), p, var=None)
 
 
 def _build_term(e, var: str | None) -> Term:
@@ -185,63 +206,13 @@ def _build_term(e, var: str | None) -> Term:
     return Term(has_var, m)
 
 
-def _register(e, p: Protocol) -> int:
-    """The 0-based index of a 1-based register number."""
-    try:
-        j = int(e)
-    except (TypeError, ValueError):
-        raise ConstraintSyntaxError(f"bad register {e!r}")
-    if not 1 <= j <= p.register_count:
-        raise ConstraintSyntaxError(f"register {j} out of range")
-    return j - 1
-
-
-def _build_round(e, p: Protocol, var: str | None):
-    if e == "true":
-        return TRUE
-    if e == "false":
-        return FALSE
-    if not isinstance(e, list) or not e:
-        raise ConstraintSyntaxError(f"cannot parse {e!r}")
-    head = e[0]
-    if head == "and":
-        return And(tuple(_build_round(x, p, var) for x in e[1:]))
-    if head == "or":
-        return Or(tuple(_build_round(x, p, var) for x in e[1:]))
-    if head == "not":
-        if len(e) != 2:
-            raise ConstraintSyntaxError("not takes one argument")
-        return Not(_build_round(e[1], p, var))
-    if head in ("exists", "forall"):
-        if var is not None:
-            raise ConstraintSyntaxError("nested quantifiers are not allowed")
-        if len(e) != 3 or not isinstance(e[1], str):
-            raise ConstraintSyntaxError(f"{head} takes a variable and a body")
-        body = _build_round(e[2], p, var=e[1])
-        return Exists(body) if head == "exists" else Forall(body)
-    if head == "pop":
-        if len(e) != 3 or not isinstance(e[1], str):
-            raise ConstraintSyntaxError("pop takes a state and a term")
-        return PopAt(p.state_id(e[1]), _build_term(e[2], var))
-    if head == "reg":
-        if len(e) != 4:
-            raise ConstraintSyntaxError("reg takes register, term and symbol")
-        return RegAt(_register(e[1], p), _build_term(e[2], var),
-                     p.symbol_id(e[3]))
-    raise ConstraintSyntaxError(f"unknown operator {head!r}")
-
-
 def format_constraint(p: Protocol, node) -> str:
-    if isinstance(node, And):
+    if isinstance(node, (And, Or)):
+        op = "and" if isinstance(node, And) else "or"
         if not node.children:
-            return "true"
-        return "(and " + " ".join(format_constraint(p, c)
-                                  for c in node.children) + ")"
-    if isinstance(node, Or):
-        if not node.children:
-            return "false"
-        return "(or " + " ".join(format_constraint(p, c)
-                                 for c in node.children) + ")"
+            return "true" if op == "and" else "false"
+        return f"({op} " + " ".join(format_constraint(p, c)
+                                    for c in node.children) + ")"
     if isinstance(node, Not):
         return f"(not {format_constraint(p, node.child)})"
     if isinstance(node, Pop):
@@ -274,21 +245,7 @@ def eval_roundless(c, phi) -> bool:
     """
     if isinstance(c, ConcreteConfig):
         c = project(c)
-    return _eval_rl(c, phi)
-
-
-def _eval_rl(c: AbstractConfig, node) -> bool:
-    if isinstance(node, And):
-        return all(_eval_rl(c, x) for x in node.children)
-    if isinstance(node, Or):
-        return any(_eval_rl(c, x) for x in node.children)
-    if isinstance(node, Not):
-        return not _eval_rl(c, node.child)
-    if isinstance(node, Pop):
-        return node.state in c.pop
-    if isinstance(node, Reg):
-        return c.regs[node.reg] == node.symbol
-    raise TypeError(f"not a roundless constraint node: {node!r}")
+    return eval_prop_at(None, c, phi, None)
 
 
 def term_value(t: Term, k: int | None) -> int:
@@ -299,20 +256,36 @@ def term_value(t: Term, k: int | None) -> int:
     return t.offset
 
 
-def eval_prop_at(p: Protocol, c: AbstractConfig, prop, k: int | None) -> bool:
-    """Evaluate a proposition with the quantified variable bound to ``k``."""
-    if isinstance(prop, And):
-        return all(eval_prop_at(p, c, x, k) for x in prop.children)
-    if isinstance(prop, Or):
-        return any(eval_prop_at(p, c, x, k) for x in prop.children)
-    if isinstance(prop, Not):
-        return not eval_prop_at(p, c, prop.child, k)
-    if isinstance(prop, PopAt):
-        return (prop.state, term_value(prop.term, k)) in c.pop
-    if isinstance(prop, RegAt):
-        rnd = term_value(prop.term, k)
-        return reg_get(p, c.regs, (rnd, prop.reg)) == prop.symbol
-    raise TypeError(f"not a proposition node: {prop!r}")
+def eval_prop_at(p: Protocol | None, c: AbstractConfig, node, k: int | None,
+                 horizon: int = 0) -> bool:
+    """Evaluate a constraint of either flavor with the variable bound to ``k``.
+
+    ``Pop``/``Reg`` read a roundless configuration and need no protocol;
+    ``PopAt``/``RegAt`` read the round their term gives at ``k``; a
+    quantifier tries ``k = 0..horizon + 1``, the last round standing for
+    the all-empty tail (see ``eval_roundbased``).
+    """
+    if isinstance(node, (And, Or)):
+        decisive = isinstance(node, Or)  # the value one child decides with
+        for x in node.children:
+            if eval_prop_at(p, c, x, k, horizon) == decisive:
+                return decisive
+        return not decisive
+    if isinstance(node, Not):
+        return not eval_prop_at(p, c, node.child, k, horizon)
+    if isinstance(node, Pop):
+        return node.state in c.pop
+    if isinstance(node, Reg):
+        return c.regs[node.reg] == node.symbol
+    if isinstance(node, PopAt):
+        return (node.state, term_value(node.term, k)) in c.pop
+    if isinstance(node, RegAt):
+        rnd = term_value(node.term, k)
+        return reg_get(p, c.regs, (rnd, node.reg)) == node.symbol
+    if isinstance(node, (Exists, Forall)):
+        vals = (eval_prop_at(p, c, node.prop, j) for j in range(horizon + 2))
+        return any(vals) if isinstance(node, Exists) else all(vals)
+    raise TypeError(f"not a constraint node: {node!r}")
 
 
 def max_constant(psi) -> int:
@@ -370,25 +343,7 @@ def eval_roundbased(p: Protocol, c: AbstractConfig, psi,
     """
     if active_bound is None:
         active_bound = config_active_bound(p, c)
-    horizon = active_bound + max_constant(psi)
-    return _eval_rb(p, c, psi, horizon)
-
-
-def _eval_rb(p: Protocol, c, psi, horizon: int) -> bool:
-    if isinstance(psi, And):
-        return all(_eval_rb(p, c, x, horizon) for x in psi.children)
-    if isinstance(psi, Or):
-        return any(_eval_rb(p, c, x, horizon) for x in psi.children)
-    if isinstance(psi, Not):
-        return not _eval_rb(p, c, psi.child, horizon)
-    if isinstance(psi, Exists):
-        return any(eval_prop_at(p, c, psi.prop, k)
-                   for k in range(horizon + 2))
-    if isinstance(psi, Forall):
-        return all(eval_prop_at(p, c, psi.prop, k)
-                   for k in range(horizon + 2))
-    # closed proposition or bare atom
-    return eval_prop_at(p, c, psi, None)
+    return eval_prop_at(p, c, psi, None, active_bound + max_constant(psi))
 
 
 # --- DNF clauses ----------------------------------------------------------------
@@ -455,38 +410,47 @@ def dnf_clauses(p: Protocol, phi) -> list[ClauseDecomposition]:
 
 
 def to_dnf(phi, max_clauses: int = 4096):
-    """Distribute a roundless constraint into DNF, with a size guard."""
+    """Distribute a roundless constraint into DNF, with a size guard.
+
+    A clause keeps the first occurrence of each literal, and a clause with
+    the literals of an earlier one is dropped; the guard counts what is
+    kept, so a constraint that repeats itself distributes to a small DNF.
+    """
     def nnf(node, neg):
         if isinstance(node, Not):
             return nnf(node.child, not neg)
-        if isinstance(node, And):
+        if isinstance(node, (And, Or)):  # De Morgan under a negation
             kids = tuple(nnf(x, neg) for x in node.children)
-            return Or(kids) if neg else And(kids)
-        if isinstance(node, Or):
-            kids = tuple(nnf(x, neg) for x in node.children)
-            return And(kids) if neg else Or(kids)
+            return And(kids) if isinstance(node, And) != neg else Or(kids)
         return Not(node) if neg else node
 
-    def clauses_of(node) -> list[tuple]:
-        if isinstance(node, Or):
-            out = []
-            for x in node.children:
-                out.extend(clauses_of(x))
-                if len(out) > max_clauses:
-                    raise NotDNF("DNF distribution exceeds the size guard")
-            return out
-        if isinstance(node, And):
-            parts = [clauses_of(x) for x in node.children]
-            out = [()]
-            for alt in parts:
-                out = [c + d for c in out for d in alt]
-                if len(out) > max_clauses:
-                    raise NotDNF("DNF distribution exceeds the size guard")
-            return out
-        return [(node,)]
+    def keep(out: dict, lits: frozenset, clause: tuple) -> None:
+        out[lits] = clause
+        if len(out) > max_clauses:
+            raise NotDNF("DNF distribution exceeds the size guard")
 
-    flat = clauses_of(nnf(phi, False))
-    return Or(tuple(And(c) for c in flat))
+    def clauses_of(node) -> dict:  # literal set -> first clause, in order
+        out: dict = {}
+        if isinstance(node, Or):
+            for x in node.children:
+                for lits, c in clauses_of(x).items():
+                    if lits not in out:
+                        keep(out, lits, c)
+        elif isinstance(node, And):
+            out[frozenset()] = ()
+            for x in node.children:
+                alt, prev, out = clauses_of(x), out, {}
+                for s, c in prev.items():
+                    for t, d in alt.items():
+                        lits = s | t
+                        if lits not in out:
+                            keep(out, lits,
+                                 c + tuple(y for y in d if y not in s))
+        else:
+            keep(out, frozenset((node,)), (node,))
+        return out
+
+    return Or(tuple(And(c) for c in clauses_of(nnf(phi, False)).values()))
 
 
 def cover_constraint(p: Protocol, state: int):
@@ -585,13 +549,6 @@ def _is_atom(node) -> bool:
     return isinstance(node, (PopAt, RegAt, Pop, Reg))
 
 
-def prop_atoms(prop) -> list:
-    """The distinct atoms of a proposition, in declaration order."""
-    out: list = []
-    _collect_leaves(prop, _is_atom, out)
-    return out
-
-
 def forcing_literal_sets(prop) -> list[dict]:
     """Minimal atom assignments under which the proposition is always true."""
     return prime_implicants(prop, _is_atom)
@@ -638,16 +595,18 @@ def _is_apc_leaf(node) -> bool:
 
 
 def closed_atoms_of(prop) -> list:
-    """Constant-round atoms of a (possibly quantified-body) proposition."""
-    return [a for a in prop_atoms(prop) if not a.term.has_var]
+    """Distinct constant-round atoms of a (possibly quantified-body)
+    proposition, in declaration order."""
+    atoms: list = []
+    _collect_leaves(prop, _is_atom, atoms)
+    return [a for a in atoms if not a.term.has_var]
 
 
 def substitute_atoms(prop, assign: dict):
     """Replace assigned atoms by constant true/false nodes."""
-    if isinstance(prop, And):
-        return And(tuple(substitute_atoms(x, assign) for x in prop.children))
-    if isinstance(prop, Or):
-        return Or(tuple(substitute_atoms(x, assign) for x in prop.children))
+    if isinstance(prop, (And, Or)):
+        return type(prop)(tuple(substitute_atoms(x, assign)
+                                for x in prop.children))
     if isinstance(prop, Not):
         return Not(substitute_atoms(prop.child, assign))
     if prop in assign:

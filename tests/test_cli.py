@@ -70,6 +70,39 @@ def test_solver_precondition_is_incompatible(exdir, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_distribute_keeps_distinct_clauses(exdir, capsys, tmp_path):
+    big = tmp_path / "big.pc"
+    big.write_text("(and " + " ".join(
+        "(or (pop A) (reg 1 b))" if i % 2 else "(or (pop q0) (reg 1 a))"
+        for i in range(13)) + ")\n")
+    code, out, err = run(capsys, "check", "dnfprp", str(exdir / "fig1.prot"),
+                         str(big), "--algo", "one-reg", "--distribute")
+    assert (code, err) == (0, "positive (one-reg)\n")
+    assert json.loads(out)["stats"]["clauses"] == 9
+
+
+def test_only_one_reg_distributes(capsys, tmp_path):
+    states = [f"s{i}" for i in range(26)]
+    prot = tmp_path / "p.prot"
+    prot.write_text(
+        f"flavor: roundless\nstates: {' '.join(states)}\n"
+        f"initial: {' '.join(states[::2])}\nregisters: 1\n"
+        "alphabet: d0 a\ntransitions:\n" + "".join(
+            f"  {q} write(1, a) {r}\n" for q, r in zip(states[::2],
+                                                      states[1::2])))
+    c = tmp_path / "c.pc"  # 2**13 distinct clauses once distributed
+    c.write_text("(and " + " ".join(
+        f"(or (pop {q}) (pop {r}))" for q, r in zip(states[1::2],
+                                                    states[::2])) + ")\n")
+    code, out, err = run(capsys, "check", "prp", str(prot), str(c),
+                         "--algo", "bounded", "--distribute")
+    assert (code, err) == (0, "positive (bounded)\n")
+    code, out, err = run(capsys, "check", "dnfprp", str(prot), str(c),
+                         "--algo", "one-reg", "--distribute")
+    assert (code, out) == (70, "")
+    assert err == "error: DNF distribution exceeds the size guard\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "cover", "fig1.prot", "--state", "qf"],
     ["check", "rbprp", "fig4.prot", "psi3.pc"],

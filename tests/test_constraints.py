@@ -22,6 +22,7 @@ from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
 from regverify.semantics import AbstractConfig, ConcreteConfig, multiset, project
 
+from generators import random_constraint, random_protocol
 from lemmas import apc_leaves, clause_holds
 from reference import (eval_with_assignment, full_quantified_entries,
                        truth_table_prime_implicants)
@@ -158,6 +159,19 @@ def test_parse_errors():
             rb(EX42, text)
 
 
+@pytest.mark.parametrize("parse, p, text, message", [
+    (rl, FIG1, "(pop qf 0)", "pop takes one state"),
+    (rl, FIG1, "(reg 1 0 a)", "reg takes register and symbol"),
+    (rl, FIG1, "(exists k (pop qf))", "unknown operator 'exists'"),
+    (rb, EX42, "(pop q0)", "pop takes a state and a term"),
+    (rb, EX42, "(reg 1 a)", "reg takes register, term and symbol"),
+    (rb, EX42, "(exists k (reg 1 a))", "reg takes register, term and symbol"),
+], ids=["rl-pop", "rl-reg", "rl-exists", "rb-pop", "rb-reg", "rb-exists"])
+def test_other_flavor_is_rejected(parse, p, text, message):
+    with pytest.raises(ConstraintSyntaxError) as info:
+        parse(p, text)
+    assert str(info.value) == message
+
 
 @pytest.mark.parametrize("text, message", [
     ("", "empty constraint"),
@@ -248,6 +262,48 @@ def test_to_dnf_preserves_meaning():
         regs = (rng.randrange(FIG1.num_symbols),)
         c = AbstractConfig(S, regs)
         assert eval_roundless(c, phi) == eval_roundless(c, dnf)
+
+
+def test_to_dnf_preserves_meaning_on_random_constraints():
+    checked = 0
+    for seed in range(100000, 100400):
+        rng = random.Random(seed)
+        p = random_protocol(rng)
+        if p.register_count != 1:
+            continue
+        phi = random_constraint(rng, p)
+        dnf = to_dnf(phi)
+        dnf_clauses(p, dnf)  # must not raise
+        literal_sets = [frozenset(c.children) for c in dnf.children]
+        assert all(len(s) == len(c.children)
+                   for s, c in zip(literal_sets, dnf.children)), seed
+        assert len(set(literal_sets)) == len(literal_sets), seed
+        for n in range(p.num_states + 1):
+            for S in itertools.combinations(range(p.num_states), n):
+                for d in range(p.num_symbols):
+                    c = AbstractConfig(frozenset(S), (d,))
+                    assert eval_roundless(c, phi) == eval_roundless(c, dnf)
+        checked += 1
+    assert checked > 100
+
+
+def test_to_dnf_guard_counts_distinct_clauses():
+    def disjoint(n):  # 2**n distinct clauses
+        return And(tuple(Or((Pop(2 * i), Pop(2 * i + 1))) for i in range(n)))
+    assert len(to_dnf(disjoint(12)).children) == 4096
+    with pytest.raises(NotDNF, match="exceeds the size guard"):
+        to_dnf(disjoint(13))
+    # 2**13 clauses with repeats, but only 3 * 3 distinct literal sets
+    x = Or((Pop(FIG1.state_id("q0")), Reg(0, FIG1.symbol_id("a"))))
+    y = Or((Pop(FIG1.state_id("A")), Reg(0, FIG1.symbol_id("b"))))
+    dnf = to_dnf(And(tuple(x if i % 2 == 0 else y for i in range(13))))
+    assert dnf.children[0] == And((x.children[0], y.children[0]))
+
+    def nonempty(o):  # the nonempty sets of an Or's two atoms
+        return [{o.children[0]}, {o.children[1]}, set(o.children)]
+    assert len(dnf.children) == 9
+    assert {frozenset(c.children) for c in dnf.children} == {
+        frozenset(a | b) for a in nonempty(x) for b in nonempty(y)}
 
 
 def test_decompose_single_existential():

@@ -415,6 +415,20 @@ def test_dnfprp_distributed_example_26_negative():
     assert solve_dnfprp_one_register(FIG1, phi).answer == "negative"
 
 
+def test_dnfprp_distributed_agrees_with_bounded():
+    checked = 0
+    for seed in range(100000, 100400):
+        rng = random.Random(seed)
+        p = random_protocol(rng)
+        if p.register_count != 1:
+            continue
+        phi = random_constraint(rng, p)
+        assert (solve_dnfprp_one_register(p, to_dnf(phi)).answer
+                == solve_prp_bounded(p, phi).answer), seed
+        checked += 1
+    assert checked > 100
+
+
 def test_dnfprp_wrong_register_count():
     p = parse_protocol("flavor: roundless\nstates: q0\ninitial: q0\n"
                        "registers: 2\nalphabet: d0\ntransitions:\n")
