@@ -44,10 +44,6 @@ class NotInitialState(RegverifyError):
     """Initial configuration requested with a non-initial state."""
 
 
-class MissingWindow(RegverifyError):
-    """Round-based successor enumeration needs an explicit round window."""
-
-
 class NotDNF(RegverifyError):
     """Constraint is not in disjunctive normal form."""
 

@@ -13,6 +13,7 @@ boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ProtocolSemanticError, ProtocolSyntaxError
 
@@ -24,9 +25,8 @@ WRITE = "write"
 INC = "inc"
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
-    """One transition label.
+class Action(NamedTuple):
+    """One transition label; a named tuple, cheap to build.
 
     kind       READ, WRITE or INC.
     reg        0-based register index (READ/WRITE), None for INC.
@@ -40,8 +40,7 @@ class Action:
     depth: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+class Transition(NamedTuple):
     source: int
     action: Action
     dest: int

@@ -14,18 +14,29 @@ The search stays on integer codes.  Each table entry is enabled by one
 mask test, which covers its source's population bit and a read's symbol
 field together, and makes its step by one mask and one or; the constraint
 is compiled to bit probes on the code, and only a witness's own codes are
-decoded.  The oracle, the roundless ``bounded`` solver and the round window
-of ``roundbased`` all decide by ``search``, whose positives ``validated``
+decoded.
+
+The table is built on demand, a round at a time: ``bfs`` calls
+``table(code)`` before it expands a code above the rounds built so far,
+and gets the entries of the rounds up to that code's top round and the
+least code above them.  An entry of a higher round needs its source's
+population bit in that round's block, which the code does not have, so
+the entries a code enables, and their order, are those of the whole table.
+Most searches never leave rounds 0 and 1 of a window of up to a dozen.
+
+The oracle, the roundless ``bounded`` solver and the round window of
+``roundbased`` all decide by ``search``, whose positives ``validated``
 replays and checks with the reference evaluators, so their agreement checks
 neither the table, nor the probe, nor the cut in ``search``'s docstring.
-The tests check the table against a reference search over
-``semantics.abstract_successors`` and ``abstract_step``, the probe against
-the evaluators, and the cut search against the exhaustive one.
+The tests check the table against a reference search over the successors
+of ``semantics.abstract_step``, the probe against the evaluators, and the
+cut search against the exhaustive one.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .constraints import (And, Exists, Forall, Not, Or, Pop, PopAt, Reg,
                           RegAt, eval_roundbased, eval_roundless,
@@ -45,8 +56,8 @@ class ReachSet:
 
     The search fills ``links``, code -> (pred code, Move) | None in
     breadth-first discovery order, and ``hit_code``, the first code
-    satisfying the predicate.  ``parents``, ``members``, ``order`` and
-    ``hit`` are their decoded views, built on first access.
+    satisfying the predicate.  ``parents``, ``members`` and ``hit`` are
+    their decoded views, built on first access.
     """
 
     def __init__(self, decode):
@@ -73,10 +84,6 @@ class ReachSet:
         return self.parents.keys()
 
     @property
-    def order(self) -> list:
-        return list(self.parents)
-
-    @property
     def hit(self) -> AbstractConfig | None:
         return None if self.hit_code is None else self.config(self.hit_code)
 
@@ -100,8 +107,12 @@ def bfs(starts, table, decode, space_cap: float = float("inf"),
         sat=None, max_depth: int | None = None) -> ReachSet:
     """Breadth-first search over configuration codes, one level at a time.
 
-    ``starts`` yields the initial codes, ``table()`` returns the step
-    entries and ``decode`` turns a code into its configuration.  An entry
+    ``starts`` yields the initial codes and ``decode`` turns a code into
+    its configuration.  ``table(code)`` returns ``(entries, above)`` with
+    ``code < above``: step entries in table order, among them every entry
+    enabled on a code below ``above``.  The search calls it before it
+    expands its first code and each code at or past the last ``above``,
+    so the table can be built a part at a time.  An entry
     ``(mask, want, keep, add, move)`` is enabled on ``code`` when ``code &
     mask == want`` and then leads to ``code & keep | add``.  Each level's
     codes are expanded in discovery order, each by the entries in table
@@ -126,12 +137,14 @@ def bfs(starts, table, decode, space_cap: float = float("inf"),
             if sat is not None and sat(code):
                 rs.hit_code = code
                 return rs
-    entries = table()  # built only once no start is a hit
+    entries, above = (), 0  # no entry built yet
     depth = 0
     while frontier and depth != max_depth:
         depth += 1
         level, frontier = frontier, []
         for code in level:
+            if code >= above:
+                entries, above = table(code)
             for mask, want, keep, add, move in entries:
                 if code & mask == want:
                     succ = code & keep | add
@@ -153,9 +166,10 @@ def layout(p: Protocol, max_round: int):
     Returns ``(rounds, pop, slot, sym_mask)``.  Each round has a block of
     its own, round r's block right above round r - 1's: register j's symbol
     field, ``sym_mask`` wide, starts at bit ``slot(r, j)``, and the
-    population bit of state q is ``pop(q, r)``.  So round r + k reads as
-    round r in the code shifted right by ``slot(k, 0)``, and a round past
-    the window reads as all-empty.
+    population bits follow the fields: with nr registers, state q's is
+    ``pop(q, r) == 1 << slot(r, nr) + q``.  So round r + k reads as round
+    r in the code shifted right by ``slot(k, 0)``, and a round past the
+    window reads as all-empty.
     """
     if max_round < 0:
         raise ValueError(f"round cap {max_round} is negative")
@@ -173,56 +187,95 @@ def packed(p: Protocol, max_round: int = 0, negated=None):
     A code holds one symbol field per (round, register) and one population
     bit per (round, state), laid out by ``layout``, for rounds 0 to
     ``max_round`` of a round-based protocol; a roundless one has round 0
-    only.  ``table()`` builds the step entries, per transition and round,
-    keep variant first, then desert, as in ``semantics.abstract_successors``:
+    only.  The table holds step entries per transition and round, keep
+    variant first, then desert, as in the reference successor relation:
     an increment at ``max_round`` and a read below round 0 get none.  With
     a set of states ``negated`` (the cut in ``search``'s docstring), only a
     source in it gets a desert entry, and the starts are the supports that
     hold every initial state outside it; with None the search is exhaustive.
+
+    ``table(code)`` builds the rounds up to ``code``'s top round that are
+    not built yet, and returns the entries of every round built, in
+    transition-major order, with the least code above those rounds: an
+    entry of a higher round tests its source's bit in that round's block,
+    so no code below it enables one.
 
     An entry's enabling test merges the source's population bit ``src`` into
     a read's symbol test ``(test, want)``: the two cover disjoint bits, so
     ``code & (src | test) == src | want`` holds exactly when the source is
     populated and the register holds the symbol read.  ``keep`` clears a
     write's field, and a desert entry's also clears ``src``; ``add`` sets
-    the symbol written and the destination's bit.
+    the symbol written and the destination's bit.  A transition's entry at
+    round r is its entry at its lowest round shifted up by the rounds
+    between: every bit it tests or sets moves up by whole blocks.
     """
-    rb = p.flavor == ROUNDBASED
-    rounds, pop, slot, sym_mask = layout(p, max_round)
-    locs = [((q, r) if rb else q, pop(q, r))
-            for r in range(rounds) for q in range(p.num_states)]
-    keys = [(r, j) for r in range(rounds) for j in range(p.register_count)]
-    shifts = [slot(r, j) for r, j in keys]
+    return _packed(p, layout(p, max_round), negated)
 
-    def table() -> list:
-        entries = []
-        for t in p.transitions:
-            a, depth = t.action, t.action.depth or 0
-            for r in range(rounds):
-                if r < depth or a.kind == INC and r == max_round:
+
+def _packed(p: Protocol, lay, negated):
+    """``packed`` in the layout ``lay``, which ``search`` shares with the
+    compiled constraint."""
+    rb = p.flavor == ROUNDBASED
+    rounds, pop, slot, sym_mask = lay
+    block = slot(1, 0)
+    rows = []  # per transition, its fields at its lowest round
+    outs = []  # per transition, its entries built so far
+    built = 0  # rounds 0 .. built - 1 are built
+
+    def table(code: int):
+        nonlocal built
+        need = (code.bit_length() - 1) // block + 1
+        if not built:  # the first call lists the fields and builds round 0
+            for t in p.transitions:
+                a = t.action
+                lo, top = a.depth or 0, rounds - 1 - (a.kind == INC)
+                if lo > top:
                     continue
-                src = mask = want = pop(t.source, r)
-                keep, add = -1, pop(t.dest, r + (a.kind == INC))
+                src = mask = want = pop(t.source, lo)
+                clear, add = 0, pop(t.dest, lo + (a.kind == INC))
+                at = slot(0, a.reg or 0)  # a read's: round lo - depth
                 if a.kind == READ:
-                    at = slot(r - depth, a.reg)
                     mask, want = src | sym_mask << at, src | a.symbol << at
                 elif a.kind == WRITE:
-                    at = slot(r, a.reg)
-                    keep, add = ~(sym_mask << at), add | a.symbol << at
-                rnd = r if rb else None
-                entries.append((mask, want, keep, add, Move(t, rnd, False)))
-                if negated is None or t.source in negated:
-                    entries.append((mask, want, keep & ~src, add,
+                    clear, add = sym_mask << at, add | a.symbol << at
+                desert = negated is None or t.source in negated
+                dclear = clear | src if desert else None
+                rows.append((t, lo, top, mask, want, clear, dclear, add))
+                out = []
+                if lo == 0:
+                    rnd = 0 if rb else None
+                    out.append((mask, want, ~clear, add, Move(t, rnd, False)))
+                    if dclear is not None:
+                        out.append((mask, want, ~dclear, add,
                                     Move(t, rnd, True)))
-        return entries
+                outs.append(out)
+            built = 1
+        if need > built:  # round r's entry is round lo's, r - lo blocks up
+            for (t, lo, top, mask, want, clear, dclear, add), out in \
+                    zip(rows, outs):
+                for r in range(max(lo, built), min(top, need - 1) + 1):
+                    n = (r - lo) * block
+                    m, w, a = mask << n, want << n, add << n
+                    out.append((m, w, ~(clear << n), a, Move(t, r, False)))
+                    if dclear is not None:
+                        out.append((m, w, ~(dclear << n), a,
+                                    Move(t, r, True)))
+            built = need
+        return list(chain.from_iterable(outs)), 1 << built * block
+
+    width, first = slot(0, 1), slot(0, p.register_count)
 
     def decode(code: int) -> AbstractConfig:
-        where = frozenset(loc for loc, bit in locs if code & bit)
-        syms = ((code >> at) & sym_mask for at in shifts)
+        # only the blocks up to the code's top round hold a bit
+        blocks = range(0, code.bit_length(), block) if rb else (0,)
+        where = frozenset((q, n // block) if rb else q for n in blocks
+                          for q in range(p.num_states)
+                          if code >> n + first + q & 1)
+        syms = [((n // block, j), code >> n + j * width & sym_mask)
+                for n in blocks for j in range(p.register_count)]
         if not rb:
-            return AbstractConfig(where, tuple(syms))
-        return AbstractConfig(where, frozenset(
-            (k, s) for k, s in zip(keys, syms) if s))
+            return AbstractConfig(where, tuple(s for _, s in syms))
+        return AbstractConfig(where, frozenset((k, s) for k, s in syms if s))
 
     # lazy: a search that hits early never encodes the remaining supports
     starts = (sum(pop(q, 0) for q in support)
@@ -247,7 +300,12 @@ def compile_constraint(p: Protocol, psi, max_round: int = 0):
     for an atom on the quantified variable.  Constants fold, ``_join``
     merges tests, and a quantified test becomes one test of the code per k.
     """
-    rounds, pop, slot, sym_mask = layout(p, max_round)
+    return _compiled(psi, layout(p, max_round))
+
+
+def _compiled(psi, lay):
+    """``compile_constraint`` in the layout ``lay``."""
+    rounds, pop, slot, sym_mask = lay
     shifts = range(0, slot(rounds + 1, 0), slot(1, 0))  # k = 0..rounds
 
     def build(node, bound: bool):
@@ -348,27 +406,16 @@ def _refuse_beyond_caps(p: Protocol, state_cap: int, space_cap: int):
         raise CapExceeded("register valuation space exceeds cap")
 
 
-def reach(p: Protocol, max_round: int = 0,
-          state_cap: int = DEFAULT_STATE_CAP,
-          space_cap: int = DEFAULT_SPACE_CAP, negated=None) -> ReachSet:
-    """Abstract reach set from every initial configuration, by moves with
-    effect on rounds <= ``max_round`` for a round-based protocol; with a set
-    ``negated``, from the starts and by the moves ``packed`` keeps for it.
-    """
-    _refuse_beyond_caps(p, state_cap, space_cap)
-    return bfs(*packed(p, max_round, negated), space_cap)
-
-
 def search(p: Protocol, psi, max_round: int = 0,
            space_cap: float = float("inf"),
            max_depth: int | None = None) -> tuple[int, Execution | None]:
     """Breadth-first search for a configuration that satisfies ``psi``.
 
     ``bfs`` on ``packed(p, max_round, negated_states(psi))`` with
-    ``compile_constraint(p, psi, max_round)`` as its test and its
-    ``space_cap`` and ``max_depth``.  Returns the number of configurations
-    discovered and the shortest witness to the first hit, checked by
-    ``validated`` to end there, or None.
+    ``compile_constraint(p, psi, max_round)`` as its test, both in one
+    ``layout``, and its ``space_cap`` and ``max_depth``.  Returns the
+    number of configurations discovered and the shortest witness to the
+    first hit, checked by ``validated`` to end there, or None.
 
     The start and desert cut.  A constraint notices an extra populated
     location only at a state it reads under an odd number of negations
@@ -385,8 +432,9 @@ def search(p: Protocol, psi, max_round: int = 0,
     footprint search of ``roundbased`` cuts its starts and deserts per
     candidate in the same way.
     """
-    rs = bfs(*packed(p, max_round, negated_states(psi)), space_cap,
-             compile_constraint(p, psi, max_round), max_depth)
+    lay = layout(p, max_round)
+    rs = bfs(*_packed(p, lay, negated_states(psi)), space_cap,
+             _compiled(psi, lay), max_depth)
     if rs.hit_code is None:
         return len(rs.links), None
     wit = rs.witness()
@@ -425,8 +473,8 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
 
     ``search`` within ``space_cap`` configurations: a positive is exact
     whenever its first hit lies within the cap, while a negative explores
-    the whole reach set ``reach(..., negated=negated_states(constraint))``
-    and raises ``CapExceeded`` past it.  ``stats["members"]`` counts the
+    the whole reach set of ``search``'s cut search and raises
+    ``CapExceeded`` past it.  ``stats["members"]`` counts the
     configurations discovered, for a positive not the whole reach set.
 
     For round-based protocols the verdict is relative to executions whose

@@ -224,19 +224,6 @@ def _alive_transitions(p: Protocol, alive: set) -> list[Transition]:
     return [t for t in p.transitions if t.source in alive and t.dest in alive]
 
 
-def compute_cov_set(p: Protocol, alive: set | None = None) -> set:
-    """The unique maximal jointly-coverable state set (uninitialized, r=1)."""
-    if p.register_count != 1:
-        raise WrongRegisterCount("covset needs exactly one register")
-    if not is_uninitialized(p):
-        raise NotUninitialized("covset needs an uninitialized protocol")
-    if alive is None:
-        alive = set(range(p.num_states))
-    S, _ = _closure(p.initial_states & alive, _alive_transitions(p, alive),
-                    (0,))
-    return S
-
-
 def _previous_symbol(reads: dict, writes: dict, S: set,
                      symbols) -> set | None:
     """One backward phase: saturate with reads, then demand a writer.
@@ -269,28 +256,11 @@ def _previous_symbol(reads: dict, writes: dict, S: set,
     return S if found else None
 
 
-def compute_cocov_set(p: Protocol, clause: ClauseDecomposition,
-                      alive: set | None = None) -> set:
-    """Maximal backward-coverable set for one clause (uninitialized, r=1).
-
-    The reads and the writes of each symbol are listed once per call, for
-    every backward phase.
-    """
-    if p.register_count != 1:
-        raise WrongRegisterCount("cocovset needs exactly one register")
-    if not is_uninitialized(p):
-        raise NotUninitialized("cocovset needs an uninitialized protocol")
-    if alive is None:
-        alive = set(range(p.num_states))
-    trans = _alive_transitions(p, alive)
-    return _cocov_set(p, clause, alive, _index(trans, READ),
-                      _index(trans, WRITE))
-
-
 def _cocov_set(p: Protocol, clause: ClauseDecomposition, alive: set,
                reads: dict, writes: dict) -> set:
-    """``compute_cocov_set`` without its checks, on the indexes of the
-    transitions inside ``alive``."""
+    """The maximal backward-coverable set for one clause of a one-register
+    uninitialized protocol, on the indexes of the transitions inside
+    ``alive``."""
     first = _previous_symbol(reads, writes, alive - clause.q_minus,
                              sorted(clause.d_ok[0]))
     if first is None:

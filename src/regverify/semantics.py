@@ -7,15 +7,18 @@ banks are sparse frozensets of ``((round, register), symbol)`` holding only
 non-initial entries, every other register reading as the initial symbol.
 
 All operations are pure functions of their inputs and safe to share across
-threads.
+threads.  ``AbstractConfig`` and ``Move`` are named tuples, which cost about
+a third of a frozen dataclass to build: the oracle's step table builds a
+move per entry.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import (EmptySupport, MissingWindow, NotEnabled, NotInitialState,
+from .errors import (EmptySupport, NotEnabled, NotInitialState,
                      ReplayFailure)
 from .model import D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol, Transition
 
@@ -23,8 +26,7 @@ CONCRETE = "concrete"
 ABSTRACT = "abstract"
 
 
-@dataclass(frozen=True)
-class AbstractConfig:
+class AbstractConfig(NamedTuple):
     pop: frozenset  # state ids (roundless) or (state, round) locations
     regs: object    # tuple of symbol ids, or frozenset of ((round, reg), sym)
 
@@ -35,8 +37,7 @@ class ConcreteConfig:
     regs: object
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     trans: Transition
     rnd: int | None = None   # round-based only
     desert: bool = False     # abstract semantics only; ignored concretely
@@ -206,46 +207,6 @@ def abstract_step(p: Protocol, c: AbstractConfig, m: Move) -> AbstractConfig:
     else:
         pop = c.pop | {dest}
     return AbstractConfig(pop, _apply_regs(p, c.regs, m.trans.action, m.rnd))
-
-
-def abstract_successors(p: Protocol, c: AbstractConfig,
-                        window: tuple[int, int] | None = None):
-    """All pairs (move, successor) of the abstract step relation.
-
-    Round-based protocols need an explicit ``window = (lo, hi)`` bounding the
-    rounds a generated move may have an effect on (a move at round k has
-    effect on round k, an increment also on round k+1); the move set is
-    infinite otherwise.  Roundless protocols ignore the window.
-
-    Both the deserting and non-deserting variant of each enabled transition
-    are produced unless they coincide.
-    """
-    out = []
-    if p.flavor == ROUNDLESS:
-        rounds = [None]
-    else:
-        if window is None:
-            raise MissingWindow("round-based successors need a round window")
-        lo, hi = max(window[0], 0), window[1]
-        rounds = range(lo, hi + 1)
-    for t in p.transitions:
-        for rnd in rounds:
-            if p.flavor == ROUNDBASED:
-                if t.action.kind == INC and rnd + 1 > hi:
-                    continue
-                if t.action.kind == READ and rnd - t.action.depth < 0:
-                    continue
-            for desert in (False, True):
-                m = Move(t, rnd, desert)
-                try:
-                    succ = abstract_step(p, c, m)
-                except NotEnabled:
-                    break  # the non-desert variant failed; desert will too
-                if desert and out and out[-1][0].trans is t \
-                        and out[-1][0].rnd == rnd and out[-1][1] == succ:
-                    continue  # variants coincide (self-loop)
-                out.append((m, succ))
-    return out
 
 
 def replay(p: Protocol, exec: Execution, mode: str):

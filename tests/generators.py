@@ -7,7 +7,7 @@ import random
 from regverify.constraints import And, Exists, Forall, Not, Or, Pop, PopAt, Reg, RegAt, Term
 from regverify.model import (INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Action,
                              Protocol, Transition)
-from regverify.semantics import Execution, abstract_successors, initial_configuration
+from regverify.semantics import Execution, initial_configuration
 
 
 def random_protocol(rng: random.Random, max_states=5, max_symbols=3,
@@ -132,6 +132,10 @@ def random_rb_constraint(rng: random.Random, p: Protocol, max_const=2):
 
 def random_rb_execution(rng: random.Random, p: Protocol, max_steps=30,
                         max_round=3) -> Execution:
+    # imported here: the benchmark's corpus imports this module, and needs
+    # none of the test-only helpers
+    from reference import abstract_successors
+
     start = initial_configuration(p, {rng.choice(sorted(p.initial_states))})
     cur, moves = start, []
     for _ in range(rng.randrange(0, max_steps)):

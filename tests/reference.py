@@ -1,14 +1,21 @@
-"""Reference implementations that the library's faster versions must match."""
+"""Reference implementations that the library's faster versions must match,
+and the helpers only tests call: the oracle's whole reach set, the
+explicit successor relation, and the one-register covset and cocovset."""
 
 import itertools
 
+from regverify import oracle, roundless
 from regverify.constraints import (And, Exists, Not, Or, _collect_leaves,
                                    closed_atoms_of, forcing_literal_sets,
                                    ground, substitute_atoms)
-from regverify.errors import CapExceeded
-from regverify.model import D0, READ, WRITE, Protocol
+from regverify.errors import (CapExceeded, NotEnabled, NotUninitialized,
+                              WrongRegisterCount)
+from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
+                             Protocol, is_uninitialized)
 from regverify.oracle import ReachSet
-from regverify.roundless import _closure
+from regverify.roundless import (ClauseDecomposition, _alive_transitions,
+                                 _closure, _index)
+from regverify.semantics import AbstractConfig, Move, abstract_step
 from regverify.verdict import NEGATIVE, POSITIVE, Verdict
 
 
@@ -253,3 +260,92 @@ def rescanning_cocov_set(p: Protocol, clause, alive: set) -> set:
         if nxt is None or nxt == S:
             return S
         S = nxt
+
+
+def reach(p: Protocol, max_round: int = 0,
+          state_cap: int = oracle.DEFAULT_STATE_CAP,
+          space_cap: int = oracle.DEFAULT_SPACE_CAP, negated=None) -> ReachSet:
+    """Abstract reach set from every initial configuration, by moves with
+    effect on rounds <= ``max_round`` for a round-based protocol; with a set
+    ``negated``, from the starts and by the moves ``oracle.packed`` keeps
+    for it.  ``oracle.bfs`` on that table, within the oracle's caps.
+    """
+    oracle._refuse_beyond_caps(p, state_cap, space_cap)
+    return oracle.bfs(*oracle.packed(p, max_round, negated), space_cap)
+
+
+def order(rs: ReachSet) -> list:
+    """A reach set's members in discovery order."""
+    return list(rs.parents)
+
+
+def abstract_successors(p: Protocol, c: AbstractConfig,
+                        window: tuple[int, int] | None = None):
+    """All pairs (move, successor) of the abstract step relation.
+
+    Round-based protocols need an explicit ``window = (lo, hi)`` bounding the
+    rounds a generated move may have an effect on (a move at round k has
+    effect on round k, an increment also on round k+1); the move set is
+    infinite otherwise.  Roundless protocols ignore the window.
+
+    Both the deserting and non-deserting variant of each enabled transition
+    are produced unless they coincide.
+    """
+    out = []
+    if p.flavor == ROUNDLESS:
+        rounds = [None]
+    else:
+        if window is None:
+            raise ValueError("round-based successors need a round window")
+        lo, hi = max(window[0], 0), window[1]
+        rounds = range(lo, hi + 1)
+    for t in p.transitions:
+        for rnd in rounds:
+            if p.flavor == ROUNDBASED:
+                if t.action.kind == INC and rnd + 1 > hi:
+                    continue
+                if t.action.kind == READ and rnd - t.action.depth < 0:
+                    continue
+            for desert in (False, True):
+                m = Move(t, rnd, desert)
+                try:
+                    succ = abstract_step(p, c, m)
+                except NotEnabled:
+                    break  # the non-desert variant failed; desert will too
+                if desert and out and out[-1][0].trans is t \
+                        and out[-1][0].rnd == rnd and out[-1][1] == succ:
+                    continue  # variants coincide (self-loop)
+                out.append((m, succ))
+    return out
+
+
+def compute_cov_set(p: Protocol, alive: set | None = None) -> set:
+    """The unique maximal jointly-coverable state set (uninitialized, r=1)."""
+    if p.register_count != 1:
+        raise WrongRegisterCount("covset needs exactly one register")
+    if not is_uninitialized(p):
+        raise NotUninitialized("covset needs an uninitialized protocol")
+    if alive is None:
+        alive = set(range(p.num_states))
+    # through the module, so that a test that wraps ``_closure`` sees it
+    S, _ = roundless._closure(p.initial_states & alive,
+                              _alive_transitions(p, alive), (0,))
+    return S
+
+
+def compute_cocov_set(p: Protocol, clause: ClauseDecomposition,
+                      alive: set | None = None) -> set:
+    """Maximal backward-coverable set for one clause (uninitialized, r=1).
+
+    The reads and the writes of each symbol are listed once per call, for
+    every backward phase.
+    """
+    if p.register_count != 1:
+        raise WrongRegisterCount("cocovset needs exactly one register")
+    if not is_uninitialized(p):
+        raise NotUninitialized("cocovset needs an uninitialized protocol")
+    if alive is None:
+        alive = set(range(p.num_states))
+    trans = _alive_transitions(p, alive)
+    return roundless._cocov_set(p, clause, alive, _index(trans, READ),
+                                _index(trans, WRITE))

@@ -24,7 +24,7 @@ from regverify.constraints import (cover_constraint, eval_roundbased,
                                    target_constraint, to_dnf)
 from regverify.errors import CapExceeded, NotEnabled
 from regverify.model import INC, is_uninitialized
-from regverify.oracle import default_round_cap, oracle_prp, reach
+from regverify.oracle import default_round_cap, oracle_prp
 from regverify.reductions import (Circuit, CnfFormula, builtin_examples,
                                   cvp_to_cover, evaluate_circuit, sat_to_cover,
                                   sat_to_uninit_target,
@@ -43,6 +43,7 @@ from lemmas import (abstract_to_concrete, combine_footprints,
                     normal_form_violations, normalize_execution,
                     per_round_step_counts, project_footprint,
                     reduce_cover_to_target)
+from reference import order, reach
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 
@@ -61,7 +62,7 @@ def _golden_rb(key: str) -> str:
 
 def _golden_rb_oracle(_arg) -> list[str]:
     # one full reach computation serves all three constraints (it is
-    # constraint-independent); scanning rs.order reproduces the oracle's
+    # constraint-independent); scanning its order reproduces the oracle's
     # first hit, which it finds in this same BFS order
     p = PROTOCOLS["fig4"]
     rs = reach(p, 2)
@@ -69,7 +70,7 @@ def _golden_rb_oracle(_arg) -> list[str]:
     for key in ("psi1", "psi2", "psi3"):
         psi = parse_round_constraint(CONSTRAINTS[key].text, p)
         hit = None
-        for c in rs.order:
+        for c in order(rs):
             if eval_roundbased(p, c, psi, active_bound=3):
                 hit = c
                 break

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from regverify.constraints import (MAX_NESTING, And, ApcCandidate, Exists, Forall, Not,
+from regverify.constraints import (MAX_NESTING, And, Exists, Forall, Not,
                                    Or, Pop, PopAt, Reg, RegAt, FALSE, TRUE,
                                    Term, _is_apc_leaf, _quantified_entries,
                                    closed_atoms_of,
@@ -201,6 +201,20 @@ def test_nesting_cap(parse, atom):
         with pytest.raises(ConstraintSyntaxError,
                            match=f"deeper than {MAX_NESTING} parentheses"):
             parse(negated(n))
+
+
+def test_nodes_of_different_types_differ():
+    # constraint nodes compare by type and fields; as plain tuples, a
+    # quantifier would equal the other one over the same body, and TRUE
+    # (the empty conjunction) FALSE (the empty disjunction)
+    body = PopAt(0, Term(True, 0))
+    assert Exists(body) != Forall(body)
+    assert TRUE != FALSE
+    assert And((Pop(0),)) != Or((Pop(0),))
+    assert Pop(0) != Not(0)
+    assert rb(EX42, "(exists k (pop q0 (+ k 0)))") != \
+        rb(EX42, "(forall k (pop q0 (+ k 0)))")
+    assert len({TRUE, FALSE, Exists(body), Forall(body)}) == 4
 
 
 def test_format_roundtrip():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import reference
+from reference import abstract_successors, order, reach
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from regverify import oracle
@@ -16,13 +17,13 @@ from regverify.constraints import (cover_constraint, eval_roundbased,
 from regverify.errors import CapExceeded, ReplayFailure
 from regverify.model import format_action, parse_protocol
 from regverify.oracle import (bfs, compile_constraint, default_round_cap,
-                              oracle_prp, packed, reach)
+                              oracle_prp, packed)
 from regverify.reductions import builtin_examples
 from regverify.roundbased import _round_window, solve_prp_roundbased
 from regverify.roundless import solve_prp_bounded
 from regverify.semantics import (ABSTRACT, AbstractConfig, abstract_step,
-                                 abstract_successors, initial_configuration,
-                                 initial_supports, replay, replay_configs)
+                                 initial_configuration, initial_supports,
+                                 replay, replay_configs)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -74,7 +75,7 @@ def test_reach_is_a_fixed_point():
 def _assert_closed_with_sound_parents(p, rs, window=None):
     """Every member's successors are members, and every parent link is one
     step of the reference relation from an earlier member."""
-    position = {c: i for i, c in enumerate(rs.order)}
+    position = {c: i for i, c in enumerate(order(rs))}
     for c in rs.members:
         for _, succ in abstract_successors(p, c, window):
             assert succ in rs.members
@@ -131,7 +132,7 @@ def test_packed_reach_matches_reference_step(seed):
 def _depths(rs):
     """Breadth-first depth of each member, from its parent links."""
     depth = {}
-    for c in rs.order:
+    for c in order(rs):
         link = rs.parents[c]
         depth[c] = 0 if link is None else depth[link[0]] + 1
     return depth
@@ -149,10 +150,10 @@ def test_depth_bound_keeps_the_levels_within_it(seed, k):
     full = reach(p, cap)
     depth = _depths(full)
     cut = bfs(*packed(p, cap), max_depth=k)
-    assert cut.order == [c for c in full.order if depth[c] <= k]
-    assert all(cut.parents[c] == full.parents[c] for c in cut.order)
+    assert order(cut) == [c for c in order(full) if depth[c] <= k]
+    assert all(cut.parents[c] == full.parents[c] for c in order(cut))
     if max(depth.values()) > k:
-        assert len(cut.order) < len(full.order)
+        assert len(order(cut)) < len(order(full))
 
 
 def test_roundbased_capped_reach_matches_reference_step():
@@ -312,7 +313,7 @@ def test_roundbased_discovery_order_is_pinned(name, n, moves):
 # --- the oracle stops at the first hit in BFS order ---------------------------
 
 def _first_hit(rs, sat):
-    return next((c for c in rs.order if sat(c)), None)
+    return next((c for c in order(rs) if sat(c)), None)
 
 
 def _assert_matches_full_scan(v, rs, sat):
@@ -329,7 +330,7 @@ def _assert_positive_decided_within_cap(psi, full):
     as its cap holds the first hit of ``full``, the reach set it searches."""
     sat = lambda c: eval_roundbased(FIG4, c, psi, active_bound=3)
     hit = _first_hit(full, sat)
-    cap = full.order.index(hit) + 1  # the hit is the last member in the cap
+    cap = order(full).index(hit) + 1  # the hit is the last member in the cap
     assert cap < len(full.members)
     v = oracle_prp(FIG4, psi, max_round=2, space_cap=cap)
     assert v.answer == "positive"
@@ -494,15 +495,25 @@ def test_roundbased_probe_matches_eval_roundbased(seed):
                 lambda c: eval_roundbased(p, c, psi, active_bound=k + 1))
 
 
-def _counting_packed(decoded):
-    """``packed``, with each decoded code appended to ``decoded``."""
-    def counting(*args, **kwargs):
-        starts, table, decode = packed(*args, **kwargs)
+def _counting_packed(decoded, rounds=None):
+    """``oracle._packed``, the table builder of ``search`` and ``packed``,
+    with each decoded code appended to ``decoded`` and the round of each
+    table entry returned added to the set ``rounds``."""
+    inner = oracle._packed
+
+    def counting(*args):
+        starts, table, decode = inner(*args)
+
+        def counted_table(code):
+            entries, above = table(code)
+            if rounds is not None:
+                rounds.update(move.rnd for *_, move in entries)
+            return entries, above
 
         def counted(code):
             decoded.append(code)
             return decode(code)
-        return starts, table, counted
+        return starts, counted_table, counted
     return counting
 
 
@@ -512,8 +523,9 @@ def _counting_packed(decoded):
     ("fig4", "psi2", 2)])
 def test_search_decodes_only_the_witness_path(monkeypatch, proto, name, k):
     p = PROTOCOLS[proto]
+    _, _, decode = packed(p, k or 0)  # uncounted
     decoded = []
-    monkeypatch.setattr(oracle, "packed", _counting_packed(decoded))
+    monkeypatch.setattr(oracle, "_packed", _counting_packed(decoded))
     parse = parse_round_constraint if k is not None \
         else parse_roundless_constraint
     psi = parse(CONSTRAINTS[name].text, p)
@@ -524,10 +536,48 @@ def test_search_decodes_only_the_witness_path(monkeypatch, proto, name, k):
         assert decoded == []
         assert len(rs.members) == len(rs.links) == len(decoded)
         return
-    _, _, decode = packed(p, k or 0)
     assert len(set(decoded)) == len(decoded) <= len(v.witness.moves) + 1
     path = replay_configs(p, v.witness, ABSTRACT)
     assert all(decode(code) in path for code in decoded)
+
+
+def test_search_builds_only_the_rounds_its_codes_reach(monkeypatch):
+    # A at round 1 is two moves away: inc, then write; the window holds
+    # rounds 0-8, yet no code expanded leaves rounds 0 and 1
+    decoded, rounds = [], set()
+    monkeypatch.setattr(oracle, "_packed", _counting_packed(decoded, rounds))
+    v = oracle_prp(FIG4, parse_round_constraint("(pop A 1)", FIG4))
+    assert (v.answer, v.stats) == ("positive", {"members": 6, "max_round": 8})
+    assert rounds == {0, 1}
+
+
+@pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_040)))
+def test_table_on_demand_is_the_whole_table_up_to_the_codes_top_round(seed):
+    # table(code) returns the whole table's entries of rounds up to code's
+    # top round, in its order, and the least code above those rounds; no
+    # entry of a higher round is enabled on code
+    if seed is None:
+        cases = [(FIG4, 2)]
+    else:
+        p = random_rb_protocol(random.Random(seed))
+        cases = [(p, k) for k in range(4)]
+    for p, k in cases:
+        n_rounds, pop, slot, _ = oracle.layout(p, k)
+        whole, _ = packed(p, k)[1](pop(p.num_states - 1, n_rounds - 1))
+        try:
+            rs = reach(p, k, space_cap=4000)  # FIG4 has 3647 at cap 2
+        except CapExceeded:
+            continue
+        tables = {}  # top round -> what a fresh table returns for it
+        for code in rs.links:
+            top = max(r for _, r in rs.config(code).pop)
+            if top not in tables:
+                tables[top] = packed(p, k)[1](code)
+            entries, above = tables[top]
+            assert above == 1 << slot(top + 1, 0) > code
+            assert entries == [e for e in whole if e[4].rnd <= top]
+            assert not any(code & mask == want for mask, want, *_, move
+                           in whole if move.rnd > top)
 
 
 # --- the start and desert cut for negated states -----------------------------

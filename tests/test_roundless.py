@@ -9,15 +9,13 @@ from regverify.constraints import (cover_constraint, dnf_clauses,
                                    eval_roundless, parse_roundless_constraint,
                                    target_constraint, to_dnf)
 from regverify.errors import (NotDNF, NotUninitialized, WrongRegisterCount)
-from regverify.model import (D0, READ, ROUNDLESS, WRITE, Action, Protocol,
-                             Transition, is_uninitialized, parse_protocol,
+from regverify.model import (Protocol, is_uninitialized, parse_protocol,
                              validate)
-from regverify.oracle import oracle_prp, reach
+from regverify.oracle import oracle_prp
 from regverify.reductions import (CnfFormula, builtin_examples,
                                   sat_to_cover, truth_table_satisfiable)
 from regverify import roundless
-from regverify.roundless import (compute_cocov_set, compute_cov_set,
-                                 reduce_initialized_to_uninit_r1,
+from regverify.roundless import (reduce_initialized_to_uninit_r1,
                                  saturate_uninitialized,
                                  solve_cover_fixed_r,
                                  solve_cover_uninitialized,
@@ -28,9 +26,11 @@ from regverify.semantics import ABSTRACT, replay
 from generators import (random_constraint, random_dnf_constraint,
                         random_protocol)
 from lemmas import clause_holds, reduce_cover_to_target
-from reference import (first_write_orders, fixed_r_exhaustive,
-                       rescanning_closure, rescanning_cocov_set,
-                       rescanning_cov_set, saturate_phases)
+from reference import (abstract_successors, compute_cocov_set,
+                       compute_cov_set, first_write_orders,
+                       fixed_r_exhaustive, reach, rescanning_closure,
+                       rescanning_cocov_set, rescanning_cov_set,
+                       saturate_phases)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -342,7 +342,7 @@ def cocov_oracle(p: Protocol, dec) -> set:
     for every symbol a, some clause-satisfying configuration is reachable."""
     import itertools
 
-    from regverify.semantics import AbstractConfig, abstract_successors
+    from regverify.semantics import AbstractConfig
 
     def qualifies(S: frozenset) -> bool:
         for a in range(p.num_symbols):

@@ -10,13 +10,13 @@ from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, CONCRETE, AbstractConfig,
                                  ConcreteConfig, Execution, Move,
-                                 abstract_successors, concrete_step,
-                                 initial_configuration, initial_supports,
-                                 mset_count, multiset, parse_trace, project,
-                                 replay, write_trace)
+                                 concrete_step, initial_configuration,
+                                 initial_supports, mset_count, multiset,
+                                 parse_trace, project, replay, write_trace)
 
 from lemmas import (TargetNotPopulated, abstract_to_concrete,
                     concrete_initial, copycat_extend)
+from reference import abstract_successors
 
 PROTOCOLS, _ = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
