@@ -12,18 +12,25 @@ configuration, and a positive carries a shortest witness: this is
 ``oracle.search`` with the budget as its space cap.  The window never uses
 the constraint's candidate obligation sets.
 
-The constraint is decomposed into those sets only for a protocol with no
-round bound, or after the window ran out of budget: a constraint with no
-candidate, or whose candidates all contradict themselves or have a
-universal false on the empty tail (``_refuted``, below), is negative at
-once, with no footprint search.
+A protocol with no round bound first takes the same window at round cap 1,
+with a twentieth of the budget.  Its executions are exactly those of the
+protocol that stay within rounds 0 and 1, so a hit is a real run and a
+positive with the window's shortest witness; a miss decides nothing.
 
-Every other protocol takes the round-by-round procedure.  It guesses, per
-round k, a bridge footprint on rounds [k-v, k] extending the carried
-footprint, updates the obligation sets (universal propositions checked every
-round, existentials fired at a guessed round, ground literals checked when
-their round comes), and stops as soon as the remaining obligations hold on
-the untouched tail.  A node keeps its footprint as the step sequence alone,
+The constraint is decomposed into candidate obligation sets only after a
+window that ran out of budget or a capped window that missed: a constraint
+with no candidate, or whose candidates all contradict themselves or have a
+universal false on the empty tail (``_refuted``, below), is then negative
+with the window's work, with no footprint search.  Otherwise a bounded
+protocol, whose window ran out, answers "unknown".
+
+An unbounded protocol then takes the round-by-round procedure, with the
+budget the capped window left.  It guesses, per round k, a bridge
+footprint on rounds [k-v, k] extending the carried footprint, updates the
+obligation sets (universal propositions checked every round, existentials
+fired at a guessed round, ground literals checked when their round comes),
+and stops as soon as the remaining obligations hold on the untouched
+tail.  A node keeps its footprint as the step sequence alone,
 with rounds counted from the bridge's top round, and its ground literals
 with rounds counted from k: every bridge starts at the initial
 configuration on its window, which ``footprints.extend_footprint`` builds.
@@ -184,18 +191,24 @@ def solve_prp_roundbased(p: Protocol, psi,
                          budget: int | None = None) -> Verdict:
     """Decide round-based presence reachability.
 
-    A protocol with a static round bound takes the round window, any other
-    the footprint search; ``stats["route"]`` names the one taken.  The
-    constraint is decomposed into candidate obligation sets only when the
-    footprint search needs them, or when the window ran out of budget: a
-    constraint none of whose candidates survives ``_refuted`` is then
-    negative at once, through the footprint search with no root branch
-    (route ``footprints``, 0 ticks) or, after the window, with the window's
-    work and route ``refuted``.  One work budget (``DEFAULT_BUDGET`` unless
-    given) covers the whole query, and running out of it answers
-    "unknown", never a wrong answer.  A negative means the searched space
-    was exhausted or every candidate was refuted.  Positive verdicts carry
-    a witness execution, replayed and checked against the constraint.
+    A protocol with a static round bound takes the round window at the
+    bound, with the whole budget; a protocol with none first takes the
+    round window at cap 1, with a twentieth of it.  Either window's hit is
+    a positive, and a bounded window that ends without one is a negative.
+    Otherwise, after a bounded window that ran out of budget or a capped
+    window that missed or ran out, the constraint is decomposed into
+    candidate obligation sets: if none survives ``_refuted`` the answer is
+    negative with the window's work, route ``refuted``; otherwise an
+    unbounded protocol goes on to the footprint search with the budget
+    left, and a bounded one answers "unknown".  ``stats["route"]`` names
+    the route that decided: ``round-window``, ``capped-window``,
+    ``refuted`` or ``footprints``.  One work budget (``DEFAULT_BUDGET``
+    unless given) covers the whole query, and ``stats["ticks"]`` counts
+    the window's configurations as well as the footprint search's ticks.
+    Running out answers "unknown", never a wrong answer.  A negative means
+    the searched space was exhausted or every candidate was refuted.
+    Positive verdicts carry a witness execution, replayed and checked
+    against the constraint.
     """
     if p.flavor != ROUNDBASED:
         raise ValueError("solve_prp_roundbased needs a round-based protocol")
@@ -203,17 +216,21 @@ def solve_prp_roundbased(p: Protocol, psi,
         budget = DEFAULT_BUDGET
     options: dict = {}  # literal options of this query's propositions
     bound = _round_bound(p)
-    if bound is not None:
-        window = _round_window(p, psi, bound, budget)
-        if window.answer != UNKNOWN:
-            return window
-    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, options)]
-    if bound is None:
-        return _footprint_search(p, psi, cands, budget, options)
-    if cands:
+    window = _round_window(p, psi, bound,
+                           budget if bound is not None else budget // 20)
+    if window.answer == POSITIVE or (
+            window.answer == NEGATIVE and bound is not None):
         return window
-    return Verdict(NEGATIVE, "rb-search", None,
-                   {**window.stats, "route": "refuted"})
+    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, options)]
+    if not cands:
+        return Verdict(NEGATIVE, "rb-search", None,
+                       {**window.stats, "route": "refuted"})
+    if bound is not None:
+        return window
+    spent = window.stats["ticks"]
+    found = _footprint_search(p, psi, cands, budget - spent, options)
+    found.stats["ticks"] += spent
+    return found
 
 
 def _round_bound(p: Protocol) -> int | None:
@@ -238,17 +255,27 @@ def _round_bound(p: Protocol) -> int | None:
     return None
 
 
-def _round_window(p: Protocol, psi, bound: int, budget: int) -> Verdict:
-    """``oracle.search`` on the packed round window at the round bound.
+def _round_window(p: Protocol, psi, bound: int | None,
+                  budget: int) -> Verdict:
+    """``oracle.search`` on the packed round window at the round bound, or
+    at round cap 1 when ``bound`` is None, with ``budget`` configurations.
 
-    Each discovered configuration costs one tick; past the budget the
-    answer is "unknown".  A positive carries the search's shortest witness.
+    At the bound the window holds every execution, so a miss is a negative
+    (route ``round-window``).  At cap 1 it holds exactly the executions
+    that stay within rounds 0 and 1: no increment is generated at round 1,
+    and the compiled constraint reads every later round as the empty tail,
+    as such an execution leaves it.  So a hit is a real run, a positive
+    (route ``capped-window``), and a miss decides nothing.  Each discovered
+    configuration costs one tick; past the budget the answer is "unknown".
+    A positive carries the search's shortest witness.
     """
+    cap, route = (1, "capped-window") if bound is None else \
+        (bound, "round-window")
     # as the search ran out: the budget's configurations held, one more found
-    stats = {"ticks": budget + 1, "nodes": budget, "route": "round-window",
+    stats = {"ticks": budget + 1, "nodes": budget, "route": route,
              "round_bound": bound}
     try:
-        found, wit = search(p, psi, bound, budget)
+        found, wit = search(p, psi, cap, budget)
     except CapExceeded:
         return Verdict(UNKNOWN, "rb-search", None, stats)
     stats["ticks"] = stats["nodes"] = found

@@ -1,18 +1,23 @@
 """Reference implementations that the library's faster versions must match,
 and the helpers only tests call: the oracle's whole reach set, the
-explicit successor relation, and the one-register covset and cocovset."""
+explicit successor relation, the one-register covset and cocovset, the
+footprint search on its own, and roundless instances lifted to rounds."""
 
 import itertools
+from dataclasses import replace
 
 from regverify import oracle, roundless
 from regverify.constraints import (And, Exists, Not, Or, _collect_leaves,
-                                   closed_atoms_of, forcing_literal_sets,
-                                   ground, substitute_atoms)
+                                   closed_atoms_of, decompose_apcs,
+                                   forcing_literal_sets, ground,
+                                   parse_round_constraint, substitute_atoms)
 from regverify.errors import (CapExceeded, NotEnabled, NotUninitialized,
                               WrongRegisterCount)
 from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
-                             Protocol, is_uninitialized)
+                             Action, Protocol, Transition, is_uninitialized,
+                             parse_protocol, serialize_protocol)
 from regverify.oracle import ReachSet
+from regverify.roundbased import _footprint_search, _refuted
 from regverify.roundless import (ClauseDecomposition, _alive_transitions,
                                  _closure, _index)
 from regverify.semantics import AbstractConfig, Move, abstract_step
@@ -349,3 +354,31 @@ def compute_cocov_set(p: Protocol, clause: ClauseDecomposition,
     trans = _alive_transitions(p, alive)
     return roundless._cocov_set(p, clause, alive, _index(trans, READ),
                                 _index(trans, WRITE))
+
+
+def footprint_verdict(p: Protocol, psi, budget: int):
+    """The footprint search alone, on the candidate obligation sets that
+    ``_refuted`` leaves, with the whole budget: what ``solve_prp_roundbased``
+    runs on a protocol with no round bound after its capped window."""
+    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, {})]
+    return _footprint_search(p, psi, cands, budget, {})
+
+
+def lift_roundless(p: Protocol, target: int):
+    """A roundless COVER instance as a round-based one with the same answer.
+
+    Each initial state gets an ``inc`` self-loop, visibility is 0 and every
+    read has depth 0; the question is ``(exists k (pop target (+ k 0)))``.
+    A process at round k entered it at an initial state, round k's
+    registers are fresh and no round reads another, so every round runs
+    its own copy of the roundless protocol.  Returns the protocol, parsed
+    back from its text, and the constraint.
+    """
+    reads = tuple(t._replace(action=t.action._replace(depth=0))
+                  if t.action.kind == READ else t for t in p.transitions)
+    loops = tuple(Transition(q, Action(INC), q)
+                  for q in sorted(p.initial_states))
+    lifted = parse_protocol(serialize_protocol(replace(
+        p, flavor=ROUNDBASED, visibility=0, transitions=reads + loops)))
+    return lifted, parse_round_constraint(
+        f"(exists k (pop {p.state_names[target]} (+ k 0)))", lifted)

@@ -375,9 +375,10 @@ def test_criterion_2_seed_refused_before_is_decided():
 def test_criterion_2_seed_refused_before_is_decided_negative():
     # seed 200513's full reach set within its round cap exceeds criterion
     # 2's space cap; its constraint negates no state, and the desert-free
-    # reach set has 4 094 configurations.  rb-search agrees with no search:
-    # its universal, (or (reg 1 (+ k 2) x) (pop s0 (+ k 2))), is false on
-    # the empty tail
+    # reach set has 4 094 configurations.  rb-search agrees with no
+    # footprint search: its universal, (or (reg 1 (+ k 2) x) (pop s0 (+ k
+    # 2))), is false on the empty tail.  The protocol has no round bound,
+    # so the capped window runs first and misses in 6 configurations
     rng = random.Random(200_513)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
@@ -389,8 +390,9 @@ def test_criterion_2_seed_refused_before_is_decided_negative():
     with pytest.raises(CapExceeded):
         reach(p, K, space_cap=40_000)
     v = solve_prp_roundbased(p, psi, budget=250_000)
-    assert (v.answer, v.stats) == ("negative", {"ticks": 0, "nodes": 0,
-                                                "route": "footprints"})
+    assert (v.answer, v.stats) == ("negative", {"ticks": 6, "nodes": 6,
+                                                "route": "refuted",
+                                                "round_bound": None})
 
 
 @pytest.mark.parametrize("seed", range(100_000, 100_020))

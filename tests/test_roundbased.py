@@ -10,13 +10,15 @@ from regverify.constraints import (And, Not, PopAt, Term, decompose_apcs,
                                    negated_states, parse_round_constraint)
 from regverify.errors import CapExceeded
 from regverify.model import INC, Protocol, parse_protocol, serialize_protocol
-from regverify.oracle import default_round_cap, oracle_prp
-from regverify.reductions import builtin_examples
+from regverify.oracle import default_round_cap, oracle_prp, search
+from regverify.reductions import (Circuit, builtin_examples, cvp_to_cover,
+                                  evaluate_circuit)
 from regverify.roundbased import (_footprint_search, _refuted, _round_bound,
                                   solve_prp_roundbased)
 from regverify.semantics import ABSTRACT, replay
 
 from generators import random_rb_constraint, random_rb_protocol
+from reference import footprint_verdict, lift_roundless
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG4 = PROTOCOLS["fig4"]
@@ -70,11 +72,14 @@ def test_initial_configuration_alone_can_satisfy():
 
 
 def test_unsatisfiable_constraint_negative_immediately():
+    # FIG4 has no round bound: the capped window misses in its 10
+    # configurations, and the constraint has no candidate obligation set
     psi = rb(FIG4, "(and (exists k (pop qf (+ k 0))) "
                    "(not (exists k (pop qf (+ k 0)))))")
     v = solve_prp_roundbased(FIG4, psi)
     assert v.answer == "negative"
-    assert v.stats["ticks"] == 0
+    assert v.stats == {"ticks": 10, "nodes": 10, "route": "refuted",
+                       "round_bound": None}
 
 
 def test_forever_blank_register_demand():
@@ -116,8 +121,7 @@ def test_footprint_stop_reads_the_next_rounds_population(text, answer):
     # bound and would take the round window: call the footprint search
     p = rb_protocol("  q0 inc q1\n", states="q0 q1", symbols="d0")
     psi = rb(p, text)
-    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, {})]
-    got = _footprint_search(p, psi, cands, 10_000, {})
+    got = footprint_verdict(p, psi, 10_000)
     assert got.answer == answer
     assert oracle_prp(p, psi).answer == answer
     if answer == "positive":
@@ -229,36 +233,50 @@ def test_fuzz_seed_without_increment_negative_on_round_window():
 @pytest.mark.parametrize("seed, ticks", [(200038, 64_973)])
 def test_fuzz_seed_negative_within_budget(seed, ticks):
     # decided within this budget only because each candidate's search
-    # deserts from no state but those its obligations negate
+    # deserts from no state but those its obligations negate.  The capped
+    # window's 18 configurations come first, and the footprint search
+    # spends ``ticks`` of the budget they leave
     rng = random.Random(seed)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
     v = solve_prp_roundbased(p, psi, budget=250_000)
     assert v.answer == "negative"
     assert v.stats["route"] == "footprints"
-    assert v.stats["ticks"] == ticks
+    assert v.stats["ticks"] == 18 + ticks
+    assert footprint_verdict(p, psi, 250_000).stats["ticks"] == ticks
 
 
-@pytest.mark.parametrize("seed, answer", [
-    (201926, "negative"), (202289, "negative"), (202597, "negative"),
-    (201782, "negative"), (202985, "negative"), (201464, "positive")])
-def test_fuzz_seed_refuted_on_the_empty_tail(seed, answer):
+@pytest.mark.parametrize("seed, answer, window", [
+    pytest.param(seed, answer, window, id=f"{seed}-{answer}")
+    for seed, answer, window in [
+        (201926, "negative", 36), (202289, "negative", 28),
+        (202597, "negative", 24), (201782, "negative", 27),
+        (202985, "negative", 21), (201464, "positive", 7)]])
+def test_fuzz_seed_refuted_on_the_empty_tail(seed, answer, window):
     # each candidate with a universal false on the empty tail is refuted
-    # before any search: 201782's universal is (pop s1 (+ k 2)).  201782,
-    # 202985 and 201464 ended unknown at this budget while such candidates
-    # were searched; 201464's other candidate, an existential, is met in
-    # two rounds
+    # before any footprint search: 201782's universal is (pop s1 (+ k 2)).
+    # 201782, 202985 and 201464 ended unknown at this budget while such
+    # candidates were searched.  Each protocol has no round bound, so the
+    # capped window runs first, with ``window`` configurations: it misses
+    # on the negatives, which are then refuted, and decides 201464, whose
+    # other candidate, an existential, the footprint search meets in two
+    # rounds
     rng = random.Random(seed)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
     v = solve_prp_roundbased(p, psi, budget=250_000)
     assert v.answer == answer
-    assert v.stats["route"] == "footprints"
     if answer == "negative":
-        assert v.stats == {"ticks": 0, "nodes": 0, "route": "footprints"}
+        assert v.stats == {"ticks": window, "nodes": window,
+                           "route": "refuted", "round_bound": None}
     else:
-        assert (v.stats["ticks"], v.stats["nodes"]) == (9, 2)
+        assert v.stats == {"ticks": window, "nodes": window,
+                           "route": "capped-window", "round_bound": None}
         assert eval_roundbased(p, replay(p, v.witness, ABSTRACT), psi)
+        got = footprint_verdict(p, psi, 250_000)
+        assert got.answer == "positive"
+        assert (got.stats["ticks"], got.stats["nodes"]) == (9, 2)
+        assert eval_roundbased(p, replay(p, got.witness, ABSTRACT), psi)
 
 
 def test_footprint_edges_are_keyed_by_the_negated_states():
@@ -279,14 +297,16 @@ def test_footprint_edges_are_keyed_by_the_negated_states():
     assert eval_roundbased(p, replay(p, v.witness, ABSTRACT), psi)
 
 
-def test_fuzz_seed_refuted_by_universal_costs_no_ticks():
-    # (pop s0 1) against (forall k (not (pop s0 k))) at round 1
+def test_fuzz_seed_refuted_by_universal_after_the_capped_window():
+    # (pop s0 1) against (forall k (not (pop s0 k))) at round 1: refuted
+    # with no footprint search, after the capped window's 21 configurations
     rng = random.Random(200122)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
     v = solve_prp_roundbased(p, psi, budget=250_000)
     assert v.answer == "negative"
-    assert v.stats == {"ticks": 0, "nodes": 0, "route": "footprints"}
+    assert v.stats == {"ticks": 21, "nodes": 21, "route": "refuted",
+                       "round_bound": None}
 
 
 @pytest.mark.parametrize("text", [
@@ -297,9 +317,12 @@ def test_fuzz_seed_refuted_by_universal_costs_no_ticks():
 def test_contradictory_branch_dropped_before_its_round(text):
     # the universal at round 0 asks of round 3 the opposite of the ground
     # literal (E@3 empty, or register 1 at round 3 holding another symbol);
-    # the branch is dropped at the root node, three rounds before round 3
+    # the branch is dropped at the root node, three rounds before round 3.
+    # The capped window runs before the footprint search, so that search
+    # is called alone
     psi = rb(FIG4, text)
-    v = solve_prp_roundbased(FIG4, psi)
+    assert solve_prp_roundbased(FIG4, psi).answer == "negative"
+    v = footprint_verdict(FIG4, psi, 250_000)
     assert v.answer == "negative"
     assert v.stats["ticks"] == 0
 
@@ -348,12 +371,15 @@ def test_round_window_monotone_constraint_starts_with_every_initial_state():
 
 def test_contradictory_constraint_negative_without_search():
     # c's increment loop leaves the protocol with no round bound, so the
-    # constraint is decomposed first and no footprint search runs
+    # capped window runs, misses in its 10 configurations, and the
+    # constraint, decomposed then, has no candidate: no footprint search
+    # runs
     p = rb_protocol(WINDOW_CHAIN + "  c inc c\n", "a b c")
     assert _round_bound(p) is None
     v = solve_prp_roundbased(p, rb(p, "(and (pop a 0) (not (pop a 0)))"))
     assert v.answer == "negative"
-    assert v.stats == {"ticks": 0, "nodes": 0, "route": "footprints"}
+    assert v.stats == {"ticks": 10, "nodes": 10, "route": "refuted",
+                       "round_bound": None}
 
 
 def test_contradictory_constraint_negative_on_round_window():
@@ -412,8 +438,7 @@ def test_footprint_search_keys_round_zero_position(seed, ticks, nodes):
     rng = random.Random(seed)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
-    cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, {})]
-    got = _footprint_search(p, psi, cands, 250_000, {})
+    got = footprint_verdict(p, psi, 250_000)
     assert (got.answer, got.stats["ticks"], got.stats["nodes"]) == \
         ("negative", ticks, nodes)
 
@@ -459,3 +484,83 @@ def test_footprint_search_against_oracle_on_bounded_seeds():
                 assert eval_roundbased(p, final, psi)
     assert checked >= 280  # 350 measured, 175 of each kind
     assert mixed >= 170  # 203 measured
+
+
+def test_capped_window_decides_exactly_when_its_search_hits():
+    # a protocol with no round bound takes the window at round cap 1 with
+    # a twentieth of the budget; it is the route exactly when that search
+    # hits, with its witness.  Otherwise the query's ticks start with the
+    # window's configurations, and the footprint search spends what is left
+    budget = 250_000
+    share = budget // 20
+    hits = misses = 0
+    for seed in range(200_000, 200_300):
+        rng = random.Random(seed)
+        p = random_rb_protocol(rng)
+        psi = random_rb_constraint(rng, p)
+        if _round_bound(p) is not None:
+            continue
+        try:
+            found, wit = search(p, psi, 1, share)
+        except CapExceeded:
+            found, wit = share + 1, None
+        v = solve_prp_roundbased(p, psi, budget=budget)
+        if wit is not None:
+            hits += 1
+            assert v.stats == {"ticks": found, "nodes": found,
+                               "route": "capped-window",
+                               "round_bound": None}, seed
+            assert v.witness == wit
+            assert eval_roundbased(p, replay(p, v.witness, ABSTRACT), psi)
+            continue
+        misses += 1
+        if v.stats["route"] == "refuted":
+            assert v.stats == {"ticks": found, "nodes": found,
+                               "route": "refuted", "round_bound": None}
+            continue
+        assert v.stats["route"] == "footprints", seed
+        rest = footprint_verdict(p, psi, budget - found)
+        assert v.answer == rest.answer
+        assert v.witness == rest.witness
+        assert v.stats == {**rest.stats,
+                           "ticks": found + rest.stats["ticks"]}
+    assert (hits, misses) == (78, 47)
+
+
+def test_lifted_cvp_positive_on_the_capped_window():
+    # cvp-3 as `gen cvp --gates 3 --seed 1` draws it, lifted to rounds: the
+    # footprint search alone ends unknown at this budget, and the capped
+    # window finds the output wire's symbol in round 0.  Round cap 0 would
+    # take 26 configurations; cap 1 discovers round 1's as well
+    circuit = Circuit(inputs=(("i1", True), ("i2", False)),
+                      gates=(("not", "i2", "w1"), ("not", "i2", "w2"),
+                             ("and", "w2", "w2", "w3")), output="w3")
+    assert evaluate_circuit(circuit) is True
+    p, psi = lift_roundless(*cvp_to_cover(circuit, True))
+    assert (p.num_states, _round_bound(p)) == (12, None)
+    assert search(p, psi, 0)[0] == 26
+    v = solve_prp_roundbased(p, psi, budget=250_000)
+    assert v.answer == "positive"
+    assert v.stats == {"ticks": 344, "nodes": 344, "route": "capped-window",
+                       "round_bound": None}
+    final = replay(p, v.witness, ABSTRACT)
+    assert eval_roundbased(p, final, psi)
+    assert footprint_verdict(p, psi, 250_000).answer == "unknown"
+
+
+def test_budget_of_one_without_round_bound():
+    # a twentieth of the budget is 0 configurations, so the window runs out
+    # on its first start code and charges its one tick; a refuted
+    # constraint is then negative within the budget, and the footprint
+    # search runs out on its first tick
+    answers = set()
+    for seed in range(200_000, 200_300):
+        rng = random.Random(seed)
+        p = random_rb_protocol(rng)
+        psi = random_rb_constraint(rng, p)
+        if _round_bound(p) is not None:
+            continue
+        v = solve_prp_roundbased(p, psi, budget=1)
+        answers.add((v.answer, v.stats["route"], v.stats["ticks"]))
+    assert answers == {("negative", "refuted", 1),
+                       ("unknown", "footprints", 2)}
