@@ -14,7 +14,9 @@ The search stays on integer codes.  Each table entry is enabled by one
 mask test, which covers its source's population bit and a read's symbol
 field together, and makes its step by one mask and one or; the constraint
 is compiled to bit probes on the code, and only a witness's own codes are
-decoded.
+decoded.  A constraint that compiles to the constant false, a contradiction
+or a universal false on the empty tail past the window, is negative with
+no search: it discovers no configuration.
 
 The table is built on demand, a round at a time: ``bfs`` calls
 ``table(code)`` before it expands a code above the rounds built so far,
@@ -27,10 +29,11 @@ Most searches never leave rounds 0 and 1 of a window of up to a dozen.
 The oracle, the roundless ``bounded`` solver and the round window of
 ``roundbased`` all decide by ``search``, whose positives ``validated``
 replays and checks with the reference evaluators, so their agreement checks
-neither the table, nor the probe, nor the cut in ``search``'s docstring.
-The tests check the table against a reference search over the successors
-of ``semantics.abstract_step``, the probe against the evaluators, and the
-cut search against the exhaustive one.
+neither the table, nor the probe, nor its folding to a constant, nor the
+cut in ``search``'s docstring.  The tests check the table against a
+reference search over the successors of ``semantics.abstract_step``, the
+probe, and each constant it folds to, against the evaluators on the whole
+reach set, and the cut search against the exhaustive one.
 """
 
 from __future__ import annotations
@@ -299,16 +302,22 @@ def compile_constraint(p: Protocol, psi, max_round: int = 0):
     ``(x & mask == want) == eq`` for ``x`` the code, or the shifted code
     for an atom on the quantified variable.  Constants fold, ``_join``
     merges tests, and a quantified test becomes one test of the code per k.
+    A quantifier's body at ``k = max_round + 1``, the tail term, reads the
+    shifted code as 0; when it reads no other atom it is a constant, and a
+    universal with a false one is false, an existential with a true one
+    true, on every code.  ``search`` runs no search on a constraint that
+    folds to false, so such a negative discovers no configuration.
     """
-    return _compiled(psi, layout(p, max_round))
+    return _probe(_compiled(psi, layout(p, max_round)))
 
 
 def _compiled(psi, lay):
-    """``compile_constraint`` in the layout ``lay``."""
+    """``compile_constraint``'s compiled part in the layout ``lay``: a
+    constant, a bit test, or a function of the code and the shifted code."""
     rounds, pop, slot, sym_mask = lay
     shifts = range(0, slot(rounds + 1, 0), slot(1, 0))  # k = 0..rounds
 
-    def build(node, bound: bool):
+    def build(node, bound: bool, tail: bool = False):
         if isinstance(node, (Pop, Reg, PopAt, RegAt)):
             r, shifted = 0, False
             if isinstance(node, (PopAt, RegAt)):
@@ -316,15 +325,18 @@ def _compiled(psi, lay):
                 r = term_value(node.term, 0 if bound else None)
                 shifted = node.term.has_var
             if isinstance(node, (Pop, PopAt)):
-                bit = pop(node.state, r)
-                return bit, bit, True, shifted
-            at = slot(r, node.reg)
-            return sym_mask << at, node.symbol << at, True, shifted
+                mask = want = pop(node.state, r)
+            else:
+                at = slot(r, node.reg)
+                mask, want = sym_mask << at, node.symbol << at
+            if tail and shifted:  # the shifted code is 0
+                return want == 0
+            return mask, want, True, shifted
         if isinstance(node, (And, Or)):
             return _join(isinstance(node, And),
-                         [build(x, bound) for x in node.children])
+                         [build(x, bound, tail) for x in node.children])
         if isinstance(node, Not):
-            e = build(node.child, bound)
+            e = build(node.child, bound, tail)
             if isinstance(e, tuple):
                 return e[0], e[1], not e[2], e[3]
             if isinstance(e, bool):
@@ -332,17 +344,25 @@ def _compiled(psi, lay):
             return lambda c, s: not e(c, s)
         if not isinstance(node, (Exists, Forall)):
             raise TypeError(f"not a constraint node: {node!r}")
+        exists = isinstance(node, Exists)
+        if build(node.prop, True, True) is exists:
+            return exists  # the tail term decides every code
         body = build(node.prop, True)
         if isinstance(body, tuple) and body[3]:
             m, w, eq, _ = body
-            return _join(isinstance(node, Forall),
+            return _join(not exists,
                          [(m << n, w << n, eq, False) for n in shifts])
         body = _predicate(body)
-        if isinstance(node, Exists):
+        if exists:
             return lambda c, s: any(body(c, c >> n) for n in shifts)
         return lambda c, s: all(body(c, c >> n) for n in shifts)
 
-    sat = _predicate(build(psi, False))
+    return build(psi, False)
+
+
+def _probe(part):
+    """A compiled part as a predicate on the code."""
+    sat = _predicate(part)
     return lambda c: sat(c, c)
 
 
@@ -415,7 +435,9 @@ def search(p: Protocol, psi, max_round: int = 0,
     ``compile_constraint(p, psi, max_round)`` as its test, both in one
     ``layout``, and its ``space_cap`` and ``max_depth``.  Returns the
     number of configurations discovered and the shortest witness to the
-    first hit, checked by ``validated`` to end there, or None.
+    first hit, checked by ``validated`` to end there, or None.  A
+    constraint that compiles to the constant false returns ``(0, None)``
+    and builds neither table nor starts.
 
     The start and desert cut.  A constraint notices an extra populated
     location only at a state it reads under an odd number of negations
@@ -433,8 +455,11 @@ def search(p: Protocol, psi, max_round: int = 0,
     candidate in the same way.
     """
     lay = layout(p, max_round)
-    rs = bfs(*_packed(p, lay, negated_states(psi)), space_cap,
-             _compiled(psi, lay), max_depth)
+    part = _compiled(psi, lay)
+    if part is False:  # no code satisfies it: nothing to search
+        return 0, None
+    rs = bfs(*_packed(p, lay, negated_states(psi)), space_cap, _probe(part),
+             max_depth)
     if rs.hit_code is None:
         return len(rs.links), None
     wit = rs.witness()
@@ -475,7 +500,9 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
     whenever its first hit lies within the cap, while a negative explores
     the whole reach set of ``search``'s cut search and raises
     ``CapExceeded`` past it.  ``stats["members"]`` counts the
-    configurations discovered, for a positive not the whole reach set.
+    configurations discovered, for a positive not the whole reach set, and
+    0 for a constraint that compiles to the constant false, which no
+    configuration satisfies.
 
     For round-based protocols the verdict is relative to executions whose
     moves affect rounds <= max_round only (positives are exact; a negative

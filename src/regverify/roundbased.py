@@ -41,11 +41,11 @@ candidate's obligations do not negate, by ``oracle.search``'s cut), bridge
 footprints (restricted to interleavings normal-form executions produce,
 deserting only from states the obligations negate), universal literal sets
 and existential firing rounds.  Branches whose ground literals contradict each
-other are dropped, and so is a candidate that a universal refutes at the
-round of one of its literals.  Visited (footprint, obligations) signatures,
-with where round 0 sits in the window, are memoized, which makes the state
-space finite; a work budget caps the search, returning "unknown" rather
-than ever a wrong answer.
+other are dropped, and so is a candidate that a universal refutes at a round
+where its forcing literals meet the candidate's.  Visited (footprint,
+obligations) signatures, with where round 0 sits in the window, are
+memoized, which makes the state space finite; a work budget caps the
+search, returning "unknown" rather than ever a wrong answer.
 Bridge-footprint edges are memoized per query and enumerated lazily: the
 budget counts only the query's own work, whatever ran before it.  On
 acceptance the chain's bridge steps are spliced into one execution, in
@@ -168,23 +168,30 @@ def _contradictory(lits: frozenset) -> bool:
 def _refuted(p: Protocol, cand: ApcCandidate, options: dict) -> bool:
     """Whether no configuration meets the candidate's obligations because
     its ground literals contradict each other, a universal is false on the
-    empty tail, or, at the round of one of the literals, every forcing
-    literal set of some universal contradicts them.
+    empty tail, or, at some round k, every forcing literal set of some
+    universal contradicts them.
 
     A universal holds at every round, the rounds past a finite execution's
     top included, where the configuration is the empty tail.  Where it
     holds one of its minimal forcing sets does, so the search would drop
     each such branch when it reaches that round; this drops the candidate
-    before its first round.
+    before its first round.  Literals contradict only within one round, so
+    the rounds k tried are those that put a forcing set's literal, at round
+    k + o, on a ground literal's round r: k = r - o >= 0.
     """
     if _contradictory(cand.closed) or not all(
             eval_prop_at(p, EMPTY, u, 0) for u in cand.universal):
         return True
-    return any(all(_contradictory(
-                       cand.closed | {_shift_term_round(x, r) for x in opt})
-                   for opt in _literal_options(u, options))
-               for r in set(map(_round, cand.closed))
-               for u in cand.universal)
+    rounds = set(map(_round, cand.closed))
+    for u in cand.universal:
+        opts = _literal_options(u, options)
+        ks = {r - _round(x) for r in rounds for opt in opts for x in opt}
+        if any(all(_contradictory(
+                       cand.closed | {_shift_term_round(x, k) for x in opt})
+                   for opt in opts)
+               for k in ks if k >= 0):
+            return True
+    return False
 
 
 def solve_prp_roundbased(p: Protocol, psi,

@@ -374,11 +374,13 @@ def test_criterion_2_seed_refused_before_is_decided():
 
 def test_criterion_2_seed_refused_before_is_decided_negative():
     # seed 200513's full reach set within its round cap exceeds criterion
-    # 2's space cap; its constraint negates no state, and the desert-free
-    # reach set has 4 094 configurations.  rb-search agrees with no
-    # footprint search: its universal, (or (reg 1 (+ k 2) x) (pop s0 (+ k
-    # 2))), is false on the empty tail.  The protocol has no round bound,
-    # so the capped window runs first and misses in 6 configurations
+    # 2's space cap.  Its universal, (or (reg 1 (+ k 2) x) (pop s0 (+ k
+    # 2))), is false on the empty tail past the window, so the compiled
+    # constraint is the constant false and the oracle discovers no
+    # configuration (the desert-free reach set it would walk has 4 094).
+    # rb-search agrees with no footprint search: the protocol has no round
+    # bound, its capped window searches nothing either, and the one
+    # candidate is refuted
     rng = random.Random(200_513)
     p = random_rb_protocol(rng)
     psi = random_rb_constraint(rng, p)
@@ -386,11 +388,13 @@ def test_criterion_2_seed_refused_before_is_decided_negative():
     K = default_round_cap(p, psi)
     v = oracle_prp(p, psi, max_round=K, space_cap=40_000)
     assert (v.answer, v.stats) == ("negative",
-                                   {"members": 4094, "max_round": K})
+                                   {"members": 0, "max_round": K})
+    assert len(reach(p, K, space_cap=40_000, negated=frozenset()).links) \
+        == 4094
     with pytest.raises(CapExceeded):
         reach(p, K, space_cap=40_000)
     v = solve_prp_roundbased(p, psi, budget=250_000)
-    assert (v.answer, v.stats) == ("negative", {"ticks": 6, "nodes": 6,
+    assert (v.answer, v.stats) == ("negative", {"ticks": 0, "nodes": 0,
                                                 "route": "refuted",
                                                 "round_bound": None})
 
@@ -497,14 +501,60 @@ def test_roundbased_probe_matches_eval_roundbased(seed):
                 lambda c: eval_roundbased(p, c, psi, active_bound=k + 1))
 
 
-def _counting_packed(decoded, rounds=None):
+@pytest.mark.parametrize("flavor", ["roundless", "roundbased"])
+def test_constraint_compiled_to_a_constant_is_that_constant_on_the_reach_set(
+        flavor):
+    # a universal whose body is false past the window folds to false, an
+    # existential whose body is true there to true, and the folds carry up;
+    # wherever the compiled constraint is a constant, the reference
+    # evaluator gives it on every member of the exhaustive reach set
+    folded = {True: 0, False: 0}
+    for seed in range(300_000, 300_200):
+        rng = random.Random(seed)
+        if flavor == "roundless":
+            p = random_protocol(rng)
+            psis = [random_constraint(rng, p) for _ in range(6)]
+            caps = [0]
+        else:
+            p = random_rb_protocol(rng)
+            psis = [random_rb_constraint(rng, p) for _ in range(3)]
+            caps = range(4)
+        for k in caps:
+            parts = [oracle._compiled(psi, oracle.layout(p, k))
+                     for psi in psis]
+            if not any(isinstance(part, bool) for part in parts):
+                continue
+            try:
+                rs = reach(p, k, space_cap=4000)
+            except CapExceeded:
+                continue
+            for psi, part in zip(psis, parts):
+                if not isinstance(part, bool):
+                    continue
+                folded[part] += 1
+                for code in rs.links:
+                    c = rs.config(code)
+                    holds = eval_roundless(c, psi) if flavor == "roundless" \
+                        else eval_roundbased(p, c, psi, active_bound=k + 1)
+                    assert holds == part, (seed, k, psi)
+    assert min(folded.values()) >= 50, folded
+
+
+def _counting_packed(decoded, rounds=None, drawn=None):
     """``oracle._packed``, the table builder of ``search`` and ``packed``,
-    with each decoded code appended to ``decoded`` and the round of each
-    table entry returned added to the set ``rounds``."""
+    with each decoded code appended to ``decoded``, the round of each
+    table entry returned added to the set ``rounds``, and each start code
+    drawn appended to ``drawn``."""
     inner = oracle._packed
 
     def counting(*args):
         starts, table, decode = inner(*args)
+
+        def counted_starts():
+            for code in starts:
+                if drawn is not None:
+                    drawn.append(code)
+                yield code
 
         def counted_table(code):
             entries, above = table(code)
@@ -515,7 +565,7 @@ def _counting_packed(decoded, rounds=None):
         def counted(code):
             decoded.append(code)
             return decode(code)
-        return starts, counted_table, counted
+        return counted_starts(), counted_table, counted
     return counting
 
 
@@ -551,6 +601,32 @@ def test_search_builds_only_the_rounds_its_codes_reach(monkeypatch):
     v = oracle_prp(FIG4, parse_round_constraint("(pop A 1)", FIG4))
     assert (v.answer, v.stats) == ("positive", {"members": 6, "max_round": 8})
     assert rounds == {0, 1}
+
+
+def test_search_on_a_constant_false_constraint_builds_nothing(monkeypatch):
+    # A is never populated past the window's top round, so the universal is
+    # false on the empty tail and the constraint compiles to false: the
+    # search draws no start and builds no table round
+    decoded, rounds, drawn = [], set(), []
+    monkeypatch.setattr(oracle, "_packed",
+                        _counting_packed(decoded, rounds, drawn))
+    psi = parse_round_constraint("(forall k (pop A (+ k 0)))", FIG4)
+    assert oracle._compiled(psi, oracle.layout(FIG4, 2)) is False
+    assert oracle.search(FIG4, psi, 2) == (0, None)
+    v = oracle_prp(FIG4, psi, max_round=2, space_cap=0)
+    assert (v.answer, v.stats) == ("negative", {"members": 0, "max_round": 2})
+    assert (decoded, rounds, drawn) == ([], set(), [])
+    # a constraint that is not constant draws a start and builds round 0
+    oracle.search(FIG4, parse_round_constraint("(pop A 1)", FIG4), 2)
+    assert drawn and 0 in rounds
+
+
+def test_roundless_contradiction_discovers_no_configuration():
+    phi = parse_roundless_constraint("(and (pop A) (not (pop A)))", FIG1)
+    v = oracle_prp(FIG1, phi)
+    assert (v.answer, v.stats) == ("negative", {"members": 0})
+    v = solve_prp_bounded(FIG1, phi)
+    assert (v.answer, v.stats["nodes"]) == ("negative", 0)
 
 
 @pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_040)))

@@ -249,16 +249,17 @@ def test_fuzz_seed_negative_within_budget(seed, ticks):
 @pytest.mark.parametrize("seed, answer, window", [
     pytest.param(seed, answer, window, id=f"{seed}-{answer}")
     for seed, answer, window in [
-        (201926, "negative", 36), (202289, "negative", 28),
-        (202597, "negative", 24), (201782, "negative", 27),
-        (202985, "negative", 21), (201464, "positive", 7)]])
+        (201926, "negative", 0), (202289, "negative", 0),
+        (202597, "negative", 0), (201782, "negative", 0),
+        (202985, "negative", 0), (201464, "positive", 7)]])
 def test_fuzz_seed_refuted_on_the_empty_tail(seed, answer, window):
     # each candidate with a universal false on the empty tail is refuted
     # before any footprint search: 201782's universal is (pop s1 (+ k 2)).
     # 201782, 202985 and 201464 ended unknown at this budget while such
     # candidates were searched.  Each protocol has no round bound, so the
-    # capped window runs first, with ``window`` configurations: it misses
-    # on the negatives, which are then refuted, and decides 201464, whose
+    # capped window runs first, with ``window`` configurations: on the
+    # negatives the compiled constraint is false past the window, so it
+    # searches nothing, and they are then refuted; it decides 201464, whose
     # other candidate, an existential, the footprint search meets in two
     # rounds
     rng = random.Random(seed)
@@ -306,6 +307,24 @@ def test_fuzz_seed_refuted_by_universal_after_the_capped_window():
     v = solve_prp_roundbased(p, psi, budget=250_000)
     assert v.answer == "negative"
     assert v.stats == {"ticks": 21, "nodes": 21, "route": "refuted",
+                       "round_bound": None}
+
+
+@pytest.mark.parametrize("seed", [202447, 200235])
+def test_fuzz_seed_refuted_by_universal_at_an_earlier_round(seed):
+    # 202447: (pop s0 2) against (forall k (not (pop s0 (+ k 2)))), and
+    # 200235: (reg 1 2 v1) against (forall k (reg 1 (+ k 1) d0)); each
+    # universal contradicts the literal at k = 2 - o, o its atom's offset,
+    # below the literal's own round, so the one candidate is refuted and
+    # no footprint search runs
+    rng = random.Random(seed)
+    p = random_rb_protocol(rng)
+    psi = random_rb_constraint(rng, p)
+    [cand] = decompose_apcs(psi)
+    assert _refuted(p, cand, {})
+    v = solve_prp_roundbased(p, psi, budget=250_000)
+    assert v.answer == "negative"
+    assert v.stats == {"ticks": 0, "nodes": 0, "route": "refuted",
                        "round_bound": None}
 
 
@@ -371,36 +390,47 @@ def test_round_window_monotone_constraint_starts_with_every_initial_state():
 
 def test_contradictory_constraint_negative_without_search():
     # c's increment loop leaves the protocol with no round bound, so the
-    # capped window runs, misses in its 10 configurations, and the
-    # constraint, decomposed then, has no candidate: no footprint search
-    # runs
+    # capped window runs; the constraint compiles to false, so it
+    # discovers no configuration, and the constraint, decomposed then, has
+    # no candidate: no footprint search runs
     p = rb_protocol(WINDOW_CHAIN + "  c inc c\n", "a b c")
     assert _round_bound(p) is None
     v = solve_prp_roundbased(p, rb(p, "(and (pop a 0) (not (pop a 0)))"))
     assert v.answer == "negative"
-    assert v.stats == {"ticks": 10, "nodes": 10, "route": "refuted",
+    assert v.stats == {"ticks": 0, "nodes": 0, "route": "refuted",
                        "round_bound": None}
 
 
 def test_contradictory_constraint_negative_on_round_window():
     # a bounded protocol goes to the window before any decomposition, and
-    # the window, complete at the bound, exhausts its 26 configurations
+    # the window, complete at the bound, is negative with no configuration
+    # discovered, since the constraint compiles to false
     p = rb_protocol(WINDOW_CHAIN, "a b c")
     v = solve_prp_roundbased(p, rb(p, "(and (pop a 0) (not (pop a 0)))"))
     assert v.answer == "negative"
-    assert v.stats == {"ticks": 26, "nodes": 26, "route": "round-window",
+    assert v.stats == {"ticks": 0, "nodes": 0, "route": "round-window",
                        "round_bound": 2}
 
 
 def test_contradictory_constraint_refuted_after_window_runs_out():
-    # only s0 may vary, so the window has two start codes, and the second
-    # exceeds the budget of 1; the constraint is then decomposed, and its
-    # one candidate is refuted
+    # only s0 and s1 may vary, so the window has four start codes, and the
+    # second exceeds the budget of 1; the constraint, which does not
+    # compile to a constant, is then decomposed, and its one candidate is
+    # refuted at round 0.  A contradiction that compiles to false, as
+    # (and (pop s0 0) (not (pop s0 0))) does, leaves the window, complete at
+    # the bound, negative at no cost
     p = TWENTY_INITIAL
+    v = solve_prp_roundbased(p, rb(
+        p, "(and (pop s0 0) (pop s1 0) "
+           "(forall k (or (not (pop s0 (+ k 0))) (not (pop s1 (+ k 0))))))"),
+        budget=1)
+    assert v.answer == "negative"
+    assert v.stats == {"ticks": 2, "nodes": 1, "route": "refuted",
+                       "round_bound": 0}
     v = solve_prp_roundbased(p, rb(p, "(and (pop s0 0) (not (pop s0 0)))"),
                              budget=1)
     assert v.answer == "negative"
-    assert v.stats == {"ticks": 2, "nodes": 1, "route": "refuted",
+    assert v.stats == {"ticks": 0, "nodes": 0, "route": "round-window",
                        "round_bound": 0}
 
 
@@ -550,9 +580,10 @@ def test_lifted_cvp_positive_on_the_capped_window():
 
 def test_budget_of_one_without_round_bound():
     # a twentieth of the budget is 0 configurations, so the window runs out
-    # on its first start code and charges its one tick; a refuted
-    # constraint is then negative within the budget, and the footprint
-    # search runs out on its first tick
+    # on its first start code and charges its one tick, unless the
+    # constraint compiles to false and the window searches nothing; a
+    # refuted constraint is then negative within the budget, and the
+    # footprint search runs out on its first tick
     answers = set()
     for seed in range(200_000, 200_300):
         rng = random.Random(seed)
@@ -562,5 +593,5 @@ def test_budget_of_one_without_round_bound():
             continue
         v = solve_prp_roundbased(p, psi, budget=1)
         answers.add((v.answer, v.stats["route"], v.stats["ticks"]))
-    assert answers == {("negative", "refuted", 1),
+    assert answers == {("negative", "refuted", 0), ("negative", "refuted", 1),
                        ("unknown", "footprints", 2)}
