@@ -301,7 +301,8 @@ def compile_constraint(p: Protocol, psi, max_round: int = 0):
     Each atom is a bit test ``(mask, want, eq, shifted)``, true when
     ``(x & mask == want) == eq`` for ``x`` the code, or the shifted code
     for an atom on the quantified variable.  Constants fold, ``_join``
-    merges tests, and a quantified test becomes one test of the code per k.
+    merges tests, a quantifier whose body does not read k is its body, and
+    a quantified test becomes one test of the code per k.
     A quantifier's body at ``k = max_round + 1``, the tail term, reads the
     shifted code as 0; when it reads no other atom it is a constant, and a
     universal with a false one is false, an existential with a true one
@@ -348,7 +349,9 @@ def _compiled(psi, lay):
         if build(node.prop, True, True) is exists:
             return exists  # the tail term decides every code
         body = build(node.prop, True)
-        if isinstance(body, tuple) and body[3]:
+        if isinstance(body, bool) or isinstance(body, tuple) and not body[3]:
+            return body  # it does not read k, and k takes some value
+        if isinstance(body, tuple):
             m, w, eq, _ = body
             return _join(not exists,
                          [(m << n, w << n, eq, False) for n in shifts])
@@ -366,14 +369,18 @@ def _probe(part):
     return lambda c: sat(c, c)
 
 
-def _join(conj: bool, parts: list):
+def _join(conj: bool, parts):
     """The conjunction (or disjunction) of compiled parts.
 
     Constants fold.  The equality tests of a conjunction on one of the two
     codes merge into one, as do the inequality tests of a disjunction; a
-    one-bit test is either.
+    one-bit test is either.  Two tests that disagree on a bit, or a test of
+    the other sense that the merged one decides (an equality and an
+    inequality test of one field), fold it to false (true): this is the one
+    rule by which ground literals contradict, in ``roundbased`` too.
     """
     merged: dict = {}  # shifted -> (mask, want)
+    other = []  # multi-bit tests of the other sense
     rest = []
     for e in parts:
         if isinstance(e, bool):
@@ -390,7 +397,12 @@ def _join(conj: bool, parts: list):
                     return not conj  # two tests of one bit disagree
                 merged[shifted] = mask | m, want | w
                 continue
+            other.append(e)
         rest.append(_predicate(e))
+    for m, w, _, shifted in other:
+        mask, want = merged.get(shifted, (0, 0))
+        if mask & m == m and want & m == w:
+            return not conj  # the merged test decides this one the other way
     tests = [(m, w, conj, shifted) for shifted, (m, w) in merged.items()]
     if len(tests) == 1 and not rest:
         return tests[0]

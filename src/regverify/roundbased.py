@@ -30,19 +30,22 @@ footprint on rounds [k-v, k] extending the carried footprint, updates the
 obligation sets (universal propositions checked every round, existentials
 fired at a guessed round, ground literals checked when their round comes),
 and stops as soon as the remaining obligations hold on the untouched
-tail.  A node keeps its footprint as the step sequence alone,
-with rounds counted from the bridge's top round, and its ground literals
-with rounds counted from k: every bridge starts at the initial
+tail.  A node keeps its footprint as the step sequence alone, with rounds
+counted from the bridge's top round: every bridge starts at the initial
 configuration on its window, which ``footprints.extend_footprint`` builds.
+It keeps its ground literals as their bit tests in ``oracle.layout(p, 0)``,
+compiled once per query, with rounds counted from k: moving to round k+1
+shifts each test down by one round's block.
 
 Here every guess point is branch-enumerated depth-first: candidate obligation
 sets, the populated initial set (which holds every initial state the
 candidate's obligations do not negate, by ``oracle.search``'s cut), bridge
 footprints (restricted to interleavings normal-form executions produce,
 deserting only from states the obligations negate), universal literal sets
-and existential firing rounds.  Branches whose ground literals contradict each
-other are dropped, and so is a candidate that a universal refutes at a round
-where its forcing literals meet the candidate's.  Visited (footprint,
+and existential firing rounds.  A branch is dropped when ``oracle._join``,
+the one contradiction rule, folds its ground literals' tests to false, and so
+is a candidate whose tests it folds with every forcing set of a universal at
+a round where that set's literals meet the candidate's.  Visited (footprint,
 obligations) signatures, with where round 0 sits in the window, are
 memoized, which makes the state space finite; a work budget caps the
 search, returning "unknown" rather than ever a wrong answer.
@@ -56,39 +59,53 @@ and checked against the constraint.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .constraints import (And, ApcCandidate, Not, PopAt, RegAt, Term,
-                          decompose_apcs, eval_prop_at,
-                          forcing_literal_sets, ground, negated_states)
+from .constraints import (ApcCandidate, decompose_apcs, forcing_literal_sets,
+                          ground, negated_states)
 from .errors import CapExceeded, RegverifyError
 from .footprints import default_step_cap, extend_footprint
 from .model import INC, ROUNDBASED, Protocol
-from .oracle import compile_constraint, search, validated
+from .oracle import _compiled, _join, _probe, layout, search, validated
 from .semantics import AbstractConfig, Execution, Move, initial_supports
 from .verdict import NEGATIVE, POSITIVE, UNKNOWN, Verdict
 
 DEFAULT_BUDGET = 3_000_000
-EMPTY = AbstractConfig(frozenset(), frozenset())
 
 
 class _BudgetExceeded(RegverifyError):
     pass
 
 
-def _literal_options(prop, memo: dict) -> tuple:
-    """Minimal forcing literal sets with rounds as offsets from the bound var.
+def _tests(p: Protocol, lits: frozenset, memo: dict) -> frozenset:
+    """Ground literals as their bit tests ``(mask, want, eq, False)`` in
+    ``layout(p, 0)``, compiled once per query in ``memo``."""
+    if lits not in memo:
+        memo[lits] = frozenset(_compiled(x, layout(p, 0)) for x in lits)
+    return memo[lits]
+
+
+def _literal_options(p: Protocol, prop, memo: dict) -> tuple:
+    """Minimal forcing literal sets, as bit tests (``_tests``), with rounds
+    as offsets from the bound var.
 
     The proposition's atoms all carry the variable (constant atoms were
     pre-resolved during decomposition), so options at round k are the base
-    options shifted by k.  ``memo`` maps propositions to their options for
-    one query, so nothing is kept between queries.
+    options shifted by k blocks.  ``memo`` maps propositions to their
+    options for one query, so nothing is kept between queries.
     """
     if prop not in memo:
-        memo[prop] = tuple(
-            frozenset(ground(a, v, 0) for a, v in assign.items())
+        memo[prop] = tuple(_tests(p, frozenset(
+            ground(a, v, 0) for a, v in assign.items()), memo)
             for assign in forcing_literal_sets(prop))
     return memo[prop]
+
+
+def _holds(opts: tuple):
+    """A proposition as the disjunction of its forcing sets' tests.  On a
+    code it is exact: a code fixes every atom, and a formula holds on a
+    full assignment exactly when one of its prime implicants does."""
+    return _join(False, [_join(True, opt) for opt in opts])
 
 
 @dataclass(frozen=True)
@@ -99,44 +116,29 @@ class _Node:
     k: int
     carried: tuple            # visible steps of the last bridge
     exist: frozenset          # pending existential propositions
-    closed: frozenset         # pending ground literals, rounds >= 0
+    closed: frozenset         # pending ground literals' tests, rounds >= 0
 
 
-def _atom(lit):
-    """A ground literal's ``PopAt``/``RegAt`` atom."""
-    return lit.child if isinstance(lit, Not) else lit
-
-
-def _round(lit) -> int:
-    return _atom(lit).term.offset
-
-
-def _shift_term_round(lit, delta: int):
-    atom = _atom(lit)
-    moved = replace(atom, term=Term(False, atom.term.offset + delta))
-    return moved if lit is atom else Not(moved)
-
-
-def _onestep_branches(universal: frozenset, exist: frozenset,
+def _onestep_branches(p: Protocol, universal: frozenset, exist: frozenset,
                       closed: frozenset, options: dict):
     """All (remaining existentials, literals) choices at a node's round,
     with rounds counted from it.
 
     Universal propositions contribute one forcing literal set each (choice
     branched); each pending existential either fires here with a forcing
-    literal set or stays pending.  Choices whose literals contradict each
-    other are dropped.
+    literal set or stays pending.  Choices whose literals' tests ``_join``
+    folds to false are dropped.
     """
     uni_choice_lists = []
     for u in sorted(universal, key=repr):
-        opts = _literal_options(u, options)
+        opts = _literal_options(p, u, options)
         if not opts:
             return  # this universal cannot hold at round k on any branch
         uni_choice_lists.append(opts)
     ex_list = sorted(exist, key=repr)
     ex_choice_lists = []
     for e in ex_list:
-        fire_opts = [(True, lits) for lits in _literal_options(e, options)]
+        fire_opts = [(True, lits) for lits in _literal_options(p, e, options)]
         ex_choice_lists.append(fire_opts + [(False, frozenset())])
     for uni_pick in itertools.product(*uni_choice_lists):
         for ex_pick in itertools.product(*ex_choice_lists):
@@ -148,28 +150,15 @@ def _onestep_branches(universal: frozenset, exist: frozenset,
                     additions = additions | lits
                     remaining.discard(e)
             closed2 = closed | additions
-            if not _contradictory(closed2):
+            if _join(True, closed2) is not False:
                 yield frozenset(remaining), closed2
-
-
-def _contradictory(lits: frozenset) -> bool:
-    """Whether ground literals cannot all hold: one of them together with
-    its negation, or two symbols in one register of one round."""
-    symbols: dict = {}
-    for lit in lits:
-        if Not(lit) in lits:
-            return True
-        if isinstance(lit, RegAt) and symbols.setdefault(
-                (lit.term.offset, lit.reg), lit.symbol) != lit.symbol:
-            return True
-    return False
 
 
 def _refuted(p: Protocol, cand: ApcCandidate, options: dict) -> bool:
     """Whether no configuration meets the candidate's obligations because
-    its ground literals contradict each other, a universal is false on the
-    empty tail, or, at some round k, every forcing literal set of some
-    universal contradicts them.
+    ``_join`` folds its ground literals' tests to false, a universal is
+    false on the empty tail (code 0), or, at some round k, ``_join`` folds
+    the literals with each forcing literal set of some universal to false.
 
     A universal holds at every round, the rounds past a finite execution's
     top included, where the configuration is the empty tail.  Where it
@@ -179,18 +168,21 @@ def _refuted(p: Protocol, cand: ApcCandidate, options: dict) -> bool:
     the rounds k tried are those that put a forcing set's literal, at round
     k + o, on a ground literal's round r: k = r - o >= 0.
     """
-    if _contradictory(cand.closed) or not all(
-            eval_prop_at(p, EMPTY, u, 0) for u in cand.universal):
+    closed = _tests(p, cand.closed, options)
+    opts = [_literal_options(p, u, options) for u in cand.universal]
+    if _join(True, closed) is False or not all(
+            _probe(_holds(o))(0) for o in opts):
         return True
-    rounds = set(map(_round, cand.closed))
-    for u in cand.universal:
-        opts = _literal_options(u, options)
-        ks = {r - _round(x) for r in rounds for opt in opts for x in opt}
-        if any(all(_contradictory(
-                       cand.closed | {_shift_term_round(x, k) for x in opt})
-                   for opt in opts)
-               for k in ks if k >= 0):
-            return True
+    block = layout(p, 0)[2](1, 0)
+    rounds = {(m.bit_length() - 1) // block for m, *_ in closed}
+    for o in opts:
+        ks = {r - (m.bit_length() - 1) // block
+              for r in rounds for opt in o for m, *_ in opt}
+        for n in (k * block for k in ks if k >= 0):
+            if all(_join(True, [*closed, *((m << n, w << n, eq, s)
+                                           for m, w, eq, s in opt)]) is False
+                   for opt in o):
+                return True
     return False
 
 
@@ -338,7 +330,7 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             v: int, tick, work, edge_memo: dict,
             negated: frozenset, options: dict) -> Execution | None:
     universal = cand.universal
-    root = _Node(0, (), cand.existential, cand.closed)
+    root = _Node(0, (), cand.existential, _tests(p, cand.closed, options))
     visited: set = set()
     # each stack entry: (node, iterator over (steps, sig, child or None))
     stack = [(root, _expand(p, root, universal, init_set, v, tick,
@@ -445,32 +437,39 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
 
     None as the node signals acceptance with those steps.  Per-branch
     obligations are computed once per node; per edge only the current
-    round's literal checks and the stop test remain.
+    round's literal test and the stop test remain, each a ``_probe`` of
+    ``_join``ed bit tests.
     """
     k = node.k
+    _, pop, slot, _ = layout(p, 0)
+    block = slot(1, 0)
     # the last code counts rounds from the window's lowest, max(k - v, 0)
-    now_round = min(k, v)
+    up = min(k, v) * block
 
     # branch precomputation: (remaining E, test of the round-k literals on
     # the edge's last code or None, pending literals counted from k+1, stop
-    # proposition or None)
+    # test on the stopped shape's code or None)
     branches = []
     for remaining_exist, closed2 in _onestep_branches(
-            universal, node.exist, node.closed, options):
-        now = tuple(_shift_term_round(lit, now_round)
-                    for lit in closed2 if _round(lit) == 0)
-        test = compile_constraint(p, And(now), v) if now else None
-        pending = frozenset(_shift_term_round(lit, -1)
-                            for lit in closed2 if _round(lit) > 0)
+            p, universal, node.exist, node.closed, options):
+        now = [(m << up, w << up, eq, s) for m, w, eq, s in closed2
+               if not m >> block]
+        test = _probe(_join(True, now)) if now else None
+        pending = frozenset((m >> block, w >> block, eq, s)
+                            for m, w, eq, s in closed2 if m >> block)
         stop = None
         if not remaining_exist:
-            # a stopped shape differs from the empty configuration only in
-            # round k+1's population, so other literals are decided here
-            varying = {lit for lit in pending
-                       if isinstance(_atom(lit), PopAt) and _round(lit) == 0}
-            if all(eval_prop_at(p, EMPTY, lit, None)
-                   for lit in pending - varying):
-                stop = And((*varying, *universal))
+            # may the execution stop at round k, leaving later rounds
+            # untouched?  The pending literals and the universals, each the
+            # disjunction of its forcing sets, rounds counted from k+1, on
+            # the stopped shape's code: deserting increments may already
+            # populate round k+1, everything beyond is empty and registers
+            # above round k are initial.  Universals are checked at round
+            # k+1 only: from round k+2 on every round reads the empty tail,
+            # where each universal holds, or _refuted would have dropped
+            # the candidate
+            stop = _probe(_join(True, [*pending, *(
+                _holds(_literal_options(p, u, options)) for u in universal)]))
         branches.append((remaining_exist, test, pending, stop))
     if not branches:
         return
@@ -480,33 +479,17 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
     for steps, last, vis in _edges_for(p, node, init_set, v, tick, negated,
                                        edge_memo):
         tick(n_branches)
-        pop_next = None
+        shape = None  # round k+1's population, rounds counted from k+1
         for remaining_exist, test, pending, stop in branches:
             if test is not None and not test(last):
                 continue
             if stop is not None:
-                if pop_next is None:
-                    pop_next = frozenset(
-                        (m.trans.dest, 0) for m in vis
-                        if m.trans.action.kind == INC and m.rnd == 0
-                        and m.desert)
-                if _test_stop(p, stop, pop_next):
+                if shape is None:  # distinct bits: their sum is their or
+                    shape = sum({pop(m.trans.dest, 0) for m in vis
+                                 if m.trans.action.kind == INC
+                                 and m.rnd == 0 and m.desert})
+                if stop(shape):
                     yield steps, None, None
                     continue
             sig = (sig_round, vis, remaining_exist, pending)
             yield steps, sig, _Node(k + 1, vis, remaining_exist, pending)
-
-
-def _test_stop(p: Protocol, stop, pop_next: frozenset) -> bool:
-    """May the execution stop at round k, leaving later rounds untouched?
-
-    ``stop`` conjoins the universal propositions and the branch's pending
-    literals on round k+1's population, rounds counted from k+1; the caller
-    decided the other pending literals once per branch.  It is evaluated
-    against the actual stopped shape: deserting increments may already
-    populate round k+1 (``pop_next``), everything beyond is empty and
-    registers above round k are initial.  Universals are checked at round
-    k+1 only: from round k+2 on every round reads the empty tail, where
-    each universal holds, or ``_refuted`` would have dropped the candidate.
-    """
-    return eval_prop_at(p, AbstractConfig(pop_next, frozenset()), stop, 0)

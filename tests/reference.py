@@ -1,16 +1,18 @@
 """Reference implementations that the library's faster versions must match,
 and the helpers only tests call: the oracle's whole reach set, the
 explicit successor relation, the one-register covset and cocovset, the
-footprint search on its own, and roundless instances lifted to rounds."""
+footprint search on its own, the round-based search's former contradiction
+rule on ground literals, and roundless instances lifted to rounds."""
 
 import itertools
 from dataclasses import replace
 
 from regverify import oracle, roundless
-from regverify.constraints import (And, Exists, Not, Or, _collect_leaves,
-                                   closed_atoms_of, decompose_apcs,
-                                   forcing_literal_sets, ground,
-                                   parse_round_constraint, substitute_atoms)
+from regverify.constraints import (And, Exists, Not, Or, RegAt,
+                                   _collect_leaves, closed_atoms_of,
+                                   decompose_apcs, forcing_literal_sets,
+                                   ground, parse_round_constraint,
+                                   substitute_atoms)
 from regverify.errors import (CapExceeded, NotEnabled, NotUninitialized,
                               WrongRegisterCount)
 from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
@@ -362,6 +364,21 @@ def footprint_verdict(p: Protocol, psi, budget: int):
     runs on a protocol with no round bound after its capped window."""
     cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, {})]
     return _footprint_search(p, psi, cands, budget, {})
+
+
+def contradictory(lits: frozenset) -> bool:
+    """Whether ground literals cannot all hold: one of them together with
+    its negation, or two symbols in one register of one round.  The
+    round-based search's rule before ``oracle._join`` became the one
+    contradiction rule; ``_join`` must fold every set this rule flags."""
+    symbols: dict = {}
+    for lit in lits:
+        if Not(lit) in lits:
+            return True
+        if isinstance(lit, RegAt) and symbols.setdefault(
+                (lit.term.offset, lit.reg), lit.symbol) != lit.symbol:
+            return True
+    return False
 
 
 def lift_roundless(p: Protocol, target: int):
