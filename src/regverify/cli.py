@@ -20,8 +20,7 @@ from pathlib import Path
 from . import constraints as cst
 from .errors import (NotDNF, NotEnabled, NotUninitialized, RegverifyError,
                      WrongRegisterCount)
-from .model import (ROUNDBASED, ROUNDLESS, parse_protocol, serialize_protocol,
-                    validate)
+from .model import ROUNDBASED, ROUNDLESS, parse_protocol, serialize_protocol
 from .oracle import oracle_prp
 from .reductions import (TRUTH_TABLE_CAP, Circuit, CnfFormula,
                          builtin_examples, cvp_to_cover, evaluate_circuit,
@@ -49,27 +48,20 @@ class CliError(Exception):
 
 def _load_protocol(path: str):
     try:
-        p = parse_protocol(Path(path).read_text())
+        return parse_protocol(Path(path).read_text())
     except OSError as e:
         raise CliError(f"cannot read protocol: {e}", EXIT_DATA)
     except RegverifyError as e:
         raise CliError(f"bad protocol {path}: {e}", EXIT_DATA)
-    findings = validate(p)
-    if findings:
-        raise CliError(f"protocol {path} invalid: "
-                       + "; ".join(f.message for f in findings), EXIT_DATA)
-    return p
 
 
 def _load_constraint(path: str, p):
+    parse = cst.parse_roundless_constraint if p.flavor == ROUNDLESS \
+        else cst.parse_round_constraint
     try:
-        text = Path(path).read_text()
+        return parse(Path(path).read_text(), p)
     except OSError as e:
         raise CliError(f"cannot read constraint: {e}", EXIT_DATA)
-    try:
-        if p.flavor == ROUNDLESS:
-            return cst.parse_roundless_constraint(text, p)
-        return cst.parse_round_constraint(text, p)
     except RegverifyError as e:
         raise CliError(f"bad constraint {path}: {e}", EXIT_DATA)
 
@@ -95,10 +87,7 @@ def _problem_constraint(args, p):
     if args.problem in ("cover", "target"):
         if not args.state:
             raise CliError(f"{args.problem} needs --state", EXIT_USAGE)
-        try:
-            q = p.state_id(args.state)
-        except RegverifyError as e:
-            raise CliError(str(e), EXIT_DATA)
+        q = p.state_id(args.state)  # an unknown name exits 70 in main
         make = (cst.cover_constraint if args.problem == "cover"
                 else cst.target_constraint)
         return make(p, q), q

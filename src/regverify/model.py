@@ -1,8 +1,13 @@
-"""Protocol domain types, textual format, parsing and validation.
+"""Protocol domain types, textual format and parsing.
 
 A protocol is either *roundless* (one fixed bank of registers) or
 *round-based* (a fresh bank per round, processes carrying private round
 numbers).  Both flavors share one ``Protocol`` type with a flavor tag.
+
+The parser is the one check of outside input: it raises, citing the line
+where there is one, on every structural invariant of a protocol, the ones
+``tests/reference.py``'s ``validate`` lists for the protocols that
+reductions build directly.
 
 States and symbols are interned to dense integer ids at parse time; all
 solver-internal sets are over ids.  Registers are 1-indexed in the file
@@ -87,14 +92,6 @@ class Protocol:
         return self.symbol_ids[name]
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One structural-validation violation, as data."""
-
-    code: str
-    message: str
-
-
 D0 = 0  # the initial symbol always interns to id 0
 
 
@@ -102,67 +99,6 @@ def is_uninitialized(p: Protocol) -> bool:
     """True iff no transition reads the initial symbol from any round."""
     return not any(t.action.kind == READ and t.action.symbol == D0
                    for t in p.transitions)
-
-
-def validate(p: Protocol) -> list[Finding]:
-    """Check every structural invariant; one finding per violation."""
-    out: list[Finding] = []
-    if len(set(p.state_names)) != len(p.state_names):
-        out.append(Finding("DuplicateState", "state names are not unique"))
-    if len(set(p.symbol_names)) != len(p.symbol_names):
-        out.append(Finding("DuplicateSymbol", "symbol names are not unique"))
-    if not p.symbol_names:
-        out.append(Finding("NoInitialSymbol", "alphabet is empty"))
-    if p.register_count < 1:
-        out.append(Finding("BadRegisterCount",
-                           f"register count {p.register_count} < 1"))
-    if p.flavor not in (ROUNDLESS, ROUNDBASED):
-        out.append(Finding("BadFlavor", f"unknown flavor {p.flavor!r}"))
-    if p.flavor == ROUNDBASED and (p.visibility is None or p.visibility < 0):
-        out.append(Finding("BadVisibility",
-                           f"visibility {p.visibility!r} must be >= 0"))
-    if p.flavor == ROUNDLESS and p.visibility is not None:
-        out.append(Finding("BadVisibility",
-                           "roundless protocol must not set visibility"))
-    for q in p.initial_states:
-        if not 0 <= q < p.num_states:
-            out.append(Finding("UnknownState", f"initial state id {q}"))
-    for i, t in enumerate(p.transitions):
-        where = f"transition #{i}"
-        for q, role in ((t.source, "source"), (t.dest, "destination")):
-            if not 0 <= q < p.num_states:
-                out.append(Finding("UnknownState", f"{where}: {role} id {q}"))
-        a = t.action
-        if a.kind not in (READ, WRITE, INC):
-            out.append(Finding("BadAction", f"{where}: kind {a.kind!r}"))
-            continue
-        if a.kind == INC:
-            if p.flavor != ROUNDBASED:
-                out.append(Finding("BadAction",
-                                   f"{where}: inc in roundless protocol"))
-            if a.reg is not None or a.symbol is not None or a.depth is not None:
-                out.append(Finding("BadAction", f"{where}: inc carries fields"))
-            continue
-        if a.reg is None or not 0 <= a.reg < p.register_count:
-            out.append(Finding("RegisterOutOfRange",
-                               f"{where}: register {a.reg}"))
-        if a.symbol is None or not 0 <= a.symbol < p.num_symbols:
-            out.append(Finding("UnknownSymbol", f"{where}: symbol {a.symbol}"))
-        if a.kind == WRITE:
-            if a.symbol == D0:
-                out.append(Finding("WriteOfInitialSymbol",
-                                   f"{where}: write of initial symbol"))
-            if a.depth is not None:
-                out.append(Finding("BadAction", f"{where}: write with depth"))
-        if a.kind == READ:
-            if p.flavor == ROUNDBASED:
-                if a.depth is None or not 0 <= a.depth <= (p.visibility or 0):
-                    out.append(Finding("DepthOutOfRange",
-                                       f"{where}: depth {a.depth}"))
-            elif a.depth is not None:
-                out.append(Finding("BadAction",
-                                   f"{where}: roundless read with depth"))
-    return out
 
 
 # --- textual format ---------------------------------------------------------
@@ -187,6 +123,18 @@ def _symbol_index(tok: str, symbol_ids: dict, lineno: int) -> int:
     if sym is None:
         raise ProtocolSemanticError(f"line {lineno}: unknown symbol {tok!r}")
     return sym
+
+
+def _count(header: dict, key: str, what: str, least: int) -> int:
+    """The integer value of header ``key``, at least ``least``."""
+    value, lineno = header[key]
+    try:
+        n = int(value)
+    except ValueError:
+        raise ProtocolSyntaxError(f"{key} must be an integer", lineno)
+    if n < least:
+        raise ProtocolSemanticError(f"{what} must be >= {least}")
+    return n
 
 
 def _parse_action(text: str, flavor: str, reg_count: int, visibility: int,
@@ -299,23 +247,10 @@ def parse_protocol(text: str) -> Protocol:
                 f"line {header['initial'][1]}: unknown initial state {tok!r}")
         initial.append(state_ids[tok])
 
-    try:
-        reg_count = int(header["registers"][0])
-    except ValueError:
-        raise ProtocolSyntaxError("registers must be an integer",
-                                  header["registers"][1])
-    if reg_count < 1:
-        raise ProtocolSemanticError("register count must be >= 1")
-
+    reg_count = _count(header, "registers", "register count", 1)
     visibility = None
     if flavor == ROUNDBASED:
-        try:
-            visibility = int(header["visibility"][0])
-        except ValueError:
-            raise ProtocolSyntaxError("visibility must be an integer",
-                                      header["visibility"][1])
-        if visibility < 0:
-            raise ProtocolSemanticError("visibility must be >= 0")
+        visibility = _count(header, "visibility", "visibility", 0)
 
     actions: dict[str, Action] = {}
     transitions = []

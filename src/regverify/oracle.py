@@ -8,15 +8,16 @@ instances beyond their caps.  The oracle stops at the first configuration
 that satisfies the constraint, so its space cap bounds the configurations
 discovered before a verdict, not the whole reach set.
 
-Both flavors run one search loop, ``bfs``, over one packed step table
-(``packed``): a roundless protocol is the round-0 case of a round window.
-The search stays on integer codes.  Each table entry is enabled by one
-mask test, which covers its source's population bit and a read's symbol
-field together, and makes its step by one mask and one or; the constraint
-is compiled to bit probes on the code, and only a witness's own codes are
-decoded.  A constraint that compiles to the constant false, a contradiction
-or a universal false on the empty tail past the window, is negative with
-no search: it discovers no configuration.
+Both flavors run one search loop, ``bfs``, over one packed step table,
+``packed(p, lay, negated)`` in the bit ``layout`` ``lay`` of a round
+window: a roundless protocol is its round-0 case.  The search stays on
+integer codes.  Each table entry is enabled by one mask test, which covers
+its source's population bit and a read's symbol field together, and makes
+its step by one mask and one or; the constraint is compiled in the same
+layout to bit probes on the code (``_compiled``), and only a witness's own
+codes are decoded.  A constraint that compiles to the constant false, a
+contradiction or a universal false on the empty tail past the window, is
+negative with no search: it discovers no configuration.
 
 The table is built on demand, a round at a time: ``bfs`` calls
 ``table(code)`` before it expands a code above the rounds built so far,
@@ -30,15 +31,13 @@ The oracle, the roundless ``bounded`` solver and the round window of
 ``roundbased`` all decide by ``search``, whose positives ``validated``
 replays and checks with the reference evaluators, so their agreement checks
 neither the table, nor the probe, nor its folding to a constant, nor the
-cut in ``search``'s docstring.  The tests check the table against a
-reference search over the successors of ``semantics.abstract_step``, the
-probe, and each constant it folds to, against the evaluators on the whole
-reach set, and the cut search against the exhaustive one.
+cut in ``search``'s docstring.  The tests check those on whole reach sets,
+against a reference search and the evaluators, through the decoded views
+of ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 
 from .constraints import (And, Exists, Forall, Not, Or, Pop, PopAt, Reg,
@@ -59,8 +58,7 @@ class ReachSet:
 
     The search fills ``links``, code -> (pred code, Move) | None in
     breadth-first discovery order, and ``hit_code``, the first code
-    satisfying the predicate.  ``parents``, ``members`` and ``hit`` are
-    their decoded views, built on first access.
+    satisfying the predicate; ``hit`` is its configuration.
     """
 
     def __init__(self, decode):
@@ -75,29 +73,14 @@ class ReachSet:
             self._configs[code] = self._decode(code)
         return self._configs[code]
 
-    @cached_property
-    def parents(self) -> dict:
-        """config -> (pred config, Move) | None, in discovery order."""
-        return {self.config(code): None if link is None
-                else (self.config(link[0]), link[1])
-                for code, link in self.links.items()}
-
-    @property
-    def members(self):
-        return self.parents.keys()
-
     @property
     def hit(self) -> AbstractConfig | None:
         return None if self.hit_code is None else self.config(self.hit_code)
 
-    @cached_property
-    def _codes(self) -> dict:
-        return dict(zip(self.parents, self.links))
-
-    def witness(self, config: AbstractConfig | None = None) -> Execution:
-        """Shortest execution to ``config``, by default to the hit; of the
-        path, only its start is decoded."""
-        code = self.hit_code if config is None else self._codes[config]
+    def witness(self) -> Execution:
+        """Shortest execution to the hit; of the path, only its start is
+        decoded."""
+        code = self.hit_code
         moves: list[Move] = []
         while (link := self.links[code]) is not None:
             code, move = link
@@ -164,7 +147,7 @@ def bfs(starts, table, decode, space_cap: float = float("inf"),
 
 
 def layout(p: Protocol, max_round: int):
-    """Bit layout of ``packed(p, max_round)`` codes.
+    """Bit layout of ``packed`` codes for round cap ``max_round``.
 
     Returns ``(rounds, pop, slot, sym_mask)``.  Each round has a block of
     its own, round r's block right above round r - 1's: register j's symbol
@@ -184,14 +167,14 @@ def layout(p: Protocol, max_round: int):
             lambda r, j: r * block + j * sym_bits, (1 << sym_bits) - 1)
 
 
-def packed(p: Protocol, max_round: int = 0, negated=None):
+def packed(p: Protocol, lay, negated):
     """``(starts, table, decode)`` for ``bfs`` on packed integer codes.
 
     A code holds one symbol field per (round, register) and one population
-    bit per (round, state), laid out by ``layout``, for rounds 0 to
-    ``max_round`` of a round-based protocol; a roundless one has round 0
-    only.  The table holds step entries per transition and round, keep
-    variant first, then desert, as in the reference successor relation:
+    bit per (round, state), in the layout ``lay``, ``layout(p, max_round)``:
+    rounds 0 to ``max_round`` of a round-based protocol; a roundless one has
+    round 0 only.  The table holds step entries per transition and round,
+    keep variant first, then desert, as in the reference successor relation:
     an increment at ``max_round`` and a read below round 0 get none.  With
     a set of states ``negated`` (the cut in ``search``'s docstring), only a
     source in it gets a desert entry, and the starts are the supports that
@@ -212,12 +195,6 @@ def packed(p: Protocol, max_round: int = 0, negated=None):
     round r is its entry at its lowest round shifted up by the rounds
     between: every bit it tests or sets moves up by whole blocks.
     """
-    return _packed(p, layout(p, max_round), negated)
-
-
-def _packed(p: Protocol, lay, negated):
-    """``packed`` in the layout ``lay``, which ``search`` shares with the
-    compiled constraint."""
     rb = p.flavor == ROUNDBASED
     rounds, pop, slot, sym_mask = lay
     block = slot(1, 0)
@@ -286,35 +263,29 @@ def _packed(p: Protocol, lay, negated):
     return starts, table, decode
 
 
-def compile_constraint(p: Protocol, psi, max_round: int = 0):
-    """The constraint as a predicate on ``packed(p, max_round)`` codes.
-
-    On a code it agrees with ``eval_roundless`` on the decoded
-    configuration of a roundless protocol, and with ``eval_roundbased(...,
-    active_bound=max_round + 1)`` on that of a round-based one.  A roundless
-    ``Pop``/``Reg`` atom is the round-0 ``PopAt``/``RegAt``.  A quantifier
-    tries ``k = 0..max_round + 1``, reading round ``k + m`` as round ``m``
-    of the code shifted by k rounds; past the window the code reads as
-    empty, where a population atom is false and a register holds d0, so
-    every later ``k`` gives what ``max_round + 1`` gives.
+def _compiled(psi, lay):
+    """The constraint on codes in the layout ``lay = layout(p, max_round)``:
+    a constant, a bit test, or a function of the code and the shifted code.  As a predicate on the code (``_probe``) it agrees with
+    ``eval_roundless`` on a roundless protocol's decoded configuration, and
+    with ``eval_roundbased(..., active_bound=max_round + 1)`` on a
+    round-based one's.  A roundless ``Pop``/``Reg`` is the round-0
+    ``PopAt``/``RegAt``.  A quantifier tries ``k = 0..max_round + 1``,
+    reading round ``k + m`` as round ``m`` of the code shifted by k rounds;
+    past the window the code reads as empty, where a population atom is
+    false and a register holds d0, so every later ``k`` gives what
+    ``max_round + 1`` gives.
 
     Each atom is a bit test ``(mask, want, eq, shifted)``, true when
     ``(x & mask == want) == eq`` for ``x`` the code, or the shifted code
     for an atom on the quantified variable.  Constants fold, ``_join``
-    merges tests, a quantifier whose body does not read k is its body, and
-    a quantified test becomes one test of the code per k.
+    merges the tests of a conjunction or disjunction, nested ones of the
+    same connective included, a quantifier whose body does not read k is
+    its body, and a quantified test becomes one test of the code per k.
     A quantifier's body at ``k = max_round + 1``, the tail term, reads the
     shifted code as 0; when it reads no other atom it is a constant, and a
     universal with a false one is false, an existential with a true one
-    true, on every code.  ``search`` runs no search on a constraint that
-    folds to false, so such a negative discovers no configuration.
+    true, on every code.
     """
-    return _probe(_compiled(psi, layout(p, max_round)))
-
-
-def _compiled(psi, lay):
-    """``compile_constraint``'s compiled part in the layout ``lay``: a
-    constant, a bit test, or a function of the code and the shifted code."""
     rounds, pop, slot, sym_mask = lay
     shifts = range(0, slot(rounds + 1, 0), slot(1, 0))  # k = 0..rounds
 
@@ -334,8 +305,13 @@ def _compiled(psi, lay):
                 return want == 0
             return mask, want, True, shifted
         if isinstance(node, (And, Or)):
+            children = list(node.children)
+            for x in children:  # a child of the same connective is spliced
+                if type(x) is type(node):
+                    children += x.children
             return _join(isinstance(node, And),
-                         [build(x, bound, tail) for x in node.children])
+                         [build(x, bound, tail) for x in children
+                          if type(x) is not type(node)])
         if isinstance(node, Not):
             e = build(node.child, bound, tail)
             if isinstance(e, tuple):
@@ -443,9 +419,9 @@ def search(p: Protocol, psi, max_round: int = 0,
            max_depth: int | None = None) -> tuple[int, Execution | None]:
     """Breadth-first search for a configuration that satisfies ``psi``.
 
-    ``bfs`` on ``packed(p, max_round, negated_states(psi))`` with
-    ``compile_constraint(p, psi, max_round)`` as its test, both in one
-    ``layout``, and its ``space_cap`` and ``max_depth``.  Returns the
+    ``bfs`` on ``packed(p, lay, negated_states(psi))`` with ``psi``
+    ``_compiled`` in the same ``lay = layout(p, max_round)`` as its test,
+    and its ``space_cap`` and ``max_depth``.  Returns the
     number of configurations discovered and the shortest witness to the
     first hit, checked by ``validated`` to end there, or None.  A
     constraint that compiles to the constant false returns ``(0, None)``
@@ -470,7 +446,7 @@ def search(p: Protocol, psi, max_round: int = 0,
     part = _compiled(psi, lay)
     if part is False:  # no code satisfies it: nothing to search
         return 0, None
-    rs = bfs(*_packed(p, lay, negated_states(psi)), space_cap, _probe(part),
+    rs = bfs(*packed(p, lay, negated_states(psi)), space_cap, _probe(part),
              max_depth)
     if rs.hit_code is None:
         return len(rs.links), None

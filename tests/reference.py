@@ -1,11 +1,13 @@
 """Reference implementations that the library's faster versions must match,
-and the helpers only tests call: the oracle's whole reach set, the
-explicit successor relation, the one-register covset and cocovset, the
-footprint search on its own, the round-based search's former contradiction
-rule on ground literals, and roundless instances lifted to rounds."""
+and the helpers only tests call: the structural invariants of a protocol,
+the oracle's whole reach set, its decoded views and its compiled
+constraint as a predicate, the explicit successor relation, the
+one-register covset and cocovset, the footprint search on its own, the
+round-based search's former contradiction rule on ground literals, and
+roundless instances lifted to rounds."""
 
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from regverify import oracle, roundless
 from regverify.constraints import (And, Exists, Not, Or, RegAt,
@@ -22,8 +24,81 @@ from regverify.oracle import ReachSet
 from regverify.roundbased import _footprint_search, _refuted
 from regverify.roundless import (ClauseDecomposition, _alive_transitions,
                                  _closure, _index)
-from regverify.semantics import AbstractConfig, Move, abstract_step
+from regverify.semantics import AbstractConfig, Execution, Move, abstract_step
 from regverify.verdict import NEGATIVE, POSITIVE, Verdict
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One violated structural invariant, as data."""
+
+    code: str
+    message: str
+
+
+def validate(p: Protocol) -> list[Finding]:
+    """Every structural invariant of ``p``; one finding per violation.
+
+    ``parse_protocol`` raises on each of these, so a parsed protocol has
+    none; the protocols that reductions and generators build directly are
+    checked here."""
+    out: list[Finding] = []
+    if len(set(p.state_names)) != len(p.state_names):
+        out.append(Finding("DuplicateState", "state names are not unique"))
+    if len(set(p.symbol_names)) != len(p.symbol_names):
+        out.append(Finding("DuplicateSymbol", "symbol names are not unique"))
+    if not p.symbol_names:
+        out.append(Finding("NoInitialSymbol", "alphabet is empty"))
+    if p.register_count < 1:
+        out.append(Finding("BadRegisterCount",
+                           f"register count {p.register_count} < 1"))
+    if p.flavor not in (ROUNDLESS, ROUNDBASED):
+        out.append(Finding("BadFlavor", f"unknown flavor {p.flavor!r}"))
+    if p.flavor == ROUNDBASED and (p.visibility is None or p.visibility < 0):
+        out.append(Finding("BadVisibility",
+                           f"visibility {p.visibility!r} must be >= 0"))
+    if p.flavor == ROUNDLESS and p.visibility is not None:
+        out.append(Finding("BadVisibility",
+                           "roundless protocol must not set visibility"))
+    for q in p.initial_states:
+        if not 0 <= q < p.num_states:
+            out.append(Finding("UnknownState", f"initial state id {q}"))
+    for i, t in enumerate(p.transitions):
+        where = f"transition #{i}"
+        for q, role in ((t.source, "source"), (t.dest, "destination")):
+            if not 0 <= q < p.num_states:
+                out.append(Finding("UnknownState", f"{where}: {role} id {q}"))
+        a = t.action
+        if a.kind not in (READ, WRITE, INC):
+            out.append(Finding("BadAction", f"{where}: kind {a.kind!r}"))
+            continue
+        if a.kind == INC:
+            if p.flavor != ROUNDBASED:
+                out.append(Finding("BadAction",
+                                   f"{where}: inc in roundless protocol"))
+            if a.reg is not None or a.symbol is not None or a.depth is not None:
+                out.append(Finding("BadAction", f"{where}: inc carries fields"))
+            continue
+        if a.reg is None or not 0 <= a.reg < p.register_count:
+            out.append(Finding("RegisterOutOfRange",
+                               f"{where}: register {a.reg}"))
+        if a.symbol is None or not 0 <= a.symbol < p.num_symbols:
+            out.append(Finding("UnknownSymbol", f"{where}: symbol {a.symbol}"))
+        if a.kind == WRITE:
+            if a.symbol == D0:
+                out.append(Finding("WriteOfInitialSymbol",
+                                   f"{where}: write of initial symbol"))
+            if a.depth is not None:
+                out.append(Finding("BadAction", f"{where}: write with depth"))
+        if a.kind == READ:
+            if p.flavor == ROUNDBASED:
+                if a.depth is None or not 0 <= a.depth <= (p.visibility or 0):
+                    out.append(Finding("DepthOutOfRange",
+                                       f"{where}: depth {a.depth}"))
+            elif a.depth is not None:
+                out.append(Finding("BadAction",
+                                   f"{where}: roundless read with depth"))
+    return out
 
 
 def eval_with_assignment(node, assign: dict) -> bool:
@@ -278,12 +353,46 @@ def reach(p: Protocol, max_round: int = 0,
     for it.  ``oracle.bfs`` on that table, within the oracle's caps.
     """
     oracle._refuse_beyond_caps(p, state_cap, space_cap)
-    return oracle.bfs(*oracle.packed(p, max_round, negated), space_cap)
+    return oracle.bfs(*packed_window(p, max_round, negated), space_cap)
+
+
+def packed_window(p: Protocol, max_round: int = 0, negated=None):
+    """``oracle.packed`` in the layout of round cap ``max_round``."""
+    return oracle.packed(p, oracle.layout(p, max_round), negated)
+
+
+def compile_constraint(p: Protocol, psi, max_round: int = 0):
+    """The constraint as the predicate ``oracle.search`` tests on
+    ``packed_window(p, max_round)`` codes."""
+    return oracle._probe(oracle._compiled(psi, oracle.layout(p, max_round)))
+
+
+def parents(rs: ReachSet) -> dict:
+    """config -> (pred config, Move) | None, in discovery order."""
+    return {rs.config(code): None if link is None
+            else (rs.config(link[0]), link[1])
+            for code, link in rs.links.items()}
+
+
+def members(rs: ReachSet):
+    """A reach set's configurations, in discovery order."""
+    return parents(rs).keys()
 
 
 def order(rs: ReachSet) -> list:
     """A reach set's members in discovery order."""
-    return list(rs.parents)
+    return list(members(rs))
+
+
+def witness_to(rs: ReachSet, config: AbstractConfig) -> Execution:
+    """The shortest execution to a member, by its parent links."""
+    links = parents(rs)
+    moves: list[Move] = []
+    while (link := links[config]) is not None:
+        config, move = link
+        moves.append(move)
+    moves.reverse()
+    return Execution(config, tuple(moves))
 
 
 def abstract_successors(p: Protocol, c: AbstractConfig,

@@ -43,7 +43,7 @@ from lemmas import (abstract_to_concrete, combine_footprints,
                     normal_form_violations, normalize_execution,
                     per_round_step_counts, project_footprint,
                     reduce_cover_to_target)
-from reference import order, reach
+from reference import members, order, reach, witness_to
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 
@@ -77,7 +77,7 @@ def _golden_rb_oracle(_arg) -> list[str]:
         if hit is None:
             out.append("negative")
         else:
-            wit = rs.witness(hit)
+            wit = witness_to(rs, hit)
             final = replay(p, wit, ABSTRACT)
             assert eval_roundbased(p, final, psi, active_bound=3)
             out.append("positive")
@@ -281,7 +281,7 @@ def test_criterion_4_abstraction_sound_complete():
     for _ in range(100):
         p = random_protocol(rng, max_states=4, max_symbols=3, max_regs=2,
                             max_trans=10)
-        abstract = {(c.pop, c.regs) for c in reach(p).members}
+        abstract = {(c.pop, c.regs) for c in members(reach(p))}
         concrete = _concrete_reach_patterns(p, 6)
         assert concrete == abstract, "abstraction mismatch"
         agreed += 1

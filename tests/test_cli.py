@@ -209,6 +209,14 @@ def test_missing_state_is_usage_error(exdir, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("verb", [["check", "cover"],
+                                  ["oracle", "--problem", "cover"]])
+def test_unknown_state_is_bad_input(exdir, capsys, verb):
+    code, out, err = run(capsys, *verb, str(exdir / "fig1.prot"),
+                         "--state", "nowhere")
+    assert (code, out, err) == (70, "", "error: unknown state 'nowhere'\n")
+
+
 def test_witness_emission_and_replay(exdir, capsys, tmp_path):
     wit = tmp_path / "w.trace"
     code, out, _ = run(capsys, "check", "cover", str(exdir / "fig1.prot"),

@@ -9,7 +9,6 @@ from regverify.constraints import parse_round_constraint
 from regverify.errors import NotEnabled
 from regverify.footprints import extend_footprint
 from regverify.model import INC, parse_protocol
-from regverify.oracle import packed
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, Execution, Move,
                                  initial_configuration, replay, write_trace)
@@ -21,7 +20,7 @@ from lemmas import (Footprint, InconsistentProjections, LocalConfig,
                     locations_deserted_more_than_once, normal_form_round_bound,
                     normal_form_violations, normalize_execution,
                     per_round_step_counts, project_footprint)
-from reference import footprint_verdict
+from reference import footprint_verdict, packed_window
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG4 = PROTOCOLS["fig4"]
@@ -352,7 +351,7 @@ def test_enumerate_bridge_cap_zero_keeps_stepless_extension():
     assert len(fps) == 1
     steps, last, vis = fps[0]
     assert steps == vis == ()
-    assert packed(FIG4, 1)[2](last).pop == {(q0, 0)}
+    assert packed_window(FIG4, 1)[2](last).pop == {(q0, 0)}
 
 
 def test_canonical_and_full_enumerations_project_identically():
@@ -401,7 +400,7 @@ def test_last_code_decodes_to_final_local_configuration(case):
         p = random_rb_protocol(random.Random(case))
         init = p.initial_states
     v = max(p.visibility or 0, 1)
-    decode = packed(p, v)[2]
+    decode = packed_window(p, v)[2]
     taus = [Footprint(bridge_start(init, -v, -1), ())]
     seen = 0
     for k in range(3):

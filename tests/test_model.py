@@ -5,13 +5,15 @@ import re
 
 import pytest
 
-from regverify.errors import (ProtocolSemanticError, ProtocolSyntaxError)
+from regverify.errors import (ProtocolSemanticError, ProtocolSyntaxError,
+                              RegverifyError)
 from regverify.model import (Action, Protocol, READ, Transition, is_uninitialized,
-                             parse_protocol, serialize_protocol, validate)
+                             parse_protocol, serialize_protocol)
 from regverify.reductions import (CnfFormula, builtin_examples,
                                   sat_to_uninit_target)
 
 from generators import random_protocol, random_rb_protocol
+from reference import validate
 
 PROTOCOLS, _ = builtin_examples()
 
@@ -275,3 +277,56 @@ def test_roundtrip_random(make):
         noisy = _noisy(text, rng)
         assert noisy != text
         assert parse_protocol(noisy) == p, noisy
+
+
+# What a mutation may put in place of a token: values of every header and
+# action field, some out of range or of the other flavor, the format's
+# keywords and its punctuation.
+_MUTANT_TOKENS = ("0", "1", "2", "3", "-1", "-2", "d0", "v1", "v2", "s0",
+                  "s1", "s4", "inc", "read", "write", "roundless",
+                  "roundbased", "initial", "visibility", "transitions", ":",
+                  "(", ")", ",", "#")
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """``text`` with one to three tokens replaced, dropped, repeated or
+    swapped with another."""
+    toks = re.findall(r"-?\w+|[^\w\s]|\s+", text)
+    for _ in range(rng.randrange(1, 4)):
+        solid = [i for i, t in enumerate(toks) if not t.isspace()]
+        i, j = rng.choice(solid), rng.choice(solid)
+        roll = rng.random()
+        if roll < 0.5:
+            toks[i] = rng.choice(_MUTANT_TOKENS)
+        elif roll < 0.7:
+            toks[i] = ""
+        elif roll < 0.85:
+            toks[i] += " " + toks[i]
+        else:
+            toks[i], toks[j] = toks[j], toks[i]
+    return "".join(toks)
+
+
+@pytest.mark.parametrize("make", [random_protocol, random_rb_protocol],
+                         ids=["roundless", "roundbased"])
+def test_every_protocol_the_parser_accepts_keeps_the_invariants(make):
+    # the parser is the one check of outside input: a text it accepts,
+    # noisy or mutated, gives a protocol with no finding, and one it
+    # refuses raises a RegverifyError, never another exception
+    accepted = changed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        p = make(rng)
+        text = serialize_protocol(p)
+        for mutant in [_noisy(text, rng)] + [_mutant(text, rng)
+                                             for _ in range(50)]:
+            try:
+                got = parse_protocol(mutant)
+            except RegverifyError:
+                continue
+            assert validate(got) == [], mutant
+            accepted += 1
+            changed += got != p
+    # 765 (686 round-based) accepted, the 300 noisy texts among them, and
+    # 268 (211) of those differ from the protocol mutated
+    assert changed >= 200, (accepted, changed)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import reference
-from reference import abstract_successors, order, reach
+from reference import (abstract_successors, compile_constraint, members,
+                       order, packed_window, parents, reach, witness_to)
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from regverify import oracle
@@ -16,8 +17,7 @@ from regverify.constraints import (cover_constraint, eval_roundbased,
                                    target_constraint)
 from regverify.errors import CapExceeded, ReplayFailure
 from regverify.model import format_action, parse_protocol
-from regverify.oracle import (bfs, compile_constraint, default_round_cap,
-                              oracle_prp, packed)
+from regverify.oracle import bfs, default_round_cap, oracle_prp
 from regverify.reductions import builtin_examples
 from regverify.roundbased import _round_window, solve_prp_roundbased
 from regverify.roundless import solve_prp_bounded
@@ -36,20 +36,20 @@ def test_fig1_reach_contains_qf_c_a():
     rs = reach(FIG1)
     want = AbstractConfig(frozenset({FIG1.state_id("qf"), FIG1.state_id("C")}),
                           (FIG1.symbol_id("a"),))
-    assert want in rs.members
+    assert want in members(rs)
 
 
 def test_blue_variant_never_covers_qf():
     rs = reach(FIG1_BLUE)
     qf = FIG1_BLUE.state_id("qf")
-    assert all(qf not in c.pop for c in rs.members)
+    assert all(qf not in c.pop for c in members(rs))
 
 
 def test_no_transition_protocol_reach():
     p = parse_protocol("flavor: roundless\nstates: q0\ninitial: q0\n"
                        "registers: 1\nalphabet: d0\ntransitions:\n")
     rs = reach(p)
-    assert rs.members == {AbstractConfig(frozenset({0}), (0,))}
+    assert members(rs) == {AbstractConfig(frozenset({0}), (0,))}
 
 
 @pytest.mark.parametrize("text", ["true", "(not (pop a))"])
@@ -66,20 +66,20 @@ def test_no_initial_state_negative_with_no_configuration(text):
 
 
 def test_reach_is_a_fixed_point():
-    rs = reach(FIG1)
-    for c in rs.members:
+    seen = members(reach(FIG1))
+    for c in seen:
         for _, succ in abstract_successors(FIG1, c):
-            assert succ in rs.members
+            assert succ in seen
 
 
 def _assert_closed_with_sound_parents(p, rs, window=None):
     """Every member's successors are members, and every parent link is one
     step of the reference relation from an earlier member."""
-    position = {c: i for i, c in enumerate(order(rs))}
-    for c in rs.members:
+    links = parents(rs)
+    position = {c: i for i, c in enumerate(links)}
+    for c, link in links.items():
         for _, succ in abstract_successors(p, c, window):
-            assert succ in rs.members
-        link = rs.parents[c]
+            assert succ in links
         if link is not None:
             pred, move = link
             assert position[pred] < position[c]
@@ -116,10 +116,10 @@ def _assert_matches_reference(p, max_round, space_cap=float("inf")):
                                         max_depth)
             except CapExceeded:
                 continue
-            got = bfs(*packed(p, max_round, negated), space_cap,
+            got = bfs(*packed_window(p, max_round, negated), space_cap,
                       max_depth=max_depth)
-            assert list(got.parents.items()) == \
-                list(want.parents.items()), (max_round, negated, max_depth)
+            assert list(parents(got).items()) == \
+                list(parents(want).items()), (max_round, negated, max_depth)
 
 
 @pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_020)))
@@ -132,8 +132,7 @@ def test_packed_reach_matches_reference_step(seed):
 def _depths(rs):
     """Breadth-first depth of each member, from its parent links."""
     depth = {}
-    for c in order(rs):
-        link = rs.parents[c]
+    for c, link in parents(rs).items():
         depth[c] = 0 if link is None else depth[link[0]] + 1
     return depth
 
@@ -149,9 +148,10 @@ def test_depth_bound_keeps_the_levels_within_it(seed, k):
         cap = 0
     full = reach(p, cap)
     depth = _depths(full)
-    cut = bfs(*packed(p, cap), max_depth=k)
+    cut = bfs(*packed_window(p, cap), max_depth=k)
     assert order(cut) == [c for c in order(full) if depth[c] <= k]
-    assert all(cut.parents[c] == full.parents[c] for c in order(cut))
+    full_links = parents(full)
+    assert all(full_links[c] == link for c, link in parents(cut).items())
     if max(depth.values()) > k:
         assert len(order(cut)) < len(order(full))
 
@@ -200,14 +200,14 @@ def test_fig4_qf_not_covered_within_two_rounds():
     # the round-based solver covers the unbounded claim exactly
     rs = reach(FIG4, 2)
     qf = FIG4.state_id("qf")
-    assert all(all(q != qf for q, _ in c.pop) for c in rs.members)
+    assert all(all(q != qf for q, _ in c.pop) for c in members(rs))
 
 
 def test_fig4_witness_shape_at_k2():
     rs = reach(FIG4, 2)
     E = FIG4.state_id("E")
     b, d0 = FIG4.symbol_id("b"), FIG4.symbol_id("d0")
-    good = [c for c in rs.members
+    good = [c for c in members(rs)
             if (E, 2) in c.pop
             and all(sym in (b, d0) for (k, _), sym in c.regs if k >= 1)]
     assert good
@@ -218,7 +218,7 @@ def test_round_cap_zero_with_only_increments():
                        "registers: 1\nalphabet: d0\nvisibility: 0\n"
                        "transitions:\n  q0 inc q0\n")
     rs = reach(p, 0)
-    assert rs.members == {AbstractConfig(frozenset({(0, 0)}), frozenset())}
+    assert members(rs) == {AbstractConfig(frozenset({(0, 0)}), frozenset())}
 
 
 def test_negative_round_cap_is_refused():
@@ -230,10 +230,10 @@ def test_negative_round_cap_is_refused():
 def test_round_cap_monotonicity():
     prev = None
     for k in range(0, 3):
-        members = reach(FIG4, k).members
+        seen = members(reach(FIG4, k))
         if prev is not None:
-            assert prev <= members
-        prev = members
+            assert prev <= seen
+        prev = seen
 
 
 def test_oracle_prp_roundbased_golden():
@@ -322,7 +322,7 @@ def _assert_matches_full_scan(v, rs, sat):
         assert v.answer == "negative" and v.witness is None
     else:
         assert v.answer == "positive"
-        assert v.witness == rs.witness(hit)
+        assert v.witness == witness_to(rs, hit)
 
 
 def _assert_positive_decided_within_cap(psi, full):
@@ -331,10 +331,10 @@ def _assert_positive_decided_within_cap(psi, full):
     sat = lambda c: eval_roundbased(FIG4, c, psi, active_bound=3)
     hit = _first_hit(full, sat)
     cap = order(full).index(hit) + 1  # the hit is the last member in the cap
-    assert cap < len(full.members)
+    assert cap < len(members(full))
     v = oracle_prp(FIG4, psi, max_round=2, space_cap=cap)
     assert v.answer == "positive"
-    assert v.witness == full.witness(hit)
+    assert v.witness == witness_to(full, hit)
     assert v.stats["members"] == cap
     with pytest.raises(CapExceeded):
         oracle_prp(FIG4, psi, max_round=2, space_cap=cap - 1)
@@ -356,7 +356,8 @@ def test_positive_decided_when_full_reach_set_exceeds_cap_with_desertion():
     assert negated == {FIG4.state_id("q0")}
     _assert_positive_decided_within_cap(psi, reach(FIG4, 2, negated=negated))
     sat = compile_constraint(FIG4, psi, 2)
-    assert bfs(*packed(FIG4, 2, frozenset()), sat=sat).hit_code is None
+    cut = bfs(*packed_window(FIG4, 2, frozenset()), sat=sat)
+    assert cut.hit_code is None
 
 
 def test_criterion_2_seed_refused_before_is_decided():
@@ -438,11 +439,11 @@ def test_negative_past_cap_still_refused():
     psi1 = parse_round_constraint(CONSTRAINTS["psi1"].text, FIG4)
     assert negated_states(psi1) == frozenset()
     _assert_negative_needs_whole_reach_set(
-        psi1, len(reach(FIG4, 2, negated=frozenset()).members))
+        psi1, len(members(reach(FIG4, 2, negated=frozenset()))))
     phi = parse_roundless_constraint(CONSTRAINTS["ex26_phi"].text, FIG1)
     negated = negated_states(phi)
     assert negated == {FIG1.state_id("A"), FIG1.state_id("C")}
-    n = len(reach(FIG1, negated=negated).members)
+    n = len(members(reach(FIG1, negated=negated)))
     assert oracle_prp(FIG1, phi, space_cap=n).answer == "negative"
     with pytest.raises(CapExceeded):
         oracle_prp(FIG1, phi, space_cap=n - 1)
@@ -454,7 +455,7 @@ def test_negative_past_cap_still_refused_with_desertion():
     negated = negated_states(psi)
     assert negated == {FIG4.state_id("D")}
     _assert_negative_needs_whole_reach_set(
-        psi, len(reach(FIG4, 2, negated=negated).members))
+        psi, len(members(reach(FIG4, 2, negated=negated))))
 
 
 # --- the compiled constraint, and decoding only what is read ------------------
@@ -541,11 +542,11 @@ def test_constraint_compiled_to_a_constant_is_that_constant_on_the_reach_set(
 
 
 def _counting_packed(decoded, rounds=None, drawn=None):
-    """``oracle._packed``, the table builder of ``search`` and ``packed``,
+    """``oracle.packed``, the table builder of ``search``,
     with each decoded code appended to ``decoded``, the round of each
     table entry returned added to the set ``rounds``, and each start code
     drawn appended to ``drawn``."""
-    inner = oracle._packed
+    inner = oracle.packed
 
     def counting(*args):
         starts, table, decode = inner(*args)
@@ -575,9 +576,9 @@ def _counting_packed(decoded, rounds=None, drawn=None):
     ("fig4", "psi2", 2)])
 def test_search_decodes_only_the_witness_path(monkeypatch, proto, name, k):
     p = PROTOCOLS[proto]
-    _, _, decode = packed(p, k or 0)  # uncounted
+    _, _, decode = packed_window(p, k or 0)  # uncounted
     decoded = []
-    monkeypatch.setattr(oracle, "_packed", _counting_packed(decoded))
+    monkeypatch.setattr(oracle, "packed", _counting_packed(decoded))
     parse = parse_round_constraint if k is not None \
         else parse_roundless_constraint
     psi = parse(CONSTRAINTS[name].text, p)
@@ -586,7 +587,7 @@ def test_search_decodes_only_the_witness_path(monkeypatch, proto, name, k):
         assert decoded == []
         rs = reach(p, k or 0)
         assert decoded == []
-        assert len(rs.members) == len(rs.links) == len(decoded)
+        assert len(members(rs)) == len(rs.links) == len(decoded)
         return
     assert len(set(decoded)) == len(decoded) <= len(v.witness.moves) + 1
     path = replay_configs(p, v.witness, ABSTRACT)
@@ -597,7 +598,7 @@ def test_search_builds_only_the_rounds_its_codes_reach(monkeypatch):
     # A at round 1 is two moves away: inc, then write; the window holds
     # rounds 0-8, yet no code expanded leaves rounds 0 and 1
     decoded, rounds = [], set()
-    monkeypatch.setattr(oracle, "_packed", _counting_packed(decoded, rounds))
+    monkeypatch.setattr(oracle, "packed", _counting_packed(decoded, rounds))
     v = oracle_prp(FIG4, parse_round_constraint("(pop A 1)", FIG4))
     assert (v.answer, v.stats) == ("positive", {"members": 6, "max_round": 8})
     assert rounds == {0, 1}
@@ -608,7 +609,7 @@ def test_search_on_a_constant_false_constraint_builds_nothing(monkeypatch):
     # false on the empty tail and the constraint compiles to false: the
     # search draws no start and builds no table round
     decoded, rounds, drawn = [], set(), []
-    monkeypatch.setattr(oracle, "_packed",
+    monkeypatch.setattr(oracle, "packed",
                         _counting_packed(decoded, rounds, drawn))
     psi = parse_round_constraint("(forall k (pop A (+ k 0)))", FIG4)
     assert oracle._compiled(psi, oracle.layout(FIG4, 2)) is False
@@ -641,7 +642,8 @@ def test_table_on_demand_is_the_whole_table_up_to_the_codes_top_round(seed):
         cases = [(p, k) for k in range(4)]
     for p, k in cases:
         n_rounds, pop, slot, _ = oracle.layout(p, k)
-        whole, _ = packed(p, k)[1](pop(p.num_states - 1, n_rounds - 1))
+        top_code = pop(p.num_states - 1, n_rounds - 1)
+        whole, _ = packed_window(p, k)[1](top_code)
         try:
             rs = reach(p, k, space_cap=4000)  # FIG4 has 3647 at cap 2
         except CapExceeded:
@@ -650,7 +652,7 @@ def test_table_on_demand_is_the_whole_table_up_to_the_codes_top_round(seed):
         for code in rs.links:
             top = max(r for _, r in rs.config(code).pop)
             if top not in tables:
-                tables[top] = packed(p, k)[1](code)
+                tables[top] = packed_window(p, k)[1](code)
             entries, above = tables[top]
             assert above == 1 << slot(top + 1, 0) > code
             assert entries == [e for e in whole if e[4].rnd <= top]
@@ -681,10 +683,10 @@ def test_desert_free_search_keeps_hits_and_witness_lengths(flavor):
             for k in caps:
                 sat = compile_constraint(p, psi, k)
                 try:
-                    full = bfs(*packed(p, k), 4000, sat)
+                    full = bfs(*packed_window(p, k), 4000, sat)
                 except CapExceeded:
                     continue
-                cut = bfs(*packed(p, k, negated), sat=sat)
+                cut = bfs(*packed_window(p, k, negated), sat=sat)
                 mixed += len(p.initial_states) >= 2 and \
                     0 < len(negated) < p.num_states
                 assert (full.hit_code is None) == (cut.hit_code is None)

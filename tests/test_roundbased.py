@@ -6,7 +6,7 @@ import pytest
 
 from regverify import roundbased
 from regverify import oracle
-from regverify.constraints import (And, Not, PopAt, RegAt, Term,
+from regverify.constraints import (And, Not, Or, PopAt, RegAt, Term,
                                    decompose_apcs, eval_roundbased,
                                    max_constant, negated_states,
                                    parse_round_constraint)
@@ -406,6 +406,85 @@ def test_join_folds_every_contradiction_of_the_old_rule_and_stays_sound():
     assert (old, stronger, folds) == (4614, 368, 9944)
 
 
+def _random_nested(rng, p, depth: int):
+    """A random formula of and, or and not over ground literals at rounds
+    0-1, nested up to ``depth`` connectives deep."""
+    if depth == 0 or rng.random() < 0.25:
+        return _random_ground_literal(rng, p)
+    if rng.random() < 0.2:
+        return Not(_random_nested(rng, p, depth - 1))
+    children = tuple(_random_nested(rng, p, depth - 1)
+                     for _ in range(rng.randrange(2, 4)))
+    return (And if rng.random() < 0.5 else Or)(children)
+
+
+def _holds(node, code: int, tests: dict) -> bool:
+    """A formula of ground literals on a code, each atom by its bit test in
+    ``tests`` and the connectives by Python's."""
+    if isinstance(node, (And, Or)):
+        values = [_holds(x, code, tests) for x in node.children]
+        return all(values) if isinstance(node, And) else any(values)
+    if isinstance(node, Not):
+        return not _holds(node.child, code, tests)
+    m, w, eq, _ = tests[node]
+    return (code & m == w) == eq
+
+
+def test_join_on_nested_formulas_is_sound():
+    # random and/or/not formulas over ground literals: on every code over
+    # the bits they read, the compiled formula, constant or not, agrees with
+    # the formula evaluated connective by connective
+    formulas = folds = 0
+    for seed in range(200_000, 200_100):
+        rng = random.Random(seed)
+        p = random_rb_protocol(rng)
+        lay = layout(p, 0)
+        for _ in range(15):
+            f = _random_nested(rng, p, 3)
+            probe = oracle._probe(part := oracle._compiled(f, lay))
+            formulas += 1
+            folds += isinstance(part, bool)
+            tests, stack = {}, [f]
+            while stack:
+                x = stack.pop()
+                if isinstance(x, (And, Or)):
+                    stack.extend(x.children)
+                elif isinstance(x, Not):
+                    stack.append(x.child)
+                else:
+                    tests[x] = oracle._compiled(x, lay)
+            read = 0
+            for m, *_ in tests.values():
+                read |= m
+            bits = [1 << i for i in range(read.bit_length()) if read >> i & 1]
+            for n in range(1 << len(bits)):
+                code = sum(b for i, b in enumerate(bits) if n >> i & 1)
+                assert probe(code) == _holds(f, code, tests), (seed, f, code)
+    # 284 of the 1 500 formulas fold to a constant; 211 did while an and
+    # (or) child of an and (or) was joined as one part
+    assert (formulas, folds) == (1500, 284)
+
+
+@pytest.mark.parametrize("text, folded", [
+    ("(and (and (reg 1 0 v2) (not (reg 1 2 v1))) (reg 1 0 d0))", False),
+    ("(and (reg 1 0 d0) (and (not (reg 1 2 v1)) (and (pop a 0) "
+     "(reg 1 0 v2))))", False),
+    ("(or (or (not (reg 1 0 v2)) (reg 1 2 v1)) (not (reg 1 0 d0)))", True),
+    ("(and (or (reg 1 0 v2) (reg 1 2 v1)) (reg 1 0 d0))", None),
+])
+def test_join_sees_the_tests_of_a_nested_child_of_the_same_connective(
+        text, folded):
+    # an and (or) child of an and (or) is spliced into its parent before
+    # the join, so its tests meet the parent's, however deep; the last
+    # constraint is satisfiable and stays a predicate
+    p = rb_protocol("  a inc a\n", states="a", symbols="d0 v1 v2")
+    part = oracle._compiled(rb(p, text), layout(p, 0))
+    if folded is None:
+        assert not isinstance(part, bool)
+    else:
+        assert part is folded
+
+
 @pytest.mark.parametrize("text, folded", [
     ("(and (reg 1 0 d0) (not (reg 1 0 d0)))", False),
     ("(and (not (reg 1 0 d0)) (reg 1 0 d0))", False),
@@ -441,6 +520,25 @@ def test_fuzz_seed_with_a_field_contradiction_searches_nothing():
     assert v.answer == "negative"
     assert v.stats == {"ticks": 0, "nodes": 0, "route": "refuted",
                        "round_bound": None}
+
+
+def test_fuzz_seed_with_a_nested_field_contradiction_searches_nothing():
+    # 201201: (and (and (reg 1 0 v2) (not (reg 1 2 v1))) (reg 1 0 d0)) asks
+    # round 0's register for v2 and for d0.  With the inner conjunction
+    # spliced into the outer one, _join meets the two tests and the
+    # constraint compiles to false, so the oracle and rb-search discover
+    # nothing (127 configurations and 3 ticks while the inner one was a
+    # predicate)
+    rng = random.Random(201201)
+    p = random_rb_protocol(rng)
+    psi = random_rb_constraint(rng, p)
+    assert oracle._compiled(psi, layout(p, 0)) is False
+    v = oracle_prp(p, psi, space_cap=40_000)
+    assert (v.answer, v.stats["members"]) == ("negative", 0)
+    v = solve_prp_roundbased(p, psi, budget=250_000)
+    assert (v.answer, v.stats) == ("negative", {"ticks": 0, "nodes": 0,
+                                                "route": "refuted",
+                                                "round_bound": None})
 
 
 def test_round_window_unknown_past_budget():

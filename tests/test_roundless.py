@@ -9,8 +9,7 @@ from regverify.constraints import (cover_constraint, dnf_clauses,
                                    eval_roundless, parse_roundless_constraint,
                                    target_constraint, to_dnf)
 from regverify.errors import (NotDNF, NotUninitialized, WrongRegisterCount)
-from regverify.model import (Protocol, is_uninitialized, parse_protocol,
-                             validate)
+from regverify.model import Protocol, is_uninitialized, parse_protocol
 from regverify.oracle import oracle_prp
 from regverify.reductions import (CnfFormula, builtin_examples,
                                   sat_to_cover, truth_table_satisfiable)
@@ -28,9 +27,9 @@ from generators import (random_constraint, random_dnf_constraint,
 from lemmas import clause_holds, reduce_cover_to_target
 from reference import (abstract_successors, compute_cocov_set,
                        compute_cov_set, first_write_orders,
-                       fixed_r_exhaustive, reach, rescanning_closure,
-                       rescanning_cocov_set, rescanning_cov_set,
-                       saturate_phases)
+                       fixed_r_exhaustive, members, reach,
+                       rescanning_closure, rescanning_cocov_set,
+                       rescanning_cov_set, saturate_phases, validate)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -138,7 +137,7 @@ def test_closure_routes_cover_exactly_the_reachable_states():
             random.Random(seed), max_states=8, max_regs=3,
             uninitialized=seed % 2 == 0)))
     for name, p in protocols:
-        populated = set().union(*(c.pop for c in reach(p).members))
+        populated = set().union(*(c.pop for c in members(reach(p))))
         phases = set().union(*(saturate_phases(p, o)
                                for o in first_write_orders(p)))
         assert phases == populated, name
