@@ -214,7 +214,7 @@ def cmd_gen(args) -> int:
             try:
                 raw = json.loads(Path(args.circuit).read_text())
                 circuit = Circuit(
-                    tuple((w, bool(b)) for w, b in raw["inputs"]),
+                    tuple((w, b) for w, b in raw["inputs"]),
                     tuple(tuple(g) for g in raw["gates"]), raw["output"])
             except (OSError, KeyError, TypeError, ValueError) as e:
                 raise CliError(f"bad circuit spec: {e}", EXIT_DATA)

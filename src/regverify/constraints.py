@@ -176,10 +176,11 @@ def _build(e, p: Protocol, var: str | None, rounds: bool):
             raise ConstraintSyntaxError(f"bad register {e[1]!r}")
         if not 1 <= j <= p.register_count:
             raise ConstraintSyntaxError(f"register {j} out of range")
-        j -= 1
-        if rounds:
-            return RegAt(j, _build_term(e[2], var), p.symbol_id(e[3]))
-        return Reg(j, p.symbol_id(e[2]))
+        term = _build_term(e[2], var) if rounds else None
+        if not isinstance(e[-1], str):
+            raise ConstraintSyntaxError(f"bad symbol {e[-1]!r}")
+        sym = p.symbol_id(e[-1])
+        return RegAt(j - 1, term, sym) if rounds else Reg(j - 1, sym)
     raise ConstraintSyntaxError(f"unknown operator {head!r}")
 
 
@@ -409,21 +410,33 @@ def dnf_clauses(p: Protocol, phi) -> list[ClauseDecomposition]:
     return out
 
 
+def nnf(node, neg: bool = False):
+    """The constraint (negated with ``neg``) with every ``not`` pushed down
+    to an atom, by De Morgan and by swapping ``exists`` and ``forall``, and
+    every child of the same connective spliced into its parent."""
+    if isinstance(node, Not):
+        return nnf(node.child, not neg)
+    if isinstance(node, (Exists, Forall)):
+        return (Exists if isinstance(node, Exists) != neg else Forall)(
+            nnf(node.prop, neg))
+    if not isinstance(node, (And, Or)):
+        return Not(node) if neg else node
+    kind = And if isinstance(node, And) != neg else Or
+    kids: list = []
+    for x in node.children:
+        x = nnf(x, neg)
+        kids += x.children if type(x) is kind else (x,)
+    return kind(tuple(kids))
+
+
 def to_dnf(phi, max_clauses: int = 4096):
     """Distribute a roundless constraint into DNF, with a size guard.
 
-    A clause keeps the first occurrence of each literal, and a clause with
-    the literals of an earlier one is dropped; the guard counts what is
-    kept, so a constraint that repeats itself distributes to a small DNF.
+    It distributes the constraint's ``nnf``.  A clause keeps the first
+    occurrence of each literal, and a clause with the literals of an earlier
+    one is dropped; the guard counts what is kept, so a constraint that
+    repeats itself distributes to a small DNF.
     """
-    def nnf(node, neg):
-        if isinstance(node, Not):
-            return nnf(node.child, not neg)
-        if isinstance(node, (And, Or)):  # De Morgan under a negation
-            kids = tuple(nnf(x, neg) for x in node.children)
-            return And(kids) if isinstance(node, And) != neg else Or(kids)
-        return Not(node) if neg else node
-
     def keep(out: dict, lits: frozenset, clause: tuple) -> None:
         out[lits] = clause
         if len(out) > max_clauses:
@@ -450,7 +463,7 @@ def to_dnf(phi, max_clauses: int = 4096):
             keep(out, frozenset((node,)), (node,))
         return out
 
-    return Or(tuple(And(c) for c in clauses_of(nnf(phi, False)).values()))
+    return Or(tuple(And(c) for c in clauses_of(nnf(phi)).values()))
 
 
 def cover_constraint(p: Protocol, state: int):
@@ -566,16 +579,6 @@ def ground(atom, value: bool, k: int | None):
     return lit if value else Not(lit)
 
 
-def is_closed_prop(node) -> bool:
-    if isinstance(node, (And, Or)):
-        return all(is_closed_prop(x) for x in node.children)
-    if isinstance(node, Not):
-        return is_closed_prop(node.child)
-    if isinstance(node, (PopAt, RegAt)):
-        return not node.term.has_var
-    return False
-
-
 @dataclass(frozen=True)
 class ApcCandidate:
     """One way to make the whole constraint true.
@@ -588,10 +591,6 @@ class ApcCandidate:
     closed: frozenset
     existential: frozenset
     universal: frozenset
-
-
-def _is_apc_leaf(node) -> bool:
-    return isinstance(node, (Exists, Forall)) or is_closed_prop(node)
 
 
 def closed_atoms_of(prop) -> list:
@@ -641,10 +640,7 @@ def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]
     whose residual the empty set forces, discharges the APC: it is one
     entry, not one per completion.
     """
-    if isinstance(apc, Exists):
-        role = "E" if value else "U"
-    else:
-        role = "U" if value else "E"
+    role = "E" if isinstance(apc, Exists) == value else "U"
     body = apc.prop if value else Not(apc.prop)
     catoms = closed_atoms_of(body)
     out = []
@@ -674,43 +670,36 @@ def decompose_apcs(psi) -> list[ApcCandidate]:
 
     Every candidate, when all its members hold of a configuration, makes the
     constraint true regardless of the remaining atomic presence constraints.
-    Constant-round atoms are pre-resolved into ground literals everywhere,
-    so existential and universal obligations only mention the bound round
-    variable.  Minimal candidates come first.  An empty list means no
-    configuration can satisfy the constraint.
+    Its prime implicants are taken once, over the quantifiers and the atoms
+    outside them, which have constant rounds and are ground literals; a
+    quantifier's constant-round atoms are resolved into ground literals by
+    ``_quantified_entries``, so obligations only mention the bound round
+    variable.  Not on ``nnf(psi)``, where ``exists`` and ``not exists`` of
+    one body are unrelated leaves.  Minimal candidates come first.  An
+    empty list means no configuration can satisfy the constraint.
     """
-    implicants = prime_implicants(psi, _is_apc_leaf)
     candidates: dict = {}  # insertion-ordered, without duplicates
-    for imp in implicants:
-        # each APC occurrence contributes branch options:
+    for imp in prime_implicants(psi, _is_quantifier_or_atom):
+        # each leaf contributes branch options:
         # (literals, extra existential or universal entry or nothing)
         option_lists: list[list[tuple[frozenset, str, object]]] = []
-        feasible = True
-        for apc, value in imp.items():
-            if isinstance(apc, (Exists, Forall)):
-                options = _quantified_entries(apc, value)
+        for leaf, value in imp.items():
+            if isinstance(leaf, (Exists, Forall)):
+                options = _quantified_entries(leaf, value)
+                if not options:
+                    break
             else:
-                target = apc if value else Not(apc)
-                options = []
-                for assign in forcing_literal_sets(target):
-                    lits = frozenset(ground(a, v, None)
-                                     for a, v in assign.items())
-                    options.append((lits, "none", None))
-            if not options:
-                feasible = False
-                break
+                options = [(frozenset((ground(leaf, value, None),)), "none",
+                            None)]
             option_lists.append(options)
-        if not feasible:
-            continue
-        for pick in itertools.product(*option_lists):
-            closed: frozenset = frozenset()
-            exist, univ = [], []
-            for lits, role, residual in pick:
-                closed = closed | lits
-                if role == "E":
-                    exist.append(residual)
-                elif role == "U":
-                    univ.append(residual)
-            candidates[ApcCandidate(closed, frozenset(exist),
-                                    frozenset(univ))] = None
+        else:
+            for pick in itertools.product(*option_lists):
+                candidates[ApcCandidate(
+                    frozenset().union(*(lits for lits, _, _ in pick)),
+                    frozenset(r for _, role, r in pick if role == "E"),
+                    frozenset(r for _, role, r in pick if role == "U"))] = None
     return list(candidates)
+
+
+def _is_quantifier_or_atom(node) -> bool:
+    return isinstance(node, (Exists, Forall, PopAt, RegAt))

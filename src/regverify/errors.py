@@ -61,4 +61,4 @@ class CapExceeded(RegverifyError):
 
 
 class CyclicCircuit(RegverifyError):
-    """Circuit description is cyclic or uses undefined wires."""
+    """Circuit description is cyclic, uses undefined wires or is malformed."""

@@ -42,7 +42,7 @@ from itertools import chain
 
 from .constraints import (And, Exists, Forall, Not, Or, Pop, PopAt, Reg,
                           RegAt, eval_roundbased, eval_roundless,
-                          max_constant, negated_states, term_value)
+                          max_constant, negated_states, nnf, term_value)
 from .errors import CapExceeded, ReplayFailure
 from .model import INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
@@ -265,7 +265,8 @@ def packed(p: Protocol, lay, negated):
 
 def _compiled(psi, lay):
     """The constraint on codes in the layout ``lay = layout(p, max_round)``:
-    a constant, a bit test, or a function of the code and the shifted code.  As a predicate on the code (``_probe``) it agrees with
+    a constant, a bit test, or a function of the code and the shifted
+    code.  As a predicate on the code (``_probe``) it agrees with
     ``eval_roundless`` on a roundless protocol's decoded configuration, and
     with ``eval_roundbased(..., active_bound=max_round + 1)`` on a
     round-based one's.  A roundless ``Pop``/``Reg`` is the round-0
@@ -275,12 +276,15 @@ def _compiled(psi, lay):
     false and a register holds d0, so every later ``k`` gives what
     ``max_round + 1`` gives.
 
+    It compiles the constraint's ``nnf``, where a ``not`` stands only over
+    an atom and no connective has a child of its own kind, so every test
+    of a conjunction or disjunction meets the others in one ``_join``.
     Each atom is a bit test ``(mask, want, eq, shifted)``, true when
     ``(x & mask == want) == eq`` for ``x`` the code, or the shifted code
-    for an atom on the quantified variable.  Constants fold, ``_join``
-    merges the tests of a conjunction or disjunction, nested ones of the
-    same connective included, a quantifier whose body does not read k is
-    its body, and a quantified test becomes one test of the code per k.
+    for an atom on the quantified variable; its negation flips ``eq``.
+    Constants fold, ``_join`` merges the tests of a conjunction or
+    disjunction, a quantifier whose body does not read k is its body, and
+    a quantified test becomes one test of the code per k.
     A quantifier's body at ``k = max_round + 1``, the tail term, reads the
     shifted code as 0; when it reads no other atom it is a constant, and a
     universal with a false one is false, an existential with a true one
@@ -305,20 +309,11 @@ def _compiled(psi, lay):
                 return want == 0
             return mask, want, True, shifted
         if isinstance(node, (And, Or)):
-            children = list(node.children)
-            for x in children:  # a child of the same connective is spliced
-                if type(x) is type(node):
-                    children += x.children
             return _join(isinstance(node, And),
-                         [build(x, bound, tail) for x in children
-                          if type(x) is not type(node)])
-        if isinstance(node, Not):
+                         [build(x, bound, tail) for x in node.children])
+        if isinstance(node, Not):  # over an atom: a test, or a tail constant
             e = build(node.child, bound, tail)
-            if isinstance(e, tuple):
-                return e[0], e[1], not e[2], e[3]
-            if isinstance(e, bool):
-                return not e
-            return lambda c, s: not e(c, s)
+            return not e if isinstance(e, bool) else (*e[:2], not e[2], e[3])
         if not isinstance(node, (Exists, Forall)):
             raise TypeError(f"not a constraint node: {node!r}")
         exists = isinstance(node, Exists)
@@ -336,7 +331,7 @@ def _compiled(psi, lay):
             return lambda c, s: any(body(c, c >> n) for n in shifts)
         return lambda c, s: all(body(c, c >> n) for n in shifts)
 
-    return build(psi, False)
+    return build(nnf(psi), False)
 
 
 def _probe(part):

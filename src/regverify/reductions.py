@@ -151,6 +151,12 @@ class Circuit:
 
 def evaluate_circuit(c: Circuit) -> bool:
     """Direct evaluation; raises CyclicCircuit on structural violations."""
+    names = [c.output, *(w for w, _ in c.inputs),
+             *itertools.chain(*c.gates)]
+    if not all(c.gates) or not all(isinstance(x, str) for x in names):
+        raise CyclicCircuit("a gate is empty, or a name is not a string")
+    if not all(isinstance(v, bool) for _, v in c.inputs):
+        raise CyclicCircuit("an input's value is not true or false")
     values: dict[str, bool] = {}
     for wire, val in c.inputs:
         if wire in values:

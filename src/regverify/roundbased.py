@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from .constraints import (ApcCandidate, decompose_apcs, forcing_literal_sets,
                           ground, negated_states)
-from .errors import CapExceeded, RegverifyError
+from .errors import CapExceeded
 from .footprints import default_step_cap, extend_footprint
 from .model import INC, ROUNDBASED, Protocol
 from .oracle import _compiled, _join, _probe, layout, search, validated
@@ -71,10 +71,6 @@ from .semantics import AbstractConfig, Execution, Move, initial_supports
 from .verdict import NEGATIVE, POSITIVE, UNKNOWN, Verdict
 
 DEFAULT_BUDGET = 3_000_000
-
-
-class _BudgetExceeded(RegverifyError):
-    pass
 
 
 def _tests(p: Protocol, lits: frozenset, memo: dict) -> frozenset:
@@ -308,7 +304,7 @@ def _footprint_search(p: Protocol, psi, cands: list, budget: int,
     def tick(n: int = 1):
         work["ticks"] += n
         if work["ticks"] > budget:
-            raise _BudgetExceeded()
+            raise CapExceeded(f"search exceeds {budget} ticks")
 
     # root branches: obligation candidate x populated initial states
     for cand in cands:
@@ -318,7 +314,7 @@ def _footprint_search(p: Protocol, psi, cands: list, budget: int,
             try:
                 hit = _search(p, cand, init_set, v, tick, work, edge_memo,
                               negated, options)
-            except _BudgetExceeded:
+            except CapExceeded:
                 return Verdict(UNKNOWN, "rb-search", None, dict(work))
             if hit is not None:
                 validated(p, psi, hit)

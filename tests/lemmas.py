@@ -12,7 +12,7 @@ final-configuration obligations.
 from dataclasses import dataclass
 
 from regverify.constraints import (ClauseDecomposition, _collect_leaves,
-                                   _is_apc_leaf)
+                                   _is_quantifier_or_atom)
 from regverify.errors import (EmptySupport, NotEnabled, NotInitialState,
                               RegverifyError, ReplayFailure)
 from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
@@ -570,9 +570,10 @@ def reduce_cover_to_target(p: Protocol, error: int) -> tuple[Protocol, int]:
 
 
 def apc_leaves(psi) -> list:
-    """Atomic presence constraints: quantifiers and maximal closed subtrees."""
+    """The leaves of ``decompose_apcs``: quantifiers, and the atoms outside
+    them, in declaration order."""
     out: list = []
-    _collect_leaves(psi, _is_apc_leaf, out)
+    _collect_leaves(psi, _is_quantifier_or_atom, out)
     return out
 
 

@@ -163,6 +163,19 @@ def test_malformed_constraint_number_is_bad_input(exdir, capsys, tmp_path):
     assert "bad register" in err
 
 
+@pytest.mark.parametrize("verb, prot, text", [
+    ("prp", "fig1.prot", "(reg 1 (a))"),
+    ("rbprp", "fig4.prot", "(reg 1 0 (a))"),
+], ids=["roundless", "round"])
+def test_listed_symbol_is_bad_input(exdir, capsys, tmp_path, verb, prot,
+                                    text):
+    c = tmp_path / "c.pc"
+    c.write_text(text + "\n")
+    code, out, err = run(capsys, "check", verb, str(exdir / prot), str(c))
+    assert (code, out) == (70, "")
+    assert err == f"error: bad constraint {c}: bad symbol ['a']\n"
+
+
 
 _ONE_STATE = {"prp": ("flavor: roundless\n", "(pop q0)"),
               "rbprp": ("flavor: roundbased\nvisibility: 0\n", "(pop q0 0)")}
@@ -343,6 +356,33 @@ def test_gen_cvp_cyclic_circuit_errors(capsys, tmp_path):
                        "--out", str(tmp_path / "o"))
     assert code == 70
     assert "circuit" in err
+
+
+NOT_A_STRING = "a gate is empty, or a name is not a string"
+NOT_A_BOOLEAN = "an input's value is not true or false"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"inputs": [["a", True]], "gates": [[]], "output": "a"}, NOT_A_STRING),
+    ({"inputs": [["a", True]], "gates": [["not", ["a"], "o"]],
+      "output": "o"}, NOT_A_STRING),
+    ({"inputs": [["a", True]], "gates": [], "output": ["a"]}, NOT_A_STRING),
+    ({"inputs": [[["a"], True]], "gates": [], "output": "a"}, NOT_A_STRING),
+    # read as true by bool() once, and as wire "a" valued "b"
+    ({"inputs": [["a", "false"]], "gates": [], "output": "a"},
+     NOT_A_BOOLEAN),
+    ({"inputs": {"ab": True}, "gates": [], "output": "a"}, NOT_A_BOOLEAN),
+], ids=["empty-gate", "listed-wire", "listed-output", "listed-input",
+        "string-value", "object-inputs"])
+def test_gen_cvp_malformed_circuit_is_bad_input(capsys, tmp_path, spec,
+                                                message):
+    # exit 1 would read as a negative: a malformed spec is bad input
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "gen", "cvp", "--circuit", str(path),
+                         "--out", str(tmp_path / "o"))
+    assert (code, out) == (70, "")
+    assert err == f"error: bad circuit: {message}\n"
 
 
 def test_fmt_is_canonical(exdir, capsys):

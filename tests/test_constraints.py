@@ -7,7 +7,8 @@ import pytest
 
 from regverify.constraints import (MAX_NESTING, And, Exists, Forall, Not,
                                    Or, Pop, PopAt, Reg, RegAt, FALSE, TRUE,
-                                   Term, _is_apc_leaf, _quantified_entries,
+                                   Term, _is_quantifier_or_atom,
+                                   _quantified_entries,
                                    closed_atoms_of,
                                    decompose_apcs, dnf_clauses,
                                    eval_roundbased, eval_roundless,
@@ -15,14 +16,15 @@ from regverify.constraints import (MAX_NESTING, And, Exists, Forall, Not,
                                    ground,
                                    max_constant, parse_round_constraint,
                                    parse_roundless_constraint,
-                                   negated_states, prime_implicants,
+                                   negated_states, nnf, prime_implicants,
                                    to_dnf)
 from regverify.errors import ConstraintSyntaxError, NotDNF
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
 from regverify.semantics import AbstractConfig, ConcreteConfig, multiset, project
 
-from generators import random_constraint, random_protocol
+from generators import (random_constraint, random_protocol,
+                        random_rb_protocol)
 from lemmas import apc_leaves, clause_holds
 from reference import (eval_with_assignment, full_quantified_entries,
                        truth_table_prime_implicants)
@@ -152,6 +154,11 @@ def test_parse_errors():
     for text in ("(reg x a)", "(reg (1) a)"):  # malformed register numbers
         with pytest.raises(ConstraintSyntaxError):
             rl(FIG1, text)
+    # a symbol in parentheses
+    with pytest.raises(ConstraintSyntaxError, match=r"bad symbol \['a'\]"):
+        rl(FIG1, "(reg 1 (a))")
+    with pytest.raises(ConstraintSyntaxError, match=r"bad symbol \['d0'\]"):
+        rb(EX42, "(reg 1 0 (d0))")
     for text in ("(exists k (pop q0 (+ k x)))",
                  "(exists k (pop q0 (+ k (1))))",
                  "(exists k (reg x (+ k 0) a))"):
@@ -301,6 +308,74 @@ def test_to_dnf_preserves_meaning_on_random_constraints():
     assert checked > 100
 
 
+def _in_nnf(node) -> bool:
+    if isinstance(node, Not):
+        return isinstance(node.child, (Pop, Reg, PopAt, RegAt))
+    if isinstance(node, (And, Or)):
+        return all(type(x) is not type(node) and _in_nnf(x)
+                   for x in node.children)
+    if isinstance(node, (Exists, Forall)):
+        return _in_nnf(node.prop)
+    return True
+
+
+@pytest.mark.parametrize("flavor", ["roundless", "roundbased"])
+def test_nnf_keeps_meaning_and_shape(flavor):
+    # on random formulas with nots over connectives, constants and
+    # quantifiers: nnf agrees with the formula on random configurations,
+    # has a not only over an atom and no and (or) under an and (or), and
+    # is its own nnf
+    rng = random.Random(f"nnf:{flavor}")
+    changed = 0
+    for _ in range(300):
+        if flavor == "roundless":
+            p = random_protocol(rng)
+            atoms = [Pop(q) for q in range(p.num_states)] + [
+                Reg(j, a) for j in range(p.register_count)
+                for a in range(p.num_symbols)]
+            f = _random_formula(rng, rng.sample(atoms, min(len(atoms), 5)),
+                                4)
+
+            def config():
+                return AbstractConfig(
+                    frozenset(q for q in range(p.num_states)
+                              if rng.random() < 0.5),
+                    tuple(rng.randrange(p.num_symbols)
+                          for _ in range(p.register_count)))
+            holds = eval_roundless
+        else:
+            p = random_rb_protocol(rng)
+
+            def atom(bound):
+                t = Term(bound and rng.random() < 0.7, rng.randrange(3))
+                if rng.random() < 0.6:
+                    return PopAt(rng.randrange(p.num_states), t)
+                return RegAt(0, t, rng.randrange(p.num_symbols))
+            bodies = [_random_formula(rng, [atom(True) for _ in range(4)], 2)
+                      for _ in range(2)]
+            f = _random_formula(rng, [atom(False), atom(False),
+                                      Exists(bodies[0]), Forall(bodies[1])],
+                                4)
+
+            def config():
+                rounds = range(rng.randrange(1, 4))
+                return AbstractConfig(
+                    frozenset((q, k) for q in range(p.num_states)
+                              for k in rounds if rng.random() < 0.4),
+                    frozenset(((k, 0), s) for k in rounds
+                              if (s := rng.randrange(p.num_symbols))))
+
+            def holds(c, f):
+                return eval_roundbased(p, c, f)
+        g = nnf(f)
+        assert _in_nnf(g) and nnf(g) == g, f
+        changed += g != f
+        for _ in range(20):
+            c = config()
+            assert holds(c, g) == holds(c, f), (f, c)
+    assert changed > 100
+
+
 def test_to_dnf_guard_counts_distinct_clauses():
     def disjoint(n):  # 2**n distinct clauses
         return And(tuple(Or((Pop(2 * i), Pop(2 * i + 1))) for i in range(n)))
@@ -406,10 +481,10 @@ def test_prime_implicants_match_truth_table(kind):
     if kind == "atoms":
         is_leaf = lambda n: isinstance(n, (PopAt, RegAt))
     else:
-        # closed atoms and quantified propositions
+        # closed atoms and quantified propositions: decompose_apcs's leaves
         atoms = [atoms[0], atoms[2], Exists(atoms[1]),
                  Forall(Not(atoms[3])), Exists(atoms[3])]
-        is_leaf = _is_apc_leaf
+        is_leaf = _is_quantifier_or_atom
     a, b = atoms[0], atoms[2]
     # implicants on one set of leaves: True comes before False
     fixed = [Or((And((a, b)), And((Not(a), Not(b))))),

@@ -460,9 +460,11 @@ def test_join_on_nested_formulas_is_sound():
             for n in range(1 << len(bits)):
                 code = sum(b for i, b in enumerate(bits) if n >> i & 1)
                 assert probe(code) == _holds(f, code, tests), (seed, f, code)
-    # 284 of the 1 500 formulas fold to a constant; 211 did while an and
-    # (or) child of an and (or) was joined as one part
-    assert (formulas, folds) == (1500, 284)
+    # 288 of the 1 500 formulas fold to a constant: the compiler joins the
+    # formula's nnf, so a not over the dual connective hides no test; 284
+    # did while only an and (or) child of an and (or) was spliced, and 211
+    # while such a child was joined as one part
+    assert (formulas, folds) == (1500, 288)
 
 
 @pytest.mark.parametrize("text, folded", [
@@ -471,12 +473,15 @@ def test_join_on_nested_formulas_is_sound():
      "(reg 1 0 v2))))", False),
     ("(or (or (not (reg 1 0 v2)) (reg 1 2 v1)) (not (reg 1 0 d0)))", True),
     ("(and (or (reg 1 0 v2) (reg 1 2 v1)) (reg 1 0 d0))", None),
+    ("(and (not (or (not (reg 1 0 v2)) (reg 1 2 v1))) (reg 1 0 d0))", False),
+    ("(or (not (and (reg 1 0 v2) (not (reg 1 2 v1)))) (reg 1 0 v2))", True),
 ])
 def test_join_sees_the_tests_of_a_nested_child_of_the_same_connective(
         text, folded):
-    # an and (or) child of an and (or) is spliced into its parent before
-    # the join, so its tests meet the parent's, however deep; the last
-    # constraint is satisfiable and stays a predicate
+    # the compiler joins the nnf, where an and (or) child of an and (or),
+    # or a not over the dual connective, is spliced into its parent, so its
+    # tests meet the parent's, however deep; the fourth constraint is
+    # satisfiable and stays a predicate
     p = rb_protocol("  a inc a\n", states="a", symbols="d0 v1 v2")
     part = oracle._compiled(rb(p, text), layout(p, 0))
     if folded is None:
@@ -522,16 +527,7 @@ def test_fuzz_seed_with_a_field_contradiction_searches_nothing():
                        "round_bound": None}
 
 
-def test_fuzz_seed_with_a_nested_field_contradiction_searches_nothing():
-    # 201201: (and (and (reg 1 0 v2) (not (reg 1 2 v1))) (reg 1 0 d0)) asks
-    # round 0's register for v2 and for d0.  With the inner conjunction
-    # spliced into the outer one, _join meets the two tests and the
-    # constraint compiles to false, so the oracle and rb-search discover
-    # nothing (127 configurations and 3 ticks while the inner one was a
-    # predicate)
-    rng = random.Random(201201)
-    p = random_rb_protocol(rng)
-    psi = random_rb_constraint(rng, p)
+def _assert_searches_nothing(p, psi):
     assert oracle._compiled(psi, layout(p, 0)) is False
     v = oracle_prp(p, psi, space_cap=40_000)
     assert (v.answer, v.stats["members"]) == ("negative", 0)
@@ -539,6 +535,28 @@ def test_fuzz_seed_with_a_nested_field_contradiction_searches_nothing():
     assert (v.answer, v.stats) == ("negative", {"ticks": 0, "nodes": 0,
                                                 "route": "refuted",
                                                 "round_bound": None})
+
+
+def test_fuzz_seed_with_a_nested_field_contradiction_searches_nothing():
+    # 201201: (and (and (reg 1 0 v2) (not (reg 1 2 v1))) (reg 1 0 d0)) asks
+    # round 0's register for v2 and for d0.  The compiler joins the
+    # constraint's nnf, where the inner conjunction is spliced into the
+    # outer one, so _join meets the two tests and the constraint compiles
+    # to false: the oracle and rb-search discover nothing (127
+    # configurations and 3 ticks while the inner one was a predicate)
+    rng = random.Random(201201)
+    p = random_rb_protocol(rng)
+    _assert_searches_nothing(p, random_rb_constraint(rng, p))
+
+
+def test_fuzz_seed_with_a_negated_field_contradiction_searches_nothing():
+    # seed 201201's constraint in De Morgan form: its not over a
+    # disjunction hid the tests from _join while only a child of the same
+    # connective was spliced (127 configurations and 3 ticks); in the nnf
+    # the not is pushed down to the atoms, and it compiles to false too
+    p = random_rb_protocol(random.Random(201201))
+    _assert_searches_nothing(p, rb(p, "(and (not (or (not (reg 1 0 v2)) "
+                                      "(reg 1 2 v1))) (reg 1 0 d0))"))
 
 
 def test_round_window_unknown_past_budget():
