@@ -26,6 +26,7 @@ from .semantics import (AbstractConfig, ConcreteConfig, project, reg_get)
 
 MAX_TERM_CONSTANT = 64  # terms are unary-bounded; keep them desk-sized
 MAX_NESTING = 100  # parenthesis depth; evaluation recurses once per level
+MAX_DNF_CLAUSES = 4096  # distinct clauses ``to_dnf`` may keep
 
 
 # --- AST ----------------------------------------------------------------------
@@ -429,17 +430,18 @@ def nnf(node, neg: bool = False):
     return kind(tuple(kids))
 
 
-def to_dnf(phi, max_clauses: int = 4096):
+def to_dnf(phi):
     """Distribute a roundless constraint into DNF, with a size guard.
 
     It distributes the constraint's ``nnf``.  A clause keeps the first
     occurrence of each literal, and a clause with the literals of an earlier
     one is dropped; the guard counts what is kept, so a constraint that
-    repeats itself distributes to a small DNF.
+    repeats itself distributes to a small DNF.  Past ``MAX_DNF_CLAUSES``
+    distinct clauses it raises ``NotDNF``.
     """
     def keep(out: dict, lits: frozenset, clause: tuple) -> None:
         out[lits] = clause
-        if len(out) > max_clauses:
+        if len(out) > MAX_DNF_CLAUSES:
             raise NotDNF("DNF distribution exceeds the size guard")
 
     def clauses_of(node) -> dict:  # literal set -> first clause, in order

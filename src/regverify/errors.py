@@ -8,10 +8,9 @@ class RegverifyError(Exception):
 class ProtocolSyntaxError(RegverifyError):
     """Raised by the protocol parser on malformed input."""
 
-    def __init__(self, message: str, line: int, column: int = 0):
-        super().__init__(f"line {line}, col {column}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 class ProtocolSemanticError(RegverifyError):

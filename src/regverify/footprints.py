@@ -27,8 +27,7 @@ def default_step_cap(p: Protocol) -> int:
 
 
 def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
-                     step_cap: int, tick, canonical: bool = True,
-                     negated=None):
+                     step_cap: int, tick, negated, canonical: bool = True):
     """All footprints on [k-v, k] from the initial configuration on that
     window projecting down to the carried steps on [k-v, k-1], whose rounds
     count from k-1.
@@ -46,8 +45,8 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
     reads/increments must populate a location never populated before, and
     an unjustified write is never overwritten.  ``tick(n)`` charges the
     enumeration's work: one for the start and one per step placed.  As in
-    ``oracle.packed``, with a set of states ``negated`` only a move whose
-    source is in it may desert; with None every source may.
+    ``oracle.packed``, only a move whose source is in the set of states
+    ``negated`` may desert.
 
     With ``canonical``, carried steps confined to the bottom round (invisible
     one window up) are deferred maximally: a visible move never directly
@@ -118,7 +117,7 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
 
     new_ops = []
     for t in p.transitions:
-        may_desert = negated is None or t.source in negated
+        may_desert = t.source in negated
         if t.action.kind == INC:
             cand = [Move(t, 0, True)] if may_desert else []
             if k >= 1:

@@ -14,10 +14,12 @@ window: a roundless protocol is its round-0 case.  The search stays on
 integer codes.  Each table entry is enabled by one mask test, which covers
 its source's population bit and a read's symbol field together, and makes
 its step by one mask and one or; the constraint is compiled in the same
-layout to bit probes on the code (``_compiled``), and only a witness's own
-codes are decoded.  A constraint that compiles to the constant false, a
-contradiction or a universal false on the empty tail past the window, is
-negative with no search: it discovers no configuration.
+layout to bit probes on the code (``_compiled``).  ``bfs`` returns the
+parent links and the hit's code, and ``search`` decodes only the two ends
+of the witness it walks back from the hit.  A constraint that compiles to
+the constant false, a contradiction or a universal false on the empty
+tail past the window, is negative with no search: it discovers no
+configuration.
 
 The table is built on demand, a round at a time: ``bfs`` calls
 ``table(code)`` before it expands a code above the rounds built so far,
@@ -53,63 +55,29 @@ DEFAULT_STATE_CAP = 12
 DEFAULT_SPACE_CAP = 200_000
 
 
-class ReachSet:
-    """Abstract reach set with parent links for witness extraction.
-
-    The search fills ``links``, code -> (pred code, Move) | None in
-    breadth-first discovery order, and ``hit_code``, the first code
-    satisfying the predicate; ``hit`` is its configuration.
-    """
-
-    def __init__(self, decode):
-        self.links: dict = {}
-        self.hit_code = None
-        self._decode = decode
-        self._configs: dict = {}  # code -> configuration, decoded so far
-
-    def config(self, code):
-        """The configuration of a code, decoded at most once."""
-        if code not in self._configs:
-            self._configs[code] = self._decode(code)
-        return self._configs[code]
-
-    @property
-    def hit(self) -> AbstractConfig | None:
-        return None if self.hit_code is None else self.config(self.hit_code)
-
-    def witness(self) -> Execution:
-        """Shortest execution to the hit; of the path, only its start is
-        decoded."""
-        code = self.hit_code
-        moves: list[Move] = []
-        while (link := self.links[code]) is not None:
-            code, move = link
-            moves.append(move)
-        moves.reverse()
-        return Execution(self.config(code), tuple(moves))
-
-
-def bfs(starts, table, decode, space_cap: float = float("inf"),
-        sat=None, max_depth: int | None = None) -> ReachSet:
+def bfs(starts, table, space_cap: float, sat,
+        max_depth: int | None = None) -> tuple[dict, int | None]:
     """Breadth-first search over configuration codes, one level at a time.
 
-    ``starts`` yields the initial codes and ``decode`` turns a code into
-    its configuration.  ``table(code)`` returns ``(entries, above)`` with
-    ``code < above``: step entries in table order, among them every entry
-    enabled on a code below ``above``.  The search calls it before it
-    expands its first code and each code at or past the last ``above``,
-    so the table can be built a part at a time.  An entry
-    ``(mask, want, keep, add, move)`` is enabled on ``code`` when ``code &
-    mask == want`` and then leads to ``code & keep | add``.  Each level's
-    codes are expanded in discovery order, each by the entries in table
-    order.  ``sat`` is tested on each code as it is first discovered and
-    stops the search at the first hit; the search itself decodes nothing.
+    ``starts`` yields the initial codes.  ``table(code)`` returns
+    ``(entries, above)`` with ``code < above``: step entries in table
+    order, among them every entry enabled on a code below ``above``.  The
+    search calls it before it expands its first code and each code at or
+    past the last ``above``, so the table can be built a part at a time.
+    An entry ``(mask, want, keep, add, move)`` is enabled on ``code`` when
+    ``code & mask == want`` and then leads to ``code & keep | add``.  Each
+    level's codes are expanded in discovery order, each by the entries in
+    table order.  ``sat`` is tested on each code as it is first discovered
+    and stops the search at the first hit; the search decodes nothing.
     Configurations at depth ``max_depth`` are discovered but not expanded.
     Discovering more than ``space_cap`` codes, starts included, raises
     ``CapExceeded``.
+
+    Returns ``(links, hit)``: ``links`` maps each code discovered, in
+    discovery order, to ``(pred code, Move)``, or None for a start, and
+    ``hit`` is the first code that satisfies ``sat``, or None.
     """
-    rs = ReachSet(decode)
-    links = rs.links
+    links: dict = {}
     room = space_cap  # codes that may still be discovered
     refusal = f"reach set exceeds {space_cap} configurations"
     frontier = []  # codes discovered at the current depth
@@ -120,9 +88,8 @@ def bfs(starts, table, decode, space_cap: float = float("inf"),
             room -= 1
             links[code] = None
             frontier.append(code)
-            if sat is not None and sat(code):
-                rs.hit_code = code
-                return rs
+            if sat(code):
+                return links, code
     entries, above = (), 0  # no entry built yet
     depth = 0
     while frontier and depth != max_depth:
@@ -140,10 +107,9 @@ def bfs(starts, table, decode, space_cap: float = float("inf"),
                         room -= 1
                         links[succ] = code, move
                         frontier.append(succ)
-                        if sat is not None and sat(succ):
-                            rs.hit_code = succ
-                            return rs
-    return rs
+                        if sat(succ):
+                            return links, succ
+    return links, None
 
 
 def layout(p: Protocol, max_round: int):
@@ -175,10 +141,11 @@ def packed(p: Protocol, lay, negated):
     rounds 0 to ``max_round`` of a round-based protocol; a roundless one has
     round 0 only.  The table holds step entries per transition and round,
     keep variant first, then desert, as in the reference successor relation:
-    an increment at ``max_round`` and a read below round 0 get none.  With
-    a set of states ``negated`` (the cut in ``search``'s docstring), only a
-    source in it gets a desert entry, and the starts are the supports that
-    hold every initial state outside it; with None the search is exhaustive.
+    an increment at ``max_round`` and a read below round 0 get none.  Only
+    a source in the set of states ``negated`` (the cut in ``search``'s
+    docstring) gets a desert entry, and the starts are the supports that
+    hold every initial state outside it: with every state negated, the
+    search is exhaustive.
 
     ``table(code)`` builds the rounds up to ``code``'s top round that are
     not built yet, and returns the entries of every round built, in
@@ -198,14 +165,12 @@ def packed(p: Protocol, lay, negated):
     rb = p.flavor == ROUNDBASED
     rounds, pop, slot, sym_mask = lay
     block = slot(1, 0)
-    rows = []  # per transition, its fields at its lowest round
-    outs = []  # per transition, its entries built so far
+    rows = []  # per transition: its fields at its lowest round, its entries
     built = 0  # rounds 0 .. built - 1 are built
 
     def table(code: int):
         nonlocal built
-        need = (code.bit_length() - 1) // block + 1
-        if not built:  # the first call lists the fields and builds round 0
+        if not built:  # the first call lists each transition's fields
             for t in p.transitions:
                 a = t.action
                 lo, top = a.depth or 0, rounds - 1 - (a.kind == INC)
@@ -218,30 +183,22 @@ def packed(p: Protocol, lay, negated):
                     mask, want = src | sym_mask << at, src | a.symbol << at
                 elif a.kind == WRITE:
                     clear, add = sym_mask << at, add | a.symbol << at
-                desert = negated is None or t.source in negated
-                dclear = clear | src if desert else None
-                rows.append((t, lo, top, mask, want, clear, dclear, add))
-                out = []
-                if lo == 0:
-                    rnd = 0 if rb else None
-                    out.append((mask, want, ~clear, add, Move(t, rnd, False)))
-                    if dclear is not None:
-                        out.append((mask, want, ~dclear, add,
-                                    Move(t, rnd, True)))
-                outs.append(out)
-            built = 1
-        if need > built:  # round r's entry is round lo's, r - lo blocks up
-            for (t, lo, top, mask, want, clear, dclear, add), out in \
-                    zip(rows, outs):
-                for r in range(max(lo, built), min(top, need - 1) + 1):
+                dclear = clear | src if t.source in negated else None
+                rows.append((t, lo, top, mask, want, clear, dclear, add, []))
+        need = (code.bit_length() - 1) // block + 1
+        for r in range(built, need):  # round lo's entry, r - lo blocks up
+            rnd = r if rb else None
+            for t, lo, top, mask, want, clear, dclear, add, out in rows:
+                if lo <= r <= top:
                     n = (r - lo) * block
                     m, w, a = mask << n, want << n, add << n
-                    out.append((m, w, ~(clear << n), a, Move(t, r, False)))
+                    out.append((m, w, ~(clear << n), a, Move(t, rnd, False)))
                     if dclear is not None:
                         out.append((m, w, ~(dclear << n), a,
-                                    Move(t, r, True)))
-            built = need
-        return list(chain.from_iterable(outs)), 1 << built * block
+                                    Move(t, rnd, True)))
+        built = max(built, need)
+        return (list(chain.from_iterable(row[-1] for row in rows)),
+                1 << built * block)
 
     width, first = slot(0, 1), slot(0, p.register_count)
 
@@ -416,11 +373,12 @@ def search(p: Protocol, psi, max_round: int = 0,
 
     ``bfs`` on ``packed(p, lay, negated_states(psi))`` with ``psi``
     ``_compiled`` in the same ``lay = layout(p, max_round)`` as its test,
-    and its ``space_cap`` and ``max_depth``.  Returns the
-    number of configurations discovered and the shortest witness to the
-    first hit, checked by ``validated`` to end there, or None.  A
-    constraint that compiles to the constant false returns ``(0, None)``
-    and builds neither table nor starts.
+    and its ``space_cap`` and ``max_depth``.  Returns the number of
+    configurations discovered and the shortest witness to the first hit,
+    or None.  The witness is the parent links walked back from the hit;
+    only its start and the hit are decoded, and ``validated`` checks that
+    it ends at the hit.  A constraint that compiles to the constant false
+    returns ``(0, None)`` and builds neither table nor starts.
 
     The start and desert cut.  A constraint notices an extra populated
     location only at a state it reads under an odd number of negations
@@ -441,14 +399,20 @@ def search(p: Protocol, psi, max_round: int = 0,
     part = _compiled(psi, lay)
     if part is False:  # no code satisfies it: nothing to search
         return 0, None
-    rs = bfs(*packed(p, lay, negated_states(psi)), space_cap, _probe(part),
-             max_depth)
-    if rs.hit_code is None:
-        return len(rs.links), None
-    wit = rs.witness()
-    if validated(p, psi, wit) != rs.hit:
+    starts, table, decode = packed(p, lay, negated_states(psi))
+    links, hit = bfs(starts, table, space_cap, _probe(part), max_depth)
+    if hit is None:
+        return len(links), None
+    code, moves = hit, []
+    while (link := links[code]) is not None:
+        code, move = link
+        moves.append(move)
+    moves.reverse()
+    start = decode(code)
+    wit = Execution(start, tuple(moves))
+    if validated(p, psi, wit) != (decode(hit) if moves else start):
         raise ReplayFailure("internal error: witness misses the hit")
-    return len(rs.links), wit
+    return len(links), wit
 
 
 def validated(p: Protocol, psi, witness: Execution) -> AbstractConfig:

@@ -26,8 +26,6 @@ Closures still run in passes over the whole list, so saturation's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .constraints import ClauseDecomposition, dnf_clauses
 from .errors import NotUninitialized, WrongRegisterCount
 from .model import (D0, READ, ROUNDLESS, WRITE, Protocol, Transition,
@@ -107,37 +105,25 @@ def _closure(S, transitions, opened, writes=None) -> tuple[set, int]:
     return S, passes
 
 
-@dataclass
-class SaturationState:
-    """Grow-only saturation record: the covered states."""
-
-    covered: set = field(default_factory=set)
-    iterations: int = 0
-
-
-def saturate_uninitialized(p: Protocol) -> SaturationState:
-    """Fixpoint of the uninitialized coverability rules.
-
-    From the initial states, a write transition always extends coverage; a
-    read extends coverage once its symbol can be written to that register
-    from covered states.  This is ``_closure`` with every register opened.
-    """
-    covered, passes = _closure(p.initial_states, p.transitions,
-                               range(p.register_count))
-    return SaturationState(covered, iterations=passes)
-
-
 def solve_cover_uninitialized(p: Protocol, target: int) -> Verdict:
-    """Saturation decision for uninitialized coverability; exact."""
+    """Saturation decision for uninitialized coverability; exact.
+
+    The fixpoint of the uninitialized coverability rules: from the initial
+    states, a write transition always extends coverage; a read extends
+    coverage once its symbol can be written to that register from covered
+    states.  This is ``_closure`` with every register opened, and
+    ``stats["iterations"]`` counts its passes.
+    """
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
     if not is_uninitialized(p):
         raise NotUninitialized("saturation needs an uninitialized protocol")
-    st = saturate_uninitialized(p)
-    answer = POSITIVE if target in st.covered else NEGATIVE
+    covered, passes = _closure(p.initial_states, p.transitions,
+                               range(p.register_count))
+    answer = POSITIVE if target in covered else NEGATIVE
     return Verdict(answer, "saturation", None,
-                   {"covered": sorted(p.state_names[q] for q in st.covered),
-                    "iterations": st.iterations})
+                   {"covered": sorted(p.state_names[q] for q in covered),
+                    "iterations": passes})
 
 
 def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:

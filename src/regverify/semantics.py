@@ -136,12 +136,12 @@ def initial_configuration(p: Protocol, support) -> AbstractConfig:
     return AbstractConfig(pop, initial_regs(p))
 
 
-def initial_supports(p: Protocol, vary=None):
+def initial_supports(p: Protocol, vary):
     """The nonempty sets of initial states that hold every initial state
-    outside ``vary``, smaller sets first; every nonempty set when ``vary``
-    is None.  With no initial state there is none."""
+    outside ``vary``, smaller sets first.  With no initial state there is
+    none."""
     q0 = p.initial_states
-    fixed = frozenset() if vary is None else q0 - vary
+    fixed = q0 - vary
     free = sorted(q0 - fixed)
     for r in range(0 if fixed else 1, len(free) + 1):
         for combo in itertools.combinations(free, r):

@@ -1,10 +1,11 @@
 """Reference implementations that the library's faster versions must match,
 and the helpers only tests call: the structural invariants of a protocol,
-the oracle's whole reach set, its decoded views and its compiled
-constraint as a predicate, the explicit successor relation, the
-one-register covset and cocovset, the footprint search on its own, the
-round-based search's former contradiction rule on ground literals, and
-roundless instances lifted to rounds."""
+the oracle's search with its parent links decoded (``ReachSet``,
+``packed_bfs``), its whole reach set and its compiled constraint as a
+predicate, the explicit successor relation, the one-register covset and
+cocovset, the footprint search on its own, the round-based search's
+former contradiction rule on ground literals, and roundless instances
+lifted to rounds."""
 
 import itertools
 from dataclasses import dataclass, replace
@@ -20,7 +21,6 @@ from regverify.errors import (CapExceeded, NotEnabled, NotUninitialized,
 from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
                              Action, Protocol, Transition, is_uninitialized,
                              parse_protocol, serialize_protocol)
-from regverify.oracle import ReachSet
 from regverify.roundbased import _footprint_search, _refuted
 from regverify.roundless import (ClauseDecomposition, _alive_transitions,
                                  _closure, _index)
@@ -171,6 +171,50 @@ def full_quantified_entries(apc, value: bool) -> list[tuple]:
     return out
 
 
+class ReachSet:
+    """A search's parent links with decoded views.
+
+    ``links`` maps each code discovered, in discovery order, to ``(pred
+    code, Move)``, or None for a start, and ``hit_code`` is the first code
+    that satisfied the predicate, or None; ``hit`` is its configuration.
+    """
+
+    def __init__(self, links: dict, hit_code, decode):
+        self.links = links
+        self.hit_code = hit_code
+        self._decode = decode
+        self._configs: dict = {}  # code -> configuration, decoded so far
+
+    def config(self, code):
+        """The configuration of a code, decoded at most once."""
+        if code not in self._configs:
+            self._configs[code] = self._decode(code)
+        return self._configs[code]
+
+    @property
+    def hit(self) -> AbstractConfig | None:
+        return None if self.hit_code is None else self.config(self.hit_code)
+
+    def witness(self) -> Execution:
+        """Shortest execution to the hit; of the path, only its start is
+        decoded."""
+        code = self.hit_code
+        moves: list[Move] = []
+        while (link := self.links[code]) is not None:
+            code, move = link
+            moves.append(move)
+        moves.reverse()
+        return Execution(self.config(code), tuple(moves))
+
+
+def packed_bfs(starts, table, decode, space_cap: float = float("inf"),
+               sat=None, max_depth: int | None = None) -> ReachSet:
+    """``oracle.bfs`` as a ``ReachSet``; with no ``sat``, nothing is a hit."""
+    links, hit = oracle.bfs(starts, table, space_cap,
+                            sat or (lambda code: False), max_depth)
+    return ReachSet(links, hit, decode)
+
+
 def bfs(starts, successors, space_cap: float = float("inf"),
         max_depth: int | None = None) -> ReachSet:
     """``oracle.bfs`` over explicit configurations and a successor function.
@@ -181,8 +225,7 @@ def bfs(starts, successors, space_cap: float = float("inf"),
     expanded, and discovering more than ``space_cap``, starts included,
     raises ``CapExceeded``.
     """
-    rs = ReachSet(lambda c: c)
-    links = rs.links
+    links: dict = {}
 
     def discover(pairs) -> list:
         """The configurations of ``(c, link)`` pairs first seen, in order."""
@@ -202,7 +245,7 @@ def bfs(starts, successors, space_cap: float = float("inf"),
         depth += 1
         level = discover((succ, (c, move)) for c in level
                          for move, succ in successors(c))
-    return rs
+    return ReachSet(links, None, lambda c: c)
 
 
 def first_write_orders(p: Protocol):
@@ -353,11 +396,14 @@ def reach(p: Protocol, max_round: int = 0,
     for it.  ``oracle.bfs`` on that table, within the oracle's caps.
     """
     oracle._refuse_beyond_caps(p, state_cap, space_cap)
-    return oracle.bfs(*packed_window(p, max_round, negated), space_cap)
+    return packed_bfs(*packed_window(p, max_round, negated), space_cap)
 
 
 def packed_window(p: Protocol, max_round: int = 0, negated=None):
-    """``oracle.packed`` in the layout of round cap ``max_round``."""
+    """``oracle.packed`` in the layout of round cap ``max_round``; with no
+    ``negated``, every state is, and the search is exhaustive."""
+    if negated is None:
+        negated = frozenset(range(p.num_states))
     return oracle.packed(p, oracle.layout(p, max_round), negated)
 
 

@@ -300,7 +300,8 @@ def no_tick(n: int) -> None:
 
 
 def extensions(p, tau: Footprint, init, k: int, step_cap: int, **kw):
-    """``extend_footprint`` on an absolute carried footprint on [k-v, k-1].
+    """``extend_footprint`` on an absolute carried footprint on [k-v, k-1],
+    with every state negated, so that every source may desert.
 
     Yields (bridge footprint on [k-v, k], last code, visible footprint on
     [k-v+1, k]), all with absolute rounds.
@@ -308,7 +309,8 @@ def extensions(p, tau: Footprint, init, k: int, step_cap: int, **kw):
     v = max(p.visibility or 0, 1)
     assert tau.start == bridge_start(init, k - v, k - 1)
     for steps, last, vis in extend_footprint(
-            p, shifted(tau.steps, 1 - k), init, k, step_cap, no_tick, **kw):
+            p, shifted(tau.steps, 1 - k), init, k, step_cap, no_tick,
+            frozenset(range(p.num_states)), **kw):
         yield (Footprint(bridge_start(init, k - v, k), shifted(steps, k)),
                last,
                Footprint(bridge_start(init, k - v + 1, k), shifted(vis, k)))
@@ -316,7 +318,8 @@ def extensions(p, tau: Footprint, init, k: int, step_cap: int, **kw):
 
 def test_enumerate_bridge_contains_write_then_increment():
     stream = extend_footprint(FIG4, (), {FIG4.state_id("q0")}, 0, 3,
-                              no_tick, canonical=False)
+                              no_tick, frozenset(range(FIG4.num_states)),
+                              canonical=False)
     for steps, _, _ in stream:
         kinds = [(m.trans.action.kind, m.desert) for m in steps]
         if kinds == [("write", False), ("inc", True)]:
@@ -336,9 +339,11 @@ def test_enumerate_bridge_empty_when_projection_impossible():
     # write: a carried read of x needs a carried write of x before it
     write, read = (Move(t, 0, False) for t in READ_X.transitions)
     init = READ_X.initial_states
+    every = frozenset(range(READ_X.num_states))
     for carried, possible in [((read,), False), ((write, read), True)]:
         got = list(extend_footprint(READ_X, carried, init, 1, step_cap=2,
-                                    tick=no_tick, canonical=False))
+                                    tick=no_tick, negated=every,
+                                    canonical=False))
         assert bool(got) == possible
         assert all(steps[:len(carried)] == shifted(carried, -1)
                    for steps, _, _ in got)
@@ -347,6 +352,7 @@ def test_enumerate_bridge_empty_when_projection_impossible():
 def test_enumerate_bridge_cap_zero_keeps_stepless_extension():
     q0 = FIG4.state_id("q0")
     fps = list(extend_footprint(FIG4, (), {q0}, 1, 0, no_tick,
+                                frozenset(range(FIG4.num_states)),
                                 canonical=False))
     assert len(fps) == 1
     steps, last, vis = fps[0]

@@ -242,7 +242,7 @@ def test_parse_error_type_message_and_line(text, exc, message, line):
     e = info.value
     assert type(e) is exc
     if exc is ProtocolSyntaxError:
-        assert (e.line, str(e)) == (line, f"line {line}, col 0: {message}")
+        assert (e.line, str(e)) == (line, f"line {line}: {message}")
     else:
         assert str(e) == (message if line is None
                           else f"line {line}: {message}")

@@ -6,7 +6,8 @@ import pytest
 
 import reference
 from reference import (abstract_successors, compile_constraint, members,
-                       order, packed_window, parents, reach, witness_to)
+                       order, packed_bfs, packed_window, parents, reach,
+                       witness_to)
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from regverify import oracle
@@ -17,7 +18,7 @@ from regverify.constraints import (cover_constraint, eval_roundbased,
                                    target_constraint)
 from regverify.errors import CapExceeded, ReplayFailure
 from regverify.model import format_action, parse_protocol
-from regverify.oracle import bfs, default_round_cap, oracle_prp
+from regverify.oracle import default_round_cap, oracle_prp
 from regverify.reductions import builtin_examples
 from regverify.roundbased import _round_window, solve_prp_roundbased
 from regverify.roundless import solve_prp_bounded
@@ -94,7 +95,8 @@ def _reference_reach(p, max_round=0, space_cap=float("inf"),
     states in it."""
     fixed = frozenset() if negated is None else p.initial_states - negated
     starts = (initial_configuration(p, support)
-              for support in initial_supports(p) if support >= fixed)
+              for support in initial_supports(p, p.initial_states)
+              if support >= fixed)
 
     def successors(c):
         return [(m, succ) for m, succ in
@@ -116,8 +118,8 @@ def _assert_matches_reference(p, max_round, space_cap=float("inf")):
                                         max_depth)
             except CapExceeded:
                 continue
-            got = bfs(*packed_window(p, max_round, negated), space_cap,
-                      max_depth=max_depth)
+            got = packed_bfs(*packed_window(p, max_round, negated),
+                             space_cap, max_depth=max_depth)
             assert list(parents(got).items()) == \
                 list(parents(want).items()), (max_round, negated, max_depth)
 
@@ -148,7 +150,7 @@ def test_depth_bound_keeps_the_levels_within_it(seed, k):
         cap = 0
     full = reach(p, cap)
     depth = _depths(full)
-    cut = bfs(*packed_window(p, cap), max_depth=k)
+    cut = packed_bfs(*packed_window(p, cap), max_depth=k)
     assert order(cut) == [c for c in order(full) if depth[c] <= k]
     full_links = parents(full)
     assert all(full_links[c] == link for c, link in parents(cut).items())
@@ -356,7 +358,7 @@ def test_positive_decided_when_full_reach_set_exceeds_cap_with_desertion():
     assert negated == {FIG4.state_id("q0")}
     _assert_positive_decided_within_cap(psi, reach(FIG4, 2, negated=negated))
     sat = compile_constraint(FIG4, psi, 2)
-    cut = bfs(*packed_window(FIG4, 2, frozenset()), sat=sat)
+    cut = packed_bfs(*packed_window(FIG4, 2, frozenset()), sat=sat)
     assert cut.hit_code is None
 
 
@@ -573,15 +575,17 @@ def _counting_packed(decoded, rounds=None, drawn=None):
 @pytest.mark.parametrize("proto, name, k", [
     ("fig1", "cover_qf", None), ("fig1", "ex26_phi", None),
     ("fig1_red", "target_qf", None), ("fig4", "psi3", 2), ("fig4", "psi1", 2),
-    ("fig4", "psi2", 2)])
+    ("fig4", "psi2", 2), ("fig1", "pop_q0", None)])
 def test_search_decodes_only_the_witness_path(monkeypatch, proto, name, k):
+    # pop_q0 holds on the start: a 0-move witness, one code decoded, once
     p = PROTOCOLS[proto]
     _, _, decode = packed_window(p, k or 0)  # uncounted
     decoded = []
     monkeypatch.setattr(oracle, "packed", _counting_packed(decoded))
     parse = parse_round_constraint if k is not None \
         else parse_roundless_constraint
-    psi = parse(CONSTRAINTS[name].text, p)
+    text = "(pop q0)" if name == "pop_q0" else CONSTRAINTS[name].text
+    psi = parse(text, p)
     v = oracle_prp(p, psi, max_round=k)
     if v.answer == "negative":
         assert decoded == []
@@ -590,6 +594,8 @@ def test_search_decodes_only_the_witness_path(monkeypatch, proto, name, k):
         assert len(members(rs)) == len(rs.links) == len(decoded)
         return
     assert len(set(decoded)) == len(decoded) <= len(v.witness.moves) + 1
+    if name == "pop_q0":
+        assert (v.witness.moves, len(decoded)) == ((), 1)
     path = replay_configs(p, v.witness, ABSTRACT)
     assert all(decode(code) in path for code in decoded)
 
@@ -683,10 +689,10 @@ def test_desert_free_search_keeps_hits_and_witness_lengths(flavor):
             for k in caps:
                 sat = compile_constraint(p, psi, k)
                 try:
-                    full = bfs(*packed_window(p, k), 4000, sat)
+                    full = packed_bfs(*packed_window(p, k), 4000, sat)
                 except CapExceeded:
                     continue
-                cut = bfs(*packed_window(p, k, negated), sat=sat)
+                cut = packed_bfs(*packed_window(p, k, negated), sat=sat)
                 mixed += len(p.initial_states) >= 2 and \
                     0 < len(negated) < p.num_states
                 assert (full.hit_code is None) == (cut.hit_code is None)

@@ -15,7 +15,6 @@ from regverify.reductions import (CnfFormula, builtin_examples,
                                   sat_to_cover, truth_table_satisfiable)
 from regverify import roundless
 from regverify.roundless import (reduce_initialized_to_uninit_r1,
-                                 saturate_uninitialized,
                                  solve_cover_fixed_r,
                                  solve_cover_uninitialized,
                                  solve_dnfprp_one_register, solve_prp_bounded,
@@ -99,9 +98,9 @@ def test_saturation_monotone_and_bounded_iterations():
                        "registers: 2\nalphabet: d0 x y\ntransitions:\n"
                        "  a write(1, x) b\n  b read(1, x) c\n"
                        "  c write(2, y) d\n")
-    st = saturate_uninitialized(q)
-    assert st.covered == {0, 1, 2, 3}
-    assert st.iterations <= q.num_states + 1
+    st = solve_cover_uninitialized(q, q.state_id("d")).stats
+    assert st["covered"] == ["a", "b", "c", "d"]
+    assert st["iterations"] <= q.num_states + 1
 
 
 # --- fixed-r order enumeration ---------------------------------------------------
@@ -142,7 +141,9 @@ def test_closure_routes_cover_exactly_the_reachable_states():
                                for o in first_write_orders(p)))
         assert phases == populated, name
         if is_uninitialized(p):
-            assert saturate_uninitialized(p).covered == populated, name
+            covered = solve_cover_uninitialized(p, 0).stats["covered"]
+            assert covered == sorted(p.state_names[q] for q in populated), \
+                name
             if p.register_count == 1:
                 assert compute_cov_set(p) == populated, name
 
@@ -196,7 +197,7 @@ def test_indexed_closures_match_the_rescanning_references(monkeypatch):
         for target in range(p.num_states):
             solve_cover_fixed_r(p, target)
         if is_uninitialized(p):
-            saturate_uninitialized(p)
+            solve_cover_uninitialized(p, 0)
         if p.register_count != 1:
             continue
         phi = random_dnf_constraint(rng, p)

@@ -115,12 +115,13 @@ def test_initial_configuration_errors():
 def test_initial_supports_fix_each_initial_state_outside_vary(
         initial, vary, supports):
     # smaller sets first; with no initial state there is no support, not an
-    # empty one
+    # empty one; None varies every initial state
     p = parse_protocol(f"flavor: roundless\nstates: a b c d\n"
                        f"initial: {initial}\nregisters: 1\nalphabet: d0\n"
                        "transitions:\n")
     ids = lambda names: frozenset(map(p.state_id, names.split()))
-    got = list(initial_supports(p, None if vary is None else ids(vary)))
+    got = list(initial_supports(
+        p, p.initial_states if vary is None else ids(vary)))
     assert got == [ids(s) for s in supports.split("|") if supports]
 
 
