@@ -107,9 +107,9 @@ def cmd_check(args) -> int:
                        EXIT_INCOMPATIBLE)
     phi, state = _problem_constraint(args, p)
     algo = args.algo
-    if args.distribute and algo == "one-reg" and p.flavor == ROUNDLESS:
-        phi = cst.to_dnf(phi)  # the one route that needs a DNF
     try:
+        if args.distribute and algo == "one-reg" and p.flavor == ROUNDLESS:
+            phi = cst.to_dnf(phi)  # the one route that needs a DNF
         if algo == "oracle":
             v = oracle_prp(p, phi, max_round=args.cap_rounds,
                            state_cap=args.cap_states)
@@ -140,8 +140,10 @@ def cmd_check(args) -> int:
         else:  # rb-search, the one choice left
             raise CliError("rb-search decides rbprp only", EXIT_INCOMPATIBLE)
     except (NotUninitialized, WrongRegisterCount, NotDNF) as e:
-        # each solver checks its own preconditions
-        hint = " (try --distribute)" if isinstance(e, NotDNF) else ""
+        # each solver checks its own preconditions; past to_dnf's size
+        # guard the constraint is too large for the DNF route
+        hint = " (try --distribute)" if isinstance(e, NotDNF) \
+            and not args.distribute else ""
         raise CliError(f"{e}{hint}", EXIT_INCOMPATIBLE)
     return _emit(v, p, args)
 

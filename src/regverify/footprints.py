@@ -41,12 +41,10 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
 
     New steps are moves at round k and non-deserting increments arriving
     from round k-1, restricted to interleavings a normal-form execution can
-    produce: no repopulating a deserted location, non-deserting
-    reads/increments must populate a location never populated before, and
-    an unjustified write is never overwritten.  ``tick(n)`` charges the
-    enumeration's work: one for the start and one per step placed.  As in
-    ``oracle.packed``, only a move whose source is in the set of states
-    ``negated`` may desert.
+    produce: no repopulating a deserted location, and an unjustified write
+    is never overwritten.  ``tick(n)`` charges the enumeration's work: one
+    for the start and one per step placed.  As in ``oracle.packed``, only a
+    move whose source is in the set of states ``negated`` may desert.
 
     With ``canonical``, carried steps confined to the bottom round (invisible
     one window up) are deferred maximally: a visible move never directly
@@ -56,19 +54,25 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
     Yields (steps, last local configuration, visible steps), both step
     tuples with rounds counted from k: the visible steps are what round k+1
     carries, unshifted.  The last configuration is one code of
-    ``oracle.layout(p, v)`` with rounds counted from the window's lowest
-    round, ``max(k-v, 0)``.
+    ``oracle.layout(p, v + 1)`` with rounds counted from the window's
+    lowest round, ``max(k-v, 0)``: the window, and above it round k+1's
+    population, the destinations of the deserting increments at round k
+    (all of them visible), with every register there initial.
 
-    The inner loop runs on packed integers in that layout: population and
-    ever-populated / deserted / pending-write flags as bitmasks over window
-    locations, the register bank as its symbol fields.
+    The inner loop runs on packed integers in that layout: the population,
+    round k+1 included, and the register bank as its symbol fields, with
+    the deserted locations and the pending (unjustified) writes as masks.
+    Only a deserting increment reaches round k+1, and no step has its
+    source there, so a step populates a location exactly when its bit is
+    clear.  A bit leaves the population only by a desert, which marks it
+    deserted, so a location once populated and now empty is deserted.
     """
     v = max(p.visibility or 0, 1)
     # steps confined to the round just below the carried-on window are the
     # schedule-private ones; when that round is negative nothing is private
     bottom = k - v
     base = max(k - v, 0)
-    _, loc, slot, sym_mask = layout(p, v)
+    _, loc, slot, sym_mask = layout(p, v + 1)
     pop0 = 0
     if k <= v:  # round 0 is in the window, at its lowest round
         for q in initial_set:
@@ -80,10 +84,9 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
         in_src = base <= rnd <= k
         src_bit = loc(m.trans.source, rnd - base) if in_src else 0
         dst_round = rnd + 1 if a.kind == INC else rnd
-        dst_bit = (loc(m.trans.dest, dst_round - base)
-                   if base <= dst_round <= k else 0)
-        guard_dst_bit = (loc(m.trans.dest, dst_round - base)
-                         if base <= dst_round <= k + 1 else 0)
+        # below the window only in the reference mode's carried steps
+        dst_bit = loc(m.trans.dest, dst_round - base) \
+            if dst_round >= base else 0
         read_shift = -1
         read_sym = 0
         dep_read = -1
@@ -109,11 +112,8 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                                                  else False)
         else:
             private = rnd == bottom
-        dep_always = rnd == bottom
-        nondesert_popcheck = a.kind in (READ, INC) and not m.desert
-        return (m, advance, src_bit, dst_bit, guard_dst_bit, read_shift,
-                read_sym, write_shift, write_sym, desert, private,
-                dep_always, dep_read, nondesert_popcheck)
+        return (m, advance, src_bit, dst_bit, read_shift, read_sym,
+                write_shift, write_sym, desert, private, dep_read)
 
     new_ops = []
     for t in p.transitions:
@@ -138,13 +138,13 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
         tau_ops.append(op)
     tau_len = len(tau_ops)
 
-    guard0 = (pop0, 0, 0)  # ever populated, ever deserted, pending writes
     new_ops_by_pop: dict[int, list] = {}
 
-    # one explicit frame per emitted step:
-    # [pop, regs, popnext, pos, guard, lp_write, option index, pushed_vis]
+    # one explicit frame per emitted step: [pop, regs, pos, deserted,
+    # pending, lp_write, options, option index, pushed_vis, lp_dst]
     # lp_write: -1 when the last step was visible; otherwise the write
-    # field shift of the trailing private step (-2 when it wrote nothing)
+    # field shift of the trailing private step (-2 when it wrote nothing);
+    # lp_dst: the destination bit of a trailing private increment, or 0
     steps: list[Move] = []
     vis: list[Move] = []
 
@@ -157,8 +157,7 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
             return [tau_ops[pos]] + cached
         return cached
 
-    frames = [[pop0, 0, 0, 0, guard0, -1,
-               option_list(0, pop0), 0, False, 0]]
+    frames = [[pop0, 0, 0, 0, 0, -1, option_list(0, pop0), 0, False, 0]]
     pending_ticks = 1
     if tau_len == 0:
         tick(pending_ticks)
@@ -166,71 +165,49 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
         yield (), pop0, ()
     while frames:
         frame = frames[-1]
-        pop, regs, popnext, pos, guard, lp_write = frame[:6]
+        pop, regs, pos, deserted, pending, lp_write, options = frame[:7]
         lp_dst = frame[9]
-        options = frame[6]
         n = len(options) if len(steps) < step_cap else 0
         i = frame[7]
         child = None
         while i < n:
-            op = options[i]
+            (m, advance, src_bit, dst_bit, read_shift, read_sym, write_shift,
+             write_sym, desert, private, dep_read) = options[i]
             i += 1
             # sources are guaranteed populated: carried steps replay and
             # the fresh-move list is filtered against this population
-            private = op[10]
             dyn_inc = private is None
             if dyn_inc:  # increment at the bottom round
-                private = bool(pop & op[3])
+                private = bool(pop & dst_bit)
             if lp_write != -1 and not private and not (
-                    op[11] or op[12] == lp_write
-                    or (lp_dst and op[9] and op[2] == lp_dst)):
+                    dyn_inc or dep_read == lp_write
+                    or (lp_dst and desert and src_bit == lp_dst)):
                 continue  # non-canonical schedule; its twin is emitted
-            read_shift = op[5]
             if read_shift >= 0 and \
-                    (regs >> read_shift) & sym_mask != op[6]:
+                    (regs >> read_shift) & sym_mask != read_sym:
                 continue
-            (m, advance, src_bit, dst_bit, guard_dst_bit, read_shift,
-             read_sym, write_shift, write_sym, desert, _private,
-             dep_always, dep_read, nondesert_popcheck) = op
-            pop2 = pop
-            popnext2 = popnext
-            if desert:
-                pop2 &= ~src_bit
-            if dst_bit:
-                pop2 |= dst_bit
-            elif guard_dst_bit and desert:
-                popnext2 |= guard_dst_bit
+            # clear the source before setting the destination: a deserting
+            # self-loop keeps its location populated
+            pop2 = (pop & ~src_bit if desert else pop) | dst_bit
             regs2 = regs
             if write_shift >= 0:
                 regs2 = (regs & ~(sym_mask << write_shift)) | (
                     write_sym << write_shift)
             if pop2 == pop and regs2 == regs:
                 continue  # stutter: invisible inside the window
-            popever, desertever, pending = guard
-            if dst_bit:
-                now = pop & dst_bit
-            elif guard_dst_bit:
-                now = popnext & guard_dst_bit
-            else:
-                now = 1
-            populates = not now
-            if populates:
-                if desertever & guard_dst_bit:
-                    continue  # repopulation after desertion
-                if nondesert_popcheck and popever & guard_dst_bit:
-                    continue  # must cover a fresh location
-                popever = popever | guard_dst_bit
-            if desert:
-                desertever = desertever | src_bit
+            populates = not pop & dst_bit
+            if populates and deserted & dst_bit:
+                continue  # repopulation after desertion
+            deserted2 = deserted | src_bit if desert else deserted
+            pending2 = pending
             if write_shift >= 0:
                 wbit = 1 << write_shift
                 if pending & wbit:
                     continue  # overwriting an unjustified write
                 if not (populates or desert):
-                    pending = pending | wbit
+                    pending2 = pending | wbit
             if read_shift >= 0:
-                pending = pending & ~(1 << read_shift)
-            g2 = (popever, desertever, pending)
+                pending2 = pending2 & ~(1 << read_shift)
             steps.append(m)
             if not private:
                 vis.append(m)
@@ -241,7 +218,7 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                 # a privately-placed increment stays private only while
                 # its destination is populated; deserters of it depend
                 lp2_dst = dst_bit if dyn_inc else 0
-            child = [pop2, regs2, popnext2, pos + advance, g2, lp2,
+            child = [pop2, regs2, pos + advance, deserted2, pending2, lp2,
                      option_list(pos + advance, pop2), 0, not private,
                      lp2_dst]
             break
@@ -258,11 +235,10 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
             continue
         frames.append(child)
         pending_ticks += 1
-        if child[3] == tau_len:
+        if child[2] == tau_len:
             tick(pending_ticks)
             pending_ticks = 0
             yield tuple(steps), child[0] | child[1], tuple(vis)
         elif pending_ticks >= 512:
             tick(pending_ticks)
             pending_ticks = 0
-

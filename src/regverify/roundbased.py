@@ -434,17 +434,19 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
     None as the node signals acceptance with those steps.  Per-branch
     obligations are computed once per node; per edge only the current
     round's literal test and the stop test remain, each a ``_probe`` of
-    ``_join``ed bit tests.
+    ``_join``ed bit tests.  The literal test reads round k of the edge's
+    last code, and the stop test its round-(k+1) block, where
+    ``extend_footprint`` leaves the destinations of the deserting
+    increments at round k.
     """
     k = node.k
-    _, pop, slot, _ = layout(p, 0)
-    block = slot(1, 0)
+    block = layout(p, 0)[2](1, 0)
     # the last code counts rounds from the window's lowest, max(k - v, 0)
     up = min(k, v) * block
 
     # branch precomputation: (remaining E, test of the round-k literals on
     # the edge's last code or None, pending literals counted from k+1, stop
-    # test on the stopped shape's code or None)
+    # test on the last code shifted down to round k+1, or None)
     branches = []
     for remaining_exist, closed2 in _onestep_branches(
             p, universal, node.exist, node.closed, options):
@@ -458,12 +460,12 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
             # may the execution stop at round k, leaving later rounds
             # untouched?  The pending literals and the universals, each the
             # disjunction of its forcing sets, rounds counted from k+1, on
-            # the stopped shape's code: deserting increments may already
-            # populate round k+1, everything beyond is empty and registers
-            # above round k are initial.  Universals are checked at round
-            # k+1 only: from round k+2 on every round reads the empty tail,
-            # where each universal holds, or _refuted would have dropped
-            # the candidate
+            # the last code's blocks from round k+1 up: deserting increments
+            # may already populate round k+1, everything beyond is empty and
+            # registers above round k are initial.  Universals are checked
+            # at round k+1 only: from round k+2 on every round reads the
+            # empty tail, where each universal holds, or _refuted would have
+            # dropped the candidate
             stop = _probe(_join(True, [*pending, *(
                 _holds(_literal_options(p, u, options)) for u in universal)]))
         branches.append((remaining_exist, test, pending, stop))
@@ -475,17 +477,11 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
     for steps, last, vis in _edges_for(p, node, init_set, v, tick, negated,
                                        edge_memo):
         tick(n_branches)
-        shape = None  # round k+1's population, rounds counted from k+1
         for remaining_exist, test, pending, stop in branches:
             if test is not None and not test(last):
                 continue
-            if stop is not None:
-                if shape is None:  # distinct bits: their sum is their or
-                    shape = sum({pop(m.trans.dest, 0) for m in vis
-                                 if m.trans.action.kind == INC
-                                 and m.rnd == 0 and m.desert})
-                if stop(shape):
-                    yield steps, None, None
-                    continue
+            if stop is not None and stop(last >> up + block):
+                yield steps, None, None
+                continue
             sig = (sig_round, vis, remaining_exist, pending)
             yield steps, sig, _Node(k + 1, vis, remaining_exist, pending)

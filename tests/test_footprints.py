@@ -1,5 +1,6 @@
 """Footprint algebra tests: local steps, projections, gluing, normal form."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from regverify.constraints import parse_round_constraint
 from regverify.errors import NotEnabled
 from regverify.footprints import extend_footprint
 from regverify.model import INC, parse_protocol
+from regverify.oracle import layout
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, Execution, Move,
                                  initial_configuration, replay, write_trace)
@@ -394,10 +396,18 @@ TWO_REGS = parse_protocol(
     "  a read(-1, 2, y) c\n  b inc b\n")
 
 
+def round_above(vis_steps, k: int) -> set:
+    """Round k+1's population after a bridge at round k: the destinations
+    of its deserting increments at round k, all of them visible."""
+    return {m.trans.dest for m in vis_steps
+            if m.trans.action.kind == INC and m.rnd == k and m.desert}
+
+
 @pytest.mark.parametrize("case", ["fig4", "two-regs", 3, 11, 13, 35])
 def test_last_code_decodes_to_final_local_configuration(case):
-    # extend_footprint's last code is an oracle.layout(p, v) code whose
-    # rounds count from the window's lowest round max(k - v, 0)
+    # extend_footprint's last code is an oracle.layout(p, v + 1) code whose
+    # rounds count from the window's lowest round max(k - v, 0): the window,
+    # then round k+1, populated by the deserting increments at round k
     if case == "fig4":
         p, init = FIG4, {FIG4.state_id("q0")}
     elif case == "two-regs":
@@ -406,7 +416,7 @@ def test_last_code_decodes_to_final_local_configuration(case):
         p = random_rb_protocol(random.Random(case))
         init = p.initial_states
     v = max(p.visibility or 0, 1)
-    decode = packed_window(p, v)[2]
+    decode = packed_window(p, v + 1)[2]
     taus = [Footprint(bridge_start(init, -v, -1), ())]
     seen = 0
     for k in range(3):
@@ -416,10 +426,40 @@ def test_last_code_decodes_to_final_local_configuration(case):
             for fp, last, vis in extensions(p, tau, init, k, 6):
                 final = footprint_configs(p, fp)[-1]
                 got = decode(last)
-                assert got.pop == {(q, r - base) for q, r in final.pop}
+                assert got.pop == {(q, r - base) for q, r in final.pop} | {
+                    (q, k + 1 - base) for q in round_above(vis.steps, k)}
                 assert got.regs == {((r - base, j), s)
                                     for (r, j), s in final.regs}
                 carried.append(vis)
                 seen += 1
         taus = carried[:8]
     assert seen > 6
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_last_code_holds_round_above_window(canonical):
+    # the round-based search's stop test reads round k+1 off the last code:
+    # exactly the deserting increments' destinations, no register field
+    seen = above = 0
+    for seed in range(40):
+        p = random_rb_protocol(random.Random(seed))
+        v = max(p.visibility or 0, 1)
+        _, pop, slot, _ = layout(p, 0)
+        # every state may desert on even seeds, all but state 0 on odd ones
+        negated = frozenset(range(seed % 2, p.num_states))
+        carried_list = [()]
+        for k in range(4):
+            up = (k - max(k - v, 0) + 1) * slot(1, 0)
+            nxt = []
+            for carried in carried_list:
+                for _, last, vis in itertools.islice(extend_footprint(
+                        p, carried, p.initial_states, k, 6, no_tick,
+                        negated, canonical), 300):
+                    want = sum(pop(q, 0) for q in round_above(vis, 0))
+                    assert last >> up == want, (seed, k, vis)
+                    seen += 1
+                    above += want != 0
+                    if len(nxt) < 4 and vis not in nxt:
+                        nxt.append(vis)
+            carried_list = nxt or [()]
+    assert seen > 5000 and above > 2000

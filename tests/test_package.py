@@ -1,9 +1,11 @@
-"""The library holds only what a route or the command line runs."""
+"""The library holds only what a route or the command line runs, and no
+module imports a name it never reads."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "regverify"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "regverify"
 
 
 def unreferenced(src: Path) -> list[str]:
@@ -45,3 +47,37 @@ def test_a_definition_only_its_own_body_reads_is_unreferenced(tmp_path):
         "def orphan():\n    return cmd\n\n"
         "argparse.ArgumentParser().set_defaults(func=cmd)\n")
     assert unreferenced(tmp_path) == ["a.walk", "b.orphan"]
+
+
+def unused_imports(files) -> list[str]:
+    """``file: name`` of each name an import binds in a file that no code
+    in it reads.  ``import a.b`` binds ``a``; ``__future__`` imports bind
+    nothing."""
+    out = []
+    for f in files:
+        tree = ast.parse(f.read_text())
+        bound = [(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        out += [f"{f.name}: {name}" for name in bound if name not in read]
+    return out
+
+
+def test_every_import_is_read():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert unused_imports(files) == []
+
+
+def test_an_import_no_code_reads_is_unused(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nimport re\n"
+        "from math import pi, tau\n\n"
+        "def f(x: int) -> str:\n"
+        "    return os.path.join(str(pi), j.dumps(x))\n")
+    assert unused_imports([tmp_path / "a.py"]) == ["a.py: re", "a.py: tau"]
