@@ -171,7 +171,7 @@ def cmd_replay(args) -> int:
     if mode == ABSTRACT:
         pop = " ".join(format_pop_elem(p, e) for e in sorted(final.pop))
     elif p.flavor == ROUNDLESS:
-        pop = " ".join(f"{p.state_names[q]}*{n}" for q, n in final.pop)
+        pop = " ".join(f"{format_pop_elem(p, e)}*{n}" for e, n in final.pop)
     else:
         pop = " ".join(format_pop_elem(p, e)
                        for e, n in final.pop for _ in range(n))

@@ -1,11 +1,14 @@
 """Presence-constraint languages: parsing, evaluation, decompositions.
 
+Round-based constraints are Boolean trees whose leaves are atomic presence
+constraints (APCs): closed propositions, or singly-quantified propositions
+``exists k . prop`` / ``forall k . prop`` where the proposition is a Boolean
+tree over ``pop(q, t)`` and ``reg(j, t, a)`` atoms (``PopAt``, ``RegAt``)
+with terms ``m`` or ``k+m``.  Nested quantification is rejected.
 Roundless constraints are Boolean trees over ``pop(q)`` and ``reg(j, a)``
-atoms.  Round-based constraints are Boolean trees whose leaves are atomic
-presence constraints (APCs): closed propositions, or singly-quantified
-propositions ``exists k . prop`` / ``forall k . prop`` where the proposition
-is a Boolean tree over ``pop(q, t)`` and ``reg(j, t, a)`` atoms with terms
-``m`` or ``k+m``.  Nested quantification is rejected.
+atoms, which parse to the round-0 ``PopAt`` and ``RegAt``: a roundless
+configuration is the round-0 one, and only the text format of a constraint
+tells the flavors apart.
 
 Quantifiers range over all naturals.  A configuration is active on finitely
 many rounds, so past ``active_bound + M`` (M the largest term constant) every
@@ -21,8 +24,8 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .errors import ConstraintSyntaxError, NotDNF
-from .model import Protocol
-from .semantics import (AbstractConfig, ConcreteConfig, project, reg_get)
+from .model import ROUNDLESS, Protocol
+from .semantics import AbstractConfig, ConcreteConfig, project, reg_get
 
 MAX_TERM_CONSTANT = 64  # terms are unary-bounded; keep them desk-sized
 MAX_NESTING = 100  # parenthesis depth; evaluation recurses once per level
@@ -30,17 +33,6 @@ MAX_DNF_CLAUSES = 4096  # distinct clauses ``to_dnf`` may keep
 
 
 # --- AST ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Pop:
-    state: int
-
-
-@dataclass(frozen=True)
-class Reg:
-    reg: int
-    symbol: int
-
 
 @dataclass(frozen=True)
 class Term:
@@ -88,6 +80,7 @@ class Forall:
 
 TRUE = And(())
 FALSE = Or(())
+ROUND0 = Term(False, 0)  # the round of every roundless atom
 
 
 # --- parsing -------------------------------------------------------------------
@@ -164,8 +157,8 @@ def _build(e, p: Protocol, var: str | None, rounds: bool):
         if len(e) != 2 + rounds or not isinstance(e[1], str):
             raise ConstraintSyntaxError("pop takes a state and a term"
                                         if rounds else "pop takes one state")
-        q = p.state_id(e[1])
-        return PopAt(q, _build_term(e[2], var)) if rounds else Pop(q)
+        return PopAt(p.state_id(e[1]),
+                     _build_term(e[2], var) if rounds else ROUND0)
     if head == "reg":
         if len(e) != 3 + rounds:
             raise ConstraintSyntaxError("reg takes register, term and symbol"
@@ -177,11 +170,10 @@ def _build(e, p: Protocol, var: str | None, rounds: bool):
             raise ConstraintSyntaxError(f"bad register {e[1]!r}")
         if not 1 <= j <= p.register_count:
             raise ConstraintSyntaxError(f"register {j} out of range")
-        term = _build_term(e[2], var) if rounds else None
+        term = _build_term(e[2], var) if rounds else ROUND0
         if not isinstance(e[-1], str):
             raise ConstraintSyntaxError(f"bad symbol {e[-1]!r}")
-        sym = p.symbol_id(e[-1])
-        return RegAt(j - 1, term, sym) if rounds else Reg(j - 1, sym)
+        return RegAt(j - 1, term, p.symbol_id(e[-1]))
     raise ConstraintSyntaxError(f"unknown operator {head!r}")
 
 
@@ -217,15 +209,11 @@ def format_constraint(p: Protocol, node) -> str:
                                     for c in node.children) + ")"
     if isinstance(node, Not):
         return f"(not {format_constraint(p, node.child)})"
-    if isinstance(node, Pop):
-        return f"(pop {p.state_names[node.state]})"
-    if isinstance(node, Reg):
-        return f"(reg {node.reg + 1} {p.symbol_names[node.symbol]})"
-    if isinstance(node, PopAt):
-        return f"(pop {p.state_names[node.state]} {_format_term(node.term)})"
-    if isinstance(node, RegAt):
-        return (f"(reg {node.reg + 1} {_format_term(node.term)} "
-                f"{p.symbol_names[node.symbol]})")
+    if isinstance(node, (PopAt, RegAt)):
+        term = "" if p.flavor == ROUNDLESS else f" {_format_term(node.term)}"
+        if isinstance(node, PopAt):
+            return f"(pop {p.state_names[node.state]}{term})"
+        return f"(reg {node.reg + 1}{term} {p.symbol_names[node.symbol]})"
     if isinstance(node, Exists):
         return f"(exists k {format_constraint(p, node.prop)})"
     if isinstance(node, Forall):
@@ -240,14 +228,15 @@ def _format_term(t: Term) -> str:
 # --- evaluation ----------------------------------------------------------------
 
 def eval_roundless(c, phi) -> bool:
-    """Standard Boolean evaluation over populated states and register values.
+    """Standard Boolean evaluation over the round-0 locations and registers.
 
     Accepts abstract or concrete configurations; a concrete configuration
-    evaluates exactly as its projection does.
+    evaluates exactly as its projection does.  A roundless constraint has no
+    quantifier, so no active bound is needed.
     """
     if isinstance(c, ConcreteConfig):
         c = project(c)
-    return eval_prop_at(None, c, phi, None)
+    return eval_prop_at(c, phi, None)
 
 
 def term_value(t: Term, k: int | None) -> int:
@@ -258,11 +247,10 @@ def term_value(t: Term, k: int | None) -> int:
     return t.offset
 
 
-def eval_prop_at(p: Protocol | None, c: AbstractConfig, node, k: int | None,
+def eval_prop_at(c: AbstractConfig, node, k: int | None,
                  horizon: int = 0) -> bool:
     """Evaluate a constraint of either flavor with the variable bound to ``k``.
 
-    ``Pop``/``Reg`` read a roundless configuration and need no protocol;
     ``PopAt``/``RegAt`` read the round their term gives at ``k``; a
     quantifier tries ``k = 0..horizon + 1``, the last round standing for
     the all-empty tail (see ``eval_roundbased``).
@@ -270,22 +258,18 @@ def eval_prop_at(p: Protocol | None, c: AbstractConfig, node, k: int | None,
     if isinstance(node, (And, Or)):
         decisive = isinstance(node, Or)  # the value one child decides with
         for x in node.children:
-            if eval_prop_at(p, c, x, k, horizon) == decisive:
+            if eval_prop_at(c, x, k, horizon) == decisive:
                 return decisive
         return not decisive
     if isinstance(node, Not):
-        return not eval_prop_at(p, c, node.child, k, horizon)
-    if isinstance(node, Pop):
-        return node.state in c.pop
-    if isinstance(node, Reg):
-        return c.regs[node.reg] == node.symbol
+        return not eval_prop_at(c, node.child, k, horizon)
     if isinstance(node, PopAt):
         return (node.state, term_value(node.term, k)) in c.pop
     if isinstance(node, RegAt):
         rnd = term_value(node.term, k)
-        return reg_get(p, c.regs, (rnd, node.reg)) == node.symbol
+        return reg_get(c.regs, (rnd, node.reg)) == node.symbol
     if isinstance(node, (Exists, Forall)):
-        vals = (eval_prop_at(p, c, node.prop, j) for j in range(horizon + 2))
+        vals = (eval_prop_at(c, node.prop, j) for j in range(horizon + 2))
         return any(vals) if isinstance(node, Exists) else all(vals)
     raise TypeError(f"not a constraint node: {node!r}")
 
@@ -319,9 +303,9 @@ def negated_states(node, positive: bool = True) -> frozenset:
         return negated_states(node.child, not positive)
     if isinstance(node, (Exists, Forall)):
         return negated_states(node.prop, positive)
-    if isinstance(node, (Pop, PopAt)):
+    if isinstance(node, PopAt):
         return frozenset() if positive else frozenset((node.state,))
-    if isinstance(node, (Reg, RegAt)):
+    if isinstance(node, RegAt):
         return frozenset()
     raise TypeError(f"not a constraint node: {node!r}")
 
@@ -345,7 +329,7 @@ def eval_roundbased(p: Protocol, c: AbstractConfig, psi,
     """
     if active_bound is None:
         active_bound = config_active_bound(p, c)
-    return eval_prop_at(p, c, psi, None, active_bound + max_constant(psi))
+    return eval_prop_at(c, psi, None, active_bound + max_constant(psi))
 
 
 # --- DNF clauses ----------------------------------------------------------------
@@ -372,9 +356,9 @@ def _clause_literals(clause) -> list:
         for x in clause.children:
             out.extend(_clause_literals(x))
         return out
-    if isinstance(clause, (Pop, Reg)):
+    if _is_atom(clause):
         return [(clause, True)]
-    if isinstance(clause, Not) and isinstance(clause.child, (Pop, Reg)):
+    if isinstance(clause, Not) and _is_atom(clause.child):
         return [(clause.child, False)]
     raise NotDNF("not in DNF: a clause holds "
                  f"({type(clause).__name__.lower()} ...)")
@@ -397,7 +381,7 @@ def dnf_clauses(p: Protocol, phi) -> list[ClauseDecomposition]:
         q_plus, q_minus = set(), set()
         d_ok = [set(range(p.num_symbols)) for _ in range(p.register_count)]
         for atom, positive in lits:
-            if isinstance(atom, Pop):
+            if isinstance(atom, PopAt):
                 (q_plus if positive else q_minus).add(atom.state)
             else:
                 if positive:
@@ -470,16 +454,16 @@ def to_dnf(phi):
 
 def cover_constraint(p: Protocol, state: int):
     """COVER as a presence constraint: the state is populated."""
-    if p.flavor == "roundless":
-        return Pop(state)
+    if p.flavor == ROUNDLESS:
+        return PopAt(state, ROUND0)
     return Exists(PopAt(state, Term(True, 0)))
 
 
 def target_constraint(p: Protocol, state: int):
     """TARGET as a presence constraint: every other state is empty."""
     others = [q for q in range(p.num_states) if q != state]
-    if p.flavor == "roundless":
-        return And(tuple(Not(Pop(q)) for q in others))
+    if p.flavor == ROUNDLESS:
+        return And(tuple(Not(PopAt(q, ROUND0)) for q in others))
     return Forall(And(tuple(Not(PopAt(q, Term(True, 0))) for q in others)))
 
 
@@ -561,7 +545,7 @@ def _collect_leaves(node, is_leaf, out: list) -> None:
 
 
 def _is_atom(node) -> bool:
-    return isinstance(node, (PopAt, RegAt, Pop, Reg))
+    return isinstance(node, (PopAt, RegAt))
 
 
 def forcing_literal_sets(prop) -> list[dict]:

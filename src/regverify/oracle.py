@@ -10,7 +10,8 @@ discovered before a verdict, not the whole reach set.
 
 Both flavors run one search loop, ``bfs``, over one packed step table,
 ``packed(p, lay, negated)`` in the bit ``layout`` ``lay`` of a round
-window: a roundless protocol is its round-0 case.  The search stays on
+window: a roundless protocol is its round-0 case, one block wide, with
+its configurations, moves and atoms at round 0.  The search stays on
 integer codes.  Each table entry is enabled by one mask test, which covers
 its source's population bit and a read's symbol field together, and makes
 its step by one mask and one or; the constraint is compiled in the same
@@ -42,9 +43,9 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .constraints import (And, Exists, Forall, Not, Or, Pop, PopAt, Reg,
-                          RegAt, eval_roundbased, eval_roundless,
-                          max_constant, negated_states, nnf, term_value)
+from .constraints import (And, Exists, Forall, Not, Or, PopAt, RegAt,
+                          eval_roundbased, eval_roundless, max_constant,
+                          negated_states, nnf, term_value)
 from .errors import CapExceeded, ReplayFailure
 from .model import INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
@@ -162,7 +163,6 @@ def packed(p: Protocol, lay, negated):
     round r is its entry at its lowest round shifted up by the rounds
     between: every bit it tests or sets moves up by whole blocks.
     """
-    rb = p.flavor == ROUNDBASED
     rounds, pop, slot, sym_mask = lay
     block = slot(1, 0)
     rows = []  # per transition: its fields at its lowest round, its entries
@@ -187,15 +187,14 @@ def packed(p: Protocol, lay, negated):
                 rows.append((t, lo, top, mask, want, clear, dclear, add, []))
         need = (code.bit_length() - 1) // block + 1
         for r in range(built, need):  # round lo's entry, r - lo blocks up
-            rnd = r if rb else None
             for t, lo, top, mask, want, clear, dclear, add, out in rows:
                 if lo <= r <= top:
                     n = (r - lo) * block
                     m, w, a = mask << n, want << n, add << n
-                    out.append((m, w, ~(clear << n), a, Move(t, rnd, False)))
+                    out.append((m, w, ~(clear << n), a, Move(t, r, False)))
                     if dclear is not None:
                         out.append((m, w, ~(dclear << n), a,
-                                    Move(t, rnd, True)))
+                                    Move(t, r, True)))
         built = max(built, need)
         return (list(chain.from_iterable(row[-1] for row in rows)),
                 1 << built * block)
@@ -204,14 +203,12 @@ def packed(p: Protocol, lay, negated):
 
     def decode(code: int) -> AbstractConfig:
         # only the blocks up to the code's top round hold a bit
-        blocks = range(0, code.bit_length(), block) if rb else (0,)
-        where = frozenset((q, n // block) if rb else q for n in blocks
+        blocks = range(0, code.bit_length(), block)
+        where = frozenset((q, n // block) for n in blocks
                           for q in range(p.num_states)
                           if code >> n + first + q & 1)
         syms = [((n // block, j), code >> n + j * width & sym_mask)
                 for n in blocks for j in range(p.register_count)]
-        if not rb:
-            return AbstractConfig(where, tuple(s for _, s in syms))
         return AbstractConfig(where, frozenset((k, s) for k, s in syms if s))
 
     # lazy: a search that hits early never encodes the remaining supports
@@ -226,8 +223,8 @@ def _compiled(psi, lay):
     code.  As a predicate on the code (``_probe``) it agrees with
     ``eval_roundless`` on a roundless protocol's decoded configuration, and
     with ``eval_roundbased(..., active_bound=max_round + 1)`` on a
-    round-based one's.  A roundless ``Pop``/``Reg`` is the round-0
-    ``PopAt``/``RegAt``.  A quantifier tries ``k = 0..max_round + 1``,
+    round-based one's; a roundless atom is a round-0 ``PopAt``/``RegAt``
+    like any other.  A quantifier tries ``k = 0..max_round + 1``,
     reading round ``k + m`` as round ``m`` of the code shifted by k rounds;
     past the window the code reads as empty, where a population atom is
     false and a register holds d0, so every later ``k`` gives what
@@ -251,13 +248,11 @@ def _compiled(psi, lay):
     shifts = range(0, slot(rounds + 1, 0), slot(1, 0))  # k = 0..rounds
 
     def build(node, bound: bool, tail: bool = False):
-        if isinstance(node, (Pop, Reg, PopAt, RegAt)):
-            r, shifted = 0, False
-            if isinstance(node, (PopAt, RegAt)):
-                # round k + m is round m of the shifted code
-                r = term_value(node.term, 0 if bound else None)
-                shifted = node.term.has_var
-            if isinstance(node, (Pop, PopAt)):
+        if isinstance(node, (PopAt, RegAt)):
+            # round k + m is round m of the shifted code
+            r = term_value(node.term, 0 if bound else None)
+            shifted = node.term.has_var
+            if isinstance(node, PopAt):
                 mask = want = pop(node.state, r)
             else:
                 at = slot(r, node.reg)
@@ -420,7 +415,7 @@ def validated(p: Protocol, psi, witness: Execution) -> AbstractConfig:
     ``ReplayFailure`` unless it satisfies ``psi``, by the reference
     evaluator of its flavor at its own active bound."""
     final = replay(p, witness, ABSTRACT)
-    if p.flavor == ROUNDLESS:
+    if p.flavor == ROUNDLESS:  # as eval_roundbased, with no bound to find
         holds = eval_roundless(final, psi)
     else:
         holds = eval_roundbased(p, final, psi)

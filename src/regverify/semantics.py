@@ -1,10 +1,12 @@
 """Concrete and abstract operational semantics for both protocol flavors.
 
-Configurations are immutable values.  Roundless populations range over state
-ids; round-based populations range over locations ``(state, round)``.
-Roundless register banks are dense tuples indexed by register; round-based
-banks are sparse frozensets of ``((round, register), symbol)`` holding only
+Configurations are immutable values over one model: a roundless
+configuration is the round-based one at round 0, where every process stays.
+Populations range over locations ``(state, round)``; register banks are
+sparse frozensets of ``((round, register), symbol)`` holding only
 non-initial entries, every other register reading as the initial symbol.
+Only the witness trace format tells the flavors apart: a roundless trace
+has no round column and no ``@``, and lists every register.
 
 All operations are pure functions of their inputs and safe to share across
 threads.  ``AbstractConfig`` and ``Move`` are named tuples, which cost about
@@ -20,26 +22,27 @@ from typing import NamedTuple
 
 from .errors import (EmptySupport, NotEnabled, NotInitialState,
                      ReplayFailure)
-from .model import D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol, Transition
+from .model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol,
+                    Transition)
 
 CONCRETE = "concrete"
 ABSTRACT = "abstract"
 
 
 class AbstractConfig(NamedTuple):
-    pop: frozenset  # state ids (roundless) or (state, round) locations
-    regs: object    # tuple of symbol ids, or frozenset of ((round, reg), sym)
+    pop: frozenset  # (state, round) locations
+    regs: frozenset  # ((round, reg), sym) with sym not d0
 
 
 @dataclass(frozen=True)
 class ConcreteConfig:
-    pop: tuple      # sorted ((element, count), ...) with count > 0
-    regs: object
+    pop: tuple      # sorted ((location, count), ...) with count > 0
+    regs: frozenset
 
 
 class Move(NamedTuple):
     trans: Transition
-    rnd: int | None = None   # round-based only
+    rnd: int = 0             # always 0 in a roundless protocol
     desert: bool = False     # abstract semantics only; ignored concretely
 
 
@@ -79,41 +82,25 @@ def mset_support(pop: tuple) -> frozenset:
     return frozenset(x for x, _ in pop)
 
 
-def initial_regs(p: Protocol):
-    if p.flavor == ROUNDLESS:
-        return (D0,) * p.register_count
-    return frozenset()
-
-
-def reg_get(p: Protocol, regs, key) -> int:
-    if p.flavor == ROUNDLESS:
-        return regs[key]
+def reg_get(regs, key) -> int:
     for k, v in regs:
         if k == key:
             return v
     return D0
 
 
-def reg_set(p: Protocol, regs, key, sym: int):
-    if p.flavor == ROUNDLESS:
-        out = list(regs)
-        out[key] = sym
-        return tuple(out)
+def reg_set(regs, key, sym: int):
     pruned = frozenset((k, v) for k, v in regs if k != key)
     if sym == D0:
         return pruned
     return pruned | {(key, sym)}
 
 
-def move_source(p: Protocol, m: Move):
-    if p.flavor == ROUNDLESS:
-        return m.trans.source
+def move_source(m: Move):
     return (m.trans.source, m.rnd)
 
 
-def move_dest(p: Protocol, m: Move):
-    if p.flavor == ROUNDLESS:
-        return m.trans.dest
+def move_dest(m: Move):
     rnd = m.rnd + 1 if m.trans.action.kind == INC else m.rnd
     return (m.trans.dest, rnd)
 
@@ -129,11 +116,7 @@ def initial_configuration(p: Protocol, support) -> AbstractConfig:
     if bad:
         names = ", ".join(sorted(p.state_names[q] for q in bad))
         raise NotInitialState(f"not initial: {names}")
-    if p.flavor == ROUNDLESS:
-        pop = support
-    else:
-        pop = frozenset((q, 0) for q in support)
-    return AbstractConfig(pop, initial_regs(p))
+    return AbstractConfig(frozenset((q, 0) for q in support), frozenset())
 
 
 def initial_supports(p: Protocol, vary):
@@ -155,27 +138,22 @@ def project(c: ConcreteConfig) -> AbstractConfig:
 
 # --- enabledness -------------------------------------------------------------
 
-def _check_action(p: Protocol, regs, act, rnd: int | None) -> None:
+def _check_action(p: Protocol, regs, act, rnd: int) -> None:
     """Raise NotEnabled unless the action's register precondition holds."""
     if act.kind == READ:
-        if p.flavor == ROUNDLESS:
-            key = act.reg
-        else:
-            target = rnd - act.depth
-            if target < 0:
-                raise NotEnabled(f"depth underflow: round {rnd} - {act.depth}")
-            key = (target, act.reg)
-        have = reg_get(p, regs, key)
+        target = rnd - (act.depth or 0)  # a roundless read has no depth
+        if target < 0:
+            raise NotEnabled(f"depth underflow: round {rnd} - {act.depth}")
+        have = reg_get(regs, (target, act.reg))
         if have != act.symbol:
             raise NotEnabled(
                 f"register mismatch: holds {p.symbol_names[have]}, "
                 f"read expects {p.symbol_names[act.symbol]}")
 
 
-def _apply_regs(p: Protocol, regs, act, rnd: int | None):
+def _apply_regs(regs, act, rnd: int):
     if act.kind == WRITE:
-        key = act.reg if p.flavor == ROUNDLESS else (rnd, act.reg)
-        return reg_set(p, regs, key, act.symbol)
+        return reg_set(regs, (rnd, act.reg), act.symbol)
     return regs
 
 
@@ -183,30 +161,26 @@ def _apply_regs(p: Protocol, regs, act, rnd: int | None):
 
 def concrete_step(p: Protocol, c: ConcreteConfig, m: Move) -> ConcreteConfig:
     """Unique concrete successor; the move's desert flag is ignored."""
-    if p.flavor == ROUNDBASED and m.rnd is None:
-        raise NotEnabled("round-based move needs a round")
-    src = move_source(p, m)
+    src = move_source(m)
     if mset_count(c.pop, src) == 0:
         raise NotEnabled("source empty")
     _check_action(p, c.regs, m.trans.action, m.rnd)
-    pop = mset_add(mset_add(c.pop, src, -1), move_dest(p, m), +1)
-    return ConcreteConfig(pop, _apply_regs(p, c.regs, m.trans.action, m.rnd))
+    pop = mset_add(mset_add(c.pop, src, -1), move_dest(m), +1)
+    return ConcreteConfig(pop, _apply_regs(c.regs, m.trans.action, m.rnd))
 
 
 def abstract_step(p: Protocol, c: AbstractConfig, m: Move) -> AbstractConfig:
     """Abstract successor honoring the move's desert flag."""
-    if p.flavor == ROUNDBASED and m.rnd is None:
-        raise NotEnabled("round-based move needs a round")
-    src = move_source(p, m)
+    src = move_source(m)
     if src not in c.pop:
         raise NotEnabled("source empty")
     _check_action(p, c.regs, m.trans.action, m.rnd)
-    dest = move_dest(p, m)
+    dest = move_dest(m)
     if m.desert:
         pop = (c.pop - {src}) | {dest}
     else:
         pop = c.pop | {dest}
-    return AbstractConfig(pop, _apply_regs(p, c.regs, m.trans.action, m.rnd))
+    return AbstractConfig(pop, _apply_regs(c.regs, m.trans.action, m.rnd))
 
 
 def replay(p: Protocol, exec: Execution, mode: str):
@@ -233,16 +207,16 @@ def replay_configs(p: Protocol, exec: Execution, mode: str) -> list:
 # --- witness trace format ------------------------------------------------------
 
 def format_pop_elem(p: Protocol, elem) -> str:
-    if p.flavor == ROUNDLESS:
-        return p.state_names[elem]
     q, k = elem
+    if p.flavor == ROUNDLESS:
+        return p.state_names[q]
     return f"{p.state_names[q]}@{k}"
 
 
 def format_regs(p: Protocol, regs) -> str:
-    if p.flavor == ROUNDLESS:
-        return " ".join(f"{j + 1}={p.symbol_names[s]}"
-                        for j, s in enumerate(regs))
+    if p.flavor == ROUNDLESS:  # every register, d0 included
+        return " ".join(f"{j + 1}={p.symbol_names[reg_get(regs, (0, j))]}"
+                        for j in range(p.register_count))
     return " ".join(f"{k}.{j + 1}={p.symbol_names[s]}"
                     for (k, j), s in sorted(regs))
 
@@ -307,25 +281,24 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
     elems = []
     for tok in toks[:cut]:
         if p.flavor == ROUNDLESS:
-            elems.append(p.state_id(tok))
+            elems.append((p.state_id(tok), 0))
         else:
             name, _, k = tok.rpartition("@")
             elems.append((p.state_id(name), _trace_int(k, start_line)))
-    regs = initial_regs(p)
+    regs = frozenset()
     for tok in toks[cut + 1:]:
         key_part, _, sym_name = tok.partition("=")
         sym = p.symbol_id(sym_name)
         if p.flavor == ROUNDLESS:
-            k, j = None, key_part
+            k, j = "0", key_part
         else:
             k, _, j = key_part.partition(".")
         j = _trace_int(j, start_line)
         if not 1 <= j <= p.register_count:
             raise ReplayFailure(
                 f"line {start_line}: register {j} out of range")
-        key = j - 1 if k is None else (_trace_int(k, start_line), j - 1)
-        regs = reg_set(p, regs, key, sym)
-    support = frozenset(e if p.flavor == ROUNDLESS else e[0] for e in elems)
+        regs = reg_set(regs, (_trace_int(k, start_line), j - 1), sym)
+    support = frozenset(q for q, _ in elems)
     try:
         initial = initial_configuration(p, support)
     except (EmptySupport, NotInitialState) as e:
@@ -345,7 +318,7 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
         toks = ln.split()
         if len(toks) < 4:
             raise ReplayFailure(f"line {lineno}: malformed step {ln!r}")
-        rnd = None
+        rnd = 0
         if p.flavor == ROUNDBASED:
             rnd = _trace_int(toks[0], lineno)
             toks = toks[1:]

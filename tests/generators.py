@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from regverify.constraints import And, Exists, Forall, Not, Or, Pop, PopAt, Reg, RegAt, Term
+from regverify.constraints import (ROUND0, And, Exists, Forall, Not, Or, PopAt,
+                                   RegAt, Term)
 from regverify.model import (INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Action,
                              Protocol, Transition)
 from regverify.semantics import Execution, initial_configuration
@@ -42,9 +43,9 @@ def random_protocol(rng: random.Random, max_states=5, max_symbols=3,
 def random_constraint(rng: random.Random, p: Protocol):
     def atom():
         if rng.random() < 0.6:
-            return Pop(rng.randrange(p.num_states))
-        return Reg(rng.randrange(p.register_count),
-                   rng.randrange(p.num_symbols))
+            return PopAt(rng.randrange(p.num_states), ROUND0)
+        return RegAt(rng.randrange(p.register_count), ROUND0,
+                     rng.randrange(p.num_symbols))
 
     def node(depth):
         r = rng.random()
@@ -60,10 +61,10 @@ def random_constraint(rng: random.Random, p: Protocol):
 def random_dnf_constraint(rng: random.Random, p: Protocol):
     def literal():
         if rng.random() < 0.6:
-            a = Pop(rng.randrange(p.num_states))
+            a = PopAt(rng.randrange(p.num_states), ROUND0)
         else:
-            a = Reg(rng.randrange(p.register_count),
-                    rng.randrange(p.num_symbols))
+            a = RegAt(rng.randrange(p.register_count), ROUND0,
+                      rng.randrange(p.num_symbols))
         return Not(a) if rng.random() < 0.4 else a
 
     clauses = tuple(And(tuple(literal() for _ in range(rng.randrange(1, 4))))

@@ -19,8 +19,8 @@ from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
                              Action, Protocol, Transition)
 from regverify.semantics import (ABSTRACT, CONCRETE, AbstractConfig,
                                  ConcreteConfig, Execution, Move,
-                                 concrete_step, initial_regs, move_dest,
-                                 move_source, mset_add, mset_count, multiset,
+                                 concrete_step, move_dest, move_source,
+                                 mset_add, mset_count, multiset, reg_get,
                                  replay, replay_configs)
 
 
@@ -472,21 +472,18 @@ def concrete_initial(p: Protocol, counts: dict) -> ConcreteConfig:
     bad = set(counts) - p.initial_states
     if bad:
         raise NotInitialState(f"not initial: {sorted(bad)}")
-    if p.flavor == ROUNDLESS:
-        pop = tuple(sorted((q, n) for q, n in counts.items() if n > 0))
-    else:
-        pop = tuple(sorted(((q, 0), n) for q, n in counts.items() if n > 0))
-    return ConcreteConfig(pop, initial_regs(p))
+    pop = tuple(sorted(((q, 0), n) for q, n in counts.items() if n > 0))
+    return ConcreteConfig(pop, frozenset())
 
 
 def copycat_extend(p: Protocol, exec: Execution, target) -> Execution:
     """Add one process retracing another's path to ``target``.
 
-    ``exec`` is concrete and ``target`` (a state id, or a location for
-    round-based protocols) must be populated in its final configuration.  The
-    result replays from the start population plus one process on some initial
-    support member, and ends at the final population plus one process on
-    ``target`` with identical register values.
+    ``exec`` is concrete and the location ``target`` must be populated in
+    its final configuration.  The result replays from the start population
+    plus one process on some initial support member, and ends at the final
+    population plus one process on ``target`` with identical register
+    values.
     """
     configs = replay_configs(p, exec, CONCRETE)
     if mset_count(configs[-1].pop, target) == 0:
@@ -495,9 +492,9 @@ def copycat_extend(p: Protocol, exec: Execution, target) -> Execution:
     dup = [False] * len(exec.moves)
     for i in reversed(range(len(exec.moves))):
         m = exec.moves[i]
-        if tracked == move_dest(p, m):
+        if tracked == move_dest(m):
             dup[i] = True
-            tracked = move_source(p, m)
+            tracked = move_source(m)
     new_start = ConcreteConfig(mset_add(exec.start.pop, tracked, +1),
                                exec.start.regs)
     moves: list[Move] = []
@@ -525,7 +522,7 @@ def abstract_to_concrete(p: Protocol, exec: Execution) -> Execution:
     cur_moves: list[Move] = []
     cur = cur_start
     for m in exec.moves:
-        src = move_source(p, m)
+        src = move_source(m)
         if m.desert:
             for _ in range(mset_count(cur.pop, src)):
                 cur_moves.append(m)
@@ -577,8 +574,10 @@ def apc_leaves(psi) -> list:
     return out
 
 
-def clause_holds(dec: ClauseDecomposition, S: frozenset, regs: tuple) -> bool:
-    """Whether populated states ``S`` and registers ``regs`` meet a clause."""
+def clause_holds(dec: ClauseDecomposition, c: AbstractConfig) -> bool:
+    """Whether a roundless configuration meets a clause."""
+    S = {q for q, _ in c.pop}
     return (dec.q_plus <= S
             and not (dec.q_minus & S)
-            and all(regs[j] in ok for j, ok in enumerate(dec.d_ok)))
+            and all(reg_get(c.regs, (0, j)) in ok
+                    for j, ok in enumerate(dec.d_ok)))

@@ -441,6 +441,19 @@ def witness_to(rs: ReachSet, config: AbstractConfig) -> Execution:
     return Execution(config, tuple(moves))
 
 
+def roundless_config(states, regs=()) -> AbstractConfig:
+    """The roundless configuration with ``states`` populated and register j
+    holding symbol ``regs[j]``: the round-0 locations ``(q, 0)`` and the
+    sparse registers ``((0, j), a)`` that do not hold d0."""
+    return AbstractConfig(frozenset((q, 0) for q in states),
+                          roundless_regs(regs))
+
+
+def roundless_regs(regs) -> frozenset:
+    """A roundless bank, register j holding ``regs[j]``, as round-0 entries."""
+    return frozenset(((0, j), a) for j, a in enumerate(regs) if a != D0)
+
+
 def abstract_successors(p: Protocol, c: AbstractConfig,
                         window: tuple[int, int] | None = None):
     """All pairs (move, successor) of the abstract step relation.
@@ -448,26 +461,24 @@ def abstract_successors(p: Protocol, c: AbstractConfig,
     Round-based protocols need an explicit ``window = (lo, hi)`` bounding the
     rounds a generated move may have an effect on (a move at round k has
     effect on round k, an increment also on round k+1); the move set is
-    infinite otherwise.  Roundless protocols ignore the window.
+    infinite otherwise.  A roundless protocol's moves are at round 0,
+    whatever the window.
 
     Both the deserting and non-deserting variant of each enabled transition
     are produced unless they coincide.
     """
     out = []
     if p.flavor == ROUNDLESS:
-        rounds = [None]
-    else:
-        if window is None:
-            raise ValueError("round-based successors need a round window")
-        lo, hi = max(window[0], 0), window[1]
-        rounds = range(lo, hi + 1)
+        window = (0, 0)  # every roundless move is at round 0
+    elif window is None:
+        raise ValueError("round-based successors need a round window")
+    lo, hi = max(window[0], 0), window[1]
     for t in p.transitions:
-        for rnd in rounds:
-            if p.flavor == ROUNDBASED:
-                if t.action.kind == INC and rnd + 1 > hi:
-                    continue
-                if t.action.kind == READ and rnd - t.action.depth < 0:
-                    continue
+        for rnd in range(lo, hi + 1):
+            if t.action.kind == INC and rnd + 1 > hi:
+                continue
+            if t.action.kind == READ and rnd - (t.action.depth or 0) < 0:
+                continue
             for desert in (False, True):
                 m = Move(t, rnd, desert)
                 try:

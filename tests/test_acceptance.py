@@ -258,7 +258,8 @@ def _concrete_reach_patterns(p, max_processes: int) -> set:
     initials = sorted(p.initial_states)
     for n in range(1, max_processes + 1):
         for split in itertools.combinations_with_replacement(initials, n):
-            start = ConcreteConfig(multiset(split), (0,) * p.register_count)
+            start = ConcreteConfig(multiset((q, 0) for q in split),
+                                   frozenset())
             seen = {start}
             stack = [start]
             while stack:

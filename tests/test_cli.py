@@ -12,6 +12,7 @@ from regverify import oracle
 from regverify.cli import main
 from regverify.constraints import MAX_NESTING
 from regverify.model import parse_protocol
+from regverify.semantics import parse_trace, write_trace
 
 
 @pytest.fixture(scope="module")
@@ -466,3 +467,40 @@ def test_console_entry_point():
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert "fig1" in r.stdout
+
+
+TWO_REGS = """\
+flavor: roundless
+states: q0 A qf
+initial: q0
+registers: 2
+alphabet: d0 a
+transitions:
+  q0 write(1, a) A
+  A read(1, a) qf
+"""
+
+
+def test_roundless_trace_text_is_pinned(capsys, tmp_path):
+    """A roundless trace has no round column and no ``@``, and lists every
+    register, d0 included; replay prints the same way."""
+    prot = tmp_path / "p.prot"
+    prot.write_text(TWO_REGS)
+    (tmp_path / "c.pc").write_text("(pop qf)\n")
+    wit = tmp_path / "w.trace"
+    code, _, _ = run(capsys, "check", "prp", str(prot),
+                     str(tmp_path / "c.pc"), "--algo", "bounded",
+                     "--emit-witness", str(wit))
+    assert code == 0
+    assert wit.read_text() == (
+        "trace: roundless abstract\nstart: q0 | 1=d0 2=d0\nsteps:\n"
+        "  q0 write(1, a) A keep\n  A read(1, a) qf keep\n")
+    assert run(capsys, "replay", str(prot), str(wit)) == (
+        0, "final: q0 A qf | 1=a 2=d0\n", "")
+    concrete = ("trace: roundless concrete\nstart: q0 q0 q0 | 1=d0 2=d0\n"
+                "steps:\n  q0 write(1, a) A desert\n")
+    p = parse_protocol(TWO_REGS)
+    assert write_trace(p, *parse_trace(p, concrete)) == concrete
+    (tmp_path / "c.trace").write_text(concrete)
+    assert run(capsys, "replay", str(prot), str(tmp_path / "c.trace")) == (
+        0, "final: q0*2 A*1 | 1=a 2=d0\n", "")

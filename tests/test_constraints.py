@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from regverify.constraints import (MAX_NESTING, And, Exists, Forall, Not,
-                                   Or, Pop, PopAt, Reg, RegAt, FALSE, TRUE,
+from regverify.constraints import (MAX_NESTING, ROUND0, And, Exists, Forall,
+                                   Not, Or, PopAt, RegAt, FALSE, TRUE,
                                    Term, _is_quantifier_or_atom,
                                    _quantified_entries,
                                    closed_atoms_of,
                                    decompose_apcs, dnf_clauses,
-                                   eval_roundbased, eval_roundless,
+                                   eval_prop_at, eval_roundbased,
+                                   eval_roundless,
                                    forcing_literal_sets, format_constraint,
                                    ground,
                                    max_constant, parse_round_constraint,
@@ -21,12 +22,14 @@ from regverify.constraints import (MAX_NESTING, And, Exists, Forall, Not,
 from regverify.errors import ConstraintSyntaxError, NotDNF
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
-from regverify.semantics import AbstractConfig, ConcreteConfig, multiset, project
+from regverify.semantics import (AbstractConfig, ConcreteConfig, multiset,
+                                 project)
 
 from generators import (random_constraint, random_protocol,
                         random_rb_protocol)
 from lemmas import apc_leaves, clause_holds
 from reference import (eval_with_assignment, full_quantified_entries,
+                       members, reach, roundless_config, roundless_regs,
                        truth_table_prime_implicants)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
@@ -47,14 +50,14 @@ def test_example_22_evaluations():
     phi = rl(EX22, CONSTRAINTS["ex22_phi"].text)
     q1, q2, q3 = (EX22.state_id(n) for n in ("q1", "q2", "q3"))
     d0, a, b = (EX22.symbol_id(n) for n in ("d0", "a", "b"))
-    assert eval_roundless(AbstractConfig(frozenset({q1, q3}), (d0, d0)), phi)
-    assert eval_roundless(AbstractConfig(frozenset({q2}), (a, b)), phi)
-    assert not eval_roundless(AbstractConfig(frozenset({q2}), (b, b)), phi)
+    assert eval_roundless(roundless_config({q1, q3}, (d0, d0)), phi)
+    assert eval_roundless(roundless_config({q2}, (a, b)), phi)
+    assert not eval_roundless(roundless_config({q2}, (b, b)), phi)
 
 
 def test_tautology_on_any_configuration():
     phi = rl(FIG1, "(or (pop qf) (not (pop qf)))")
-    c = AbstractConfig(frozenset({FIG1.state_id("q0")}), (0,))
+    c = roundless_config({FIG1.state_id("q0")}, (0,))
     assert eval_roundless(c, phi)
 
 
@@ -63,8 +66,9 @@ def test_concrete_evaluates_as_projection():
     phi = rl(FIG1, CONSTRAINTS["ex26_phi"].text)
     states = list(range(FIG1.num_states))
     for _ in range(200):
-        pop = multiset(rng.choices(states, k=rng.randrange(1, 6)))
-        regs = (rng.randrange(FIG1.num_symbols),)
+        pop = multiset((q, 0) for q in rng.choices(states,
+                                                   k=rng.randrange(1, 6)))
+        regs = roundless_regs((rng.randrange(FIG1.num_symbols),))
         c = ConcreteConfig(pop, regs)
         assert eval_roundless(c, phi) == eval_roundless(project(c), phi)
 
@@ -114,12 +118,10 @@ def test_tail_agrees_with_truncated_bruteforce():
             def explicit(limit):
                 def ev(node):
                     if isinstance(node, Forall):
-                        from regverify.constraints import eval_prop_at
-                        return all(eval_prop_at(EX42, c, node.prop, k)
+                        return all(eval_prop_at(c, node.prop, k)
                                    for k in range(limit))
                     if isinstance(node, Exists):
-                        from regverify.constraints import eval_prop_at
-                        return any(eval_prop_at(EX42, c, node.prop, k)
+                        return any(eval_prop_at(c, node.prop, k)
                                    for k in range(limit))
                     if isinstance(node, And):
                         return all(ev(x) for x in node.children)
@@ -127,8 +129,7 @@ def test_tail_agrees_with_truncated_bruteforce():
                         return any(ev(x) for x in node.children)
                     if isinstance(node, Not):
                         return not ev(node.child)
-                    from regverify.constraints import eval_prop_at
-                    return eval_prop_at(EX42, c, node, None)
+                    return eval_prop_at(c, node, None)
                 return ev(psi)
 
             # for universals, truncation can only agree once deep enough that
@@ -217,8 +218,8 @@ def test_nodes_of_different_types_differ():
     body = PopAt(0, Term(True, 0))
     assert Exists(body) != Forall(body)
     assert TRUE != FALSE
-    assert And((Pop(0),)) != Or((Pop(0),))
-    assert Pop(0) != Not(0)
+    assert And((PopAt(0, ROUND0),)) != Or((PopAt(0, ROUND0),))
+    assert PopAt(0, ROUND0) != Not(0)
     assert rb(EX42, "(exists k (pop q0 (+ k 0)))") != \
         rb(EX42, "(forall k (pop q0 (+ k 0)))")
     assert len({TRUE, FALSE, Exists(body), Forall(body)}) == 4
@@ -267,9 +268,26 @@ def test_dnf_clauses_agree_with_eval():
     for _ in range(1000):
         S = frozenset(rng.sample(states, rng.randrange(1, 5)))
         regs = (rng.randrange(FIG1.num_symbols),)
-        direct = eval_roundless(AbstractConfig(S, regs), phi)
-        via = any(d.satisfiable and clause_holds(d, S, regs) for d in decs)
+        c = roundless_config(S, regs)
+        direct = eval_roundless(c, phi)
+        via = any(d.satisfiable and clause_holds(d, c) for d in decs)
         assert direct == via
+
+
+def test_roundless_and_roundbased_evaluators_agree():
+    # a roundless configuration is the round-0 one, and so is a roundless
+    # atom: the round-based evaluator reads it as the roundless one does,
+    # which ``oracle.validated`` relies on to use the cheaper one
+    seen = {True: 0, False: 0}
+    for seed in range(500):
+        rng = random.Random(f"evaluators:{seed}")
+        p = random_protocol(rng)
+        phi = random_constraint(rng, p)
+        for c in members(reach(p)):
+            holds = eval_roundless(c, phi)
+            assert holds == eval_roundbased(p, c, phi), (seed, c)
+            seen[holds] += 1
+    assert min(seen.values()) > 2500, seen
 
 
 def test_to_dnf_preserves_meaning():
@@ -281,7 +299,7 @@ def test_to_dnf_preserves_meaning():
     for _ in range(500):
         S = frozenset(rng.sample(states, rng.randrange(1, 5)))
         regs = (rng.randrange(FIG1.num_symbols),)
-        c = AbstractConfig(S, regs)
+        c = roundless_config(S, regs)
         assert eval_roundless(c, phi) == eval_roundless(c, dnf)
 
 
@@ -302,7 +320,7 @@ def test_to_dnf_preserves_meaning_on_random_constraints():
         for n in range(p.num_states + 1):
             for S in itertools.combinations(range(p.num_states), n):
                 for d in range(p.num_symbols):
-                    c = AbstractConfig(frozenset(S), (d,))
+                    c = roundless_config(S, (d,))
                     assert eval_roundless(c, phi) == eval_roundless(c, dnf)
         checked += 1
     assert checked > 100
@@ -310,7 +328,7 @@ def test_to_dnf_preserves_meaning_on_random_constraints():
 
 def _in_nnf(node) -> bool:
     if isinstance(node, Not):
-        return isinstance(node.child, (Pop, Reg, PopAt, RegAt))
+        return isinstance(node.child, (PopAt, RegAt))
     if isinstance(node, (And, Or)):
         return all(type(x) is not type(node) and _in_nnf(x)
                    for x in node.children)
@@ -330,18 +348,17 @@ def test_nnf_keeps_meaning_and_shape(flavor):
     for _ in range(300):
         if flavor == "roundless":
             p = random_protocol(rng)
-            atoms = [Pop(q) for q in range(p.num_states)] + [
-                Reg(j, a) for j in range(p.register_count)
+            atoms = [PopAt(q, ROUND0) for q in range(p.num_states)] + [
+                RegAt(j, ROUND0, a) for j in range(p.register_count)
                 for a in range(p.num_symbols)]
             f = _random_formula(rng, rng.sample(atoms, min(len(atoms), 5)),
                                 4)
 
             def config():
-                return AbstractConfig(
-                    frozenset(q for q in range(p.num_states)
-                              if rng.random() < 0.5),
-                    tuple(rng.randrange(p.num_symbols)
-                          for _ in range(p.register_count)))
+                return roundless_config(
+                    [q for q in range(p.num_states) if rng.random() < 0.5],
+                    [rng.randrange(p.num_symbols)
+                     for _ in range(p.register_count)])
             holds = eval_roundless
         else:
             p = random_rb_protocol(rng)
@@ -378,13 +395,16 @@ def test_nnf_keeps_meaning_and_shape(flavor):
 
 def test_to_dnf_guard_counts_distinct_clauses():
     def disjoint(n):  # 2**n distinct clauses
-        return And(tuple(Or((Pop(2 * i), Pop(2 * i + 1))) for i in range(n)))
+        return And(tuple(Or((PopAt(2 * i, ROUND0), PopAt(2 * i + 1, ROUND0)))
+                         for i in range(n)))
     assert len(to_dnf(disjoint(12)).children) == 4096
     with pytest.raises(NotDNF, match="exceeds the size guard"):
         to_dnf(disjoint(13))
     # 2**13 clauses with repeats, but only 3 * 3 distinct literal sets
-    x = Or((Pop(FIG1.state_id("q0")), Reg(0, FIG1.symbol_id("a"))))
-    y = Or((Pop(FIG1.state_id("A")), Reg(0, FIG1.symbol_id("b"))))
+    x = Or((PopAt(FIG1.state_id("q0"), ROUND0),
+            RegAt(0, ROUND0, FIG1.symbol_id("a"))))
+    y = Or((PopAt(FIG1.state_id("A"), ROUND0),
+            RegAt(0, ROUND0, FIG1.symbol_id("b"))))
     dnf = to_dnf(And(tuple(x if i % 2 == 0 else y for i in range(13))))
     assert dnf.children[0] == And((x.children[0], y.children[0]))
 

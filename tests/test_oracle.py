@@ -7,7 +7,7 @@ import pytest
 import reference
 from reference import (abstract_successors, compile_constraint, members,
                        order, packed_bfs, packed_window, parents, reach,
-                       witness_to)
+                       roundless_config, witness_to)
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from regverify import oracle
@@ -35,22 +35,22 @@ FIG4 = PROTOCOLS["fig4"]
 
 def test_fig1_reach_contains_qf_c_a():
     rs = reach(FIG1)
-    want = AbstractConfig(frozenset({FIG1.state_id("qf"), FIG1.state_id("C")}),
-                          (FIG1.symbol_id("a"),))
+    want = roundless_config({FIG1.state_id("qf"), FIG1.state_id("C")},
+                            (FIG1.symbol_id("a"),))
     assert want in members(rs)
 
 
 def test_blue_variant_never_covers_qf():
     rs = reach(FIG1_BLUE)
     qf = FIG1_BLUE.state_id("qf")
-    assert all(qf not in c.pop for c in members(rs))
+    assert all((qf, 0) not in c.pop for c in members(rs))
 
 
 def test_no_transition_protocol_reach():
     p = parse_protocol("flavor: roundless\nstates: q0\ninitial: q0\n"
                        "registers: 1\nalphabet: d0\ntransitions:\n")
     rs = reach(p)
-    assert members(rs) == {AbstractConfig(frozenset({0}), (0,))}
+    assert members(rs) == {roundless_config({0}, (0,))}
 
 
 @pytest.mark.parametrize("text", ["true", "(not (pop a))"])
@@ -258,8 +258,9 @@ def test_default_round_cap_formula():
 
 # --- discovery order, pinned on the built-in examples -------------------------
 
-FIG1_WITNESS = ["q0 read(1, d0) B", "B read(1, d0) C", "q0 write(1, c) A",
-                "C write(1, a) C", "A read(1, a) qf"]
+FIG1_WITNESS = ["q0 read(1, d0) B @0", "B read(1, d0) C @0",
+                "q0 write(1, c) A @0", "C write(1, a) C @0",
+                "A read(1, a) qf @0"]
 FIG4_WITNESS = ["q0 inc q0 @0", "q0 inc q0 @1", "q0 write(1, a) A @1",
                 "A read(-1, 1, d0) B @1", "q0 write(1, a) A @0",
                 "B read(-1, 1, a) C @1", "C write(1, b) q0 @1",
@@ -275,7 +276,7 @@ def _move_texts(p, verdict):
         return None
     return [f"{p.state_names[m.trans.source]} "
             f"{format_action(p, m.trans.action)} {p.state_names[m.trans.dest]}"
-            + ("" if m.rnd is None else f" @{m.rnd}")
+            + f" @{m.rnd}"
             + (" desert" if m.desert else "") for m in verdict.witness.moves]
 
 
@@ -743,7 +744,7 @@ def test_witness_the_evaluator_rejects_raises_replay_failure(monkeypatch,
 
 def test_witness_that_misses_the_hit_raises_replay_failure(monkeypatch):
     # the replay ends elsewhere, at a configuration the evaluator accepts
-    elsewhere = AbstractConfig(frozenset(), (0,))
+    elsewhere = roundless_config((), (0,))
     monkeypatch.setattr(oracle, "replay", lambda p, w, mode: elsewhere)
     monkeypatch.setattr(oracle, "eval_roundless", lambda *a, **k: True)
     phi = cover_constraint(FIG1, FIG1.state_id("qf"))

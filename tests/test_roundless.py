@@ -28,7 +28,8 @@ from reference import (abstract_successors, compute_cocov_set,
                        compute_cov_set, first_write_orders,
                        fixed_r_exhaustive, members, reach,
                        rescanning_closure, rescanning_cocov_set,
-                       rescanning_cov_set, saturate_phases, validate)
+                       rescanning_cov_set, roundless_config,
+                       saturate_phases, validate)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -47,7 +48,7 @@ def test_bounded_cover_fig1_positive_with_short_witness():
     assert v.answer == "positive"
     assert len(v.witness.moves) <= witness_bound(FIG1) == 20
     final = replay(FIG1, v.witness, ABSTRACT)
-    assert FIG1.state_id("qf") in final.pop
+    assert (FIG1.state_id("qf"), 0) in final.pop
 
 
 def test_bounded_prp_example_26_negative():
@@ -136,7 +137,7 @@ def test_closure_routes_cover_exactly_the_reachable_states():
             random.Random(seed), max_states=8, max_regs=3,
             uninitialized=seed % 2 == 0)))
     for name, p in protocols:
-        populated = set().union(*(c.pop for c in members(reach(p))))
+        populated = {q for c in members(reach(p)) for q, _ in c.pop}
         phases = set().union(*(saturate_phases(p, o)
                                for o in first_write_orders(p)))
         assert phases == populated, name
@@ -342,15 +343,13 @@ def cocov_oracle(p: Protocol, dec) -> set:
     for every symbol a, some clause-satisfying configuration is reachable."""
     import itertools
 
-    from regverify.semantics import AbstractConfig
-
     def qualifies(S: frozenset) -> bool:
         for a in range(p.num_symbols):
-            start = AbstractConfig(S, (a,))
+            start = roundless_config(S, (a,))
             seen, stack, good = {start}, [start], False
             while stack:
                 c = stack.pop()
-                if dec.satisfiable and clause_holds(dec, c.pop, c.regs):
+                if dec.satisfiable and clause_holds(dec, c):
                     good = True
                     break
                 for _, s in abstract_successors(p, c):

@@ -8,20 +8,26 @@ from regverify.errors import (EmptySupport, NotEnabled, NotInitialState,
                               ReplayFailure)
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
-from regverify.semantics import (ABSTRACT, CONCRETE, AbstractConfig,
-                                 ConcreteConfig, Execution, Move,
+from regverify.semantics import (ABSTRACT, CONCRETE, ConcreteConfig,
+                                 Execution, Move,
                                  concrete_step, initial_configuration,
                                  initial_supports, mset_count, multiset,
                                  parse_trace, project, replay, write_trace)
 
 from lemmas import (TargetNotPopulated, abstract_to_concrete,
                     concrete_initial, copycat_extend)
-from reference import abstract_successors
+from reference import abstract_successors, roundless_config, roundless_regs
 
 PROTOCOLS, _ = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
 FIG1_RED = PROTOCOLS["fig1_red"]
 FIG4 = PROTOCOLS["fig4"]
+
+
+def locs(p, names: str) -> list:
+    """The round-0 locations of the named states, as a roundless
+    population holds them."""
+    return [(p.state_id(n), 0) for n in names.split()]
 
 
 def find_transition(p, src, action_kind, dest, symbol=None):
@@ -63,14 +69,14 @@ def example_26_red_execution():
 
 def test_example_22_replays_to_qf_plus_c():
     final = replay(FIG1, example_22_execution(), CONCRETE)
-    assert final.pop == multiset([FIG1.state_id("qf"), FIG1.state_id("C")])
-    assert final.regs == (FIG1.symbol_id("a"),)
+    assert final.pop == multiset(locs(FIG1, "qf C"))
+    assert final.regs == roundless_regs((FIG1.symbol_id("a"),))
 
 
 def test_example_26_red_replays_to_two_qf():
     final = replay(FIG1_RED, example_26_red_execution(), CONCRETE)
-    assert final.pop == multiset([FIG1_RED.state_id("qf")] * 2)
-    assert final.regs == (FIG1_RED.symbol_id("a"),)
+    assert final.pop == multiset(locs(FIG1_RED, "qf qf"))
+    assert final.regs == roundless_regs((FIG1_RED.symbol_id("a"),))
 
 
 def test_empty_execution_replays_to_start():
@@ -83,7 +89,7 @@ def test_concrete_step_examples():
     c = concrete_initial(FIG1, {q0: 2})
     m = Move(find_transition(FIG1, "q0", "read", "B", "d0"))
     c2 = concrete_step(FIG1, c, m)
-    assert mset_count(c2.pop, q0) == 1 and mset_count(c2.pop, B) == 1
+    assert mset_count(c2.pop, (q0, 0)) == 1 and mset_count(c2.pop, (B, 0)) == 1
     # reading a symbol the register does not hold is not enabled
     bad = Move(find_transition(FIG1, "A", "read", "qf", "a"))
     with pytest.raises(NotEnabled):
@@ -96,7 +102,7 @@ def test_initial_configuration_errors():
     with pytest.raises(NotInitialState):
         initial_configuration(FIG1, {FIG1.state_id("A")})
     c = initial_configuration(FIG1, {FIG1.state_id("q0")})
-    assert c.pop == {FIG1.state_id("q0")} and c.regs == (0,)
+    assert c == roundless_config({FIG1.state_id("q0")}, (0,))
     c4 = initial_configuration(FIG4, {FIG4.state_id("q0")})
     assert c4.pop == {(FIG4.state_id("q0"), 0)} and c4.regs == frozenset()
 
@@ -128,12 +134,12 @@ def test_initial_supports_fix_each_initial_state_outside_vary(
 def test_project():
     q0 = FIG1.state_id("q0")
     c = concrete_initial(FIG1, {q0: 2})
-    assert project(c) == AbstractConfig(frozenset({q0}), (0,))
+    assert project(c) == roundless_config({q0}, (0,))
     configs = [c]
     for m in example_22_execution().moves:
         configs.append(concrete_step(FIG1, configs[-1], m))
     A, C = FIG1.state_id("A"), FIG1.state_id("C")
-    assert project(configs[3]).pop == frozenset({A, C})
+    assert project(configs[3]).pop == roundless_config({A, C}).pop
 
 
 def test_abstract_successors_fig1_initial():
@@ -142,20 +148,21 @@ def test_abstract_successors_fig1_initial():
     q0, A, B = (FIG1.state_id(n) for n in ("q0", "A", "B"))
     pops = {(m.desert, s.pop, s.regs) for m, s in succs}
     cid = FIG1.symbol_id("c")
-    assert (False, frozenset({q0, B}), (0,)) in pops
-    assert (True, frozenset({B}), (0,)) in pops
-    assert (False, frozenset({q0, A}), (cid,)) in pops
-    assert (True, frozenset({A}), (cid,)) in pops
+    assert (False, *roundless_config({q0, B}, (0,))) in pops
+    assert (True, *roundless_config({B}, (0,))) in pops
+    assert (False, *roundless_config({q0, A}, (cid,))) in pops
+    assert (True, *roundless_config({A}, (cid,))) in pops
     assert len(succs) == 4
 
 
 def test_abstract_successors_qf_on_a():
     qf, A = FIG1.state_id("qf"), FIG1.state_id("A")
-    c = AbstractConfig(frozenset({qf}), (FIG1.symbol_id("a"),))
+    c = roundless_config({qf}, (FIG1.symbol_id("a"),))
     succs = abstract_successors(FIG1, c)
     b = FIG1.symbol_id("b")
-    results = {(s.pop, s.regs) for _, s in succs}
-    assert results == {(frozenset({qf, A}), (b,)), (frozenset({A}), (b,))}
+    results = {s for _, s in succs}
+    assert results == {roundless_config({qf, A}, (b,)),
+                       roundless_config({A}, (b,))}
 
 
 def test_abstract_successors_empty_protocol():
@@ -178,26 +185,25 @@ def test_abstract_successors_roundbased_window():
 
 def test_copycat_extend_example_22():
     exec_ = example_22_execution()
-    ext = copycat_extend(FIG1, exec_, FIG1.state_id("C"))
-    q0, C, qf = (FIG1.state_id(n) for n in ("q0", "C", "qf"))
-    assert ext.start.pop == multiset([q0] * 3)
+    ext = copycat_extend(FIG1, exec_, (FIG1.state_id("C"), 0))
+    assert ext.start.pop == multiset(locs(FIG1, "q0 q0 q0"))
     final = replay(FIG1, ext, CONCRETE)
-    assert final.pop == multiset([qf, C, C])
-    assert final.regs == (FIG1.symbol_id("a"),)
+    assert final.pop == multiset(locs(FIG1, "qf C C"))
+    assert final.regs == roundless_regs((FIG1.symbol_id("a"),))
 
 
 def test_copycat_extend_length_zero():
     q0 = FIG1.state_id("q0")
     start = concrete_initial(FIG1, {q0: 1})
-    ext = copycat_extend(FIG1, Execution(start, ()), q0)
+    ext = copycat_extend(FIG1, Execution(start, ()), (q0, 0))
     assert ext.moves == ()
-    assert ext.start.pop == multiset([q0, q0])
+    assert ext.start.pop == multiset(locs(FIG1, "q0 q0"))
 
 
 def test_copycat_target_not_populated():
     start = concrete_initial(FIG1, {FIG1.state_id("q0"): 1})
     with pytest.raises(TargetNotPopulated):
-        copycat_extend(FIG1, Execution(start, ()), FIG1.state_id("qf"))
+        copycat_extend(FIG1, Execution(start, ()), (FIG1.state_id("qf"), 0))
 
 
 def test_copycat_preserves_final_population_plus_one(seeded_random=None):
@@ -243,7 +249,7 @@ def test_abstract_to_concrete_example_22_shape():
     ]
     aexec = Execution(initial_configuration(FIG1, {q0}), tuple(moves))
     afinal = replay(FIG1, aexec, ABSTRACT)
-    assert afinal == AbstractConfig(frozenset({qf, C}), (a,))
+    assert afinal == roundless_config({qf, C}, (a,))
     cexec = abstract_to_concrete(FIG1, aexec)
     cfinal = replay(FIG1, cexec, CONCRETE)
     assert project(cfinal) == afinal
@@ -254,7 +260,7 @@ def test_abstract_to_concrete_length_zero():
     q0 = FIG1.state_id("q0")
     aexec = Execution(initial_configuration(FIG1, {q0}), ())
     cexec = abstract_to_concrete(FIG1, aexec)
-    assert cexec.start == ConcreteConfig(multiset([q0]), (0,))
+    assert cexec.start == ConcreteConfig(multiset([(q0, 0)]), frozenset())
 
 
 def test_simulation_concrete_step_projects_to_abstract_step():
@@ -274,7 +280,7 @@ def test_simulation_concrete_step_projects_to_abstract_step():
             if not options:
                 break
             m, nxt = rng.choice(options)
-            deserting = mset_count(nxt.pop, m.trans.source) == 0
+            deserting = mset_count(nxt.pop, (m.trans.source, 0)) == 0
             am = Move(m.trans, desert=deserting)
             assert abstract_step(FIG1, project(cur), am) == project(nxt)
             cur = nxt
