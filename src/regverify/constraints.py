@@ -21,7 +21,7 @@ constant-round atoms keep their value.  Evaluation therefore checks rounds
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import ConstraintSyntaxError, NotDNF
 from .model import ROUNDLESS, Protocol
@@ -34,49 +34,63 @@ MAX_DNF_CLAUSES = 4096  # distinct clauses ``to_dnf`` may keep
 
 # --- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     has_var: bool
     offset: int
 
 
-@dataclass(frozen=True)
-class PopAt:
+class PopAt(NamedTuple):
     state: int
     term: Term
 
 
-@dataclass(frozen=True)
-class RegAt:
+class RegAt(NamedTuple):
     reg: int
     term: Term
     symbol: int
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     child: object
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     children: tuple
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     children: tuple
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(NamedTuple):
     prop: object
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(NamedTuple):
     prop: object
 
+
+def _node_eq(a, b) -> bool:
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+def _node_ne(a, b) -> bool:
+    return not _node_eq(a, b)
+
+
+def _node_hash(a) -> int:
+    return hash((a._tag, *a))
+
+
+# Nodes are named tuples, but equal and hash apart across types, so that
+# ``TRUE != FALSE``, ``Exists(x) != Forall(x)`` and no node equals the plain
+# tuple of its fields (a compiled bit test in ``oracle``).  The tag keeps
+# hashes, and so set orders, the same in every process.
+for _tag, _cls in enumerate((Term, PopAt, RegAt, Not, And, Or, Exists,
+                             Forall)):
+    _cls._tag = _tag
+    _cls.__eq__, _cls.__ne__, _cls.__hash__ = _node_eq, _node_ne, _node_hash
+del _tag, _cls
 
 TRUE = And(())
 FALSE = Or(())
@@ -310,7 +324,7 @@ def negated_states(node, positive: bool = True) -> frozenset:
     raise TypeError(f"not a constraint node: {node!r}")
 
 
-def config_active_bound(p: Protocol, c: AbstractConfig) -> int:
+def config_active_bound(c: AbstractConfig) -> int:
     """Smallest bound beyond which the configuration is all-empty."""
     rounds = [k for _, k in c.pop]
     rounds.extend(k for (k, _), _ in c.regs)
@@ -328,14 +342,13 @@ def eval_roundbased(p: Protocol, c: AbstractConfig, psi,
     tail, which every later round equals.
     """
     if active_bound is None:
-        active_bound = config_active_bound(p, c)
+        active_bound = config_active_bound(c)
     return eval_prop_at(c, psi, None, active_bound + max_constant(psi))
 
 
 # --- DNF clauses ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClauseDecomposition:
+class ClauseDecomposition(NamedTuple):
     """One DNF clause, read as final-configuration obligations.
 
     q_plus    states required populated;
@@ -561,12 +574,11 @@ def ground(atom, value: bool, k: int | None):
     The ``PopAt``/``RegAt`` atom at the constant round its term takes with
     the variable bound to ``k``, under a ``Not`` when ``value`` is false.
     """
-    lit = replace(atom, term=Term(False, term_value(atom.term, k)))
+    lit = atom._replace(term=Term(False, term_value(atom.term, k)))
     return lit if value else Not(lit)
 
 
-@dataclass(frozen=True)
-class ApcCandidate:
+class ApcCandidate(NamedTuple):
     """One way to make the whole constraint true.
 
     closed       ground literals (``ground``) to check at their rounds;

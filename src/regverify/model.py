@@ -17,7 +17,6 @@ boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ProtocolSemanticError, ProtocolSyntaxError
@@ -51,8 +50,7 @@ class Transition(NamedTuple):
     dest: int
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(NamedTuple):
     flavor: str
     state_names: tuple[str, ...]
     initial_states: frozenset[int]
@@ -60,18 +58,6 @@ class Protocol:
     symbol_names: tuple[str, ...]  # index 0 is the initial symbol d0
     transitions: tuple[Transition, ...]
     visibility: int | None = None  # round-based only
-    state_ids: dict = field(default_factory=dict, compare=False, repr=False)
-    symbol_ids: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        # ``parse_protocol`` passes the maps it built; a protocol built from
-        # the name tuples alone gets them here
-        if not self.state_ids:
-            self.state_ids.update(
-                {n: i for i, n in enumerate(self.state_names)})
-        if not self.symbol_ids:
-            self.symbol_ids.update(
-                {n: i for i, n in enumerate(self.symbol_names)})
 
     @property
     def num_states(self) -> int:
@@ -82,14 +68,14 @@ class Protocol:
         return len(self.symbol_names)
 
     def state_id(self, name: str) -> int:
-        if name not in self.state_ids:
+        if name not in self.state_names:
             raise ProtocolSemanticError(f"unknown state {name!r}")
-        return self.state_ids[name]
+        return self.state_names.index(name)
 
     def symbol_id(self, name: str) -> int:
-        if name not in self.symbol_ids:
+        if name not in self.symbol_names:
             raise ProtocolSemanticError(f"unknown symbol {name!r}")
-        return self.symbol_ids[name]
+        return self.symbol_names.index(name)
 
 
 D0 = 0  # the initial symbol always interns to id 0
@@ -281,8 +267,7 @@ def parse_protocol(text: str) -> Protocol:
     return Protocol(flavor=flavor, state_names=state_names,
                     initial_states=frozenset(initial),
                     register_count=reg_count, symbol_names=symbol_names,
-                    transitions=tuple(transitions), visibility=visibility,
-                    state_ids=state_ids, symbol_ids=symbol_ids)
+                    transitions=tuple(transitions), visibility=visibility)
 
 
 def format_action(p: Protocol, a: Action) -> str:

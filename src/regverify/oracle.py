@@ -272,9 +272,9 @@ def _compiled(psi, lay):
         if build(node.prop, True, True) is exists:
             return exists  # the tail term decides every code
         body = build(node.prop, True)
-        if isinstance(body, bool) or isinstance(body, tuple) and not body[3]:
+        if isinstance(body, bool) or type(body) is tuple and not body[3]:
             return body  # it does not read k, and k takes some value
-        if isinstance(body, tuple):
+        if type(body) is tuple:
             m, w, eq, _ = body
             return _join(not exists,
                          [(m << n, w << n, eq, False) for n in shifts])
@@ -310,7 +310,7 @@ def _join(conj: bool, parts):
             if e != conj:
                 return e  # false in a conjunction, true in a disjunction
             continue
-        if isinstance(e, tuple):
+        if type(e) is tuple:
             m, w, eq, shifted = e
             if eq != conj and m & (m - 1) == 0:
                 w, eq = m ^ w, conj  # one bit: equal to w, unequal to m ^ w
@@ -341,7 +341,7 @@ def _predicate(e):
     """A compiled part as a function of the code and the shifted code."""
     if isinstance(e, bool):
         return lambda c, s: e
-    if isinstance(e, tuple):
+    if type(e) is tuple:
         m, w, eq, shifted = e
         if shifted and eq:
             return lambda c, s: s & m == w

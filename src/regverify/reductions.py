@@ -13,7 +13,7 @@ test suite and the CLI ``examples`` verb.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CyclicCircuit
 from .model import Protocol, parse_protocol
@@ -21,24 +21,28 @@ from .model import Protocol, parse_protocol
 TRUTH_TABLE_CAP = 20
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    """3-CNF formula: clauses of exactly three signed variable indices."""
-
+class _CnfFields(NamedTuple):
     num_vars: int
     clauses: tuple  # ((l1, l2, l3), ...), literal j or -j with 1 <= j <= n
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+
+class CnfFormula(_CnfFields):
+    """3-CNF formula: clauses of exactly three signed variable indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, clauses: tuple):
+        if num_vars < 1:
             raise ValueError("need at least one variable")
-        if not self.clauses:
+        if not clauses:
             raise ValueError("need at least one clause")
-        for cl in self.clauses:
+        for cl in clauses:
             if len(cl) != 3:
                 raise ValueError(f"clause {cl} must have exactly 3 literals")
             for lit in cl:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise ValueError(f"literal {lit} out of range")
+        return super().__new__(cls, num_vars, clauses)
 
 
 def truth_table_satisfiable(cnf: CnfFormula) -> bool:
@@ -132,8 +136,7 @@ def sat_to_uninit_target(cnf: CnfFormula) -> tuple[Protocol, int]:
 NOT, AND, OR = "not", "and", "or"
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """Acyclic Boolean circuit in topological order.
 
     inputs   ((wire, value), ...);
@@ -311,8 +314,7 @@ transitions:
 """
 
 
-@dataclass(frozen=True)
-class NamedConstraint:
+class NamedConstraint(NamedTuple):
     protocol: str   # key into the protocols dict
     flavor: str     # "roundless" | "roundbased"
     text: str

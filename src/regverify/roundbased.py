@@ -59,7 +59,7 @@ and checked against the constraint.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constraints import (ApcCandidate, decompose_apcs, forcing_literal_sets,
                           ground, negated_states)
@@ -104,8 +104,7 @@ def _holds(opts: tuple):
     return _join(False, [_join(True, opt) for opt in opts])
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(NamedTuple):
     """A search node at round k.  Its carried steps count rounds from k-1,
     the top round of the bridge they came from; its literals from k."""
 

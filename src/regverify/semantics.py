@@ -9,15 +9,16 @@ Only the witness trace format tells the flavors apart: a roundless trace
 has no round column and no ``@``, and lists every register.
 
 All operations are pure functions of their inputs and safe to share across
-threads.  ``AbstractConfig`` and ``Move`` are named tuples, which cost about
-a third of a frozen dataclass to build: the oracle's step table builds a
-move per entry.
+threads.  Configurations, moves and executions are named tuples, like every
+value type of the library.  A named tuple costs about a third of a frozen
+class with generated methods to build (the oracle's step table builds a
+move per entry), and declaring one generates and compiles no methods at
+import, which took about 0.8 ms per class.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (EmptySupport, NotEnabled, NotInitialState,
@@ -34,8 +35,7 @@ class AbstractConfig(NamedTuple):
     regs: frozenset  # ((round, reg), sym) with sym not d0
 
 
-@dataclass(frozen=True)
-class ConcreteConfig:
+class ConcreteConfig(NamedTuple):
     pop: tuple      # sorted ((location, count), ...) with count > 0
     regs: frozenset
 
@@ -46,8 +46,7 @@ class Move(NamedTuple):
     desert: bool = False     # abstract semantics only; ignored concretely
 
 
-@dataclass(frozen=True)
-class Execution:
+class Execution(NamedTuple):
     start: object             # AbstractConfig or ConcreteConfig
     moves: tuple[Move, ...]
 
@@ -311,6 +310,7 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
 
     moves = []
     transitions = set(p.transitions)
+    symbol_ids = {n: i for i, n in enumerate(p.symbol_names)}
     rest = lines[2:]
     if rest and rest[0][1] == "steps:":
         rest = rest[1:]
@@ -329,7 +329,7 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
         dst = p.state_id(toks[-2])
         act_text = " ".join(toks[1:-2])
         action = _parse_action(act_text, p.flavor, p.register_count,
-                               p.visibility or 0, p.symbol_ids, lineno)
+                               p.visibility or 0, symbol_ids, lineno)
         trans = Transition(src, action, dst)
         if trans not in transitions:
             raise ReplayFailure(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .semantics import Execution
 
@@ -11,9 +11,8 @@ NEGATIVE = "negative"
 UNKNOWN = "unknown"
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     answer: str
     algorithm: str
-    witness: Execution | None = None
-    stats: dict = field(default_factory=dict)
+    witness: Execution | None
+    stats: dict

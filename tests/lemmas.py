@@ -552,7 +552,7 @@ def reduce_cover_to_target(p: Protocol, error: int) -> tuple[Protocol, int]:
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
     joker = "joker"
-    while joker in p.symbol_ids:
+    while joker in p.symbol_names:
         joker += "_"
     symbols = p.symbol_names + (joker,)
     jid = len(symbols) - 1

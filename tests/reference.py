@@ -8,7 +8,7 @@ former contradiction rule on ground literals, and roundless instances
 lifted to rounds."""
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from regverify import oracle, roundless
 from regverify.constraints import (And, Exists, Not, Or, RegAt,
@@ -561,7 +561,7 @@ def lift_roundless(p: Protocol, target: int):
                   if t.action.kind == READ else t for t in p.transitions)
     loops = tuple(Transition(q, Action(INC), q)
                   for q in sorted(p.initial_states))
-    lifted = parse_protocol(serialize_protocol(replace(
-        p, flavor=ROUNDBASED, visibility=0, transitions=reads + loops)))
+    lifted = parse_protocol(serialize_protocol(p._replace(
+        flavor=ROUNDBASED, visibility=0, transitions=reads + loops)))
     return lifted, parse_round_constraint(
         f"(exists k (pop {p.state_names[target]} (+ k 0)))", lifted)

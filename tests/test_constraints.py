@@ -223,6 +223,20 @@ def test_nodes_of_different_types_differ():
     assert rb(EX42, "(exists k (pop q0 (+ k 0)))") != \
         rb(EX42, "(forall k (pop q0 (+ k 0)))")
     assert len({TRUE, FALSE, Exists(body), Forall(body)}) == 4
+    # nodes are named tuples, yet no node equals the plain tuple of its
+    # fields, which ``oracle`` reads as a compiled bit test
+    for node in (body, body.term, Not(body), TRUE, FALSE, Exists(body),
+                 RegAt(0, ROUND0, 1)):
+        assert node != tuple(node) and tuple(node) != node
+    assert hash(Exists(body)) != hash(Forall(body))
+    assert hash(TRUE) != hash(FALSE)
+    assert hash(And((body,))) != hash(Or((body,)))
+    # rb-search orders its branches by ``repr``
+    assert repr(rb(EX42, "(forall k (or (pop q0 (+ k 0)) "
+                         "(not (reg 1 (+ k 1) a))))")) == (
+        "Forall(prop=Or(children=(PopAt(state=0, term=Term(has_var=True, "
+        "offset=0)), Not(child=RegAt(reg=0, term=Term(has_var=True, "
+        "offset=1), symbol=1)))))")
 
 
 def test_format_roundtrip():

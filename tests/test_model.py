@@ -75,9 +75,8 @@ def test_serialization_is_bit_stable():
 
 
 def test_name_maps_on_both_construction_paths():
-    # the parser hands its two maps to the protocol; a protocol built from
-    # the name tuples alone, as reductions and the generators build them,
-    # gets them from the constructor
+    # a parsed protocol and one built from the name tuples alone, as
+    # reductions and the generators build them, look names up alike
     parsed = PROTOCOLS["fig1"]
     direct = Protocol(flavor=parsed.flavor, state_names=parsed.state_names,
                       initial_states=parsed.initial_states,
@@ -86,10 +85,17 @@ def test_name_maps_on_both_construction_paths():
                       transitions=parsed.transitions)
     for p in (parsed, direct, random_protocol(random.Random(7)),
               random_rb_protocol(random.Random(7))):
-        assert p.state_ids == {n: i for i, n in enumerate(p.state_names)}
-        assert p.symbol_ids == {n: i for i, n in enumerate(p.symbol_names)}
+        assert [p.state_id(n) for n in p.state_names] == \
+            list(range(p.num_states))
+        assert [p.symbol_id(n) for n in p.symbol_names] == \
+            list(range(p.num_symbols))
+        with pytest.raises(ProtocolSemanticError, match="unknown state 'zz'"):
+            p.state_id("zz")
+        with pytest.raises(ProtocolSemanticError,
+                           match="unknown symbol 'zz'"):
+            p.symbol_id("zz")
     assert direct == parsed
-    assert direct.state_ids is not parsed.state_ids
+    assert hash(direct) == hash(parsed)
     assert direct.state_id("qf") == parsed.state_id("qf") == 4
 
 

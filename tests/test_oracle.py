@@ -11,7 +11,8 @@ from reference import (abstract_successors, compile_constraint, members,
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from regverify import oracle
-from regverify.constraints import (cover_constraint, eval_roundbased,
+from regverify.constraints import (ROUND0, Not, PopAt, cover_constraint,
+                                   eval_roundbased,
                                    eval_roundless, negated_states,
                                    parse_round_constraint,
                                    parse_roundless_constraint,
@@ -503,6 +504,17 @@ def test_roundbased_probe_matches_eval_roundbased(seed):
             _assert_probe_matches(
                 p, psi, k, rs,
                 lambda c: eval_roundbased(p, c, psi, active_bound=k + 1))
+
+
+def test_a_constraint_node_is_never_read_as_a_bit_test():
+    # a compiled bit test is a plain tuple; a node, a named tuple too, that
+    # reached the compiled parts would fail when called, not be unpacked
+    node = PopAt(0, ROUND0)
+    for part in (node, Not(node)):
+        with pytest.raises(TypeError):
+            oracle._probe(part)(0)
+        with pytest.raises(TypeError):
+            oracle._join(True, [part, part])(0, 0)
 
 
 @pytest.mark.parametrize("flavor", ["roundless", "roundbased"])

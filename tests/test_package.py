@@ -1,5 +1,5 @@
-"""The library holds only what a route or the command line runs, and no
-module imports a name it never reads."""
+"""The library holds only what a route or the command line runs, no
+module imports a name it never reads, and none imports ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -81,3 +81,29 @@ def test_an_import_no_code_reads_is_unused(tmp_path):
         "def f(x: int) -> str:\n"
         "    return os.path.join(str(pi), j.dumps(x))\n")
     assert unused_imports([tmp_path / "a.py"]) == ["a.py: re", "a.py: tau"]
+
+
+def importers(files, module: str) -> list[str]:
+    """Names of the files that import ``module`` or a name from it."""
+    return [f.name for f in files
+            if any(isinstance(node, ast.Import)
+                   and any(a.name.split(".")[0] == module for a in node.names)
+                   or isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == module
+                   for node in ast.walk(ast.parse(f.read_text())))]
+
+
+def test_no_module_imports_dataclasses():
+    # every value type is a named tuple: each dataclass took about 0.8 ms
+    # to generate and compile its methods at every import of the library
+    assert importers(sorted(SRC.glob("*.py")), "dataclasses") == []
+
+
+def test_an_import_of_dataclasses_is_found(tmp_path):
+    texts = {"a.py": "from dataclasses import dataclass\n",
+             "b.py": "def f():\n    import dataclasses as d\n    return d\n",
+             "c.py": "from typing import NamedTuple\nx = 'dataclasses'\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    assert importers(sorted(tmp_path.glob("*.py")), "dataclasses") == \
+        ["a.py", "b.py"]
