@@ -179,10 +179,6 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def _write_expected(out: Path, payload: dict) -> None:
-    (out / "expected.json").write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def cmd_gen(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +190,7 @@ def cmd_gen(args) -> int:
                   for j in rng.choices(range(1, n + 1), k=3))
             for _ in range(m))
         cnf = CnfFormula(n, clauses)
-        sat = truth_table_satisfiable(cnf)
+        holds = truth_table_satisfiable(cnf)
         if args.kind == "sat-cover":
             p, q = sat_to_cover(cnf)
             constraint = cst.cover_constraint(p, q)
@@ -203,14 +199,8 @@ def cmd_gen(args) -> int:
             p, q = sat_to_uninit_target(cnf)
             constraint = cst.target_constraint(p, q)
             problem = "target"
-        (out / "protocol.prot").write_text(serialize_protocol(p))
-        (out / "constraint.pc").write_text(
-            cst.format_constraint(p, constraint) + "\n")
-        _write_expected(out, {
-            "answer": "positive" if sat else "negative",
-            "problem": problem, "state": p.state_names[q],
-            "method": "truth-table", "seed": args.seed,
-            "formula": {"vars": n, "clauses": [list(c) for c in clauses]}})
+        method, source = "truth-table", {
+            "formula": {"vars": n, "clauses": [list(c) for c in clauses]}}
     else:  # cvp
         if args.circuit:
             try:
@@ -228,17 +218,21 @@ def cmd_gen(args) -> int:
             p, q = cvp_to_cover(circuit, desired)
         except RegverifyError as e:
             raise CliError(f"bad circuit: {e}", EXIT_DATA)
-        (out / "protocol.prot").write_text(serialize_protocol(p))
-        (out / "constraint.pc").write_text(
-            cst.format_constraint(p, cst.cover_constraint(p, q)) + "\n")
-        _write_expected(out, {
-            "answer": "positive" if value == desired else "negative",
-            "problem": "cover", "state": p.state_names[q],
-            "method": "circuit-evaluation", "seed": args.seed,
+        holds = value == desired
+        constraint = cst.cover_constraint(p, q)
+        problem = "cover"
+        method, source = "circuit-evaluation", {
             "circuit": {"inputs": [list(i) for i in circuit.inputs],
                         "gates": [list(g) for g in circuit.gates],
                         "output": circuit.output,
-                        "value": value, "desired": desired}})
+                        "value": value, "desired": desired}}
+    (out / "protocol.prot").write_text(serialize_protocol(p))
+    (out / "constraint.pc").write_text(
+        cst.format_constraint(p, constraint) + "\n")
+    (out / "expected.json").write_text(json.dumps({
+        "answer": "positive" if holds else "negative", "problem": problem,
+        "state": p.state_names[q], "method": method, "seed": args.seed,
+        **source}, indent=2) + "\n")
     print(f"wrote protocol.prot, constraint.pc, expected.json to {out}",
           file=sys.stderr)
     return 0

@@ -288,20 +288,33 @@ def eval_prop_at(c: AbstractConfig, node, k: int | None,
     raise TypeError(f"not a constraint node: {node!r}")
 
 
+def literals(node) -> list:
+    """Each atom of a constraint, of either flavor, in order, with its
+    polarity: True under an even number of ``Not``s, False under an odd
+    one."""
+    out, stack = [], [(node, True)]
+    while stack:
+        node, positive = stack.pop()
+        kind = type(node)
+        if kind is And or kind is Or:
+            stack += [(x, positive) for x in reversed(node.children)]
+        elif kind is Not:
+            stack.append((node.child, not positive))
+        elif kind is PopAt or kind is RegAt:
+            out.append((node, positive))
+        elif kind is Exists or kind is Forall:
+            stack.append((node.prop, positive))
+        else:
+            raise TypeError(f"not a constraint node: {node!r}")
+    return out
+
+
 def max_constant(psi) -> int:
     """Largest integer constant appearing in the constraint's terms."""
-    if isinstance(psi, (And, Or)):
-        return max((max_constant(x) for x in psi.children), default=0)
-    if isinstance(psi, Not):
-        return max_constant(psi.child)
-    if isinstance(psi, (Exists, Forall)):
-        return max_constant(psi.prop)
-    if isinstance(psi, (PopAt, RegAt)):
-        return psi.term.offset
-    return 0
+    return max((a.term.offset for a, _ in literals(psi)), default=0)
 
 
-def negated_states(node, positive: bool = True) -> frozenset:
+def negated_states(node) -> frozenset:
     """The states with a population atom under an odd number of ``Not``s,
     at any round.
 
@@ -310,18 +323,8 @@ def negated_states(node, positive: bool = True) -> frozenset:
     state it is monotone in the whole population.  Register atoms may occur
     either way.
     """
-    if isinstance(node, (And, Or)):
-        return frozenset().union(
-            *(negated_states(x, positive) for x in node.children))
-    if isinstance(node, Not):
-        return negated_states(node.child, not positive)
-    if isinstance(node, (Exists, Forall)):
-        return negated_states(node.prop, positive)
-    if isinstance(node, PopAt):
-        return frozenset() if positive else frozenset((node.state,))
-    if isinstance(node, RegAt):
-        return frozenset()
-    raise TypeError(f"not a constraint node: {node!r}")
+    return frozenset(a.state for a, positive in literals(node)
+                     if not positive and type(a) is PopAt)
 
 
 def config_active_bound(c: AbstractConfig) -> int:

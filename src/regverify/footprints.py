@@ -27,10 +27,10 @@ def default_step_cap(p: Protocol) -> int:
 
 
 def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
-                     step_cap: int, tick, negated, canonical: bool = True):
-    """All footprints on [k-v, k] from the initial configuration on that
-    window projecting down to the carried steps on [k-v, k-1], whose rounds
-    count from k-1.
+                     step_cap: int, tick, negated):
+    """The footprints on [k-v, k] from the initial configuration on that
+    window projecting down to the carried steps on [k-v, k-1] (the visible
+    steps of round k-1's bridge), whose rounds count from k-1.
 
     That start is the initial set at round 0 when the window holds round 0,
     and nothing else, every register at d0.  It is every bridge's start, by
@@ -46,10 +46,11 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
     for the start and one per step placed.  As in ``oracle.packed``, only a
     move whose source is in the set of states ``negated`` may desert.
 
-    With ``canonical``, carried steps confined to the bottom round (invisible
-    one window up) are deferred maximally: a visible move never directly
-    follows a private one it does not depend on.  Each schedule class then
-    appears once, always with the same projection onto [k-v+1, k].
+    One schedule per class: steps confined to the bottom round (invisible
+    one window up) are deferred maximally, so that a visible move never
+    directly follows a private one it does not depend on.  The projections
+    onto [k-v+1, k] are then exactly those of all schedules, which
+    ``tests/reference.py``'s ``bridge_footprints`` lists.
 
     Yields (steps, last local configuration, visible steps), both step
     tuples with rounds counted from k: the visible steps are what round k+1
@@ -83,10 +84,7 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
         rnd = m.rnd + k
         in_src = base <= rnd <= k
         src_bit = loc(m.trans.source, rnd - base) if in_src else 0
-        dst_round = rnd + 1 if a.kind == INC else rnd
-        # below the window only in the reference mode's carried steps
-        dst_bit = loc(m.trans.dest, dst_round - base) \
-            if dst_round >= base else 0
+        dst_bit = loc(m.trans.dest, rnd + (a.kind == INC) - base)
         read_shift = -1
         read_sym = 0
         dep_read = -1
@@ -105,7 +103,7 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
             write_shift = slot(rnd - base, a.reg)
             write_sym = a.symbol
         desert = m.desert and in_src
-        if not canonical or bottom < 0:
+        if bottom < 0:
             private = False  # 0/False static, None dynamic (inc at bottom)
         elif a.kind == INC:
             private = True if rnd < bottom else (None if rnd == bottom

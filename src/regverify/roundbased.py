@@ -34,8 +34,8 @@ tail.  A node keeps its footprint as the step sequence alone, with rounds
 counted from the bridge's top round: every bridge starts at the initial
 configuration on its window, which ``footprints.extend_footprint`` builds.
 It keeps its ground literals as their bit tests in ``oracle.layout(p, 0)``,
-compiled once per query, with rounds counted from k: moving to round k+1
-shifts each test down by one round's block.
+compiled once per root branch, with rounds counted from k: moving to
+round k+1 shifts each test down by one round's block.
 
 Here every guess point is branch-enumerated depth-first: candidate obligation
 sets, the populated initial set (which holds every initial state the
@@ -73,12 +73,10 @@ from .verdict import NEGATIVE, POSITIVE, UNKNOWN, Verdict
 DEFAULT_BUDGET = 3_000_000
 
 
-def _tests(p: Protocol, lits: frozenset, memo: dict) -> frozenset:
+def _tests(p: Protocol, lits: frozenset) -> frozenset:
     """Ground literals as their bit tests ``(mask, want, eq, False)`` in
-    ``layout(p, 0)``, compiled once per query in ``memo``."""
-    if lits not in memo:
-        memo[lits] = frozenset(_compiled(x, layout(p, 0)) for x in lits)
-    return memo[lits]
+    ``layout(p, 0)``."""
+    return frozenset(_compiled(x, layout(p, 0)) for x in lits)
 
 
 def _literal_options(p: Protocol, prop, memo: dict) -> tuple:
@@ -92,7 +90,7 @@ def _literal_options(p: Protocol, prop, memo: dict) -> tuple:
     """
     if prop not in memo:
         memo[prop] = tuple(_tests(p, frozenset(
-            ground(a, v, 0) for a, v in assign.items()), memo)
+            ground(a, v, 0) for a, v in assign.items()))
             for assign in forcing_literal_sets(prop))
     return memo[prop]
 
@@ -114,28 +112,22 @@ class _Node(NamedTuple):
     closed: frozenset         # pending ground literals' tests, rounds >= 0
 
 
-def _onestep_branches(p: Protocol, universal: frozenset, exist: frozenset,
+def _onestep_branches(p: Protocol, uni_opts: list, exist: frozenset,
                       closed: frozenset, options: dict):
     """All (remaining existentials, literals) choices at a node's round,
     with rounds counted from it.
 
-    Universal propositions contribute one forcing literal set each (choice
-    branched); each pending existential either fires here with a forcing
-    literal set or stays pending.  Choices whose literals' tests ``_join``
-    folds to false are dropped.
+    Universal propositions contribute one forcing literal set each, of
+    their options ``uni_opts`` (choice branched); each pending existential
+    either fires here with a forcing literal set or stays pending.  Choices
+    whose literals' tests ``_join`` folds to false are dropped.
     """
-    uni_choice_lists = []
-    for u in sorted(universal, key=repr):
-        opts = _literal_options(p, u, options)
-        if not opts:
-            return  # this universal cannot hold at round k on any branch
-        uni_choice_lists.append(opts)
     ex_list = sorted(exist, key=repr)
     ex_choice_lists = []
     for e in ex_list:
         fire_opts = [(True, lits) for lits in _literal_options(p, e, options)]
         ex_choice_lists.append(fire_opts + [(False, frozenset())])
-    for uni_pick in itertools.product(*uni_choice_lists):
+    for uni_pick in itertools.product(*uni_opts):
         for ex_pick in itertools.product(*ex_choice_lists):
             additions = frozenset().union(*uni_pick) if uni_pick else \
                 frozenset()
@@ -163,7 +155,7 @@ def _refuted(p: Protocol, cand: ApcCandidate, options: dict) -> bool:
     the rounds k tried are those that put a forcing set's literal, at round
     k + o, on a ground literal's round r: k = r - o >= 0.
     """
-    closed = _tests(p, cand.closed, options)
+    closed = _tests(p, cand.closed)
     opts = [_literal_options(p, u, options) for u in cand.universal]
     if _join(True, closed) is False or not all(
             _probe(_holds(o))(0) for o in opts):
@@ -324,11 +316,13 @@ def _footprint_search(p: Protocol, psi, cands: list, budget: int,
 def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             v: int, tick, work, edge_memo: dict,
             negated: frozenset, options: dict) -> Execution | None:
-    universal = cand.universal
-    root = _Node(0, (), cand.existential, _tests(p, cand.closed, options))
+    # each universal's forcing-set options, looked up once per root branch
+    uni_opts = [_literal_options(p, u, options)
+                for u in sorted(cand.universal, key=repr)]
+    root = _Node(0, (), cand.existential, _tests(p, cand.closed))
     visited: set = set()
     # each stack entry: (node, iterator over (steps, sig, child or None))
-    stack = [(root, _expand(p, root, universal, init_set, v, tick,
+    stack = [(root, _expand(p, root, uni_opts, init_set, v, tick,
                             edge_memo, negated, options))]
     chain: list[tuple] = []  # each round's bridge steps, rounds from it
     work["nodes"] += 1
@@ -344,7 +338,7 @@ def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
             visited.add(sig)
             work["nodes"] += 1
             chain.append(steps)
-            stack.append((child, _expand(p, child, universal, init_set, v,
+            stack.append((child, _expand(p, child, uni_opts, init_set, v,
                                          tick, edge_memo, negated, options)))
             advanced = True
             break
@@ -402,7 +396,10 @@ def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
     and on where round 0 sits in the window (with the initial set while it
     is there), so one query's nodes share them through ``memo``: key ->
     (edges read so far, the live ``extend_footprint`` stream, which charges
-    the query's ``tick``).  Stored edges are replayed at one tick each, and the stream is advanced
+    the query's ``tick``).  Past round v, the carried steps a chain yields
+    give one stream at every round, so the key caps the round at v+1; the
+    stream still runs at the node's own round.
+    Stored edges are replayed at one tick each, and the stream is advanced
     only past their end.  Yields (steps, packed last local configuration,
     visible steps), rounds counted from the node's round.
     """
@@ -425,9 +422,9 @@ def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
         yield edges[i]
 
 
-def _expand(p: Protocol, node: _Node, universal: frozenset,
-            init_set: frozenset, v: int, tick, edge_memo: dict,
-            negated: frozenset, options: dict):
+def _expand(p: Protocol, node: _Node, uni_opts: list, init_set: frozenset,
+            v: int, tick, edge_memo: dict, negated: frozenset,
+            options: dict):
     """Children of a search node: (bridge steps, sig, next node or None).
 
     None as the node signals acceptance with those steps.  Per-branch
@@ -448,7 +445,7 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
     # test on the last code shifted down to round k+1, or None)
     branches = []
     for remaining_exist, closed2 in _onestep_branches(
-            p, universal, node.exist, node.closed, options):
+            p, uni_opts, node.exist, node.closed, options):
         now = [(m << up, w << up, eq, s) for m, w, eq, s in closed2
                if not m >> block]
         test = _probe(_join(True, now)) if now else None
@@ -465,8 +462,7 @@ def _expand(p: Protocol, node: _Node, universal: frozenset,
             # at round k+1 only: from round k+2 on every round reads the
             # empty tail, where each universal holds, or _refuted would have
             # dropped the candidate
-            stop = _probe(_join(True, [*pending, *(
-                _holds(_literal_options(p, u, options)) for u in universal)]))
+            stop = _probe(_join(True, [*pending, *map(_holds, uni_opts)]))
         branches.append((remaining_exist, test, pending, stop))
     if not branches:
         return

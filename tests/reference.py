@@ -4,8 +4,8 @@ the oracle's search with its parent links decoded (``ReachSet``,
 ``packed_bfs``), its whole reach set and its compiled constraint as a
 predicate, the explicit successor relation, the one-register covset and
 cocovset, the footprint search on its own, the round-based search's
-former contradiction rule on ground literals, and roundless instances
-lifted to rounds."""
+former contradiction rule on ground literals, the bridge footprints by
+brute force, and roundless instances lifted to rounds."""
 
 import itertools
 from dataclasses import dataclass
@@ -26,6 +26,8 @@ from regverify.roundless import (ClauseDecomposition, _alive_transitions,
                                  _closure, _index)
 from regverify.semantics import AbstractConfig, Execution, Move, abstract_step
 from regverify.verdict import NEGATIVE, POSITIVE, Verdict
+
+from lemmas import bridge_start, local_step
 
 
 @dataclass(frozen=True)
@@ -530,6 +532,68 @@ def footprint_verdict(p: Protocol, psi, budget: int):
     runs on a protocol with no round bound after its capped window."""
     cands = [c for c in decompose_apcs(psi) if not _refuted(p, c, {})]
     return _footprint_search(p, psi, cands, budget, {})
+
+
+def bridge_footprints(p: Protocol, carried: tuple, initial_set, k: int,
+                      step_cap: int, negated):
+    """``footprints.extend_footprint``'s bridges, every schedule of them,
+    by brute force on local configurations (``lemmas.local_step``).
+
+    A bridge starts at ``bridge_start`` on [k-v, k+1], replays the carried
+    steps (rounds counted from k-1) in order, and interleaves new steps:
+    the moves at round k, an increment only as its deserting variant, and
+    the non-deserting increments arriving from round k-1.  Only a source
+    in ``negated`` deserts.  No step stutters, no deserted location is
+    repopulated, no unjustified write (one that neither populates nor
+    deserts, and is not read yet) is overwritten, and a bridge has at most
+    ``step_cap`` steps.  Depth first, the next carried step before the new
+    ones, in transition order.
+
+    Yields (steps, last local configuration): the steps with rounds
+    counted from k, the configuration on [k-v, k+1] with absolute rounds.
+    """
+    v = max(p.visibility or 0, 1)
+    carried = [Move(m.trans, m.rnd + k - 1, m.desert) for m in carried]
+    new = []
+    for t in p.transitions:
+        variants = ((k, True), (k - 1, False)) if t.action.kind == INC \
+            else ((k, False), (k, True))
+        new += [(0, Move(t, rnd, desert)) for rnd, desert in variants
+                if rnd >= 0 and (t.source in negated or not desert)]
+
+    def extend(lc, steps, placed, deserted, pending):
+        if placed == len(carried):
+            yield tuple(Move(m.trans, m.rnd - k, m.desert)
+                        for m in steps), lc
+        if len(steps) == step_cap:
+            return
+        for advance, m in [(1, c) for c in carried[placed:placed + 1]] + new:
+            try:
+                nxt = local_step(p, lc, m)
+            except NotEnabled:
+                continue
+            a = m.trans.action
+            src = (m.trans.source, m.rnd)
+            dst = (m.trans.dest, m.rnd + (a.kind == INC))
+            populates = dst not in lc.pop
+            if nxt == lc or (populates and dst in deserted):
+                continue  # a stutter, or a repopulation after desertion
+            in_window = max(lc.lo, 0) <= m.rnd
+            pending2 = set(pending)
+            if a.kind == WRITE and in_window:
+                if (m.rnd, a.reg) in pending:
+                    continue  # overwrites an unjustified write
+                if not (populates or m.desert):
+                    pending2.add((m.rnd, a.reg))
+            if a.kind == READ and in_window:
+                pending2.discard((m.rnd - a.depth, a.reg))
+            yield from extend(
+                nxt, steps + (m,), placed + advance,
+                deserted | {src} if m.desert and in_window else deserted,
+                pending2)
+
+    yield from extend(bridge_start(initial_set, k - v, k + 1), (), 0, set(),
+                      set())
 
 
 def contradictory(lits: frozenset) -> bool:

@@ -7,7 +7,7 @@ import pytest
 
 from regverify import roundbased
 from regverify.constraints import parse_round_constraint
-from regverify.errors import NotEnabled
+from regverify.errors import NotEnabled, ReplayFailure
 from regverify.footprints import extend_footprint
 from regverify.model import INC, parse_protocol
 from regverify.oracle import layout
@@ -22,7 +22,7 @@ from lemmas import (Footprint, InconsistentProjections, LocalConfig,
                     locations_deserted_more_than_once, normal_form_round_bound,
                     normal_form_violations, normalize_execution,
                     per_round_step_counts, project_footprint)
-from reference import footprint_verdict, packed_window
+from reference import bridge_footprints, footprint_verdict, packed_window
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG4 = PROTOCOLS["fig4"]
@@ -301,7 +301,7 @@ def no_tick(n: int) -> None:
     pass
 
 
-def extensions(p, tau: Footprint, init, k: int, step_cap: int, **kw):
+def extensions(p, tau: Footprint, init, k: int, step_cap: int):
     """``extend_footprint`` on an absolute carried footprint on [k-v, k-1],
     with every state negated, so that every source may desert.
 
@@ -312,22 +312,32 @@ def extensions(p, tau: Footprint, init, k: int, step_cap: int, **kw):
     assert tau.start == bridge_start(init, k - v, k - 1)
     for steps, last, vis in extend_footprint(
             p, shifted(tau.steps, 1 - k), init, k, step_cap, no_tick,
-            frozenset(range(p.num_states)), **kw):
+            frozenset(range(p.num_states))):
         yield (Footprint(bridge_start(init, k - v, k), shifted(steps, k)),
                last,
                Footprint(bridge_start(init, k - v + 1, k), shifted(vis, k)))
 
 
+def full_extensions(p, tau: Footprint, init, k: int, step_cap: int):
+    """``reference.bridge_footprints`` as ``extensions`` takes and yields
+    its bridges: every schedule, as footprints on [k-v, k]."""
+    v = max(p.visibility or 0, 1)
+    assert tau.start == bridge_start(init, k - v, k - 1)
+    for steps, _ in bridge_footprints(p, shifted(tau.steps, 1 - k), init, k,
+                                      step_cap,
+                                      frozenset(range(p.num_states))):
+        yield Footprint(bridge_start(init, k - v, k), shifted(steps, k))
+
+
 def test_enumerate_bridge_contains_write_then_increment():
-    stream = extend_footprint(FIG4, (), {FIG4.state_id("q0")}, 0, 3,
-                              no_tick, frozenset(range(FIG4.num_states)),
-                              canonical=False)
-    for steps, _, _ in stream:
-        kinds = [(m.trans.action.kind, m.desert) for m in steps]
-        if kinds == [("write", False), ("inc", True)]:
-            break
-    else:
-        raise AssertionError("expected footprint not in the stream")
+    q0, every = FIG4.state_id("q0"), frozenset(range(FIG4.num_states))
+    for stream in (
+            (s for s, _, _ in extend_footprint(FIG4, (), {q0}, 0, 3, no_tick,
+                                               every)),
+            (s for s, _ in bridge_footprints(FIG4, (), {q0}, 0, 3, every))):
+        assert [("write", False), ("inc", True)] in (
+            [(m.trans.action.kind, m.desert) for m in steps]
+            for steps in stream)
 
 
 READ_X = parse_protocol(
@@ -343,38 +353,40 @@ def test_enumerate_bridge_empty_when_projection_impossible():
     init = READ_X.initial_states
     every = frozenset(range(READ_X.num_states))
     for carried, possible in [((read,), False), ((write, read), True)]:
-        got = list(extend_footprint(READ_X, carried, init, 1, step_cap=2,
-                                    tick=no_tick, negated=every,
-                                    canonical=False))
-        assert bool(got) == possible
-        assert all(steps[:len(carried)] == shifted(carried, -1)
-                   for steps, _, _ in got)
+        for got in (
+                [s for s, _, _ in extend_footprint(READ_X, carried, init, 1,
+                                                   2, no_tick, every)],
+                [s for s, _ in bridge_footprints(READ_X, carried, init, 1, 2,
+                                                 every)]):
+            assert bool(got) == possible
+            assert all(steps[:len(carried)] == shifted(carried, -1)
+                       for steps in got)
 
 
 def test_enumerate_bridge_cap_zero_keeps_stepless_extension():
-    q0 = FIG4.state_id("q0")
-    fps = list(extend_footprint(FIG4, (), {q0}, 1, 0, no_tick,
-                                frozenset(range(FIG4.num_states)),
-                                canonical=False))
+    q0, every = FIG4.state_id("q0"), frozenset(range(FIG4.num_states))
+    fps = list(extend_footprint(FIG4, (), {q0}, 1, 0, no_tick, every))
     assert len(fps) == 1
     steps, last, vis = fps[0]
     assert steps == vis == ()
     assert packed_window(FIG4, 1)[2](last).pop == {(q0, 0)}
+    assert [(steps, lc.pop) for steps, lc in bridge_footprints(
+        FIG4, (), {q0}, 1, 0, every)] == [((), {(q0, 0)})]
 
 
 def test_canonical_and_full_enumerations_project_identically():
-    # the canonical stream must cover exactly the same carried projections
+    # the canonical stream must cover exactly the carried projections of
+    # the reference's bridges, which are all schedules
     q0 = FIG4.state_id("q0")
     tau0 = Footprint(bridge_start({q0}, -1, -1), ())
-    full0 = list(extensions(FIG4, tau0, {q0}, 0, 4, canonical=False))
-    taus = {project_footprint(FIG4, fp, 0, 0) for fp, _, _ in full0}
+    full0 = list(full_extensions(FIG4, tau0, {q0}, 0, 4))
+    taus = {project_footprint(FIG4, fp, 0, 0) for fp in full0}
     taus2 = set()
     for tau in sorted(taus, key=lambda f: len(f.steps)):
         full = {project_footprint(FIG4, fp, 1, 1)
-                for fp, _, _ in extensions(FIG4, tau, {q0}, 1, 6,
-                                           canonical=False)}
+                for fp in full_extensions(FIG4, tau, {q0}, 1, 6)}
         canon = set()
-        for fp, _, vis in extensions(FIG4, tau, {q0}, 1, 6, canonical=True):
+        for fp, _, vis in extensions(FIG4, tau, {q0}, 1, 6):
             canon.add(vis)
             assert project_footprint(FIG4, fp, 1, 1) == vis
         assert canon == full
@@ -382,10 +394,8 @@ def test_canonical_and_full_enumerations_project_identically():
     # one level deeper: windows now straddle rounds [1, 2]
     for tau in sorted(taus2, key=lambda f: (len(f.steps), repr(f)))[:12]:
         full = {project_footprint(FIG4, fp, 2, 2)
-                for fp, _, _ in extensions(FIG4, tau, {q0}, 2, 6,
-                                           canonical=False)}
-        canon = {vis for _, _, vis in extensions(FIG4, tau, {q0}, 2, 6,
-                                                 canonical=True)}
+                for fp in full_extensions(FIG4, tau, {q0}, 2, 6)}
+        canon = {vis for _, _, vis in extensions(FIG4, tau, {q0}, 2, 6)}
         assert canon == full
 
 
@@ -436,8 +446,7 @@ def test_last_code_decodes_to_final_local_configuration(case):
     assert seen > 6
 
 
-@pytest.mark.parametrize("canonical", [True, False])
-def test_last_code_holds_round_above_window(canonical):
+def test_last_code_holds_round_above_window():
     # the round-based search's stop test reads round k+1 off the last code:
     # exactly the deserting increments' destinations, no register field
     seen = above = 0
@@ -454,7 +463,7 @@ def test_last_code_holds_round_above_window(canonical):
             for carried in carried_list:
                 for _, last, vis in itertools.islice(extend_footprint(
                         p, carried, p.initial_states, k, 6, no_tick,
-                        negated, canonical), 300):
+                        negated), 300):
                     want = sum(pop(q, 0) for q in round_above(vis, 0))
                     assert last >> up == want, (seed, k, vis)
                     seen += 1
@@ -463,3 +472,80 @@ def test_last_code_holds_round_above_window(canonical):
                         nxt.append(vis)
             carried_list = nxt or [()]
     assert seen > 5000 and above > 2000
+
+
+def counted_stream(p, carried, k: int, step_cap: int, negated):
+    """``extend_footprint``'s whole stream at round k, and its ticks."""
+    ticks = []
+    stream = list(extend_footprint(p, carried, p.initial_states, k,
+                                   step_cap, ticks.append, negated))
+    return stream, sum(ticks)
+
+
+def test_bridges_past_the_window_of_round_0_do_not_depend_on_the_round():
+    # roundbased._edges_for keys a node's edges by min(k, v + 1): from round
+    # v + 1 on, a carried tuple that a chain of bridges yields has the same
+    # stream, ticks included, at every round, rounds counted from it
+    checked = wide = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        p = random_rb_protocol(rng, visibility_max=3, max_trans=8)
+        v = max(p.visibility or 0, 1)
+        negated = frozenset(range(seed % 2, p.num_states))
+        layer = [()]
+        for k in range(v + 3):
+            nxt = []
+            for carried in layer:
+                got = counted_stream(p, carried, k, 5, negated)
+                if k >= v + 1:
+                    assert counted_stream(p, carried, k + 1, 5,
+                                          negated) == got, (seed, k)
+                    checked += 1
+                    wide += v >= 2 and bool(got[0])
+                nxt += [vis for _, _, vis in got[0]]
+            layer = list(dict.fromkeys(nxt))[:4]
+    assert checked > 300 and wide > 150  # wide: v >= 2, some bridge
+
+
+def test_a_carried_tuple_no_chain_yields_may_depend_on_the_round():
+    # a depth-2 read at round k - 2 reads below round 0 at k = 3, and below
+    # the window from k = 4 on: the key min(k, v + 1) relies on no chain
+    # carrying such a read into round v + 1
+    p = parse_protocol(
+        "flavor: roundbased\nstates: q0 q1\ninitial: q0\nregisters: 1\n"
+        "alphabet: d0\nvisibility: 2\ntransitions:\n"
+        "  q0 read(-2, 1, d0) q1\n")
+    carried = (Move(p.transitions[0], -1, False),)
+    every = frozenset(range(p.num_states))
+    with pytest.raises(ReplayFailure, match="statically disabled"):
+        counted_stream(p, carried, 3, 5, every)
+    stream = counted_stream(p, carried, 4, 5, every)
+    assert len(stream[0]) == 1
+    assert counted_stream(p, carried, 5, 5, every) == stream
+
+
+def test_canonical_stream_projects_as_every_schedule_on_random_protocols():
+    # the canonical deferral drops schedules, never a projection: at each
+    # round of a chain, the visible steps of extend_footprint's bridges are
+    # the projections onto [k-v+1, k] of all the reference's bridges
+    checked = 0
+    for seed in range(40):
+        p = random_rb_protocol(random.Random(seed), visibility_max=3,
+                               max_trans=8)
+        v, init = max(p.visibility or 0, 1), p.initial_states
+        negated = frozenset(range(seed % 2, p.num_states))
+        layer = [()]
+        for k in range(v + 2):
+            nxt = []
+            for carried in layer:
+                canon = [vis for _, _, vis in extend_footprint(
+                    p, carried, init, k, 4, no_tick, negated)]
+                full = {project_footprint(p, Footprint(
+                    bridge_start(init, k - v, k), shifted(steps, k)),
+                    k - v + 1, k).steps for steps, _ in bridge_footprints(
+                        p, carried, init, k, 4, negated)}
+                assert {shifted(vis, k) for vis in canon} == full, (seed, k)
+                checked += len(full)
+                nxt += canon
+            layer = list(dict.fromkeys(nxt))[:4]
+    assert checked > 3000
