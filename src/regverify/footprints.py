@@ -52,6 +52,14 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
     onto [k-v+1, k] are then exactly those of all schedules, which
     ``tests/reference.py``'s ``bridge_footprints`` lists.
 
+    Precondition: the carried steps are the visible steps of a bridge this
+    function yielded for round k-1, as in a chain of bridges, which is all
+    the search passes.  A carried step whose source is in the window then
+    finds it populated; this is not checked.  On such a tuple the stream,
+    ticks included and rounds counted from k, is the same at every round
+    from v+1 on at which a chain carries it, so the search shares the
+    stream of the first such round that reaches it with the later ones.
+
     Yields (steps, last local configuration, visible steps), both step
     tuples with rounds counted from k: the visible steps are what round k+1
     carries, unshifted.  The last configuration is one code of
@@ -137,43 +145,39 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
     tau_len = len(tau_ops)
 
     new_ops_by_pop: dict[int, list] = {}
-
-    # one explicit frame per emitted step: [pop, regs, pos, deserted,
-    # pending, lp_write, options, option index, pushed_vis, lp_dst]
-    # lp_write: -1 when the last step was visible; otherwise the write
-    # field shift of the trailing private step (-2 when it wrote nothing);
-    # lp_dst: the destination bit of a trailing private increment, or 0
     steps: list[Move] = []
     vis: list[Move] = []
 
-    def option_list(pos: int, pop: int) -> list:
+    def options(pos: int, pop: int):
+        """An iterator over the next step's options, empty at the cap."""
+        if len(steps) >= step_cap:
+            return iter(())
         cached = new_ops_by_pop.get(pop)
         if cached is None:
             cached = [op for op in new_ops if not op[2] or pop & op[2]]
             new_ops_by_pop[pop] = cached
-        if pos < tau_len:
-            return [tau_ops[pos]] + cached
-        return cached
+        return iter([tau_ops[pos], *cached] if pos < tau_len else cached)
 
-    frames = [[pop0, 0, 0, 0, 0, -1, option_list(0, pop0), 0, False, 0]]
+    # one frame per placed step: (the state after it, whether it is
+    # visible, the next step's options).  The state is (pop, regs, pos,
+    # deserted, pending, lp_write, lp_dst); lp_write is -1 when the last
+    # step was visible, otherwise the write field shift of the trailing
+    # private step (-2 when it wrote nothing); lp_dst is the destination
+    # bit of a trailing private increment, or 0
+    frames = [((pop0, 0, 0, 0, 0, -1, 0), False, options(0, pop0))]
     pending_ticks = 1
     if tau_len == 0:
         tick(pending_ticks)
         pending_ticks = 0
         yield (), pop0, ()
     while frames:
-        frame = frames[-1]
-        pop, regs, pos, deserted, pending, lp_write, options = frame[:7]
-        lp_dst = frame[9]
-        n = len(options) if len(steps) < step_cap else 0
-        i = frame[7]
-        child = None
-        while i < n:
-            (m, advance, src_bit, dst_bit, read_shift, read_sym, write_shift,
-             write_sym, desert, private, dep_read) = options[i]
-            i += 1
-            # sources are guaranteed populated: carried steps replay and
-            # the fresh-move list is filtered against this population
+        (pop, regs, pos, deserted, pending, lp_write, lp_dst), _, opts = \
+            frames[-1]
+        for (m, advance, src_bit, dst_bit, read_shift, read_sym, write_shift,
+             write_sym, desert, private, dep_read) in opts:
+            # sources are populated: the fresh-move list is filtered against
+            # this population, and carried steps from a chain replay (the
+            # docstring's precondition)
             dyn_inc = private is None
             if dyn_inc:  # increment at the bottom round
                 private = bool(pop & dst_bit)
@@ -216,27 +220,23 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                 # a privately-placed increment stays private only while
                 # its destination is populated; deserters of it depend
                 lp2_dst = dst_bit if dyn_inc else 0
-            child = [pop2, regs2, pos + advance, deserted2, pending2, lp2,
-                     option_list(pos + advance, pop2), 0, not private,
-                     lp2_dst]
+            pos += advance
+            frames.append(((pop2, regs2, pos, deserted2, pending2, lp2,
+                            lp2_dst), not private, options(pos, pop2)))
+            pending_ticks += 1
+            if pos == tau_len:
+                tick(pending_ticks)
+                pending_ticks = 0
+                yield tuple(steps), pop2 | regs2, tuple(vis)
+            elif pending_ticks >= 512:
+                tick(pending_ticks)
+                pending_ticks = 0
             break
-        frame[7] = i
-        if child is None:
-            frames.pop()
+        else:
+            _, visible, _ = frames.pop()
             if frames:
                 steps.pop()
-                if frame[8]:
+                if visible:
                     vis.pop()
             elif pending_ticks:
                 tick(pending_ticks)
-                pending_ticks = 0
-            continue
-        frames.append(child)
-        pending_ticks += 1
-        if child[2] == tau_len:
-            tick(pending_ticks)
-            pending_ticks = 0
-            yield tuple(steps), child[0] | child[1], tuple(vis)
-        elif pending_ticks >= 512:
-            tick(pending_ticks)
-            pending_ticks = 0

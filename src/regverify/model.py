@@ -104,11 +104,13 @@ def _register_index(tok: str, reg_count: int, lineno: int) -> int:
     return j - 1
 
 
-def _symbol_index(tok: str, symbol_ids: dict, lineno: int) -> int:
-    sym = symbol_ids.get(tok)
-    if sym is None:
-        raise ProtocolSemanticError(f"line {lineno}: unknown symbol {tok!r}")
-    return sym
+def _name_index(tok: str, ids: dict, what: str, lineno: int) -> int:
+    """The id ``ids`` gives the name ``tok`` of a ``what`` on line
+    ``lineno``."""
+    i = ids.get(tok)
+    if i is None:
+        raise ProtocolSemanticError(f"line {lineno}: unknown {what} {tok!r}")
+    return i
 
 
 def _count(header: dict, key: str, what: str, least: int) -> int:
@@ -138,7 +140,7 @@ def _parse_action(text: str, flavor: str, reg_count: int, visibility: int,
     if kind == WRITE:
         if len(args) != 2:
             raise ProtocolSyntaxError("write takes (register, symbol)", lineno)
-        sym = _symbol_index(args[1], symbol_ids, lineno)
+        sym = _name_index(args[1], symbol_ids, "symbol", lineno)
         if sym == D0:
             raise ProtocolSemanticError(
                 f"line {lineno}: write of initial symbol {args[1]!r}")
@@ -149,7 +151,7 @@ def _parse_action(text: str, flavor: str, reg_count: int, visibility: int,
             raise ProtocolSyntaxError(
                 "roundless read takes (register, symbol)", lineno)
         return Action(READ, _register_index(args[0], reg_count, lineno),
-                      _symbol_index(args[1], symbol_ids, lineno))
+                      _name_index(args[1], symbol_ids, "symbol", lineno))
 
     if len(args) != 3:
         raise ProtocolSyntaxError(
@@ -166,7 +168,7 @@ def _parse_action(text: str, flavor: str, reg_count: int, visibility: int,
         raise ProtocolSemanticError(
             f"line {lineno}: read depth {depth} out of range 0..{visibility}")
     return Action(READ, _register_index(args[1], reg_count, lineno),
-                  _symbol_index(args[2], symbol_ids, lineno), depth)
+                  _name_index(args[2], symbol_ids, "symbol", lineno), depth)
 
 
 def parse_protocol(text: str) -> Protocol:
@@ -228,10 +230,8 @@ def parse_protocol(text: str) -> Protocol:
 
     initial = []
     for tok in header["initial"][0].split():
-        if tok not in state_ids:
-            raise ProtocolSemanticError(
-                f"line {header['initial'][1]}: unknown initial state {tok!r}")
-        initial.append(state_ids[tok])
+        initial.append(_name_index(tok, state_ids, "initial state",
+                                   header["initial"][1]))
 
     reg_count = _count(header, "registers", "register count", 1)
     visibility = None
@@ -249,14 +249,8 @@ def parse_protocol(text: str) -> Protocol:
             raise ProtocolSyntaxError("expected 'source action dest'", lineno)
         act_text, _, dst_tok = toks[1].rpartition(" ")
         act_text, dst_tok = act_text.strip(), dst_tok.strip()
-        src = state_ids.get(toks[0])
-        if src is None:
-            raise ProtocolSemanticError(
-                f"line {lineno}: unknown source state {toks[0]!r}")
-        dst = state_ids.get(dst_tok)
-        if dst is None:
-            raise ProtocolSemanticError(
-                f"line {lineno}: unknown destination state {dst_tok!r}")
+        src = _name_index(toks[0], state_ids, "source state", lineno)
+        dst = _name_index(dst_tok, state_ids, "destination state", lineno)
         action = actions.get(act_text)
         if action is None:
             action = actions[act_text] = _parse_action(

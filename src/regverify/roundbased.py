@@ -45,12 +45,12 @@ deserting only from states the obligations negate), universal literal sets
 and existential firing rounds.  A branch is dropped when ``oracle._join``,
 the one contradiction rule, folds its ground literals' tests to false, and so
 is a candidate whose tests it folds with every forcing set of a universal at
-a round where that set's literals meet the candidate's.  Visited (footprint,
-obligations) signatures, with where round 0 sits in the window, are
-memoized, which makes the state space finite; a work budget caps the
-search, returning "unknown" rather than ever a wrong answer.
-Bridge-footprint edges are memoized per query and enumerated lazily: the
-budget counts only the query's own work, whatever ran before it.  On
+a round where that set's literals meet the candidate's.  Visited nodes
+(round capped at v+1, footprint, obligations) are memoized, which makes
+the state space finite; a work budget caps the search, returning
+"unknown" rather than ever a wrong answer.  Each node's
+``extend_footprint`` stream is shared within the query and read lazily:
+the budget counts only the query's own work, whatever ran before it.  On
 acceptance the chain's bridge steps are spliced into one execution, in
 time linear in the chain (``_glue_chain``), and the witness is replayed
 and checked against the constraint.
@@ -58,6 +58,7 @@ and checked against the constraint.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -103,8 +104,9 @@ def _holds(opts: tuple):
 
 
 class _Node(NamedTuple):
-    """A search node at round k.  Its carried steps count rounds from k-1,
-    the top round of the bridge they came from; its literals from k."""
+    """A search node at round k, capped at v+1.  Its carried steps count
+    rounds from k-1, the top round of the bridge they came from; its
+    literals from k."""
 
     k: int
     carried: tuple            # visible steps of the last bridge
@@ -287,66 +289,129 @@ def _footprint_search(p: Protocol, psi, cands: list, budget: int,
     conjunction, an execution that meets them has a twin that does too,
     with such a start and deserts; normalizing the twin, as the bridge
     footprints presuppose, only drops steps and turns deserts into keeps.
+
+    A node's round is capped at v+1, where round 0 has left the window,
+    so the node is its own visited key.  Its capped round and carried
+    steps, with N and, while k <= v, the initial set, key its
+    ``extend_footprint`` stream, which runs at the true round of the first
+    node that reaches the key; later rounds share it.  The true round is
+    the chain's length, which ``_glue_chain`` also reads.
     """
     v = max(p.visibility or 0, 1)
+    block = layout(p, 0)[2](1, 0)
+    step_cap = default_step_cap(p)
     work = {"ticks": 0, "nodes": 0, "route": "footprints"}
-    edge_memo: dict = {}  # shared by the root branches of this query only
+    # (capped round, carried steps, initial set while k <= v, N) -> (edges
+    # read so far, the live extend_footprint stream), for this query's root
+    # branches
+    streams: dict = {}
 
     def tick(n: int = 1):
         work["ticks"] += n
         if work["ticks"] > budget:
             raise CapExceeded(f"search exceeds {budget} ticks")
 
+    def expand(uni_opts: list, init_set: frozenset, negated: frozenset,
+               node: _Node, k: int):
+        """Children of a search node at true round k: (bridge steps, next
+        node), the node None on acceptance.  The root branch's context
+        (universal options, initial set, N) comes first, for binding.
+
+        Per-branch obligations are computed once per node; per edge only
+        the current round's literal test and the stop test remain, each a
+        ``_probe`` of ``_join``ed bit tests.  The literal test reads round
+        k of the edge's last code, and the stop test its round-(k+1)
+        block, where ``extend_footprint`` leaves the destinations of the
+        deserting increments at round k.  Stored edges are replayed at one
+        tick each, and the stream is advanced only past their end.
+        """
+        # the last code counts rounds from the window's lowest, max(k - v, 0)
+        up = min(k, v) * block
+        # (remaining E, test of the round-k literals on the edge's last
+        # code or None, pending literals counted from k+1, stop test on the
+        # last code shifted down to round k+1, or None)
+        branches = []
+        for remaining_exist, closed2 in _onestep_branches(
+                p, uni_opts, node.exist, node.closed, options):
+            now = [(m << up, w << up, eq, s) for m, w, eq, s in closed2
+                   if not m >> block]
+            test = _probe(_join(True, now)) if now else None
+            pending = frozenset((m >> block, w >> block, eq, s)
+                                for m, w, eq, s in closed2 if m >> block)
+            stop = None
+            if not remaining_exist:
+                # may the execution stop at round k, leaving later rounds
+                # untouched?  The pending literals and the universals, each
+                # the disjunction of its forcing sets, rounds counted from
+                # k+1, on the last code's blocks from round k+1 up:
+                # deserting increments may already populate round k+1,
+                # everything beyond is empty and registers above round k
+                # are initial.  Universals are checked at round k+1 only:
+                # from round k+2 on every round reads the empty tail, where
+                # each universal holds, or _refuted would have dropped the
+                # candidate
+                stop = _probe(_join(True, [*pending, *map(_holds, uni_opts)]))
+            branches.append((remaining_exist, test, pending, stop))
+        if not branches:
+            return
+        key = (node.k, node.carried, init_set if k <= v else None, negated)
+        if key not in streams:
+            streams[key] = ([], extend_footprint(
+                p, node.carried, init_set, k, step_cap, tick, negated))
+        edges, stream = streams[key]
+        for i in itertools.count():
+            if i < len(edges):
+                tick()
+            else:
+                nxt = next(stream, None)
+                if nxt is None:
+                    return
+                edges.append(nxt)
+            steps, last, vis = edges[i]
+            tick(len(branches))
+            for remaining_exist, test, pending, stop in branches:
+                if test is not None and not test(last):
+                    continue
+                if stop is not None and stop(last >> up + block):
+                    yield steps, None
+                    continue
+                yield steps, _Node(min(k + 1, v + 1), vis, remaining_exist,
+                                   pending)
+
     # root branches: obligation candidate x populated initial states
     for cand in cands:
         negated = frozenset().union(*map(
             negated_states, cand.closed | cand.existential | cand.universal))
+        # each universal's forcing-set options, looked up once per candidate
+        uni_opts = [_literal_options(p, u, options)
+                    for u in sorted(cand.universal, key=repr)]
+        root = _Node(0, (), cand.existential, _tests(p, cand.closed))
         for init_set in initial_supports(p, negated):
+            grow = functools.partial(expand, uni_opts, init_set, negated)
+            visited: set = set()
+            stack = [grow(root, 0)]  # each entry: a node's children
+            chain: list[tuple] = []  # each round's bridge steps, rounds from it
+            work["nodes"] += 1
             try:
-                hit = _search(p, cand, init_set, v, tick, work, edge_memo,
-                              negated, options)
+                while stack:
+                    for steps, child in stack[-1]:
+                        if child is None:  # accepted at this round
+                            hit = _glue_chain([*chain, steps], init_set)
+                            validated(p, psi, hit)
+                            return Verdict(POSITIVE, "rb-search", hit,
+                                           dict(work))
+                        if child not in visited:
+                            visited.add(child)
+                            work["nodes"] += 1
+                            chain.append(steps)
+                            stack.append(grow(child, len(chain)))
+                            break
+                    else:
+                        stack.pop()
+                        del chain[-1:]  # the root has no bridge to drop
             except CapExceeded:
                 return Verdict(UNKNOWN, "rb-search", None, dict(work))
-            if hit is not None:
-                validated(p, psi, hit)
-                return Verdict(POSITIVE, "rb-search", hit, dict(work))
     return Verdict(NEGATIVE, "rb-search", None, dict(work))
-
-
-def _search(p: Protocol, cand: ApcCandidate, init_set: frozenset,
-            v: int, tick, work, edge_memo: dict,
-            negated: frozenset, options: dict) -> Execution | None:
-    # each universal's forcing-set options, looked up once per root branch
-    uni_opts = [_literal_options(p, u, options)
-                for u in sorted(cand.universal, key=repr)]
-    root = _Node(0, (), cand.existential, _tests(p, cand.closed))
-    visited: set = set()
-    # each stack entry: (node, iterator over (steps, sig, child or None))
-    stack = [(root, _expand(p, root, uni_opts, init_set, v, tick,
-                            edge_memo, negated, options))]
-    chain: list[tuple] = []  # each round's bridge steps, rounds from it
-    work["nodes"] += 1
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for steps, sig, child in it:
-            if child is None:  # accepted at this round
-                chain.append(steps)
-                return _glue_chain(chain, init_set)
-            if sig in visited:
-                continue
-            visited.add(sig)
-            work["nodes"] += 1
-            chain.append(steps)
-            stack.append((child, _expand(p, child, uni_opts, init_set, v,
-                                         tick, edge_memo, negated, options)))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            if chain:
-                chain.pop()
-    return None
 
 
 def _glue_chain(chain: list[tuple], init_set: frozenset) -> Execution:
@@ -386,97 +451,3 @@ def _glue_chain(chain: list[tuple], init_set: frozenset) -> Execution:
         moves += prev[i:] + new
     start = AbstractConfig(frozenset((q, 0) for q in init_set), frozenset())
     return Execution(start, tuple(moves))
-
-
-def _edges_for(p: Protocol, node: _Node, init_set: frozenset, v: int,
-               tick, negated: frozenset, memo: dict):
-    """Extension edges for a node's carried steps, memoized per query.
-
-    Edges depend on the carried steps, on the candidate's negated states
-    and on where round 0 sits in the window (with the initial set while it
-    is there), so one query's nodes share them through ``memo``: key ->
-    (edges read so far, the live ``extend_footprint`` stream, which charges
-    the query's ``tick``).  Past round v, the carried steps a chain yields
-    give one stream at every round, so the key caps the round at v+1; the
-    stream still runs at the node's own round.
-    Stored edges are replayed at one tick each, and the stream is advanced
-    only past their end.  Yields (steps, packed last local configuration,
-    visible steps), rounds counted from the node's round.
-    """
-    k = node.k
-    key = (min(k, v + 1), init_set if k <= v else None, negated,
-           node.carried)
-    if key not in memo:
-        memo[key] = ([], extend_footprint(
-            p, node.carried, init_set, k, default_step_cap(p), tick,
-            negated=negated))
-    edges, stream = memo[key]
-    for i in itertools.count():
-        if i < len(edges):
-            tick()
-        else:
-            nxt = next(stream, None)
-            if nxt is None:
-                return
-            edges.append(nxt)
-        yield edges[i]
-
-
-def _expand(p: Protocol, node: _Node, uni_opts: list, init_set: frozenset,
-            v: int, tick, edge_memo: dict, negated: frozenset,
-            options: dict):
-    """Children of a search node: (bridge steps, sig, next node or None).
-
-    None as the node signals acceptance with those steps.  Per-branch
-    obligations are computed once per node; per edge only the current
-    round's literal test and the stop test remain, each a ``_probe`` of
-    ``_join``ed bit tests.  The literal test reads round k of the edge's
-    last code, and the stop test its round-(k+1) block, where
-    ``extend_footprint`` leaves the destinations of the deserting
-    increments at round k.
-    """
-    k = node.k
-    block = layout(p, 0)[2](1, 0)
-    # the last code counts rounds from the window's lowest, max(k - v, 0)
-    up = min(k, v) * block
-
-    # branch precomputation: (remaining E, test of the round-k literals on
-    # the edge's last code or None, pending literals counted from k+1, stop
-    # test on the last code shifted down to round k+1, or None)
-    branches = []
-    for remaining_exist, closed2 in _onestep_branches(
-            p, uni_opts, node.exist, node.closed, options):
-        now = [(m << up, w << up, eq, s) for m, w, eq, s in closed2
-               if not m >> block]
-        test = _probe(_join(True, now)) if now else None
-        pending = frozenset((m >> block, w >> block, eq, s)
-                            for m, w, eq, s in closed2 if m >> block)
-        stop = None
-        if not remaining_exist:
-            # may the execution stop at round k, leaving later rounds
-            # untouched?  The pending literals and the universals, each the
-            # disjunction of its forcing sets, rounds counted from k+1, on
-            # the last code's blocks from round k+1 up: deserting increments
-            # may already populate round k+1, everything beyond is empty and
-            # registers above round k are initial.  Universals are checked
-            # at round k+1 only: from round k+2 on every round reads the
-            # empty tail, where each universal holds, or _refuted would have
-            # dropped the candidate
-            stop = _probe(_join(True, [*pending, *map(_holds, uni_opts)]))
-        branches.append((remaining_exist, test, pending, stop))
-    if not branches:
-        return
-
-    sig_round = min(k + 1, v + 1)
-    n_branches = len(branches)
-    for steps, last, vis in _edges_for(p, node, init_set, v, tick, negated,
-                                       edge_memo):
-        tick(n_branches)
-        for remaining_exist, test, pending, stop in branches:
-            if test is not None and not test(last):
-                continue
-            if stop is not None and stop(last >> up + block):
-                yield steps, None, None
-                continue
-            sig = (sig_round, vis, remaining_exist, pending)
-            yield steps, sig, _Node(k + 1, vis, remaining_exist, pending)

@@ -260,7 +260,7 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
     The start must be an initial configuration (a concrete start projects
     to one) and each step a transition of ``p``; ``replay`` checks the rest.
     """
-    from .model import _parse_action
+    from .model import _name_index, _parse_action
 
     lines = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
@@ -277,21 +277,22 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
     # a state name may hold "|" or "@", a register token holds "="
     cut = max((i for i, tok in enumerate(toks) if tok == "|"),
               default=len(toks))
+    state_ids = {n: i for i, n in enumerate(p.state_names)}
+    symbol_ids = {n: i for i, n in enumerate(p.symbol_names)}
     elems = []
     for tok in toks[:cut]:
-        if p.flavor == ROUNDLESS:
-            elems.append((p.state_id(tok), 0))
-        else:
-            name, _, k = tok.rpartition("@")
-            elems.append((p.state_id(name), _trace_int(k, start_line)))
+        name, at, k = (tok, "@", "0") if p.flavor == ROUNDLESS else \
+            tok.rpartition("@")
+        if not at:
+            raise ReplayFailure(f"line {start_line}: {tok!r} has no '@round'")
+        elems.append((_name_index(name, state_ids, "state", start_line),
+                      _trace_int(k, start_line)))
     regs = frozenset()
     for tok in toks[cut + 1:]:
         key_part, _, sym_name = tok.partition("=")
-        sym = p.symbol_id(sym_name)
-        if p.flavor == ROUNDLESS:
-            k, j = "0", key_part
-        else:
-            k, _, j = key_part.partition(".")
+        sym = _name_index(sym_name, symbol_ids, "symbol", start_line)
+        k, _, j = ("0", ".", key_part) if p.flavor == ROUNDLESS else \
+            key_part.partition(".")
         j = _trace_int(j, start_line)
         if not 1 <= j <= p.register_count:
             raise ReplayFailure(
@@ -310,7 +311,6 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
 
     moves = []
     transitions = set(p.transitions)
-    symbol_ids = {n: i for i, n in enumerate(p.symbol_names)}
     rest = lines[2:]
     if rest and rest[0][1] == "steps:":
         rest = rest[1:]
@@ -325,8 +325,8 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
         flag = toks[-1]
         if flag not in ("desert", "keep"):
             raise ReplayFailure(f"line {lineno}: bad desert flag {flag!r}")
-        src = p.state_id(toks[0])
-        dst = p.state_id(toks[-2])
+        src, dst = (_name_index(t, state_ids, "state", lineno)
+                    for t in (toks[0], toks[-2]))
         act_text = " ".join(toks[1:-2])
         action = _parse_action(act_text, p.flavor, p.register_count,
                                p.visibility or 0, symbol_ids, lineno)

@@ -288,7 +288,13 @@ def test_replay_bad_trace_reports_step(exdir, capsys, tmp_path):
                  "  q0 write(1, a) qf keep", id="step-not-a-transition"),
     pytest.param("fig1.prot", "start: qf | 1=a", id="start-not-initial"),
     pytest.param("fig1.prot", "start: | 1=d0", id="start-empty"),
-    pytest.param("fig4.prot", "start: qf@5 |", id="rb-start-not-initial")])
+    pytest.param("fig4.prot", "start: qf@5 |", id="rb-start-not-initial"),
+    pytest.param("fig1.prot", "start: zz | 1=d0", id="start-unknown-state"),
+    pytest.param("fig4.prot", "start: zz@0 |", id="rb-start-unknown-state"),
+    pytest.param("fig1.prot", "start: q0 | 1=zz", id="start-unknown-symbol"),
+    pytest.param("fig4.prot", "start: q0 |", id="rb-start-without-round"),
+    pytest.param("fig1.prot", "start: q0 | 1=d0\nsteps:\n"
+                 "  q0 read(1, a) zz keep", id="step-unknown-state")])
 def test_replay_malformed_trace_is_bad_input(exdir, capsys, tmp_path, prot,
                                              body):
     flavor = parse_protocol((exdir / prot).read_text()).flavor

@@ -1,6 +1,7 @@
 """Footprint algebra tests: local steps, projections, gluing, normal form."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -482,10 +483,51 @@ def counted_stream(p, carried, k: int, step_cap: int, negated):
     return stream, sum(ticks)
 
 
+# at round 1 with v = 1: the carried increment a -> a from round 0, and
+# fresh, the same increment, one a -> d, and reads a -> s1..s5 at round 1
+TICKS = parse_protocol(
+    "flavor: roundbased\nstates: a d s1 s2 s3 s4 s5\ninitial: a\n"
+    "registers: 1\nalphabet: d0\nvisibility: 1\ntransitions:\n"
+    "  a inc a\n  a inc d\n"
+    + "".join(f"  a read(0, 1, d0) s{i}\n" for i in range(1, 6)))
+
+
+def test_ticks_charge_each_placement_before_its_bridge_or_in_512s():
+    # one tick for the start and one per step placed, charged before each
+    # yield, every 512 placements and at the end
+    carried = (Move(TICKS.transitions[0], 0, False),)
+    events = []  # charges, and None for each yield
+    for _ in extend_footprint(TICKS, carried, TICKS.initial_states, 1, 20,
+                              events.append, frozenset()):
+        events.append(None)
+    charges = [n for n in events if n is not None]
+    assert all(0 < n <= 512 for n in charges)
+    assert all(n == 512 for n, nxt in zip(events, events[1:])
+               if n is not None and nxt is not None)
+    # placements in depth-first order, the carried step tried first: the
+    # carried step, then every sequence of distinct fresh steps after it,
+    # each a bridge (f(6) placements); the fresh a -> a, after which the
+    # carried step is a stutter and never replays (f(6), no bridge); a -> d,
+    # then the carried step and the reads after it (f(5), each a bridge);
+    # the fresh a -> a again (f(5), no bridge).  f(n) counts the sequences
+    # of distinct picks out of n, the empty one included
+    f5, f6 = (sum(math.perm(n, j) for j in range(n + 1)) for n in (5, 6))
+    placed = [*range(1, f6 + 1), *range(2 * f6 + 2, 2 * f6 + f5 + 2)]
+    total, sums = 0, []  # the charges so far at each yield
+    for n in events:
+        if n is None:
+            sums.append(total)
+        else:
+            total += n
+    assert sums == [1 + n for n in placed]
+    assert total == 1 + 2 * f6 + 1 + 2 * f5
+    assert placed[f6] - placed[f6 - 1] > 512  # no bridge for that long
+
+
 def test_bridges_past_the_window_of_round_0_do_not_depend_on_the_round():
-    # roundbased._edges_for keys a node's edges by min(k, v + 1): from round
-    # v + 1 on, a carried tuple that a chain of bridges yields has the same
-    # stream, ticks included, at every round, rounds counted from it
+    # rb-search keys a node's stream by its round capped at v + 1: from
+    # round v + 1 on, a carried tuple that a chain of bridges yields has the
+    # same stream, ticks included, at every round, rounds counted from it
     checked = wide = 0
     for seed in range(60):
         rng = random.Random(seed)
@@ -509,8 +551,8 @@ def test_bridges_past_the_window_of_round_0_do_not_depend_on_the_round():
 
 def test_a_carried_tuple_no_chain_yields_may_depend_on_the_round():
     # a depth-2 read at round k - 2 reads below round 0 at k = 3, and below
-    # the window from k = 4 on: the key min(k, v + 1) relies on no chain
-    # carrying such a read into round v + 1
+    # the window from k = 4 on: rb-search's stream key, its round capped at
+    # v + 1, relies on no chain carrying such a read into round v + 1
     p = parse_protocol(
         "flavor: roundbased\nstates: q0 q1\ninitial: q0\nregisters: 1\n"
         "alphabet: d0\nvisibility: 2\ntransitions:\n"

@@ -675,7 +675,7 @@ def test_round_window_positive_replays():
 @pytest.mark.parametrize("seed, ticks, nodes", [(200006, 9, 3),
                                               (200011, 24, 8)])
 def test_footprint_search_keys_round_zero_position(seed, ticks, nodes):
-    # edges and visited signatures are keyed by where round 0 sits in the
+    # streams and visited nodes are keyed by where round 0 sits in the
     # window: inside it up to round v, past it after.  Merging the round-v
     # window with later ones answers the same here with other work counts
     rng = random.Random(seed)
@@ -684,6 +684,24 @@ def test_footprint_search_keys_round_zero_position(seed, ticks, nodes):
     got = footprint_verdict(p, psi, 250_000)
     assert (got.answer, got.stats["ticks"], got.stats["nodes"]) == \
         ("negative", ticks, nodes)
+
+
+def test_footprint_search_runs_each_stream_at_its_true_round():
+    # v = 2: bridge 2 places the depth-2 read at round 2, where it reads
+    # round 0, and bridge 3 carries it on.  The node at round 4 has its
+    # round capped to 3, and run at round 3 its carried read would be
+    # statically disabled: its stream must run at round 4
+    p = parse_protocol(
+        "flavor: roundbased\nstates: q0 q1\ninitial: q0\nregisters: 1\n"
+        "alphabet: d0\nvisibility: 2\ntransitions:\n"
+        "  q0 inc q0\n  q0 read(-2, 1, d0) q1\n")
+    psi = rb(p, "(and (pop q1 2) (pop q0 7) (not (pop q0 0)))")
+    got = footprint_verdict(p, psi, 200_000)
+    assert (got.answer, got.stats["ticks"], got.stats["nodes"]) == \
+        ("positive", 61, 15)
+    final = replay(p, got.witness, ABSTRACT)
+    assert eval_roundbased(p, final, psi)
+    assert (p.state_id("q0"), 7) in final.pop
 
 
 def test_footprint_search_against_oracle_on_bounded_seeds():
