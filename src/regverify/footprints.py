@@ -3,13 +3,14 @@
 A footprint is the stutter-free trace an execution leaves on a window of
 rounds.  The round-by-round search of ``roundbased`` guesses one per round
 k, a bridge on [k-v, k], and ``extend_footprint`` lists them: it replays
-the steps carried from round k-1's bridge and interleaves new ones, on
-codes of the oracle's packed layout (``oracle.layout``).  Moves outside
-the window are relaxed: an increment entering from just below the window
-needs no populated source, and reads from below the window carry no
-register condition.  The paper's general construction, gluing any sliding
-chain of window footprints, is in ``tests/lemmas.py``; the search splices
-its own chain (``roundbased._glue_chain``).
+the steps carried from round k-1's bridge and interleaves new ones,
+stepping one code of the oracle's packed layout (``oracle.layout``) as
+``oracle.bfs`` does, with a marks code and a trailing-step mask beside it.
+Moves outside the window are relaxed: an increment entering from just
+below the window needs no populated source, and reads from below the
+window carry no register condition.  The paper's general construction,
+gluing any sliding chain of window footprints, is in ``tests/lemmas.py``;
+the search splices its own chain (``roundbased._glue_chain``).
 """
 
 from __future__ import annotations
@@ -68,13 +69,18 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
     population, the destinations of the deserting increments at round k
     (all of them visible), with every register there initial.
 
-    The inner loop runs on packed integers in that layout: the population,
-    round k+1 included, and the register bank as its symbol fields, with
-    the deserted locations and the pending (unjustified) writes as masks.
-    Only a deserting increment reaches round k+1, and no step has its
-    source there, so a step populates a location exactly when its bit is
-    clear.  A bit leaves the population only by a desert, which marks it
-    deserted, so a location once populated and now empty is deserted.
+    The walk steps one code of that layout, population and registers
+    together, as ``oracle.bfs`` does: each move compiles to a read test
+    ``code & mask == want`` and an update ``code & keep | add``, and a code
+    it leaves unchanged is a stutter.  ``marks`` holds the deserted
+    locations' bits and the pending (unjustified) writes' fields; ``trail``
+    is None after a visible step, else what the trailing private step set
+    that a later one may depend on: its write field, or its destination if
+    it is an increment at the bottom round.  Only a deserting increment
+    reaches round k+1, and no step has its source there, so a step
+    populates a location exactly when its bit is clear.  A bit leaves the
+    population only by a desert, which marks it deserted, so a location
+    once populated and now empty is deserted.
     """
     v = max(p.visibility or 0, 1)
     # steps confined to the round just below the carried-on window are the
@@ -82,35 +88,27 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
     bottom = k - v
     base = max(k - v, 0)
     _, loc, slot, sym_mask = layout(p, v + 1)
-    pop0 = 0
-    if k <= v:  # round 0 is in the window, at its lowest round
-        for q in initial_set:
-            pop0 |= loc(q, 0)
+    # round 0 is in the window while k <= v, at its lowest round
+    code0 = sum(loc(q, 0) for q in initial_set) if k <= v else 0
 
     def compile_move(m: Move, advance: int):
         a = m.trans.action
         rnd = m.rnd + k
         in_src = base <= rnd <= k
-        src_bit = loc(m.trans.source, rnd - base) if in_src else 0
-        dst_bit = loc(m.trans.dest, rnd + (a.kind == INC) - base)
-        read_shift = -1
-        read_sym = 0
-        dep_read = -1
+        src = loc(m.trans.source, rnd - base) if in_src else 0
+        dst = loc(m.trans.dest, rnd + (a.kind == INC) - base)
+        mask = want = field = add = 0
         if a.kind == READ and in_src:
             target = rnd - a.depth
             if target < 0:
                 return None  # statically disabled
             if target >= base:
-                read_shift = slot(target - base, a.reg)
-                read_sym = a.symbol
-                if target == bottom:
-                    dep_read = read_shift
-        write_shift = -1
-        write_sym = 0
-        if a.kind == WRITE and in_src:
-            write_shift = slot(rnd - base, a.reg)
-            write_sym = a.symbol
-        desert = m.desert and in_src
+                at = slot(target - base, a.reg)
+                mask, want = sym_mask << at, a.symbol << at
+        elif a.kind == WRITE and in_src:
+            at = slot(rnd - base, a.reg)
+            field, add = sym_mask << at, a.symbol << at
+        dsrc = src if m.desert else 0
         if bottom < 0:
             private = False  # 0/False static, None dynamic (inc at bottom)
         elif a.kind == INC:
@@ -118,8 +116,8 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
                                                  else False)
         else:
             private = rnd == bottom
-        return (m, advance, src_bit, dst_bit, read_shift, read_sym,
-                write_shift, write_sym, desert, private, dep_read)
+        return (m, advance, src, dst, mask, want, ~(field | dsrc), add | dst,
+                field, dsrc, private)
 
     new_ops = []
     for t in p.transitions:
@@ -132,26 +130,23 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
             cand = [Move(t, 0, False)]
             if may_desert:
                 cand.append(Move(t, 0, True))
-        for m in cand:
-            op = compile_move(m, 0)
-            if op is not None:
-                new_ops.append(op)
-    tau_ops = []
-    for m in carried:
-        op = compile_move(Move(m.trans, m.rnd - 1, m.desert), 1)
-        if op is None:
-            raise ReplayFailure("carried footprint step statically disabled")
-        tau_ops.append(op)
+        new_ops += filter(None, (compile_move(m, 0) for m in cand))
+    tau_ops = [compile_move(Move(m.trans, m.rnd - 1, m.desert), 1)
+               for m in carried]
+    if None in tau_ops:
+        raise ReplayFailure("carried footprint step statically disabled")
     tau_len = len(tau_ops)
 
+    srcs = sum({op[2] for op in new_ops})  # what the fresh options depend on
     new_ops_by_pop: dict[int, list] = {}
     steps: list[Move] = []
     vis: list[Move] = []
 
-    def options(pos: int, pop: int):
+    def options(pos: int, code: int):
         """An iterator over the next step's options, empty at the cap."""
         if len(steps) >= step_cap:
             return iter(())
+        pop = code & srcs
         cached = new_ops_by_pop.get(pop)
         if cached is None:
             cached = [op for op in new_ops if not op[2] or pop & op[2]]
@@ -159,75 +154,60 @@ def extend_footprint(p: Protocol, carried: tuple, initial_set, k: int,
         return iter([tau_ops[pos], *cached] if pos < tau_len else cached)
 
     # one frame per placed step: (the state after it, whether it is
-    # visible, the next step's options).  The state is (pop, regs, pos,
-    # deserted, pending, lp_write, lp_dst); lp_write is -1 when the last
-    # step was visible, otherwise the write field shift of the trailing
-    # private step (-2 when it wrote nothing); lp_dst is the destination
-    # bit of a trailing private increment, or 0
-    frames = [((pop0, 0, 0, 0, 0, -1, 0), False, options(0, pop0))]
+    # visible, the next step's options); the state is (code, pos, marks,
+    # trail)
+    frames = [((code0, 0, 0, None), False, options(0, code0))]
     pending_ticks = 1
     if tau_len == 0:
         tick(pending_ticks)
         pending_ticks = 0
-        yield (), pop0, ()
+        yield (), code0, ()
     while frames:
-        (pop, regs, pos, deserted, pending, lp_write, lp_dst), _, opts = \
-            frames[-1]
-        for (m, advance, src_bit, dst_bit, read_shift, read_sym, write_shift,
-             write_sym, desert, private, dep_read) in opts:
+        (code, pos, marks, trail), _, opts = frames[-1]
+        for (m, advance, _, dst, mask, want, keep, add, field, dsrc,
+             private) in opts:
             # sources are populated: the fresh-move list is filtered against
             # this population, and carried steps from a chain replay (the
             # docstring's precondition)
             dyn_inc = private is None
             if dyn_inc:  # increment at the bottom round
-                private = bool(pop & dst_bit)
-            if lp_write != -1 and not private and not (
-                    dyn_inc or dep_read == lp_write
-                    or (lp_dst and desert and src_bit == lp_dst)):
+                private = bool(code & dst)
+            # a visible step follows a private one only if it depends on
+            # it: it reads the private write's field (at the bottom round,
+            # so only a read of that round can) or deserts the location a
+            # bottom-round increment populated
+            if trail is not None and not private and not (
+                    dyn_inc or (mask | dsrc) & trail):
                 continue  # non-canonical schedule; its twin is emitted
-            if read_shift >= 0 and \
-                    (regs >> read_shift) & sym_mask != read_sym:
+            if code & mask != want:
                 continue
-            # clear the source before setting the destination: a deserting
-            # self-loop keeps its location populated
-            pop2 = (pop & ~src_bit if desert else pop) | dst_bit
-            regs2 = regs
-            if write_shift >= 0:
-                regs2 = (regs & ~(sym_mask << write_shift)) | (
-                    write_sym << write_shift)
-            if pop2 == pop and regs2 == regs:
-                continue  # stutter: invisible inside the window
-            populates = not pop & dst_bit
-            if populates and deserted & dst_bit:
-                continue  # repopulation after desertion
-            deserted2 = deserted | src_bit if desert else deserted
-            pending2 = pending
-            if write_shift >= 0:
-                wbit = 1 << write_shift
-                if pending & wbit:
-                    continue  # overwriting an unjustified write
-                if not (populates or desert):
-                    pending2 = pending | wbit
-            if read_shift >= 0:
-                pending2 = pending2 & ~(1 << read_shift)
+            # the source is cleared before the destination is set: a
+            # deserting self-loop keeps its location populated
+            code2 = code & keep | add
+            populates = not code & dst
+            if code2 == code or populates and marks & dst or marks & field:
+                # a stutter, repopulating a deserted location, or
+                # overwriting an unjustified write
+                continue
+            # a read justifies the field it reads, and a write that neither
+            # populates nor deserts is pending until one does
+            marks2 = marks & ~mask | dsrc
+            if not (populates or dsrc):
+                marks2 |= field
             steps.append(m)
-            if not private:
-                vis.append(m)
-                lp2 = -1
-                lp2_dst = 0
+            if private:
+                trail2 = dst if dyn_inc else field
             else:
-                lp2 = write_shift if write_shift >= 0 else -2
-                # a privately-placed increment stays private only while
-                # its destination is populated; deserters of it depend
-                lp2_dst = dst_bit if dyn_inc else 0
+                vis.append(m)
+                trail2 = None
             pos += advance
-            frames.append(((pop2, regs2, pos, deserted2, pending2, lp2,
-                            lp2_dst), not private, options(pos, pop2)))
+            frames.append(((code2, pos, marks2, trail2), not private,
+                           options(pos, code2)))
             pending_ticks += 1
             if pos == tau_len:
                 tick(pending_ticks)
                 pending_ticks = 0
-                yield tuple(steps), pop2 | regs2, tuple(vis)
+                yield tuple(steps), code2, tuple(vis)
             elif pending_ticks >= 512:
                 tick(pending_ticks)
                 pending_ticks = 0

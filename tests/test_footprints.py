@@ -10,7 +10,7 @@ from regverify import roundbased
 from regverify.constraints import parse_round_constraint
 from regverify.errors import NotEnabled, ReplayFailure
 from regverify.footprints import extend_footprint
-from regverify.model import INC, parse_protocol
+from regverify.model import INC, READ, parse_protocol
 from regverify.oracle import layout
 from regverify.reductions import builtin_examples
 from regverify.semantics import (ABSTRACT, Execution, Move,
@@ -414,15 +414,25 @@ def round_above(vis_steps, k: int) -> set:
             if m.trans.action.kind == INC and m.rnd == k and m.desert}
 
 
-@pytest.mark.parametrize("case", ["fig4", "two-regs", 3, 11, 13, 35])
+@pytest.mark.parametrize("case", ["fig4", "two-regs", 3, 11, 13, 35,
+                                  "deep-1", "deep-10", "deep-16", "deep-37"])
 def test_last_code_decodes_to_final_local_configuration(case):
     # extend_footprint's last code is an oracle.layout(p, v + 1) code whose
     # rounds count from the window's lowest round max(k - v, 0): the window,
-    # then round k+1, populated by the deserting increments at round k
+    # then round k+1, populated by the deserting increments at round k.
+    # The deep cases have visibility 2 or 3 and reads of depth 2 or more,
+    # and k runs to v + 1, where the window has left round 0
     if case == "fig4":
         p, init = FIG4, {FIG4.state_id("q0")}
     elif case == "two-regs":
         p, init = TWO_REGS, TWO_REGS.initial_states
+    elif isinstance(case, str) and case.startswith("deep-"):
+        p = random_rb_protocol(random.Random(int(case[5:])),
+                               visibility_max=3, max_trans=8)
+        init = p.initial_states
+        assert p.visibility >= 2 and any(
+            t.action.kind == READ and t.action.depth >= 2
+            for t in p.transitions)
     else:
         p = random_rb_protocol(random.Random(case))
         init = p.initial_states
@@ -430,7 +440,7 @@ def test_last_code_decodes_to_final_local_configuration(case):
     decode = packed_window(p, v + 1)[2]
     taus = [Footprint(bridge_start(init, -v, -1), ())]
     seen = 0
-    for k in range(3):
+    for k in range(max(3, v + 2)):
         base = max(k - v, 0)
         carried = []
         for tau in taus:
