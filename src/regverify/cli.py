@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import constraints as cst
-from .errors import (NotDNF, NotEnabled, NotUninitialized, RegverifyError,
-                     WrongRegisterCount)
+from .errors import (CapExceeded, NotDNF, NotEnabled, NotUninitialized,
+                     RegverifyError, WrongRegisterCount)
 from .model import ROUNDBASED, ROUNDLESS, parse_protocol, serialize_protocol
 from .oracle import oracle_prp
 from .reductions import (TRUTH_TABLE_CAP, Circuit, CnfFormula,
@@ -46,24 +46,13 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_protocol(path: str):
+def _load(path: str, what: str, parse):
     try:
-        return parse_protocol(Path(path).read_text())
+        return parse(Path(path).read_text())
     except OSError as e:
-        raise CliError(f"cannot read protocol: {e}", EXIT_DATA)
+        raise CliError(f"cannot read {what}: {e}", EXIT_DATA)
     except RegverifyError as e:
-        raise CliError(f"bad protocol {path}: {e}", EXIT_DATA)
-
-
-def _load_constraint(path: str, p):
-    parse = cst.parse_roundless_constraint if p.flavor == ROUNDLESS \
-        else cst.parse_round_constraint
-    try:
-        return parse(Path(path).read_text(), p)
-    except OSError as e:
-        raise CliError(f"cannot read constraint: {e}", EXIT_DATA)
-    except RegverifyError as e:
-        raise CliError(f"bad constraint {path}: {e}", EXIT_DATA)
+        raise CliError(f"bad {what} {path}: {e}", EXIT_DATA)
 
 
 def _emit(v: Verdict, p, args) -> int:
@@ -93,11 +82,14 @@ def _problem_constraint(args, p):
         return make(p, q), q
     if not args.constraint:
         raise CliError(f"{args.problem} needs a constraint file", EXIT_USAGE)
-    return _load_constraint(args.constraint, p), None
+    parse = cst.parse_roundless_constraint if p.flavor == ROUNDLESS \
+        else cst.parse_round_constraint
+    return _load(args.constraint, "constraint",
+                 lambda text: parse(text, p)), None
 
 
 def cmd_check(args) -> int:
-    p = _load_protocol(args.protocol)
+    p = _load(args.protocol, "protocol", parse_protocol)
     roundless_problem = args.problem in ("cover", "target", "dnfprp", "prp")
     if roundless_problem and p.flavor != ROUNDLESS:
         raise CliError(f"{args.problem} needs a roundless protocol",
@@ -149,7 +141,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    p = _load_protocol(args.protocol)
+    p = _load(args.protocol, "protocol", parse_protocol)
     phi, _ = _problem_constraint(args, p)
     v = oracle_prp(p, phi, max_round=args.cap_rounds,
                    state_cap=args.cap_states)
@@ -157,7 +149,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    p = _load_protocol(args.protocol)
+    p = _load(args.protocol, "protocol", parse_protocol)
     try:
         text = Path(args.trace).read_text()
         exec_, mode = parse_trace(p, text)
@@ -254,7 +246,7 @@ def _random_circuit(rng: random.Random, gates: int) -> Circuit:
 
 
 def cmd_fmt(args) -> int:
-    p = _load_protocol(args.protocol)
+    p = _load(args.protocol, "protocol", parse_protocol)
     sys.stdout.write(serialize_protocol(p))
     return 0
 
@@ -371,7 +363,8 @@ def main(argv=None) -> int:
         return e.code
     except RegverifyError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        # an oracle refusal beyond its caps is an instance it does not decide
+        return EXIT_INCOMPATIBLE if isinstance(e, CapExceeded) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -492,13 +492,12 @@ def prime_implicants(node, is_leaf) -> list[dict]:
     The leaves are the subtrees ``is_leaf`` accepts, under And/Or/Not.  A
     DNF is built by structure, dropping terms that hold a leaf both ways;
     closing it under consensus, keeping the minimal terms, leaves exactly
-    the prime implicants (Blake's canonical form).  They come by ascending
-    size, then by leaf indices in declaration order, then True before False.
-    An empty result means the formula is unsatisfiable.
+    the prime implicants (Blake's canonical form).  The walk numbers each
+    leaf the first time it meets it, which is declaration order.  They come
+    by ascending size, then by leaf indices, then True before False.  An
+    empty result means the formula is unsatisfiable.
     """
-    leaves: list = []
-    _collect_leaves(node, is_leaf, leaves)
-    index = {leaf: i for i, leaf in enumerate(leaves)}
+    index: dict = {}  # leaf -> its number, in declaration order
 
     def minimal(terms) -> list:
         kept: list = []
@@ -513,7 +512,7 @@ def prime_implicants(node, is_leaf) -> list[dict]:
 
     def dnf(n, value: bool) -> list:  # terms: frozensets of (index, value)
         if is_leaf(n):
-            return [frozenset({(index[n], value)})]
+            return [frozenset({(index.setdefault(n, len(index)), value)})]
         if isinstance(n, Not):
             return dnf(n.child, not value)
         parts = [dnf(x, value) for x in n.children]
@@ -542,22 +541,8 @@ def prime_implicants(node, is_leaf) -> list[dict]:
         terms = minimal(terms + list(new))
     ordered = sorted(map(sorted, terms), key=lambda t: (
         len(t), [i for i, _ in t], [not v for _, v in t]))
+    leaves = list(index)
     return [{leaves[i]: v for i, v in t} for t in ordered]
-
-
-def _collect_leaves(node, is_leaf, out: list) -> None:
-    if is_leaf(node):
-        if node not in out:
-            out.append(node)
-        return
-    if isinstance(node, (And, Or)):
-        for x in node.children:
-            _collect_leaves(x, is_leaf, out)
-        return
-    if isinstance(node, Not):
-        _collect_leaves(node.child, is_leaf, out)
-        return
-    raise TypeError(f"unexpected node {node!r}")
 
 
 def _is_atom(node) -> bool:
@@ -597,9 +582,8 @@ class ApcCandidate(NamedTuple):
 def closed_atoms_of(prop) -> list:
     """Distinct constant-round atoms of a (possibly quantified-body)
     proposition, in declaration order."""
-    atoms: list = []
-    _collect_leaves(prop, _is_atom, atoms)
-    return [a for a in atoms if not a.term.has_var]
+    return list(dict.fromkeys(a for a, _ in literals(prop)
+                              if not a.term.has_var))
 
 
 def substitute_atoms(prop, assign: dict):

@@ -122,11 +122,12 @@ def layout(p: Protocol, max_round: int):
     population bits follow the fields: with nr registers, state q's is
     ``pop(q, r) == 1 << slot(r, nr) + q``.  So round r + k reads as round
     r in the code shifted right by ``slot(k, 0)``, and a round past the
-    window reads as all-empty.
+    window reads as all-empty.  A roundless protocol's codes stay in round
+    0, and its callers give it round cap 0.
     """
     if max_round < 0:
         raise ValueError(f"round cap {max_round} is negative")
-    rounds = max_round + 1 if p.flavor == ROUNDBASED else 1
+    rounds = max_round + 1
     nq, nr = p.num_states, p.register_count
     sym_bits = max(1, (p.num_symbols - 1).bit_length())
     block = nr * sym_bits + nq

@@ -16,10 +16,10 @@ both its source and its destination in the set.
 
 No route rescans a transition list for one read.  ``_index`` lists the
 writes (or reads) of each (register, symbol) once: ``_closure`` tests a
-read only against the writes of its own (register, symbol), from one index
-per transition list (per query in ``fixed-r``, per pruning step in the
-one-register loop, built at the first lookup elsewhere); cocovset's
-backward phases walk, per symbol, only that symbol's reads and writes.
+read only against the writes of its own (register, symbol), from the
+index its caller builds once per transition list (per query, and per
+pruning step in the one-register loop); cocovset's backward phases walk,
+per symbol, only that symbol's reads and writes.
 Closures still run in passes over the whole list, so saturation's
 ``iterations`` counts the same passes.
 """
@@ -66,17 +66,17 @@ def _index(transitions, kind: str) -> dict:
     return out
 
 
-def _closure(S, transitions, opened, writes=None) -> tuple[set, int]:
+def _closure(S, transitions, opened, writes) -> tuple[set, int]:
     """Least superset of ``S`` closed under firing ``transitions`` into it.
 
     From a source in the set, a write fires on a register in ``opened``, a
     read of d0 on a register not in ``opened``, and a read of another symbol
     on a register in ``opened`` once some write of that symbol to that
     register has both its source and its destination in the set.  That write
-    is looked up in ``writes``, ``_index(transitions, WRITE)``: a caller that
-    closes many sets over one transition list builds it once and passes it;
-    otherwise it is built here, at the first lookup.  Also returns the number
-    of passes over ``transitions``; the last adds nothing.
+    is looked up in ``writes``, ``_index(transitions, WRITE)``, which the
+    caller builds once for every set it closes over ``transitions``.  Also
+    returns the number of passes over ``transitions``; the last adds
+    nothing.
     """
     S = set(S)
     passes = 0
@@ -95,8 +95,6 @@ def _closure(S, transitions, opened, writes=None) -> tuple[set, int]:
             elif a.reg not in opened:
                 continue
             else:
-                if writes is None:
-                    writes = _index(transitions, WRITE)
                 fires = any(s in S and d in S
                             for s, d in writes.get((a.reg, a.symbol), ()))
             if fires:
@@ -119,7 +117,8 @@ def solve_cover_uninitialized(p: Protocol, target: int) -> Verdict:
     if not is_uninitialized(p):
         raise NotUninitialized("saturation needs an uninitialized protocol")
     covered, passes = _closure(p.initial_states, p.transitions,
-                               range(p.register_count))
+                               range(p.register_count),
+                               _index(p.transitions, WRITE))
     answer = POSITIVE if target in covered else NEGATIVE
     return Verdict(answer, "saturation", None,
                    {"covered": sorted(p.state_names[q] for q in covered),
@@ -147,18 +146,18 @@ def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:
     more than it; pi' s also comes earlier.  Verdict and ``stats["order"]``
     are those of trying every order.  The worst case is still exponential
     in the register count.  ``stats["orders_tried"]`` counts the prefixes
-    closed, the empty one included.  The closures of non-empty prefixes look
-    writes up in one index, built once per query.
+    closed, the empty one included.  Every closure looks writes up in one
+    index, built once per query.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
-    S, _ = _closure(p.initial_states, p.transitions, ())
+    writes = _index(p.transitions, WRITE)
+    S, _ = _closure(p.initial_states, p.transitions, (), writes)
     level = [((), S)]
     tried = 1
     if target in S:
         return Verdict(POSITIVE, "fixed-r", None,
                        {"order": [], "orders_tried": tried})
-    writes = _index(p.transitions, WRITE)
     writers = [set() for _ in range(p.register_count)]
     for (reg, _), pairs in writes.items():
         writers[reg].update(src for src, _ in pairs)
@@ -195,7 +194,8 @@ def reduce_initialized_to_uninit_r1(p: Protocol) -> Protocol:
         raise ValueError("needs a roundless protocol")
     if p.register_count != 1:
         raise WrongRegisterCount("reduction needs exactly one register")
-    closure, _ = _closure(p.initial_states, p.transitions, ())
+    closure, _ = _closure(p.initial_states, p.transitions, (),
+                          _index(p.transitions, WRITE))
     keep = tuple(t for t in p.transitions
                  if not (t.action.kind == READ and t.action.symbol == D0))
     return Protocol(flavor=ROUNDLESS, state_names=p.state_names,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .errors import (EmptySupport, NotEnabled, NotInitialState,
                      ReplayFailure)
 from .model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol,
-                    Transition)
+                    Transition, _name_index, _parse_action, format_action)
 
 CONCRETE = "concrete"
 ABSTRACT = "abstract"
@@ -183,24 +183,20 @@ def abstract_step(p: Protocol, c: AbstractConfig, m: Move) -> AbstractConfig:
 
 
 def replay(p: Protocol, exec: Execution, mode: str):
-    """Fold the execution's steps, failing fast; returns the final config.
+    """Fold the execution's steps, failing fast; returns only the final
+    configuration.
 
     This is the trusted witness checker: NotEnabled carries the index of the
     offending step.
     """
-    return replay_configs(p, exec, mode)[-1]
-
-
-def replay_configs(p: Protocol, exec: Execution, mode: str) -> list:
-    """All intermediate configurations, start first."""
     step = concrete_step if mode == CONCRETE else abstract_step
-    out = [exec.start]
+    c = exec.start
     for i, m in enumerate(exec.moves):
         try:
-            out.append(step(p, out[-1], m))
+            c = step(p, c, m)
         except NotEnabled as e:
             raise NotEnabled(e.reason, step_index=i) from None
-    return out
+    return c
 
 
 # --- witness trace format ------------------------------------------------------
@@ -222,8 +218,6 @@ def format_regs(p: Protocol, regs) -> str:
 
 def write_trace(p: Protocol, exec: Execution, mode: str) -> str:
     """Render an execution in the line-oriented witness trace format."""
-    from .model import format_action
-
     lines = [f"trace: {p.flavor} {mode}"]
     if mode == CONCRETE:
         elems = []
@@ -260,8 +254,6 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
     The start must be an initial configuration (a concrete start projects
     to one) and each step a transition of ``p``; ``replay`` checks the rest.
     """
-    from .model import _name_index, _parse_action
-
     lines = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if not lines or not lines[0][1].startswith("trace:"):

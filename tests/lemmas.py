@@ -11,7 +11,7 @@ final-configuration obligations.
 
 from dataclasses import dataclass
 
-from regverify.constraints import (ClauseDecomposition, _collect_leaves,
+from regverify.constraints import (And, ClauseDecomposition, Not, Or,
                                    _is_quantifier_or_atom)
 from regverify.errors import (EmptySupport, NotEnabled, NotInitialState,
                               RegverifyError, ReplayFailure)
@@ -19,9 +19,9 @@ from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
                              Action, Protocol, Transition)
 from regverify.semantics import (ABSTRACT, CONCRETE, AbstractConfig,
                                  ConcreteConfig, Execution, Move,
-                                 concrete_step, move_dest, move_source,
-                                 mset_add, mset_count, multiset, reg_get,
-                                 replay, replay_configs)
+                                 abstract_step, concrete_step, move_dest,
+                                 move_source, mset_add, mset_count, multiset,
+                                 reg_get, replay)
 
 
 class TargetNotPopulated(RegverifyError):
@@ -34,6 +34,19 @@ class WindowNotContained(RegverifyError):
 
 class InconsistentProjections(RegverifyError):
     """Footprints cannot be glued: overlapping projections disagree."""
+
+
+def replay_configs(p: Protocol, exec: Execution, mode: str) -> list:
+    """``semantics.replay`` keeping every intermediate configuration, start
+    first."""
+    step = concrete_step if mode == CONCRETE else abstract_step
+    out = [exec.start]
+    for i, m in enumerate(exec.moves):
+        try:
+            out.append(step(p, out[-1], m))
+        except NotEnabled as e:
+            raise NotEnabled(e.reason, step_index=i) from None
+    return out
 
 
 # --- execution normal form ------------------------------------------------------
@@ -566,12 +579,28 @@ def reduce_cover_to_target(p: Protocol, error: int) -> tuple[Protocol, int]:
     return p2, error
 
 
+def leaves_of(node, is_leaf) -> list:
+    """The distinct subtrees ``is_leaf`` accepts under And/Or/Not, in
+    declaration order: the leaves of ``constraints.prime_implicants``."""
+    out: dict = {}
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if is_leaf(n):
+            out.setdefault(n)
+        elif isinstance(n, (And, Or)):
+            stack += reversed(n.children)
+        elif isinstance(n, Not):
+            stack.append(n.child)
+        else:
+            raise TypeError(f"unexpected node {n!r}")
+    return list(out)
+
+
 def apc_leaves(psi) -> list:
     """The leaves of ``decompose_apcs``: quantifiers, and the atoms outside
     them, in declaration order."""
-    out: list = []
-    _collect_leaves(psi, _is_quantifier_or_atom, out)
-    return out
+    return leaves_of(psi, _is_quantifier_or_atom)
 
 
 def clause_holds(dec: ClauseDecomposition, c: AbstractConfig) -> bool:

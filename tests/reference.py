@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 from regverify import oracle, roundless
 from regverify.constraints import (And, Exists, Not, Or, RegAt,
-                                   _collect_leaves, closed_atoms_of,
-                                   decompose_apcs, forcing_literal_sets,
-                                   ground, parse_round_constraint,
-                                   substitute_atoms)
+                                   closed_atoms_of, decompose_apcs,
+                                   forcing_literal_sets, ground,
+                                   parse_round_constraint, substitute_atoms)
 from regverify.errors import (CapExceeded, NotEnabled, NotUninitialized,
                               WrongRegisterCount)
 from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
@@ -27,7 +26,7 @@ from regverify.roundless import (ClauseDecomposition, _alive_transitions,
 from regverify.semantics import AbstractConfig, Execution, Move, abstract_step
 from regverify.verdict import NEGATIVE, POSITIVE, Verdict
 
-from lemmas import bridge_start, local_step
+from lemmas import bridge_start, leaves_of, local_step
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,7 @@ def truth_table_prime_implicants(node, is_leaf) -> list[dict]:
     order, then True before False; supersets of an already-found implicant
     are skipped.  Exponential in the number of leaves.
     """
-    leaves: list = []
-    _collect_leaves(node, is_leaf, leaves)
+    leaves = leaves_of(node, is_leaf)
     n = len(leaves)
     found: list[dict] = []
     for r in range(n + 1):
@@ -272,14 +270,14 @@ def saturate_phases(p: Protocol, order: tuple,
     """
     if phases is None:
         phases = {}
-    S = set(p.initial_states)
+    S, writes = set(p.initial_states), _index(p.transitions, WRITE)
     for i in range(len(order) + 1):
         prefix = order[:i]
         if prefix not in phases:
             feasible = i == 0 or any(
                 t.action.kind == WRITE and t.action.reg == order[i - 1]
                 and t.source in S for t in p.transitions)
-            phases[prefix] = (_closure(S, p.transitions, prefix)[0]
+            phases[prefix] = (_closure(S, p.transitions, prefix, writes)[0]
                               if feasible else None)
         if phases[prefix] is None:
             break  # order infeasible beyond the previous phase
@@ -503,8 +501,9 @@ def compute_cov_set(p: Protocol, alive: set | None = None) -> set:
     if alive is None:
         alive = set(range(p.num_states))
     # through the module, so that a test that wraps ``_closure`` sees it
-    S, _ = roundless._closure(p.initial_states & alive,
-                              _alive_transitions(p, alive), (0,))
+    trans = _alive_transitions(p, alive)
+    S, _ = roundless._closure(p.initial_states & alive, trans, (0,),
+                              _index(trans, WRITE))
     return S
 
 

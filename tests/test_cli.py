@@ -60,8 +60,14 @@ def test_check_incompatible_algorithm(exdir, capsys, tmp_path):
     (["check", "cover", "fig1.prot", "--state", "qf", "--algo", "saturation"],
      "saturation needs an uninitialized protocol"),
     (["check", "dnfprp", "fig1.prot", "ex26_phi.pc", "--algo", "one-reg"],
-     "not in DNF: a clause holds (or ...) (try --distribute)")],
-    ids=["saturation-initialized", "one-reg-not-dnf"])
+     "not in DNF: a clause holds (or ...) (try --distribute)"),
+    # the oracle refuses an instance past its caps
+    (["check", "cover", "fig1.prot", "--state", "qf", "--algo", "oracle",
+      "--cap-states", "3"], "|Q| = 5 exceeds cap 3"),
+    (["oracle", "fig1.prot", "--problem", "cover", "--state", "qf",
+      "--cap-states", "3"], "|Q| = 5 exceeds cap 3")],
+    ids=["saturation-initialized", "one-reg-not-dnf", "check-oracle-cap",
+         "oracle-cap"])
 def test_solver_precondition_is_incompatible(exdir, capsys, argv, message):
     argv = [str(exdir / a) if "." in a else a for a in argv]
     code, out, err = run(capsys, *argv)
@@ -306,6 +312,33 @@ def test_replay_malformed_trace_is_bad_input(exdir, capsys, tmp_path, prot,
     assert err.startswith("error: bad trace: line ")
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("start: q0 | 1=d0\n",
+                 "trace must begin with a 'trace:' line", id="no-trace-line"),
+    pytest.param("trace: roundbased abstract\nstart: q0 | 1=d0\n",
+                 "bad trace header 'trace: roundbased abstract'",
+                 id="other-flavor"),
+    pytest.param("trace: roundless sideways\nstart: q0 | 1=d0\n",
+                 "bad trace header 'trace: roundless sideways'",
+                 id="unknown-mode"),
+    pytest.param("trace: roundless abstract\nsteps:\n",
+                 "missing 'start:' line", id="no-start-line"),
+    pytest.param("trace: roundless abstract\nstart: q0 | 1=d0\nsteps:\n"
+                 "  q0 read(1,a) qf\n",
+                 "line 4: malformed step 'q0 read(1,a) qf'",
+                 id="step-of-three-tokens"),
+    pytest.param("trace: roundless abstract\nstart: q0 | 1=d0\nsteps:\n"
+                 "  q0 write(1, c) A maybe\n",
+                 "line 4: bad desert flag 'maybe'", id="bad-desert-flag")])
+def test_replay_refuses_malformed_trace_shape(exdir, capsys, tmp_path, text,
+                                              message):
+    trace = tmp_path / "bad.trace"
+    trace.write_text(text)
+    code, out, err = run(capsys, "replay", str(exdir / "fig1.prot"),
+                         str(trace))
+    assert (code, out, err) == (70, "", f"error: bad trace: {message}\n")
+
+
 def test_replay_empty_trace_prints_start(exdir, capsys, tmp_path):
     trace = tmp_path / "empty.trace"
     trace.write_text("trace: roundless concrete\nstart: q0 q0 | 1=d0\n")
@@ -319,6 +352,50 @@ def test_oracle_verb_roundbased(exdir, capsys):
                        str(exdir / "psi2.pc"), "--cap-rounds", "2")
     assert code == 1
     assert json.loads(out)["algorithm"] == "oracle"
+
+
+def test_oracle_verb_roundbased_cover_and_target(exdir, capsys):
+    def oracle(*argv):
+        return run(capsys, "oracle", str(exdir / "fig4.prot"), *argv,
+                   "--cap-rounds", "2")[:2]
+    # cover of qf is psi1, (exists k (pop qf (+ k 0)))
+    code, out = oracle("--problem", "cover", "--state", "qf")
+    assert (code, out) == oracle(str(exdir / "psi1.pc"))
+    assert code == 1
+    assert json.loads(out) == {"schema": 1, "answer": "negative",
+                               "algorithm": "oracle",
+                               "stats": {"members": 60, "max_round": 2}}
+    code, out = oracle("--problem", "target", "--state", "q0")
+    assert code == 0
+    assert json.loads(out)["stats"] == {"members": 1, "max_round": 2}
+
+
+def test_check_algo_oracle_decides(exdir, capsys):
+    code, out, _ = run(capsys, "check", "cover", str(exdir / "fig1.prot"),
+                       "--state", "qf", "--algo", "oracle")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "answer": "positive",
+                               "algorithm": "oracle",
+                               "stats": {"members": 9}}
+
+
+def test_gen_answers_match_the_decision_procedures(capsys, tmp_path):
+    # sat-target and a random circuit (no --circuit) decide as promised
+    answers = set()
+    for seed in ("1", "2", "3"):
+        for kind, extra, problem in [
+                ("sat-target", ["--clauses", "6"], "target"),
+                ("cvp", ["--gates", "4"], "cover")]:
+            out_dir = tmp_path / f"{kind}-{seed}"
+            assert run(capsys, "gen", kind, "--seed", seed, *extra,
+                       "--out", str(out_dir))[0] == 0
+            expected = json.loads((out_dir / "expected.json").read_text())
+            _, out, _ = run(capsys, "check", problem,
+                            str(out_dir / "protocol.prot"), "--state", "qf")
+            assert json.loads(out)["answer"] == expected["answer"], \
+                (kind, seed)
+            answers.add((kind, expected["answer"]))
+    assert len(answers) == 4, answers
 
 
 def test_gen_writes_three_files_with_ground_truth(capsys, tmp_path):

@@ -10,6 +10,7 @@ from reference import (abstract_successors, compile_constraint, members,
                        roundless_config, witness_to)
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
+from lemmas import replay_configs
 from regverify import oracle
 from regverify.constraints import (ROUND0, Not, PopAt, cover_constraint,
                                    eval_roundbased,
@@ -25,7 +26,7 @@ from regverify.roundbased import _round_window, solve_prp_roundbased
 from regverify.roundless import solve_prp_bounded
 from regverify.semantics import (ABSTRACT, AbstractConfig, abstract_step,
                                  initial_configuration, initial_supports,
-                                 replay, replay_configs)
+                                 replay)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]

@@ -196,7 +196,7 @@ def test_indexed_closures_match_the_rescanning_references(monkeypatch):
     closure, cocov = roundless._closure, roundless._cocov_set
     calls = collections.Counter()
 
-    def checked_closure(S, transitions, opened, writes=None):
+    def checked_closure(S, transitions, opened, writes):
         got = closure(S, transitions, opened, writes)
         assert got == rescanning_closure(S, transitions, opened)
         calls["closure"] += 1
