@@ -334,16 +334,20 @@ def config_active_bound(c: AbstractConfig) -> int:
     return max(rounds, default=0)
 
 
-def eval_roundbased(p: Protocol, c: AbstractConfig, psi,
+def eval_roundbased(p: Protocol, c, psi,
                     active_bound: int | None = None) -> bool:
     """Evaluate a round-based presence constraint on a configuration.
 
-    ``active_bound`` must dominate every populated or written round of ``c``;
-    it defaults to the configuration's own active bound.  Quantifiers range
-    over all naturals: rounds up to ``active_bound + M`` are checked
-    explicitly, and round ``active_bound + M + 1`` stands for the all-empty
-    tail, which every later round equals.
+    Accepts abstract or concrete configurations; a concrete configuration
+    evaluates exactly as its projection does.  ``active_bound`` must
+    dominate every populated or written round of ``c``; it defaults to the
+    configuration's own active bound.  Quantifiers range over all naturals:
+    rounds up to ``active_bound + M`` are checked explicitly, and round
+    ``active_bound + M + 1`` stands for the all-empty tail, which every
+    later round equals.
     """
+    if isinstance(c, ConcreteConfig):
+        c = project(c)
     if active_bound is None:
         active_bound = config_active_bound(c)
     return eval_prop_at(c, psi, None, active_bound + max_constant(psi))

@@ -56,9 +56,9 @@ DEFAULT_STATE_CAP = 12
 DEFAULT_SPACE_CAP = 200_000
 
 
-def bfs(starts, table, space_cap: float, sat,
-        max_depth: int | None = None) -> tuple[dict, int | None]:
-    """Breadth-first search over configuration codes, one level at a time.
+def bfs(starts, table, space_cap: float, sat) -> tuple[dict, int | None]:
+    """Breadth-first search over configuration codes, to the first hit or
+    to exhaustion.
 
     ``starts`` yields the initial codes.  ``table(code)`` returns
     ``(entries, above)`` with ``code < above``: step entries in table
@@ -66,13 +66,12 @@ def bfs(starts, table, space_cap: float, sat,
     search calls it before it expands its first code and each code at or
     past the last ``above``, so the table can be built a part at a time.
     An entry ``(mask, want, keep, add, move)`` is enabled on ``code`` when
-    ``code & mask == want`` and then leads to ``code & keep | add``.  Each
-    level's codes are expanded in discovery order, each by the entries in
-    table order.  ``sat`` is tested on each code as it is first discovered
-    and stops the search at the first hit; the search decodes nothing.
-    Configurations at depth ``max_depth`` are discovered but not expanded.
-    Discovering more than ``space_cap`` codes, starts included, raises
-    ``CapExceeded``.
+    ``code & mask == want`` and then leads to ``code & keep | add``.  Codes
+    are expanded in discovery order, so level by level, each by the entries
+    in table order.  ``sat`` is tested on each code as it is first
+    discovered and stops the search at the first hit; the search decodes
+    nothing.  Discovering more than ``space_cap`` codes, starts included,
+    raises ``CapExceeded``.
 
     Returns ``(links, hit)``: ``links`` maps each code discovered, in
     discovery order, to ``(pred code, Move)``, or None for a start, and
@@ -81,35 +80,31 @@ def bfs(starts, table, space_cap: float, sat,
     links: dict = {}
     room = space_cap  # codes that may still be discovered
     refusal = f"reach set exceeds {space_cap} configurations"
-    frontier = []  # codes discovered at the current depth
+    queue = []  # codes discovered, in order; the loop below expands each
     for code in starts:
         if code not in links:
             if room <= 0:
                 raise CapExceeded(refusal)
             room -= 1
             links[code] = None
-            frontier.append(code)
+            queue.append(code)
             if sat(code):
                 return links, code
     entries, above = (), 0  # no entry built yet
-    depth = 0
-    while frontier and depth != max_depth:
-        depth += 1
-        level, frontier = frontier, []
-        for code in level:
-            if code >= above:
-                entries, above = table(code)
-            for mask, want, keep, add, move in entries:
-                if code & mask == want:
-                    succ = code & keep | add
-                    if succ not in links:
-                        if room <= 0:
-                            raise CapExceeded(refusal)
-                        room -= 1
-                        links[succ] = code, move
-                        frontier.append(succ)
-                        if sat(succ):
-                            return links, succ
+    for code in queue:  # grows as it goes
+        if code >= above:
+            entries, above = table(code)
+        for mask, want, keep, add, move in entries:
+            if code & mask == want:
+                succ = code & keep | add
+                if succ not in links:
+                    if room <= 0:
+                        raise CapExceeded(refusal)
+                    room -= 1
+                    links[succ] = code, move
+                    queue.append(succ)
+                    if sat(succ):
+                        return links, succ
     return links, None
 
 
@@ -363,18 +358,17 @@ def _refuse_beyond_caps(p: Protocol, state_cap: int, space_cap: int):
 
 
 def search(p: Protocol, psi, max_round: int = 0,
-           space_cap: float = float("inf"),
-           max_depth: int | None = None) -> tuple[int, Execution | None]:
+           space_cap: float = float("inf")) -> tuple[int, Execution | None]:
     """Breadth-first search for a configuration that satisfies ``psi``.
 
     ``bfs`` on ``packed(p, lay, negated_states(psi))`` with ``psi``
     ``_compiled`` in the same ``lay = layout(p, max_round)`` as its test,
-    and its ``space_cap`` and ``max_depth``.  Returns the number of
-    configurations discovered and the shortest witness to the first hit,
-    or None.  The witness is the parent links walked back from the hit;
-    only its start and the hit are decoded, and ``validated`` checks that
-    it ends at the hit.  A constraint that compiles to the constant false
-    returns ``(0, None)`` and builds neither table nor starts.
+    and its ``space_cap``.  Returns the number of configurations discovered
+    and the shortest witness to the first hit, or None.  The witness is the
+    parent links walked back from the hit; only its start and the hit are
+    decoded, and ``validated`` checks that it ends at the hit.  A
+    constraint that compiles to the constant false returns ``(0, None)``
+    and builds neither table nor starts.
 
     The start and desert cut.  A constraint notices an extra populated
     location only at a state it reads under an odd number of negations
@@ -387,16 +381,15 @@ def search(p: Protocol, psi, max_round: int = 0,
     satisfies it.  Hence every witness has one of the same length that
     starts with every initial state outside N populated and deserts only
     from states in N, the ones searched, so the shortest witnesses keep
-    their length and ``bounded``'s 4|Q| depth cut stays complete.  The
-    footprint search of ``roundbased`` cuts its starts and deserts per
-    candidate in the same way.
+    their length.  The footprint search of ``roundbased`` cuts its starts
+    and deserts per candidate in the same way.
     """
     lay = layout(p, max_round)
     part = _compiled(psi, lay)
     if part is False:  # no code satisfies it: nothing to search
         return 0, None
     starts, table, decode = packed(p, lay, negated_states(psi))
-    links, hit = bfs(starts, table, space_cap, _probe(part), max_depth)
+    links, hit = bfs(starts, table, space_cap, _probe(part))
     if hit is None:
         return len(links), None
     code, moves = hit, []

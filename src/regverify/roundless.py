@@ -1,11 +1,10 @@
 """Decision procedures for roundless protocols.
 
-Four routes: a bounded exhaustive search realizing the short-witness
-argument (every reachable presence pattern has a witness of at most 4|Q|
-abstract steps, so breadth-first search to depth 4|Q| is complete), a
-saturation fixpoint for uninitialized coverability, a breadth-first search
-over first-write prefixes for coverability with fixed register count, and
-the one-register DNF decision via covset/cocovset pruning.
+Four routes: a breadth-first search of the abstract reach set, which is
+finite, so searching it to exhaustion is complete; a saturation fixpoint
+for uninitialized coverability; a breadth-first search over first-write
+prefixes for coverability with fixed register count; and the one-register
+DNF decision via covset/cocovset pruning.
 
 The last three, and the fold of a one-register protocol's initial phase,
 share one forward closure, ``_closure``, over a set of opened
@@ -34,25 +33,19 @@ from .oracle import search
 from .verdict import NEGATIVE, POSITIVE, Verdict
 
 
-def witness_bound(p: Protocol) -> int:
-    """Maximum abstract witness length the bounded search must consider."""
-    return 4 * p.num_states
-
-
 def solve_prp_bounded(p: Protocol, phi) -> Verdict:
-    """Decide PRP by breadth-first search to depth 4|Q|, which is complete.
+    """Decide PRP by breadth-first search of the abstract reach set.
 
-    This is ``oracle.search`` without the oracle's caps, cut at depth 4|Q|,
-    which its start and desert cut keeps complete.  So a positive carries
-    the oracle's shortest witness, at most 4|Q| steps long, replayed and
-    checked.  ``stats["nodes"]`` counts the configurations discovered.
+    This is ``oracle.search`` without the oracle's caps: it runs until a
+    hit or until the reach set, which is finite, is exhausted, so it is
+    complete.  A positive carries the oracle's shortest witness, replayed
+    and checked.  ``stats["nodes"]`` counts the configurations discovered.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("solve_prp_bounded needs a roundless protocol")
-    bound = witness_bound(p)
-    nodes, wit = search(p, phi, max_depth=bound)
+    nodes, wit = search(p, phi)
     return Verdict(NEGATIVE if wit is None else POSITIVE, "bounded", wit,
-                   {"nodes": nodes, "bound": bound})
+                   {"nodes": nodes})
 
 
 def _index(transitions, kind: str) -> dict:

@@ -256,16 +256,20 @@ def parse_trace(p: Protocol, text: str) -> tuple[Execution, str]:
     """
     lines = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
-    if not lines or not lines[0][1].startswith("trace:"):
-        raise ReplayFailure("trace must begin with a 'trace:' line")
-    head = lines[0][1][len("trace:"):].split()
-    if len(head) != 2 or head[0] != p.flavor or head[1] not in (CONCRETE,
-                                                                ABSTRACT):
-        raise ReplayFailure(f"bad trace header {lines[0][1]!r}")
-    mode = head[1]
-    if len(lines) < 2 or not lines[1][1].startswith("start:"):
-        raise ReplayFailure("missing 'start:' line")
-    start_line, toks = lines[1][0], lines[1][1][len("start:"):].split()
+    head_line, head = lines[0] if lines else (1, "")
+    if not head.startswith("trace:"):
+        raise ReplayFailure(
+            f"line {head_line}: trace must begin with a 'trace:' line")
+    words = head[len("trace:"):].split()
+    if len(words) != 2 or words[0] != p.flavor or words[1] not in (CONCRETE,
+                                                                   ABSTRACT):
+        raise ReplayFailure(f"line {head_line}: bad trace header {head!r}")
+    mode = words[1]
+    start_line, start_text = (lines[1] if len(lines) > 1
+                              else (head_line + 1, ""))
+    if not start_text.startswith("start:"):
+        raise ReplayFailure(f"line {start_line}: missing 'start:' line")
+    toks = start_text[len("start:"):].split()
     # a state name may hold "|" or "@", a register token holds "="
     cut = max((i for i, tok in enumerate(toks) if tok == "|"),
               default=len(toks))

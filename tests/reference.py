@@ -208,22 +208,20 @@ class ReachSet:
 
 
 def packed_bfs(starts, table, decode, space_cap: float = float("inf"),
-               sat=None, max_depth: int | None = None) -> ReachSet:
+               sat=None) -> ReachSet:
     """``oracle.bfs`` as a ``ReachSet``; with no ``sat``, nothing is a hit."""
     links, hit = oracle.bfs(starts, table, space_cap,
-                            sat or (lambda code: False), max_depth)
+                            sat or (lambda code: False))
     return ReachSet(links, hit, decode)
 
 
-def bfs(starts, successors, space_cap: float = float("inf"),
-        max_depth: int | None = None) -> ReachSet:
+def bfs(starts, successors, space_cap: float = float("inf")) -> ReachSet:
     """``oracle.bfs`` over explicit configurations and a successor function.
 
     ``successors(c)`` yields ``(move, successor)`` pairs.  Each level's
     configurations are expanded in discovery order, each by its successors
-    in the order given; configurations at depth ``max_depth`` are not
-    expanded, and discovering more than ``space_cap``, starts included,
-    raises ``CapExceeded``.
+    in the order given, and discovering more than ``space_cap``, starts
+    included, raises ``CapExceeded``.
     """
     links: dict = {}
 
@@ -240,9 +238,7 @@ def bfs(starts, successors, space_cap: float = float("inf"),
         return new
 
     level = discover((c, None) for c in starts)
-    depth = 0
-    while level and depth != max_depth:
-        depth += 1
+    while level:
         level = discover((succ, (c, move)) for c in level
                          for move, succ in successors(c))
     return ReachSet(links, None, lambda c: c)

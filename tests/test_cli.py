@@ -314,15 +314,23 @@ def test_replay_malformed_trace_is_bad_input(exdir, capsys, tmp_path, prot,
 
 @pytest.mark.parametrize("text, message", [
     pytest.param("start: q0 | 1=d0\n",
-                 "trace must begin with a 'trace:' line", id="no-trace-line"),
+                 "line 1: trace must begin with a 'trace:' line",
+                 id="no-trace-line"),
+    pytest.param("# a comment\n\nstart: q0 | 1=d0\n",
+                 "line 3: trace must begin with a 'trace:' line",
+                 id="no-trace-line-after-blanks"),
+    pytest.param("", "line 1: trace must begin with a 'trace:' line",
+                 id="empty"),
     pytest.param("trace: roundbased abstract\nstart: q0 | 1=d0\n",
-                 "bad trace header 'trace: roundbased abstract'",
+                 "line 1: bad trace header 'trace: roundbased abstract'",
                  id="other-flavor"),
-    pytest.param("trace: roundless sideways\nstart: q0 | 1=d0\n",
-                 "bad trace header 'trace: roundless sideways'",
+    pytest.param("\ntrace: roundless sideways\nstart: q0 | 1=d0\n",
+                 "line 2: bad trace header 'trace: roundless sideways'",
                  id="unknown-mode"),
     pytest.param("trace: roundless abstract\nsteps:\n",
-                 "missing 'start:' line", id="no-start-line"),
+                 "line 2: missing 'start:' line", id="no-start-line"),
+    pytest.param("trace: roundless abstract\n\n",
+                 "line 2: missing 'start:' line", id="header-only"),
     pytest.param("trace: roundless abstract\nstart: q0 | 1=d0\nsteps:\n"
                  "  q0 read(1,a) qf\n",
                  "line 4: malformed step 'q0 read(1,a) qf'",

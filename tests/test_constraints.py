@@ -26,7 +26,7 @@ from regverify.semantics import (AbstractConfig, ConcreteConfig, multiset,
                                  project)
 
 from generators import (random_constraint, random_protocol,
-                        random_rb_protocol)
+                        random_rb_constraint, random_rb_protocol)
 from lemmas import apc_leaves, clause_holds
 from reference import (eval_with_assignment, full_quantified_entries,
                        members, reach, roundless_config, roundless_regs,
@@ -71,6 +71,27 @@ def test_concrete_evaluates_as_projection():
         regs = roundless_regs((rng.randrange(FIG1.num_symbols),))
         c = ConcreteConfig(pop, regs)
         assert eval_roundless(c, phi) == eval_roundless(project(c), phi)
+
+
+def test_roundbased_concrete_evaluates_as_projection():
+    fig4 = PROTOCOLS["fig4"]
+    q0 = fig4.state_id("q0")
+    c = ConcreteConfig(multiset([(q0, 0), (q0, 0)]), frozenset())
+    psi = rb(fig4, "(pop q0 0)")
+    assert eval_roundbased(fig4, c, psi)
+    assert eval_roundbased(fig4, c, psi) == eval_roundbased(fig4, project(c),
+                                                            psi)
+    rng = random.Random(6)
+    for _ in range(300):
+        p = random_rb_protocol(rng)
+        psi = random_rb_constraint(rng, p)
+        pop = multiset((rng.randrange(p.num_states), rng.randrange(3))
+                       for _ in range(rng.randrange(1, 6)))
+        regs = frozenset({((rng.randrange(3), 0),
+                           rng.randrange(1, p.num_symbols))})
+        c = ConcreteConfig(pop, regs)
+        assert eval_roundbased(p, c, psi) == \
+            eval_roundbased(p, project(c), psi)
 
 
 def test_example_42_evaluations():

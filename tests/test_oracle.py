@@ -90,7 +90,7 @@ def _assert_closed_with_sound_parents(p, rs, window=None):
 
 
 def _reference_reach(p, max_round=0, space_cap=float("inf"),
-                     negated=None, max_depth=None):
+                     negated=None):
     """The reach set over ``abstract_successors`` and its frozensets, by the
     reference search.  With a set ``negated``, it starts only from the
     supports holding every initial state outside it, and deserts only from
@@ -105,25 +105,22 @@ def _reference_reach(p, max_round=0, space_cap=float("inf"),
                 abstract_successors(p, c, (0, max_round))
                 if not (m.desert and negated is not None
                         and m.trans.source not in negated)]
-    return reference.bfs(starts, successors, space_cap, max_depth)
+    return reference.bfs(starts, successors, space_cap)
 
 
 def _assert_matches_reference(p, max_round, space_cap=float("inf")):
     """The packed search has the reference's members in the same order with
-    the same parents: exhaustive, with no state negated, with every other
-    state negated, and each cut at depth 2.  A variant the reference
-    refuses at the space cap is skipped."""
+    the same parents: exhaustive, with no state negated, and with every
+    other state negated.  A variant the reference refuses at the space cap
+    is skipped."""
     for negated in (None, frozenset(), frozenset(range(0, p.num_states, 2))):
-        for max_depth in (None, 2):
-            try:
-                want = _reference_reach(p, max_round, space_cap, negated,
-                                        max_depth)
-            except CapExceeded:
-                continue
-            got = packed_bfs(*packed_window(p, max_round, negated),
-                             space_cap, max_depth=max_depth)
-            assert list(parents(got).items()) == \
-                list(parents(want).items()), (max_round, negated, max_depth)
+        try:
+            want = _reference_reach(p, max_round, space_cap, negated)
+        except CapExceeded:
+            continue
+        got = packed_bfs(*packed_window(p, max_round, negated), space_cap)
+        assert list(parents(got).items()) == list(parents(want).items()), \
+            (max_round, negated)
 
 
 @pytest.mark.parametrize("seed", [None] + list(range(300_000, 300_020)))
@@ -133,31 +130,42 @@ def test_packed_reach_matches_reference_step(seed):
     _assert_matches_reference(p, 0)
 
 
-def _depths(rs):
-    """Breadth-first depth of each member, from its parent links."""
-    depth = {}
-    for c, link in parents(rs).items():
-        depth[c] = 0 if link is None else depth[link[0]] + 1
-    return depth
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("seed", [None, "fig4", 300_002, 300_008, 300_011,
                                   300_019])
 def test_depth_bound_keeps_the_levels_within_it(seed, k):
+    # the full search discovers level by level: a member's level is its
+    # distance from a start by the reference step relation, the levels
+    # never decrease along the discovery order, and each parent is one
+    # level up; a search stopped by its first member at level k discovers
+    # the order up to that member
     if seed == "fig4":
         p, cap = FIG4, 2
     else:
         p = FIG1 if seed is None else random_protocol(random.Random(seed))
         cap = 0
-    full = reach(p, cap)
-    depth = _depths(full)
-    cut = packed_bfs(*packed_window(p, cap), max_depth=k)
-    assert order(cut) == [c for c in order(full) if depth[c] <= k]
-    full_links = parents(full)
-    assert all(full_links[c] == link for c, link in parents(cut).items())
-    if max(depth.values()) > k:
-        assert len(order(cut)) < len(order(full))
+    links = parents(reach(p, cap))
+    depth = {c: 0 for c, link in links.items() if link is None}
+    level = list(depth)
+    while level:
+        nxt = []
+        for c in level:
+            for _, succ in abstract_successors(p, c, (0, cap)):
+                if succ not in depth:
+                    depth[succ] = depth[c] + 1
+                    nxt.append(succ)
+        level = nxt
+    assert depth.keys() == links.keys()
+    depths = [depth[c] for c in links]
+    assert depths == sorted(depths)
+    assert all(depth[link[0]] == depth[c] - 1
+               for c, link in links.items() if link is not None)
+    starts, table, decode = packed_window(p, cap)
+    stopped = packed_bfs(starts, table, decode,
+                         sat=lambda code: depth[decode(code)] == k)
+    n = depths.index(k) + 1 if k in depths else len(depths)
+    assert list(parents(stopped).items()) == list(links.items())[:n]
+    assert stopped.hit == (list(links)[n - 1] if k in depths else None)
 
 
 def test_roundbased_capped_reach_matches_reference_step():

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from regverify.constraints import (cover_constraint, dnf_clauses,
-                                   eval_roundless, negated_states,
+from regverify.constraints import (ROUND0, And, RegAt, cover_constraint,
+                                   dnf_clauses, eval_roundless,
                                    parse_roundless_constraint,
                                    target_constraint, to_dnf)
 from regverify.errors import (NotDNF, NotUninitialized, WrongRegisterCount)
@@ -18,8 +18,7 @@ from regverify import roundless
 from regverify.roundless import (reduce_initialized_to_uninit_r1,
                                  solve_cover_fixed_r,
                                  solve_cover_uninitialized,
-                                 solve_dnfprp_one_register, solve_prp_bounded,
-                                 witness_bound)
+                                 solve_dnfprp_one_register, solve_prp_bounded)
 from regverify.semantics import ABSTRACT, replay
 
 from generators import (random_constraint, random_dnf_constraint,
@@ -45,9 +44,11 @@ def rl(p, text):
 # --- bounded search -----------------------------------------------------------
 
 def test_bounded_cover_fig1_positive_with_short_witness():
-    v = solve_prp_bounded(FIG1, rl(FIG1, "(pop qf)"))
+    phi = rl(FIG1, "(pop qf)")
+    v = solve_prp_bounded(FIG1, phi)
     assert v.answer == "positive"
-    assert len(v.witness.moves) <= witness_bound(FIG1) == 20
+    assert v.witness == oracle_prp(FIG1, phi).witness
+    assert len(v.witness.moves) == 5
     final = replay(FIG1, v.witness, ABSTRACT)
     assert (FIG1.state_id("qf"), 0) in final.pop
 
@@ -72,27 +73,48 @@ def test_bounded_witness_is_the_oracles_shortest_witness():
         want = oracle_prp(p, phi)
         assert (v.answer, v.witness) == (want.answer, want.witness), seed
         if v.witness is not None:
-            assert len(v.witness.moves) <= witness_bound(p), seed
             assert eval_roundless(replay(p, v.witness, ABSTRACT), phi), seed
 
 
-def test_every_configuration_is_within_the_bounded_depth():
-    # the short-witness lemma behind bounded's 4|Q| depth cut: the whole
-    # reach set, with every state negated and with the constraint's own
-    # negated states, lies within witness_bound(p) breadth-first levels
-    # (6 000 searches; the deepest, seed 101022, is 5 levels of 8)
-    deepest = 0
-    for seed in range(100_000, 103_000):
-        rng = random.Random(seed)
-        p = random_protocol(rng)
-        phi = random_constraint(rng, p)
-        for negated in (None, negated_states(phi)):
-            depth: dict = {}
-            for code, link in reach(p, negated=negated).links.items():
-                depth[code] = 0 if link is None else depth[link[0]] + 1
-            assert max(depth.values()) <= witness_bound(p), seed
-            deepest = max(deepest, max(depth.values()) / witness_bound(p))
-    assert deepest == 5 / 8
+@pytest.mark.parametrize("r", [5, 6, 7, 8])
+def test_bounded_finds_a_witness_deeper_than_four_per_state(r):
+    # one state writes a to each of its r registers, and every register
+    # must hold a: the only hit is r levels deep, past 4|Q| = 4
+    p = parse_protocol(
+        "flavor: roundless\nstates: q0\ninitial: q0\n"
+        f"registers: {r}\nalphabet: d0 a\ntransitions:\n"
+        + "".join(f"  q0 write({j}, a) q0\n" for j in range(1, r + 1)))
+    phi = rl(p, "(and" + "".join(f" (reg {j} a)"
+                                 for j in range(1, r + 1)) + ")")
+    v = solve_prp_bounded(p, phi)
+    want = oracle_prp(p, phi)
+    assert (v.answer, v.witness) == ("positive", want.witness)
+    assert [m.trans.action.reg for m in v.witness.moves] == list(range(r))
+    assert v.stats == {"nodes": 2 ** r}
+    assert eval_roundless(replay(p, v.witness, ABSTRACT), phi)
+
+
+def test_bounded_agrees_with_the_oracle_on_register_heavy_constraints():
+    # every register is read, so a hit may lie deeper than 4|Q| levels:
+    # the short-witness argument bounds presence patterns, not registers
+    questions = positives = 0
+    for seed in range(600_000, 600_400):
+        for ms in (1, 2):
+            rng = random.Random(seed)
+            p = random_protocol(rng, max_states=ms, max_symbols=3,
+                                max_regs=10, max_trans=30)
+            if p.num_symbols < 2:
+                continue
+            regs = rng.sample(range(p.register_count), p.register_count)
+            phi = And(tuple(RegAt(j, ROUND0, rng.randrange(1, p.num_symbols))
+                            for j in regs))
+            v = solve_prp_bounded(p, phi)
+            want = oracle_prp(p, phi)
+            assert (v.answer, v.witness) == (want.answer, want.witness), \
+                (seed, ms)
+            questions += 1
+            positives += v.answer == "positive"
+    assert (questions, positives) == (566, 178)
 
 
 # --- uninitialized saturation ---------------------------------------------------
