@@ -6,7 +6,8 @@ Verbs: ``check`` (decision procedures), ``oracle`` (brute force), ``replay``
 
 Machine-readable verdicts go to stdout as one JSON object per run; the
 human-readable summary goes to stderr.  Exit codes: 0 positive, 1 negative,
-2 unknown, 64 usage error, 65 incompatible algorithm, 70 bad input data.
+2 unknown, 64 usage error, 65 incompatible algorithm, 70 bad input data
+or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ class CliError(Exception):
 def _load(path: str, what: str, parse):
     try:
         return parse(Path(path).read_text())
-    except OSError as e:
-        raise CliError(f"cannot read {what}: {e}", EXIT_DATA)
     except RegverifyError as e:
         raise CliError(f"bad {what} {path}: {e}", EXIT_DATA)
 
@@ -100,8 +99,6 @@ def cmd_check(args) -> int:
     phi, state = _problem_constraint(args, p)
     algo = args.algo
     try:
-        if args.distribute and algo == "one-reg" and p.flavor == ROUNDLESS:
-            phi = cst.to_dnf(phi)  # the one route that needs a DNF
         if algo == "oracle":
             v = oracle_prp(p, phi, max_round=args.cap_rounds,
                            state_cap=args.cap_states)
@@ -132,11 +129,9 @@ def cmd_check(args) -> int:
         else:  # rb-search, the one choice left
             raise CliError("rb-search decides rbprp only", EXIT_INCOMPATIBLE)
     except (NotUninitialized, WrongRegisterCount, NotDNF) as e:
-        # each solver checks its own preconditions; past to_dnf's size
+        # each solver checks its own preconditions; past dnf_clauses' size
         # guard the constraint is too large for the DNF route
-        hint = " (try --distribute)" if isinstance(e, NotDNF) \
-            and not args.distribute else ""
-        raise CliError(f"{e}{hint}", EXIT_INCOMPATIBLE)
+        raise CliError(str(e), EXIT_INCOMPATIBLE)
     return _emit(v, p, args)
 
 
@@ -158,7 +153,7 @@ def cmd_replay(args) -> int:
         print(f"replay failed at step {e.step_index}: {e.reason}",
               file=sys.stderr)
         return 1
-    except (OSError, RegverifyError) as e:
+    except RegverifyError as e:
         raise CliError(f"bad trace: {e}", EXIT_DATA)
     if mode == ABSTRACT:
         pop = " ".join(format_pop_elem(p, e) for e in sorted(final.pop))
@@ -310,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--budget", type=_int_in(1), default=None,
                      help="round-based search work budget for the whole "
                           f"query (default {DEFAULT_BUDGET})")
-    chk.add_argument("--distribute", action="store_true",
-                     help="distribute the constraint into DNF for one-reg")
     add_common(chk)
     chk.set_defaults(func=cmd_check)
 
@@ -365,6 +358,10 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         # an oracle refusal beyond its caps is an instance it does not decide
         return EXIT_INCOMPATIBLE if isinstance(e, CapExceeded) else EXIT_DATA
+    except OSError as e:
+        # a file that cannot be read or written; the message names it
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .semantics import AbstractConfig, ConcreteConfig, project, reg_get
 
 MAX_TERM_CONSTANT = 64  # terms are unary-bounded; keep them desk-sized
 MAX_NESTING = 100  # parenthesis depth; evaluation recurses once per level
-MAX_DNF_CLAUSES = 4096  # distinct clauses ``to_dnf`` may keep
+MAX_DNF_CLAUSES = 4096  # distinct clauses ``dnf_clauses`` may keep
 
 
 # --- AST ----------------------------------------------------------------------
@@ -358,67 +358,83 @@ def eval_roundbased(p: Protocol, c, psi,
 class ClauseDecomposition(NamedTuple):
     """One DNF clause, read as final-configuration obligations.
 
-    q_plus    states required populated;
-    q_minus   states required empty;
-    d_ok      per register, the symbols the clause allows it to hold;
-    satisfiable  false when q_plus meets q_minus or some d_ok is empty.
+    q_plus   states required populated;
+    q_minus  states required empty, disjoint from q_plus;
+    d_ok     per register, the nonempty set of symbols the clause allows it
+             to hold.
     """
 
     q_plus: frozenset
     q_minus: frozenset
     d_ok: tuple
-    satisfiable: bool
-
-
-def _clause_literals(clause) -> list:
-    if isinstance(clause, And):
-        out = []
-        for x in clause.children:
-            out.extend(_clause_literals(x))
-        return out
-    if _is_atom(clause):
-        return [(clause, True)]
-    if isinstance(clause, Not) and _is_atom(clause.child):
-        return [(clause.child, False)]
-    raise NotDNF("not in DNF: a clause holds "
-                 f"({type(clause).__name__.lower()} ...)")
 
 
 def dnf_clauses(p: Protocol, phi) -> list[ClauseDecomposition]:
-    """Decompose a DNF constraint into per-clause obligations.
+    """Distribute a roundless constraint into DNF clause obligations.
 
-    Rejects constraints not syntactically in disjunctive normal form;
-    contradictory clauses come back flagged unsatisfiable rather than
-    being dropped.
+    One walk carries the polarity.  An atom is one clause.  A disjunction
+    (an ``or``, or an ``and`` under an odd number of ``not``s) concatenates
+    its children's clauses; a conjunction (an ``and``, or an ``or`` under
+    an odd number of ``not``s) merges every pair of its children's
+    clauses, uniting ``q_plus`` and uniting ``q_minus``, and intersecting
+    each register's ``d_ok``.  A clause that cannot hold, where ``q_plus``
+    meets ``q_minus`` or some ``d_ok`` is empty, is dropped, and so is one
+    equal to an earlier clause: the clauses come in first-occurrence
+    order, and a DNF distributes to its own clauses, one merge per
+    literal.  Past ``MAX_DNF_CLAUSES`` distinct clauses it raises
+    ``NotDNF``.
     """
-    if isinstance(phi, Or):
-        clauses = list(phi.children)
-    else:
-        clauses = [phi]
-    out = []
-    for clause in clauses:
-        lits = _clause_literals(clause)
-        q_plus, q_minus = set(), set()
-        d_ok = [set(range(p.num_symbols)) for _ in range(p.register_count)]
-        for atom, positive in lits:
-            if isinstance(atom, PopAt):
-                (q_plus if positive else q_minus).add(atom.state)
-            else:
-                if positive:
-                    d_ok[atom.reg] &= {atom.symbol}
-                else:
-                    d_ok[atom.reg] -= {atom.symbol}
-        sat = not (q_plus & q_minus) and all(d_ok)
-        out.append(ClauseDecomposition(frozenset(q_plus), frozenset(q_minus),
-                                       tuple(frozenset(s) for s in d_ok),
-                                       sat))
-    return out
+    none = frozenset()
+    every = (frozenset(range(p.num_symbols)),) * p.register_count
+
+    def keep(out: dict, clause: tuple) -> None:
+        out[clause] = None
+        if len(out) > MAX_DNF_CLAUSES:
+            raise NotDNF("DNF distribution exceeds the size guard")
+
+    def clauses(node, positive: bool) -> dict:
+        # (q_plus, q_minus, d_ok) -> None, in first-occurrence order
+        kind = type(node)
+        if kind is Not:
+            return clauses(node.child, not positive)
+        if kind is PopAt:
+            q = frozenset((node.state,))
+            return {(q, none, every) if positive else (none, q, every): None}
+        if kind is RegAt:
+            j, a = node.reg, frozenset((node.symbol,))
+            ok = a if positive else every[j] - a
+            if not ok:  # the register holds no other symbol
+                return {}
+            return {(none, none, (*every[:j], ok, *every[j + 1:])): None}
+        if kind is not And and kind is not Or:
+            raise TypeError(f"not a roundless constraint node: {node!r}")
+        out: dict = {}
+        if (kind is Or) == positive:
+            for x in node.children:
+                for c in clauses(x, positive):
+                    keep(out, c)
+            return out
+        out[none, none, every] = None
+        for x in node.children:
+            alt, prev, out = clauses(x, positive), out, {}
+            for q_plus, q_minus, d_ok in prev:
+                for more, less, ok in alt:
+                    plus, minus = q_plus | more, q_minus | less
+                    allowed = tuple(map(frozenset.intersection, d_ok, ok))
+                    if not plus & minus and all(allowed):
+                        keep(out, (plus, minus, allowed))
+        return out
+
+    return [ClauseDecomposition(*c) for c in clauses(phi, True)]
 
 
 def nnf(node, neg: bool = False):
     """The constraint (negated with ``neg``) with every ``not`` pushed down
     to an atom, by De Morgan and by swapping ``exists`` and ``forall``, and
-    every child of the same connective spliced into its parent."""
+    every child of the same connective spliced into its parent.
+
+    The form ``oracle._compiled`` compiles; ``dnf_clauses`` carries the
+    polarity in its own walk instead."""
     if isinstance(node, Not):
         return nnf(node.child, not neg)
     if isinstance(node, (Exists, Forall)):
@@ -432,44 +448,6 @@ def nnf(node, neg: bool = False):
         x = nnf(x, neg)
         kids += x.children if type(x) is kind else (x,)
     return kind(tuple(kids))
-
-
-def to_dnf(phi):
-    """Distribute a roundless constraint into DNF, with a size guard.
-
-    It distributes the constraint's ``nnf``.  A clause keeps the first
-    occurrence of each literal, and a clause with the literals of an earlier
-    one is dropped; the guard counts what is kept, so a constraint that
-    repeats itself distributes to a small DNF.  Past ``MAX_DNF_CLAUSES``
-    distinct clauses it raises ``NotDNF``.
-    """
-    def keep(out: dict, lits: frozenset, clause: tuple) -> None:
-        out[lits] = clause
-        if len(out) > MAX_DNF_CLAUSES:
-            raise NotDNF("DNF distribution exceeds the size guard")
-
-    def clauses_of(node) -> dict:  # literal set -> first clause, in order
-        out: dict = {}
-        if isinstance(node, Or):
-            for x in node.children:
-                for lits, c in clauses_of(x).items():
-                    if lits not in out:
-                        keep(out, lits, c)
-        elif isinstance(node, And):
-            out[frozenset()] = ()
-            for x in node.children:
-                alt, prev, out = clauses_of(x), out, {}
-                for s, c in prev.items():
-                    for t, d in alt.items():
-                        lits = s | t
-                        if lits not in out:
-                            keep(out, lits,
-                                 c + tuple(y for y in d if y not in s))
-        else:
-            keep(out, frozenset((node,)), (node,))
-        return out
-
-    return Or(tuple(And(c) for c in clauses_of(nnf(phi)).values()))
 
 
 def cover_constraint(p: Protocol, state: int):

@@ -154,8 +154,10 @@ def _refuted(p: Protocol, cand: ApcCandidate, options: dict) -> bool:
     holds one of its minimal forcing sets does, so the search would drop
     each such branch when it reaches that round; this drops the candidate
     before its first round.  Literals contradict only within one round, so
-    the rounds k tried are those that put a forcing set's literal, at round
-    k + o, on a ground literal's round r: k = r - o >= 0.
+    the rounds k tried are 0 up to the top ground literal's round: at a
+    round where no forcing set's literal falls on a ground literal's round,
+    a universal folds to false only if each of its forcing sets contradicts
+    itself, and then it is false on the empty tail, tested first.
     """
     closed = _tests(p, cand.closed)
     opts = [_literal_options(p, u, options) for u in cand.universal]
@@ -163,11 +165,9 @@ def _refuted(p: Protocol, cand: ApcCandidate, options: dict) -> bool:
             _probe(_holds(o))(0) for o in opts):
         return True
     block = layout(p, 0)[2](1, 0)
-    rounds = {(m.bit_length() - 1) // block for m, *_ in closed}
+    top = max((m.bit_length() for m, *_ in closed), default=0)
     for o in opts:
-        ks = {r - (m.bit_length() - 1) // block
-              for r in rounds for opt in o for m, *_ in opt}
-        for n in (k * block for k in ks if k >= 0):
+        for n in range(0, top, block):
             if all(_join(True, [*closed, *((m << n, w << n, eq, s)
                                            for m, w, eq, s in opt)]) is False
                    for opt in o):

@@ -262,8 +262,6 @@ def _clause_route(pu: Protocol, dec: ClauseDecomposition) -> str | None:
     for the whole query, and the loop runs their bodies unchecked, on one
     write index per pruning step.
     """
-    if not dec.satisfiable:
-        return None
     base = pu.initial_states - dec.q_minus
     if D0 in dec.d_ok[0] and dec.q_plus <= base and base:
         return "initial"
@@ -283,20 +281,25 @@ def _clause_route(pu: Protocol, dec: ClauseDecomposition) -> str | None:
 
 
 def solve_dnfprp_one_register(p: Protocol, phi) -> Verdict:
-    """Polynomial-time DNF presence reachability for one register.
+    """Presence reachability for one register, in time polynomial in the
+    size of the DNF the constraint distributes to.
 
-    Reduces to the uninitialized case, then per clause prunes the state set
-    to the intersection of forward- and backward-coverable sets until stable;
-    a clause accepts when its required states survive a nonempty fixpoint.
-    Zero-step witnesses (initial configurations already satisfying a clause)
-    are checked before the fixpoint, which only reasons about executions
-    containing a write.
+    ``dnf_clauses`` distributes any roundless constraint into clause
+    obligations; a DNF distributes to its own clauses, so on a DNF this is
+    the paper's polynomial-time decision, and past ``MAX_DNF_CLAUSES``
+    distinct clauses it raises ``NotDNF``.  Reduces to the uninitialized
+    case, then per clause prunes the state set to the intersection of
+    forward- and backward-coverable sets until stable; a clause accepts
+    when its required states survive a nonempty fixpoint.  Zero-step
+    witnesses (initial configurations already satisfying a clause) are
+    checked before the fixpoint, which only reasons about executions
+    containing a write.  ``stats["clauses"]`` counts the clauses.
     """
     if p.flavor != ROUNDLESS:
         raise ValueError("needs a roundless protocol")
     if p.register_count != 1:
         raise WrongRegisterCount("one-reg needs a single register")
-    decs = dnf_clauses(p, phi)  # raises NotDNF on bad input
+    decs = dnf_clauses(p, phi)
     pu = reduce_initialized_to_uninit_r1(p)
     stats = {"clauses": len(decs)}
     for dec in decs:

@@ -59,15 +59,12 @@ def test_check_incompatible_algorithm(exdir, capsys, tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["check", "cover", "fig1.prot", "--state", "qf", "--algo", "saturation"],
      "saturation needs an uninitialized protocol"),
-    (["check", "dnfprp", "fig1.prot", "ex26_phi.pc", "--algo", "one-reg"],
-     "not in DNF: a clause holds (or ...) (try --distribute)"),
     # the oracle refuses an instance past its caps
     (["check", "cover", "fig1.prot", "--state", "qf", "--algo", "oracle",
       "--cap-states", "3"], "|Q| = 5 exceeds cap 3"),
     (["oracle", "fig1.prot", "--problem", "cover", "--state", "qf",
       "--cap-states", "3"], "|Q| = 5 exceeds cap 3")],
-    ids=["saturation-initialized", "one-reg-not-dnf", "check-oracle-cap",
-         "oracle-cap"])
+    ids=["saturation-initialized", "check-oracle-cap", "oracle-cap"])
 def test_solver_precondition_is_incompatible(exdir, capsys, argv, message):
     argv = [str(exdir / a) if "." in a else a for a in argv]
     code, out, err = run(capsys, *argv)
@@ -76,15 +73,25 @@ def test_solver_precondition_is_incompatible(exdir, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_one_reg_distributes_example_26(exdir, capsys):
+    # example 2.6 is not in DNF; one-reg distributes it into 2 clauses
+    code, out, err = run(capsys, "check", "dnfprp", str(exdir / "fig1.prot"),
+                         str(exdir / "ex26_phi.pc"), "--algo", "one-reg")
+    assert (code, err) == (1, "negative (one-reg)\n")
+    payload = json.loads(out)
+    assert (payload["answer"], payload["stats"]) == ("negative",
+                                                     {"clauses": 2})
+
+
 def test_distribute_keeps_distinct_clauses(exdir, capsys, tmp_path):
     big = tmp_path / "big.pc"
     big.write_text("(and " + " ".join(
         "(or (pop A) (reg 1 b))" if i % 2 else "(or (pop q0) (reg 1 a))"
         for i in range(13)) + ")\n")
     code, out, err = run(capsys, "check", "dnfprp", str(exdir / "fig1.prot"),
-                         str(big), "--algo", "one-reg", "--distribute")
+                         str(big), "--algo", "one-reg")
     assert (code, err) == (0, "positive (one-reg)\n")
-    assert json.loads(out)["stats"]["clauses"] == 9
+    assert json.loads(out)["stats"]["clauses"] == 5
 
 
 def test_only_one_reg_distributes(capsys, tmp_path):
@@ -101,12 +108,17 @@ def test_only_one_reg_distributes(capsys, tmp_path):
         f"(or (pop {q}) (pop {r}))" for q, r in zip(states[1::2],
                                                     states[::2])) + ")\n")
     code, out, err = run(capsys, "check", "prp", str(prot), str(c),
-                         "--algo", "bounded", "--distribute")
+                         "--algo", "bounded")
     assert (code, err) == (0, "positive (bounded)\n")
     code, out, err = run(capsys, "check", "dnfprp", str(prot), str(c),
-                         "--algo", "one-reg", "--distribute")
+                         "--algo", "one-reg")
     assert (code, out) == (65, "")
     assert err == "error: DNF distribution exceeds the size guard\n"
+    # one-reg distributes whatever it is given: there is no flag for it
+    code, out, err = run(capsys, "check", "dnfprp", str(prot), str(c),
+                         "--algo", "one-reg", "--distribute")
+    assert (code, out) == (64, "")
+    assert "unrecognized arguments: --distribute" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -221,6 +233,27 @@ def _nested_constraint(tmp_path, problem, negations):
 def test_check_usage_error(capsys):
     code, _, _ = run(capsys, "check", "cover", "/nonexistent.prot")
     assert code == 70
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "cover", "fig1.prot", "--state", "qf", "--emit-witness", "W"],
+    ["oracle", "fig1.prot", "--problem", "cover", "--state", "qf",
+     "--emit-witness", "W"],
+    ["examples", "--out", "W"],
+    ["gen", "sat-cover", "--out", "W"]],
+    ids=["check", "oracle", "examples", "gen"])
+def test_unwritable_output_is_bad_input(exdir, capsys, tmp_path, argv):
+    # W lies under a regular file: a positive's witness, or the files a
+    # verb writes, cannot be written, and that is one error line, not a
+    # traceback and not the exit status of a negative
+    (tmp_path / "afile").write_text("")
+    path = str(tmp_path / "afile" / "w")
+    argv = [path if a == "W" else str(exdir / a) if "." in a else a
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (70, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert path in err
 
 
 def test_missing_state_is_usage_error(exdir, capsys):

@@ -17,8 +17,7 @@ from regverify.constraints import (MAX_NESTING, ROUND0, And, Exists, Forall,
                                    ground,
                                    max_constant, parse_round_constraint,
                                    parse_roundless_constraint,
-                                   negated_states, nnf, prime_implicants,
-                                   to_dnf)
+                                   negated_states, nnf, prime_implicants)
 from regverify.errors import ConstraintSyntaxError, NotDNF
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
@@ -273,10 +272,15 @@ def test_format_roundtrip():
         assert rb(p, format_constraint(p, psi)) == psi
 
 
-def test_dnf_rejects_example_26():
+def test_dnf_distributes_example_26():
+    # (and (not (pop C)) (or (reg 1 a) (and (reg 1 b) (not (pop A))))) is
+    # not in DNF; it distributes into one clause per branch of the or
     phi = rl(FIG1, CONSTRAINTS["ex26_phi"].text)
-    with pytest.raises(NotDNF):
-        dnf_clauses(FIG1, phi)
+    A, C = FIG1.state_id("A"), FIG1.state_id("C")
+    a, b = FIG1.symbol_id("a"), FIG1.symbol_id("b")
+    assert [tuple(d) for d in dnf_clauses(FIG1, phi)] == [
+        (frozenset(), frozenset({C}), (frozenset({a}),)),
+        (frozenset(), frozenset({A, C}), (frozenset({b}),))]
 
 
 def test_dnf_clause_decomposition():
@@ -285,28 +289,46 @@ def test_dnf_clause_decomposition():
     assert dec.q_plus == frozenset()
     assert dec.q_minus == {FIG1.state_id("C")}
     assert dec.d_ok == (frozenset({FIG1.symbol_id("a")}),)
-    assert dec.satisfiable
 
 
 def test_dnf_contradictory_clause_flagged():
-    phi = rl(FIG1, "(and (pop qf) (not (pop qf)))")
-    [dec] = dnf_clauses(FIG1, phi)
-    assert not dec.satisfiable
+    # a clause that cannot hold is dropped, not kept with a flag
+    for text in ("(and (pop qf) (not (pop qf)))",
+                 "(and (reg 1 a) (reg 1 b))",
+                 "(not (or (reg 1 d0) (reg 1 a) (reg 1 b) (reg 1 c)))"):
+        assert dnf_clauses(FIG1, rl(FIG1, text)) == [], text
+
+
+def _assert_clauses_agree_with_eval(p, phi, configs):
+    decs = dnf_clauses(p, phi)
+    assert len(set(decs)) == len(decs), phi
+    assert all(not d.q_plus & d.q_minus and all(d.d_ok) for d in decs), phi
+    for c in configs:
+        assert eval_roundless(c, phi) == any(clause_holds(d, c)
+                                             for d in decs), (phi, c)
 
 
 def test_dnf_clauses_agree_with_eval():
     rng = random.Random(23)
-    phi = rl(FIG1, "(or (and (not (pop C)) (reg 1 a)) "
-                   "(and (pop qf) (not (reg 1 b))) (pop B))")
-    decs = dnf_clauses(FIG1, phi)
     states = list(range(FIG1.num_states))
-    for _ in range(1000):
-        S = frozenset(rng.sample(states, rng.randrange(1, 5)))
-        regs = (rng.randrange(FIG1.num_symbols),)
-        c = roundless_config(S, regs)
-        direct = eval_roundless(c, phi)
-        via = any(d.satisfiable and clause_holds(d, c) for d in decs)
-        assert direct == via
+    configs = [roundless_config(rng.sample(states, rng.randrange(1, 5)),
+                                (rng.randrange(FIG1.num_symbols),))
+               for _ in range(1000)]
+    for text in ("(or (and (not (pop C)) (reg 1 a)) "
+                 "(and (pop qf) (not (reg 1 b))) (pop B))",
+                 CONSTRAINTS["ex26_phi"].text):
+        _assert_clauses_agree_with_eval(FIG1, rl(FIG1, text), configs)
+    # random constraints, on every configuration of their protocol
+    for seed in range(100000, 100400):
+        rng = random.Random(seed)
+        p = random_protocol(rng)
+        phi = random_constraint(rng, p)
+        _assert_clauses_agree_with_eval(p, phi, [
+            roundless_config(S, regs)
+            for n in range(p.num_states + 1)
+            for S in itertools.combinations(range(p.num_states), n)
+            for regs in itertools.product(range(p.num_symbols),
+                                          repeat=p.register_count)])
 
 
 def test_roundless_and_roundbased_evaluators_agree():
@@ -323,42 +345,6 @@ def test_roundless_and_roundbased_evaluators_agree():
             assert holds == eval_roundbased(p, c, phi), (seed, c)
             seen[holds] += 1
     assert min(seen.values()) > 2500, seen
-
-
-def test_to_dnf_preserves_meaning():
-    phi = rl(FIG1, CONSTRAINTS["ex26_phi"].text)
-    dnf = to_dnf(phi)
-    dnf_clauses(FIG1, dnf)  # must not raise
-    rng = random.Random(31)
-    states = list(range(FIG1.num_states))
-    for _ in range(500):
-        S = frozenset(rng.sample(states, rng.randrange(1, 5)))
-        regs = (rng.randrange(FIG1.num_symbols),)
-        c = roundless_config(S, regs)
-        assert eval_roundless(c, phi) == eval_roundless(c, dnf)
-
-
-def test_to_dnf_preserves_meaning_on_random_constraints():
-    checked = 0
-    for seed in range(100000, 100400):
-        rng = random.Random(seed)
-        p = random_protocol(rng)
-        if p.register_count != 1:
-            continue
-        phi = random_constraint(rng, p)
-        dnf = to_dnf(phi)
-        dnf_clauses(p, dnf)  # must not raise
-        literal_sets = [frozenset(c.children) for c in dnf.children]
-        assert all(len(s) == len(c.children)
-                   for s, c in zip(literal_sets, dnf.children)), seed
-        assert len(set(literal_sets)) == len(literal_sets), seed
-        for n in range(p.num_states + 1):
-            for S in itertools.combinations(range(p.num_states), n):
-                for d in range(p.num_symbols):
-                    c = roundless_config(S, (d,))
-                    assert eval_roundless(c, phi) == eval_roundless(c, dnf)
-        checked += 1
-    assert checked > 100
 
 
 def _in_nnf(node) -> bool:
@@ -428,26 +414,33 @@ def test_nnf_keeps_meaning_and_shape(flavor):
     assert changed > 100
 
 
-def test_to_dnf_guard_counts_distinct_clauses():
+def test_dnf_guard_counts_distinct_clauses():
+    wide = parse_protocol(
+        "flavor: roundless\nstates: " + " ".join(f"s{i}" for i in range(26))
+        + "\ninitial: s0\nregisters: 1\nalphabet: d0\ntransitions:\n")
+
     def disjoint(n):  # 2**n distinct clauses
         return And(tuple(Or((PopAt(2 * i, ROUND0), PopAt(2 * i + 1, ROUND0)))
                          for i in range(n)))
-    assert len(to_dnf(disjoint(12)).children) == 4096
+    assert len(dnf_clauses(wide, disjoint(12))) == 4096
     with pytest.raises(NotDNF, match="exceeds the size guard"):
-        to_dnf(disjoint(13))
-    # 2**13 clauses with repeats, but only 3 * 3 distinct literal sets
+        dnf_clauses(wide, disjoint(13))
+    # 2**13 clauses with repeats, and only 5 distinct ones that can hold:
+    # a clause asking (reg 1 a) and (reg 1 b) together is dropped
     x = Or((PopAt(FIG1.state_id("q0"), ROUND0),
             RegAt(0, ROUND0, FIG1.symbol_id("a"))))
     y = Or((PopAt(FIG1.state_id("A"), ROUND0),
             RegAt(0, ROUND0, FIG1.symbol_id("b"))))
-    dnf = to_dnf(And(tuple(x if i % 2 == 0 else y for i in range(13))))
-    assert dnf.children[0] == And((x.children[0], y.children[0]))
-
-    def nonempty(o):  # the nonempty sets of an Or's two atoms
-        return [{o.children[0]}, {o.children[1]}, set(o.children)]
-    assert len(dnf.children) == 9
-    assert {frozenset(c.children) for c in dnf.children} == {
-        frozenset(a | b) for a in nonempty(x) for b in nonempty(y)}
+    decs = dnf_clauses(FIG1, And(tuple(x if i % 2 == 0 else y
+                                       for i in range(13))))
+    q0, A = FIG1.state_id("q0"), FIG1.state_id("A")
+    every, a, b = (frozenset(range(FIG1.num_symbols)),
+                   frozenset({FIG1.symbol_id("a")}),
+                   frozenset({FIG1.symbol_id("b")}))
+    assert [(d.q_plus, d.d_ok) for d in decs] == [
+        ({q0, A}, (every,)), ({q0, A}, (a,)), ({q0, A}, (b,)),
+        ({q0}, (b,)), ({A}, (a,))]
+    assert all(d.q_minus == frozenset() for d in decs)
 
 
 def test_decompose_single_existential():

@@ -8,8 +8,8 @@ import pytest
 from regverify.constraints import (ROUND0, And, RegAt, cover_constraint,
                                    dnf_clauses, eval_roundless,
                                    parse_roundless_constraint,
-                                   target_constraint, to_dnf)
-from regverify.errors import (NotDNF, NotUninitialized, WrongRegisterCount)
+                                   target_constraint)
+from regverify.errors import NotUninitialized, WrongRegisterCount
 from regverify.model import Protocol, is_uninitialized, parse_protocol
 from regverify.oracle import oracle_prp
 from regverify.reductions import (CnfFormula, builtin_examples,
@@ -391,7 +391,7 @@ def cocov_oracle(p: Protocol, dec) -> set:
             seen, stack, good = {start}, [start], False
             while stack:
                 c = stack.pop()
-                if dec.satisfiable and clause_holds(dec, c):
+                if clause_holds(dec, c):
                     good = True
                     break
                 for _, s in abstract_successors(p, c):
@@ -445,15 +445,13 @@ def test_dnfprp_golden():
         FIG1, rl(FIG1, "(pop qf)")).answer == "positive"
 
 
-def test_dnfprp_rejects_non_dnf():
-    phi = rl(FIG1, CONSTRAINTS["ex26_phi"].text)
-    with pytest.raises(NotDNF):
-        solve_dnfprp_one_register(FIG1, phi)
-
-
 def test_dnfprp_distributed_example_26_negative():
-    phi = to_dnf(rl(FIG1, CONSTRAINTS["ex26_phi"].text))
-    assert solve_dnfprp_one_register(FIG1, phi).answer == "negative"
+    # example 2.6 is not in DNF: one-reg distributes it into 2 clauses and
+    # answers as bounded does
+    phi = rl(FIG1, CONSTRAINTS["ex26_phi"].text)
+    v = solve_dnfprp_one_register(FIG1, phi)
+    assert (v.answer, v.stats) == ("negative", {"clauses": 2})
+    assert solve_prp_bounded(FIG1, phi).answer == "negative"
 
 
 def test_dnfprp_distributed_agrees_with_bounded():
@@ -464,7 +462,7 @@ def test_dnfprp_distributed_agrees_with_bounded():
         if p.register_count != 1:
             continue
         phi = random_constraint(rng, p)
-        assert (solve_dnfprp_one_register(p, to_dnf(phi)).answer
+        assert (solve_dnfprp_one_register(p, phi).answer
                 == solve_prp_bounded(p, phi).answer), seed
         checked += 1
     assert checked > 100
