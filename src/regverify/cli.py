@@ -47,9 +47,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _load(path: str, what: str, parse):
+def _read(path: str, what: str) -> str:
+    """The text of the file; one that does not decode is bad input."""
     try:
-        return parse(Path(path).read_text())
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise CliError(f"bad {what} {path}: {e}", EXIT_DATA)
+
+
+def _load(path: str, what: str, parse):
+    text = _read(path, what)
+    try:
+        return parse(text)
     except RegverifyError as e:
         raise CliError(f"bad {what} {path}: {e}", EXIT_DATA)
 
@@ -145,8 +154,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_replay(args) -> int:
     p = _load(args.protocol, "protocol", parse_protocol)
+    text = _read(args.trace, "trace")
     try:
-        text = Path(args.trace).read_text()
         exec_, mode = parse_trace(p, text)
         final = replay(p, exec_, mode)
     except NotEnabled as e:

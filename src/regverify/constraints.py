@@ -24,7 +24,7 @@ import itertools
 from typing import NamedTuple
 
 from .errors import ConstraintSyntaxError, NotDNF
-from .model import ROUNDLESS, Protocol
+from .model import ROUNDLESS, Protocol, _new
 from .semantics import AbstractConfig, ConcreteConfig, project, reg_get
 
 MAX_TERM_CONSTANT = 64  # terms are unary-bounded; keep them desk-sized
@@ -100,10 +100,8 @@ ROUND0 = Term(False, 0)  # the round of every roundless atom
 # --- parsing -------------------------------------------------------------------
 
 def _tokenize(text: str) -> list[str]:
-    out = []
-    for line in text.splitlines():
-        out.append(line.split(";", 1)[0])
-    text = " ".join(out)
+    if ";" in text:  # a comment runs to the end of its line
+        text = " ".join(line.split(";", 1)[0] for line in text.splitlines())
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
@@ -154,12 +152,12 @@ def _build(e, p: Protocol, var: str | None, rounds: bool):
         raise ConstraintSyntaxError(f"cannot parse {e!r}")
     head = e[0]
     if head in ("and", "or"):
-        kids = tuple(_build(x, p, var, rounds) for x in e[1:])
-        return And(kids) if head == "and" else Or(kids)
+        kids = tuple([_build(x, p, var, rounds) for x in e[1:]])
+        return _new(And if head == "and" else Or, (kids,))
     if head == "not":
         if len(e) != 2:
             raise ConstraintSyntaxError("not takes one argument")
-        return Not(_build(e[1], p, var, rounds))
+        return _new(Not, (_build(e[1], p, var, rounds),))
     if rounds and head in ("exists", "forall"):
         if var is not None:
             raise ConstraintSyntaxError("nested quantifiers are not allowed")
@@ -171,8 +169,8 @@ def _build(e, p: Protocol, var: str | None, rounds: bool):
         if len(e) != 2 + rounds or not isinstance(e[1], str):
             raise ConstraintSyntaxError("pop takes a state and a term"
                                         if rounds else "pop takes one state")
-        return PopAt(p.state_id(e[1]),
-                     _build_term(e[2], var) if rounds else ROUND0)
+        return _new(PopAt, (p.state_id(e[1]),
+                            _build_term(e[2], var) if rounds else ROUND0))
     if head == "reg":
         if len(e) != 3 + rounds:
             raise ConstraintSyntaxError("reg takes register, term and symbol"
@@ -187,7 +185,7 @@ def _build(e, p: Protocol, var: str | None, rounds: bool):
         term = _build_term(e[2], var) if rounds else ROUND0
         if not isinstance(e[-1], str):
             raise ConstraintSyntaxError(f"bad symbol {e[-1]!r}")
-        return RegAt(j - 1, term, p.symbol_id(e[-1]))
+        return _new(RegAt, (j - 1, term, p.symbol_id(e[-1])))
     raise ConstraintSyntaxError(f"unknown operator {head!r}")
 
 
@@ -269,22 +267,23 @@ def eval_prop_at(c: AbstractConfig, node, k: int | None,
     quantifier tries ``k = 0..horizon + 1``, the last round standing for
     the all-empty tail (see ``eval_roundbased``).
     """
-    if isinstance(node, (And, Or)):
-        decisive = isinstance(node, Or)  # the value one child decides with
+    kind = type(node)
+    if kind is And or kind is Or:
+        decisive = kind is Or  # the value one child decides with
         for x in node.children:
             if eval_prop_at(c, x, k, horizon) == decisive:
                 return decisive
         return not decisive
-    if isinstance(node, Not):
+    if kind is Not:
         return not eval_prop_at(c, node.child, k, horizon)
-    if isinstance(node, PopAt):
+    if kind is PopAt:
         return (node.state, term_value(node.term, k)) in c.pop
-    if isinstance(node, RegAt):
+    if kind is RegAt:
         rnd = term_value(node.term, k)
         return reg_get(c.regs, (rnd, node.reg)) == node.symbol
-    if isinstance(node, (Exists, Forall)):
+    if kind is Exists or kind is Forall:
         vals = (eval_prop_at(c, node.prop, j) for j in range(horizon + 2))
-        return any(vals) if isinstance(node, Exists) else all(vals)
+        return any(vals) if kind is Exists else all(vals)
     raise TypeError(f"not a constraint node: {node!r}")
 
 
@@ -426,28 +425,6 @@ def dnf_clauses(p: Protocol, phi) -> list[ClauseDecomposition]:
         return out
 
     return [ClauseDecomposition(*c) for c in clauses(phi, True)]
-
-
-def nnf(node, neg: bool = False):
-    """The constraint (negated with ``neg``) with every ``not`` pushed down
-    to an atom, by De Morgan and by swapping ``exists`` and ``forall``, and
-    every child of the same connective spliced into its parent.
-
-    The form ``oracle._compiled`` compiles; ``dnf_clauses`` carries the
-    polarity in its own walk instead."""
-    if isinstance(node, Not):
-        return nnf(node.child, not neg)
-    if isinstance(node, (Exists, Forall)):
-        return (Exists if isinstance(node, Exists) != neg else Forall)(
-            nnf(node.prop, neg))
-    if not isinstance(node, (And, Or)):
-        return Not(node) if neg else node
-    kind = And if isinstance(node, And) != neg else Or
-    kids: list = []
-    for x in node.children:
-        x = nnf(x, neg)
-        kids += x.children if type(x) is kind else (x,)
-    return kind(tuple(kids))
 
 
 def cover_constraint(p: Protocol, state: int):
@@ -641,9 +618,10 @@ def decompose_apcs(psi) -> list[ApcCandidate]:
     outside them, which have constant rounds and are ground literals; a
     quantifier's constant-round atoms are resolved into ground literals by
     ``_quantified_entries``, so obligations only mention the bound round
-    variable.  Not on ``nnf(psi)``, where ``exists`` and ``not exists`` of
-    one body are unrelated leaves.  Minimal candidates come first.  An
-    empty list means no configuration can satisfy the constraint.
+    variable.  On the constraint as written: with its ``not``s pushed
+    down to the atoms, ``exists`` and ``not exists`` of one body would be
+    unrelated leaves.  Minimal candidates come first.  An empty list means
+    no configuration can satisfy the constraint.
     """
     candidates: dict = {}  # insertion-ordered, without duplicates
     for imp in prime_implicants(psi, _is_quantifier_or_atom):

@@ -68,14 +68,16 @@ class Protocol(NamedTuple):
         return len(self.symbol_names)
 
     def state_id(self, name: str) -> int:
-        if name not in self.state_names:
-            raise ProtocolSemanticError(f"unknown state {name!r}")
-        return self.state_names.index(name)
+        try:
+            return self.state_names.index(name)
+        except ValueError:
+            raise ProtocolSemanticError(f"unknown state {name!r}") from None
 
     def symbol_id(self, name: str) -> int:
-        if name not in self.symbol_names:
-            raise ProtocolSemanticError(f"unknown symbol {name!r}")
-        return self.symbol_names.index(name)
+        try:
+            return self.symbol_names.index(name)
+        except ValueError:
+            raise ProtocolSemanticError(f"unknown symbol {name!r}") from None
 
 
 D0 = 0  # the initial symbol always interns to id 0
@@ -89,19 +91,31 @@ def is_uninitialized(p: Protocol) -> bool:
 
 # --- textual format ---------------------------------------------------------
 
+# builds a named tuple from the tuple of its fields, as ``_make`` does, but
+# without the Python frame of the generated ``__new__``: the protocol and
+# constraint parsers build one per transition line and per node
+_new = tuple.__new__
+
 _HEADER_KEYS = ("flavor", "states", "initial", "registers", "alphabet",
                 "visibility")
 
 
 def _register_index(tok: str, reg_count: int, lineno: int) -> int:
+    """The 0-based index of the 1-based register ``tok``, which may carry
+    outer whitespace."""
     try:
         j = int(tok)
     except ValueError:
-        raise ProtocolSyntaxError(f"bad register index {tok!r}", lineno)
+        raise ProtocolSyntaxError(f"bad register index {tok.strip()!r}",
+                                  lineno)
     if not 1 <= j <= reg_count:
         raise ProtocolSemanticError(
             f"line {lineno}: register {j} out of range 1..{reg_count}")
     return j - 1
+
+
+def _unknown(what: str, tok: str, lineno: int) -> ProtocolSemanticError:
+    return ProtocolSemanticError(f"line {lineno}: unknown {what} {tok!r}")
 
 
 def _name_index(tok: str, ids: dict, what: str, lineno: int) -> int:
@@ -109,7 +123,7 @@ def _name_index(tok: str, ids: dict, what: str, lineno: int) -> int:
     ``lineno``."""
     i = ids.get(tok)
     if i is None:
-        raise ProtocolSemanticError(f"line {lineno}: unknown {what} {tok!r}")
+        raise _unknown(what, tok, lineno)
     return i
 
 
@@ -135,59 +149,69 @@ def _parse_action(text: str, flavor: str, reg_count: int, visibility: int,
     kind, _, body = text.partition("(")
     if kind not in (READ, WRITE) or body[-1:] != ")":
         raise ProtocolSyntaxError(f"cannot parse action {text!r}", lineno)
-    args = [a.strip() for a in body[:-1].split(",")]
+    args = body[:-1].split(",")  # stripped where read
+    sym_tok = args[-1].strip()
+    sym = symbol_ids.get(sym_tok)  # an unknown one raises in its turn
 
     if kind == WRITE:
         if len(args) != 2:
             raise ProtocolSyntaxError("write takes (register, symbol)", lineno)
-        sym = _name_index(args[1], symbol_ids, "symbol", lineno)
+        if sym is None:
+            raise _unknown("symbol", sym_tok, lineno)
         if sym == D0:
             raise ProtocolSemanticError(
-                f"line {lineno}: write of initial symbol {args[1]!r}")
-        return Action(WRITE, _register_index(args[0], reg_count, lineno), sym)
+                f"line {lineno}: write of initial symbol {sym_tok!r}")
+        return _new(Action, (WRITE, _register_index(args[0], reg_count, lineno),
+                             sym, None))
 
+    depth = None
     if flavor == ROUNDLESS:
         if len(args) != 2:
             raise ProtocolSyntaxError(
                 "roundless read takes (register, symbol)", lineno)
-        return Action(READ, _register_index(args[0], reg_count, lineno),
-                      _name_index(args[1], symbol_ids, "symbol", lineno))
-
-    if len(args) != 3:
-        raise ProtocolSyntaxError(
-            "round-based read takes (-depth, register, symbol)", lineno)
-    try:
-        signed = int(args[0])
-        if signed > 0:
-            raise ValueError
-        depth = -signed
-    except ValueError:
-        raise ProtocolSyntaxError(
-            f"read depth must be 0 or negative, got {args[0]!r}", lineno)
-    if depth > visibility:
-        raise ProtocolSemanticError(
-            f"line {lineno}: read depth {depth} out of range 0..{visibility}")
-    return Action(READ, _register_index(args[1], reg_count, lineno),
-                  _name_index(args[2], symbol_ids, "symbol", lineno), depth)
+    else:
+        if len(args) != 3:
+            raise ProtocolSyntaxError(
+                "round-based read takes (-depth, register, symbol)", lineno)
+        depth_tok = args[0].strip()
+        try:
+            signed = int(depth_tok)
+            if signed > 0:
+                raise ValueError
+            depth = -signed
+        except ValueError:
+            raise ProtocolSyntaxError(
+                f"read depth must be 0 or negative, got {depth_tok!r}", lineno)
+        if depth > visibility:
+            raise ProtocolSemanticError(f"line {lineno}: read depth {depth} "
+                                        f"out of range 0..{visibility}")
+    reg = _register_index(args[-2], reg_count, lineno)
+    if sym is None:
+        raise _unknown("symbol", sym_tok, lineno)
+    return _new(Action, (READ, reg, sym, depth))
 
 
 def parse_protocol(text: str) -> Protocol:
     """Parse the line-oriented protocol format (see package README).
 
-    Each distinct action text is parsed once per call; a bad one raises at
-    its first line.
+    A transition line is read as its whitespace-separated fields, as
+    ``semantics.parse_trace`` reads a step line: the source is the first,
+    the destination the last, and the action the ones between.  Each
+    distinct action text is parsed once per call; a bad one raises at its
+    first line.
     """
     lines = text.splitlines()
     header: dict[str, tuple[str, int]] = {}
     body_start = len(lines)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ProtocolSyntaxError("expected 'key: value'", lineno)
-        key, _, value = line.partition(":")
+    for lineno, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        key, colon, value = line.partition(":")
         key = key.strip()
+        if not colon:
+            if key:
+                raise ProtocolSyntaxError("expected 'key: value'", lineno)
+            continue  # a blank line
         if key == "transitions":
             if value.strip():
                 raise ProtocolSyntaxError(
@@ -217,16 +241,16 @@ def parse_protocol(text: str) -> Protocol:
     state_names = tuple(header["states"][0].split())
     if not state_names:
         raise ProtocolSyntaxError("no states declared", header["states"][1])
-    if len(set(state_names)) != len(state_names):
+    state_ids = dict(zip(state_names, range(len(state_names))))
+    if len(state_ids) != len(state_names):
         raise ProtocolSemanticError("duplicate state name in declaration")
-    state_ids = {n: i for i, n in enumerate(state_names)}
 
     symbol_names = tuple(header["alphabet"][0].split())
     if not symbol_names:
         raise ProtocolSyntaxError("empty alphabet", header["alphabet"][1])
-    if len(set(symbol_names)) != len(symbol_names):
+    symbol_ids = dict(zip(symbol_names, range(len(symbol_names))))
+    if len(symbol_ids) != len(symbol_names):
         raise ProtocolSemanticError("duplicate symbol name in declaration")
-    symbol_ids = {n: i for i, n in enumerate(symbol_names)}
 
     initial = []
     for tok in header["initial"][0].split():
@@ -240,23 +264,27 @@ def parse_protocol(text: str) -> Protocol:
 
     actions: dict[str, Action] = {}
     transitions = []
-    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        fields = line.split()
+        if not fields:
             continue
-        toks = line.split(None, 1)
-        if len(toks) != 2 or " " not in toks[1]:
+        if len(fields) < 3:
             raise ProtocolSyntaxError("expected 'source action dest'", lineno)
-        act_text, _, dst_tok = toks[1].rpartition(" ")
-        act_text, dst_tok = act_text.strip(), dst_tok.strip()
-        src = _name_index(toks[0], state_ids, "source state", lineno)
-        dst = _name_index(dst_tok, state_ids, "destination state", lineno)
+        # the action is the fields between, rejoined by single spaces
+        act_text = " ".join(fields[1:-1])
+        src, dst = state_ids.get(fields[0]), state_ids.get(fields[-1])
+        if src is None:
+            raise _unknown("source state", fields[0], lineno)
+        if dst is None:
+            raise _unknown("destination state", fields[-1], lineno)
         action = actions.get(act_text)
         if action is None:
             action = actions[act_text] = _parse_action(
                 act_text, flavor, reg_count, visibility or 0, symbol_ids,
                 lineno)
-        transitions.append(Transition(src, action, dst))
+        transitions.append(_new(Transition, (src, action, dst)))
 
     return Protocol(flavor=flavor, state_names=state_names,
                     initial_states=frozenset(initial),

@@ -14,10 +14,13 @@ window: a roundless protocol is its round-0 case, one block wide, with
 its configurations, moves and atoms at round 0.  The search stays on
 integer codes.  Each table entry is enabled by one mask test, which covers
 its source's population bit and a read's symbol field together, and makes
-its step by one mask and one or; the constraint is compiled in the same
-layout to bit probes on the code (``_compiled``).  ``bfs`` returns the
-parent links and the hit's code, and ``search`` decodes only the two ends
-of the witness it walks back from the hit.  A constraint that compiles to
+its step by one mask and one or; it carries its move as the plain fields
+``(transition, round, desert)``, and the table leaves out the entries that
+can never change a code.  The constraint is compiled in the same layout
+to bit probes on the code (``_compiled``, in one walk that carries the
+polarity).  ``bfs`` returns the parent links and the hit's code, and
+``search`` builds the ``Move``s of the witness it walks back from the hit
+and decodes only its two ends.  A constraint that compiles to
 the constant false, a contradiction or a universal false on the empty
 tail past the window, is negative with no search: it discovers no
 configuration.
@@ -45,7 +48,7 @@ from itertools import chain
 
 from .constraints import (And, Exists, Forall, Not, Or, PopAt, RegAt,
                           eval_roundbased, eval_roundless, max_constant,
-                          negated_states, nnf, term_value)
+                          negated_states, term_value)
 from .errors import CapExceeded, ReplayFailure
 from .model import INC, READ, ROUNDBASED, ROUNDLESS, WRITE, Protocol
 from .semantics import (ABSTRACT, AbstractConfig, Execution, Move,
@@ -74,17 +77,17 @@ def bfs(starts, table, space_cap: float, sat) -> tuple[dict, int | None]:
     raises ``CapExceeded``.
 
     Returns ``(links, hit)``: ``links`` maps each code discovered, in
-    discovery order, to ``(pred code, Move)``, or None for a start, and
-    ``hit`` is the first code that satisfies ``sat``, or None.
+    discovery order, to ``(pred code, move)``, ``move`` the last field of
+    the entry that discovered it, or None for a start, and ``hit`` is the
+    first code that satisfies ``sat``, or None.
     """
     links: dict = {}
     room = space_cap  # codes that may still be discovered
-    refusal = f"reach set exceeds {space_cap} configurations"
     queue = []  # codes discovered, in order; the loop below expands each
     for code in starts:
         if code not in links:
             if room <= 0:
-                raise CapExceeded(refusal)
+                raise _beyond(space_cap)
             room -= 1
             links[code] = None
             queue.append(code)
@@ -99,13 +102,17 @@ def bfs(starts, table, space_cap: float, sat) -> tuple[dict, int | None]:
                 succ = code & keep | add
                 if succ not in links:
                     if room <= 0:
-                        raise CapExceeded(refusal)
+                        raise _beyond(space_cap)
                     room -= 1
                     links[succ] = code, move
                     queue.append(succ)
                     if sat(succ):
                         return links, succ
     return links, None
+
+
+def _beyond(space_cap) -> CapExceeded:
+    return CapExceeded(f"reach set exceeds {space_cap} configurations")
 
 
 def layout(p: Protocol, max_round: int):
@@ -142,7 +149,16 @@ def packed(p: Protocol, lay, negated):
     a source in the set of states ``negated`` (the cut in ``search``'s
     docstring) gets a desert entry, and the starts are the supports that
     hold every initial state outside it: with every state negated, the
-    search is exhaustive.
+    search is exhaustive.  An entry's move is the tuple ``(transition,
+    round, desert)`` of a ``Move``'s fields.
+
+    The table leaves out what can never change a code, so the codes
+    discovered, their order and their links are those of the whole
+    relation: a read that loops on its state gets no entry, and a write
+    that does gets no desert entry, which would lead where its keep entry
+    before it does.  A keep entry that writes nothing also tests that its
+    destination's bit is clear: on a code where it is set, the step leads
+    back to the code.
 
     ``table(code)`` builds the rounds up to ``code``'s top round that are
     not built yet, and returns the entries of every round built, in
@@ -170,42 +186,55 @@ def packed(p: Protocol, lay, negated):
             for t in p.transitions:
                 a = t.action
                 lo, top = a.depth or 0, rounds - 1 - (a.kind == INC)
-                if lo > top:
-                    continue
+                loop = t.source == t.dest and a.kind != INC
+                if lo > top or loop and a.kind == READ:
+                    continue  # no entry, or none that changes a code
                 src = mask = want = pop(t.source, lo)
                 clear, add = 0, pop(t.dest, lo + (a.kind == INC))
                 at = slot(0, a.reg or 0)  # a read's: round lo - depth
                 if a.kind == READ:
                     mask, want = src | sym_mask << at, src | a.symbol << at
-                elif a.kind == WRITE:
+                if a.kind == WRITE:
                     clear, add = sym_mask << at, add | a.symbol << at
-                dclear = clear | src if t.source in negated else None
-                rows.append((t, lo, top, mask, want, clear, dclear, add, []))
+                    kmask = mask
+                else:  # a keep move into a populated destination is idle
+                    kmask = mask | add
+                dclear = None if loop or t.source not in negated \
+                    else clear | src
+                rows.append((t, lo, top, kmask, mask, want, clear, dclear,
+                             add, []))
         need = (code.bit_length() - 1) // block + 1
         for r in range(built, need):  # round lo's entry, r - lo blocks up
-            for t, lo, top, mask, want, clear, dclear, add, out in rows:
+            for t, lo, top, kmask, mask, want, clear, dclear, add, out \
+                    in rows:
                 if lo <= r <= top:
                     n = (r - lo) * block
-                    m, w, a = mask << n, want << n, add << n
-                    out.append((m, w, ~(clear << n), a, Move(t, r, False)))
+                    w, a = want << n, add << n
+                    out.append((kmask << n, w, ~(clear << n), a,
+                                (t, r, False)))
                     if dclear is not None:
-                        out.append((m, w, ~(dclear << n), a,
-                                    Move(t, r, True)))
+                        out.append((mask << n, w, ~(dclear << n), a,
+                                    (t, r, True)))
         built = max(built, need)
         return (list(chain.from_iterable(row[-1] for row in rows)),
                 1 << built * block)
 
-    width, first = slot(0, 1), slot(0, p.register_count)
+    nr = p.register_count
+    width, first, states = slot(0, 1), slot(0, nr), (1 << p.num_states) - 1
 
     def decode(code: int) -> AbstractConfig:
+        where, regs = [], []
         # only the blocks up to the code's top round hold a bit
-        blocks = range(0, code.bit_length(), block)
-        where = frozenset((q, n // block) for n in blocks
-                          for q in range(p.num_states)
-                          if code >> n + first + q & 1)
-        syms = [((n // block, j), code >> n + j * width & sym_mask)
-                for n in blocks for j in range(p.register_count)]
-        return AbstractConfig(where, frozenset((k, s) for k, s in syms if s))
+        for r, n in enumerate(range(0, code.bit_length(), block)):
+            bits = code >> n + first & states
+            while bits:  # each populated state, lowest first
+                low = bits & -bits
+                where.append((low.bit_length() - 1, r))
+                bits ^= low
+            for j in range(nr):
+                if s := code >> n + j * width & sym_mask:
+                    regs.append(((r, j), s))
+        return AbstractConfig(frozenset(where), frozenset(regs))
 
     # lazy: a search that hits early never encodes the remaining supports
     starts = (sum(pop(q, 0) for q in support)
@@ -226,12 +255,15 @@ def _compiled(psi, lay):
     false and a register holds d0, so every later ``k`` gives what
     ``max_round + 1`` gives.
 
-    It compiles the constraint's ``nnf``, where a ``not`` stands only over
-    an atom and no connective has a child of its own kind, so every test
-    of a conjunction or disjunction meets the others in one ``_join``.
-    Each atom is a bit test ``(mask, want, eq, shifted)``, true when
-    ``(x & mask == want) == eq`` for ``x`` the code, or the shifted code
-    for an atom on the quantified variable; its negation flips ``eq``.
+    One walk carries the polarity, as ``constraints.dnf_clauses`` does: a
+    ``not`` flips it, an ``and`` under an odd number of ``not``s is a
+    disjunction and an ``or`` a conjunction, and ``exists`` and ``forall``
+    swap there.  On the way down a child of the same effective connective
+    is spliced into its parent, so every test of a conjunction or
+    disjunction meets the others in one ``_join``.  Each atom is a bit
+    test ``(mask, want, eq, shifted)``, true when ``(x & mask == want) ==
+    eq`` for ``x`` the code, or the shifted code for an atom on the
+    quantified variable; under an odd number of ``not``s ``eq`` is false.
     Constants fold, ``_join`` merges the tests of a conjunction or
     disjunction, a quantifier whose body does not read k is its body, and
     a quantified test becomes one test of the code per k.
@@ -241,35 +273,36 @@ def _compiled(psi, lay):
     true, on every code.
     """
     rounds, pop, slot, sym_mask = lay
-    shifts = range(0, slot(rounds + 1, 0), slot(1, 0))  # k = 0..rounds
 
-    def build(node, bound: bool, tail: bool = False):
-        if isinstance(node, (PopAt, RegAt)):
+    def build(node, neg: bool, bound: bool, tail: bool = False):
+        while type(node) is Not:
+            node, neg = node.child, not neg
+        kind = type(node)
+        if kind is PopAt or kind is RegAt:
             # round k + m is round m of the shifted code
             r = term_value(node.term, 0 if bound else None)
             shifted = node.term.has_var
-            if isinstance(node, PopAt):
+            if kind is PopAt:
                 mask = want = pop(node.state, r)
             else:
                 at = slot(r, node.reg)
                 mask, want = sym_mask << at, node.symbol << at
             if tail and shifted:  # the shifted code is 0
-                return want == 0
-            return mask, want, True, shifted
-        if isinstance(node, (And, Or)):
-            return _join(isinstance(node, And),
-                         [build(x, bound, tail) for x in node.children])
-        if isinstance(node, Not):  # over an atom: a test, or a tail constant
-            e = build(node.child, bound, tail)
-            return not e if isinstance(e, bool) else (*e[:2], not e[2], e[3])
-        if not isinstance(node, (Exists, Forall)):
+                return (want == 0) != neg
+            return mask, want, not neg, shifted
+        if kind is And or kind is Or:
+            conj = (kind is And) != neg
+            return _join(conj, [build(x, n, bound, tail)
+                                for x, n in _spliced(node, neg, conj, [])])
+        if kind is not Exists and kind is not Forall:
             raise TypeError(f"not a constraint node: {node!r}")
-        exists = isinstance(node, Exists)
-        if build(node.prop, True, True) is exists:
+        exists = (kind is Exists) != neg
+        if build(node.prop, neg, True, True) is exists:
             return exists  # the tail term decides every code
-        body = build(node.prop, True)
+        body = build(node.prop, neg, True)
         if isinstance(body, bool) or type(body) is tuple and not body[3]:
             return body  # it does not read k, and k takes some value
+        shifts = range(0, slot(rounds + 1, 0), slot(1, 0))  # k = 0..rounds
         if type(body) is tuple:
             m, w, eq, _ = body
             return _join(not exists,
@@ -279,11 +312,31 @@ def _compiled(psi, lay):
             return lambda c, s: any(body(c, c >> n) for n in shifts)
         return lambda c, s: all(body(c, c >> n) for n in shifts)
 
-    return build(nnf(psi), False)
+    return build(psi, False, False)
+
+
+def _spliced(node, neg: bool, conj: bool, out: list) -> list:
+    """``out`` extended by the children of ``node``, a connective that is a
+    conjunction when ``conj``, each with its polarity, ``not``s dropped
+    and children of the same connective spliced in."""
+    for x in node.children:
+        n = neg
+        while type(x) is Not:
+            x, n = x.child, not n
+        kind = type(x)
+        if (kind is And or kind is Or) and ((kind is And) != n) == conj:
+            _spliced(x, n, conj, out)
+        else:
+            out.append((x, n))
+    return out
 
 
 def _probe(part):
-    """A compiled part as a predicate on the code."""
+    """A compiled part as a predicate on the code; a single test is one
+    comparison, since the code is the shifted code outside a quantifier."""
+    if type(part) is tuple:
+        m, w, eq, _ = part
+        return (lambda c: c & m == w) if eq else (lambda c: c & m != w)
     sat = _predicate(part)
     return lambda c: sat(c, c)
 
@@ -395,7 +448,7 @@ def search(p: Protocol, psi, max_round: int = 0,
     code, moves = hit, []
     while (link := links[code]) is not None:
         code, move = link
-        moves.append(move)
+        moves.append(Move(*move))
     moves.reverse()
     start = decode(code)
     wit = Execution(start, tuple(moves))

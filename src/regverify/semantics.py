@@ -11,9 +11,9 @@ has no round column and no ``@``, and lists every register.
 All operations are pure functions of their inputs and safe to share across
 threads.  Configurations, moves and executions are named tuples, like every
 value type of the library.  A named tuple costs about a third of a frozen
-class with generated methods to build (the oracle's step table builds a
-move per entry), and declaring one generates and compiles no methods at
-import, which took about 0.8 ms per class.
+class with generated methods to build (the footprint search builds a move
+per step it tries), and declaring one generates and compiles no methods
+at import, which took about 0.8 ms per class.
 """
 
 from __future__ import annotations
@@ -124,6 +124,10 @@ def initial_supports(p: Protocol, vary):
     none."""
     q0 = p.initial_states
     fixed = q0 - vary
+    if fixed == q0:  # nothing to vary: the one support, if any
+        if q0:
+            yield q0
+        return
     free = sorted(q0 - fixed)
     for r in range(0 if fixed else 1, len(free) + 1):
         for combo in itertools.combinations(free, r):

@@ -1,23 +1,28 @@
-"""Seed pins of rb-search and the oracle on generated round-based questions.
+"""Seed pins of rb-search and the oracle on generated round-based
+questions, and of every route on the benchmark's corpora.
 
 Each step generates its seeds' protocols and constraints, solves them and
 asserts the tallies: answers, routes, ticks, nodes and configurations
 discovered.  A change in what a search tries or memoizes moves these
-numbers.  Run one step with its hash seed fixed, from the repository root:
+numbers.  The ``corpus`` step pins one digest of every result, witnesses
+included, on the three seed-101 benchmark corpora.  Run one step with its
+hash seed fixed, from the repository root:
 
     PYTHONHASHSEED=0 PYTHONPATH=src:tests python tests/pins.py rb-search
 """
 
 import collections
+import hashlib
 import random
 import sys
+from pathlib import Path
 
 from generators import random_rb_constraint, random_rb_protocol
 from regverify.constraints import eval_roundbased
 from regverify.errors import CapExceeded
 from regverify.oracle import oracle_prp
 from regverify.roundbased import _round_bound, solve_prp_roundbased
-from regverify.semantics import ABSTRACT, replay
+from regverify.semantics import ABSTRACT, replay, write_trace
 
 
 def rb_search() -> None:
@@ -129,8 +134,51 @@ def oracle() -> None:
     assert len(newly) == 24, newly
 
 
+# the digest of every query's result on the three seed-101 bench corpora
+CORPUS_DIGEST = \
+    "ee4bfc70fb7a96da402d2d0f6536f15d9f5b0c61ea1094359da83fefd92f1180"
+
+
+def corpus() -> None:
+    """Every query of the seed-101 bench corpora of a 30 s run, asked as
+    the benchmark asks it: one SHA-256 over each query's question, route,
+    answer, sorted stats and witness trace, in the corpora's query order."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import corpus as bench_corpus
+    from regverify.constraints import (parse_round_constraint,
+                                       parse_roundless_constraint)
+    from regverify.model import ROUNDLESS, parse_protocol
+    from tracing import NullTracer
+    from worker import decide
+
+    h = hashlib.sha256()
+    answers = collections.Counter()
+    for w in bench_corpus.WORKLOADS:
+        built = bench_corpus.build(w, 101, 30, NullTracer())
+        for qi, route in built.queries():
+            q = built.questions[qi]
+            p = parse_protocol(q.protocol)
+            parse = parse_roundless_constraint if p.flavor == ROUNDLESS \
+                else parse_round_constraint
+            phi = parse(q.constraint, p)
+            try:
+                v = decide(route, p, phi, q)
+            except CapExceeded:
+                answer, result = "refused", ()
+            else:
+                answer = v.answer
+                result = (sorted(v.stats.items()), "" if v.witness is None
+                          else write_trace(p, v.witness, ABSTRACT))
+            answers[w, answer] += 1
+            h.update(repr((q.protocol, q.constraint, route, answer,
+                           result)).encode())
+    digest = h.hexdigest()
+    print(dict(sorted(answers.items())), "digest:", digest)
+    assert digest == CORPUS_DIGEST, digest
+
+
 STEPS = {"rb-search": rb_search, "rb-search-visibility": rb_search_visibility,
-         "oracle": oracle}
+         "oracle": oracle, "corpus": corpus}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in STEPS:

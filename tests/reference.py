@@ -11,10 +11,11 @@ import itertools
 from dataclasses import dataclass
 
 from regverify import oracle, roundless
-from regverify.constraints import (And, Exists, Not, Or, RegAt,
-                                   closed_atoms_of, decompose_apcs,
+from regverify.constraints import (And, Exists, Forall, Not, Or, PopAt,
+                                   RegAt, closed_atoms_of, decompose_apcs,
                                    forcing_literal_sets, ground,
-                                   parse_round_constraint, substitute_atoms)
+                                   parse_round_constraint, substitute_atoms,
+                                   term_value)
 from regverify.errors import (CapExceeded, NotEnabled, NotUninitialized,
                               WrongRegisterCount)
 from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
@@ -175,7 +176,8 @@ class ReachSet:
     """A search's parent links with decoded views.
 
     ``links`` maps each code discovered, in discovery order, to ``(pred
-    code, Move)``, or None for a start, and ``hit_code`` is the first code
+    code, (transition, round, desert))``, the fields of a ``Move``, or None
+    for a start, and ``hit_code`` is the first code
     that satisfied the predicate, or None; ``hit`` is its configuration.
     """
 
@@ -202,7 +204,7 @@ class ReachSet:
         moves: list[Move] = []
         while (link := self.links[code]) is not None:
             code, move = link
-            moves.append(move)
+            moves.append(Move(*move))
         moves.reverse()
         return Execution(self.config(code), tuple(moves))
 
@@ -409,10 +411,74 @@ def compile_constraint(p: Protocol, psi, max_round: int = 0):
     return oracle._probe(oracle._compiled(psi, oracle.layout(p, max_round)))
 
 
+def nnf(node, neg: bool = False):
+    """The constraint (negated with ``neg``) with every ``not`` pushed down
+    to an atom, by De Morgan and by swapping ``exists`` and ``forall``, and
+    every child of the same connective spliced into its parent."""
+    if isinstance(node, Not):
+        return nnf(node.child, not neg)
+    if isinstance(node, (Exists, Forall)):
+        return (Exists if isinstance(node, Exists) != neg else Forall)(
+            nnf(node.prop, neg))
+    if not isinstance(node, (And, Or)):
+        return Not(node) if neg else node
+    kind = And if isinstance(node, And) != neg else Or
+    kids: list = []
+    for x in node.children:
+        x = nnf(x, neg)
+        kids += x.children if type(x) is kind else (x,)
+    return kind(tuple(kids))
+
+
+def compiled_on_nnf(psi, lay):
+    """``oracle._compiled`` as a compiler of ``nnf(psi)``: each node is
+    compiled as written, a ``not`` only over an atom, and its parts are
+    joined by ``oracle._join``.  The library's compiler carries the
+    polarity in its walk instead and must give the same parts."""
+    rounds, pop, slot, sym_mask = lay
+    shifts = range(0, slot(rounds + 1, 0), slot(1, 0))  # k = 0..rounds
+
+    def build(node, bound: bool, tail: bool = False):
+        if isinstance(node, (PopAt, RegAt)):
+            r = term_value(node.term, 0 if bound else None)
+            shifted = node.term.has_var
+            if isinstance(node, PopAt):
+                mask = want = pop(node.state, r)
+            else:
+                at = slot(r, node.reg)
+                mask, want = sym_mask << at, node.symbol << at
+            if tail and shifted:  # the shifted code is 0
+                return want == 0
+            return mask, want, True, shifted
+        if isinstance(node, (And, Or)):
+            return oracle._join(isinstance(node, And),
+                                [build(x, bound, tail) for x in node.children])
+        if isinstance(node, Not):  # over an atom
+            e = build(node.child, bound, tail)
+            return not e if isinstance(e, bool) else (*e[:2], not e[2], e[3])
+        exists = isinstance(node, Exists)
+        if build(node.prop, True, True) is exists:
+            return exists
+        body = build(node.prop, True)
+        if isinstance(body, bool) or type(body) is tuple and not body[3]:
+            return body
+        if type(body) is tuple:
+            m, w, eq, _ = body
+            return oracle._join(not exists,
+                                [(m << n, w << n, eq, False) for n in shifts])
+        body = oracle._predicate(body)
+        if exists:
+            return lambda c, s: any(body(c, c >> n) for n in shifts)
+        return lambda c, s: all(body(c, c >> n) for n in shifts)
+
+    return build(nnf(psi), False)
+
+
 def parents(rs: ReachSet) -> dict:
-    """config -> (pred config, Move) | None, in discovery order."""
+    """config -> (pred config, Move) | None, in discovery order; the
+    ``Move`` is built from the link's fields."""
     return {rs.config(code): None if link is None
-            else (rs.config(link[0]), link[1])
+            else (rs.config(link[0]), Move(*link[1]))
             for code, link in rs.links.items()}
 
 

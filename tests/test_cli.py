@@ -256,6 +256,24 @@ def test_unwritable_output_is_bad_input(exdir, capsys, tmp_path, argv):
     assert path in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fmt", "B"], ["check", "prp", "fig1.prot", "B"],
+    ["check", "prp", "B", "ex26_phi.pc"], ["replay", "fig1.prot", "B"]],
+    ids=["fmt", "check-constraint", "check-protocol", "replay"])
+def test_input_that_does_not_decode_is_bad_input(exdir, capsys, tmp_path,
+                                                 argv):
+    # a byte that is not UTF-8 is bad input named by its file: one error
+    # line and exit 70, not a traceback and exit 1, which reads as negative
+    path = tmp_path / "bin"
+    path.write_bytes(b"\xff")
+    argv = [str(path) if a == "B" else str(exdir / a) if "." in a else a
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (70, "")
+    assert err.startswith("error: bad ") and err.count("\n") == 1, err
+    assert str(path) in err and "decode" in err
+
+
 def test_missing_state_is_usage_error(exdir, capsys):
     code, _, _ = run(capsys, "check", "cover", str(exdir / "fig1.prot"))
     assert code == 64

@@ -17,7 +17,7 @@ from regverify.constraints import (MAX_NESTING, ROUND0, And, Exists, Forall,
                                    ground,
                                    max_constant, parse_round_constraint,
                                    parse_roundless_constraint,
-                                   negated_states, nnf, prime_implicants)
+                                   negated_states, prime_implicants)
 from regverify.errors import ConstraintSyntaxError, NotDNF
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
@@ -28,7 +28,7 @@ from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from lemmas import apc_leaves, clause_holds
 from reference import (eval_with_assignment, full_quantified_entries,
-                       members, reach, roundless_config, roundless_regs,
+                       members, nnf, reach, roundless_config, roundless_regs,
                        truth_table_prime_implicants)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()

@@ -255,6 +255,24 @@ def test_parse_error_type_message_and_line(text, exc, message, line):
 
 
 
+def test_tab_before_the_destination_is_a_field_separator():
+    spaced = parse_protocol(_R + "q0 write(1, a) q1\n")
+    assert parse_protocol(_R + "q0 write(1, a)\tq1\n") == spaced
+    assert parse_protocol(_R + "q0\twrite(1,\ta)\t\tq1\t# a\tcomment\n") \
+        == spaced
+
+
+@pytest.mark.parametrize("make", [random_protocol, random_rb_protocol],
+                         ids=["roundless", "roundbased"])
+def test_tab_separated_transitions_parse_as_their_spaced_twins(make):
+    # the fields of a transition line are separated by whitespace, so a
+    # tab reads as the space it stands for
+    for seed in range(100):
+        p = make(random.Random(seed))
+        head, sep, body = serialize_protocol(p).partition("transitions:\n")
+        assert parse_protocol(head + sep + body.replace(" ", "\t")) == p
+
+
 def _noisy(text: str, rng: random.Random) -> str:
     """``text`` with blank lines, trailing comments and extra spaces, in the
     places the format ignores them."""

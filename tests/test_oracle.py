@@ -1,32 +1,35 @@
 """Brute-force reach set and oracle decision tests."""
 
+import collections
 import random
 
 import pytest
 
 import reference
-from reference import (abstract_successors, compile_constraint, members,
-                       order, packed_bfs, packed_window, parents, reach,
-                       roundless_config, witness_to)
+from reference import (abstract_successors, compile_constraint,
+                       compiled_on_nnf, members, order, packed_bfs,
+                       packed_window, parents, reach, roundless_config,
+                       witness_to)
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
 from lemmas import replay_configs
 from regverify import oracle
-from regverify.constraints import (ROUND0, Not, PopAt, cover_constraint,
+from regverify.constraints import (FALSE, ROUND0, TRUE, And, Exists, Forall,
+                                   Not, Or, PopAt, cover_constraint,
                                    eval_roundbased,
                                    eval_roundless, negated_states,
                                    parse_round_constraint,
                                    parse_roundless_constraint,
                                    target_constraint)
-from regverify.errors import CapExceeded, ReplayFailure
-from regverify.model import format_action, parse_protocol
+from regverify.errors import CapExceeded, NotEnabled, ReplayFailure
+from regverify.model import INC, format_action, parse_protocol
 from regverify.oracle import default_round_cap, oracle_prp
 from regverify.reductions import builtin_examples
 from regverify.roundbased import _round_window, solve_prp_roundbased
 from regverify.roundless import solve_prp_bounded
-from regverify.semantics import (ABSTRACT, AbstractConfig, abstract_step,
-                                 initial_configuration, initial_supports,
-                                 replay)
+from regverify.semantics import (ABSTRACT, AbstractConfig, Move,
+                                 abstract_step, initial_configuration,
+                                 initial_supports, replay)
 
 PROTOCOLS, CONSTRAINTS = builtin_examples()
 FIG1 = PROTOCOLS["fig1"]
@@ -515,6 +518,62 @@ def test_roundbased_probe_matches_eval_roundbased(seed):
                 lambda c: eval_roundbased(p, c, psi, active_bound=k + 1))
 
 
+def _negated_here_and_there(rng, node):
+    """The constraint with a ``not``, or two, over some of its connectives
+    and quantifiers, and now and then a constant child in a connective."""
+    kind = type(node)
+    if kind is And or kind is Or:
+        kids = [_negated_here_and_there(rng, x) for x in node.children]
+        if rng.random() < 0.15:
+            kids.insert(rng.randrange(len(kids) + 1), rng.choice((TRUE, FALSE)))
+        node = kind(tuple(kids))
+    elif kind is Exists or kind is Forall:
+        node = kind(_negated_here_and_there(rng, node.prop))
+    elif kind is Not:
+        return Not(_negated_here_and_there(rng, node.child))
+    else:
+        return node
+    roll = rng.random()
+    return Not(node) if roll < 0.3 else Not(Not(node)) if roll < 0.4 \
+        else node
+
+
+@pytest.mark.parametrize("flavor", ["roundless", "roundbased"])
+def test_compiler_gives_the_parts_of_the_nnf_compiler(flavor):
+    # the library's compiler carries the polarity; the reference compiles
+    # the constraint's nnf as written.  Tests and constants are equal, and
+    # two functions agree on every code of the reach set
+    rng = random.Random(f"compiler:{flavor}")
+    kinds = collections.Counter()
+    for _ in range(100):
+        if flavor == "roundless":
+            p = random_protocol(rng)
+            psis = [random_constraint(rng, p) for _ in range(4)]
+        else:
+            p = random_rb_protocol(rng)
+            psis = [random_rb_constraint(rng, p) for _ in range(4)]
+        psis = [_negated_here_and_there(rng, psi) for psi in psis]
+        for k in range(4):
+            lay = oracle.layout(p, k)
+            try:
+                codes = list(reach(p, k, space_cap=2000).links)
+            except CapExceeded:
+                codes = None
+            for psi in psis:
+                got = oracle._compiled(psi, lay)
+                want = compiled_on_nnf(psi, lay)
+                if not callable(want):
+                    kinds[type(want).__name__] += 1
+                    assert type(got) is type(want) and got == want, psi
+                    continue
+                assert callable(got), psi
+                if codes is not None:
+                    kinds["function"] += 1
+                    got, want = oracle._probe(got), oracle._probe(want)
+                    assert all(got(c) == want(c) for c in codes), psi
+    assert min(kinds.values()) >= 50, kinds
+
+
 def test_a_constraint_node_is_never_read_as_a_bit_test():
     # a compiled bit test is a plain tuple; a node, a named tuple too, that
     # reached the compiled parts would fail when called, not be unpacked
@@ -584,7 +643,7 @@ def _counting_packed(decoded, rounds=None, drawn=None):
         def counted_table(code):
             entries, above = table(code)
             if rounds is not None:
-                rounds.update(move.rnd for *_, move in entries)
+                rounds.update(Move(*move).rnd for *_, move in entries)
             return entries, above
 
         def counted(code):
@@ -683,9 +742,54 @@ def test_table_on_demand_is_the_whole_table_up_to_the_codes_top_round(seed):
                 tables[top] = packed_window(p, k)[1](code)
             entries, above = tables[top]
             assert above == 1 << slot(top + 1, 0) > code
-            assert entries == [e for e in whole if e[4].rnd <= top]
+            assert entries == [e for e in whole if Move(*e[4]).rnd <= top]
             assert not any(code & mask == want for mask, want, *_, move
-                           in whole if move.rnd > top)
+                           in whole if Move(*move).rnd > top)
+
+
+@pytest.mark.parametrize("flavor", ["roundless", "roundbased"])
+def test_table_leaves_out_only_steps_that_change_no_code(flavor):
+    # every move of the window that the whole table has no entry for, and
+    # every enabled move whose entry's test refuses it, yields the
+    # configuration it starts from or what the keep entry before it yields
+    # (the deserting copy of a self-loop write)
+    left_out = refused = 0
+    for seed in range(500_000, 500_150):
+        rng = random.Random(seed)
+        p = random_protocol(rng) if flavor == "roundless" \
+            else random_rb_protocol(rng)
+        for k in range(4):
+            n_rounds, pop, _, _ = oracle.layout(p, k)
+            whole, _ = packed_window(p, k)[1](
+                pop(p.num_states - 1, n_rounds - 1))
+            entries = {Move(*e[4]): e[:2] for e in whole}
+            moves = [Move(t, r, d) for t in p.transitions
+                     for r in range(k + 1 - (t.action.kind == INC))
+                     for d in (False, True)]
+            try:
+                rs = reach(p, k, space_cap=2000)
+            except CapExceeded:
+                continue
+            for code in rs.links:
+                for m in moves:
+                    test = entries.get(m)
+                    if test is not None and code & test[0] == test[1] \
+                            or not code & pop(m.trans.source, m.rnd):
+                        continue
+                    c = rs.config(code)
+                    try:
+                        succ = abstract_step(p, c, m)
+                    except NotEnabled:
+                        continue
+                    if test is not None:
+                        refused += 1
+                        assert succ == c, (seed, k, m)
+                        continue
+                    left_out += 1
+                    keep = m._replace(desert=False)
+                    assert succ == c or m.desert and keep in entries and \
+                        succ == abstract_step(p, c, keep), (seed, k, m)
+    assert left_out >= 1000 and refused >= 500, (left_out, refused)
 
 
 # --- the start and desert cut for negated states -----------------------------
