@@ -22,7 +22,7 @@ from . import constraints as cst
 from .errors import (CapExceeded, NotDNF, NotEnabled, NotUninitialized,
                      RegverifyError, WrongRegisterCount)
 from .model import ROUNDBASED, ROUNDLESS, parse_protocol, serialize_protocol
-from .oracle import oracle_prp
+from .oracle import DEFAULT_STATE_CAP, oracle_prp
 from .reductions import (TRUTH_TABLE_CAP, Circuit, CnfFormula,
                          builtin_examples, cvp_to_cover, evaluate_circuit,
                          sat_to_cover, sat_to_uninit_target,
@@ -296,8 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--state", help="state name for cover/target")
-        sp.add_argument("--cap-states", type=_int_in(1), default=12,
-                        help="oracle state-count cap")
+        sp.add_argument("--cap-states", type=_int_in(1),
+                        default=DEFAULT_STATE_CAP,
+                        help="oracle state-count cap "
+                             f"(default {DEFAULT_STATE_CAP})")
         sp.add_argument("--cap-rounds", type=_int_in(0), default=None,
                         help="oracle round cap (round-based)")
         sp.add_argument("--emit-witness", metavar="FILE",

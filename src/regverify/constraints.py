@@ -444,12 +444,13 @@ def target_constraint(p: Protocol, state: int):
 
 # --- prime implicants ------------------------------------------------------------
 
-def prime_implicants(node, is_leaf) -> list[dict]:
+def prime_implicants(node) -> list[dict]:
     """Minimal partial truth assignments to the leaves of ``node`` forcing
     it true.
 
-    The leaves are the subtrees ``is_leaf`` accepts, under And/Or/Not.  A
-    DNF is built by structure, dropping terms that hold a leaf both ways;
+    The leaves are the nodes under And/Or/Not that are not connectives:
+    atoms, and quantifiers, whose bodies the walk does not enter.  A DNF
+    is built by structure, dropping terms that hold a leaf both ways;
     closing it under consensus, keeping the minimal terms, leaves exactly
     the prime implicants (Blake's canonical form).  The walk numbers each
     leaf the first time it meets it, which is declaration order.  They come
@@ -470,12 +471,13 @@ def prime_implicants(node, is_leaf) -> list[dict]:
         return kept
 
     def dnf(n, value: bool) -> list:  # terms: frozensets of (index, value)
-        if is_leaf(n):
-            return [frozenset({(index.setdefault(n, len(index)), value)})]
-        if isinstance(n, Not):
+        kind = type(n)
+        if kind is Not:
             return dnf(n.child, not value)
+        if kind is not And and kind is not Or:  # a leaf
+            return [frozenset({(index.setdefault(n, len(index)), value)})]
         parts = [dnf(x, value) for x in n.children]
-        if isinstance(n, And) != value:  # a disjunction
+        if (kind is And) != value:  # a disjunction
             return minimal(t for part in parts for t in part)
         terms = [frozenset()]
         for part in parts:
@@ -502,15 +504,6 @@ def prime_implicants(node, is_leaf) -> list[dict]:
         len(t), [i for i, _ in t], [not v for _, v in t]))
     leaves = list(index)
     return [{leaves[i]: v for i, v in t} for t in ordered]
-
-
-def _is_atom(node) -> bool:
-    return isinstance(node, (PopAt, RegAt))
-
-
-def forcing_literal_sets(prop) -> list[dict]:
-    """Minimal atom assignments under which the proposition is always true."""
-    return prime_implicants(prop, _is_atom)
 
 
 # --- ground literals and APC decomposition ---------------------------------------
@@ -546,30 +539,24 @@ def closed_atoms_of(prop) -> list:
 
 
 def substitute_atoms(prop, assign: dict):
-    """Replace assigned atoms by constant true/false nodes."""
-    if isinstance(prop, (And, Or)):
-        return type(prop)(tuple(substitute_atoms(x, assign)
-                                for x in prop.children))
-    if isinstance(prop, Not):
-        return Not(substitute_atoms(prop.child, assign))
+    """A proposition's Kleene truth under a partial atom assignment, and the
+    proposition with its assigned atoms replaced by constant true/false
+    nodes, in one walk.  The truth is True, False, or None when it depends
+    on an unassigned atom."""
+    kind = type(prop)
+    if kind is And or kind is Or:
+        absorbing = kind is Or
+        pairs = [substitute_atoms(x, assign) for x in prop.children]
+        vals = [v for v, _ in pairs]
+        truth = (absorbing if absorbing in vals
+                 else None if None in vals else not absorbing)
+        return truth, kind(tuple(x for _, x in pairs))
+    if kind is Not:
+        truth, child = substitute_atoms(prop.child, assign)
+        return None if truth is None else not truth, Not(child)
     if prop in assign:
-        return TRUE if assign[prop] else FALSE
-    return prop
-
-
-def _eval3(prop, assign: dict):
-    """Kleene truth of a proposition under a partial atom assignment: True,
-    False, or None when it depends on an unassigned atom."""
-    if isinstance(prop, Not):
-        x = _eval3(prop.child, assign)
-        return None if x is None else not x
-    if isinstance(prop, (And, Or)):
-        absorbing = isinstance(prop, Or)
-        vals = [_eval3(x, assign) for x in prop.children]
-        if absorbing in vals:
-            return absorbing
-        return None if None in vals else not absorbing
-    return assign.get(prop)
+        return assign[prop], TRUE if assign[prop] else FALSE
+    return None, prop
 
 
 def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]:
@@ -590,7 +577,7 @@ def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]
     out = []
 
     def guess(assign: dict) -> None:
-        truth = _eval3(body, assign)
+        truth, residual = substitute_atoms(body, assign)
         if truth is None and len(assign) < len(catoms):
             for bit in (True, False):
                 guess({**assign, catoms[len(assign)]: bit})
@@ -598,8 +585,7 @@ def _quantified_entries(apc, value: bool) -> list[tuple[frozenset, str, object]]
         if truth is False:
             return
         lits = frozenset(ground(a, v, None) for a, v in assign.items())
-        residual = substitute_atoms(body, assign)
-        forcing = [{}] if truth else forcing_literal_sets(residual)
+        forcing = [{}] if truth else prime_implicants(residual)
         if forcing == [{}]:
             out.append((lits, "none", None))  # APC discharged by the guess
         elif forcing:
@@ -624,7 +610,7 @@ def decompose_apcs(psi) -> list[ApcCandidate]:
     no configuration can satisfy the constraint.
     """
     candidates: dict = {}  # insertion-ordered, without duplicates
-    for imp in prime_implicants(psi, _is_quantifier_or_atom):
+    for imp in prime_implicants(psi):
         # each leaf contributes branch options:
         # (literals, extra existential or universal entry or nothing)
         option_lists: list[list[tuple[frozenset, str, object]]] = []
@@ -644,7 +630,3 @@ def decompose_apcs(psi) -> list[ApcCandidate]:
                     frozenset(r for _, role, r in pick if role == "E"),
                     frozenset(r for _, role, r in pick if role == "U"))] = None
     return list(candidates)
-
-
-def _is_quantifier_or_atom(node) -> bool:
-    return isinstance(node, (Exists, Forall, PopAt, RegAt))

@@ -6,10 +6,12 @@ class RegverifyError(Exception):
 
 
 class ProtocolSyntaxError(RegverifyError):
-    """Raised by the protocol parser on malformed input."""
+    """Raised by the protocol parser on malformed input, citing its line
+    unless it is about the whole file."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(
+            message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -44,7 +46,7 @@ class NotInitialState(RegverifyError):
 
 
 class NotDNF(RegverifyError):
-    """Constraint is not in disjunctive normal form."""
+    """``dnf_clauses`` passed ``MAX_DNF_CLAUSES`` distinct clauses."""
 
 
 class NotUninitialized(RegverifyError):

@@ -135,7 +135,8 @@ def _count(header: dict, key: str, what: str, least: int) -> int:
     except ValueError:
         raise ProtocolSyntaxError(f"{key} must be an integer", lineno)
     if n < least:
-        raise ProtocolSemanticError(f"{what} must be >= {least}")
+        raise ProtocolSemanticError(
+            f"line {lineno}: {what} must be >= {least}")
     return n
 
 
@@ -226,14 +227,14 @@ def parse_protocol(text: str) -> Protocol:
 
     for key in ("flavor", "states", "initial", "registers", "alphabet"):
         if key not in header:
-            raise ProtocolSyntaxError(f"missing key {key!r}", 0)
+            raise ProtocolSyntaxError(f"missing key {key!r}")
 
     flavor = header["flavor"][0]
     if flavor not in (ROUNDLESS, ROUNDBASED):
         raise ProtocolSyntaxError(f"flavor must be roundless or roundbased, "
                                   f"got {flavor!r}", header["flavor"][1])
     if flavor == ROUNDBASED and "visibility" not in header:
-        raise ProtocolSyntaxError("round-based protocol needs visibility", 0)
+        raise ProtocolSyntaxError("round-based protocol needs visibility")
     if flavor == ROUNDLESS and "visibility" in header:
         raise ProtocolSyntaxError("roundless protocol must not set visibility",
                                   header["visibility"][1])
@@ -243,14 +244,16 @@ def parse_protocol(text: str) -> Protocol:
         raise ProtocolSyntaxError("no states declared", header["states"][1])
     state_ids = dict(zip(state_names, range(len(state_names))))
     if len(state_ids) != len(state_names):
-        raise ProtocolSemanticError("duplicate state name in declaration")
+        raise ProtocolSemanticError(f"line {header['states'][1]}: "
+                                    "duplicate state name in declaration")
 
     symbol_names = tuple(header["alphabet"][0].split())
     if not symbol_names:
         raise ProtocolSyntaxError("empty alphabet", header["alphabet"][1])
     symbol_ids = dict(zip(symbol_names, range(len(symbol_names))))
     if len(symbol_ids) != len(symbol_names):
-        raise ProtocolSemanticError("duplicate symbol name in declaration")
+        raise ProtocolSemanticError(f"line {header['alphabet'][1]}: "
+                                    "duplicate symbol name in declaration")
 
     initial = []
     for tok in header["initial"][0].split():

@@ -3,8 +3,11 @@
 Each generator embodies one hardness construction: 3-CNF satisfiability into
 roundless coverability, 3-CNF satisfiability into uninitialized
 synchronization, and circuit evaluation into one-register coverability.
-Ground truth (truth tables, direct circuit evaluation) is computed here, never
-by the solvers under test.
+Each builds only its states and transition lines, whose order is the order
+the searches try them in, and ``_roundless`` parses them under one header,
+so a generated protocol passes every check an input file does.  Ground truth
+(truth tables, direct circuit evaluation) is computed here, never by the
+solvers under test.
 
 Also hosts the built-in example protocols and constraints used throughout the
 test suite and the CLI ``examples`` verb.
@@ -62,6 +65,18 @@ def _lit_reg(lit: int) -> int:
     return 2 * j - 1 if lit > 0 else 2 * j
 
 
+def _roundless(states: list, initial: list, registers: int, alphabet: list,
+               transitions: list) -> tuple[Protocol, int]:
+    """A roundless protocol from its names and transition lines, parsed,
+    and the id of its state ``qf``."""
+    p = parse_protocol("\n".join([
+        "flavor: roundless", f"states: {' '.join(states)}",
+        f"initial: {' '.join(initial)}", f"registers: {registers}",
+        f"alphabet: {' '.join(alphabet)}", "transitions:", *transitions,
+        ""]))
+    return p, p.state_id("qf")
+
+
 def sat_to_cover(cnf: CnfFormula) -> tuple[Protocol, int]:
     """3-CNF formula into a coverability instance over 2n one-shot registers.
 
@@ -78,25 +93,19 @@ def sat_to_cover(cnf: CnfFormula) -> tuple[Protocol, int]:
         for k in range(1, 4):
             states.append(f"T{i}_{k}_1")
     states.append("qf")
-    lines = ["flavor: roundless",
-             f"states: {' '.join(states)}",
-             "initial: q0",
-             f"registers: {2 * n}",
-             "alphabet: d0 tt",
-             "transitions:"]
+    lines = []
     for j in range(1, n + 1):
-        lines.append(f"  q0 write({_lit_reg(j)}, tt) q0")
-        lines.append(f"  q0 write({_lit_reg(-j)}, tt) q0")
-    lines.append(f"  q0 write({_lit_reg(1)}, tt) C1?")
-    lines.append(f"  q0 write({_lit_reg(-1)}, tt) C1?")
+        lines.append(f"q0 write({_lit_reg(j)}, tt) q0")
+        lines.append(f"q0 write({_lit_reg(-j)}, tt) q0")
+    lines.append(f"q0 write({_lit_reg(1)}, tt) C1?")
+    lines.append(f"q0 write({_lit_reg(-1)}, tt) C1?")
     for i, clause in enumerate(cnf.clauses, start=1):
         nxt = f"C{i + 1}?" if i < m else "qf"
         for k, lit in enumerate(clause, start=1):
             mid = f"T{i}_{k}_1"
-            lines.append(f"  C{i}? read({_lit_reg(lit)}, tt) {mid}")
-            lines.append(f"  {mid} read({_lit_reg(-lit)}, d0) {nxt}")
-    p = parse_protocol("\n".join(lines) + "\n")
-    return p, p.state_id("qf")
+            lines.append(f"C{i}? read({_lit_reg(lit)}, tt) {mid}")
+            lines.append(f"{mid} read({_lit_reg(-lit)}, d0) {nxt}")
+    return _roundless(states, ["q0"], 2 * n, ["d0", "tt"], lines)
 
 
 def sat_to_uninit_target(cnf: CnfFormula) -> tuple[Protocol, int]:
@@ -109,28 +118,19 @@ def sat_to_uninit_target(cnf: CnfFormula) -> tuple[Protocol, int]:
     """
     n, m = cnf.num_vars, len(cnf.clauses)
     states = ["q0"] + [f"C{i}?" for i in range(1, m + 1)] + ["qf"]
-    lines = ["flavor: roundless",
-             f"states: {' '.join(states)}",
-             "initial: q0",
-             f"registers: {n}",
-             "alphabet: d0 tt ff",
-             "transitions:"]
+    lines = []
     for j in range(1, n + 1):
-        lines.append(f"  q0 write({j}, tt) q0")
-        lines.append(f"  q0 write({j}, ff) q0")
-    lines.append("  q0 write(1, tt) C1?")
-    lines.append("  q0 write(1, ff) C1?")
-    seen = set()
+        lines.append(f"q0 write({j}, tt) q0")
+        lines.append(f"q0 write({j}, ff) q0")
+    lines.append("q0 write(1, tt) C1?")
+    lines.append("q0 write(1, ff) C1?")
+    reads = []
     for i, clause in enumerate(cnf.clauses, start=1):
         nxt = f"C{i + 1}?" if i < m else "qf"
-        for lit in clause:
-            sym = "tt" if lit > 0 else "ff"
-            line = f"  C{i}? read({abs(lit)}, {sym}) {nxt}"
-            if line not in seen:
-                seen.add(line)
-                lines.append(line)
-    p = parse_protocol("\n".join(lines) + "\n")
-    return p, p.state_id("qf")
+        reads += [f"C{i}? read({abs(lit)}, {'tt' if lit > 0 else 'ff'}) {nxt}"
+                  for lit in clause]
+    lines += dict.fromkeys(reads)  # a literal repeated in a clause reads once
+    return _roundless(states, ["q0"], n, ["d0", "tt", "ff"], lines)
 
 
 NOT, AND, OR = "not", "and", "or"
@@ -208,7 +208,7 @@ def cvp_to_cover(c: Circuit, desired: bool) -> tuple[Protocol, int]:
     states = ["inp"]
     trans: list[str] = []
     for wire, value in c.inputs:
-        trans.append(f"  inp write(1, {val_sym(wire, value)}) inp")
+        trans.append(f"inp write(1, {val_sym(wire, value)}) inp")
     for g_idx, g in enumerate(c.gates, start=1):
         op, out = g[0], g[-1]
         hub = f"G{g_idx}"
@@ -218,8 +218,8 @@ def cvp_to_cover(c: Circuit, desired: bool) -> tuple[Protocol, int]:
             for value in (True, False):
                 mid = f"{hub}_{'t' if not value else 'f'}"
                 states.append(mid)
-                trans.append(f"  {hub} read(1, {val_sym(i, value)}) {mid}")
-                trans.append(f"  {mid} write(1, {val_sym(out, not value)}) {mid}")
+                trans.append(f"{hub} read(1, {val_sym(i, value)}) {mid}")
+                trans.append(f"{mid} write(1, {val_sym(out, not value)}) {mid}")
         else:
             i1, i2 = g[1], g[2]
             # the eager polarity fires on either input, the lazy one needs both
@@ -227,30 +227,18 @@ def cvp_to_cover(c: Circuit, desired: bool) -> tuple[Protocol, int]:
             t1, t2 = f"{hub}_l1", f"{hub}_l2"
             e = f"{hub}_e"
             states.extend((t1, t2, e))
-            trans.append(f"  {hub} read(1, {val_sym(i1, not eager)}) {t1}")
-            trans.append(f"  {t1} read(1, {val_sym(i2, not eager)}) {t2}")
-            trans.append(f"  {t2} write(1, {val_sym(out, not eager)}) {t2}")
-            trans.append(f"  {hub} read(1, {val_sym(i1, eager)}) {e}")
-            trans.append(f"  {hub} read(1, {val_sym(i2, eager)}) {e}")
-            trans.append(f"  {e} write(1, {val_sym(out, eager)}) {e}")
+            trans.append(f"{hub} read(1, {val_sym(i1, not eager)}) {t1}")
+            trans.append(f"{t1} read(1, {val_sym(i2, not eager)}) {t2}")
+            trans.append(f"{t2} write(1, {val_sym(out, not eager)}) {t2}")
+            trans.append(f"{hub} read(1, {val_sym(i1, eager)}) {e}")
+            trans.append(f"{hub} read(1, {val_sym(i2, eager)}) {e}")
+            trans.append(f"{e} write(1, {val_sym(out, eager)}) {e}")
     states.append("qf")
     target_sym = val_sym(c.output, desired)
-    extra = []
-    for line in trans:
-        if f"write(1, {target_sym})" in line:
-            src = line.split()[0]
-            extra.append(f"  {src} write(1, {target_sym}) qf")
-    trans.extend(extra)
+    trans += [f"{line.split()[0]} write(1, {target_sym}) qf"
+              for line in trans if f"write(1, {target_sym})" in line]
     initials = ["inp"] + [f"G{i}" for i in range(1, len(c.gates) + 1)]
-    lines = ["flavor: roundless",
-             f"states: {' '.join(states)}",
-             f"initial: {' '.join(initials)}",
-             "registers: 1",
-             f"alphabet: {' '.join(symbols)}",
-             "transitions:"]
-    lines.extend(trans)
-    p = parse_protocol("\n".join(lines) + "\n")
-    return p, p.state_id("qf")
+    return _roundless(states, initials, 1, symbols, trans)
 
 
 # --- built-in examples -----------------------------------------------------------
@@ -315,34 +303,29 @@ transitions:
 
 
 class NamedConstraint(NamedTuple):
-    protocol: str   # key into the protocols dict
-    flavor: str     # "roundless" | "roundbased"
+    protocol: str   # key into the protocols dict, which gives the flavor
     text: str
 
 
 BUILTIN_CONSTRAINTS = {
     "ex22_phi": NamedConstraint(
-        "ex22", "roundless", "(or (pop q1) (and (pop q2) (reg 1 a)))"),
+        "ex22", "(or (pop q1) (and (pop q2) (reg 1 a)))"),
     "ex26_phi": NamedConstraint(
-        "fig1", "roundless",
+        "fig1",
         "(and (not (pop C)) (or (reg 1 a) (and (reg 1 b) (not (pop A)))))"),
-    "cover_qf": NamedConstraint("fig1", "roundless", "(pop qf)"),
+    "cover_qf": NamedConstraint("fig1", "(pop qf)"),
     "target_qf": NamedConstraint(
-        "fig1", "roundless",
+        "fig1",
         "(and (not (pop q0)) (not (pop A)) (not (pop B)) (not (pop C)))"),
     "ex42_a": NamedConstraint(
-        "ex42", "roundbased",
-        "(and (reg 1 0 d0) (exists k (pop q1 (+ k 1))))"),
+        "ex42", "(and (reg 1 0 d0) (exists k (pop q1 (+ k 1))))"),
     "ex42_b": NamedConstraint(
-        "ex42", "roundbased",
-        "(forall k (or (pop q0 (+ k 0)) (not (pop q1 (+ k 0)))))"),
-    "psi1": NamedConstraint(
-        "fig4", "roundbased", "(exists k (pop qf (+ k 0)))"),
+        "ex42", "(forall k (or (pop q0 (+ k 0)) (not (pop q1 (+ k 0)))))"),
+    "psi1": NamedConstraint("fig4", "(exists k (pop qf (+ k 0)))"),
     "psi2": NamedConstraint(
-        "fig4", "roundbased",
-        "(exists k (and (pop E (+ k 0)) (pop E (+ k 1))))"),
+        "fig4", "(exists k (and (pop E (+ k 0)) (pop E (+ k 1))))"),
     "psi3": NamedConstraint(
-        "fig4", "roundbased",
+        "fig4",
         "(and (pop E 2) (forall k (or (reg 1 (+ k 1) b) (reg 1 (+ k 1) d0))))"),
 }
 

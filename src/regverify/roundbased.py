@@ -62,8 +62,8 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from .constraints import (ApcCandidate, decompose_apcs, forcing_literal_sets,
-                          ground, negated_states)
+from .constraints import (ApcCandidate, decompose_apcs, ground,
+                          negated_states, prime_implicants)
 from .errors import CapExceeded
 from .footprints import default_step_cap, extend_footprint
 from .model import INC, ROUNDBASED, Protocol
@@ -92,7 +92,7 @@ def _literal_options(p: Protocol, prop, memo: dict) -> tuple:
     if prop not in memo:
         memo[prop] = tuple(_tests(p, frozenset(
             ground(a, v, 0) for a, v in assign.items()))
-            for assign in forcing_literal_sets(prop))
+            for assign in prime_implicants(prop))
     return memo[prop]
 
 

@@ -11,8 +11,8 @@ final-configuration obligations.
 
 from dataclasses import dataclass
 
-from regverify.constraints import (And, ClauseDecomposition, Not, Or,
-                                   _is_quantifier_or_atom)
+from regverify.constraints import (And, ClauseDecomposition, Exists, Forall,
+                                   Not, Or, PopAt, RegAt)
 from regverify.errors import (EmptySupport, NotEnabled, NotInitialState,
                               RegverifyError, ReplayFailure)
 from regverify.model import (D0, INC, READ, ROUNDBASED, ROUNDLESS, WRITE,
@@ -600,7 +600,8 @@ def leaves_of(node, is_leaf) -> list:
 def apc_leaves(psi) -> list:
     """The leaves of ``decompose_apcs``: quantifiers, and the atoms outside
     them, in declaration order."""
-    return leaves_of(psi, _is_quantifier_or_atom)
+    return leaves_of(psi, lambda n: isinstance(n, (Exists, Forall, PopAt,
+                                                   RegAt)))
 
 
 def clause_holds(dec: ClauseDecomposition, c: AbstractConfig) -> bool:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from regverify import oracle, roundless
 from regverify.constraints import (And, Exists, Forall, Not, Or, PopAt,
                                    RegAt, closed_atoms_of, decompose_apcs,
-                                   forcing_literal_sets, ground,
-                                   parse_round_constraint, substitute_atoms,
+                                   ground, parse_round_constraint,
+                                   prime_implicants, substitute_atoms,
                                    term_value)
 from regverify.errors import (CapExceeded, NotEnabled, NotUninitialized,
                               WrongRegisterCount)
@@ -161,8 +161,8 @@ def full_quantified_entries(apc, value: bool) -> list[tuple]:
         assign = dict(zip(catoms, bits))
         lits = frozenset(ground(a, v, None)
                          for a, v in assign.items())
-        residual = substitute_atoms(body, assign)
-        forcing = forcing_literal_sets(residual)
+        _, residual = substitute_atoms(body, assign)
+        forcing = prime_implicants(residual)
         if not forcing:
             out.append((lits, "dead", None))
         elif forcing == [{}]:

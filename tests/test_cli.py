@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from regverify import oracle
-from regverify.cli import main
+from regverify.cli import build_parser, main
 from regverify.constraints import MAX_NESTING
 from regverify.model import parse_protocol
 from regverify.semantics import parse_trace, write_trace
@@ -576,6 +576,15 @@ def test_cap_states_below_one_is_usage_error(exdir, capsys, verb, value):
     assert code == 64
     assert out == ""
     assert "--cap-states" in err
+
+
+@pytest.mark.parametrize("verb", [["oracle"], ["check", "prp"]])
+def test_cap_states_defaults_to_the_oracles_cap(capsys, verb):
+    code, out, _ = run(capsys, *verb, "--help")
+    assert code == 0
+    assert f"(default {oracle.DEFAULT_STATE_CAP})" in " ".join(out.split())
+    assert build_parser().parse_args([*verb, "p.prot"]).cap_states == \
+        oracle.DEFAULT_STATE_CAP
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -7,17 +7,16 @@ import pytest
 
 from regverify.constraints import (MAX_NESTING, ROUND0, And, Exists, Forall,
                                    Not, Or, PopAt, RegAt, FALSE, TRUE,
-                                   Term, _is_quantifier_or_atom,
-                                   _quantified_entries,
+                                   Term, _quantified_entries,
                                    closed_atoms_of,
                                    decompose_apcs, dnf_clauses,
                                    eval_prop_at, eval_roundbased,
                                    eval_roundless,
-                                   forcing_literal_sets, format_constraint,
-                                   ground,
+                                   format_constraint, ground,
                                    max_constant, parse_round_constraint,
                                    parse_roundless_constraint,
-                                   negated_states, prime_implicants)
+                                   negated_states, prime_implicants,
+                                   substitute_atoms)
 from regverify.errors import ConstraintSyntaxError, NotDNF
 from regverify.model import parse_protocol
 from regverify.reductions import builtin_examples
@@ -26,7 +25,7 @@ from regverify.semantics import (AbstractConfig, ConcreteConfig, multiset,
 
 from generators import (random_constraint, random_protocol,
                         random_rb_constraint, random_rb_protocol)
-from lemmas import apc_leaves, clause_holds
+from lemmas import apc_leaves, clause_holds, leaves_of
 from reference import (eval_with_assignment, full_quantified_entries,
                        members, nnf, reach, roundless_config, roundless_regs,
                        truth_table_prime_implicants)
@@ -495,7 +494,7 @@ def test_decompose_candidates_force_truth():
 def test_forcing_literal_sets_minimal():
     prop = rb(EX42, "(exists k (or (pop q0 (+ k 0)) (pop q1 (+ k 0))))")
     [leaf] = apc_leaves(prop)
-    sets = forcing_literal_sets(leaf.prop)
+    sets = prime_implicants(leaf.prop)
     assert {frozenset(s.items()) for s in sets[:2]} == {
         frozenset({(PopAt(EX42.state_id("q0"), Term(True, 0)), True)}),
         frozenset({(PopAt(EX42.state_id("q1"), Term(True, 0)), True)}),
@@ -532,16 +531,42 @@ def test_prime_implicants_match_truth_table(kind):
         # closed atoms and quantified propositions: decompose_apcs's leaves
         atoms = [atoms[0], atoms[2], Exists(atoms[1]),
                  Forall(Not(atoms[3])), Exists(atoms[3])]
-        is_leaf = _is_quantifier_or_atom
+        is_leaf = lambda n: isinstance(n, (Exists, Forall, PopAt, RegAt))
     a, b = atoms[0], atoms[2]
     # implicants on one set of leaves: True comes before False
     fixed = [Or((And((a, b)), And((Not(a), Not(b))))),
              Or((And((a, Not(b))), And((Not(a), b))))]
     for phi in fixed + [_random_formula(rng, atoms, 3) for _ in range(400)]:
-        got = prime_implicants(phi, is_leaf)
+        got = prime_implicants(phi)
         want = truth_table_prime_implicants(phi, is_leaf)
         assert [list(d.items()) for d in got] == \
             [list(d.items()) for d in want], phi
+
+
+def test_substitute_atoms_gives_kleene_truth_and_residual():
+    # a known truth is the body's on every completion of the guess, and the
+    # residual, which keeps no guessed atom, agrees with the body on each
+    rng = random.Random("substitute-atoms")
+    atoms = [PopAt(0, Term(False, 0)), PopAt(1, Term(True, 1)),
+             RegAt(0, Term(False, 2), 1), RegAt(1, Term(True, 0), 0),
+             PopAt(2, Term(False, 1))]
+    known = 0
+    for _ in range(400):
+        prop = _random_formula(rng, atoms, 3)
+        guessed = rng.sample(atoms, rng.randrange(len(atoms) + 1))
+        assign = {a: rng.random() < 0.5 for a in guessed}
+        truth, residual = substitute_atoms(prop, assign)
+        assert truth is not None or len(assign) < len(atoms), prop
+        assert not set(leaves_of(residual, lambda n: isinstance(
+            n, (PopAt, RegAt)))) & set(assign), (prop, residual)
+        rest = [a for a in atoms if a not in assign]
+        for bits in itertools.product((True, False), repeat=len(rest)):
+            full = {**assign, **dict(zip(rest, bits))}
+            value = eval_with_assignment(prop, full)
+            assert truth in (None, value), (prop, assign)
+            assert eval_with_assignment(residual, full) == value
+        known += truth is not None
+    assert 100 < known < 400
 
 
 def _completions(apc, entry) -> list:

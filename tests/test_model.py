@@ -157,13 +157,14 @@ _B = ("flavor: roundbased\nstates: q0 q1\ninitial: q0\nregisters: 2\n"
       "alphabet: d0 a b\nvisibility: 1\ntransitions:\n")
 _SYN, _SEM = ProtocolSyntaxError, ProtocolSemanticError
 
-# (id, text, exception type, message, line).  A syntax error carries its line
-# as an attribute; a semantic error cites it in the message, when it has one.
+# (id, text, exception type, message, line).  Every error cites its line in
+# the message, when it has one, and a syntax error carries it as an
+# attribute, None for one about the whole file.
 PARSE_ERRORS = [
     ("no-colon", "flavor: roundless\nstates q0\n",
      _SYN, "expected 'key: value'", 2),
     ("missing-key", _R.replace("registers: 2\n", ""),
-     _SYN, "missing key 'registers'", 0),
+     _SYN, "missing key 'registers'", None),
     ("unknown-key", "colour: red\n" + _R, _SYN, "unknown key 'colour'", 1),
     ("duplicate-key", "flavor: roundless\n" + _R,
      _SYN, "duplicate key 'flavor'", 2),
@@ -172,27 +173,27 @@ PARSE_ERRORS = [
     ("bad-flavor", _R.replace("roundless", "hybrid"),
      _SYN, "flavor must be roundless or roundbased, got 'hybrid'", 1),
     ("roundbased-without-visibility", _B.replace("visibility: 1\n", ""),
-     _SYN, "round-based protocol needs visibility", 0),
+     _SYN, "round-based protocol needs visibility", None),
     ("roundless-with-visibility", "visibility: 1\n" + _R,
      _SYN, "roundless protocol must not set visibility", 1),
     ("no-states", _R.replace("states: q0 q1", "states:"),
      _SYN, "no states declared", 2),
     ("duplicate-state", _R.replace("q0 q1", "q0 q0"),
-     _SEM, "duplicate state name in declaration", None),
+     _SEM, "duplicate state name in declaration", 2),
     ("empty-alphabet", _R.replace("alphabet: d0 a b", "alphabet:"),
      _SYN, "empty alphabet", 5),
     ("duplicate-symbol", _R.replace("d0 a b", "d0 a a"),
-     _SEM, "duplicate symbol name in declaration", None),
+     _SEM, "duplicate symbol name in declaration", 5),
     ("unknown-initial", _R.replace("initial: q0", "initial: q0 q9"),
      _SEM, "unknown initial state 'q9'", 3),
     ("registers-not-integer", _R.replace("registers: 2", "registers: two"),
      _SYN, "registers must be an integer", 4),
     ("registers-zero", _R.replace("registers: 2", "registers: 0"),
-     _SEM, "register count must be >= 1", None),
+     _SEM, "register count must be >= 1", 4),
     ("visibility-not-integer", _B.replace("visibility: 1", "visibility: v"),
      _SYN, "visibility must be an integer", 6),
     ("visibility-negative", _B.replace("visibility: 1", "visibility: -1"),
-     _SEM, "visibility must be >= 0", None),
+     _SEM, "visibility must be >= 0", 6),
     ("transition-one-field", _R + "  q0\n",
      _SYN, "expected 'source action dest'", 7),
     ("transition-two-fields", _R + "q0 write(1,a)\n",
@@ -247,11 +248,9 @@ def test_parse_error_type_message_and_line(text, exc, message, line):
         parse_protocol(text)
     e = info.value
     assert type(e) is exc
+    assert str(e) == (message if line is None else f"line {line}: {message}")
     if exc is ProtocolSyntaxError:
-        assert (e.line, str(e)) == (line, f"line {line}: {message}")
-    else:
-        assert str(e) == (message if line is None
-                          else f"line {line}: {message}")
+        assert e.line == line
 
 
 

@@ -1,10 +1,12 @@
 """Benchmark generator tests: each reduction vs its independent ground truth."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from regverify.cli import _random_circuit
 from regverify.constraints import cover_constraint, target_constraint
 from regverify.errors import CyclicCircuit
 from regverify.model import is_uninitialized, parse_protocol, serialize_protocol
@@ -165,3 +167,63 @@ def test_builtin_shapes():
     assert fig4.symbol_names == ("d0", "a", "b")
     for nc in CONSTRAINTS.values():
         assert nc.protocol in PROTOCOLS
+
+
+def _cnf(seed: int, n: int, m: int) -> CnfFormula:
+    """A random 3-CNF formula, drawn as ``regverify gen`` draws one."""
+    rng = random.Random(seed)
+    return CnfFormula(n, tuple(
+        tuple(rng.choice((j, -j)) for j in rng.choices(range(1, n + 1), k=3))
+        for _ in range(m)))
+
+
+def _circuit(seed: int, gates: int) -> Circuit:
+    """A random circuit over two inputs, as ``regverify gen`` draws one."""
+    return _random_circuit(random.Random(seed), gates)
+
+
+# (id, instance, SHA-256 of its serialized protocol, id of qf).  The
+# transition order sets the searches' order, so the text is pinned byte
+# for byte; the repeated clause and literals exercise the target
+# reduction's one read per distinct line.
+_REPEATS = CnfFormula(2, ((1, 1, -2), (1, 1, -2), (-1, 2, 2)))
+REDUCTION_PINS = [
+    ("cover-1-1", lambda: sat_to_cover(_cnf(1, 1, 1)),
+     "7f567d00182cfe98f149581dac080ad8566b377df1d405d0df7392b414ff34ed", 5),
+    ("cover-3-4", lambda: sat_to_cover(_cnf(2, 3, 4)),
+     "31a9133c06b4d7fbf3a677530873d0946159c3bb7bae72f73d7f7a7a3aa21749", 17),
+    ("cover-5-12", lambda: sat_to_cover(_cnf(3, 5, 12)),
+     "c3b56db2efc6586119c2d19676da5e0c4f007bdf03b0c579b5ebf58d4b0b0a82", 49),
+    ("cover-repeats", lambda: sat_to_cover(_REPEATS),
+     "e6a6d546ed180067ffb4e26ecd635d264ba90cff521b216ba5b149fad31cd558", 13),
+    ("target-1-1", lambda: sat_to_uninit_target(_cnf(1, 1, 1)),
+     "223a341cc83f11173c8da1b58cf750f5401737e090d7909c5cdc9b7c15a0eaac", 2),
+    ("target-3-4", lambda: sat_to_uninit_target(_cnf(2, 3, 4)),
+     "a31d9e6c605b31f00569f7107b2832aa44bf0d1568fdda5a80b3a068fad5a911", 5),
+    ("target-5-12", lambda: sat_to_uninit_target(_cnf(3, 5, 12)),
+     "11f5f6a11fcf9152b8d6ef3125ac0d50de9cc0edd9a59f256ed95cd3b89bda0b", 13),
+    ("target-repeats", lambda: sat_to_uninit_target(_REPEATS),
+     "8daa90e328f61fa0461011600f1c03c398d9ddb8c972a0a6ea90d6459dc1f29d", 4),
+    ("cvp-0-true", lambda: cvp_to_cover(_circuit(1, 0), True),
+     "255845280106349f10c47d0287d3fe0d7f481adf435b48d54c2738020909070c", 1),
+    ("cvp-0-false", lambda: cvp_to_cover(_circuit(1, 0), False),
+     "b68249f5c28627863849a16ca4a61d2d9da524873e9ccb147e1186d78f9b41dd", 1),
+    ("cvp-3-true", lambda: cvp_to_cover(_circuit(2, 3), True),
+     "97ba3327ccd1bb8cfa10e28458af0569ea04b208e1118ccce005d3d09bbc774c", 10),
+    ("cvp-3-false", lambda: cvp_to_cover(_circuit(2, 3), False),
+     "4bf14037aae4abea17498ff8e2b17c16ad7421074db31a5d6a2ae4a6c5335c57", 10),
+    ("cvp-8-true", lambda: cvp_to_cover(_circuit(3, 8), True),
+     "4f72bd576e55d5dc092aac3c5bb6dce56b5fa0e9cb5661df7ef02da610dc8246", 32),
+    ("cvp-8-false", lambda: cvp_to_cover(_circuit(3, 8), False),
+     "f8f9a0249c850d2b11d1bd403a7cf6ec7860280a9eafa6c49f7a47ae4f8f7a3b", 32),
+]
+
+
+@pytest.mark.parametrize("build, digest, qf",
+                         [case[1:] for case in REDUCTION_PINS],
+                         ids=[case[0] for case in REDUCTION_PINS])
+def test_reduction_output_is_pinned(build, digest, qf):
+    p, q = build()
+    text = serialize_protocol(p)
+    assert (hashlib.sha256(text.encode()).hexdigest(), q) == (digest, qf)
+    assert p.state_names[q] == "qf"
