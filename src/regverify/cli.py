@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Verbs: ``check`` (decision procedures), ``oracle`` (brute force), ``replay``
-(witness validation), ``gen`` (benchmark generators with ground truth),
-``fmt`` (canonical re-serialization), ``examples`` (dump the built-in set).
+Verbs: ``check`` (COVER, TARGET or PRP, by a route chosen from the protocol
+file's flavor and ``--algo``), ``replay`` (witness validation), ``gen``
+(benchmark generators with ground truth), ``fmt`` (canonical
+re-serialization), ``examples`` (dump the built-in set).
 
 Machine-readable verdicts go to stdout as one JSON object per run; the
 human-readable summary goes to stderr.  Exit codes: 0 positive, 1 negative,
@@ -98,22 +99,15 @@ def _problem_constraint(args, p):
 
 def cmd_check(args) -> int:
     p = _load(args.protocol, "protocol", parse_protocol)
-    roundless_problem = args.problem in ("cover", "target", "dnfprp", "prp")
-    if roundless_problem and p.flavor != ROUNDLESS:
-        raise CliError(f"{args.problem} needs a roundless protocol",
-                       EXIT_INCOMPATIBLE)
-    if args.problem == "rbprp" and p.flavor != ROUNDBASED:
-        raise CliError("rbprp needs a round-based protocol",
-                       EXIT_INCOMPATIBLE)
     phi, state = _problem_constraint(args, p)
     algo = args.algo
     try:
         if algo == "oracle":
             v = oracle_prp(p, phi, max_round=args.cap_rounds,
                            state_cap=args.cap_states)
-        elif args.problem == "rbprp":
+        elif p.flavor == ROUNDBASED:
             if algo not in (None, "rb-search"):
-                raise CliError(f"algorithm {algo!r} does not decide rbprp",
+                raise CliError(f"{algo} decides roundless protocols only",
                                EXIT_INCOMPATIBLE)
             v = solve_prp_roundbased(p, phi, budget=args.budget)
         elif algo == "bounded" or algo is None:
@@ -136,19 +130,12 @@ def cmd_check(args) -> int:
         elif algo == "one-reg":
             v = solve_dnfprp_one_register(p, phi)
         else:  # rb-search, the one choice left
-            raise CliError("rb-search decides rbprp only", EXIT_INCOMPATIBLE)
+            raise CliError("rb-search decides round-based protocols only",
+                           EXIT_INCOMPATIBLE)
     except (NotUninitialized, WrongRegisterCount, NotDNF) as e:
         # each solver checks its own preconditions; past dnf_clauses' size
         # guard the constraint is too large for the DNF route
         raise CliError(str(e), EXIT_INCOMPATIBLE)
-    return _emit(v, p, args)
-
-
-def cmd_oracle(args) -> int:
-    p = _load(args.protocol, "protocol", parse_protocol)
-    phi, _ = _problem_constraint(args, p)
-    v = oracle_prp(p, phi, max_round=args.cap_rounds,
-                   state_cap=args.cap_states)
     return _emit(v, p, args)
 
 
@@ -294,38 +281,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "protocols")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--state", help="state name for cover/target")
-        sp.add_argument("--cap-states", type=_int_in(1),
-                        default=DEFAULT_STATE_CAP,
-                        help="oracle state-count cap "
-                             f"(default {DEFAULT_STATE_CAP})")
-        sp.add_argument("--cap-rounds", type=_int_in(0), default=None,
-                        help="oracle round cap (round-based)")
-        sp.add_argument("--emit-witness", metavar="FILE",
-                        help="write the witness trace here")
-
     chk = sub.add_parser("check", help="run a decision procedure")
-    chk.add_argument("problem",
-                     choices=["cover", "target", "dnfprp", "prp", "rbprp"])
+    chk.add_argument("problem", choices=["cover", "target", "prp"])
     chk.add_argument("protocol")
     chk.add_argument("constraint", nargs="?")
+    chk.add_argument("--state", help="state name for cover/target")
     chk.add_argument("--algo", default=None,
                      choices=["bounded", "saturation", "fixed-r", "one-reg",
                               "oracle", "rb-search"])
     chk.add_argument("--budget", type=_int_in(1), default=None,
                      help="round-based search work budget for the whole "
                           f"query (default {DEFAULT_BUDGET})")
-    add_common(chk)
+    chk.add_argument("--cap-states", type=_int_in(1),
+                     default=DEFAULT_STATE_CAP,
+                     help="oracle state-count cap "
+                          f"(default {DEFAULT_STATE_CAP})")
+    chk.add_argument("--cap-rounds", type=_int_in(0), default=None,
+                     help="oracle round cap (round-based)")
+    chk.add_argument("--emit-witness", metavar="FILE",
+                     help="write the witness trace here")
     chk.set_defaults(func=cmd_check)
-
-    orc = sub.add_parser("oracle", help="exhaustive ground-truth decision")
-    orc.add_argument("protocol")
-    orc.add_argument("constraint", nargs="?")
-    orc.add_argument("--problem", default="prp",
-                     choices=["cover", "target", "prp"])
-    add_common(orc)
-    orc.set_defaults(func=cmd_oracle)
 
     rep = sub.add_parser("replay", help="validate a witness trace")
     rep.add_argument("protocol")

@@ -402,12 +402,9 @@ def _predicate(e):
     return e
 
 
-def _refuse_beyond_caps(p: Protocol, state_cap: int, space_cap: int):
+def _refuse_beyond_caps(p: Protocol, state_cap: int):
     if p.num_states > state_cap:
         raise CapExceeded(f"|Q| = {p.num_states} exceeds cap {state_cap}")
-    if p.flavor == ROUNDLESS and \
-            p.num_symbols ** p.register_count > space_cap:
-        raise CapExceeded("register valuation space exceeds cap")
 
 
 def search(p: Protocol, psi, max_round: int = 0,
@@ -501,7 +498,7 @@ def oracle_prp(p: Protocol, constraint, max_round: int | None = None,
         max_round = 0
     elif max_round is None:
         max_round = default_round_cap(p, constraint)
-    _refuse_beyond_caps(p, state_cap, space_cap)
+    _refuse_beyond_caps(p, state_cap)
     members, wit = search(p, constraint, max_round, space_cap)
     stats = {"members": members}
     if p.flavor == ROUNDBASED:

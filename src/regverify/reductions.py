@@ -160,6 +160,11 @@ def evaluate_circuit(c: Circuit) -> bool:
         raise CyclicCircuit("a gate is empty, or a name is not a string")
     if not all(isinstance(v, bool) for _, v in c.inputs):
         raise CyclicCircuit("an input's value is not true or false")
+    # cvp_to_cover writes each wire into a symbol of the protocol text
+    for wire in (c.output, *(w for w, _ in c.inputs),
+                 *(w for g in c.gates for w in g[1:])):
+        if any(ch.isspace() or ch in "#," for ch in wire):
+            raise CyclicCircuit(f"wire {wire!r} holds whitespace, '#' or ','")
     values: dict[str, bool] = {}
     for wire, val in c.inputs:
         if wire in values:

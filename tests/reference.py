@@ -393,7 +393,7 @@ def reach(p: Protocol, max_round: int = 0,
     ``negated``, from the starts and by the moves ``oracle.packed`` keeps
     for it.  ``oracle.bfs`` on that table, within the oracle's caps.
     """
-    oracle._refuse_beyond_caps(p, state_cap, space_cap)
+    oracle._refuse_beyond_caps(p, state_cap)
     return packed_bfs(*packed_window(p, max_round, negated), space_cap)
 
 

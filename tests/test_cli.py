@@ -50,7 +50,7 @@ def test_check_incompatible_algorithm(exdir, capsys, tmp_path):
                     "registers: 2\nalphabet: d0 a\ntransitions:\n")
     c = tmp_path / "c.pc"
     c.write_text("(pop q0)\n")
-    code, _, err = run(capsys, "check", "dnfprp", str(twin), str(c),
+    code, _, err = run(capsys, "check", "prp", str(twin), str(c),
                        "--algo", "one-reg")
     assert code == 65
     assert "single register" in err
@@ -62,7 +62,8 @@ def test_check_incompatible_algorithm(exdir, capsys, tmp_path):
     # the oracle refuses an instance past its caps
     (["check", "cover", "fig1.prot", "--state", "qf", "--algo", "oracle",
       "--cap-states", "3"], "|Q| = 5 exceeds cap 3"),
-    (["oracle", "fig1.prot", "--problem", "cover", "--state", "qf",
+    # and so it does on the PRP spelling that took over the oracle verb's
+    (["check", "prp", "fig1.prot", "ex26_phi.pc", "--algo", "oracle",
       "--cap-states", "3"], "|Q| = 5 exceeds cap 3")],
     ids=["saturation-initialized", "check-oracle-cap", "oracle-cap"])
 def test_solver_precondition_is_incompatible(exdir, capsys, argv, message):
@@ -75,7 +76,7 @@ def test_solver_precondition_is_incompatible(exdir, capsys, argv, message):
 
 def test_one_reg_distributes_example_26(exdir, capsys):
     # example 2.6 is not in DNF; one-reg distributes it into 2 clauses
-    code, out, err = run(capsys, "check", "dnfprp", str(exdir / "fig1.prot"),
+    code, out, err = run(capsys, "check", "prp", str(exdir / "fig1.prot"),
                          str(exdir / "ex26_phi.pc"), "--algo", "one-reg")
     assert (code, err) == (1, "negative (one-reg)\n")
     payload = json.loads(out)
@@ -88,7 +89,7 @@ def test_distribute_keeps_distinct_clauses(exdir, capsys, tmp_path):
     big.write_text("(and " + " ".join(
         "(or (pop A) (reg 1 b))" if i % 2 else "(or (pop q0) (reg 1 a))"
         for i in range(13)) + ")\n")
-    code, out, err = run(capsys, "check", "dnfprp", str(exdir / "fig1.prot"),
+    code, out, err = run(capsys, "check", "prp", str(exdir / "fig1.prot"),
                          str(big), "--algo", "one-reg")
     assert (code, err) == (0, "positive (one-reg)\n")
     assert json.loads(out)["stats"]["clauses"] == 5
@@ -110,12 +111,12 @@ def test_only_one_reg_distributes(capsys, tmp_path):
     code, out, err = run(capsys, "check", "prp", str(prot), str(c),
                          "--algo", "bounded")
     assert (code, err) == (0, "positive (bounded)\n")
-    code, out, err = run(capsys, "check", "dnfprp", str(prot), str(c),
+    code, out, err = run(capsys, "check", "prp", str(prot), str(c),
                          "--algo", "one-reg")
     assert (code, out) == (65, "")
     assert err == "error: DNF distribution exceeds the size guard\n"
     # one-reg distributes whatever it is given: there is no flag for it
-    code, out, err = run(capsys, "check", "dnfprp", str(prot), str(c),
+    code, out, err = run(capsys, "check", "prp", str(prot), str(c),
                          "--algo", "one-reg", "--distribute")
     assert (code, out) == (64, "")
     assert "unrecognized arguments: --distribute" in err
@@ -123,8 +124,9 @@ def test_only_one_reg_distributes(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["check", "cover", "fig1.prot", "--state", "qf"],
-    ["check", "rbprp", "fig4.prot", "psi3.pc"],
-    ["oracle", "fig4.prot", "psi3.pc", "--cap-rounds", "2"]],
+    ["check", "prp", "fig4.prot", "psi3.pc"],
+    ["check", "prp", "fig4.prot", "psi3.pc", "--algo", "oracle",
+     "--cap-rounds", "2"]],
     ids=["check-bounded", "check-rb-search", "oracle"])
 def test_witness_failing_its_check_is_exit_70(exdir, capsys, monkeypatch,
                                               argv):
@@ -138,19 +140,19 @@ def test_witness_failing_its_check_is_exit_70(exdir, capsys, monkeypatch,
                    "constraint\n")
 
 
-@pytest.mark.parametrize("problem, prot, constraint, start", [
-    ("rbprp", "flavor: roundbased\nstates: a@b qf\ninitial: a@b\n"
+@pytest.mark.parametrize("prot, constraint, start", [
+    ("flavor: roundbased\nstates: a@b qf\ninitial: a@b\n"
      "registers: 1\nalphabet: d0 x\nvisibility: 0\ntransitions:\n"
      "  a@b write(1, x) qf\n", "(exists k (pop qf (+ k 0)))", "a@b@0 |"),
-    ("prp", "flavor: roundless\nstates: x|y qf\ninitial: x|y\n"
+    ("flavor: roundless\nstates: x|y qf\ninitial: x|y\n"
      "registers: 1\nalphabet: d0 x\ntransitions:\n  x|y write(1, x) qf\n",
      "(pop qf)", "x|y | 1=d0")], ids=["at-sign", "bar"])
 def test_witness_round_trips_state_names_with_separators(
-        capsys, tmp_path, problem, prot, constraint, start):
+        capsys, tmp_path, prot, constraint, start):
     (tmp_path / "p.prot").write_text(prot)
     (tmp_path / "c.pc").write_text(constraint + "\n")
     wit = tmp_path / "w.trace"
-    code, _, _ = run(capsys, "check", problem, str(tmp_path / "p.prot"),
+    code, _, _ = run(capsys, "check", "prp", str(tmp_path / "p.prot"),
                      str(tmp_path / "c.pc"), "--emit-witness", str(wit))
     assert code == 0
     assert f"\nstart: {start}" in wit.read_text()
@@ -168,7 +170,7 @@ def test_check_rb_search_on_roundless_problem(exdir, capsys, problem, args):
                          *args, "--algo", "rb-search")
     assert code == 65
     assert out == ""
-    assert "rb-search decides rbprp only" in err
+    assert err == "error: rb-search decides round-based protocols only\n"
 
 
 def test_malformed_constraint_number_is_bad_input(exdir, capsys, tmp_path):
@@ -181,30 +183,30 @@ def test_malformed_constraint_number_is_bad_input(exdir, capsys, tmp_path):
     assert "bad register" in err
 
 
-@pytest.mark.parametrize("verb, prot, text", [
-    ("prp", "fig1.prot", "(reg 1 (a))"),
-    ("rbprp", "fig4.prot", "(reg 1 0 (a))"),
+@pytest.mark.parametrize("prot, text", [
+    ("fig1.prot", "(reg 1 (a))"),
+    ("fig4.prot", "(reg 1 0 (a))"),
 ], ids=["roundless", "round"])
-def test_listed_symbol_is_bad_input(exdir, capsys, tmp_path, verb, prot,
-                                    text):
+def test_listed_symbol_is_bad_input(exdir, capsys, tmp_path, prot, text):
     c = tmp_path / "c.pc"
     c.write_text(text + "\n")
-    code, out, err = run(capsys, "check", verb, str(exdir / prot), str(c))
+    code, out, err = run(capsys, "check", "prp", str(exdir / prot), str(c))
     assert (code, out) == (70, "")
     assert err == f"error: bad constraint {c}: bad symbol ['a']\n"
 
 
 
+# PRP of a roundless protocol, and of a round-based one
 _ONE_STATE = {"prp": ("flavor: roundless\n", "(pop q0)"),
               "rbprp": ("flavor: roundbased\nvisibility: 0\n", "(pop q0 0)")}
 
 
-@pytest.mark.parametrize("problem", sorted(_ONE_STATE))
+@pytest.mark.parametrize("case", sorted(_ONE_STATE))
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1000])
-def test_constraint_past_nesting_cap_is_bad_input(capsys, tmp_path, problem,
+def test_constraint_past_nesting_cap_is_bad_input(capsys, tmp_path, case,
                                                   depth):
-    prot, c = _nested_constraint(tmp_path, problem, depth - 1)
-    code, out, err = run(capsys, "check", problem, str(prot), str(c))
+    prot, c = _nested_constraint(tmp_path, case, depth - 1)
+    code, out, err = run(capsys, "check", "prp", str(prot), str(c))
     assert code == 70
     assert out == ""
     assert err.startswith("error: bad constraint")
@@ -212,17 +214,17 @@ def test_constraint_past_nesting_cap_is_bad_input(capsys, tmp_path, problem,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("problem", sorted(_ONE_STATE))
-def test_constraint_at_nesting_cap_is_answered(capsys, tmp_path, problem):
+@pytest.mark.parametrize("case", sorted(_ONE_STATE))
+def test_constraint_at_nesting_cap_is_answered(capsys, tmp_path, case):
     # an odd number of negations around (pop q0): negative
-    prot, c = _nested_constraint(tmp_path, problem, MAX_NESTING - 1)
-    code, out, _ = run(capsys, "check", problem, str(prot), str(c))
+    prot, c = _nested_constraint(tmp_path, case, MAX_NESTING - 1)
+    code, out, _ = run(capsys, "check", "prp", str(prot), str(c))
     assert code == 1
     assert json.loads(out)["answer"] == "negative"
 
 
-def _nested_constraint(tmp_path, problem, negations):
-    head, atom = _ONE_STATE[problem]
+def _nested_constraint(tmp_path, case, negations):
+    head, atom = _ONE_STATE[case]
     prot = tmp_path / "one.prot"
     prot.write_text(head + "states: q0\ninitial: q0\nregisters: 1\n"
                     "alphabet: d0\ntransitions:\n")
@@ -237,7 +239,7 @@ def test_check_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["check", "cover", "fig1.prot", "--state", "qf", "--emit-witness", "W"],
-    ["oracle", "fig1.prot", "--problem", "cover", "--state", "qf",
+    ["check", "cover", "fig1.prot", "--state", "qf", "--algo", "oracle",
      "--emit-witness", "W"],
     ["examples", "--out", "W"],
     ["gen", "sat-cover", "--out", "W"]],
@@ -279,8 +281,7 @@ def test_missing_state_is_usage_error(exdir, capsys):
     assert code == 64
 
 
-@pytest.mark.parametrize("verb", [["check", "cover"],
-                                  ["oracle", "--problem", "cover"]])
+@pytest.mark.parametrize("verb", [["check", "cover"], ["check", "target"]])
 def test_unknown_state_is_bad_input(exdir, capsys, verb):
     code, out, err = run(capsys, *verb, str(exdir / "fig1.prot"),
                          "--state", "nowhere")
@@ -406,27 +407,68 @@ def test_replay_empty_trace_prints_start(exdir, capsys, tmp_path):
     assert "q0*2" in out
 
 
+# the oracle's round-based queries, once its own verb, are check --algo oracle
+def _oracle_fig4(capsys, exdir, problem, *argv):
+    return run(capsys, "check", problem, str(exdir / "fig4.prot"), *argv,
+               "--algo", "oracle", "--cap-rounds", "2")[:2]
+
+
 def test_oracle_verb_roundbased(exdir, capsys):
-    code, out, _ = run(capsys, "oracle", str(exdir / "fig4.prot"),
-                       str(exdir / "psi2.pc"), "--cap-rounds", "2")
+    code, out = _oracle_fig4(capsys, exdir, "prp", str(exdir / "psi2.pc"))
     assert code == 1
     assert json.loads(out)["algorithm"] == "oracle"
 
 
 def test_oracle_verb_roundbased_cover_and_target(exdir, capsys):
-    def oracle(*argv):
-        return run(capsys, "oracle", str(exdir / "fig4.prot"), *argv,
-                   "--cap-rounds", "2")[:2]
+    def oracle(problem, *argv):
+        return _oracle_fig4(capsys, exdir, problem, *argv)
     # cover of qf is psi1, (exists k (pop qf (+ k 0)))
-    code, out = oracle("--problem", "cover", "--state", "qf")
-    assert (code, out) == oracle(str(exdir / "psi1.pc"))
+    code, out = oracle("cover", "--state", "qf")
+    assert (code, out) == oracle("prp", str(exdir / "psi1.pc"))
     assert code == 1
     assert json.loads(out) == {"schema": 1, "answer": "negative",
                                "algorithm": "oracle",
                                "stats": {"members": 60, "max_round": 2}}
-    code, out = oracle("--problem", "target", "--state", "q0")
+    code, out = oracle("target", "--state", "q0")
     assert code == 0
     assert json.loads(out)["stats"] == {"members": 1, "max_round": 2}
+
+
+def test_roundbased_cover_and_target_take_rb_search(exdir, capsys):
+    fig4 = str(exdir / "fig4.prot")
+    code, out, _ = run(capsys, "check", "cover", fig4, "--state", "qf")
+    assert (code, json.loads(out)["stats"]["route"]) == (1, "footprints")
+    code, out, _ = run(capsys, "check", "target", fig4, "--state", "q0")
+    assert (code, json.loads(out)["algorithm"]) == (0, "rb-search")
+    # the oracle within two rounds decides every one of them the same way
+    for problem in ("cover", "target"):
+        for state in parse_protocol((exdir / "fig4.prot").read_text()
+                                    ).state_names:
+            argv = ("check", problem, fig4, "--state", state)
+            code = run(capsys, *argv)[0]
+            assert code in (0, 1)
+            assert run(capsys, *argv, "--algo", "oracle",
+                       "--cap-rounds", "2")[0] == code, (problem, state)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "fig4.prot", "psi2.pc", "--cap-rounds", "2"],
+    ["check", "dnfprp", "fig1.prot", "ex26_phi.pc", "--algo", "one-reg"],
+    ["check", "rbprp", "fig4.prot", "psi3.pc"]],
+    ids=["oracle", "dnfprp", "rbprp"])
+def test_removed_spellings_are_usage_errors(exdir, capsys, argv):
+    argv = [str(exdir / a) if "." in a else a for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (64, "")
+
+
+@pytest.mark.parametrize("algo", ["bounded", "fixed-r", "one-reg"])
+def test_roundless_algorithm_on_roundbased_protocol_is_incompatible(
+        exdir, capsys, algo):
+    code, out, err = run(capsys, "check", "cover", str(exdir / "fig4.prot"),
+                         "--state", "qf", "--algo", algo)
+    assert (code, out) == (65, "")
+    assert err == f"error: {algo} decides roundless protocols only\n"
 
 
 def test_check_algo_oracle_decides(exdir, capsys):
@@ -514,8 +556,13 @@ NOT_A_BOOLEAN = "an input's value is not true or false"
     ({"inputs": [["a", "false"]], "gates": [], "output": "a"},
      NOT_A_BOOLEAN),
     ({"inputs": {"ab": True}, "gates": [], "output": "a"}, NOT_A_BOOLEAN),
+    # a wire becomes a symbol of the protocol text, which these would break
+    *(({"inputs": [[w, True]], "gates": [["not", w, "o"]], "output": "o"},
+       f"wire {w!r} holds whitespace, '#' or ','")
+      for w in ("a b", "a#b", "a,b")),
 ], ids=["empty-gate", "listed-wire", "listed-output", "listed-input",
-        "string-value", "object-inputs"])
+        "string-value", "object-inputs", "wire-space", "wire-hash",
+        "wire-comma"])
 def test_gen_cvp_malformed_circuit_is_bad_input(capsys, tmp_path, spec,
                                                 message):
     # exit 1 would read as a negative: a malformed spec is bad input
@@ -534,7 +581,7 @@ def test_fmt_is_canonical(exdir, capsys):
 
 
 def test_rbprp_unknown_exit_code(exdir, capsys):
-    code, out, _ = run(capsys, "check", "rbprp", str(exdir / "fig4.prot"),
+    code, out, _ = run(capsys, "check", "prp", str(exdir / "fig4.prot"),
                        str(exdir / "psi1.pc"), "--budget", "50")
     assert code == 2
     assert json.loads(out)["answer"] == "unknown"
@@ -547,19 +594,22 @@ def test_parallel_flag_is_gone(exdir, capsys):
 
 
 def test_step_cap_flag_is_gone(exdir, capsys):
-    code, _, _ = run(capsys, "check", "rbprp", str(exdir / "fig4.prot"),
+    code, _, _ = run(capsys, "check", "prp", str(exdir / "fig4.prot"),
                      str(exdir / "psi3.pc"), "--step-cap", "3")
     assert code == 64
 
 
+# each case is a spelling of an oracle query; the ids name the spellings
+# they took over: the oracle verb's PRP query, and check --algo oracle
 @pytest.mark.parametrize("verb", [
-    ["oracle"], ["check", "rbprp", "--algo", "oracle"]],
+    ["check", "prp", "fig4.prot", "psi3.pc", "--algo", "oracle"],
+    ["check", "cover", "fig4.prot", "--state", "qf", "--algo", "oracle"]],
     ids=["oracle", "check-algo-oracle"])
 def test_negative_cap_rounds_is_usage_error(exdir, capsys, verb):
     # a round cap of -1 used to explore only the start configuration and
     # answer negative on an instance the default cap decides positive
-    code, out, err = run(capsys, *verb, str(exdir / "fig4.prot"),
-                         str(exdir / "psi3.pc"), "--cap-rounds", "-1")
+    verb = [str(exdir / a) if "." in a else a for a in verb]
+    code, out, err = run(capsys, *verb, "--cap-rounds", "-1")
     assert code == 64
     assert out == ""
     assert "--cap-rounds" in err
@@ -567,7 +617,8 @@ def test_negative_cap_rounds_is_usage_error(exdir, capsys, verb):
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("verb", [
-    ["oracle", "--problem", "cover"], ["check", "cover", "--algo", "oracle"]],
+    ["check", "target", "--algo", "oracle"],
+    ["check", "cover", "--algo", "oracle"]],
     ids=["oracle", "check-algo-oracle"])
 def test_cap_states_below_one_is_usage_error(exdir, capsys, verb, value):
     # a state cap below 1 used to run and exit 70, "|Q| = 5 exceeds cap"
@@ -578,7 +629,7 @@ def test_cap_states_below_one_is_usage_error(exdir, capsys, verb, value):
     assert "--cap-states" in err
 
 
-@pytest.mark.parametrize("verb", [["oracle"], ["check", "prp"]])
+@pytest.mark.parametrize("verb", [["check", "cover"], ["check", "prp"]])
 def test_cap_states_defaults_to_the_oracles_cap(capsys, verb):
     code, out, _ = run(capsys, *verb, "--help")
     assert code == 0
@@ -589,7 +640,7 @@ def test_cap_states_defaults_to_the_oracles_cap(capsys, verb):
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_budget_below_one_is_usage_error(exdir, capsys, budget):
-    code, out, err = run(capsys, "check", "rbprp", str(exdir / "fig4.prot"),
+    code, out, err = run(capsys, "check", "prp", str(exdir / "fig4.prot"),
                          str(exdir / "psi3.pc"), "--budget", budget)
     assert code == 64
     assert out == ""

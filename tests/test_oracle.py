@@ -389,6 +389,19 @@ def test_criterion_2_seed_refused_before_is_decided():
     assert eval_roundbased(p, final, psi, active_bound=K + 1)
 
 
+def test_roundless_valuation_space_past_cap_is_searched():
+    # 3**12 register valuations exceed the space cap, but the first hit is
+    # the second configuration discovered
+    p = parse_protocol("flavor: roundless\nstates: q0 q1\ninitial: q0\n"
+                       "registers: 12\nalphabet: d0 a b\ntransitions:\n"
+                       "  q0 write(1, a) q1\n")
+    assert p.num_symbols ** p.register_count > oracle.DEFAULT_SPACE_CAP
+    cover = cover_constraint(p, p.state_id("q1"))
+    v = oracle_prp(p, cover)
+    assert (v.answer, v.stats) == ("positive", {"members": 2})
+    assert eval_roundless(replay(p, v.witness, ABSTRACT), cover)
+
+
 def test_criterion_2_seed_refused_before_is_decided_negative():
     # seed 200513's full reach set within its round cap exceeds criterion
     # 2's space cap.  Its universal, (or (reg 1 (+ k 2) x) (pop s0 (+ k
