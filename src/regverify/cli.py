@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Verbs: ``check`` (COVER, TARGET or PRP, by a route chosen from the protocol
-file's flavor and ``--algo``), ``replay`` (witness validation), ``gen``
-(benchmark generators with ground truth), ``fmt`` (canonical
-re-serialization), ``examples`` (dump the built-in set).
+Verbs: ``check`` (COVER, TARGET or PRP, by the ``ROUTES`` entry ``--algo``
+names, or by default the one for the protocol file's flavor), ``replay``
+(witness validation), ``gen`` (benchmark generators with ground truth),
+``fmt`` (canonical re-serialization), ``examples`` (dump the built-in set).
 
 Machine-readable verdicts go to stdout as one JSON object per run; the
 human-readable summary goes to stderr.  Exit codes: 0 positive, 1 negative,
-2 unknown, 64 usage error, 65 incompatible algorithm, 70 bad input data
-or a file that cannot be read or written.
+2 unknown, 64 usage error (an option or argument the route does not read,
+too), 65 an ``Incompatible`` refusal by the route, 70 bad input data or a
+file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import sys
 from pathlib import Path
 
 from . import constraints as cst
-from .errors import (CapExceeded, NotDNF, NotEnabled, NotUninitialized,
-                     RegverifyError, WrongRegisterCount)
+from .errors import Incompatible, NotEnabled, RegverifyError
 from .model import ROUNDBASED, ROUNDLESS, parse_protocol, serialize_protocol
 from .oracle import DEFAULT_STATE_CAP, oracle_prp
 from .reductions import (TRUTH_TABLE_CAP, Circuit, CnfFormula,
@@ -67,7 +67,7 @@ def _load(path: str, what: str, parse):
 def _emit(v: Verdict, p, args) -> int:
     payload = {"schema": 1, "answer": v.answer, "algorithm": v.algorithm,
                "stats": v.stats}
-    if getattr(args, "emit_witness", None):
+    if args.emit_witness:
         if v.witness is not None:
             text = write_trace(p, v.witness, ABSTRACT)
             Path(args.emit_witness).write_text(text)
@@ -85,10 +85,15 @@ def _problem_constraint(args, p):
     if args.problem in ("cover", "target"):
         if not args.state:
             raise CliError(f"{args.problem} needs --state", EXIT_USAGE)
+        if args.constraint:
+            raise CliError(f"{args.problem} takes no constraint file",
+                           EXIT_USAGE)
         q = p.state_id(args.state)  # an unknown name exits 70 in main
         make = (cst.cover_constraint if args.problem == "cover"
                 else cst.target_constraint)
         return make(p, q), q
+    if args.state:
+        raise CliError("prp takes no --state", EXIT_USAGE)
     if not args.constraint:
         raise CliError(f"{args.problem} needs a constraint file", EXIT_USAGE)
     parse = cst.parse_roundless_constraint if p.flavor == ROUNDLESS \
@@ -97,45 +102,49 @@ def _problem_constraint(args, p):
                  lambda text: parse(text, p)), None
 
 
+def _fixed_r(p, q):
+    v = solve_cover_fixed_r(p, q)  # so a refused run prints no warning
+    if p.register_count > 6:
+        print(f"warning: fixed-r over {p.register_count} registers skips "
+              "dominated first-write orders, but its worst case is still "
+              "exponential in the register count", file=sys.stderr)
+    return v
+
+
+_PROBLEMS = ("cover", "target", "prp")
+# each --algo: the problems it decides, the options of _ROUTE_OPTIONS it
+# reads with the solver's keyword for each, and the solver, which refuses
+# the flavor it does not decide; a route that decides only cover is given
+# the state, the others the constraint
+ROUTES = {
+    "bounded": (_PROBLEMS, {}, solve_prp_bounded),
+    "saturation": (("cover",), {}, solve_cover_uninitialized),
+    "fixed-r": (("cover",), {}, _fixed_r),
+    "one-reg": (_PROBLEMS, {}, solve_dnfprp_one_register),
+    "oracle": (_PROBLEMS, {"cap_states": "state_cap",
+                           "cap_rounds": "max_round"}, oracle_prp),
+    "rb-search": (_PROBLEMS, {"budget": "budget"}, solve_prp_roundbased)}
+_DEFAULT_ROUTE = {ROUNDLESS: "bounded", ROUNDBASED: "rb-search"}
+# the options only some routes read, each at its default
+_ROUTE_OPTIONS = {"budget": None, "cap_states": DEFAULT_STATE_CAP,
+                  "cap_rounds": None}
+
+
 def cmd_check(args) -> int:
     p = _load(args.protocol, "protocol", parse_protocol)
+    algo = args.algo or _DEFAULT_ROUTE[p.flavor]
+    problems, reads, solver = ROUTES[algo]
+    for o, default in _ROUTE_OPTIONS.items():
+        # a roundless protocol has no round cap to read
+        read = o in reads and (o != "cap_rounds" or p.flavor == ROUNDBASED)
+        if getattr(args, o) != default and not read:
+            raise CliError(f"{algo} does not read --{o.replace('_', '-')} "
+                           f"on a {p.flavor} protocol", EXIT_USAGE)
     phi, state = _problem_constraint(args, p)
-    algo = args.algo
-    try:
-        if algo == "oracle":
-            v = oracle_prp(p, phi, max_round=args.cap_rounds,
-                           state_cap=args.cap_states)
-        elif p.flavor == ROUNDBASED:
-            if algo not in (None, "rb-search"):
-                raise CliError(f"{algo} decides roundless protocols only",
-                               EXIT_INCOMPATIBLE)
-            v = solve_prp_roundbased(p, phi, budget=args.budget)
-        elif algo == "bounded" or algo is None:
-            v = solve_prp_bounded(p, phi)
-        elif algo == "saturation":
-            if args.problem != "cover":
-                raise CliError("saturation decides cover only",
-                               EXIT_INCOMPATIBLE)
-            v = solve_cover_uninitialized(p, state)
-        elif algo == "fixed-r":
-            if args.problem != "cover":
-                raise CliError("fixed-r decides cover only",
-                               EXIT_INCOMPATIBLE)
-            if p.register_count > 6:
-                print(f"warning: fixed-r over {p.register_count} registers "
-                      f"skips dominated first-write orders, but its worst "
-                      f"case is still exponential in the register count",
-                      file=sys.stderr)
-            v = solve_cover_fixed_r(p, state)
-        elif algo == "one-reg":
-            v = solve_dnfprp_one_register(p, phi)
-        else:  # rb-search, the one choice left
-            raise CliError("rb-search decides round-based protocols only",
-                           EXIT_INCOMPATIBLE)
-    except (NotUninitialized, WrongRegisterCount, NotDNF) as e:
-        # each solver checks its own preconditions; past dnf_clauses' size
-        # guard the constraint is too large for the DNF route
-        raise CliError(str(e), EXIT_INCOMPATIBLE)
+    if args.problem not in problems:
+        raise Incompatible(f"{algo} decides {' and '.join(problems)} only")
+    v = solver(p, state if problems == ("cover",) else phi,
+               **{kw: getattr(args, o) for o, kw in reads.items()})
     return _emit(v, p, args)
 
 
@@ -228,10 +237,8 @@ def _random_circuit(rng: random.Random, gates: int) -> Circuit:
     for g in range(gates):
         op = rng.choice(("not", "and", "or"))
         wire = f"w{g + 1}"
-        if op == "not":
-            out.append((op, rng.choice(wires), wire))
-        else:
-            out.append((op, rng.choice(wires), rng.choice(wires), wire))
+        arity = 1 if op == "not" else 2
+        out.append((op, *(rng.choice(wires) for _ in range(arity)), wire))
         wires.append(wire)
     return Circuit(inputs, tuple(out), wires[-1])
 
@@ -282,13 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     chk = sub.add_parser("check", help="run a decision procedure")
-    chk.add_argument("problem", choices=["cover", "target", "prp"])
+    chk.add_argument("problem", choices=_PROBLEMS)
     chk.add_argument("protocol")
     chk.add_argument("constraint", nargs="?")
     chk.add_argument("--state", help="state name for cover/target")
-    chk.add_argument("--algo", default=None,
-                     choices=["bounded", "saturation", "fixed-r", "one-reg",
-                              "oracle", "rb-search"])
+    chk.add_argument("--algo", choices=ROUTES)
     chk.add_argument("--budget", type=_int_in(1), default=None,
                      help="round-based search work budget for the whole "
                           f"query (default {DEFAULT_BUDGET})")
@@ -307,17 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("trace")
     rep.set_defaults(func=cmd_replay)
 
-    gen = sub.add_parser("gen", help="generate a benchmark with ground truth")
-    gen.add_argument("kind", choices=["sat-cover", "sat-target", "cvp"])
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--vars", type=_int_in(1, TRUTH_TABLE_CAP), default=2)
-    gen.add_argument("--clauses", type=_int_in(1), default=2)
-    gen.add_argument("--gates", type=_int_in(0), default=2)
-    gen.add_argument("--desired", choices=["true", "false"], default="true",
+    kinds = sub.add_parser("gen", help="generate a benchmark with ground "
+                           "truth").add_subparsers(dest="kind", required=True)
+    sat, tgt, cvp = map(kinds.add_parser, ("sat-cover", "sat-target", "cvp"))
+    for g in (sat, tgt, cvp):
+        g.add_argument("--seed", type=int, default=0)
+        g.add_argument("--out", required=True)
+        g.set_defaults(func=cmd_gen)
+    for g in (sat, tgt):
+        g.add_argument("--vars", type=_int_in(1, TRUTH_TABLE_CAP), default=2)
+        g.add_argument("--clauses", type=_int_in(1), default=2)
+    cvp.add_argument("--gates", type=_int_in(0), default=2)
+    cvp.add_argument("--desired", choices=["true", "false"], default="true",
                      help="circuit output value the instance asks about")
-    gen.add_argument("--circuit", help="circuit description JSON")
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen)
+    cvp.add_argument("--circuit", help="circuit description JSON")
 
     fmt = sub.add_parser("fmt", help="canonical protocol serialization")
     fmt.add_argument("protocol")
@@ -342,8 +350,8 @@ def main(argv=None) -> int:
         return e.code
     except RegverifyError as e:
         print(f"error: {e}", file=sys.stderr)
-        # an oracle refusal beyond its caps is an instance it does not decide
-        return EXIT_INCOMPATIBLE if isinstance(e, CapExceeded) else EXIT_DATA
+        # a refusal by the route is an instance it does not decide
+        return EXIT_INCOMPATIBLE if isinstance(e, Incompatible) else EXIT_DATA
     except OSError as e:
         # a file that cannot be read or written; the message names it
         print(f"error: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types of the toolkit; ``Incompatible`` is a route's refusal."""
 
 
 class RegverifyError(Exception):
@@ -45,19 +45,23 @@ class NotInitialState(RegverifyError):
     """Initial configuration requested with a non-initial state."""
 
 
-class NotDNF(RegverifyError):
+class Incompatible(RegverifyError):
+    """Outside what this route decides: its flavor, problem, input or caps."""
+
+
+class NotDNF(Incompatible):
     """``dnf_clauses`` passed ``MAX_DNF_CLAUSES`` distinct clauses."""
 
 
-class NotUninitialized(RegverifyError):
+class NotUninitialized(Incompatible):
     """Operation requires a protocol that never reads the initial symbol."""
 
 
-class WrongRegisterCount(RegverifyError):
+class WrongRegisterCount(Incompatible):
     """Operation requires a specific register count."""
 
 
-class CapExceeded(RegverifyError):
+class CapExceeded(Incompatible):
     """Exhaustive exploration would exceed the configured cap."""
 
 

@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 from .constraints import (ApcCandidate, decompose_apcs, ground,
                           negated_states, prime_implicants)
-from .errors import CapExceeded
+from .errors import CapExceeded, Incompatible
 from .footprints import default_step_cap, extend_footprint
 from .model import INC, ROUNDBASED, Protocol
 from .oracle import _compiled, _join, _probe, layout, search, validated
@@ -199,7 +199,7 @@ def solve_prp_roundbased(p: Protocol, psi,
     against the constraint.
     """
     if p.flavor != ROUNDBASED:
-        raise ValueError("solve_prp_roundbased needs a round-based protocol")
+        raise Incompatible("rb-search decides round-based protocols only")
     if budget is None:
         budget = DEFAULT_BUDGET
     options: dict = {}  # literal options of this query's propositions

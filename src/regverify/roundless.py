@@ -26,7 +26,7 @@ Closures still run in passes over the whole list, so saturation's
 from __future__ import annotations
 
 from .constraints import ClauseDecomposition, dnf_clauses
-from .errors import NotUninitialized, WrongRegisterCount
+from .errors import Incompatible, NotUninitialized, WrongRegisterCount
 from .model import (D0, READ, ROUNDLESS, WRITE, Protocol, Transition,
                     is_uninitialized)
 from .oracle import search
@@ -42,7 +42,7 @@ def solve_prp_bounded(p: Protocol, phi) -> Verdict:
     and checked.  ``stats["nodes"]`` counts the configurations discovered.
     """
     if p.flavor != ROUNDLESS:
-        raise ValueError("solve_prp_bounded needs a roundless protocol")
+        raise Incompatible("bounded decides roundless protocols only")
     nodes, wit = search(p, phi)
     return Verdict(NEGATIVE if wit is None else POSITIVE, "bounded", wit,
                    {"nodes": nodes})
@@ -106,7 +106,7 @@ def solve_cover_uninitialized(p: Protocol, target: int) -> Verdict:
     ``stats["iterations"]`` counts its passes.
     """
     if p.flavor != ROUNDLESS:
-        raise ValueError("needs a roundless protocol")
+        raise Incompatible("saturation decides roundless protocols only")
     if not is_uninitialized(p):
         raise NotUninitialized("saturation needs an uninitialized protocol")
     covered, passes = _closure(p.initial_states, p.transitions,
@@ -143,7 +143,7 @@ def solve_cover_fixed_r(p: Protocol, target: int) -> Verdict:
     index, built once per query.
     """
     if p.flavor != ROUNDLESS:
-        raise ValueError("needs a roundless protocol")
+        raise Incompatible("fixed-r decides roundless protocols only")
     writes = _index(p.transitions, WRITE)
     S, _ = _closure(p.initial_states, p.transitions, (), writes)
     level = [((), S)]
@@ -184,7 +184,7 @@ def reduce_initialized_to_uninit_r1(p: Protocol) -> Protocol:
     disappear; presence reachability answers coincide for every constraint.
     """
     if p.flavor != ROUNDLESS:
-        raise ValueError("needs a roundless protocol")
+        raise Incompatible("reduction decides roundless protocols only")
     if p.register_count != 1:
         raise WrongRegisterCount("reduction needs exactly one register")
     closure, _ = _closure(p.initial_states, p.transitions, (),
@@ -296,7 +296,7 @@ def solve_dnfprp_one_register(p: Protocol, phi) -> Verdict:
     containing a write.  ``stats["clauses"]`` counts the clauses.
     """
     if p.flavor != ROUNDLESS:
-        raise ValueError("needs a roundless protocol")
+        raise Incompatible("one-reg decides roundless protocols only")
     if p.register_count != 1:
         raise WrongRegisterCount("one-reg needs a single register")
     decs = dnf_clauses(p, phi)

@@ -64,14 +64,41 @@ def test_check_incompatible_algorithm(exdir, capsys, tmp_path):
       "--cap-states", "3"], "|Q| = 5 exceeds cap 3"),
     # and so it does on the PRP spelling that took over the oracle verb's
     (["check", "prp", "fig1.prot", "ex26_phi.pc", "--algo", "oracle",
-      "--cap-states", "3"], "|Q| = 5 exceeds cap 3")],
-    ids=["saturation-initialized", "check-oracle-cap", "oracle-cap"])
+      "--cap-states", "3"], "|Q| = 5 exceeds cap 3"),
+    # outside both the route's problem and its flavor: the problem speaks
+    (["check", "target", "fig4.prot", "--state", "q0", "--algo", "fixed-r"],
+     "fixed-r decides cover only"),
+    (["check", "prp", "fig1.prot", "ex26_phi.pc", "--algo", "saturation"],
+     "saturation decides cover only")],
+    ids=["saturation-initialized", "check-oracle-cap", "oracle-cap",
+         "fixed-r-target-roundbased", "saturation-prp"])
 def test_solver_precondition_is_incompatible(exdir, capsys, argv, message):
     argv = [str(exdir / a) if "." in a else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 65
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "prp", "fig1.prot", "ex26_phi.pc", "--budget", "1"],
+     "bounded does not read --budget on a roundless protocol"),
+    (["check", "prp", "fig1.prot", "ex26_phi.pc", "--algo", "oracle",
+      "--cap-rounds", "3"],
+     "oracle does not read --cap-rounds on a roundless protocol"),
+    (["check", "cover", "fig1.prot", "ex26_phi.pc", "--state", "qf",
+      "--algo", "fixed-r"], "cover takes no constraint file"),
+    (["check", "prp", "fig1.prot", "ex26_phi.pc", "--state", "qf"],
+     "prp takes no --state"),
+    (["check", "prp", "fig4.prot", "psi3.pc", "--cap-states", "1"],
+     "rb-search does not read --cap-states on a roundbased protocol")],
+    ids=["budget-bounded", "cap-rounds-roundless", "constraint-with-cover",
+         "state-with-prp", "cap-states-rb-search"])
+def test_route_refuses_what_it_does_not_read(exdir, capsys, argv, message):
+    # each used to run as if the option or argument were not there
+    argv = [str(exdir / a) if "." in a else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (64, "", f"error: {message}\n")
 
 
 def test_one_reg_distributes_example_26(exdir, capsys):
@@ -231,6 +258,17 @@ def _nested_constraint(tmp_path, case, negations):
     c = tmp_path / "deep.pc"
     c.write_text("(not " * negations + atom + ")" * negations + "\n")
     return prot, c
+
+def test_false_constraint_is_negative_with_no_search(exdir, capsys,
+                                                    tmp_path):
+    c = tmp_path / "false.pc"
+    c.write_text("false\n")
+    code, out, _ = run(capsys, "check", "prp", str(exdir / "fig1.prot"),
+                       str(c))
+    assert code == 1
+    assert json.loads(out) == {"schema": 1, "answer": "negative",
+                               "algorithm": "bounded", "stats": {"nodes": 0}}
+
 
 def test_check_usage_error(capsys):
     code, _, _ = run(capsys, "check", "cover", "/nonexistent.prot")
@@ -399,6 +437,17 @@ def test_replay_refuses_malformed_trace_shape(exdir, capsys, tmp_path, text,
     assert (code, out, err) == (70, "", f"error: bad trace: {message}\n")
 
 
+def test_replay_roundbased_concrete_lists_each_process(exdir, capsys,
+                                                      tmp_path):
+    trace = tmp_path / "c.trace"
+    trace.write_text("trace: roundbased concrete\n"
+                     "start: q0@0 q0@0 q0@0 q0@0 |\nsteps:\n"
+                     "  0 q0 inc q0 keep\n  0 q0 write(1, a) A keep\n")
+    # two processes in q0 at round 0 print twice, not as q0@0*2
+    assert run(capsys, "replay", str(exdir / "fig4.prot"), str(trace)) == (
+        0, "final: q0@0 q0@0 q0@1 A@0 | 0.1=a\n", "")
+
+
 def test_replay_empty_trace_prints_start(exdir, capsys, tmp_path):
     trace = tmp_path / "empty.trace"
     trace.write_text("trace: roundless concrete\nstart: q0 q0 | 1=d0\n")
@@ -560,9 +609,20 @@ NOT_A_BOOLEAN = "an input's value is not true or false"
     *(({"inputs": [[w, True]], "gates": [["not", w, "o"]], "output": "o"},
        f"wire {w!r} holds whitespace, '#' or ','")
       for w in ("a b", "a#b", "a,b")),
+    ({"inputs": [["a", True], ["a", False]], "gates": [], "output": "a"},
+     "wire 'a' defined twice"),
+    ({"inputs": [["a", True], ["b", True]], "gates": [["not", "a", "b", "o"]],
+      "output": "o"}, "not-gate takes one input: ('not', 'a', 'b', 'o')"),
+    ({"inputs": [["a", True]], "gates": [["and", "a", "o"]], "output": "o"},
+     "and-gate takes two inputs: ('and', 'a', 'o')"),
+    ({"inputs": [["a", True], ["b", True]], "gates": [["xor", "a", "b", "o"]],
+      "output": "o"}, "unknown gate 'xor'"),
+    ({"inputs": [["a", True]], "gates": [], "output": "z"},
+     "output wire 'z' is undefined"),
 ], ids=["empty-gate", "listed-wire", "listed-output", "listed-input",
         "string-value", "object-inputs", "wire-space", "wire-hash",
-        "wire-comma"])
+        "wire-comma", "input-twice", "not-two-inputs", "and-one-input",
+        "unknown-gate", "undefined-output"])
 def test_gen_cvp_malformed_circuit_is_bad_input(capsys, tmp_path, spec,
                                                 message):
     # exit 1 would read as a negative: a malformed spec is bad input
@@ -572,6 +632,35 @@ def test_gen_cvp_malformed_circuit_is_bad_input(capsys, tmp_path, spec,
                          "--out", str(tmp_path / "o"))
     assert (code, out) == (70, "")
     assert err == f"error: bad circuit: {message}\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("missing.json", None), ("text.json", "not json"),
+    ("no-gates.json", json.dumps({"inputs": [["a", True]], "output": "a"}))],
+    ids=["missing", "not-json", "no-gates"])
+def test_gen_cvp_unreadable_circuit_spec_is_bad_input(capsys, tmp_path, name,
+                                                     text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "gen", "cvp", "--circuit", str(path),
+                         "--out", str(tmp_path / "o"))
+    assert (code, out) == (70, "")
+    assert err.startswith("error: bad circuit spec: ") and \
+        err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind, option", [
+    ("sat-cover", ["--gates", "9"]), ("sat-target", ["--desired", "false"]),
+    ("cvp", ["--vars", "5"])],
+    ids=["sat-cover-gates", "sat-target-desired", "cvp-vars"])
+def test_gen_refuses_the_other_kinds_options(capsys, tmp_path, kind, option):
+    # each used to be accepted and ignored
+    out_dir = tmp_path / "g"
+    code, out, err = run(capsys, "gen", kind, *option, "--out", str(out_dir))
+    assert (code, out) == (64, "")
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert not out_dir.exists()
 
 
 def test_fmt_is_canonical(exdir, capsys):

@@ -209,10 +209,25 @@ def test_other_flavor_is_rejected(parse, p, text, message):
     ("(pop qf))", "trailing input after constraint"),
     ("(pop qf) (pop q0)", "trailing input after constraint"),
     ("true false", "trailing input after constraint"),
+    ("(not (pop q0) (pop A))", "not takes one argument"),
+    ("()", "cannot parse []"),
+    ("pop", "cannot parse 'pop'"),
+    ("(reg 2 a)", "register 2 out of range"),
 ])
 def test_sexpr_errors(text, message):
     with pytest.raises(ConstraintSyntaxError) as info:
         rl(FIG1, text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(exists k)", "exists takes a variable and a body"),
+    ("(pop q0 -1)", "negative term constant"),
+    ("(pop q0 x)", "bad term 'x'"),
+])
+def test_round_term_errors(text, message):
+    with pytest.raises(ConstraintSyntaxError) as info:
+        rb(EX42, text)
     assert str(info.value) == message
 
 
@@ -269,6 +284,12 @@ def test_format_roundtrip():
         p = PROTOCOLS[nc.protocol]
         psi = rb(p, nc.text)
         assert rb(p, format_constraint(p, psi)) == psi
+
+
+def test_format_constants():
+    assert rl(FIG1, "true") == TRUE and rl(FIG1, "false") == FALSE
+    assert format_constraint(FIG1, TRUE) == "true"
+    assert format_constraint(FIG1, FALSE) == "false"
 
 
 def test_dnf_distributes_example_26():

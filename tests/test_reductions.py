@@ -11,8 +11,9 @@ from regverify.constraints import cover_constraint, target_constraint
 from regverify.errors import CyclicCircuit
 from regverify.model import is_uninitialized, parse_protocol, serialize_protocol
 from regverify.oracle import oracle_prp
-from regverify.reductions import (Circuit, CnfFormula, builtin_examples,
-                                  cvp_to_cover, evaluate_circuit,
+from regverify.reductions import (TRUTH_TABLE_CAP, Circuit, CnfFormula,
+                                  builtin_examples, cvp_to_cover,
+                                  evaluate_circuit,
                                   sat_to_cover, sat_to_uninit_target,
                                   truth_table_satisfiable)
 
@@ -27,6 +28,16 @@ def test_cnf_validation():
     with pytest.raises(ValueError):
         CnfFormula(1, ((1, 2, 1),))
     CnfFormula(2, ((1, -2, 2),))
+
+
+def test_cnf_refuses_empty_formulas_and_the_truth_table_past_its_cap():
+    with pytest.raises(ValueError, match="need at least one variable"):
+        CnfFormula(0, ((1, 1, 1),))
+    with pytest.raises(ValueError, match="need at least one clause"):
+        CnfFormula(1, ())
+    wide = CnfFormula(TRUTH_TABLE_CAP + 1, ((1, 1, 1),))
+    with pytest.raises(ValueError, match="truth table capped"):
+        truth_table_satisfiable(wide)
 
 
 def test_truth_table():

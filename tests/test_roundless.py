@@ -9,12 +9,14 @@ from regverify.constraints import (ROUND0, And, RegAt, cover_constraint,
                                    dnf_clauses, eval_roundless,
                                    parse_roundless_constraint,
                                    target_constraint)
-from regverify.errors import NotUninitialized, WrongRegisterCount
+from regverify.errors import (CapExceeded, Incompatible, NotDNF,
+                              NotUninitialized, WrongRegisterCount)
 from regverify.model import Protocol, is_uninitialized, parse_protocol
 from regverify.oracle import oracle_prp
 from regverify.reductions import (CnfFormula, builtin_examples,
                                   sat_to_cover, truth_table_satisfiable)
 from regverify import roundless
+from regverify.roundbased import solve_prp_roundbased
 from regverify.roundless import (reduce_initialized_to_uninit_r1,
                                  solve_cover_fixed_r,
                                  solve_cover_uninitialized,
@@ -504,3 +506,34 @@ def test_cover_routes_agree_with_oracle_smoke():
         if p.register_count == 1:
             assert solve_dnfprp_one_register(
                 p, cover_constraint(p, target)).answer == want
+
+
+# --- each route refuses the flavor it does not decide -------------------------
+
+def _cover_qf(solve):
+    return lambda p: solve(p, cover_constraint(p, p.state_id("qf")))
+
+
+@pytest.mark.parametrize("route, solve", [
+    ("bounded", _cover_qf(solve_prp_bounded)),
+    ("saturation", lambda p: solve_cover_uninitialized(p, p.state_id("qf"))),
+    ("fixed-r", lambda p: solve_cover_fixed_r(p, p.state_id("qf"))),
+    ("one-reg", _cover_qf(solve_dnfprp_one_register)),
+    ("reduction", reduce_initialized_to_uninit_r1),
+    ("rb-search", _cover_qf(solve_prp_roundbased))],
+    ids=["bounded", "saturation", "fixed-r", "one-reg", "reduction",
+         "rb-search"])
+def test_solver_refuses_the_other_flavor(route, solve):
+    # fig4 is round-based and fig1 roundless; both have one register and a
+    # state qf, so the flavor is all that is outside the route
+    flavor = "round-based" if route == "rb-search" else "roundless"
+    p = PROTOCOLS["fig1" if route == "rb-search" else "fig4"]
+    with pytest.raises(Incompatible) as info:
+        solve(p)
+    assert str(info.value) == f"{route} decides {flavor} protocols only"
+
+
+def test_every_precondition_refusal_is_incompatible():
+    # the CLI exits 65 on an Incompatible refusal and 70 on any other error
+    for cls in (NotDNF, NotUninitialized, WrongRegisterCount, CapExceeded):
+        assert issubclass(cls, Incompatible), cls
